@@ -11,13 +11,15 @@ reference at paper scale, the sharded kernel at least 5x the dense kernel
 at large-fleet scale, the array-backed cold slot (announcement build +
 kernel build) at least 15x the per-sensor object walk at 20k sensors, the
 mask-driven region-heavy slot at least 3x the scalar-relevance reference
-(measured ~35-40x), and preallocated slot workspaces cutting a warm greedy
-call's seam-routed temporary allocations at least 5x versus pass-through
-mode (measured: to zero) — all with identical (region-heavy and workspace:
-exactly ``==``) allocations/arrays — and emits a ``BENCH_allocators.json``
-perf trajectory (per-case mean/stdev seconds) so future changes have
-numbers to compare against.  Set ``REPRO_BENCH_JSON`` to choose the output
-path.
+(measured ~35-40x), the fused block pipeline at least 2x the per-row
+refresh, and the incremental warm slot at least 5x the full rebuild — all
+with identical (region-heavy: exactly ``==``) allocations/arrays — and
+emits a ``BENCH_allocators.json`` perf trajectory (per-case mean/stdev
+seconds) so future changes have numbers to compare against.  Set
+``REPRO_BENCH_JSON`` to choose the output path.
+
+The scalar and per-row references are the oracles in ``tests/oracles.py``
+(``benchmarks/conftest.py`` puts ``tests/`` on the import path).
 
 Run:  pytest benchmarks/bench_allocators.py --benchmark-only -s
 """
@@ -32,7 +34,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.backend import InstrumentedNumpyBackend, use_backend
+from oracles import PerRowGreedyAllocator, ScalarGreedyAllocator
 from repro.core import (
     BaselineAllocator,
     GreedyAllocator,
@@ -133,7 +135,7 @@ def test_allocator_slot_cost(benchmark, slot, allocator):
     "allocator,case",
     [
         (GreedyAllocator(), "greedy_vectorized_300x635"),
-        (GreedyAllocator(vectorized=False), "greedy_scalar_300x635"),
+        (ScalarGreedyAllocator(), "greedy_scalar_300x635"),
         (BaselineAllocator(), "baseline_300x635"),
     ],
     ids=["greedy_vectorized", "greedy_scalar", "baseline"],
@@ -150,7 +152,7 @@ def test_greedy_vectorized_speedup_at_paper_scale(paper_slot):
     the paper-scale slot, with identical allocations."""
     queries, sensors = paper_slot
     vectorized = GreedyAllocator(verify=False)
-    scalar = GreedyAllocator(verify=False, vectorized=False)
+    scalar = ScalarGreedyAllocator(verify=False)
 
     # Interleave the two paths so clock-frequency drift or co-tenant noise
     # hits both equally; best-of-N on each side filters the spikes.
@@ -304,8 +306,8 @@ def test_region_heavy_masked_speedup(region_heavy_slot):
     bit-identical between the scalar and batch paths, so this comparison
     is exact, not approximate.)"""
     queries, sensors = region_heavy_slot
-    masked = GreedyAllocator(verify=False, fused=False)
-    scalar = GreedyAllocator(verify=False, vectorized=False)
+    masked = PerRowGreedyAllocator(verify=False)
+    scalar = ScalarGreedyAllocator(verify=False)
     dense_kernel = ValuationKernel.from_sensors(sensors)
     sharded_kernel = ShardedKernel.from_sensors(sensors)
 
@@ -390,12 +392,12 @@ def region_storm_slot():
 
 def test_fused_region_heavy_speedup(region_storm_slot):
     """Hard floor: the fused block pipeline must be >= 2x the per-row
-    masked (``fused=False``) path on the 128-aggregate 20k-sensor storm
+    refresh oracle (``PerRowGreedyAllocator``) on the 128-aggregate 20k-sensor storm
     slot, with exactly identical (``==``) allocations, values and payments
     — dense and sharded."""
     queries, sensors = region_storm_slot
-    fused = GreedyAllocator(verify=False, fused="auto")
-    masked = GreedyAllocator(verify=False, fused=False)
+    fused = GreedyAllocator(verify=False)
+    masked = PerRowGreedyAllocator(verify=False)
     dense_kernel = ValuationKernel.from_sensors(sensors)
     sharded_kernel = ShardedKernel.from_sensors(sensors)
 
@@ -444,58 +446,6 @@ def test_fused_region_heavy_speedup(region_storm_slot):
     assert speedup >= 2.0, (
         f"fused pipeline ({min(fast)*1e3:.0f} ms) must be >= 2x the per-row "
         f"masked path ({min(slow)*1e3:.0f} ms); got {speedup:.2f}x"
-    )
-
-
-def test_warm_round_workspace_allocations(region_storm_slot):
-    """Hard floor: preallocated slot workspaces must cut the seam-routed
-    temporary allocations of a warm greedy call on the 128-aggregate
-    20k-sensor storm slot by >= 5x versus pass-through mode, with exactly
-    identical (``==``) allocations, values and payments.  Wall-clock for
-    both settings is recorded in the trajectory (``warm_round_workspace_*``)
-    but not floor-gated — the headline here is allocator pressure, which is
-    deterministic on 1-core CI where timing is not."""
-    queries, sensors = region_storm_slot
-    kernel = ValuationKernel.from_sensors(sensors)
-
-    def metered_warm_call(allocator):
-        # Warm-up call outside the meter: arenas grow to their high-water
-        # shapes, the raster/coverage caches build.
-        allocator.allocate(queries, sensors, kernel=kernel)
-        meter = InstrumentedNumpyBackend()
-        with use_backend(meter):
-            start = time.perf_counter()
-            result = allocator.allocate(queries, sensors, kernel=kernel)
-            elapsed = time.perf_counter() - start
-        snapshot = meter.snapshot()
-        count = sum(c for c, _ in snapshot.values())
-        nbytes = sum(b for _, b in snapshot.values())
-        return result, count, nbytes, elapsed
-
-    a, count_on, bytes_on, time_on = metered_warm_call(
-        GreedyAllocator(verify=False, workspace="auto")
-    )
-    b, count_off, bytes_off, time_off = metered_warm_call(
-        GreedyAllocator(verify=False, workspace=False)
-    )
-
-    # The hard contract first: the workspace is invisible in the results.
-    assert a.assignments == b.assignments
-    assert set(a.selected) == set(b.selected)
-    assert a.values == b.values
-    assert a.payments == b.payments
-
-    _record_case("warm_round_workspace_on_128x20000", time_on, 0.0, 1)
-    _record_case("warm_round_workspace_off_128x20000", time_off, 0.0, 1)
-    ratio = count_off / max(count_on, 1)
-    print(
-        f"\nwarm greedy call 128x20000: workspace off {count_off} allocs "
-        f"({bytes_off} B, {time_off*1e3:.0f} ms), on {count_on} allocs "
-        f"({bytes_on} B, {time_on*1e3:.0f} ms), {ratio:.1f}x fewer"
-    )
-    assert count_off >= 5 * max(count_on, 1), (
-        f"slot workspaces must cut warm-call temporary allocations >= 5x: "
-        f"off={count_off}, on={count_on} ({ratio:.2f}x)"
     )
 
 

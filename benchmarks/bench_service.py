@@ -53,7 +53,6 @@ def burst_spec() -> ScenarioSpec:
         n_slots=N_TICKS,
         allocator="greedy",
         sharding="auto",
-        fused="auto",
         streams=[
             StreamSpec("point", {"n_queries": 64, "budget": 15.0, "dmax": 2.0}),
             StreamSpec(

@@ -8,9 +8,16 @@ Figure benches run at the scale selected by ``REPRO_SCALE`` (default
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import get_scale
+
+# The greedy reference allocators (``oracles``) live with the parity suites;
+# the benches time the production greedy against them.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 
 @pytest.fixture(scope="session")

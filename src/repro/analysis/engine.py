@@ -55,14 +55,6 @@ class LintConfig:
     )
     #: async service code: no blocking calls in coroutines (REP006)
     async_scope: tuple[str, ...] = ("src/repro/service",)
-    #: modules whose raw numpy allocators must route through the
-    #: workspace/backend seam (REP007)
-    hot_alloc_scope: tuple[str, ...] = (
-        "src/repro/core/greedy.py",
-        "src/repro/core/valuation.py",
-        "src/repro/spatial/raster.py",
-        "src/repro/queries/base.py",
-    )
     #: entry points exempt from the determinism rule (REP003)
     determinism_exempt: tuple[str, ...] = (
         "src/repro/cli.py",

@@ -1,4 +1,4 @@
-"""The rule registry and the seven repo-specific invariant rules.
+"""The rule registry and the six repo-specific invariant rules.
 
 Each rule machine-checks one convention the reproduction's correctness
 rests on (see README "Static analysis" for the invariant each protects):
@@ -10,7 +10,6 @@ Rows (CHANGES-style):
     ulp-mixed-math     REP004 - no scalar ``math.f`` in modules using ``numpy.f``
     hot-loop           REP005 - no scalar sensor-axis ``for`` loops in hot modules
     async-blocking     REP006 - no blocking calls inside ``async def`` service code
-    hot-alloc          REP007 - no raw numpy allocators in hot modules (use the seam)
 """
 
 from __future__ import annotations
@@ -488,50 +487,3 @@ class AsyncBlockingRule(Rule):
                         f"queue.Queue inside async def {func.name}() — use "
                         f"asyncio.Queue (or run it in an executor)",
                     )
-
-
-# ----------------------------------------------------------------------
-# REP007 — hot-path raw allocations
-# ----------------------------------------------------------------------
-_RAW_ALLOCATORS = ("zeros", "empty", "full")
-
-
-@register
-class HotAllocRule(Rule):
-    """No raw ``np.zeros``/``np.empty``/``np.full`` in declared hot modules.
-
-    Warm greedy rounds are allocation-free: per-round scratch comes from a
-    :class:`~repro.backend.SlotWorkspace` arena (``ws.empty(...)`` +
-    ``out=``-routed ops) and everything else routes through the array
-    backend seam (``xp.zeros`` ...), so the instrumented backend sees —
-    and CI's allocation floor gates — every hot-path array the code
-    materializes.  A raw module-level numpy allocator in a hot-alloc
-    module is either a regression (an uncounted, un-reused temporary) or
-    a deliberate cold path, which carries an allow-pragma with the
-    reason.
-    """
-
-    id = "hot-alloc"
-    code = "REP007"
-    summary = "no raw numpy allocators in hot modules — route through the seam"
-
-    def check(self, module, repo, config):
-        if not _in_scope(module.relpath, config.hot_alloc_scope):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            qualified = module.qualified_name(node.func)
-            if qualified is None or not qualified.startswith("numpy."):
-                continue
-            fn = qualified.split(".", 1)[1]
-            if fn not in _RAW_ALLOCATORS:
-                continue
-            yield self.finding(
-                module,
-                node,
-                f"raw np.{fn} in a hot-alloc module — acquire the buffer "
-                f"from the slot workspace (ws.{fn}) or the backend seam "
-                f"(xp.{fn}), or pragma the deliberate cold path with its "
-                f"reason",
-            )

@@ -67,28 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="override the spec's spatial sharding: 'off', "
                                "'auto', or a shard cell size (allocations are "
                                "bit-identical either way)")
-    scenario.add_argument("--fused", default=None, metavar="MODE",
-                          help="override the spec's fused gain-block pipeline: "
-                               "'off' or 'auto' (allocations are bit-identical "
-                               "either way)")
     scenario.add_argument("--incremental", default=None, metavar="MODE",
                           help="override the spec's incremental slot state: "
                                "'off' or 'auto' (allocations are "
                                "bit-identical either way)")
-    scenario.add_argument("--backend", default=None, metavar="NAME",
-                          help="override the spec's array backend: 'numpy', "
-                               "'instrumented' (allocation metering), 'cupy' "
-                               "or 'jax' (numpy-family backends are "
-                               "bit-identical)")
-    scenario.add_argument("--workspace", default=None, metavar="MODE",
-                          help="override the spec's preallocated slot "
-                               "workspaces: 'off' or 'auto' (allocations are "
-                               "bit-identical either way)")
     scenario.add_argument("--profile", action="store_true",
                           help="print a per-slot phase-timing breakdown "
-                               "(announce / kernel / allocate / settle); "
-                               "with --backend instrumented, also per-phase "
-                               "allocation counts")
+                               "(announce / kernel / allocate / settle)")
     scenario.add_argument("--json", action="store_true",
                           help="dump the machine-readable summary (metrics + "
                                "per-phase timings) to stdout instead of the "
@@ -106,13 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="path(s) to ScenarioSpec JSON files")
     replay.add_argument("--slots", type=int, default=None,
                         help="override the spec's n_slots")
-    replay.add_argument("--backend", default=None, metavar="NAME",
-                        help="override the spec's array backend (see "
-                             "'repro scenario --backend')")
-    replay.add_argument("--profile", action="store_true",
-                        help="run both engines on the allocation-metering "
-                             "backend and add per-phase allocation "
-                             "count/bytes columns to the report and CSV")
     replay.add_argument("--csv", default=None, metavar="PATH",
                         help="write the per-slot latency/churn/parity CSV "
                              "here (per spec; multiple specs get a "
@@ -129,9 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--slots", type=int, default=None,
                        help="number of ticks to run (default: the spec's "
                             "n_slots)")
-    serve.add_argument("--backend", default=None, metavar="NAME",
-                       help="override the spec's array backend (see "
-                            "'repro scenario --backend')")
     serve.add_argument("--tick", type=float, default=None, metavar="SECONDS",
                        help="override the ticker interval (0 = "
                             "run-to-completion)")
@@ -278,26 +253,6 @@ def _parse_sharding(value: str | None):
         raise SystemExit(2) from None
 
 
-def _parse_fused(value: str | None):
-    """CLI fused override: 'off' -> per-row batch path, 'on'/'auto' -> the
-    fused block pipeline.  The resulting value goes through the shared
-    ``normalize_fused`` validation."""
-    if value is None:
-        return None
-    from .core.greedy import normalize_fused
-
-    lowered = value.lower()
-    try:
-        if lowered in ("off", "none", "false"):
-            return normalize_fused(False)
-        if lowered in ("on", "true", "auto"):
-            return normalize_fused("auto")
-        raise ValueError(value)
-    except ValueError:
-        print(f"invalid --fused value {value!r}", file=sys.stderr)
-        raise SystemExit(2) from None
-
-
 def _parse_incremental(value: str | None):
     """CLI incremental override: 'off' -> full per-slot rebuilds,
     'on'/'auto' -> differential slot state.  The resulting value goes
@@ -318,41 +273,6 @@ def _parse_incremental(value: str | None):
         raise SystemExit(2) from None
 
 
-def _parse_backend(value: str | None):
-    """CLI backend override: a registered backend name ('numpy',
-    'instrumented', 'cupy', 'jax').  The name goes through the shared
-    ``normalize_backend`` validation."""
-    if value is None:
-        return None
-    from .backend import normalize_backend
-
-    try:
-        return normalize_backend(value.lower())
-    except ValueError as exc:
-        print(f"invalid --backend value {value!r}: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
-
-
-def _parse_workspace(value: str | None):
-    """CLI workspace override: 'off' -> fresh scratch every round,
-    'on'/'auto' -> preallocated slot workspaces.  The resulting value goes
-    through the shared ``normalize_workspace`` validation."""
-    if value is None:
-        return None
-    from .backend import normalize_workspace
-
-    lowered = value.lower()
-    try:
-        if lowered in ("off", "none", "false"):
-            return normalize_workspace(False)
-        if lowered in ("on", "true", "auto"):
-            return normalize_workspace("auto")
-        raise ValueError(value)
-    except ValueError:
-        print(f"invalid --workspace value {value!r}", file=sys.stderr)
-        raise SystemExit(2) from None
-
-
 def _run_scenario(args: argparse.Namespace) -> int:
     from .datasets import ScenarioSpec
 
@@ -370,24 +290,15 @@ def _run_scenario(args: argparse.Namespace) -> int:
     from .service.metrics import summary_payload
 
     sharding_override = _parse_sharding(args.sharding)
-    fused_override = _parse_fused(args.fused)
     incremental_override = _parse_incremental(args.incremental)
-    backend_override = _parse_backend(args.backend)
-    workspace_override = _parse_workspace(args.workspace)
     json_payloads: list[dict] = []
     for path in args.spec:
         try:
             spec = ScenarioSpec.from_json(path)
             if args.sharding is not None:
                 spec = dataclasses.replace(spec, sharding=sharding_override)
-            if args.fused is not None:
-                spec = dataclasses.replace(spec, fused=fused_override)
             if args.incremental is not None:
                 spec = dataclasses.replace(spec, incremental=incremental_override)
-            if args.backend is not None:
-                spec = dataclasses.replace(spec, backend=backend_override)
-            if args.workspace is not None:
-                spec = dataclasses.replace(spec, workspace=workspace_override)
         except (OSError, ValueError, TypeError) as exc:
             print(f"error loading {path}: {exc}", file=sys.stderr)
             return 2
@@ -420,33 +331,17 @@ def _run_scenario(args: argparse.Namespace) -> int:
         if args.profile and not args.json:
             from .core.engine import PHASES
 
-            metered = any(
-                f"alloc_{p}_count" in r.extras
-                for r in summary.slots for p in PHASES
-            )
             header = "  slot  " + "".join(f"{p:>12}" for p in PHASES)
-            if metered:
-                header += "  " + "".join(f"{p + ' allocs':>16}" for p in PHASES)
             print(header)
             for r in summary.slots:
                 cells = "".join(
                     f"{r.extras.get(f't_{p}', 0.0) * 1e3:10.2f}ms" for p in PHASES
                 )
-                if metered:
-                    cells += "  " + "".join(
-                        f"{int(r.extras.get(f'alloc_{p}_count', 0.0)):>16}"
-                        for p in PHASES
-                    )
                 print(f"  {r.slot:>4}  {cells}")
             totals = "".join(
                 f"{sum(r.extras.get(f't_{p}', 0.0) for r in summary.slots) * 1e3:10.2f}ms"
                 for p in PHASES
             )
-            if metered:
-                totals += "  " + "".join(
-                    f"{int(sum(r.extras.get(f'alloc_{p}_count', 0.0) for r in summary.slots)):>16}"
-                    for p in PHASES
-                )
             print(f"  {'sum':>4}  {totals}")
         if out_dir:
             (out_dir / f"{spec.name}.json").write_text(json.dumps(payload, indent=2))
@@ -461,18 +356,15 @@ def _run_replay(args: argparse.Namespace) -> int:
     from .datasets import ScenarioSpec
     from .experiments import replay_spec
 
-    backend_override = _parse_backend(args.backend)
     broken = 0
     for path in args.spec:
         try:
             spec = ScenarioSpec.from_json(path)
-            if args.backend is not None:
-                spec = dataclasses.replace(spec, backend=backend_override)
         except (OSError, ValueError, TypeError) as exc:
             print(f"error loading {path}: {exc}", file=sys.stderr)
             return 2
         try:
-            report = replay_spec(spec, args.slots, profile=args.profile)
+            report = replay_spec(spec, args.slots)
         except (ValueError, TypeError, ReproError) as exc:
             print(f"error replaying {spec.name}: {exc}", file=sys.stderr)
             return 2
@@ -554,11 +446,8 @@ def _run_serve(args: argparse.Namespace) -> int:
     from .datasets import ScenarioSpec
     from .service import LoadGenerator, MarketplaceService, PoissonProfile
 
-    backend_override = _parse_backend(args.backend)
     try:
         spec = ScenarioSpec.from_json(args.spec)
-        if args.backend is not None:
-            spec = dataclasses.replace(spec, backend=backend_override)
     except (OSError, ValueError, TypeError) as exc:
         print(f"error loading {args.spec}: {exc}", file=sys.stderr)
         return 2
@@ -755,15 +644,6 @@ def _run_info(parser: argparse.ArgumentParser) -> int:
         print(f"  {choice.dest:<9} {choice.help or ''}")
     print("figures:", ", ".join(ALL_FIGURES))
     print("scales : paper (Section 4 sizes), ci (fast shrink)")
-    from .backend import available_backends
-
-    print(
-        "backends:",
-        ", ".join(
-            name if importable else f"{name} (not installed)"
-            for name, importable in available_backends().items()
-        ),
-    )
     return 0
 
 

@@ -21,7 +21,7 @@ from .engine import (
     region_monitoring_engine,
 )
 from .errors import AllocationError, PaymentInvariantError, ReproError, SolverError
-from .greedy import GreedyAllocator, relevant_queries_by_sensor
+from .greedy import GreedyAllocator
 from .local_search import LocalSearchPointAllocator, RandomizedLocalSearchAllocator
 from .metrics import RunningStat, SimulationSummary, SlotRecord
 from .mix import BaselineMixAllocator, MixAllocator, MixOutcome
@@ -63,7 +63,6 @@ __all__ = [
     "LocalSearchPointAllocator",
     "RandomizedLocalSearchAllocator",
     "GreedyAllocator",
-    "relevant_queries_by_sensor",
     "BaselineAllocator",
     "PointProblem",
     "ValuationKernel",

@@ -10,6 +10,8 @@ the cost shares ``pi_{q,s}`` of Section 2.1).
 
 from __future__ import annotations
 
+import math
+
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -139,12 +141,17 @@ class AllocationResult:
     def verify(self, tolerance: float = 1e-6) -> None:
         """Assert the settlement invariants; raise on violation.
 
-        1. every payment is non-negative;
+        1. every payment is finite and non-negative;
         2. every selected sensor recovers exactly its announced cost
            ("the total payment from the queries using that sensor is equal
            to c_s", Section 2.1);
-        3. every query's utility is non-negative (Theorem 1, property 3);
+        3. every query's utility is finite and non-negative (Theorem 1,
+           property 3);
         4. assignments only reference selected sensors.
+
+        A NaN or infinite payment, income or utility fails its check: each
+        condition states the good case, so a NaN (every comparison with it
+        is False) cannot slip through.
         """
         # One grouping pass over the ledger instead of a full payments scan
         # per query/sensor (the helpers stay O(n) for ad-hoc callers, but
@@ -154,23 +161,27 @@ class AllocationResult:
         query_paid: dict[str, float] = {}
         sensor_paid: dict[int, float] = {}
         for (qid, sid), payment in self.payments.items():
-            if payment < -tolerance:
+            if not (math.isfinite(payment) and payment >= -tolerance):
                 raise PaymentInvariantError(
-                    f"negative payment {payment} from {qid} to sensor {sid}"
+                    f"invalid payment {payment} from {qid} to sensor {sid}"
                 )
             query_paid[qid] = query_paid.get(qid, 0.0) + payment
             sensor_paid[sid] = sensor_paid.get(sid, 0.0) + payment
         for sid, snapshot in self.selected.items():
             income = sensor_paid.get(sid, 0.0)
-            if abs(income - snapshot.cost) > max(tolerance, tolerance * snapshot.cost):
+            slack = max(tolerance, tolerance * snapshot.cost)
+            if not (math.isfinite(income) and abs(income - snapshot.cost) <= slack):
                 raise PaymentInvariantError(
                     f"sensor {sid} income {income:.6f} != cost {snapshot.cost:.6f}"
                 )
         for qid, value in self.values.items():
             utility = value - query_paid.get(qid, 0.0)
-            if utility < -max(tolerance, tolerance * abs(value)):
+            if not (
+                math.isfinite(utility)
+                and utility >= -max(tolerance, tolerance * abs(value))
+            ):
                 raise PaymentInvariantError(
-                    f"query {qid} has negative utility {utility:.6f}"
+                    f"query {qid} has invalid utility {utility:.6f}"
                 )
         for qid, assigned in self.assignments.items():
             for sid in assigned:

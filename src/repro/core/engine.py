@@ -45,7 +45,6 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from ..backend import normalize_workspace, resolve_backend, use_backend
 from ..queries import (
     EventDetectionQuery,
     EventSlotQuery,
@@ -56,7 +55,6 @@ from ..queries import (
 )
 from ..sensors import SensorFleet, SensorSnapshot
 from .allocation import AllocationResult, Allocator
-from .greedy import normalize_fused
 from .metrics import SimulationSummary, SlotRecord
 from .monitoring import LocationMonitoringController, RegionMonitoringController
 from .sharding import ShardedKernel, normalize_sharding
@@ -627,8 +625,6 @@ class SlotEngine:
         verify_each_slot: run the settlement invariants on every slot's
             merged result (Algorithm 5 does; cheap, but off by default for
             the single-family engines which verify inside the allocator).
-        use_kernel: build the shared per-slot :class:`ValuationKernel`
-            (disable only to benchmark the unshared path).
         sharding: spatially shard the slot kernel
             (:class:`~repro.core.sharding.ShardedKernel`): ``None``/``False``
             keeps the dense kernel, ``True``/``"auto"`` shards with the
@@ -636,13 +632,6 @@ class SlotEngine:
             side.  Sharded allocations are bit-identical to dense ones;
             work becomes proportional to sensors-near-queries instead of
             fleet size.
-        fused: override the fused gain-block pipeline of every allocator
-            this engine drives (see
-            :func:`~repro.core.greedy.normalize_fused`): ``None`` (default)
-            leaves each allocator's own setting untouched, ``True``/
-            ``"auto"`` enables type-blocked fused refreshes, ``False``
-            forces the per-row batch path.  Fused allocations are
-            bit-identical either way; the knob exists for benchmarking.
         incremental: maintain slot state differentially
             (:func:`normalize_incremental`): ``None``/``False`` rebuilds
             announcements, kernels and rasters from scratch each slot;
@@ -652,29 +641,12 @@ class SlotEngine:
             proportional to churn (moved/exhausted/repriced sensors), not
             fleet size.  Allocations and payments are bit-identical either
             way — the replay harness (``repro replay``) asserts it.
-        backend: array backend every slot step runs under
-            (:func:`~repro.backend.resolve_backend`): ``None``/``"numpy"``
-            is plain numpy (bit-identical by construction),
-            ``"instrumented"`` meters per-phase allocations (see
-            :attr:`last_allocs`), ``"cupy"``/``"jax"`` are the
-            import-guarded GPU seams.  The engine wraps each :meth:`step`
-            in ``use_backend``, so workspaces and seam-routed code follow.
-        workspace: override the slot-workspace knob of every allocator
-            this engine drives (:func:`~repro.backend.normalize_workspace`):
-            ``None`` (default) leaves each allocator's own setting
-            untouched, ``True``/``"auto"`` reuses preallocated arenas
-            across rounds and warm slots, ``False`` forces pass-through
-            (fresh) acquisition.  Allocations and payments are
-            bit-identical either way.
 
     Each :meth:`step` also records its phase wall-times in
     :attr:`last_timings` (``{phase: seconds}`` over :data:`PHASES`) and the
     announce delta in :attr:`last_delta`; setting :attr:`profile` to True
     additionally copies the timings into the slot record's extras as
-    ``t_<phase>`` (the ``repro scenario --profile`` path).  Under an
-    allocation-metering backend, :attr:`last_allocs` holds
-    ``{phase: (allocations, bytes)}`` for the step, and profiling copies
-    them into the extras as ``alloc_<phase>_count`` / ``alloc_<phase>_bytes``.
+    ``t_<phase>`` (the ``repro scenario --profile`` path).
     """
 
     def __init__(
@@ -685,12 +657,8 @@ class SlotEngine:
         rng: np.random.Generator,
         *,
         verify_each_slot: bool = False,
-        use_kernel: bool = True,
         sharding: float | bool | str | None = None,
-        fused: bool | str | None = None,
         incremental: bool | str | None = None,
-        backend=None,
-        workspace: bool | str | None = None,
     ) -> None:
         if not streams:
             raise ValueError("SlotEngine needs at least one query stream")
@@ -702,33 +670,14 @@ class SlotEngine:
             self.allocation = JointSlotAllocation(allocation)  # type: ignore[arg-type]
         self.rng = rng
         self.verify_each_slot = verify_each_slot
-        self.use_kernel = use_kernel
         mode = normalize_sharding(sharding)
-        if mode is not None and not use_kernel:
-            raise ValueError(
-                "sharding needs the slot kernel; drop use_kernel=False"
-            )
         self.sharding = mode is not None
         self.shard_cell_size: float | None = (
             mode if isinstance(mode, float) else None
         )
-        self.fused = None if fused is None else normalize_fused(fused)
-        if self.fused is not None:
-            for attr in ("allocator", "stage1_allocator", "stage2_allocator"):
-                allocator = getattr(self.allocation, attr, None)
-                if allocator is not None and hasattr(allocator, "fused"):
-                    allocator.fused = self.fused
         self.incremental = normalize_incremental(incremental)
-        self.backend = resolve_backend(backend)
-        self.workspace = None if workspace is None else normalize_workspace(workspace)
-        if self.workspace is not None:
-            for attr in ("allocator", "stage1_allocator", "stage2_allocator"):
-                allocator = getattr(self.allocation, attr, None)
-                if allocator is not None and hasattr(allocator, "workspace"):
-                    allocator.workspace = self.workspace
         self.profile = False
         self.last_timings: dict[str, float] = {}
-        self.last_allocs: dict[str, tuple[int, int]] = {}
         self.last_delta = None
         self.last_result: AllocationResult | None = None
         self.last_record: SlotRecord | None = None
@@ -759,21 +708,9 @@ class SlotEngine:
 
     def step(self, summary: SimulationSummary) -> SlotRecord:
         """Run one slot of the protocol; appends and returns its record."""
-        with use_backend(self.backend) as backend:
-            return self._step(summary, backend)
-
-    def _step(self, summary: SimulationSummary, backend) -> SlotRecord:
-        # Allocation metering is a backend capability: instrumented
-        # backends expose set_phase/snapshot, plain ones meter nothing.
-        set_phase = getattr(backend, "set_phase", None)
-        take_snapshot = getattr(backend, "snapshot", None)
-        metered = set_phase is not None and take_snapshot is not None
-        before = take_snapshot() if metered else None
         t = self.fleet.clock
         for stream in self.streams:
             stream.begin_slot(t, self.rng, summary)
-        if metered:
-            set_phase("announce")
         # The fleet announces as an AnnouncementBatch: stacked arrays plus
         # a lazy Sequence[SensorSnapshot] view, so the batch threads
         # through streams/allocators unchanged while the kernel build
@@ -789,17 +726,13 @@ class SlotEngine:
             sensors, delta = self.fleet.announcements(), None
         self.last_delta = delta
         t1 = time.perf_counter()
-        if metered:
-            set_phase("kernel")
         # Consecutive slots with unchanged announcements (stationary fleets,
         # replayed traces with sleeping sensors) reuse the previous slot's
         # kernel: the batch's version stamp makes the check O(1) either
         # way, and value matrices never depend on the announced costs that
         # may still move.  A reused *sharded* kernel also keeps its warm
         # shard structure.
-        if not self.use_kernel:
-            kernel = None
-        elif self.sharding:
+        if self.sharding:
             if self.incremental:
                 kernel = ShardedKernel.ensure_delta(
                     self._kernel, sensors, delta, cell_size=self.shard_cell_size
@@ -814,13 +747,9 @@ class SlotEngine:
             kernel = ValuationKernel.ensure(self._kernel, sensors)
         self._kernel = kernel
         t2 = time.perf_counter()
-        if metered:
-            set_phase("allocate")
         result = self.allocation.run(t, self.streams, sensors, kernel)
         self.last_result = result
         t3 = time.perf_counter()
-        if metered:
-            set_phase("settle")
         record = SlotRecord(slot=t, cost=result.total_cost)
         for stream in sorted(self.streams, key=lambda s: s.settle_rank):
             stream.settle(t, result, record, summary)
@@ -836,23 +765,9 @@ class SlotEngine:
             "allocate": t3 - t2,
             "settle": t4 - t3,
         }
-        if metered:
-            set_phase(None)
-            after = take_snapshot()
-            self.last_allocs = {
-                phase: (
-                    after.get(phase, (0, 0))[0] - before.get(phase, (0, 0))[0],
-                    after.get(phase, (0, 0))[1] - before.get(phase, (0, 0))[1],
-                )
-                for phase in PHASES
-            }
         if self.profile:
             for phase, seconds in self.last_timings.items():
                 record.extras[f"t_{phase}"] = seconds
-            if metered:
-                for phase, (count, nbytes) in self.last_allocs.items():
-                    record.extras[f"alloc_{phase}_count"] = float(count)
-                    record.extras[f"alloc_{phase}_bytes"] = float(nbytes)
         self.last_record = record
         return record
 
@@ -861,8 +776,7 @@ class SlotEngine:
 # engine factories for the four canonical experiment families
 # ----------------------------------------------------------------------
 def one_shot_engine(
-    fleet, workload, allocator, rng, *,
-    sharding=None, fused=None, incremental=None, backend=None, workspace=None
+    fleet, workload, allocator, rng, *, sharding=None, incremental=None
 ) -> SlotEngine:
     """Figures 2-7: a stream of one-shot (point or aggregate) queries."""
     return SlotEngine(
@@ -871,16 +785,13 @@ def one_shot_engine(
         JointSlotAllocation(allocator),
         rng,
         sharding=sharding,
-        fused=fused,
         incremental=incremental,
-        backend=backend,
-        workspace=workspace,
     )
 
 
 def location_monitoring_engine(
     fleet, workload, point_allocator, rng, controller=None, *,
-    sharding=None, fused=None, incremental=None, backend=None, workspace=None
+    sharding=None, incremental=None
 ) -> SlotEngine:
     """Figure 8: continuous location-monitoring queries."""
     return SlotEngine(
@@ -889,16 +800,13 @@ def location_monitoring_engine(
         JointSlotAllocation(point_allocator),
         rng,
         sharding=sharding,
-        fused=fused,
         incremental=incremental,
-        backend=backend,
-        workspace=workspace,
     )
 
 
 def region_monitoring_engine(
     fleet, workload, point_allocator, rng, controller=None, *,
-    sharding=None, fused=None, incremental=None, backend=None, workspace=None
+    sharding=None, incremental=None
 ) -> SlotEngine:
     """Figure 9: continuous region-monitoring queries over a GP field."""
     return SlotEngine(
@@ -907,17 +815,13 @@ def region_monitoring_engine(
         JointSlotAllocation(point_allocator),
         rng,
         sharding=sharding,
-        fused=fused,
         incremental=incremental,
-        backend=backend,
-        workspace=workspace,
     )
 
 
 def event_detection_engine(
     fleet, workload, point_allocator, rng, *,
-    phenomenon=None, sharding=None, fused=None, incremental=None,
-    backend=None, workspace=None
+    phenomenon=None, sharding=None, incremental=None
 ) -> SlotEngine:
     """Event-detection extension: redundant-sampling slot queries."""
     return SlotEngine(
@@ -926,10 +830,7 @@ def event_detection_engine(
         JointSlotAllocation(point_allocator),
         rng,
         sharding=sharding,
-        fused=fused,
         incremental=incremental,
-        backend=backend,
-        workspace=workspace,
     )
 
 
@@ -948,10 +849,7 @@ def mix_engine(
     stage1_allocator: Allocator | None = None,
     stage2_allocator: Allocator | None = None,
     sharding=None,
-    fused=None,
     incremental=None,
-    backend=None,
-    workspace=None,
 ) -> SlotEngine:
     """Figure 10: point + aggregate + monitoring streams in one slot cycle.
 
@@ -1015,8 +913,5 @@ def mix_engine(
         rng,
         verify_each_slot=True,
         sharding=sharding,
-        fused=fused,
         incremental=incremental,
-        backend=backend,
-        workspace=workspace,
     )

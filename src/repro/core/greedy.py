@@ -11,39 +11,31 @@ Theorem 1's guarantees:
 3. non-negative individual query utility;
 4. ``O(|Q| |S|^2)`` valuation calls.
 
-Two implementations share the selection/settlement semantics:
+The allocator drives the queries' batch-gain protocol
+(:meth:`~repro.queries.ValuationState.batch`): a dense
+``(n_queries, n_sensors)`` gain matrix is built once and only the *dirty*
+rows — queries that received a sensor in the previous round — are
+re-evaluated after each commit.  Same-type batch states are grouped into
+:class:`~repro.queries.GainBlock` stacks, so each round's dirty
+(query, sensor) pairs are evaluated with one ``gain_many_block`` call per
+query *type*.  Blocks are built through the fallback lattice
+(:func:`~repro.queries.gain_block_trusted`,
+:func:`~repro.queries.resolve_batch_state`), so subclasses that override
+only scalar or only row-level hooks are routed to the generic evaluators
+that honour their overrides, and every block implementation is
+bit-identical to its per-row ``gain_many``.  Per-sensor net utilities are
+re-accumulated for the affected columns with a sequential (``cumsum``)
+pass in query order, which reproduces the pseudo-code's per-sensor ``sum``
+addition order bit-for-bit, so the parity suites can require identical
+sensors and cost shares against a per-pair ``ValuationState.gain``
+reference loop.
 
-* the **batch path** (default) drives the queries' batch-gain protocol
-  (:meth:`~repro.queries.ValuationState.batch`): a dense
-  ``(n_queries, n_sensors)`` gain matrix is built once from vectorized
-  ``gain_many`` passes and only the *dirty* rows — queries that received a
-  sensor in the previous round — are re-evaluated after each commit.
-  Per-sensor net utilities are re-accumulated for the affected columns with
-  a sequential (``cumsum``) pass in query order, which reproduces the
-  scalar path's Python ``sum`` addition order bit-for-bit, so both paths
-  select identical sensors and settle identical cost shares;
-* the **fused path** (``fused="auto"``, the default, layered on the batch
-  path) additionally groups same-type batch states into
-  :class:`~repro.queries.GainBlock` stacks.  Each round's dirty
-  (query, sensor) pairs are then evaluated with one ``gain_many_block``
-  call per query *type* instead of one ``gain_many`` call per dirty query
-  — the win grows with the number of same-type queries per slot (region-
-  heavy workloads with dozens of aggregate queries).  Blocks are built
-  through the fallback lattice (:func:`~repro.queries.gain_block_trusted`,
-  :func:`~repro.queries.resolve_batch_state`), so subclasses that override
-  only scalar or only row-level hooks are routed to the generic evaluators
-  that honour their overrides, and every block implementation is
-  bit-identical to its per-row ``gain_many``;
-* the **scalar path** (``vectorized=False``) is the historical per-pair
-  ``ValuationState.gain`` loop, kept as the executable reference the
-  parity suite checks the batch path against.
-
-Both add one exact optimization over the pseudo-code: a sensor's cached
-marginal sum only changes when one of *its* relevant queries received a new
-sensor, so after committing sensor ``a`` we re-evaluate only the pairs
-whose relevant-query sets intersect ``Q_a`` (this is the paper's
-``Q_{l_s}`` pre-filtering taken to its logical end; it changes nothing
-about which sensor wins each round).
+One exact optimization over the pseudo-code: a sensor's cached marginal
+sum only changes when one of *its* relevant queries received a new sensor,
+so after committing sensor ``a`` only the pairs whose relevant-query sets
+intersect ``Q_a`` are re-evaluated (this is the paper's ``Q_{l_s}``
+pre-filtering taken to its logical end; it changes nothing about which
+sensor wins each round).
 """
 
 from __future__ import annotations
@@ -52,8 +44,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backend import normalize_backend, resolve_backend, xp
-from ..backend.workspace import SlotWorkspace, normalize_workspace
 from ..queries import PointQuery, Query, SpatialAggregateQuery, ValuationState
 from ..queries.base import (
     GainBlock,
@@ -67,63 +57,7 @@ from .allocation import AllocationResult, check_distinct
 from .payments import proportionate_shares
 from .valuation import ValuationKernel
 
-__all__ = ["GreedyAllocator", "normalize_fused", "relevant_queries_by_sensor"]
-
-
-def normalize_fused(setting: bool | str | None) -> bool | str:
-    """Canonicalize a ``fused=`` knob value.
-
-    ``None``, ``True`` and ``"auto"`` all mean the default adaptive fused
-    pipeline (blocks are built, multi-row refreshes fuse, single-row
-    refreshes keep the cheaper per-row call); ``False`` disables block
-    construction entirely so every refresh goes through per-row
-    ``gain_many``.  Both settings produce bit-identical allocations — the
-    knob exists for benchmarking and for bisecting regressions.
-    """
-    if setting is None or setting is True or setting == "auto":
-        return "auto"
-    if setting is False:
-        return False
-    raise ValueError(f"unrecognized fused setting: {setting!r}")
-
-
-def relevant_queries_by_sensor(
-    queries: Sequence[Query],
-    sensors: Sequence[SensorSnapshot],
-    kernel: ValuationKernel | None = None,
-) -> dict[int, list[str]]:
-    """The paper's ``Q_{l_s}`` prefilter: per sensor, its relevant query ids.
-
-    With a slot kernel the single-sensor point queries — the bulk of every
-    mixed slot — are screened in one vectorized pass; other query types fall
-    back to their scalar ``relevant``.  Query order within each sensor's
-    list matches the input order exactly, as the greedy settlement depends
-    on it.
-    """
-    relevant: dict[int, list[str]] = {}
-    plain_points = (
-        [(i, q) for i, q in enumerate(queries) if type(q) is PointQuery]
-        if kernel is not None and kernel.matches(sensors)
-        else []
-    )
-    if plain_points:
-        rel = kernel.relevance([q for _, q in plain_points])
-        point_pos = np.asarray([i for i, _ in plain_points], dtype=np.intp)
-        others = [(i, q) for i, q in enumerate(queries) if type(q) is not PointQuery]
-        # reprolint: disable=hot-loop(scalar relevance oracle: mixed-type slots without a batch mask; parity-pinned)
-        for j, snapshot in enumerate(sensors):
-            indices = list(point_pos[rel[:, j]])
-            indices.extend(i for i, q in others if q.relevant(snapshot))
-            indices.sort()
-            if indices:
-                relevant[snapshot.sensor_id] = [queries[i].query_id for i in indices]
-    else:
-        # reprolint: disable=hot-loop(no-kernel scalar fallback; the kernel path above serves hot slots)
-        for snapshot in sensors:
-            qids = [q.query_id for q in queries if q.relevant(snapshot)]
-            if qids:
-                relevant[snapshot.sensor_id] = qids
-    return relevant
+__all__ = ["GreedyAllocator"]
 
 
 class GreedyAllocator:
@@ -134,66 +68,16 @@ class GreedyAllocator:
             zero (guards against float noise keeping the loop alive).
         verify: run the Theorem-1 invariant checks on the result (cheap;
             disable only in tight benchmarking loops).
-        vectorized: drive the batch-gain protocol (default).  The scalar
-            per-pair loop remains available as the parity reference and for
-            query types whose states deliberately bypass batching.
-        fused: ``"auto"`` (default; also ``None``/``True``) stacks same-type
-            batch states into :class:`~repro.queries.GainBlock` groups and
-            refreshes each round's dirty pairs with one fused pass per
-            query type; ``False`` keeps the per-row ``gain_many`` loop.
-            Allocations are bit-identical either way.
-        workspace: ``"auto"`` (default; also ``None``/``True``) acquires
-            every batch-path scratch buffer from a persistent
-            :class:`~repro.backend.SlotWorkspace` — preallocated arenas
-            reused across rounds *and* across warm slots, so steady-state
-            rounds allocate nothing; ``False`` puts the workspace in
-            pass-through mode (every acquire allocates fresh through the
-            backend seam).  Same statements run either way, so
-            allocations and payments are bit-identical.
-        backend: array backend the workspace allocates through
-            (:func:`~repro.backend.normalize_backend`); ``None`` (default)
-            follows the active backend — a driving engine's
-            ``use_backend`` scope, else plain numpy.
     """
 
     name = "Greedy"
     supports_kernel = True
 
-    def __init__(
-        self,
-        min_gain: float = 1e-9,
-        verify: bool = True,
-        vectorized: bool = True,
-        fused: bool | str | None = "auto",
-        workspace: bool | str | None = "auto",
-        backend=None,
-    ) -> None:
+    def __init__(self, min_gain: float = 1e-9, verify: bool = True) -> None:
         if min_gain < 0:
             raise ValueError("min_gain must be non-negative")
         self.min_gain = min_gain
         self.verify = verify
-        self.vectorized = vectorized
-        self.fused = normalize_fused(fused)
-        self.workspace = normalize_workspace(workspace)
-        self.backend = normalize_backend(backend)
-        self._ws: SlotWorkspace | None = None
-        self._ws_knobs: tuple | None = None
-
-    def _slot_workspace(self) -> SlotWorkspace:
-        """The allocator's persistent workspace, tracking the live knobs.
-
-        Arenas survive across calls (warm slots reuse them); flipping the
-        ``workspace``/``backend`` knobs between calls swaps in a fresh
-        workspace so stale arenas never leak across configurations.
-        """
-        knobs = (self.workspace is not False, self.backend)
-        ws = self._ws
-        if ws is None or self._ws_knobs != knobs:
-            bk = None if self.backend is None else resolve_backend(self.backend)
-            ws = self._ws = SlotWorkspace(backend=bk, reuse=knobs[0])
-            self._ws_knobs = knobs
-        ws.begin_call()
-        return ws
 
     def allocate(
         self,
@@ -204,21 +88,18 @@ class GreedyAllocator:
         check_distinct(queries, sensors)
         result = AllocationResult()
         if queries and len(sensors):
-            if self.vectorized:
-                # Announcements pass through as-is: an AnnouncementBatch
-                # stays lazy (copying it would materialize every snapshot);
-                # only other non-indexable inputs are copied defensively.
-                self._allocate_batch(
-                    list(queries), as_announcement_sequence(sensors), kernel, result
-                )
-            else:
-                self._allocate_scalar(queries, sensors, kernel, result)
+            # Announcements pass through as-is: an AnnouncementBatch stays
+            # lazy (copying it would materialize every snapshot); only other
+            # non-indexable inputs are copied defensively.
+            self._allocate_batch(
+                list(queries), as_announcement_sequence(sensors), kernel, result
+            )
         if self.verify:
             result.verify()
         return result
 
     # ------------------------------------------------------------------
-    # the batch path: dense gain matrix + masked recomputation
+    # dense gain matrix + masked recomputation
     # ------------------------------------------------------------------
     def _allocate_batch(
         self,
@@ -228,7 +109,6 @@ class GreedyAllocator:
         result: AllocationResult,
     ) -> None:
         kernel = ValuationKernel.ensure(kernel, sensors)
-        ws = self._slot_workspace()
         n_queries, n_all = len(queries), len(sensors)
 
         # Relevance over the full announcement set: one kernel pass for the
@@ -253,9 +133,7 @@ class GreedyAllocator:
                 sparse_entries = sparse_fn(plain_queries)
             else:
                 single_values = kernel.single_values(plain_queries)
-        relevance_all = ws.zeros(
-            "greedy:relevance_all", (n_queries, n_all), dtype=xp.bool_dtype
-        )
+        relevance_all = np.zeros((n_queries, n_all), dtype=bool)
         if plain_idx:
             if sparse_entries is not None:
                 for i, (idx, vals) in zip(plain_idx, sparse_entries):
@@ -304,18 +182,13 @@ class GreedyAllocator:
         # Snapshots and costs come from the *passed* announcements — the
         # kernel may be a reused one whose own snapshots carry stale prices.
         roster = kernel.roster(cols, sensors)
-        roster.workspace = ws
-        relevance = ws.empty(
-            "greedy:relevance", (n_queries, cols.size), dtype=xp.bool_dtype
-        )
-        np.take(relevance_all, cols, axis=1, out=relevance)
+        relevance = relevance_all[:, cols]
         # A batch announcement carries costs as a stacked array (the exact
         # values its lazy snapshots are materialized from); snapshot lists
         # pay the per-candidate gather.
         announced_costs = getattr(sensors, "costs", None)
         if announced_costs is not None:
-            costs = ws.empty("greedy:costs", cols.size, dtype=xp.float_dtype)
-            np.take(announced_costs, cols, out=costs)
+            costs = announced_costs[cols]
         else:
             costs = np.fromiter((sensors[j].cost for j in cols), float, cols.size)
         if plain_idx:
@@ -324,26 +197,15 @@ class GreedyAllocator:
                 # Candidate columns relevant to no query are absent from
                 # ``cols`` but carry value 0.0 by construction, so dropping
                 # them is exact.
-                block = ws.zeros(
-                    "greedy:point_block",
-                    (len(plain_idx), cols.size),
-                    dtype=xp.float_dtype,
-                )
-                col_pos = ws.full(
-                    "greedy:col_pos", n_all, -1, dtype=xp.index_dtype
-                )
-                col_pos[cols] = np.arange(cols.size, dtype=xp.index_dtype)
+                block = np.zeros((len(plain_idx), cols.size))
+                col_pos = np.full(n_all, -1, dtype=np.intp)
+                col_pos[cols] = np.arange(cols.size, dtype=np.intp)
                 for p, (idx, vals) in enumerate(sparse_entries):
                     pos = col_pos[idx]
                     keep = pos >= 0
                     block[p, pos[keep]] = vals[keep]
             else:
-                block = ws.empty(
-                    "greedy:point_block",
-                    (len(plain_idx), cols.size),
-                    dtype=xp.float_dtype,
-                )
-                np.take(single_values, cols, axis=1, out=block)
+                block = single_values[:, cols]
             for p, i in enumerate(plain_idx):
                 roster.value_rows[queries[i].query_id] = block[p]
         for i, query in enumerate(queries):
@@ -352,18 +214,16 @@ class GreedyAllocator:
 
         states: dict[str, ValuationState] = {q.query_id: q.new_state() for q in queries}
         batches = [resolve_batch_state(states[q.query_id], roster) for q in queries]
-        fused_groups = (
-            self._build_blocks(batches, ws) if self.fused is not False else None
-        )
+        groups = self._build_blocks(batches)
 
         n = cols.size
-        gain_matrix = ws.zeros("greedy:gain_matrix", (n_queries, n), dtype=xp.float_dtype)
-        alive = ws.ones("greedy:alive", n, dtype=xp.bool_dtype)
+        gain_matrix = np.zeros((n_queries, n), dtype=float)
+        alive = np.ones(n, dtype=bool)
         all_indices = roster.all_indices
         # Initial fill.  Point-query rows come straight from the kernel
         # block (empty state: the marginal gain IS the single value), one
         # vectorized pass for the whole block; other query types fill via
-        # their batch states (fused per type when blocks are enabled).
+        # their batch states, one fused pass per type.
         if plain_idx:
             rows = np.asarray(plain_idx, dtype=np.intp)
             keep = relevance[rows] & (block > self.min_gain)
@@ -374,17 +234,13 @@ class GreedyAllocator:
             if type(query) is not PointQuery and relevance[i].any()
         ]
         self._refresh_rows(
-            gain_matrix, relevance, batches, nonpoint_rows, all_indices, fused_groups
+            gain_matrix, relevance, batches, nonpoint_rows, all_indices, groups
         )
-        net = ws.empty("greedy:net", n, dtype=xp.float_dtype)
-        self._recompute_net(gain_matrix, costs, all_indices, net, ws)
+        net = np.empty(n, dtype=float)
+        self._recompute_net(gain_matrix, costs, all_indices, net)
 
         while alive.any():
-            # Same values as `np.where(alive, net, -inf)`, without the
-            # per-round temporary: fill the arena view, copy the live lanes.
-            candidate_net = ws.empty("greedy:candidate_net", n, dtype=xp.float_dtype)
-            candidate_net.fill(-np.inf)
-            np.copyto(candidate_net, net, where=alive)
+            candidate_net = np.where(alive, net, -np.inf)
             j = int(np.argmax(candidate_net))
             column = gain_matrix[:, j]
             benefiting = np.flatnonzero(column)
@@ -416,23 +272,17 @@ class GreedyAllocator:
             if live.size == 0:
                 break
             self._refresh_rows(
-                gain_matrix, relevance, batches, benefiting, live, fused_groups
+                gain_matrix, relevance, batches, benefiting, live, groups
             )
-            rel_rows = ws.empty(
-                "greedy:dirty_rows", (benefiting.size, n), dtype=xp.bool_dtype
-            )
-            np.take(relevance, benefiting, axis=0, out=rel_rows)
-            dirty = ws.empty("greedy:dirty", n, dtype=xp.bool_dtype)
-            np.any(rel_rows, axis=0, out=dirty)
+            dirty = relevance[benefiting].any(axis=0)
             dirty &= alive
             dirty_cols = np.flatnonzero(dirty)
             if dirty_cols.size:
-                self._recompute_net(gain_matrix, costs, dirty_cols, net, ws)
+                self._recompute_net(gain_matrix, costs, dirty_cols, net)
 
     @staticmethod
     def _build_blocks(
         batches: list,
-        ws: SlotWorkspace,
     ) -> tuple[np.ndarray, np.ndarray, list[GainBlock]]:
         """Group the slot's batch states into per-type gain blocks.
 
@@ -449,8 +299,8 @@ class GreedyAllocator:
         groups: dict[type, list[int]] = {}
         for i, state in enumerate(batches):
             groups.setdefault(type(state), []).append(i)
-        row_block = ws.empty("greedy:row_block", len(batches), dtype=xp.index_dtype)
-        member_pos = ws.empty("greedy:member_pos", len(batches), dtype=xp.index_dtype)
+        row_block = np.empty(len(batches), dtype=np.intp)
+        member_pos = np.empty(len(batches), dtype=np.intp)
         blocks: list[GainBlock] = []
         for cls, rows in groups.items():
             members = [batches[i] for i in rows]
@@ -470,12 +320,11 @@ class GreedyAllocator:
         batches: list,
         rows: Sequence[int] | np.ndarray,
         columns: np.ndarray,
-        fused_groups: tuple[np.ndarray, np.ndarray, list[GainBlock]] | None,
+        groups: tuple[np.ndarray, np.ndarray, list[GainBlock]],
     ) -> None:
         """Re-evaluate ``rows``' gains against ``columns``.
 
-        With fused groups, all dirty relevant (query, sensor) pairs are
-        gathered at once and dispatched as one ``gain_many_block`` call per
+        All dirty relevant (query, sensor) pairs are gathered at once and dispatched as one ``gain_many_block`` call per
         touched block; ``np.nonzero`` emits pairs in row-major order and
         block members follow query order, so each block's pairs arrive
         member-grouped.  Single dirty rows go through their block too —
@@ -484,11 +333,7 @@ class GreedyAllocator:
         matrix), so bouncing to per-row ``gain_many`` would rebuild state
         the block exists to avoid.
         """
-        if fused_groups is None:
-            for i in rows:
-                self._refresh_row(gain_matrix, relevance, batches, i, columns)
-            return
-        row_block, member_pos, blocks = fused_groups
+        row_block, member_pos, blocks = groups
         row_idx = np.asarray(rows, dtype=np.intp)
         r_pos, c_pos = np.nonzero(relevance[np.ix_(row_idx, columns)])
         if r_pos.size == 0:
@@ -503,113 +348,23 @@ class GreedyAllocator:
             gains = blocks[b].gain_many_block(member_pos[pr], pc)
             gain_matrix[pr, pc] = np.where(gains > self.min_gain, gains, 0.0)
 
-    def _refresh_row(
-        self,
-        gain_matrix: np.ndarray,
-        relevance: np.ndarray,
-        batches: list,
-        row: int,
-        columns: np.ndarray,
-    ) -> None:
-        """Re-evaluate one query's gains against ``columns`` in one pass.
-
-        Only the query's *relevant* columns are evaluated — irrelevant
-        entries are zero-initialized and never change.
-        """
-        targets = columns[relevance[row, columns]]
-        if targets.size == 0:
-            return
-        gains = batches[row].gain_many(targets)
-        gain_matrix[row, targets] = np.where(gains > self.min_gain, gains, 0.0)
-
     @staticmethod
     def _recompute_net(
         gain_matrix: np.ndarray,
         costs: np.ndarray,
         columns: np.ndarray,
         net: np.ndarray,
-        ws: SlotWorkspace | None = None,
     ) -> None:
         """Net utility of ``columns``, re-accumulated in query order.
 
         Summation runs sequentially down the query axis (``cumsum``), which
-        is exactly the addition order of the scalar path's Python ``sum``
-        over its per-sensor gains dict — stored gains are never ``-0.0``,
-        so the all-zero rows the scalar path skips are exact no-ops here
-        and one full-height cumsum replaces the old contributing-row scan
+        is exactly the addition order of the per-pair reference's Python
+        ``sum`` over its per-sensor gains dict — stored gains are never
+        ``-0.0``, so the all-zero rows the reference skips are exact no-ops
+        here and one full-height cumsum replaces a contributing-row scan
         bit-for-bit.  Near-tie sensor selections therefore cannot diverge
-        between the paths.
+        from the reference.
         """
-        if ws is None:
-            ws = SlotWorkspace(reuse=False)
-        sub = ws.empty(
-            "greedy:net_sub", (gain_matrix.shape[0], columns.size), dtype=xp.float_dtype
-        )
-        np.take(gain_matrix, columns, axis=1, out=sub)
+        sub = gain_matrix[:, columns]
         np.cumsum(sub, axis=0, out=sub)
-        cbuf = ws.empty("greedy:net_costs", columns.size, dtype=xp.float_dtype)
-        np.take(costs, columns, out=cbuf)
-        np.subtract(sub[-1], cbuf, out=cbuf)
-        net[columns] = cbuf
-
-    # ------------------------------------------------------------------
-    # the scalar path: the historical per-pair reference implementation
-    # ------------------------------------------------------------------
-    def _allocate_scalar(
-        self,
-        queries: Sequence[Query],
-        sensors: Sequence[SensorSnapshot],
-        kernel: ValuationKernel | None,
-        result: AllocationResult,
-    ) -> None:
-        states: dict[str, ValuationState] = {q.query_id: q.new_state() for q in queries}
-        queries_by_id = {q.query_id: q for q in queries}
-
-        # The paper's Q_{l_s}: only queries a sensor could possibly serve.
-        relevant = relevant_queries_by_sensor(queries, sensors, kernel)
-        remaining: dict[int, SensorSnapshot] = {
-            s.sensor_id: s for s in sensors if s.sensor_id in relevant
-        }
-
-        # Cached (net utility, per-query positive gains); recomputed lazily.
-        cache: dict[int, tuple[float, dict[str, float]]] = {}
-        dirty = set(remaining)
-
-        while remaining:
-            for sid in dirty:
-                if sid not in remaining:
-                    continue
-                snapshot = remaining[sid]
-                gains: dict[str, float] = {}
-                for qid in relevant[sid]:
-                    gain = states[qid].gain(snapshot)
-                    if gain > self.min_gain:
-                        gains[qid] = gain
-                cache[sid] = (sum(gains.values()) - snapshot.cost, gains)
-            dirty.clear()
-
-            best_sid = max(remaining, key=lambda sid: cache[sid][0])
-            best_net, best_gains = cache[best_sid]
-            if best_net <= 0.0 or not best_gains:
-                break
-
-            snapshot = remaining.pop(best_sid)
-            cache.pop(best_sid, None)
-            shares = proportionate_shares(best_gains, snapshot.cost)
-            for qid, gain in best_gains.items():
-                realized = states[qid].add(snapshot)
-                # The committed gain must match the cached evaluation; the
-                # states are only mutated here, so any drift is a query-
-                # implementation bug worth failing loudly on.
-                if abs(realized - gain) > 1e-6 * max(1.0, abs(gain)):
-                    raise RuntimeError(
-                        f"query {qid} marginal gain drifted: cached {gain}, "
-                        f"realized {realized}"
-                    )
-                result.record(queries_by_id[qid], snapshot, gain, shares[qid])
-
-            # Invalidate sensors sharing any query that just grew.
-            touched = set(best_gains)
-            for sid in remaining:
-                if touched.intersection(relevant[sid]):
-                    dirty.add(sid)
+        net[columns] = sub[-1] - costs[columns]

@@ -77,7 +77,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..backend import xp
 from ..queries import (
     EventSlotQuery,
     MultiSensorPointQuery,
@@ -98,7 +97,7 @@ __all__ = [
     "resolve_cell_size",
 ]
 
-_EMPTY = np.zeros(0, dtype=xp.index_dtype)
+_EMPTY = np.zeros(0, dtype=np.intp)
 
 #: Query types whose relevant sensors all lie within ``dmax`` of
 #: ``location`` (their reading quality is zero beyond that disk).
@@ -308,7 +307,7 @@ class ShardedKernel(ValuationKernel):
             old_index = kernel._index
             if old_index is not None:
                 old_to_new = delta_old_to_new(delta, len(kernel.sensor_xy))
-                inserted = np.asarray(delta.fresh_cols, dtype=xp.index_dtype)
+                inserted = np.asarray(delta.fresh_cols, dtype=np.intp)
                 patched = old_index.updated(batch.xy, old_to_new, inserted)
                 if patched is not None:
                     new._index = patched
@@ -322,7 +321,7 @@ class ShardedKernel(ValuationKernel):
                             moved_cols[old_keys != new_keys]
                         ]
                     else:
-                        delta.crossed = np.zeros(0, dtype=xp.int64_dtype)
+                        delta.crossed = np.zeros(0, dtype=np.int64)
         return new
 
     # ------------------------------------------------------------------
@@ -479,10 +478,10 @@ class ShardedKernel(ValuationKernel):
             idx = self.candidate_indices(query)
             if idx is None:
                 if all_cols is None:
-                    all_cols = np.arange(self.n_sensors, dtype=xp.index_dtype)
+                    all_cols = np.arange(self.n_sensors, dtype=np.intp)
                 idx = all_cols
             cands.append(idx)
-        counts = np.fromiter((len(c) for c in cands), xp.index_dtype, q)
+        counts = np.fromiter((len(c) for c in cands), np.intp, q)
         total = int(counts.sum())
         if total == 0:
             return [(c, np.zeros(0)) for c in cands]
@@ -514,7 +513,7 @@ class ShardedKernel(ValuationKernel):
         sharding-aware allocators use :meth:`sparse_single_values` and never
         materialize this.
         """
-        out = np.zeros((len(queries), self.n_sensors), dtype=xp.float_dtype)
+        out = np.zeros((len(queries), self.n_sensors))
         for i, (idx, vals) in enumerate(self.sparse_single_values(queries)):
             out[i, idx] = vals
         return out
@@ -535,7 +534,7 @@ class ShardedKernel(ValuationKernel):
         """
         q = len(query_xy)
         n = self.n_sensors
-        out = np.zeros((q, n), dtype=xp.float_dtype)
+        out = np.zeros((q, n))
         if q == 0 or n == 0:
             return out
         quality_scale = (1.0 - self.gamma) * self.trust

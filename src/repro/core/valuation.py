@@ -41,7 +41,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backend import xp
 from ..queries import PointQuery, SensorRoster
 from ..sensors import SensorSnapshot
 from ..sensors.state import SnapshotColumnView, as_announcement_sequence
@@ -53,7 +52,7 @@ __all__ = ["ValuationKernel", "announcement_token", "delta_old_to_new"]
 def delta_old_to_new(delta, n_old: int) -> np.ndarray:
     """Previous-batch-column → new-batch-column map of a
     :class:`~repro.sensors.SlotDelta` (``-1`` = no longer announced)."""
-    old_to_new = xp.full(n_old, -1, dtype=xp.int64_dtype)
+    old_to_new = np.full(n_old, -1, dtype=np.int64)
     valid = delta.kept_src >= 0
     old_to_new[delta.kept_src[valid]] = np.flatnonzero(valid)
     return old_to_new
@@ -86,10 +85,10 @@ def _stack_queries(
     queries: Sequence[PointQuery],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     q = len(queries)
-    xy = xp.empty((q, 2), dtype=xp.float_dtype)
-    budgets = xp.empty(q, dtype=xp.float_dtype)
-    theta_mins = xp.empty(q, dtype=xp.float_dtype)
-    dmaxes = xp.empty(q, dtype=xp.float_dtype)
+    xy = np.empty((q, 2), dtype=float)
+    budgets = np.empty(q, dtype=float)
+    theta_mins = np.empty(q, dtype=float)
+    dmaxes = np.empty(q, dtype=float)
     for i, query in enumerate(queries):
         xy[i, 0] = query.location.x
         xy[i, 1] = query.location.y
@@ -155,10 +154,10 @@ class ValuationKernel:
             return kernel
         sensors = sensors if type(sensors) is list else list(sensors)
         n = len(sensors)
-        xy = xp.empty((n, 2), dtype=xp.float_dtype)
-        gamma = xp.empty(n, dtype=xp.float_dtype)
-        trust = xp.empty(n, dtype=xp.float_dtype)
-        costs = xp.empty(n, dtype=xp.float_dtype)
+        xy = np.empty((n, 2), dtype=float)
+        gamma = np.empty(n, dtype=float)
+        trust = np.empty(n, dtype=float)
+        costs = np.empty(n, dtype=float)
         # reprolint: disable=hot-loop(object-path fallback for plain snapshot lists; batches take kernel_arrays above)
         for j, snapshot in enumerate(sensors):
             xy[j, 0] = snapshot.location.x
@@ -401,7 +400,7 @@ class ValuationKernel:
         q = len(query_xy)
         n = self.n_sensors
         if q == 0 or n == 0:
-            return xp.zeros((q, n), dtype=xp.float_dtype)
+            return np.zeros((q, n))
         dx = self.sensor_xy[:, 0][None, :] - query_xy[:, 0][:, None]
         np.multiply(dx, dx, out=dx)
         dy = self.sensor_xy[:, 1][None, :] - query_xy[:, 1][:, None]
@@ -432,7 +431,7 @@ class ValuationKernel:
         xy, budgets, theta_mins, dmaxes = _stack_queries(queries)
         q, n = len(xy), self.n_sensors
         if q == 0 or n == 0:
-            return xp.zeros((q, n), dtype=xp.float_dtype)
+            return np.zeros((q, n))
         dist = np.hypot(
             self.sensor_xy[None, :, 0] - xy[:, None, 0],
             self.sensor_xy[None, :, 1] - xy[:, None, 1],

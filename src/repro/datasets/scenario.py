@@ -201,31 +201,12 @@ class ScenarioSpec:
             the shard cell side (see
             :class:`~repro.core.sharding.ShardedKernel`; allocations are
             bit-identical either way).
-        fused: fused gain-block pipeline override — ``None`` leaves the
-            allocators at their own default (``"auto"``), ``true``/
-            ``"auto"`` forces type-blocked fused refreshes, ``false``
-            forces the per-row batch path (see
-            :func:`~repro.core.greedy.normalize_fused`; allocations are
-            bit-identical either way).
         incremental: differential slot state — ``None``/``false`` rebuilds
             announcement batches, kernels and rasters from scratch every
             slot (the historical behavior); ``true``/``"auto"`` patches
             them from the per-slot :class:`~repro.sensors.SlotDelta`
             instead (see :func:`~repro.core.engine.normalize_incremental`;
             allocations and payments are bit-identical either way).
-        backend: array backend for the slot loop — ``None``/``"numpy"``
-            the shared default numpy backend, ``"instrumented"``
-            the allocation-metering numpy backend (fills
-            :attr:`~repro.core.engine.SlotEngine.last_allocs`),
-            ``"cupy"``/``"jax"`` the optional GPU backends when their
-            packages are importable (see :mod:`repro.backend`;
-            numpy-family backends are bit-identical).
-        workspace: preallocated slot workspaces — ``None`` leaves the
-            allocators at their own default (``"auto"``, workspaces on),
-            ``true``/``"auto"`` reuses per-slot scratch arenas across
-            warm greedy rounds, ``false`` allocates scratch fresh every
-            round (see :class:`~repro.backend.SlotWorkspace`; allocations
-            and payments are bit-identical either way).
         mobility: optional mobility override for the world.  ``None``
             keeps the dataset's native trace;
             ``{"kind": "churn", "fraction": 0.01}`` replaces it with a
@@ -256,10 +237,7 @@ class ScenarioSpec:
     streams: tuple[StreamSpec, ...] = (StreamSpec("point"),)
     fleet: dict[str, Any] = field(default_factory=dict)
     sharding: float | bool | str | None = None
-    fused: bool | str | None = None
     incremental: bool | str | None = None
-    backend: str | None = None
-    workspace: bool | str | None = None
     mobility: dict[str, Any] | None = None
     service: dict[str, Any] | None = None
 
@@ -276,20 +254,12 @@ class ScenarioSpec:
             raise ValueError("a scenario needs at least one stream")
         if self.n_slots < 1:
             raise ValueError("n_slots must be >= 1")
-        from ..backend import normalize_backend, normalize_workspace
         from ..core.engine import normalize_incremental
-        from ..core.greedy import normalize_fused
         from ..core.sharding import normalize_sharding
 
         normalize_sharding(self.sharding)  # validation only; raises on junk
-        if self.fused is not None:
-            normalize_fused(self.fused)  # validation only; raises on junk
         if self.incremental is not None:
             normalize_incremental(self.incremental)  # validation only
-        if self.backend is not None:
-            normalize_backend(self.backend)  # validation only; raises on junk
-        if self.workspace is not None:
-            normalize_workspace(self.workspace)  # validation only
         if self.mobility is not None:
             kind = self.mobility.get("kind")
             if kind != "churn":
@@ -330,7 +300,7 @@ class ScenarioSpec:
         known = {
             "name", "dataset", "seed", "workload_seed", "n_sensors", "n_slots",
             "rnc_presence", "allocator", "allocation", "fleet", "sharding",
-            "fused", "incremental", "backend", "workspace", "mobility", "service",
+            "incremental", "mobility", "service",
         }
         extra = set(payload) - known
         if extra:
@@ -360,14 +330,8 @@ class ScenarioSpec:
             out["fleet"] = dict(self.fleet)
         if self.sharding is not None:
             out["sharding"] = self.sharding
-        if self.fused is not None:
-            out["fused"] = self.fused
         if self.incremental is not None:
             out["incremental"] = self.incremental
-        if self.backend is not None:
-            out["backend"] = self.backend
-        if self.workspace is not None:
-            out["workspace"] = self.workspace
         if self.mobility is not None:
             out["mobility"] = dict(self.mobility)
         if self.service is not None:
@@ -558,10 +522,7 @@ class ScenarioSpec:
             np.random.default_rng(workload_seed),
             verify_each_slot=len(streams) > 1,
             sharding=self.sharding,
-            fused=self.fused,
             incremental=self.incremental,
-            backend=self.backend,
-            workspace=self.workspace,
         )
 
     def run(self, n_slots: int | None = None):

@@ -24,7 +24,7 @@ kernels in CI.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..core.allocation import AllocationResult
@@ -82,20 +82,13 @@ def allocation_signature(result: AllocationResult | None):
 
 @dataclass(frozen=True)
 class ReplaySlot:
-    """One lockstep slot: parity flag, churn, and both engines' timings.
-
-    Under ``replay_spec(..., profile=True)`` the ``*_allocs`` dicts hold
-    each engine's per-phase ``(allocations, bytes)`` from the
-    allocation-metering backend; otherwise they stay empty.
-    """
+    """One lockstep slot: parity flag, churn, and both engines' timings."""
 
     t: int
     parity: bool
     churn_fraction: float
     full_timings: dict[str, float]
     incremental_timings: dict[str, float]
-    full_allocs: dict[str, tuple[int, int]] = field(default_factory=dict)
-    incremental_allocs: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     @property
     def full_total(self) -> float:
@@ -134,29 +127,6 @@ class ReplayReport:
             out[phase] = (float(full), float(inc))
         return out
 
-    @property
-    def metered(self) -> bool:
-        """Whether any slot carries allocation-metering counters."""
-        return any(s.full_allocs or s.incremental_allocs for s in self.slots)
-
-    def alloc_totals(self) -> dict[str, tuple[int, int, int, int]]:
-        """Per phase: (full count, full bytes, incremental count,
-        incremental bytes) summed over the run; empty when not metered."""
-        if not self.metered:
-            return {}
-        out: dict[str, tuple[int, int, int, int]] = {}
-        for phase in PHASES:
-            fc = sum(s.full_allocs.get(phase, (0, 0))[0] for s in self.slots)
-            fb = sum(s.full_allocs.get(phase, (0, 0))[1] for s in self.slots)
-            ic = sum(
-                s.incremental_allocs.get(phase, (0, 0))[0] for s in self.slots
-            )
-            ib = sum(
-                s.incremental_allocs.get(phase, (0, 0))[1] for s in self.slots
-            )
-            out[phase] = (int(fc), int(fb), int(ic), int(ib))
-        return out
-
     def format(self) -> str:
         lines = [
             f"{self.name}: {self.n_slots} slots, "
@@ -169,11 +139,6 @@ class ReplayReport:
                 f"  {phase:<9} full={full * 1e3:9.2f}ms "
                 f"incremental={inc * 1e3:9.2f}ms  ({ratio:5.2f}x)"
             )
-        for phase, (fc, fb, ic, ib) in self.alloc_totals().items():
-            lines.append(
-                f"  {phase:<9} allocs full={fc:8d} ({fb:12d} B) "
-                f"incremental={ic:8d} ({ib:12d} B)"
-            )
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
@@ -182,21 +147,13 @@ class ReplayReport:
         path = Path(path)
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle)
-            header = (
+            writer.writerow(
                 ["slot", "churn_fraction", "parity"]
                 + [f"t_{p}_full" for p in PHASES]
                 + [f"t_{p}_incremental" for p in PHASES]
             )
-            if self.metered:
-                for side in ("full", "incremental"):
-                    for p in PHASES:
-                        header += [
-                            f"alloc_{p}_count_{side}",
-                            f"alloc_{p}_bytes_{side}",
-                        ]
-            writer.writerow(header)
             for s in self.slots:
-                row = (
+                writer.writerow(
                     [s.t, f"{s.churn_fraction:.6f}", int(s.parity)]
                     + [f"{s.full_timings.get(p, 0.0):.9f}" for p in PHASES]
                     + [
@@ -204,17 +161,9 @@ class ReplayReport:
                         for p in PHASES
                     ]
                 )
-                if self.metered:
-                    for allocs in (s.full_allocs, s.incremental_allocs):
-                        for p in PHASES:
-                            count, nbytes = allocs.get(p, (0, 0))
-                            row += [int(count), int(nbytes)]
-                writer.writerow(row)
 
 
-def replay_spec(
-    spec, n_slots: int | None = None, *, profile: bool = False
-) -> ReplayReport:
+def replay_spec(spec, n_slots: int | None = None) -> ReplayReport:
     """Replay ``spec`` against full-rebuild and incremental engines.
 
     Both engines are compiled from the same spec (identical world seed,
@@ -222,16 +171,10 @@ def replay_spec(
     knob, and stepped in lockstep for ``n_slots`` slots (default: the
     spec's).  Per-slot allocation parity is checked with
     :func:`allocation_signature` equality — exact, not approximate.
-
-    ``profile=True`` runs both engines on the allocation-metering backend
-    (numpy-identical results) and fills each slot's per-phase
-    ``(allocations, bytes)`` counters.
     """
     from ..core.metrics import SimulationSummary
 
     n = n_slots if n_slots is not None else spec.n_slots
-    if profile:
-        spec = replace(spec, backend="instrumented")
     full_engine = replace(spec, incremental=False).build()
     inc_engine = replace(spec, incremental="auto").build()
     full_summary = SimulationSummary()
@@ -253,8 +196,6 @@ def replay_spec(
                 churn_fraction=churn,
                 full_timings=dict(full_engine.last_timings),
                 incremental_timings=dict(inc_engine.last_timings),
-                full_allocs=dict(full_engine.last_allocs),
-                incremental_allocs=dict(inc_engine.last_allocs),
             )
         )
 

@@ -49,7 +49,6 @@ from .base import (
     QueryType,
     SensorRoster,
     ValuationState,
-    workspace_of,
 )
 
 __all__ = ["AggregateOp", "SpatialAggregateQuery", "TrajectoryQuery", "sensor_quality"]
@@ -181,29 +180,20 @@ class _CoverageBlock(GainBlock):
         super().__init__(members)
         m = len(self.members)
         n = self.members[0].roster.n_sensors if self.members else 0
-        # Scratch comes from the driving allocator's slot workspace (the
-        # roster carries it); the tag scopes this block's arena names so
-        # warm calls re-hit the same arenas per query type.
-        ws = workspace_of(self.members[0].roster if self.members else None)
-        tag = ws.tag("covblock")
-        self._ws = ws
-        self._tag = tag
         cell_counts = np.fromiter(
             (b.state.query.coverage.cell_count for b in self.members), np.int64, m
         )
         self._n_cells = cell_counts.astype(float)
-        self._cell_off = ws.zeros(f"{tag}:cell_off", m + 1, dtype=np.int64)
+        self._cell_off = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(cell_counts, out=self._cell_off[1:])
-        self._uncovered = ws.zeros(
-            f"{tag}:uncovered", int(self._cell_off[-1]), dtype=float
-        )
+        self._uncovered = np.zeros(int(self._cell_off[-1]), dtype=float)
         self._budgets = np.fromiter(
             (b.state.query.budget for b in self.members), float, m
         )
-        self._qualities = ws.empty(f"{tag}:qualities", (m, n), dtype=float)
+        self._qualities = np.empty((m, n), dtype=float)
         # Per-(member, roster column) slice into the concatenated cell ids.
-        self._start = ws.zeros(f"{tag}:start", (m, n), dtype=np.int64)
-        self._len = ws.zeros(f"{tag}:len", (m, n), dtype=np.int64)
+        self._start = np.zeros((m, n), dtype=np.int64)
+        self._len = np.zeros((m, n), dtype=np.int64)
         chunks = []
         base = 0
         for p, member in enumerate(self.members):
@@ -215,20 +205,19 @@ class _CoverageBlock(GainBlock):
                 self._len[p, rel_idx] = np.diff(indptr)
             chunks.append(cells + self._cell_off[p])
             base += len(cells)
-        self._cells = ws.empty(f"{tag}:cells", base, dtype=np.int64)
-        if chunks:
-            np.concatenate(chunks, out=self._cells)
+        self._cells = (
+            np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+        )
 
     def gain_many_block(
         self, member_idx: np.ndarray, indices: np.ndarray
     ) -> np.ndarray:
         members = self.members
         n_members = len(members)
-        ws, tag = self._ws, self._tag
-        base_covered = ws.zeros(f"{tag}:base_covered", n_members, dtype=float)
-        quality_sums = ws.zeros(f"{tag}:quality_sums", n_members, dtype=float)
-        counts_sel = ws.ones(f"{tag}:counts_sel", n_members, dtype=float)
-        values = ws.zeros(f"{tag}:values", n_members, dtype=float)
+        base_covered = np.zeros(n_members, dtype=float)
+        quality_sums = np.zeros(n_members, dtype=float)
+        counts_sel = np.ones(n_members, dtype=float)
+        values = np.zeros(n_members, dtype=float)
         for u in np.unique(member_idx):
             state = members[u].state
             self._uncovered[self._cell_off[u] : self._cell_off[u + 1]] = ~state._mask
@@ -240,7 +229,7 @@ class _CoverageBlock(GainBlock):
         lens = self._len[member_idx, indices]
         total = int(lens.sum())
         if total:
-            prev = ws.zeros(f"{tag}:prev", len(member_idx), dtype=np.int64)
+            prev = np.zeros(len(member_idx), dtype=np.int64)
             np.cumsum(lens[:-1], out=prev[1:])
             ids = self._cells[np.repeat(starts - prev, lens) + np.arange(total)]
             pair_of = np.repeat(np.arange(len(member_idx)), lens)
@@ -248,7 +237,7 @@ class _CoverageBlock(GainBlock):
                 pair_of, weights=self._uncovered[ids], minlength=len(member_idx)
             )
         else:
-            new_covered = ws.zeros(f"{tag}:new_covered", len(member_idx), dtype=float)
+            new_covered = np.zeros(len(member_idx), dtype=float)
         counts = base_covered[member_idx] + new_covered
         n_cells = self._n_cells[member_idx]
         empty = n_cells == 0.0

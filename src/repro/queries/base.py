@@ -95,25 +95,7 @@ __all__ = [
     "resolve_relevant_mask",
     "resolve_batch_state",
     "gain_block_trusted",
-    "workspace_of",
 ]
-
-
-def workspace_of(roster: "SensorRoster"):
-    """The workspace a block/batch state should acquire scratch from.
-
-    The driving allocator attaches its :class:`~repro.backend.SlotWorkspace`
-    to the roster for the call; standalone construction (tests, the scalar
-    baselines) gets a fresh pass-through workspace, so consumers run the
-    same acquire/fill statements either way — the bit-identity contract of
-    the backend seam.
-    """
-    ws = getattr(roster, "workspace", None)
-    if ws is None:
-        from ..backend import SlotWorkspace
-
-        ws = SlotWorkspace(reuse=False)
-    return ws
 
 
 #: Methods whose override invalidates an inherited ``relevant_mask``: the
@@ -203,11 +185,6 @@ class SensorRoster:
             the kernel (world) column index of each roster column —
             ``None`` means the identity mapping.  Raster caches are keyed
             in world columns, so block states translate through this.
-        workspace: optional :class:`~repro.backend.SlotWorkspace` the
-            driving allocator attached for this call — block states route
-            their scratch arenas through it (:func:`workspace_of`).
-            ``None`` means standalone construction; consumers fall back to
-            a pass-through workspace so both situations run one code path.
     """
 
     def __init__(
@@ -223,12 +200,9 @@ class SensorRoster:
         self.snapshots = as_announcement_sequence(snapshots)
         n = len(self.snapshots)
         if xy is None:
-            # Cold standalone construction: kernels hand in their stacked
-            # arrays; only kernel-less rosters (tests, tiny baselines) build
-            # them here, once per roster.
-            xy = np.empty((n, 2), dtype=float)  # reprolint: disable=hot-alloc(cold kernel-less roster construction, once per roster)
-            gamma = np.empty(n, dtype=float)  # reprolint: disable=hot-alloc(cold kernel-less roster construction, once per roster)
-            trust = np.empty(n, dtype=float)  # reprolint: disable=hot-alloc(cold kernel-less roster construction, once per roster)
+            xy = np.empty((n, 2), dtype=float)
+            gamma = np.empty(n, dtype=float)
+            trust = np.empty(n, dtype=float)
             for j, snapshot in enumerate(self.snapshots):
                 xy[j, 0] = snapshot.location.x
                 xy[j, 1] = snapshot.location.y
@@ -241,7 +215,6 @@ class SensorRoster:
         self.relevance_rows: dict[str, np.ndarray] = {}
         self.raster = None
         self.kernel_columns: np.ndarray | None = None
-        self.workspace = None
 
     def relevance_row(self, query: "Query") -> np.ndarray:
         """This query's boolean relevance over the roster (cached).
@@ -333,7 +306,6 @@ class GainBlock:
         pairs and bit-identical to calling each member's ``gain_many`` on
         its run.
         """
-        # reprolint: disable=hot-alloc(generic row-looping fallback block; the result array is returned to the caller)
         out = np.empty(len(member_idx), dtype=float)
         if len(member_idx) == 0:
             return out

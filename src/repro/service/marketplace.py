@@ -25,7 +25,7 @@ per-slot allocations must compare equal under
 :func:`~repro.experiments.replay.allocation_signature` — the same
 canonical query-id relabeling discipline as ``repro replay`` — which
 ``tests/test_service_parity.py`` pins across dense/sharded ×
-fused/incremental engines.
+rebuild/incremental engines.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ def service_engine(spec) -> tuple[SlotEngine, AdmissionStream, list]:
     """Compile a spec into a service-ready engine.
 
     Reuses the spec's whole compilation path (world, fleet, knobs:
-    sharding / fused / incremental), then swaps the declared one-shot
+    sharding / incremental), then swaps the declared one-shot
     streams for a single :class:`AdmissionStream` — their workloads are
     returned as the arrival templates the load generator draws queries
     from.  Monitoring/event streams own live cross-slot query state the
@@ -396,7 +396,6 @@ class MarketplaceService:
             queue_depth=len(self._queue),
             record=record,
             timings=self.engine.last_timings,
-            allocs=self.engine.last_allocs,
         )
         return record
 

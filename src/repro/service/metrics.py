@@ -35,7 +35,6 @@ __all__ = [
     "SlotMetrics",
     "ServiceMetrics",
     "phase_totals",
-    "phase_allocs",
     "summary_payload",
 ]
 
@@ -138,10 +137,6 @@ class SlotMetrics:
     #: SLO a live dashboard would plot.
     p50_seconds: float
     p99_seconds: float
-    #: per-phase ``(allocations, bytes)`` under an allocation-metering
-    #: backend (:attr:`~repro.core.engine.SlotEngine.last_allocs`); empty
-    #: on the plain numpy backend.
-    allocs: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -169,8 +164,6 @@ class ServiceMetrics:
     )
     slot_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
     slots: list[SlotMetrics] = field(default_factory=list)
-    #: cumulative per-phase ``[allocations, bytes]`` across metered slots.
-    phase_allocs: dict[str, list[int]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     @property
@@ -204,7 +197,6 @@ class ServiceMetrics:
         queue_depth: int,
         record,
         timings: dict[str, float],
-        allocs: dict[str, tuple[int, int]] | None = None,
     ) -> SlotMetrics:
         """Fold one settled tick in and return its snapshot."""
         total = float(sum(timings.values()))
@@ -214,11 +206,6 @@ class ServiceMetrics:
                 hist = self.phase_latency.setdefault(phase, LatencyHistogram())
             hist.observe(seconds)
         self.slot_latency.observe(total)
-        if allocs:
-            for phase, (count, nbytes) in allocs.items():
-                totals = self.phase_allocs.setdefault(phase, [0, 0])
-                totals[0] += int(count)
-                totals[1] += int(nbytes)
         self.settled += record.issued
         self.answered += record.answered
         self.observe_queue_depth(queue_depth)
@@ -235,7 +222,6 @@ class ServiceMetrics:
             timings=dict(timings),
             p50_seconds=self.slot_latency.p50,
             p99_seconds=self.slot_latency.p99,
-            allocs=dict(allocs) if allocs else {},
         )
         self.slots.append(snap)
         return snap
@@ -267,10 +253,6 @@ class ServiceMetrics:
                     for phase, hist in self.phase_latency.items()
                 },
             },
-            "allocs": {
-                phase: {"count": totals[0], "bytes": totals[1]}
-                for phase, totals in sorted(self.phase_allocs.items())
-            },
             "slots": [
                 {
                     "slot": s.slot,
@@ -285,18 +267,6 @@ class ServiceMetrics:
                     "p50_seconds": s.p50_seconds,
                     "p99_seconds": s.p99_seconds,
                     **{f"t_{p}": s.timings.get(p, 0.0) for p in PHASES},
-                    **(
-                        {
-                            key: int(value)
-                            for p in PHASES
-                            for key, value in (
-                                (f"alloc_{p}_count", s.allocs.get(p, (0, 0))[0]),
-                                (f"alloc_{p}_bytes", s.allocs.get(p, (0, 0))[1]),
-                            )
-                        }
-                        if s.allocs
-                        else {}
-                    ),
                 }
                 for s in self.slots
             ],
@@ -309,35 +279,21 @@ class ServiceMetrics:
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
 
     def write_csv(self, path: str | Path) -> None:
-        """Per-slot CSV: admission, queue depth, phase + rolling p50/p99.
-
-        Metered runs (any slot observed with ``allocs``) append per-phase
-        ``alloc_<phase>_count`` / ``alloc_<phase>_bytes`` columns.
-        """
-        metered = any(s.allocs for s in self.slots)
+        """Per-slot CSV: admission, queue depth, phase + rolling p50/p99."""
         with Path(path).open("w", newline="") as handle:
             writer = csv.writer(handle)
-            header = (
+            writer.writerow(
                 ["slot", "admitted", "rejected", "queue_depth", "issued",
                  "answered", "slot_seconds", "p50_seconds", "p99_seconds"]
                 + [f"t_{p}" for p in PHASES]
             )
-            if metered:
-                for p in PHASES:
-                    header += [f"alloc_{p}_count", f"alloc_{p}_bytes"]
-            writer.writerow(header)
             for s in self.slots:
-                row = (
+                writer.writerow(
                     [s.slot, s.admitted, s.rejected, s.queue_depth, s.issued,
                      s.answered, f"{s.slot_seconds:.9f}",
                      f"{s.p50_seconds:.9f}", f"{s.p99_seconds:.9f}"]
                     + [f"{s.timings.get(p, 0.0):.9f}" for p in PHASES]
                 )
-                if metered:
-                    for p in PHASES:
-                        count, nbytes = s.allocs.get(p, (0, 0))
-                        row += [int(count), int(nbytes)]
-                writer.writerow(row)
 
 
 # ----------------------------------------------------------------------
@@ -355,27 +311,6 @@ def phase_totals(summary: SimulationSummary) -> dict[str, float]:
         seconds = [r.extras[key] for r in summary.slots if key in r.extras]
         if seconds:
             totals[phase] = float(sum(seconds))
-    return totals
-
-
-def phase_allocs(summary: SimulationSummary) -> dict[str, dict[str, int]]:
-    """Total allocations/bytes per engine phase from profiled slot extras.
-
-    Empty unless the run was profiled on an allocation-metering backend
-    (the ``alloc_<phase>_count`` / ``alloc_<phase>_bytes`` extras only
-    appear then).
-    """
-    totals: dict[str, dict[str, int]] = {}
-    for phase in PHASES:
-        count_key, bytes_key = f"alloc_{phase}_count", f"alloc_{phase}_bytes"
-        counts = [r.extras[count_key] for r in summary.slots if count_key in r.extras]
-        if counts:
-            totals[phase] = {
-                "count": int(sum(counts)),
-                "bytes": int(
-                    sum(r.extras.get(bytes_key, 0.0) for r in summary.slots)
-                ),
-            }
     return totals
 
 
@@ -405,7 +340,6 @@ def summary_payload(
             for label in summary.quality_stats
         },
         "phase_timings": phase_totals(summary),
-        "phase_allocs": phase_allocs(summary),
         "slots": [
             {
                 "slot": r.slot,

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import xp
 from .coverage import AreaCoverage, CoverageFunction, WeightedCoverage, masks_for_xy
 from .region import Region
 
@@ -165,7 +164,7 @@ class WorldRaster:
         """
         out = WorldRaster(xy)
         m = len(out.xy)
-        fresh_mask = xp.zeros(m, dtype=xp.bool_dtype)
+        fresh_mask = np.zeros(m, dtype=bool)
         fresh_mask[fresh_cols] = True
         old_cols = np.flatnonzero(old_to_new >= 0)
         new_cols = old_to_new[old_cols]
@@ -183,7 +182,7 @@ class WorldRaster:
         # cached array is then one memcpy + a fresh-subset overwrite
         # instead of a gather/scatter pair.
         aligned = len(self.xy) == m and bool(np.array_equal(carry_new, carry_old))
-        new_to_old = xp.full(m, -1, dtype=xp.int64_dtype)
+        new_to_old = np.full(m, -1, dtype=np.int64)
         new_to_old[carry_new] = carry_old
         fresh_idx = np.flatnonzero(fresh_mask)
         out._patch = (
@@ -205,7 +204,7 @@ class WorldRaster:
         if aligned:
             out = prev.copy()
         else:
-            out = xp.empty(len(self.xy), dtype=prev.dtype)
+            out = np.empty(len(self.xy), dtype=prev.dtype)
             out[carry_new] = prev[carry_old]
         if fresh_idx.size:
             out[fresh_idx] = compute(self.xy[fresh_idx])
@@ -311,16 +310,16 @@ class WorldRaster:
         if comp.size:
             sub_indptr, sub_cells = self._build_rows(fn, cols[comp])
         else:
-            sub_indptr = xp.zeros(1, dtype=xp.int64_dtype)
-            sub_cells = xp.zeros(0, dtype=xp.int64_dtype)
-        lens = xp.empty(k, dtype=xp.int64_dtype)
+            sub_indptr = np.zeros(1, dtype=np.int64)
+            sub_cells = np.zeros(0, dtype=np.int64)
+        lens = np.empty(k, dtype=np.int64)
         okidx = np.flatnonzero(ok)
         jk = j[okidx]
         lens[okidx] = pindptr[jk + 1] - pindptr[jk]
         lens[comp] = np.diff(sub_indptr)
-        indptr = xp.zeros(k + 1, dtype=xp.int64_dtype)
+        indptr = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(lens, out=indptr[1:])
-        cells = xp.empty(int(indptr[-1]), dtype=xp.int64_dtype)
+        cells = np.empty(int(indptr[-1]), dtype=np.int64)
         # Copy in maximal runs: consecutive carried rows that are also
         # consecutive in the old CSR collapse into one memcpy; computed
         # rows are contiguous in the sub-CSR by construction.
@@ -351,7 +350,7 @@ class WorldRaster:
             masks = masks_for_xy(fn, self.xy[cols])
             rows, cells = np.nonzero(masks)
             counts = np.bincount(rows, minlength=len(cols))
-            indptr = xp.zeros(len(cols) + 1, dtype=xp.int64_dtype)
+            indptr = np.zeros(len(cols) + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
             return indptr, cells.astype(np.int64, copy=False)
         x_min, y_min, cell, nx, ny = layout
@@ -381,9 +380,9 @@ class WorldRaster:
         counts = np.multiply(box_nx, box_ny)
         total = int(counts.sum())
         if total == 0:
-            return xp.zeros(len(cols) + 1, dtype=xp.int64_dtype), xp.zeros(0, dtype=xp.int64_dtype)
+            return np.zeros(len(cols) + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
         owner = np.repeat(np.arange(len(cols), dtype=np.int64), counts)
-        prev = xp.zeros(len(cols), dtype=xp.int64_dtype)
+        prev = np.zeros(len(cols), dtype=np.int64)
         np.cumsum(counts[:-1], out=prev[1:])
         rank = np.arange(total, dtype=np.int64) - prev[owner]
         ix = ix_lo[owner] + rank // box_ny[owner]
@@ -398,6 +397,6 @@ class WorldRaster:
         owner = owner[keep]
         cells = cell_idx[keep]
         counts = np.bincount(owner, minlength=len(cols))
-        indptr = xp.zeros(len(cols) + 1, dtype=xp.int64_dtype)
+        indptr = np.zeros(len(cols) + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         return indptr, cells

@@ -136,6 +136,44 @@ class TestScenarioJson:
         assert [p["name"] for p in payload] == ["cli-svc", "cli-svc-2"]
 
 
+class TestRemovedKnobs:
+    """Specs and flags from before the greedy had one code path.
+
+    A spec still setting ``fused``/``backend``/``workspace`` fails through
+    the ordinary unknown-field path; the matching flags are gone."""
+
+    OLD_FIELDS = {"fused": "auto", "backend": "numpy", "workspace": "auto"}
+
+    @pytest.mark.parametrize("command", ["scenario", "replay"])
+    @pytest.mark.parametrize("field", sorted(OLD_FIELDS))
+    def test_old_spec_field_is_an_unknown_field(self, tmp_path, capsys, command, field):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**SPEC_PAYLOAD, field: self.OLD_FIELDS[field]}))
+        assert main([command, str(path), "--slots", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == (
+            f"error loading {path}: unknown ScenarioSpec fields: [{field!r}]"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario", "x.json", "--fused", "off"],
+            ["scenario", "x.json", "--backend", "numpy"],
+            ["scenario", "x.json", "--workspace", "off"],
+            ["replay", "x.json", "--backend", "numpy"],
+            ["replay", "x.json", "--profile"],
+            ["serve", "--spec", "x.json", "--backend", "numpy"],
+        ],
+        ids=" ".join,
+    )
+    def test_old_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestServe:
     def test_serve_exit_after_with_metrics(self, spec_file, tmp_path, capsys):
         metrics = tmp_path / "metrics.json"

@@ -111,21 +111,22 @@ class TestKernelPlumbing:
         kernel = ValuationKernel.from_sensors(sensors)
         call_allocator(Plain(), [], sensors, kernel)  # must not raise
 
-    def test_engine_runs_with_kernel_disabled(self):
-        def run(use_kernel):
-            engine = SlotEngine(
-                SCENARIO.make_fleet(),
-                [OneShotStream(_point_workload())],
-                LocalSearchPointAllocator(),
-                np.random.default_rng(4),
-                use_kernel=use_kernel,
-            )
-            return engine.run(3)
-
-        with_kernel = run(True)
-        without = run(False)
-        assert with_kernel.total_utility == pytest.approx(without.total_utility)
-        assert with_kernel.satisfaction_ratio == without.satisfaction_ratio
+    def test_allocator_runs_without_kernel(self):
+        """An allocator handed ``kernel=None`` builds its own and settles
+        what the engine's shared slot kernel would have."""
+        fleet = SCENARIO.make_fleet()
+        workload = _point_workload()
+        rng = np.random.default_rng(4)
+        allocator = LocalSearchPointAllocator()
+        for t in range(3):
+            sensors = fleet.announcements()
+            queries = workload.generate(t, rng)
+            kernel = ValuationKernel.from_sensors(sensors)
+            with_kernel = allocator.allocate(queries, sensors, kernel=kernel)
+            without = allocator.allocate(queries, sensors, kernel=None)
+            assert with_kernel.total_utility == pytest.approx(without.total_utility)
+            assert with_kernel.answered_count() == without.answered_count()
+            fleet.advance()
 
 
 class TestSequentialBufferedAllocation:

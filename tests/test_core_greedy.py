@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_point_query, make_snapshot, random_instance
-from repro.core import GreedyAllocator
+from oracles import ScalarGreedyAllocator
+from repro.core import GreedyAllocator, PaymentInvariantError
 from repro.queries import SpatialAggregateQuery
 from repro.spatial import Region
 
@@ -136,3 +137,37 @@ class TestGreedyBehaviour:
     def test_invariants_hold_on_fuzzed_instances(self, seed):
         queries, sensors = random_mixed_instance(seed)
         GreedyAllocator().allocate(queries, sensors).verify()
+
+
+class TestVerifyRejectsNonFinite:
+    """A NaN-priced sensor can win a round (every comparison with NaN is
+    False) and settle a NaN payment; ``verify`` must refuse it."""
+
+    @staticmethod
+    def _instance():
+        # The NaN-priced sensor comes first so the scalar oracle's ``max``
+        # keeps it too; both sit on the query's spot.
+        sensors = [make_snapshot(1, cost=float("nan")), make_snapshot(0, cost=1.0)]
+        return [make_point_query(query_id="q")], sensors
+
+    @pytest.mark.parametrize(
+        "allocator_cls", [GreedyAllocator, ScalarGreedyAllocator], ids=["batch", "scalar"]
+    )
+    def test_nan_payment_fails_verify(self, allocator_cls):
+        queries, sensors = self._instance()
+        unchecked = allocator_cls(verify=False).allocate(queries, sensors)
+        assert list(unchecked.selected) == [1]
+        assert np.isnan(unchecked.payments[("q", 1)])
+        with pytest.raises(PaymentInvariantError):
+            allocator_cls().allocate(queries, sensors)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_ledger_entries_fail_verify(self, bad):
+        from repro.core import AllocationResult
+
+        query = make_point_query(query_id="q")
+        for value_gain, payment in ((5.0, bad), (bad, 1.0)):
+            result = AllocationResult()
+            result.record(query, make_snapshot(0, cost=1.0), value_gain, payment)
+            with pytest.raises(PaymentInvariantError):
+                result.verify()

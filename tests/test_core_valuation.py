@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import make_point_query, make_snapshot, random_instance
+from oracles import relevant_queries_by_sensor
 from repro.core import PointProblem, ValuationKernel
-from repro.core.greedy import relevant_queries_by_sensor
 from repro.queries import PointQuery
 from repro.sensors import SensorSnapshot
 from repro.spatial import Location

@@ -57,7 +57,7 @@ def test_metro_scale_spec_declares_the_batch_sharded_path():
     fleet's AnnouncementBatch (the loop-free slot path it showcases)."""
     import dataclasses
 
-    from repro.core import ShardedKernel
+    from repro.core import GreedyAllocator, ShardedKernel
     from repro.sensors import AnnouncementBatch
 
     spec = ScenarioSpec.from_json(SPEC_DIR / "metro_scale.json")
@@ -107,24 +107,22 @@ def test_region_heavy_spec_exercises_the_mask_path():
 
 def test_region_storm_spec_exercises_the_fused_pipeline():
     """The region-storm spec piles 128 overlapping aggregate queries on
-    20k sensors with both sharding and the fused block pipeline on auto;
-    a scaled-down build must propagate ``fused`` to the allocator, share
-    one world raster across the slot, and run."""
+    20k sensors with sharding on auto; a scaled-down build must run the
+    fused block pipeline, share one world raster across the slot, and
+    run."""
     import dataclasses
 
-    from repro.core import ShardedKernel
+    from repro.core import GreedyAllocator, ShardedKernel
     from repro.sensors import AnnouncementBatch
     from repro.spatial import get_raster
 
     spec = ScenarioSpec.from_json(SPEC_DIR / "region_storm.json")
     assert spec.n_sensors >= 20_000
     assert spec.sharding == "auto"
-    assert spec.fused == "auto"
     assert any(s.kind == "aggregate" for s in spec.streams)
     small = dataclasses.replace(spec, n_sensors=1500, n_slots=2)
     engine = small.build()
-    assert engine.fused == "auto"
-    assert engine.allocation.allocator.fused == "auto"
+    assert type(engine.allocation.allocator) is GreedyAllocator
     summary = engine.run(2)
     assert summary.n_slots == 2
     assert summary.total_queries > 0
@@ -154,7 +152,7 @@ def test_metro_burst_spec_drives_the_marketplace_service():
 
     spec = ScenarioSpec.from_json(SPEC_DIR / "metro_burst.json")
     assert spec.n_sensors >= 100_000
-    assert spec.sharding == "auto" and spec.fused == "auto"
+    assert spec.sharding == "auto"
     assert spec.service is not None
     assert spec.service["arrivals"]["profile"] == "bursty"
 

@@ -4,9 +4,10 @@ world coverage raster vs the per-row (PR-5) masked path.
 The contract under test (see ``repro.queries.base`` and
 ``repro.spatial.raster``):
 
-* ``GreedyAllocator(fused="auto")`` allocations — assignments, values,
-  payments — compare ``==`` against ``fused=False`` for every built-in
-  query type, dense and sharded: each ``gain_many_block`` implementation
+* ``GreedyAllocator()`` allocations — assignments, values,
+  payments — compare ``==`` against the per-row ``gain_many`` oracle
+  (:class:`oracles.PerRowGreedyAllocator`) for every built-in query
+  type, dense and sharded: each ``gain_many_block`` implementation
   performs the exact per-pair arithmetic of its ``gain_many``;
 * ``WorldRaster.coverage_rows`` reproduces the dense
   ``masks_for_xy`` membership row-for-row (the grid fast path only
@@ -24,12 +25,14 @@ The contract under test (see ``repro.queries.base`` and
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
 from helpers import make_snapshot
+from oracles import PerRowGreedyAllocator
 from repro.core import GreedyAllocator, ShardedKernel, ValuationKernel
-from repro.core.greedy import normalize_fused
 from repro.core.monitoring import RegionMonitoringController
 from repro.queries import (
     AggregateQueryWorkload,
@@ -150,13 +153,13 @@ class TestFusedAllocationParity:
         rng = np.random.default_rng(1000 + seed)
         queries = region_heavy_queries(rng)
         sensors = random_sensors(rng)
-        masked = GreedyAllocator(fused=False).allocate(
+        masked = PerRowGreedyAllocator().allocate(
             queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
         )
-        fused = GreedyAllocator(fused="auto").allocate(
+        fused = GreedyAllocator().allocate(
             queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
         )
-        sharded = GreedyAllocator(fused="auto").allocate(
+        sharded = GreedyAllocator().allocate(
             queries, sensors,
             kernel=ShardedKernel.from_sensors(sensors, cell_size=8.0),
         )
@@ -168,13 +171,13 @@ class TestFusedAllocationParity:
         rng = np.random.default_rng(2000 + seed)
         queries = every_type_queries(rng)
         sensors = random_sensors(rng)
-        masked = GreedyAllocator(fused=False).allocate(
+        masked = PerRowGreedyAllocator().allocate(
             queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
         )
-        fused = GreedyAllocator(fused="auto").allocate(
+        fused = GreedyAllocator().allocate(
             queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
         )
-        sharded = GreedyAllocator(fused="auto").allocate(
+        sharded = GreedyAllocator().allocate(
             queries, sensors,
             kernel=ShardedKernel.from_sensors(sensors, cell_size=9.0),
         )
@@ -186,24 +189,22 @@ class TestFusedAllocationParity:
         rng = np.random.default_rng(3000 + seed)
         queries = region_heavy_queries(rng)
         batch = make_batch(rng)
-        masked = GreedyAllocator(fused=False).allocate(
+        masked = PerRowGreedyAllocator().allocate(
             queries, batch, kernel=ValuationKernel.from_sensors(batch)
         )
         kernel = ValuationKernel.from_sensors(batch)
-        fused = GreedyAllocator(fused="auto").allocate(queries, batch, kernel=kernel)
+        fused = GreedyAllocator().allocate(queries, batch, kernel=kernel)
         assert_allocations_identical(fused, masked)
         # The raster the kernel used is the batch-attached instance.
         assert kernel.raster is get_raster(batch, batch.xy)
 
-    def test_normalize_fused(self):
-        assert normalize_fused(None) == "auto"
-        assert normalize_fused(True) == "auto"
-        assert normalize_fused("auto") == "auto"
-        assert normalize_fused(False) is False
-        with pytest.raises(ValueError):
-            normalize_fused("sometimes")
-        assert GreedyAllocator().fused == "auto"
-        assert GreedyAllocator(fused=False).fused is False
+    def test_greedy_has_no_path_knobs(self):
+        """The fused pipeline is the only production path: the allocator
+        takes no switch that would select another one."""
+        params = list(inspect.signature(GreedyAllocator).parameters)
+        assert params == ["min_gain", "verify"]
+        with pytest.raises(TypeError):
+            GreedyAllocator(fused=False)
 
 
 # ----------------------------------------------------------------------
@@ -379,11 +380,11 @@ class TestFallbackLattice:
             )
             for _ in range(5)
         ]
-        fused = GreedyAllocator(fused="auto").allocate(queries, sensors)
+        fused = GreedyAllocator().allocate(queries, sensors)
         assert calls, "override was never routed through"
         fused_calls = len(calls)
         calls.clear()
-        masked = GreedyAllocator(fused=False).allocate(queries, sensors)
+        masked = PerRowGreedyAllocator().allocate(queries, sensors)
         assert calls, "per-row path must call gain_many too"
         assert fused_calls and len(calls)
         assert_allocations_identical(fused, masked)
@@ -421,9 +422,9 @@ class TestFallbackLattice:
             )
             for i in range(3)
         ]
-        fused = GreedyAllocator(fused="auto").allocate(traced, sensors)
+        fused = GreedyAllocator().allocate(traced, sensors)
         assert calls, "scalar override was never routed through"
-        reference = GreedyAllocator(fused="auto").allocate(plain, sensors)
+        reference = GreedyAllocator().allocate(plain, sensors)
         # Aggregate scalar and batch gains share one arithmetic path, so
         # the traced slot must still allocate identically.
         assert_allocations_identical(fused, reference)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import make_point_query, make_snapshot
+from oracles import ScalarGreedyAllocator
 from repro.core import (
     GreedyAllocator,
     ValuationKernel,
@@ -135,7 +136,7 @@ class TestPerPairGainParity:
 
 def exact_allocation_parity(queries, sensors, kernel=None):
     vectorized = GreedyAllocator().allocate(queries, sensors, kernel=kernel)
-    scalar = GreedyAllocator(vectorized=False).allocate(queries, sensors, kernel=kernel)
+    scalar = ScalarGreedyAllocator().allocate(queries, sensors, kernel=kernel)
     assert vectorized.assignments == scalar.assignments
     assert set(vectorized.selected) == set(scalar.selected)
     assert vectorized.values.keys() == scalar.values.keys()
@@ -213,8 +214,8 @@ class TestEndToEndFigureFamilies:
     def _engines(self, family):
         scenario = build_rwm_scenario(self.SEED, n_sensors=60, n_slots=10)
         engines = []
-        for vectorized in (True, False):
-            allocator = GreedyAllocator(vectorized=vectorized)
+        for make_allocator in (GreedyAllocator, ScalarGreedyAllocator):
+            allocator = make_allocator()
             rng = np.random.default_rng(self.SEED)
             if family == "point":
                 workload = PointQueryWorkload(
@@ -271,7 +272,7 @@ class TestEndToEndFigureFamilies:
         scenario = build_rwm_scenario(self.SEED, n_sensors=50, n_slots=10)
         ozone = build_ozone_dataset(self.SEED)
         summaries = []
-        for vectorized in (True, False):
+        for make_allocator in (GreedyAllocator, ScalarGreedyAllocator):
             point_wl = PointQueryWorkload(
                 scenario.working_region, n_queries=20, budget=15.0,
                 dmax=scenario.dmax,
@@ -288,7 +289,7 @@ class TestEndToEndFigureFamilies:
             engine = mix_engine(
                 scenario.make_fleet(), point_wl, agg_wl, lm_wl,
                 np.random.default_rng(self.SEED),
-                joint=GreedyAllocator(vectorized=vectorized),
+                joint=make_allocator(),
             )
             summaries.append(engine.run(self.N_SLOTS))
         summaries_equal(summaries[0], summaries[1])
@@ -300,7 +301,7 @@ class TestEndToEndFigureFamilies:
         scenario = build_rwm_scenario(self.SEED, n_sensors=50, n_slots=10)
         ozone = build_ozone_dataset(self.SEED)
         summaries = []
-        for vectorized in (True, False):
+        for make_allocator in (GreedyAllocator, ScalarGreedyAllocator):
             point_wl = PointQueryWorkload(
                 scenario.working_region, n_queries=20, budget=15.0,
                 dmax=scenario.dmax,
@@ -318,8 +319,8 @@ class TestEndToEndFigureFamilies:
                 scenario.make_fleet(), point_wl, agg_wl, lm_wl,
                 np.random.default_rng(self.SEED),
                 sequential=True,
-                stage1_allocator=GreedyAllocator(vectorized=vectorized),
-                stage2_allocator=GreedyAllocator(vectorized=vectorized),
+                stage1_allocator=make_allocator(),
+                stage2_allocator=make_allocator(),
             )
             summaries.append(engine.run(self.N_SLOTS))
         summaries_equal(summaries[0], summaries[1])

@@ -15,11 +15,10 @@ x pipelines.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
+from oracles import PerRowGreedyAllocator, compile_greedy_as
 from repro.core import ShardedKernel, ValuationKernel, delta_old_to_new
 from repro.core.engine import normalize_incremental
 from repro.datasets import ScenarioSpec, StreamSpec
@@ -277,10 +276,12 @@ FLEETS = {
 }
 
 
-@pytest.mark.parametrize("fused", [None, False], ids=["fused-auto", "fused-off"])
+@pytest.mark.parametrize("fused", [True, False], ids=["fused-auto", "fused-off"])
 @pytest.mark.parametrize("sharding", [None, "auto"], ids=["dense", "sharded"])
 @pytest.mark.parametrize("fleet", FLEETS, ids=list(FLEETS))
-def test_replay_parity(fleet, sharding, fused):
+def test_replay_parity(fleet, sharding, fused, monkeypatch):
+    if not fused:
+        compile_greedy_as(monkeypatch, PerRowGreedyAllocator)
     spec = ScenarioSpec(
         name=f"replay-{fleet}",
         n_sensors=200,
@@ -288,7 +289,6 @@ def test_replay_parity(fleet, sharding, fused):
         seed=23,
         streams=STREAMS,
         sharding=sharding,
-        fused=fused,
         fleet={"linear_energy": True, "random_privacy": True, "lifetime": 6},
         **FLEETS[fleet],
     )

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from helpers import make_snapshot
+from oracles import ScalarGreedyAllocator
 from repro.core import (
     BaselineAllocator,
     GreedyAllocator,
@@ -427,7 +428,7 @@ class TestRegionHeavyAllocationParity:
     @pytest.mark.parametrize("seed", range(6))
     def test_greedy_masked_equals_scalar_dense_and_sharded(self, seed):
         queries, sensors = region_heavy_slot(300 + seed)
-        scalar = GreedyAllocator(vectorized=False).allocate(
+        scalar = ScalarGreedyAllocator().allocate(
             queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
         )
         dense = GreedyAllocator().allocate(
@@ -458,7 +459,7 @@ class TestRegionHeavyAllocationParity:
         rng = np.random.default_rng(500 + seed)
         sensors = random_sensors(rng, n=60)
         queries = one_of_each_query_type(rng)
-        scalar = GreedyAllocator(vectorized=False).allocate(queries, sensors)
+        scalar = ScalarGreedyAllocator().allocate(queries, sensors)
         dense = GreedyAllocator().allocate(queries, sensors)
         assert_allocations_identical(dense, scalar)
 

@@ -5,10 +5,11 @@ sequence (the :func:`~repro.experiments.allocation_signature` relabeling
 discipline of ``experiments/replay.py``).
 
 Every engine configuration the batch layer ships — dense and sharded
-kernels, fused and per-row gain refreshes, full-rebuild and incremental
-slot state — must uphold the contract, so the suite sweeps recorded
-traces across those corners plus saturated admission (rejections must
-not perturb what *was* admitted).
+kernels, full-rebuild and incremental slot state — must uphold the
+contract, and so must the per-row gain-refresh oracle
+(:class:`oracles.PerRowGreedyAllocator`, compiled into the dense
+corner), so the suite sweeps recorded traces across those corners plus
+saturated admission (rejections must not perturb what *was* admitted).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import dataclasses
 
 import pytest
 
+from oracles import PerRowGreedyAllocator, compile_greedy_as
 from repro.datasets import ScenarioSpec, StreamSpec
 from repro.service import (
     BurstyProfile,
@@ -51,15 +53,14 @@ def make_spec(name, **knobs):
 
 
 SCENARIOS = {
-    # dense kernel, per-row gains, full rebuild every slot
-    "dense": make_spec("svc-dense", sharding=None, fused=False, incremental=False),
+    # dense kernel, per-row gains (ORACLES), full rebuild every slot
+    "dense": make_spec("svc-dense", sharding=None, incremental=False),
     # sharded kernel + fused type-blocked gain batches
-    "sharded-fused": make_spec("svc-sharded-fused", sharding="auto", fused="auto"),
+    "sharded-fused": make_spec("svc-sharded-fused", sharding="auto"),
     # sharded kernel + incremental slot state over churn mobility
     "sharded-incremental": make_spec(
         "svc-sharded-incremental",
         sharding="auto",
-        fused="auto",
         incremental="auto",
         mobility={"kind": "churn", "fraction": 0.02},
     ),
@@ -72,6 +73,10 @@ SCENARIOS = {
     ),
 }
 
+#: scenarios whose engines run a reference allocator instead of the
+#: production greedy (see :func:`oracles.compile_greedy_as`)
+ORACLES = {"dense": PerRowGreedyAllocator}
+
 
 def run_and_replay(spec, service, generator, n_ticks=N_TICKS):
     """Drive the service open-loop, then replay its admission trace
@@ -83,7 +88,9 @@ def run_and_replay(spec, service, generator, n_ticks=N_TICKS):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS), ids=str)
-def test_service_matches_offline_replay(name):
+def test_service_matches_offline_replay(name, monkeypatch):
+    if name in ORACLES:
+        compile_greedy_as(monkeypatch, ORACLES[name])
     spec = SCENARIOS[name]
     service = MarketplaceService.from_spec(spec)
     generator = LoadGenerator(
@@ -115,20 +122,22 @@ def test_parity_survives_saturated_admission():
     assert replayed == live
 
 
-def test_parity_across_engine_corners_is_mutual():
+def test_parity_across_engine_corners_is_mutual(monkeypatch):
     """The same recorded trace replays identically through *different*
-    engine knob settings — the service contract composes with the batch
+    engine settings — the service contract composes with the batch
     layer's own dense/sharded and fused/per-row equivalences."""
     spec = SCENARIOS["dense"]
-    service = MarketplaceService.from_spec(spec)
-    generator = LoadGenerator(
-        PoissonProfile(8.0), service.workloads, seed=spec.seed
-    )
-    replayed, live = run_and_replay(spec, service, generator)
+    with monkeypatch.context() as patch:
+        compile_greedy_as(patch, ORACLES["dense"])
+        service = MarketplaceService.from_spec(spec)
+        generator = LoadGenerator(
+            PoissonProfile(8.0), service.workloads, seed=spec.seed
+        )
+        replayed, live = run_and_replay(spec, service, generator)
     assert replayed == live
 
     flat = [q for batch in generator.schedule(N_TICKS) for q in batch]
-    sharded = dataclasses.replace(spec, sharding="auto", fused="auto")
+    sharded = dataclasses.replace(spec, sharding="auto")
     assert replay_admission_trace(sharded, service.trace, flat) == live
 
 

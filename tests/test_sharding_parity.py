@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from helpers import make_point_query, make_snapshot
+from oracles import ScalarGreedyAllocator
 from repro.core import (
     BaselineAllocator,
     GreedyAllocator,
@@ -197,23 +198,6 @@ class TestKernelParity:
             with pytest.raises(ValueError):
                 normalize_sharding(junk)
 
-    def test_sharding_requires_the_slot_kernel(self):
-        from repro.core import SlotEngine
-        from repro.core.engine import OneShotStream
-        from repro.queries import PointQueryWorkload
-
-        scenario = build_rwm_scenario(1, n_sensors=10, n_slots=2)
-        workload = PointQueryWorkload(scenario.working_region, n_queries=2)
-        with pytest.raises(ValueError, match="use_kernel"):
-            SlotEngine(
-                scenario.make_fleet(),
-                [OneShotStream(workload)],
-                GreedyAllocator(),
-                np.random.default_rng(0),
-                use_kernel=False,
-                sharding=True,
-            )
-
     def test_heuristic_cell_size_positive(self):
         rng = np.random.default_rng(1)
         xy = rng.uniform(0, 100, size=(500, 2))
@@ -372,10 +356,10 @@ class TestAllocatorParity:
         rng = np.random.default_rng(3000 + seed)
         sensors = random_sensors(rng, n=35)
         queries = queries_of_every_type(rng)
-        a = GreedyAllocator(vectorized=False).allocate(
+        a = ScalarGreedyAllocator().allocate(
             queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
         )
-        b = GreedyAllocator(vectorized=False).allocate(
+        b = ScalarGreedyAllocator().allocate(
             queries, sensors, kernel=ShardedKernel.from_sensors(sensors, cell_size=3.0)
         )
         assert_allocations_identical(a, b)
