@@ -341,8 +341,13 @@ class GreedyAllocator:
         pair_rows = row_idx[r_pos]
         pair_cols = columns[c_pos]
         pair_block = row_block[pair_rows]
-        for b in np.unique(pair_block):
+        # Candidate blocks from the (query-sized) row list, not by hashing
+        # the (pair-sized) block ids; a row without live relevant pairs
+        # leaves its block with nothing to evaluate.
+        for b in np.unique(row_block[row_idx]):
             in_block = pair_block == b
+            if not in_block.any():
+                continue
             pr = pair_rows[in_block]
             pc = pair_cols[in_block]
             gains = blocks[b].gain_many_block(member_pos[pr], pc)

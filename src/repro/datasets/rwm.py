@@ -35,9 +35,15 @@ def build_rwm_scenario(
     n_sensors: int = 200,
     n_slots: int = 50,
     fleet_config: FleetConfig | None = None,
+    trace: MobilityTrace | None = None,
 ) -> Scenario:
-    """Paper defaults: 200 sensors, 50 slots, fixed energy cost, zero PSL."""
-    trace = _cached_trace(seed, n_sensors, n_slots)
+    """Paper defaults: 200 sensors, 50 slots, fixed energy cost, zero PSL.
+
+    ``trace`` replaces the random-waypoint trace, which is then neither
+    generated nor cached (the fleet seed does not depend on it).
+    """
+    if trace is None:
+        trace = _cached_trace(seed, n_sensors, n_slots)
     return Scenario(
         name="RWM",
         trace=trace,

@@ -361,6 +361,20 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     # compilation
     # ------------------------------------------------------------------
+    def _override_trace(self, region: Region) -> MobilityTrace | None:
+        """The ``mobility`` block's recorded trace over ``region`` (or None)."""
+        if self.mobility is None:
+            return None
+        from ..mobility import ChurnMobility
+
+        model = ChurnMobility(
+            region,
+            self.n_sensors,
+            np.random.default_rng(self.seed),
+            fraction=float(self.mobility.get("fraction", 0.01)),
+        )
+        return MobilityTrace.from_xy(region, model.run_xy(self.n_slots))
+
     def build(self):
         """Compile the spec into a ready-to-run ``SlotEngine``."""
         from ..core import engine as _engine
@@ -386,7 +400,7 @@ class ScenarioSpec:
         from .intel import build_intel_scenario
         from .ozone import build_ozone_dataset
         from .rnc import build_rnc_scenario
-        from .rwm import build_rwm_scenario
+        from .rwm import RWM_REGION, build_rwm_scenario
 
         fleet_overrides = dict(self.fleet)
         if "trust_model" in fleet_overrides:
@@ -399,8 +413,13 @@ class ScenarioSpec:
         fleet_config = FleetConfig(**fleet_overrides) if fleet_overrides else None
         gp = None
         if self.dataset == "rwm":
+            # The RWM trace comes from its own ``default_rng(seed)`` and
+            # nothing else in the world depends on it, so a mobility
+            # override skips generating (and caching) the trace it would
+            # discard.
             scenario = build_rwm_scenario(
-                self.seed, self.n_sensors, self.n_slots, fleet_config=fleet_config
+                self.seed, self.n_sensors, self.n_slots, fleet_config=fleet_config,
+                trace=self._override_trace(RWM_REGION),
             )
         elif self.dataset == "rnc":
             scenario = build_rnc_scenario(
@@ -412,21 +431,9 @@ class ScenarioSpec:
                 self.seed, self.n_sensors, self.n_slots, fleet_config=fleet_config
             )
             scenario, gp = world.scenario, world.gp
-
-        if self.mobility is not None:
-            from ..mobility import ChurnMobility, MobilityTrace
-
-            model = ChurnMobility(
-                scenario.trace.region,
-                self.n_sensors,
-                np.random.default_rng(self.seed),
-                fraction=float(self.mobility.get("fraction", 0.01)),
-            )
+        if self.mobility is not None and self.dataset != "rwm":
             scenario = replace(
-                scenario,
-                trace=MobilityTrace.from_xy(
-                    scenario.trace.region, model.run_xy(self.n_slots)
-                ),
+                scenario, trace=self._override_trace(scenario.trace.region)
             )
 
         region = scenario.working_region

@@ -49,6 +49,7 @@ from .base import (
     QueryType,
     SensorRoster,
     ValuationState,
+    member_runs,
 )
 
 __all__ = ["AggregateOp", "SpatialAggregateQuery", "TrajectoryQuery", "sensor_quality"]
@@ -218,7 +219,9 @@ class _CoverageBlock(GainBlock):
         quality_sums = np.zeros(n_members, dtype=float)
         counts_sel = np.ones(n_members, dtype=float)
         values = np.zeros(n_members, dtype=float)
-        for u in np.unique(member_idx):
+        # Pairs arrive member-grouped, so each run's first entry names one
+        # touched member.
+        for u in member_idx[member_runs(member_idx)[:-1]]:
             state = members[u].state
             self._uncovered[self._cell_off[u] : self._cell_off[u + 1]] = ~state._mask
             base_covered[u] = state._mask.sum()

@@ -91,6 +91,7 @@ __all__ = [
     "SensorRoster",
     "BatchGainState",
     "GainBlock",
+    "member_runs",
     "new_query_id",
     "resolve_relevant_mask",
     "resolve_batch_state",
@@ -307,13 +308,24 @@ class GainBlock:
         its run.
         """
         out = np.empty(len(member_idx), dtype=float)
-        if len(member_idx) == 0:
-            return out
-        boundaries = np.flatnonzero(np.diff(member_idx)) + 1
-        starts = np.concatenate(([0], boundaries, [len(member_idx)]))
-        for a, b in zip(starts[:-1], starts[1:]):
+        bounds = member_runs(member_idx)
+        for a, b in zip(bounds[:-1], bounds[1:]):
             out[a:b] = self.members[member_idx[a]].gain_many(indices[a:b])
         return out
+
+
+def member_runs(member_idx: np.ndarray) -> np.ndarray:
+    """Run bounds ``[0, ..., len(member_idx)]`` of a member-grouped pair list.
+
+    Run ``r`` is ``member_idx[bounds[r]:bounds[r + 1]]``, all one member —
+    which the grouping contract of :meth:`GainBlock.gain_many_block` makes
+    the set of touched members, found without hashing the pairs.
+    """
+    n = len(member_idx)
+    if n == 0:
+        return np.zeros(1, dtype=np.intp)
+    inner = np.flatnonzero(member_idx[1:] != member_idx[:-1]) + 1
+    return np.concatenate(([0], inner, [n]))
 
 
 #: Scalar hooks whose override invalidates an inherited closed-form

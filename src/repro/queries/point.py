@@ -31,6 +31,7 @@ from .base import (
     QueryType,
     SensorRoster,
     ValuationState,
+    member_runs,
 )
 
 __all__ = ["reading_quality", "PointQuery", "MultiSensorPointQuery"]
@@ -231,20 +232,23 @@ class _TopKBlock(GainBlock):
         self, member_idx: np.ndarray, indices: np.ndarray
     ) -> np.ndarray:
         members = self.members
-        dirty = np.unique(member_idx)
+        # Pairs arrive member-grouped: one contiguous run per touched member.
+        bounds = member_runs(member_idx)
+        runs = [
+            (int(member_idx[a]), slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])
+        ]
         selected = {}
-        for u in dirty:
+        for u, _ in runs:
             state = members[u].state
             query = state.query
             selected[u] = [query.quality(s) for s in state.selected]
-        width = max(len(selected[u]) for u in dirty) + 1
+        width = max((len(selected[u]) for u, _ in runs), default=0) + 1
         stacked = np.full((len(member_idx), width), -1.0)
         k_of = np.empty(len(members), dtype=np.intp)
         values = np.zeros(len(members), dtype=float)
         budgets = np.empty(len(members), dtype=float)
         n_readings = np.empty(len(members), dtype=float)
-        for u in dirty:
-            rows = member_idx == u
+        for u, rows in runs:
             qualities = selected[u]
             if qualities:
                 stacked[rows, : len(qualities)] = qualities

@@ -17,9 +17,11 @@ from .loadgen import (
 from .marketplace import (
     REJECT_NOT_ACCEPTING,
     REJECT_QUEUE_FULL,
+    SLOT_FAILED,
     AdmissionStream,
     AdmissionTrace,
     AdmittedSlot,
+    FailedSlot,
     MarketplaceService,
     RecordedAdmissionStream,
     ServiceConfig,
@@ -38,11 +40,13 @@ from .metrics import (
 __all__ = [
     "REJECT_QUEUE_FULL",
     "REJECT_NOT_ACCEPTING",
+    "SLOT_FAILED",
     "Ticket",
     "ServiceConfig",
     "AdmissionStream",
     "RecordedAdmissionStream",
     "AdmittedSlot",
+    "FailedSlot",
     "AdmissionTrace",
     "MarketplaceService",
     "service_engine",

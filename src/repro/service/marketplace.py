@@ -15,7 +15,10 @@ service:
   also applies fleet churn via the existing incremental announce path —
   and folds the outcome into :class:`~.metrics.ServiceMetrics`;
 * the excess stays queued (backpressure), and a full queue rejects new
-  submissions instead of growing without bound.
+  submissions instead of growing without bound;
+* a slot whose engine step raises fails alone: its drained queries are
+  recorded as failed (:data:`SLOT_FAILED`), the failure is counted by
+  error class, and :meth:`~MarketplaceService.serve` keeps ticking.
 
 The contract that keeps the service honest is **scheduling, never
 semantics**: every admission is recorded in an :class:`AdmissionTrace`,
@@ -43,11 +46,13 @@ from .metrics import ServiceMetrics
 __all__ = [
     "REJECT_QUEUE_FULL",
     "REJECT_NOT_ACCEPTING",
+    "SLOT_FAILED",
     "Ticket",
     "ServiceConfig",
     "AdmissionStream",
     "RecordedAdmissionStream",
     "AdmittedSlot",
+    "FailedSlot",
     "AdmissionTrace",
     "MarketplaceService",
     "service_engine",
@@ -58,6 +63,9 @@ __all__ = [
 #: in :class:`~.metrics.ServiceMetrics`.
 REJECT_QUEUE_FULL = "queue_full"
 REJECT_NOT_ACCEPTING = "not_accepting"
+#: Reason carried by the admitted queries of a slot whose engine step
+#: raised (:attr:`AdmissionTrace.failed`).
+SLOT_FAILED = "slot_failed"
 
 _ARRIVAL_KEYS = {"profile", "rate", "burst_rate", "period", "burst_length", "seed"}
 
@@ -209,6 +217,17 @@ class AdmittedSlot:
     queries: tuple[Query, ...]
 
 
+@dataclass(frozen=True)
+class FailedSlot:
+    """One tick whose engine step raised: its clock, the drained arrival
+    seqs (each now carries :data:`SLOT_FAILED`) and the error's class."""
+
+    t: int
+    seqs: tuple[int, ...]
+    error: str
+    reason: str = SLOT_FAILED
+
+
 @dataclass
 class AdmissionTrace:
     """The recorded admission schedule of one service run.
@@ -217,12 +236,21 @@ class AdmissionTrace:
     recorded query objects, or — the stronger contract — by regenerating
     the arrival stream from its seed and indexing it with the recorded
     ``seqs`` (:meth:`per_slot_queries` with ``queries_by_seq``).
+
+    ``slots`` holds only the slots that ran; a tick whose engine step
+    raised goes to ``failed`` instead, so it is never replayed.  The
+    fleet does not advance on a failed step, so the next slot runs the
+    same clock and the replayed slots stay aligned with the live ones.
     """
 
     slots: list[AdmittedSlot] = field(default_factory=list)
+    failed: list[FailedSlot] = field(default_factory=list)
 
     def record(self, t: int, seqs: Sequence[int], queries: Sequence[Query]) -> None:
         self.slots.append(AdmittedSlot(t, tuple(seqs), tuple(queries)))
+
+    def record_failure(self, t: int, seqs: Sequence[int], error: str) -> None:
+        self.failed.append(FailedSlot(t, tuple(seqs), error))
 
     @property
     def n_slots(self) -> int:
@@ -292,7 +320,10 @@ class MarketplaceService:
     yields to the event loop between them so submitters interleave.
     Parity artifacts are kept as they accrue: :attr:`trace` records
     every admission, :attr:`slot_signatures` every slot's canonical
-    allocation signature.
+    allocation signature.  Those two and the per-slot rows of
+    :attr:`metrics` are the service's only per-tick growth (they carry
+    the replay contract); slot geometry stays bounded because a
+    :class:`~repro.spatial.WorldRaster` keeps at most its predecessor.
     """
 
     def __init__(self, engine: SlotEngine, admission: AdmissionStream,
@@ -377,16 +408,37 @@ class MarketplaceService:
         (through the incremental announce path when the spec enables
         it), and the slot's allocation signature + admission record are
         appended to the parity artifacts.
+
+        If the engine step raises, the drained queries are recorded as
+        failed (:meth:`AdmissionTrace.record_failure`, reason
+        :data:`SLOT_FAILED`), the failure is counted under the error's
+        class, and the exception propagates to the caller.  The service
+        stays consistent: nothing of the slot reaches the replayed trace
+        or the signatures, and the fleet has not advanced (``advance`` is
+        the step's last act), so the next tick re-runs the same clock.
         """
         t = self.tick
         cap = self.config.max_admitted_per_tick
         drained, self._queue = self._queue[:cap], self._queue[cap:]
         rejected_before = self.metrics.rejected_total
-        self.admission.load([p.query for p in drained])
+        seqs = [p.seq for p in drained]
+        queries = [p.query for p in drained]
+        self.admission.load(queries)
         self.metrics.observe_admission([t - p.submitted_tick for p in drained])
-        self.trace.record(t, [p.seq for p in drained], [p.query for p in drained])
-
-        record = self.engine.step(self.summary)
+        try:
+            record = self.engine.step(self.summary)
+        except Exception as exc:
+            error = type(exc).__name__
+            self.trace.record_failure(t, seqs, error)
+            self.metrics.observe_failure(
+                t,
+                error,
+                admitted=len(drained),
+                rejected=self.metrics.rejected_total - rejected_before,
+                queue_depth=len(self._queue),
+            )
+            raise
+        self.trace.record(t, seqs, queries)
         self.slot_signatures.append(self._signature(self.engine.last_result))
         self.ticks += 1
         self.metrics.observe_slot(
@@ -406,12 +458,17 @@ class MarketplaceService:
         (a slow slot just starts the next tick immediately — latency
         shows in the histograms, the ticker never queues ticks); an
         interval of 0 runs slots back-to-back, still yielding to the
-        loop between ticks so submitters get scheduled.
+        loop between ticks so submitters get scheduled.  A tick that
+        raises is counted (:meth:`tick_once` records it) and counts
+        towards ``n_slots``; the ticker carries on.
         """
         done = 0
         while self._accepting and (n_slots is None or done < n_slots):
             started = time.perf_counter()
-            self.tick_once()
+            try:
+                self.tick_once()
+            except Exception:
+                pass  # already recorded as a failed slot by tick_once
             done += 1
             remaining = self.config.tick_interval - (time.perf_counter() - started)
             await asyncio.sleep(remaining if remaining > 0 else 0)

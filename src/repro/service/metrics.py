@@ -137,6 +137,8 @@ class SlotMetrics:
     #: SLO a live dashboard would plot.
     p50_seconds: float
     p99_seconds: float
+    #: error class of a tick whose engine step raised ("" when it ran)
+    failed: str = ""
 
 
 @dataclass
@@ -148,6 +150,9 @@ class ServiceMetrics:
     per-phase and whole-slot latency histograms are
     :class:`LatencyHistogram` instances keyed by
     :data:`~repro.core.engine.PHASES` (+ ``"slot"`` for the total).
+    ``failed`` counts ticks whose engine step raised, per error class;
+    such a tick adds a :class:`SlotMetrics` row with ``failed`` set and
+    feeds no latency histogram.
     """
 
     submitted: int = 0
@@ -155,6 +160,7 @@ class ServiceMetrics:
     settled: int = 0
     answered: int = 0
     rejected: dict[str, int] = field(default_factory=dict)
+    failed: dict[str, int] = field(default_factory=dict)
     queue_depth: RunningStat = field(default_factory=RunningStat)
     max_queue_depth: int = 0
     admission_wait_ticks: RunningStat = field(default_factory=RunningStat)
@@ -169,6 +175,10 @@ class ServiceMetrics:
     @property
     def rejected_total(self) -> int:
         return sum(self.rejected.values())
+
+    @property
+    def failed_total(self) -> int:
+        return sum(self.failed.values())
 
     def observe_submit(self, accepted: bool, reason: str | None = None) -> None:
         self.submitted += 1
@@ -226,6 +236,36 @@ class ServiceMetrics:
         self.slots.append(snap)
         return snap
 
+    def observe_failure(
+        self,
+        slot: int,
+        error: str,
+        *,
+        admitted: int,
+        rejected: int,
+        queue_depth: int,
+    ) -> SlotMetrics:
+        """Count a tick whose engine step raised ``error`` (a class name)."""
+        self.failed[error] = self.failed.get(error, 0) + 1
+        self.observe_queue_depth(queue_depth)
+        snap = SlotMetrics(
+            slot=slot,
+            admitted=admitted,
+            rejected=rejected,
+            queue_depth=queue_depth,
+            issued=0,
+            answered=0,
+            value=0.0,
+            cost=0.0,
+            slot_seconds=0.0,
+            timings={},
+            p50_seconds=self.slot_latency.p50,
+            p99_seconds=self.slot_latency.p99,
+            failed=error,
+        )
+        self.slots.append(snap)
+        return snap
+
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
@@ -237,6 +277,8 @@ class ServiceMetrics:
                 "admitted": self.admitted,
                 "rejected": dict(sorted(self.rejected.items())),
                 "rejected_total": self.rejected_total,
+                "failed": dict(sorted(self.failed.items())),
+                "failed_total": self.failed_total,
                 "settled": self.settled,
                 "answered": self.answered,
             },
@@ -266,6 +308,7 @@ class ServiceMetrics:
                     "slot_seconds": s.slot_seconds,
                     "p50_seconds": s.p50_seconds,
                     "p99_seconds": s.p99_seconds,
+                    "failed": s.failed,
                     **{f"t_{p}": s.timings.get(p, 0.0) for p in PHASES},
                 }
                 for s in self.slots
@@ -279,13 +322,18 @@ class ServiceMetrics:
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
 
     def write_csv(self, path: str | Path) -> None:
-        """Per-slot CSV: admission, queue depth, phase + rolling p50/p99."""
+        """Per-slot CSV: admission, queue depth, phase + rolling p50/p99.
+
+        The last column, ``failed``, names the error class of a tick
+        whose engine step raised (empty for slots that ran).
+        """
         with Path(path).open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(
                 ["slot", "admitted", "rejected", "queue_depth", "issued",
                  "answered", "slot_seconds", "p50_seconds", "p99_seconds"]
                 + [f"t_{p}" for p in PHASES]
+                + ["failed"]
             )
             for s in self.slots:
                 writer.writerow(
@@ -293,6 +341,7 @@ class ServiceMetrics:
                      s.answered, f"{s.slot_seconds:.9f}",
                      f"{s.p50_seconds:.9f}", f"{s.p99_seconds:.9f}"]
                     + [f"{s.timings.get(p, 0.0):.9f}" for p in PHASES]
+                    + [s.failed]
                 )
 
 

@@ -155,9 +155,7 @@ class AreaCoverage(CoverageFunction):
     def __post_init__(self) -> None:
         if self.sensing_range <= 0:
             raise ValueError("sensing_range must be positive")
-        self._cells = np.asarray(
-            [(c.x, c.y) for c in self.region.grid_cells(self.cell_size)], dtype=float
-        )
+        self._cells = self.region.grid_xy(self.cell_size)
 
     @property
     def n_cells(self) -> int:
@@ -201,9 +199,11 @@ class WeightedCoverage(CoverageFunction):
     def __post_init__(self) -> None:
         if self.sensing_range <= 0:
             raise ValueError("sensing_range must be positive")
-        centres = list(self.region.grid_cells(self.cell_size))
-        self._cells = np.asarray([(c.x, c.y) for c in centres], dtype=float)
-        self._weights = np.asarray([self.weight_fn(c) for c in centres], dtype=float)
+        self._cells = self.region.grid_xy(self.cell_size)
+        self._weights = np.asarray(
+            [self.weight_fn(Location(x, y)) for x, y in self._cells.tolist()],
+            dtype=float,
+        )
         if (self._weights < 0).any():
             raise ValueError("cell weights must be non-negative")
 

@@ -51,7 +51,12 @@ Lifetime: a raster lives exactly as long as its coordinate block — it is
 attached to the announcement batch (or kernel) that owns the array, so all
 of one slot's consumers (dense kernel, sharded kernel candidate machinery,
 monitoring controllers) resolve to the same instance and every cache entry
-is computed at most once per slot.
+is computed at most once per slot.  A :meth:`~WorldRaster.patched` raster
+keeps its predecessor (the only raster a splice ever reads) and drops it
+the moment its own successor is made, so a long-running incremental
+service holds at most two rasters — the live slot's and the one it splices
+from — however many ticks it has run.  A cache miss on a raster whose
+predecessor link is gone takes the full build, which is bit-identical.
 """
 
 from __future__ import annotations
@@ -161,7 +166,15 @@ class WorldRaster:
         is computed row-independently (elementwise containment arithmetic;
         per-sensor candidate boxes + exact distance tests for coverage
         rows).
+
+        Splicing reads exactly one slot back, so this raster's own link to
+        *its* predecessor is dropped here: the returned raster keeps this
+        one alive until its own successor exists, and no chain of past
+        slots (with their coverage rows and the coverage functions they
+        pin) stays reachable.  Later cache misses on this raster take the
+        full build.
         """
+        self._patch = None
         out = WorldRaster(xy)
         m = len(out.xy)
         fresh_mask = np.zeros(m, dtype=bool)

@@ -201,3 +201,16 @@ class Region:
                     self.x_min + (ix + 0.5) * cell,
                     self.y_min + (iy + 0.5) * cell,
                 )
+
+    def grid_xy(self, cell: float = 1.0) -> np.ndarray:
+        """:meth:`grid_cells` as an ``(nx * ny, 2)`` array, bit for bit.
+
+        The same row-major order and, per coordinate, the same IEEE
+        operations (``x_min + (i + 0.5) * cell``), evaluated elementwise
+        instead of building one :class:`Location` per cell.
+        """
+        nx = max(1, int(round(self.width / cell)))
+        ny = max(1, int(round(self.height / cell)))
+        xs = self.x_min + (np.arange(nx) + 0.5) * cell
+        ys = self.y_min + (np.arange(ny) + 0.5) * cell
+        return np.column_stack((np.repeat(xs, ny), np.tile(ys, nx)))

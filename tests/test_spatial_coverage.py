@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +96,38 @@ class TestWeightedCoverage:
     def test_zero_total_weight(self):
         weighted = WeightedCoverage(REGION, 2.0, weight_fn=lambda loc: 0.0)
         assert weighted([Location(5, 5)]) == 0.0
+
+
+#: Regions whose cell centres are rounding-sensitive: negative and
+#: non-representable origins, cell sizes that do not divide the sides,
+#: sub-cell sides (one cell), and a far-from-origin offset.
+AWKWARD_GRIDS = [
+    (Region(-7.3, -0.1, 5.9, 3.35), 0.7),
+    (Region(0.1, 0.2, 0.3, 0.35), 1.0),
+    (Region(-33.33, 12.71, -17.02, 29.9), 0.1),
+    (Region(1e6 + 0.1, -1e6 - 0.3, 1e6 + 6.6, -1e6 + 4.1), 2.0),
+    (Region(2.5, 2.5, 19.25, 11.0), 1.3),
+]
+
+
+@pytest.mark.parametrize("region, cell", AWKWARD_GRIDS)
+def test_grid_centres_are_bitwise_grid_cells(region, cell):
+    reference = np.asarray([(c.x, c.y) for c in region.grid_cells(cell)], dtype=float)
+    for cells in (
+        region.grid_xy(cell),
+        AreaCoverage(region, 3.0, cell_size=cell)._cells,
+        WeightedCoverage(region, 3.0, lambda loc: 1.0, cell_size=cell)._cells,
+    ):
+        assert cells.shape == reference.shape
+        assert np.array_equal(cells.view(np.int64), reference.view(np.int64))
+
+
+def test_weight_fn_sees_cell_centre_locations():
+    region, cell = AWKWARD_GRIDS[0]
+    seen = []
+    WeightedCoverage(region, 3.0, lambda loc: seen.append(loc) or 1.0, cell_size=cell)
+    assert seen == list(region.grid_cells(cell))
+    assert all(type(loc) is Location for loc in seen)
 
 
 class TestTrajectoryCoverage:
