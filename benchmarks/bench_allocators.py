@@ -3,12 +3,12 @@
 Four frozen slots are timed: the historical 300 queries x 200 sensors
 case, the paper-scale RNC slot (300 queries x 635 sensors) where the
 vectorized greedy's batch-gain protocol is the headline, the large-fleet
-slot (300 localized queries x 20000 sensors) where the spatially sharded
-kernel is, and the region-heavy slot (20 large aggregate/trajectory
+slot (300 localized queries x 20000 sensors) where the kernel's grid
+candidate views are, and the region-heavy slot (20 large aggregate/trajectory
 queries x 20000 sensors) where the batch-relevance masks are.  The suite
 also asserts hard floors — vectorized greedy at least 3x the scalar
-reference at paper scale, the sharded kernel at least 5x the dense kernel
-at large-fleet scale, the array-backed cold slot (announcement build +
+reference at paper scale, the candidate views at least 5x the full-fleet
+``DenseKernel`` oracle at large-fleet scale, the array-backed cold slot (announcement build +
 kernel build) at least 15x the per-sensor object walk at 20k sensors, the
 mask-driven region-heavy slot at least 3x the scalar-relevance reference
 (measured ~35-40x), the fused block pipeline at least 2x the per-row
@@ -18,8 +18,9 @@ emits a ``BENCH_allocators.json`` perf trajectory (per-case mean/stdev
 seconds) so future changes have numbers to compare against.  Set
 ``REPRO_BENCH_JSON`` to choose the output path.
 
-The scalar and per-row references are the oracles in ``tests/oracles.py``
-(``benchmarks/conftest.py`` puts ``tests/`` on the import path).
+The scalar and per-row references and ``DenseKernel`` are the oracles in
+``tests/oracles.py`` (``benchmarks/conftest.py`` puts ``tests/`` on the
+import path).
 
 Run:  pytest benchmarks/bench_allocators.py --benchmark-only -s
 """
@@ -34,13 +35,12 @@ import time
 import numpy as np
 import pytest
 
-from oracles import PerRowGreedyAllocator, ScalarGreedyAllocator
+from oracles import DenseKernel, PerRowGreedyAllocator, ScalarGreedyAllocator
 from repro.core import (
     BaselineAllocator,
     GreedyAllocator,
     LocalSearchPointAllocator,
     OptimalPointAllocator,
-    ShardedKernel,
     ValuationKernel,
 )
 from repro.mobility import ChurnMobility, RandomWaypointMobility
@@ -207,12 +207,13 @@ def large_fleet_slot():
 
 
 def test_sharded_large_fleet_speedup(large_fleet_slot):
-    """Hard floor: the grid-sharded kernel must be >= 5x the dense kernel
-    on the large-fleet localized slot, with bit-identical allocations."""
+    """Hard floor: the kernel's grid candidate views must be >= 5x the
+    full-fleet ``DenseKernel`` oracle on the large-fleet localized slot,
+    with bit-identical allocations."""
     queries, sensors = large_fleet_slot
     allocator = GreedyAllocator(verify=False)
-    dense_kernel = ValuationKernel.from_sensors(sensors)
-    sharded_kernel = ShardedKernel.from_sensors(sensors)
+    dense_kernel = DenseKernel.from_sensors(sensors)
+    sharded_kernel = ValuationKernel.from_sensors(sensors)
 
     # Bit-identical allocations first (this also warms the lazy shard grid).
     a = allocator.allocate(queries, sensors, kernel=sharded_kernel)
@@ -244,17 +245,17 @@ def test_sharded_large_fleet_speedup(large_fleet_slot):
     print(
         f"\ngreedy slot 300x20000: dense {min(slow)*1e3:.1f} ms, "
         f"sharded {min(fast)*1e3:.1f} ms, speedup {speedup:.1f}x "
-        f"({sharded_kernel.n_shards} shards, "
-        f"cell {sharded_kernel.resolved_cell_size:.2f})"
+        f"({sharded_kernel.index.n_shards} cells, "
+        f"cell {sharded_kernel.index.cell_size:.2f})"
     )
 
-    # Cold-slot reference: kernel build + shard grid from scratch each
+    # Cold-slot reference: kernel build + candidate grid from scratch each
     # round, the worst case for a fully mobile fleet.
     cold = []
     for _ in range(3):
         start = time.perf_counter()
         allocator.allocate(
-            queries, sensors, kernel=ShardedKernel.from_sensors(sensors)
+            queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
         )
         cold.append(time.perf_counter() - start)
     _record_case(
@@ -263,8 +264,8 @@ def test_sharded_large_fleet_speedup(large_fleet_slot):
     )
 
     assert speedup >= 5.0, (
-        f"sharded kernel ({min(fast)*1e3:.1f} ms) must be >= 5x the dense "
-        f"kernel ({min(slow)*1e3:.1f} ms) at 20k sensors; got {speedup:.2f}x"
+        f"candidate views ({min(fast)*1e3:.1f} ms) must be >= 5x the dense "
+        f"oracle ({min(slow)*1e3:.1f} ms) at 20k sensors; got {speedup:.2f}x"
     )
 
 
@@ -301,15 +302,15 @@ def region_heavy_slot():
 def test_region_heavy_masked_speedup(region_heavy_slot):
     """Hard floor: the mask-driven batch path must be >= 3x the scalar-
     relevance reference on the region-heavy 20k-sensor slot, with exactly
-    identical (``==``) allocations, values and payments — dense and
-    sharded, greedy and baseline.  (Aggregate/trajectory arithmetic is
+    identical (``==``) allocations, values and payments — on the dense
+    oracle kernel and the candidate views, greedy and baseline.  (Aggregate/trajectory arithmetic is
     bit-identical between the scalar and batch paths, so this comparison
     is exact, not approximate.)"""
     queries, sensors = region_heavy_slot
     masked = PerRowGreedyAllocator(verify=False)
     scalar = ScalarGreedyAllocator(verify=False)
-    dense_kernel = ValuationKernel.from_sensors(sensors)
-    sharded_kernel = ShardedKernel.from_sensors(sensors)
+    dense_kernel = DenseKernel.from_sensors(sensors)
+    sharded_kernel = ValuationKernel.from_sensors(sensors)
 
     # Masked path, dense and sharded: best-of-3 each (also warms caches).
     fast_dense, fast_sharded = [], []
@@ -394,12 +395,12 @@ def test_fused_region_heavy_speedup(region_storm_slot):
     """Hard floor: the fused block pipeline must be >= 2x the per-row
     refresh oracle (``PerRowGreedyAllocator``) on the 128-aggregate 20k-sensor storm
     slot, with exactly identical (``==``) allocations, values and payments
-    — dense and sharded."""
+    — on the dense oracle kernel and the candidate views."""
     queries, sensors = region_storm_slot
     fused = GreedyAllocator(verify=False)
     masked = PerRowGreedyAllocator(verify=False)
-    dense_kernel = ValuationKernel.from_sensors(sensors)
-    sharded_kernel = ShardedKernel.from_sensors(sensors)
+    dense_kernel = DenseKernel.from_sensors(sensors)
+    sharded_kernel = ValuationKernel.from_sensors(sensors)
 
     # Interleaved best-of-3 (also warms the raster/shard caches; the slot
     # engine reuses kernels across slots, so the warm path is the one that
@@ -507,12 +508,12 @@ def test_batch_cold_slot_speedup():
         f"batch {min(fast)*1e3:.1f} ms, speedup {speedup:.1f}x"
     )
 
-    # The sharded cold build rides the same batch: record its trajectory
+    # The candidate grid rides the same batch: record its trajectory
     # (grid construction is shared work on top of the batch arrays).
     cold = []
     for _ in range(3):
         start = time.perf_counter()
-        ShardedKernel.from_batch(fleet.announcements())
+        ValuationKernel.from_batch(fleet.announcements()).index
         cold.append(time.perf_counter() - start)
     _record_case(
         "cold_slot_batch_sharded_20000",
@@ -528,7 +529,7 @@ def test_batch_cold_slot_speedup():
 
 def test_incremental_warm_slot_speedup():
     """Hard floor: the differential slot state — delta announce, patched
-    sharded kernel, spliced raster relevance/coverage for a standing
+    kernel, spliced raster relevance/coverage for a standing
     aggregate workload — must make a warm slot >= 5x faster than the full
     per-slot rebuild at 20k sensors with ~1% churn, with exactly identical
     (``==``) allocations and payments on every measured slot."""
@@ -560,13 +561,13 @@ def test_incremental_warm_slot_speedup():
 
     def full_slot(kernel):
         batch = fleet_full.announcements()
-        kernel = ShardedKernel.ensure(kernel, batch)
+        kernel = ValuationKernel.ensure(kernel, batch)
         touch(kernel)
         return kernel
 
     def incremental_slot(kernel):
         batch, delta = fleet_inc.announcements_with_delta()
-        kernel = ShardedKernel.ensure_delta(kernel, batch, delta)
+        kernel = ValuationKernel.ensure_delta(kernel, batch, delta)
         touch(kernel)
         return kernel
 

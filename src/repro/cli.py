@@ -63,10 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print a ready-to-run sample spec and exit")
     scenario.add_argument("--slots", type=int, default=None,
                           help="override the spec's n_slots")
-    scenario.add_argument("--sharding", default=None, metavar="CELL",
-                          help="override the spec's spatial sharding: 'off', "
-                               "'auto', or a shard cell size (allocations are "
-                               "bit-identical either way)")
     scenario.add_argument("--incremental", default=None, metavar="MODE",
                           help="override the spec's incremental slot state: "
                                "'off' or 'auto' (allocations are "
@@ -232,27 +228,6 @@ def _run_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_sharding(value: str | None):
-    """CLI sharding override: 'off'/'none' -> dense, 'auto'/'on' -> the
-    density heuristic, anything else a shard cell size.  The resulting
-    value goes through the shared ``normalize_sharding`` validation."""
-    if value is None:
-        return None
-    from .core.sharding import normalize_sharding
-
-    lowered = value.lower()
-    if lowered in ("off", "none", "false", "dense"):
-        return None
-    if lowered in ("on", "true"):
-        lowered = "auto"
-    try:
-        setting = lowered if lowered == "auto" else float(value)
-        return normalize_sharding(setting)
-    except ValueError:
-        print(f"invalid --sharding value {value!r}", file=sys.stderr)
-        raise SystemExit(2) from None
-
-
 def _parse_incremental(value: str | None):
     """CLI incremental override: 'off' -> full per-slot rebuilds,
     'on'/'auto' -> differential slot state.  The resulting value goes
@@ -289,14 +264,11 @@ def _run_scenario(args: argparse.Namespace) -> int:
 
     from .service.metrics import summary_payload
 
-    sharding_override = _parse_sharding(args.sharding)
     incremental_override = _parse_incremental(args.incremental)
     json_payloads: list[dict] = []
     for path in args.spec:
         try:
             spec = ScenarioSpec.from_json(path)
-            if args.sharding is not None:
-                spec = dataclasses.replace(spec, sharding=sharding_override)
             if args.incremental is not None:
                 spec = dataclasses.replace(spec, incremental=incremental_override)
         except (OSError, ValueError, TypeError) as exc:

@@ -34,14 +34,13 @@ from .optimal import OptimalPointAllocator, exhaustive_point_search
 from .payments import proportionate_shares, redistribute_contribution
 from .point_problem import PointProblem
 from .sampling import SamplingPlan, paper_weight_function, plan_sampling
-from .sharding import FleetShard, ShardedKernel, normalize_sharding, resolve_cell_size
 from .simulation import (
     LocationMonitoringSimulation,
     MixSimulation,
     OneShotSimulation,
     RegionMonitoringSimulation,
 )
-from .valuation import ValuationKernel, delta_old_to_new
+from .valuation import ValuationKernel, delta_old_to_new, resolve_cell_size
 
 __all__ = [
     "Aggregator",
@@ -66,9 +65,6 @@ __all__ = [
     "BaselineAllocator",
     "PointProblem",
     "ValuationKernel",
-    "ShardedKernel",
-    "FleetShard",
-    "normalize_sharding",
     "normalize_incremental",
     "resolve_cell_size",
     "delta_old_to_new",

@@ -81,22 +81,14 @@ class BaselineAllocator:
         n_all = len(sensors)
 
         # Vectorized Q_{l_s} prefilter + precomputed value rows for plain
-        # point queries.  A sharding-capable kernel supplies per-query
-        # sparse (columns, values) pairs — every omitted column is exactly
-        # zero in the dense row, so the candidate sets below come out
-        # identical.
+        # point queries: per-query sparse (candidate columns, values) pairs
+        # from the kernel — every omitted column is exactly zero, so the
+        # candidate sets below equal a full-fleet scan's.
         plain = [q for q in queries if type(q) is PointQuery]
-        value_rows: dict[str, np.ndarray] = {}
-        sparse_rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        sparse_fn = getattr(kernel, "sparse_single_values", None)
-        view_of = getattr(kernel, "candidate_view", None)
-        if plain:
-            if sparse_fn is not None:
-                for query, entry in zip(plain, sparse_fn(plain)):
-                    sparse_rows[query.query_id] = entry
-            else:
-                rows = kernel.single_values(plain)
-                value_rows = {q.query_id: rows[i] for i, q in enumerate(plain)}
+        sparse_rows = {
+            q.query_id: entry
+            for q, entry in zip(plain, kernel.sparse_single_values(plain))
+        }
 
         # Announced costs as one stacked column (the exact values the lazy
         # snapshots materialize from); snapshot lists pay one gather.
@@ -111,41 +103,23 @@ class BaselineAllocator:
                 continue
             state = query.new_state()
             sparse = sparse_rows.get(query.query_id)
-            row = value_rows.get(query.query_id)
             if sparse is not None:
                 idx, vals = sparse
                 positive = vals > 0.0
                 candidate_idx = idx[positive]
                 candidate_vals = vals[positive]
-            elif row is not None:
-                candidate_idx = np.flatnonzero(row > 0.0)
-                candidate_vals = row[candidate_idx]
             else:
                 # Non-point queries: one relevance-mask pass over the
-                # candidate shards (or the full stacked arrays), ascending
-                # column order either way so near-tie picks cannot diverge
-                # from the historical full scan.
-                view = view_of(query) if view_of is not None else None
-                if view is not None:
-                    cand, cand_xy, cand_gamma, cand_trust = view
-                    mask = resolve_relevant_mask(query, cand_xy, cand_gamma, cand_trust)
-                    if mask is not None:
-                        candidate_idx = cand[mask]
-                    else:
-                        candidate_idx = np.fromiter(
-                            (j for j in cand if query.relevant(sensors[j])), np.intp
-                        )
+                # query's candidate view, ascending column order so near-
+                # tie picks cannot diverge from the historical full scan.
+                cand, cand_xy, cand_gamma, cand_trust = kernel.candidate_view(query)
+                mask = resolve_relevant_mask(query, cand_xy, cand_gamma, cand_trust)
+                if mask is not None:
+                    candidate_idx = cand[mask]
                 else:
-                    mask = resolve_relevant_mask(
-                        query, kernel.sensor_xy, kernel.gamma, kernel.trust
+                    candidate_idx = np.fromiter(
+                        (j for j in cand if query.relevant(sensors[j])), np.intp
                     )
-                    if mask is not None:
-                        candidate_idx = np.flatnonzero(mask)
-                    else:
-                        candidate_idx = np.fromiter(
-                            (j for j, s in enumerate(sensors) if query.relevant(s)),
-                            np.intp,
-                        )
                 candidate_vals = None
             n_cand = len(candidate_idx)
             # Per-query roster over a lazy column view: the batch state

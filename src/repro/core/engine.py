@@ -57,7 +57,6 @@ from ..sensors import SensorFleet, SensorSnapshot
 from .allocation import AllocationResult, Allocator
 from .metrics import SimulationSummary, SlotRecord
 from .monitoring import LocationMonitoringController, RegionMonitoringController
-from .sharding import ShardedKernel, normalize_sharding
 from .valuation import ValuationKernel
 
 __all__ = [
@@ -97,7 +96,7 @@ def normalize_incremental(setting) -> "bool | str":
     kernel/raster/index patching, bit-identical allocations).  Anything
     else raises ``ValueError`` — the engine,
     :class:`~repro.datasets.ScenarioSpec` and the CLI all validate through
-    here, mirroring :func:`~repro.core.sharding.normalize_sharding`.
+    here.
     """
     if setting is None or setting is False:
         return False
@@ -625,13 +624,6 @@ class SlotEngine:
         verify_each_slot: run the settlement invariants on every slot's
             merged result (Algorithm 5 does; cheap, but off by default for
             the single-family engines which verify inside the allocator).
-        sharding: spatially shard the slot kernel
-            (:class:`~repro.core.sharding.ShardedKernel`): ``None``/``False``
-            keeps the dense kernel, ``True``/``"auto"`` shards with the
-            density heuristic cell size, a number fixes the shard cell
-            side.  Sharded allocations are bit-identical to dense ones;
-            work becomes proportional to sensors-near-queries instead of
-            fleet size.
         incremental: maintain slot state differentially
             (:func:`normalize_incremental`): ``None``/``False`` rebuilds
             announcements, kernels and rasters from scratch each slot;
@@ -657,7 +649,6 @@ class SlotEngine:
         rng: np.random.Generator,
         *,
         verify_each_slot: bool = False,
-        sharding: float | bool | str | None = None,
         incremental: bool | str | None = None,
     ) -> None:
         if not streams:
@@ -670,11 +661,6 @@ class SlotEngine:
             self.allocation = JointSlotAllocation(allocation)  # type: ignore[arg-type]
         self.rng = rng
         self.verify_each_slot = verify_each_slot
-        mode = normalize_sharding(sharding)
-        self.sharding = mode is not None
-        self.shard_cell_size: float | None = (
-            mode if isinstance(mode, float) else None
-        )
         self.incremental = normalize_incremental(incremental)
         self.profile = False
         self.last_timings: dict[str, float] = {}
@@ -716,7 +702,7 @@ class SlotEngine:
         # through streams/allocators unchanged while the kernel build
         # below adopts the arrays zero-copy (no per-sensor loop).  The
         # incremental path splices the batch from the previous slot's and
-        # hands the SlotDelta to the kernels so rasters and shard indexes
+        # hands the SlotDelta to the kernel so its raster and grid index
         # patch instead of rebuilding — bit-identical allocations either
         # way.
         t0 = time.perf_counter()
@@ -728,20 +714,10 @@ class SlotEngine:
         t1 = time.perf_counter()
         # Consecutive slots with unchanged announcements (stationary fleets,
         # replayed traces with sleeping sensors) reuse the previous slot's
-        # kernel: the batch's version stamp makes the check O(1) either
-        # way, and value matrices never depend on the announced costs that
-        # may still move.  A reused *sharded* kernel also keeps its warm
-        # shard structure.
-        if self.sharding:
-            if self.incremental:
-                kernel = ShardedKernel.ensure_delta(
-                    self._kernel, sensors, delta, cell_size=self.shard_cell_size
-                )
-            else:
-                kernel = ShardedKernel.ensure(
-                    self._kernel, sensors, cell_size=self.shard_cell_size
-                )
-        elif self.incremental:
+        # kernel, warm grid index and candidate caches included: the batch's
+        # version stamp makes the check O(1) either way, and value matrices
+        # never depend on the announced costs that may still move.
+        if self.incremental:
             kernel = ValuationKernel.ensure_delta(self._kernel, sensors, delta)
         else:
             kernel = ValuationKernel.ensure(self._kernel, sensors)
@@ -776,7 +752,7 @@ class SlotEngine:
 # engine factories for the four canonical experiment families
 # ----------------------------------------------------------------------
 def one_shot_engine(
-    fleet, workload, allocator, rng, *, sharding=None, incremental=None
+    fleet, workload, allocator, rng, *, incremental=None
 ) -> SlotEngine:
     """Figures 2-7: a stream of one-shot (point or aggregate) queries."""
     return SlotEngine(
@@ -784,14 +760,12 @@ def one_shot_engine(
         [OneShotStream(workload, kind="one_shot", record_slot_qualities=True)],
         JointSlotAllocation(allocator),
         rng,
-        sharding=sharding,
         incremental=incremental,
     )
 
 
 def location_monitoring_engine(
-    fleet, workload, point_allocator, rng, controller=None, *,
-    sharding=None, incremental=None
+    fleet, workload, point_allocator, rng, controller=None, *, incremental=None
 ) -> SlotEngine:
     """Figure 8: continuous location-monitoring queries."""
     return SlotEngine(
@@ -799,14 +773,12 @@ def location_monitoring_engine(
         [LocationMonitoringStream(workload, controller=controller)],
         JointSlotAllocation(point_allocator),
         rng,
-        sharding=sharding,
         incremental=incremental,
     )
 
 
 def region_monitoring_engine(
-    fleet, workload, point_allocator, rng, controller=None, *,
-    sharding=None, incremental=None
+    fleet, workload, point_allocator, rng, controller=None, *, incremental=None
 ) -> SlotEngine:
     """Figure 9: continuous region-monitoring queries over a GP field."""
     return SlotEngine(
@@ -814,14 +786,13 @@ def region_monitoring_engine(
         [RegionMonitoringStream(workload, controller=controller)],
         JointSlotAllocation(point_allocator),
         rng,
-        sharding=sharding,
         incremental=incremental,
     )
 
 
 def event_detection_engine(
     fleet, workload, point_allocator, rng, *,
-    phenomenon=None, sharding=None, incremental=None
+    phenomenon=None, incremental=None
 ) -> SlotEngine:
     """Event-detection extension: redundant-sampling slot queries."""
     return SlotEngine(
@@ -829,7 +800,6 @@ def event_detection_engine(
         [EventDetectionStream(workload, phenomenon=phenomenon)],
         JointSlotAllocation(point_allocator),
         rng,
-        sharding=sharding,
         incremental=incremental,
     )
 
@@ -848,7 +818,6 @@ def mix_engine(
     sequential: bool = False,
     stage1_allocator: Allocator | None = None,
     stage2_allocator: Allocator | None = None,
-    sharding=None,
     incremental=None,
 ) -> SlotEngine:
     """Figure 10: point + aggregate + monitoring streams in one slot cycle.
@@ -912,6 +881,5 @@ def mix_engine(
         allocation,
         rng,
         verify_each_slot=True,
-        sharding=sharding,
         incremental=incremental,
     )

@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..queries import PointQuery, Query, SpatialAggregateQuery, ValuationState
+from ..queries import PointQuery, Query, ValuationState
 from ..queries.base import (
     GainBlock,
     gain_block_trusted,
@@ -111,69 +111,32 @@ class GreedyAllocator:
         kernel = ValuationKernel.ensure(kernel, sensors)
         n_queries, n_all = len(queries), len(sensors)
 
-        # Relevance over the full announcement set: one kernel pass for the
-        # plain point queries (the bulk of every slot), one vectorized
-        # `relevant_mask` pass per other query type over the kernel's
-        # stacked arrays — the scalar per-snapshot `relevant` scan survives
-        # only as the fallback for query types that declare no vectorized
-        # geometry.  The single-value block doubles as the point queries'
-        # precomputed gain rows below.  A sharding-capable kernel (see
-        # repro.core.sharding) is consumed through its candidate hooks:
-        # point values arrive as per-query sparse (columns, values) pairs
-        # instead of a dense (q, n) block, and non-point masks/scans are
-        # evaluated on each query's memoized candidate-shard array blocks —
-        # all omitted pairs are exactly zero/irrelevant, so both forms stay
-        # bit-identical to the dense pass.
+        # Relevance through the kernel's candidate views (the paper's
+        # Q_{l_s} pre-filter): one fused eq.-(3) pass over the plain point
+        # queries' (query, candidate) pairs — whose values double as their
+        # precomputed gain rows below — and one vectorized `relevant_mask`
+        # pass per other query over its memoized candidate block.  The
+        # scalar per-snapshot `relevant` scan survives only as the fallback
+        # for query types that declare no vectorized geometry.  Every
+        # omitted pair is exactly zero/irrelevant, so the result equals a
+        # full-fleet pass bit for bit.
         plain_idx = [i for i, q in enumerate(queries) if type(q) is PointQuery]
-        sparse_fn = getattr(kernel, "sparse_single_values", None)
-        single_values = sparse_entries = None
-        if plain_idx:
-            plain_queries = [queries[i] for i in plain_idx]
-            if sparse_fn is not None:
-                sparse_entries = sparse_fn(plain_queries)
-            else:
-                single_values = kernel.single_values(plain_queries)
+        sparse_entries = kernel.sparse_single_values([queries[i] for i in plain_idx])
         relevance_all = np.zeros((n_queries, n_all), dtype=bool)
-        if plain_idx:
-            if sparse_entries is not None:
-                for i, (idx, vals) in zip(plain_idx, sparse_entries):
-                    relevance_all[i, idx] = vals > 0.0
-            else:
-                relevance_all[plain_idx] = single_values > 0.0
-        view_of = getattr(kernel, "candidate_view", None)
+        for i, (idx, vals) in zip(plain_idx, sparse_entries):
+            relevance_all[i, idx] = vals > 0.0
         for i, query in enumerate(queries):
-            if type(query) is not PointQuery:
-                view = view_of(query) if view_of is not None else None
-                if view is None:
-                    if type(query) is SpatialAggregateQuery:
-                        # Same clamped-axis distances as `relevant_mask`,
-                        # but cached on the slot's shared world raster so
-                        # overlapping aggregate queries over one region
-                        # pay the containment pass once per slot.
-                        relevance_all[i] = (
-                            kernel.raster.exterior_distance_sq(query.region)
-                            <= query.sensing_range**2
-                        )
-                        continue
-                    mask = resolve_relevant_mask(
-                        query, kernel.sensor_xy, kernel.gamma, kernel.trust
-                    )
-                    if mask is not None:
-                        relevance_all[i] = mask
-                    else:
-                        relevance_all[i] = np.fromiter(
-                            (query.relevant(s) for s in sensors), bool, n_all
-                        )
-                else:
-                    cand, cand_xy, cand_gamma, cand_trust = view
-                    mask = resolve_relevant_mask(query, cand_xy, cand_gamma, cand_trust)
-                    if mask is not None:
-                        relevance_all[i, cand] = mask
-                    else:
-                        row = relevance_all[i]
-                        for j in cand:
-                            if query.relevant(sensors[j]):
-                                row[j] = True
+            if type(query) is PointQuery:
+                continue
+            cand, cand_xy, cand_gamma, cand_trust = kernel.candidate_view(query)
+            mask = resolve_relevant_mask(query, cand_xy, cand_gamma, cand_trust)
+            if mask is not None:
+                relevance_all[i, cand] = mask
+            else:
+                row = relevance_all[i]
+                for j in cand:
+                    if query.relevant(sensors[j]):
+                        row[j] = True
 
         # Candidate roster: the paper's Q_{l_s} — sensors serving anything.
         cols = np.flatnonzero(relevance_all.any(axis=0))
@@ -192,20 +155,17 @@ class GreedyAllocator:
         else:
             costs = np.fromiter((sensors[j].cost for j in cols), float, cols.size)
         if plain_idx:
-            if sparse_entries is not None:
-                # Scatter the sparse rows into the reduced column space.
-                # Candidate columns relevant to no query are absent from
-                # ``cols`` but carry value 0.0 by construction, so dropping
-                # them is exact.
-                block = np.zeros((len(plain_idx), cols.size))
-                col_pos = np.full(n_all, -1, dtype=np.intp)
-                col_pos[cols] = np.arange(cols.size, dtype=np.intp)
-                for p, (idx, vals) in enumerate(sparse_entries):
-                    pos = col_pos[idx]
-                    keep = pos >= 0
-                    block[p, pos[keep]] = vals[keep]
-            else:
-                block = single_values[:, cols]
+            # Scatter the sparse rows into the reduced column space.
+            # Candidate columns relevant to no query are absent from
+            # ``cols`` but carry value 0.0 by construction, so dropping
+            # them is exact.
+            block = np.zeros((len(plain_idx), cols.size))
+            col_pos = np.full(n_all, -1, dtype=np.intp)
+            col_pos[cols] = np.arange(cols.size, dtype=np.intp)
+            for p, (idx, vals) in enumerate(sparse_entries):
+                pos = col_pos[idx]
+                keep = pos >= 0
+                block[p, pos[keep]] = vals[keep]
             for p, i in enumerate(plain_idx):
                 roster.value_rows[queries[i].query_id] = block[p]
         for i, query in enumerate(queries):

@@ -1,4 +1,4 @@
-"""Vectorized point-query valuation — the slot's shared hot path.
+"""Vectorized query valuation — the slot's shared hot path.
 
 Every point-query consumer — the BILP/local-search value matrix (eq. 9/12),
 the greedy/baseline relevance prefilter (the paper's ``Q_{l_s}``), and the
@@ -9,12 +9,34 @@ per-location Python loop inside every allocator call; at paper scale
 a sweep) that loop dominates the profile.
 
 :class:`ValuationKernel` stacks one slot's announcements once (coordinates,
-inaccuracy ``gamma``, trust ``tau``) and computes the full query×sensor
-value matrix in a single broadcasted pass.  The engine builds one kernel
-per slot and hands it to whatever allocator runs, so the stacked arrays are
-shared across :class:`~repro.core.point_problem.PointProblem`, the query-mix
+inaccuracy ``gamma``, trust ``tau``).  The engine builds one kernel per slot
+and hands it to whatever allocator runs, so the stacked arrays are shared
+across :class:`~repro.core.point_problem.PointProblem`, the query-mix
 pipeline and the monitoring controllers instead of being reassembled per
 call.
+
+Relevance is resolved through *candidate views*.  A point query with reach
+``dmax`` can only be served by the sensors within ``dmax`` of its location,
+and an aggregate/trajectory query only by those within ``sensing_range`` of
+its region — the paper's ``Q_{l_s}`` pre-filter.  The kernel buckets its
+columns into a lazy :class:`~repro.spatial.index.UniformGridIndex` (cell
+side from :func:`resolve_cell_size`) and answers each query with the
+columns of the grid cells its reach box touches:
+
+* :meth:`ValuationKernel.candidate_view` — ``(columns, xy, gamma, trust)``
+  of those cells, gathered once per distinct cell range and shared by every
+  query resolving to it (the batch-relevance entry point,
+  :meth:`~repro.queries.Query.relevant_mask`).  Unknown query types get the
+  full fleet, so every query has a view;
+* :meth:`ValuationKernel.sparse_single_values` — per plain point query,
+  ``(candidate columns, eq.-(3) values)`` from one fused pass over the
+  concatenated (query, candidate) pairs.
+
+Candidate sets are cell supersets of the truly relevant sensors, and every
+omitted (query, sensor) pair has value exactly ``0.0`` (beyond ``dmax`` /
+outside the padded region), so allocations equal those of a full-fleet
+pass bit for bit.  ``tests/oracles.py::DenseKernel`` is that full-fleet
+pass; the parity suites pin the equality.
 
 Two numerical paths coexist in the codebase and the kernel reproduces each
 bit-for-bit so that refactored callers keep their exact seed behavior:
@@ -22,7 +44,7 @@ bit-for-bit so that refactored callers keep their exact seed behavior:
 * the *matrix* path (``value_rows``) mirrors the dense-matrix construction
   historically inlined in ``PointProblem.build``: distances via
   ``sqrt(dx^2 + dy^2)`` and quality ``((1-gamma)*tau) * (1 - d/dmax)``;
-* the *scalar* path (``single_values`` / ``relevance``) mirrors
+* the *scalar* path (``sparse_single_values``) mirrors
   :func:`repro.queries.point.reading_quality`: distances via ``hypot`` and
   quality ``((1-gamma) * (1 - d/dmax)) * tau``.  (``np.hypot`` delegates to
   libm while ``math.hypot`` uses CPython's own algorithm, so this path can
@@ -41,12 +63,55 @@ from typing import Sequence
 
 import numpy as np
 
-from ..queries import PointQuery, SensorRoster
+from ..queries import (
+    EventSlotQuery,
+    MultiSensorPointQuery,
+    PointQuery,
+    Query,
+    SensorRoster,
+    SpatialAggregateQuery,
+    TrajectoryQuery,
+)
 from ..sensors import SensorSnapshot
 from ..sensors.state import SnapshotColumnView, as_announcement_sequence
+from ..spatial.index import UniformGridIndex
 from ..spatial.raster import WorldRaster, get_raster
 
-__all__ = ["ValuationKernel", "announcement_token", "delta_old_to_new"]
+__all__ = [
+    "ValuationKernel",
+    "announcement_token",
+    "delta_old_to_new",
+    "resolve_cell_size",
+]
+
+_EMPTY = np.zeros(0, dtype=np.intp)
+
+#: Query types whose relevant sensors all lie within ``dmax`` of
+#: ``location`` (their reading quality is zero beyond that disk).
+_DISK_TYPES = (PointQuery, MultiSensorPointQuery, EventSlotQuery)
+#: Query types whose relevant sensors all lie within ``sensing_range`` of
+#: ``region`` (aggregate eq.-5 eligibility; the trajectory corridor's 2r
+#: reach is covered because its ``region`` is already the r-padded bbox).
+_RECT_TYPES = (SpatialAggregateQuery, TrajectoryQuery)
+
+
+def resolve_cell_size(xy: np.ndarray, target_occupancy: float = 4.0) -> float:
+    """Heuristic grid cell size: ~``target_occupancy`` sensors per cell.
+
+    Derived from the announcement bounding box, so cell granularity tracks
+    fleet density rather than a fixed world size; degenerate extents
+    (single sensor, colinear fleet) fall back to a unit cell along the
+    collapsed axis.
+    """
+    n = len(xy)
+    if n == 0:
+        return 1.0
+    width = float(np.ptp(xy[:, 0]))
+    height = float(np.ptp(xy[:, 1]))
+    if width <= 0.0 and height <= 0.0:
+        return 1.0
+    area = (width if width > 0.0 else 1.0) * (height if height > 0.0 else 1.0)
+    return float(np.sqrt(target_occupancy * area / n))
 
 
 def delta_old_to_new(delta, n_old: int) -> np.ndarray:
@@ -77,8 +142,6 @@ def announcement_token(sensors: Sequence[SensorSnapshot]) -> tuple:
         (s.sensor_id, s.location.x, s.location.y, s.inaccuracy, s.trust)
         for s in sensors
     )
-
-
 
 
 def _stack_queries(
@@ -114,6 +177,13 @@ class ValuationKernel:
             matrices never depend on cost, which is what lets a kernel be
             reused across re-announcements that change prices only, e.g.
             the sequential baseline's zero-cost buffering stage).
+
+    The grid index and the per-cell-range candidate/gather caches are
+    built lazily and memoized — a slot that never queries a neighbourhood
+    never pays for it.  They key on geometry only, which the
+    ``matches``/``ensure`` reuse protocol guarantees stable
+    (re-announcements may change costs, never positions), so a reused
+    kernel keeps them warm.
     """
 
     sensors: Sequence[SensorSnapshot]
@@ -127,6 +197,12 @@ class ValuationKernel:
     _stamp: tuple | None = field(default=None, repr=False, compare=False)
     #: the slot's shared world raster over ``sensor_xy`` (lazy).
     _raster: WorldRaster | None = field(default=None, repr=False, compare=False)
+    #: grid bucketing of ``sensor_xy`` behind the candidate views (lazy).
+    _index: UniformGridIndex | None = field(default=None, repr=False, compare=False)
+    #: per cell range: sorted candidate columns.
+    _range_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    #: per cell range: gathered ``(xy, gamma, trust)`` blocks of those columns.
+    _gather_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # construction
@@ -233,7 +309,11 @@ class ValuationKernel:
         delta chains from exactly the batch ``kernel`` was built over, the
         old kernel's world raster is carried forward as a patched raster
         (containment and coverage-CSR caches refill by splicing, see
-        :meth:`~repro.spatial.WorldRaster.patched`).  Allocations computed
+        :meth:`~repro.spatial.WorldRaster.patched`) and its grid index by an
+        incremental bucket splice
+        (:meth:`~repro.spatial.index.UniformGridIndex.updated`) that
+        re-buckets only dirty sensors under the old index's frozen geometry;
+        the per-range candidate caches refill lazily.  Allocations computed
         through the result are bit-identical to the full-rebuild path's.
         """
         if kernel is not None and kernel.matches(batch):
@@ -248,6 +328,12 @@ class ValuationKernel:
             raster = kernel._carry_raster(batch, delta)
             if raster is not None:
                 new._raster = raster
+            if kernel._index is not None:
+                new._index = kernel._index.updated(
+                    batch.xy,
+                    delta_old_to_new(delta, len(kernel.sensor_xy)),
+                    np.asarray(delta.fresh_cols, dtype=np.intp),
+                )
         return new
 
     def _carry_raster(self, batch, delta) -> WorldRaster | None:
@@ -320,7 +406,7 @@ class ValuationKernel:
         :func:`~repro.spatial.raster.get_raster`), so a kernel built
         zero-copy from a batch shares one raster — and its cached
         containment/coverage geometry — with every other consumer of that
-        batch this slot (monitoring controllers, sharded kernels).
+        batch this slot (monitoring controllers, other kernels).
         Revalidated against :attr:`sensor_xy` by object identity, which
         survives :meth:`ensure` rebinds (those keep the stacked arrays).
         """
@@ -418,31 +504,125 @@ class ValuationKernel:
         return quality
 
     # ------------------------------------------------------------------
-    # the scalar-compatible path (eq. 3 consumers: greedy/baseline prefilter)
+    # candidate views (the Q_{l_s} pre-filter)
     # ------------------------------------------------------------------
-    def single_values(self, queries: Sequence[PointQuery]) -> np.ndarray:
-        """``V[i, j] = PointQuery.value_single`` for every pair, vectorized.
+    @property
+    def index(self) -> UniformGridIndex:
+        """The grid bucketing of :attr:`sensor_xy` (lazy)."""
+        if self._index is None:
+            self._index = UniformGridIndex(
+                self.sensor_xy, resolve_cell_size(self.sensor_xy)
+            )
+        return self._index
 
-        Bit-compatible with :func:`repro.queries.point.reading_quality`:
-        distance via ``hypot`` and multiplication order
-        ``((1-gamma) * (1 - d/dmax)) * tau``, then the ``theta >= theta_min``
-        cutoff and the budget scaling of eq. (3).
+    def _query_box(self, query: Query) -> tuple[float, float, float, float] | None:
+        """The axis-aligned reach box of a known query type, else ``None``.
+
+        The geometric contracts behind the known types are exact-type
+        checks on purpose, since a subclass may override ``relevant``
+        arbitrarily.
         """
-        xy, budgets, theta_mins, dmaxes = _stack_queries(queries)
-        q, n = len(xy), self.n_sensors
-        if q == 0 or n == 0:
-            return np.zeros((q, n))
-        dist = np.hypot(
-            self.sensor_xy[None, :, 0] - xy[:, None, 0],
-            self.sensor_xy[None, :, 1] - xy[:, None, 1],
-        )
-        theta = (1.0 - self.gamma)[None, :] * (1.0 - dist / dmaxes[:, None])
-        theta *= self.trust[None, :]
-        theta[dist > dmaxes[:, None]] = 0.0
-        values = budgets[:, None] * theta
-        values[theta < theta_mins[:, None]] = 0.0
-        return values
+        t = type(query)
+        if t in _DISK_TYPES:
+            location, reach = query.location, query.dmax
+            return (
+                location.x - reach,
+                location.x + reach,
+                location.y - reach,
+                location.y + reach,
+            )
+        if t in _RECT_TYPES:
+            region, pad = query.region, query.sensing_range
+            return (
+                region.x_min - pad,
+                region.x_max + pad,
+                region.y_min - pad,
+                region.y_max + pad,
+            )
+        return None
 
-    def relevance(self, queries: Sequence[PointQuery]) -> np.ndarray:
-        """Boolean ``(q, n)`` matrix of ``PointQuery.relevant`` (value > 0)."""
-        return self.single_values(queries) > 0.0
+    def _range_candidates(self, rng) -> np.ndarray:
+        """Sorted candidate columns for one cell range (memoized: localized
+        workloads re-hit the same neighbourhoods)."""
+        if rng is None:
+            return _EMPTY
+        cached = self._range_cache.get(rng)
+        if cached is None:
+            cached = self.index.indices_in_cell_range(*rng)
+            self._range_cache[rng] = cached
+        return cached
+
+    def candidate_indices(self, query: Query) -> np.ndarray:
+        """Superset of the kernel columns ``query`` could find relevant;
+        every column for an unknown query type (see :meth:`_query_box`)."""
+        box = self._query_box(query)
+        if box is None:
+            return np.arange(self.n_sensors, dtype=np.intp)
+        return self._range_candidates(self.index.cell_range(*box))
+
+    def candidate_view(
+        self, query: Query
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(columns, xy, gamma, trust)`` of the query's candidate cells.
+
+        The gathered array blocks are memoized per distinct cell range, so
+        a slot with many region queries over the same neighbourhood pays
+        each gather once: every query sharing the range evaluates its
+        relevance mask — and, downstream, its coverage-mask matrix — on the
+        same arrays instead of against the whole fleet.  An unknown query
+        type gets the full fleet.  The blocks are per-kernel caches:
+        callers must treat them as read-only.
+        """
+        box = self._query_box(query)
+        if box is None:
+            every = np.arange(self.n_sensors, dtype=np.intp)
+            return every, self.sensor_xy, self.gamma, self.trust
+        rng = self.index.cell_range(*box)
+        cached = self._gather_cache.get(rng)
+        if cached is None:
+            idx = self._range_candidates(rng)
+            cached = (idx, self.sensor_xy[idx], self.gamma[idx], self.trust[idx])
+            self._gather_cache[rng] = cached
+        return cached
+
+    def sparse_single_values(
+        self, queries: Sequence[PointQuery]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-query ``(candidate columns, eq.-(3) values)``, one fused pass.
+
+        ``values[k] = PointQuery.value_single`` of column ``columns[k]``,
+        bit-compatible with :func:`repro.queries.point.reading_quality`:
+        distance via ``hypot`` and multiplication order
+        ``((1-gamma) * (1 - d/dmax)) * tau``, then the
+        ``theta >= theta_min`` cutoff and the budget scaling of eq. (3).
+        Every omitted column is exactly ``0.0`` (outside ``dmax`` by
+        construction).  All queries' candidate pairs are concatenated and
+        evaluated in a single vectorized pass, so the cost is proportional
+        to sensors-near-queries, not fleet size.
+        """
+        q = len(queries)
+        if q == 0:
+            return []
+        cands = [self.candidate_indices(query) for query in queries]
+        counts = np.fromiter((len(c) for c in cands), np.intp, q)
+        if int(counts.sum()) == 0:
+            return [(c, np.zeros(0)) for c in cands]
+        idx_cat = np.concatenate(cands)
+        rep = np.repeat(np.arange(q), counts)
+        qx = np.fromiter((query.location.x for query in queries), float, q)
+        qy = np.fromiter((query.location.y for query in queries), float, q)
+        budgets = np.fromiter((query.budget for query in queries), float, q)
+        theta_mins = np.fromiter((query.theta_min for query in queries), float, q)
+        dmaxes = np.fromiter((query.dmax for query in queries), float, q)
+        dist = np.hypot(
+            self.sensor_xy[idx_cat, 0] - qx[rep],
+            self.sensor_xy[idx_cat, 1] - qy[rep],
+        )
+        dmax_rep = dmaxes[rep]
+        theta = (1.0 - self.gamma)[idx_cat] * (1.0 - dist / dmax_rep)
+        theta *= self.trust[idx_cat]
+        theta[dist > dmax_rep] = 0.0
+        values = budgets[rep] * theta
+        values[theta < theta_mins[rep]] = 0.0
+        splits = np.split(values, np.cumsum(counts)[:-1])
+        return list(zip(cands, splits))

@@ -196,11 +196,6 @@ class ScenarioSpec:
             ``trust_model`` entry declares one of the
             :mod:`repro.sensors.trust` models, e.g.
             ``{"kind": "tiered", "levels": [...], "weights": [...]}``).
-        sharding: spatial sharding of the slot kernel — ``None`` dense,
-            ``true``/``"auto"`` the density-heuristic cell size, a number
-            the shard cell side (see
-            :class:`~repro.core.sharding.ShardedKernel`; allocations are
-            bit-identical either way).
         incremental: differential slot state — ``None``/``false`` rebuilds
             announcement batches, kernels and rasters from scratch every
             slot (the historical behavior); ``true``/``"auto"`` patches
@@ -236,7 +231,6 @@ class ScenarioSpec:
     allocation: str = "joint"
     streams: tuple[StreamSpec, ...] = (StreamSpec("point"),)
     fleet: dict[str, Any] = field(default_factory=dict)
-    sharding: float | bool | str | None = None
     incremental: bool | str | None = None
     mobility: dict[str, Any] | None = None
     service: dict[str, Any] | None = None
@@ -255,9 +249,7 @@ class ScenarioSpec:
         if self.n_slots < 1:
             raise ValueError("n_slots must be >= 1")
         from ..core.engine import normalize_incremental
-        from ..core.sharding import normalize_sharding
 
-        normalize_sharding(self.sharding)  # validation only; raises on junk
         if self.incremental is not None:
             normalize_incremental(self.incremental)  # validation only
         if self.mobility is not None:
@@ -297,9 +289,20 @@ class ScenarioSpec:
         streams = tuple(
             StreamSpec.from_dict(s) for s in payload.pop("streams", [{"kind": "point"}])
         )
+        # Retired knob: every kernel resolves relevance through its grid
+        # candidate views, so the values that used to turn sharding on are
+        # still accepted (and ignored); the ones that selected the deleted
+        # dense kernel are refused.
+        sharding = payload.pop("sharding", None)
+        if sharding is not None and sharding is not True and sharding != "auto":
+            raise ValueError(
+                f"'sharding': {sharding!r} is no longer supported: the dense "
+                "kernel and the shard cell size were removed (every kernel "
+                "shards); drop the field or set it to true/\"auto\""
+            )
         known = {
             "name", "dataset", "seed", "workload_seed", "n_sensors", "n_slots",
-            "rnc_presence", "allocator", "allocation", "fleet", "sharding",
+            "rnc_presence", "allocator", "allocation", "fleet",
             "incremental", "mobility", "service",
         }
         extra = set(payload) - known
@@ -328,8 +331,6 @@ class ScenarioSpec:
             out["rnc_presence"] = self.rnc_presence
         if self.fleet:
             out["fleet"] = dict(self.fleet)
-        if self.sharding is not None:
-            out["sharding"] = self.sharding
         if self.incremental is not None:
             out["incremental"] = self.incremental
         if self.mobility is not None:
@@ -528,7 +529,6 @@ class ScenarioSpec:
             allocation,
             np.random.default_rng(workload_seed),
             verify_each_slot=len(streams) > 1,
-            sharding=self.sharding,
             incremental=self.incremental,
         )
 

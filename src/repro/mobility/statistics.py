@@ -125,7 +125,7 @@ class ChurnStatistics:
       convention: there is no prior frame);
     * ``crossing_rate[t]`` — fraction whose containing grid cell (side
       ``cell_size``) changed, i.e. the movers that also force spatial-index
-      bucket moves and shard-membership updates.
+      bucket moves.
 
     ``crossing_rate <= moved_fraction`` holds slot by slot: a sensor can
     move within its cell, but cannot cross cells without moving.

@@ -76,6 +76,7 @@ from __future__ import annotations
 import abc
 import enum
 import itertools
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -171,9 +172,9 @@ class SensorRoster:
         trust: per-candidate trust ``tau_s``.
         value_rows: optional precomputed single-sensor value rows keyed by
             query id (allocators with a slot
-            :class:`~repro.core.valuation.ValuationKernel` fill this with
-            one ``single_values`` block for all plain point queries instead
-            of re-deriving each row).
+            :class:`~repro.core.valuation.ValuationKernel` fill this from
+            one ``sparse_single_values`` pass over all plain point queries
+            instead of re-deriving each row).
         relevance_rows: optional precomputed boolean relevance rows keyed
             by query id — allocators that already screened ``Q_{l_s}``
             park the rows here so batch states don't re-run the scalar
@@ -395,8 +396,8 @@ class Query(abc.ABC):
     """Base class: identity, budget, lifetime, and the valuation interface."""
 
     def __init__(self, budget: float, query_id: str | None = None, issued_at: int = 0) -> None:
-        if budget < 0:
-            raise ValueError("budget must be non-negative")
+        if not (math.isfinite(budget) and budget >= 0):
+            raise ValueError(f"budget must be finite and non-negative, got {budget}")
         self.budget = budget
         self.query_id = query_id if query_id is not None else new_query_id()
         self.issued_at = issued_at

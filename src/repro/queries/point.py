@@ -103,8 +103,8 @@ def _quality_gated_mask(
 
 
 def _single_value_row(query: "PointQuery", roster: SensorRoster) -> np.ndarray:
-    """Eq. (3) value row for one query — `ValuationKernel.single_values`
-    restricted to a roster, for allocators without a slot kernel block."""
+    """Eq. (3) value row for one query — `ValuationKernel.sparse_single_values`
+    evaluated on a roster, for allocators without a slot kernel block."""
     theta = _quality_row(query.location, query.dmax, roster)
     values = query.budget * theta
     values[theta < query.theta_min] = 0.0
@@ -349,7 +349,7 @@ class PointQuery(Query):
     ) -> np.ndarray:
         """Vectorized :meth:`relevant`: the eq. (3) value row ``> 0``.
 
-        Matches :meth:`~repro.core.valuation.ValuationKernel.single_values`
+        Matches :meth:`~repro.core.valuation.ValuationKernel.sparse_single_values`
         positively/zero-wise (``np.hypot`` path; see the module note on the
         last-ulp caveat versus the scalar ``math.hypot``).
         """

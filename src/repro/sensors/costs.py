@@ -25,6 +25,7 @@ sensor by sensor (pinned by ``tests/test_fleet_batch_parity.py``).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -52,8 +53,7 @@ class FixedEnergyCost:
     base_price: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.base_price < 0:
-            raise ValueError("base_price must be non-negative")
+        _validate_price(self.base_price)
 
     def __call__(self, remaining_energy: float) -> float:
         _validate_energy(remaining_energy)
@@ -72,10 +72,9 @@ class LinearEnergyCost:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.base_price < 0:
-            raise ValueError("base_price must be non-negative")
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
+        _validate_price(self.base_price)
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be finite and non-negative, got {self.beta}")
 
     def __call__(self, remaining_energy: float) -> float:
         _validate_energy(remaining_energy)
@@ -136,8 +135,7 @@ class PrivacyCostModel:
     window: int = 5
 
     def __post_init__(self) -> None:
-        if self.base_price < 0:
-            raise ValueError("base_price must be non-negative")
+        _validate_price(self.base_price)
         if self.window < 1:
             raise ValueError("window must be >= 1")
 
@@ -161,3 +159,8 @@ def total_cost(
 def _validate_energy(remaining_energy: float) -> None:
     if not (0.0 <= remaining_energy <= 1.0):
         raise ValueError(f"remaining energy must be in [0, 1], got {remaining_energy}")
+
+
+def _validate_price(base_price: float) -> None:
+    if not (math.isfinite(base_price) and base_price >= 0):
+        raise ValueError(f"base_price must be finite and non-negative, got {base_price}")

@@ -24,6 +24,7 @@ and batch rows materialize as :class:`SensorSnapshot` lazily.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..spatial import Location
@@ -51,8 +52,8 @@ class SensorSnapshot:
     trust: float
 
     def __post_init__(self) -> None:
-        if self.cost < 0:
-            raise ValueError("announced cost must be non-negative")
+        if not (math.isfinite(self.cost) and self.cost >= 0):
+            raise ValueError(f"announced cost must be finite and non-negative, got {self.cost}")
         if not (0.0 <= self.inaccuracy <= 1.0):
             raise ValueError("inaccuracy must be in [0, 1]")
         if not (0.0 <= self.trust <= 1.0):

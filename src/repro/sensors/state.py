@@ -90,15 +90,13 @@ class SlotDelta:
 
     Produced by :meth:`FleetState.announce_update` next to the new
     :class:`AnnouncementBatch`.  Consumers patch announcement-derived
-    structures (kernel arrays, shard index, world raster) instead of
+    structures (kernel arrays, grid index, world raster) instead of
     rebuilding them; every index array is expressed in *both* coordinate
     systems a consumer might live in:
 
-    fleet-row space (``moved`` / ``crossed`` / ``exhausted`` / ``repriced``)
+    fleet-row space (``moved`` / ``exhausted`` / ``repriced``)
         The dirty sets over ``FleetState`` rows, regardless of whether the
-        rows announced.  ``crossed`` is filled in by the spatial layer
-        (grid-cell crossings are a property of the index, not the fleet);
-        it is always a subset of ``moved``.
+        rows announced.
 
     batch-column space (``kept_src`` / ``fresh_cols`` / ``stale_cols``)
         ``kept_src[j]`` is the previous batch's column that new column
@@ -118,7 +116,6 @@ class SlotDelta:
         "prev_token",
         "token",
         "moved",
-        "crossed",
         "exhausted",
         "repriced",
         "kept_src",
@@ -142,7 +139,6 @@ class SlotDelta:
         self.prev_token = prev_token
         self.token = token
         self.moved = moved
-        self.crossed: np.ndarray | None = None
         self.exhausted = exhausted
         self.repriced = repriced
         self.kept_src = kept_src
@@ -243,14 +239,16 @@ class FleetState:
         for name in ("trust", "base_price", "energy_beta", "sensitivity", "lifetime"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} must have one entry per sensor")
-        if np.any((self.gamma < 0.0) | (self.gamma > 1.0)):
+        # Written as "not (inside)" so that NaN, which fails every
+        # comparison, is rejected too.
+        if not np.all((self.gamma >= 0.0) & (self.gamma <= 1.0)):
             raise ValueError("inaccuracy must be in [0, 1]")
-        if np.any((self.trust < 0.0) | (self.trust > 1.0)):
+        if not np.all((self.trust >= 0.0) & (self.trust <= 1.0)):
             raise ValueError("trust must be in [0, 1]")
-        if np.any(self.base_price < 0.0):
-            raise ValueError("base_price must be non-negative")
-        if np.any(self.energy_beta < 0.0):
-            raise ValueError("beta must be non-negative")
+        if not np.all(np.isfinite(self.base_price) & (self.base_price >= 0.0)):
+            raise ValueError("base_price must be finite and non-negative")
+        if not np.all(np.isfinite(self.energy_beta) & (self.energy_beta >= 0.0)):
+            raise ValueError("beta must be finite and non-negative")
         if np.any(self.lifetime < 1):
             raise ValueError("lifetime must be >= 1")
         if privacy_window < 1:

@@ -27,8 +27,8 @@ sequence through an offline batch engine built from the same spec.  The
 per-slot allocations must compare equal under
 :func:`~repro.experiments.replay.allocation_signature` — the same
 canonical query-id relabeling discipline as ``repro replay`` — which
-``tests/test_service_parity.py`` pins across dense/sharded ×
-rebuild/incremental engines.
+``tests/test_service_parity.py`` pins across rebuild/incremental and
+fused/per-row engines.
 """
 
 from __future__ import annotations
@@ -282,8 +282,8 @@ class AdmissionTrace:
 def service_engine(spec) -> tuple[SlotEngine, AdmissionStream, list]:
     """Compile a spec into a service-ready engine.
 
-    Reuses the spec's whole compilation path (world, fleet, knobs:
-    sharding / incremental), then swaps the declared one-shot
+    Reuses the spec's whole compilation path (world, fleet, the
+    incremental knob), then swaps the declared one-shot
     streams for a single :class:`AdmissionStream` — their workloads are
     returned as the arrival templates the load generator draws queries
     from.  Monitoring/event streams own live cross-slot query state the

@@ -1,7 +1,7 @@
 """Uniform-grid spatial index over a stacked point set.
 
-The sharding subsystem (:mod:`repro.core.sharding`) partitions one slot's
-announcements into uniform grid cells so that a localized query touches
+The slot kernel (:class:`repro.core.valuation.ValuationKernel`) partitions
+one slot's announcements into uniform grid cells so that a localized query touches
 only the sensors in its spatial neighbourhood instead of the whole fleet.
 :class:`UniformGridIndex` is the data structure behind that partition: it
 buckets a fixed ``(n, 2)`` coordinate array once (vectorized, CSR-style)
@@ -13,8 +13,8 @@ dict used by incremental consumers: this index is built in one shot from a
 stacked array, returns **column indices** into that array (what the
 valuation kernels need), and answers box queries as cell *supersets* —
 callers' own arithmetic discards the out-of-radius corners, which is
-exactly what keeps sharded valuations bit-identical to dense ones (values
-beyond ``dmax`` are zero either way).
+exactly what keeps candidate valuations bit-identical to a full-fleet pass
+(values beyond ``dmax`` are zero either way).
 
 Internals: points are assigned integer cells relative to the point set's
 own bounding box, cell keys are sorted once, and each bucket is a slice of
@@ -147,7 +147,7 @@ class UniformGridIndex:
         The grid geometry (origin, cell size, extent) is **frozen** from
         this index, so candidate sets may differ from a fresh build's —
         both remain supersets whose extra pairs value to exactly 0.0,
-        which is all the sharded-valuation parity argument needs.  Returns
+        which is all the candidate-valuation parity argument needs.  Returns
         ``None`` when splicing is unsound or unprofitable (an inserted
         point escapes the frozen extent, the churn is a large fraction of
         the fleet, or this index is empty): the caller builds fresh.
@@ -237,7 +237,7 @@ class UniformGridIndex:
 
         The tuple is a stable identity for the candidate set — two boxes
         with equal ranges touch exactly the same cells — which is what the
-        sharded kernel keys its candidate cache on.
+        kernel keys its candidate caches on.
         """
         if self.n_points == 0:
             return None

@@ -11,7 +11,7 @@ against the *same* announced coordinates:
   consumer per call, although a (region, announcement-set) pair can only
   ever produce one answer per slot;
 * and every consumer re-derives these independently, so nothing is shared
-  between the dense kernel, a sharded kernel's candidate views, and the
+  between the kernel's candidate views, the fused gain blocks and the
   monitoring controllers.
 
 :class:`WorldRaster` is the one slot-level home for all of it.  It is keyed
@@ -49,7 +49,7 @@ centres) before it is trusted.
 
 Lifetime: a raster lives exactly as long as its coordinate block — it is
 attached to the announcement batch (or kernel) that owns the array, so all
-of one slot's consumers (dense kernel, sharded kernel candidate machinery,
+of one slot's consumers (the kernel, its candidate machinery, the
 monitoring controllers) resolve to the same instance and every cache entry
 is computed at most once per slot.  A :meth:`~WorldRaster.patched` raster
 keeps its predecessor (the only raster a splice ever reads) and drops it
@@ -76,8 +76,8 @@ def get_raster(holder, xy: np.ndarray) -> "WorldRaster":
 
     ``holder`` is the object that owns the coordinate block — an
     :class:`~repro.sensors.AnnouncementBatch`, usually.  The raster is
-    cached as an attribute on it so the kernel, the sharded candidate
-    machinery and the monitoring controllers all resolve to one instance;
+    cached as an attribute on it so the kernel, its candidate machinery
+    and the monitoring controllers all resolve to one instance;
     holders that refuse attributes (plain lists) simply get a fresh raster
     per call, which is correct and merely uncached.
     """
@@ -95,7 +95,7 @@ def get_raster(holder, xy: np.ndarray) -> "WorldRaster":
 def _grid_layout(fn: CoverageFunction):
     """``(x_min, y_min, cell, nx, ny)`` when ``fn`` is a trusted region grid.
 
-    Exact-type gate (mirroring ``ShardedKernel._query_box``): only the
+    Exact-type gate (mirroring ``ValuationKernel._query_box``): only the
     in-repo rasterized region functions are known to lay their cells out as
     the row-major ``Region.grid_cells`` grid.  The reconstruction is then
     validated against the stored cells — count plus exact first/last centre

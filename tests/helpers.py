@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.valuation import ValuationKernel
 from repro.queries import PointQuery
 from repro.sensors import SensorSnapshot
 from repro.spatial import Location, Region
+from repro.spatial.index import UniformGridIndex
 
-__all__ = ["make_snapshot", "make_point_query", "random_instance"]
+__all__ = ["gridded_kernel", "make_snapshot", "make_point_query", "random_instance"]
 
 
 def make_snapshot(
@@ -76,3 +78,12 @@ def random_instance(seed: int, n_sensors: int = 8, n_queries: int = 10, side: fl
         for _ in range(n_queries)
     ]
     return queries, sensors
+
+
+def gridded_kernel(sensors, cell_size: float) -> ValuationKernel:
+    """A slot kernel whose candidate grid uses ``cell_size`` instead of the
+    density heuristic — the parity suites sweep cell sizes from fine cells
+    to one cell holding the whole fleet."""
+    kernel = ValuationKernel.from_sensors(sensors)
+    kernel._index = UniformGridIndex(kernel.sensor_xy, cell_size)
+    return kernel

@@ -1,4 +1,4 @@
-"""Reference allocators the parity suites check the production greedy against.
+"""Reference implementations the parity suites check production code against.
 
 :class:`~repro.core.GreedyAllocator` runs one code path: the batch-gain
 protocol with same-type gain blocks.  The two implementations it grew out
@@ -13,6 +13,12 @@ of live here as executable oracles, next to :mod:`legacy_engines`:
 
 Both are drop-in allocators (engines, mixes and the baselines' stage
 slots accept them), so whole-engine parity runs can swap them in.
+
+:class:`~repro.core.ValuationKernel` resolves relevance through grid
+candidate views.  :class:`DenseKernel` is the full-fleet pass it replaced:
+every query's view covers every column and point values come from one
+broadcast ``(q, n)`` eq.-(3) block.  :func:`compile_kernel_as` makes
+spec-built engines run on it.
 """
 
 from __future__ import annotations
@@ -29,11 +35,79 @@ from repro.queries import PointQuery, Query, ValuationState
 from repro.sensors import SensorSnapshot
 
 __all__ = [
+    "DenseKernel",
     "PerRowGreedyAllocator",
     "ScalarGreedyAllocator",
     "compile_greedy_as",
+    "compile_kernel_as",
+    "dense_single_values",
+    "relevance",
     "relevant_queries_by_sensor",
+    "single_values",
 ]
+
+
+def single_values(kernel: ValuationKernel, queries: Sequence[PointQuery]) -> np.ndarray:
+    """``V[i, j] = PointQuery.value_single`` for every pair, one broadcast pass.
+
+    The full-fleet form of :meth:`ValuationKernel.sparse_single_values`:
+    distance via ``hypot`` and multiplication order
+    ``((1-gamma) * (1 - d/dmax)) * tau``, then the ``theta >= theta_min``
+    cutoff and the budget scaling of eq. (3).
+    """
+    q, n = len(queries), kernel.n_sensors
+    if q == 0 or n == 0:
+        return np.zeros((q, n))
+    xy = np.array(
+        [(query.location.x, query.location.y) for query in queries], dtype=float
+    )
+    budgets = np.array([query.budget for query in queries], dtype=float)
+    theta_mins = np.array([query.theta_min for query in queries], dtype=float)
+    dmaxes = np.array([query.dmax for query in queries], dtype=float)
+    dist = np.hypot(
+        kernel.sensor_xy[None, :, 0] - xy[:, None, 0],
+        kernel.sensor_xy[None, :, 1] - xy[:, None, 1],
+    )
+    theta = (1.0 - kernel.gamma)[None, :] * (1.0 - dist / dmaxes[:, None])
+    theta *= kernel.trust[None, :]
+    theta[dist > dmaxes[:, None]] = 0.0
+    values = budgets[:, None] * theta
+    values[theta < theta_mins[:, None]] = 0.0
+    return values
+
+
+def relevance(kernel: ValuationKernel, queries: Sequence[PointQuery]) -> np.ndarray:
+    """Boolean ``(q, n)`` matrix of ``PointQuery.relevant`` (value > 0)."""
+    return single_values(kernel, queries) > 0.0
+
+
+def dense_single_values(
+    kernel: ValuationKernel, queries: Sequence[PointQuery]
+) -> np.ndarray:
+    """``kernel.sparse_single_values`` scattered into a ``(q, n)`` matrix."""
+    out = np.zeros((len(queries), kernel.n_sensors))
+    for i, (idx, vals) in enumerate(kernel.sparse_single_values(queries)):
+        out[i, idx] = vals
+    return out
+
+
+class DenseKernel(ValuationKernel):
+    """The full-fleet kernel: every candidate view is the whole fleet.
+
+    Point values come from :func:`single_values`' broadcast block, so
+    allocators run on it exactly as they ran on the historical dense
+    kernel.
+    """
+
+    def candidate_indices(self, query: Query) -> np.ndarray:
+        return np.arange(self.n_sensors, dtype=np.intp)
+
+    def candidate_view(self, query: Query):
+        return (self.candidate_indices(query), self.sensor_xy, self.gamma, self.trust)
+
+    def sparse_single_values(self, queries):
+        every = np.arange(self.n_sensors, dtype=np.intp)
+        return [(every, row) for row in single_values(self, queries)]
 
 
 def relevant_queries_by_sensor(
@@ -55,7 +129,7 @@ def relevant_queries_by_sensor(
         else []
     )
     if plain_points:
-        rel = kernel.relevance([q for _, q in plain_points])
+        rel = relevance(kernel, [q for _, q in plain_points])
         point_pos = np.asarray([i for i, _ in plain_points], dtype=np.intp)
         others = [(i, q) for i, q in enumerate(queries) if type(q) is not PointQuery]
         for j, snapshot in enumerate(sensors):
@@ -189,3 +263,15 @@ def compile_greedy_as(monkeypatch, allocator_cls) -> None:
     the oracle.
     """
     monkeypatch.setattr("repro.core.greedy.GreedyAllocator", allocator_cls)
+
+
+def compile_kernel_as(monkeypatch, kernel_cls) -> None:
+    """Make engines and allocators build their slot kernels as
+    ``kernel_cls`` for the rest of the test (or ``monkeypatch`` scope).
+
+    Patches the module-level ``ValuationKernel`` name every kernel builder
+    resolves at call time; a kernel handed down from the engine is reused
+    by the allocators as-is.
+    """
+    for module in ("engine", "greedy", "baselines", "point_problem"):
+        monkeypatch.setattr(f"repro.core.{module}.ValuationKernel", kernel_cls)

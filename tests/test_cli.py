@@ -137,10 +137,13 @@ class TestScenarioJson:
 
 
 class TestRemovedKnobs:
-    """Specs and flags from before the greedy had one code path.
+    """Specs and flags from before the greedy and the slot kernel each had
+    one code path.
 
     A spec still setting ``fused``/``backend``/``workspace`` fails through
-    the ordinary unknown-field path; the matching flags are gone."""
+    the ordinary unknown-field path; the matching flags are gone.  A spec's
+    ``sharding`` field still loads when it asks for what every kernel now
+    does (``true``/``"auto"``) and fails with one line otherwise."""
 
     OLD_FIELDS = {"fused": "auto", "backend": "numpy", "workspace": "auto"}
 
@@ -161,6 +164,7 @@ class TestRemovedKnobs:
             ["scenario", "x.json", "--fused", "off"],
             ["scenario", "x.json", "--backend", "numpy"],
             ["scenario", "x.json", "--workspace", "off"],
+            ["scenario", "x.json", "--sharding", "4"],
             ["replay", "x.json", "--backend", "numpy"],
             ["replay", "x.json", "--profile"],
             ["serve", "--spec", "x.json", "--backend", "numpy"],
@@ -172,6 +176,27 @@ class TestRemovedKnobs:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scenario", "replay"])
+    @pytest.mark.parametrize("value", [False, 2.5], ids=["false", "cell-size"])
+    def test_dense_or_cell_size_sharding_fails_with_one_line(
+        self, tmp_path, capsys, command, value
+    ):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**SPEC_PAYLOAD, "sharding": value}))
+        assert main([command, str(path), "--slots", "1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error loading {path}: 'sharding'")
+        assert "no longer supported" in err
+
+    @pytest.mark.parametrize("value", [True, "auto"], ids=["true", "auto"])
+    def test_enabled_sharding_still_runs(self, tmp_path, capsys, value):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**SPEC_PAYLOAD, "sharding": value}))
+        assert main(["scenario", str(path), "--slots", "1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "sharding" not in payload["spec"]
 
 
 class TestServe:

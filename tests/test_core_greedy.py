@@ -141,13 +141,19 @@ class TestGreedyBehaviour:
 
 class TestVerifyRejectsNonFinite:
     """A NaN-priced sensor can win a round (every comparison with NaN is
-    False) and settle a NaN payment; ``verify`` must refuse it."""
+    False) and settle a NaN payment.  ``SensorSnapshot`` refuses such a
+    price at construction; ``verify`` stays the backstop for one that gets
+    past it and must refuse the settlement."""
 
     @staticmethod
     def _instance():
         # The NaN-priced sensor comes first so the scalar oracle's ``max``
         # keeps it too; both sit on the query's spot.
-        sensors = [make_snapshot(1, cost=float("nan")), make_snapshot(0, cost=1.0)]
+        with pytest.raises(ValueError, match="finite"):
+            make_snapshot(1, cost=float("nan"))
+        smuggled = make_snapshot(1, cost=1.0)
+        object.__setattr__(smuggled, "cost", float("nan"))
+        sensors = [smuggled, make_snapshot(0, cost=1.0)]
         return [make_point_query(query_id="q")], sensors
 
     @pytest.mark.parametrize(

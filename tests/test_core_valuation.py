@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import make_point_query, make_snapshot, random_instance
-from oracles import relevant_queries_by_sensor
+from oracles import dense_single_values, relevant_queries_by_sensor
 from repro.core import PointProblem, ValuationKernel
 from repro.queries import PointQuery
 from repro.sensors import SensorSnapshot
@@ -81,7 +81,7 @@ class TestScalarPathParity:
         # thresholds away from exact boundaries.
         queries, sensors = random_instance(seed, n_sensors=10, n_queries=15)
         kernel = ValuationKernel.from_sensors(sensors)
-        values = kernel.single_values(queries)
+        values = dense_single_values(kernel, queries)
         for i, query in enumerate(queries):
             for j, snapshot in enumerate(sensors):
                 want = query.value_single(snapshot)
@@ -91,7 +91,7 @@ class TestScalarPathParity:
     def test_relevance_matches_relevant(self, seed):
         queries, sensors = random_instance(seed, n_sensors=10, n_queries=15)
         kernel = ValuationKernel.from_sensors(sensors)
-        rel = kernel.relevance(queries)
+        rel = dense_single_values(kernel, queries) > 0.0
         for i, query in enumerate(queries):
             for j, snapshot in enumerate(sensors):
                 assert bool(rel[i, j]) == query.relevant(snapshot)
@@ -109,7 +109,7 @@ class TestScalarPathParity:
         at_dmax = make_snapshot(0, x=4.0)
         at_theta = make_snapshot(1, x=2.0)  # theta = 1 - 2/4 = 0.5 exactly
         kernel = ValuationKernel.from_sensors([at_dmax, at_theta])
-        values = kernel.single_values([query])
+        values = dense_single_values(kernel, [query])
         assert values[0, 0] == 0.0
         assert values[0, 1] == pytest.approx(5.0)
         rows = kernel.value_rows([query])

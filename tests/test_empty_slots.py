@@ -92,10 +92,9 @@ def test_zero_query_slots_settle_cleanly(kind):
     assert summary.total_queries == 0
 
 
-def test_zero_query_slots_settle_cleanly_with_sharding_and_incremental():
+def test_zero_query_slots_settle_cleanly_with_incremental():
     engine = make_engine(
         [OneShotStream(NothingWorkload(), kind="point")],
-        sharding="auto",
         incremental="auto",
     )
     summary = SimulationSummary()

@@ -52,41 +52,39 @@ def test_cheap_specs_run(name):
 
 
 def test_metro_scale_spec_declares_the_batch_sharded_path():
-    """The metro spec wires 10^5 sensors through auto-sharding; a scaled-
-    down build of the same spec must drive the sharded kernel from the
+    """The metro spec wires 10^5 sensors through the grid-sharded slot
+    kernel; a scaled-down build of the same spec must drive it from the
     fleet's AnnouncementBatch (the loop-free slot path it showcases)."""
     import dataclasses
 
-    from repro.core import GreedyAllocator, ShardedKernel
+    from repro.core import GreedyAllocator, ValuationKernel
     from repro.sensors import AnnouncementBatch
 
     spec = ScenarioSpec.from_json(SPEC_DIR / "metro_scale.json")
     assert spec.n_sensors >= 100_000
-    assert spec.sharding == "auto"
     small = dataclasses.replace(spec, n_sensors=1500, n_slots=2)
     engine = small.build()
     assert isinstance(engine.fleet.announcements(), AnnouncementBatch)
     summary = engine.run(2)
     assert summary.n_slots == 2
     kernel = engine._kernel
-    assert isinstance(kernel, ShardedKernel)
+    assert isinstance(kernel, ValuationKernel)
     assert isinstance(kernel.sensors, AnnouncementBatch)
 
 
 def test_region_heavy_spec_exercises_the_mask_path():
     """The region-heavy spec declares 20k sensors under many large
-    aggregate queries with auto-sharding; a scaled-down build must route
-    those queries through the sharded kernel's candidate views and the
-    batch-relevance masks (no per-sensor scans), and run."""
+    aggregate queries; a scaled-down build must route those queries
+    through the kernel's candidate views and the batch-relevance masks
+    (no per-sensor scans), and run."""
     import dataclasses
 
-    from repro.core import ShardedKernel
+    from repro.core import ValuationKernel
     from repro.queries import SpatialAggregateQuery
     from repro.sensors import AnnouncementBatch
 
     spec = ScenarioSpec.from_json(SPEC_DIR / "region_heavy.json")
     assert spec.n_sensors >= 20_000
-    assert spec.sharding == "auto"
     assert any(s.kind == "aggregate" for s in spec.streams)
     small = dataclasses.replace(spec, n_sensors=1500, n_slots=2)
     engine = small.build()
@@ -94,31 +92,30 @@ def test_region_heavy_spec_exercises_the_mask_path():
     assert summary.n_slots == 2
     assert summary.total_queries > 0
     kernel = engine._kernel
-    assert isinstance(kernel, ShardedKernel)
+    assert isinstance(kernel, ValuationKernel)
     assert isinstance(kernel.sensors, AnnouncementBatch)
     # The kernel resolved aggregate candidate views (the memoized
-    # per-cell-range gathers behind the sharded mask path).
+    # per-cell-range gathers behind the mask path).
     probe = SpatialAggregateQuery(
         spec_region(small), budget=10.0, sensing_range=5.0, coverage_radius=2.5
     )
     view = kernel.candidate_view(probe)
-    assert view is not None and len(view) == 4
+    assert len(view) == 4
 
 
 def test_region_storm_spec_exercises_the_fused_pipeline():
     """The region-storm spec piles 128 overlapping aggregate queries on
-    20k sensors with sharding on auto; a scaled-down build must run the
+    20k sensors; a scaled-down build must run the
     fused block pipeline, share one world raster across the slot, and
     run."""
     import dataclasses
 
-    from repro.core import GreedyAllocator, ShardedKernel
+    from repro.core import GreedyAllocator, ValuationKernel
     from repro.sensors import AnnouncementBatch
     from repro.spatial import get_raster
 
     spec = ScenarioSpec.from_json(SPEC_DIR / "region_storm.json")
     assert spec.n_sensors >= 20_000
-    assert spec.sharding == "auto"
     assert any(s.kind == "aggregate" for s in spec.streams)
     small = dataclasses.replace(spec, n_sensors=1500, n_slots=2)
     engine = small.build()
@@ -127,7 +124,7 @@ def test_region_storm_spec_exercises_the_fused_pipeline():
     assert summary.n_slots == 2
     assert summary.total_queries > 0
     kernel = engine._kernel
-    assert isinstance(kernel, ShardedKernel)
+    assert isinstance(kernel, ValuationKernel)
     batch = kernel.sensors
     assert isinstance(batch, AnnouncementBatch)
     # The slot's kernel raster is the per-batch cached one: every
@@ -152,7 +149,6 @@ def test_metro_burst_spec_drives_the_marketplace_service():
 
     spec = ScenarioSpec.from_json(SPEC_DIR / "metro_burst.json")
     assert spec.n_sensors >= 100_000
-    assert spec.sharding == "auto"
     assert spec.service is not None
     assert spec.service["arrivals"]["profile"] == "bursty"
 

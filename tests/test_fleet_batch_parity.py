@@ -15,10 +15,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import DenseKernel
 from repro.core import (
     BaselineAllocator,
     GreedyAllocator,
-    ShardedKernel,
     ValuationKernel,
     one_shot_engine,
 )
@@ -132,12 +132,9 @@ def test_allocations_bit_identical(name, sharded):
         queries_b = PointQueryWorkload(
             HOTSPOT, n_queries=30, budget=18.0, dmax=6.0
         ).generate(object_fleet.clock, rng_b)
-        if sharded:
-            kernel_a = ShardedKernel.from_batch(batch)
-            kernel_b = ShardedKernel.from_sensors(reference)
-        else:
-            kernel_a = ValuationKernel.from_batch(batch)
-            kernel_b = ValuationKernel.from_sensors(reference)
+        kernel_cls = ValuationKernel if sharded else DenseKernel
+        kernel_a = kernel_cls.from_batch(batch)
+        kernel_b = kernel_cls.from_sensors(reference)
         a = allocator.allocate(queries_a, batch, kernel=kernel_a)
         b = allocator.allocate(queries_b, reference, kernel=kernel_b)
         # Workloads are seeded identically but query ids are process-unique;

@@ -30,9 +30,9 @@ import inspect
 import numpy as np
 import pytest
 
-from helpers import make_snapshot
-from oracles import PerRowGreedyAllocator
-from repro.core import GreedyAllocator, ShardedKernel, ValuationKernel
+from helpers import gridded_kernel, make_snapshot
+from oracles import DenseKernel, PerRowGreedyAllocator
+from repro.core import GreedyAllocator, ValuationKernel
 from repro.core.monitoring import RegionMonitoringController
 from repro.queries import (
     AggregateQueryWorkload,
@@ -154,14 +154,13 @@ class TestFusedAllocationParity:
         queries = region_heavy_queries(rng)
         sensors = random_sensors(rng)
         masked = PerRowGreedyAllocator().allocate(
-            queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
+            queries, sensors, kernel=DenseKernel.from_sensors(sensors)
         )
         fused = GreedyAllocator().allocate(
-            queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
+            queries, sensors, kernel=DenseKernel.from_sensors(sensors)
         )
         sharded = GreedyAllocator().allocate(
-            queries, sensors,
-            kernel=ShardedKernel.from_sensors(sensors, cell_size=8.0),
+            queries, sensors, kernel=gridded_kernel(sensors, 8.0)
         )
         assert_allocations_identical(fused, masked)
         assert_allocations_identical(sharded, masked)
@@ -172,14 +171,13 @@ class TestFusedAllocationParity:
         queries = every_type_queries(rng)
         sensors = random_sensors(rng)
         masked = PerRowGreedyAllocator().allocate(
-            queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
+            queries, sensors, kernel=DenseKernel.from_sensors(sensors)
         )
         fused = GreedyAllocator().allocate(
-            queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
+            queries, sensors, kernel=DenseKernel.from_sensors(sensors)
         )
         sharded = GreedyAllocator().allocate(
-            queries, sensors,
-            kernel=ShardedKernel.from_sensors(sensors, cell_size=9.0),
+            queries, sensors, kernel=gridded_kernel(sensors, 9.0)
         )
         assert_allocations_identical(fused, masked)
         assert_allocations_identical(sharded, masked)
@@ -267,10 +265,10 @@ class TestWorldRasterRows:
         region = Region(10, 10, 40, 35)
         kernel = ValuationKernel.from_sensors(batch)
         raster = kernel.raster
-        # One instance per announcement batch, shared with the sharded
+        # One instance per announcement batch, shared with every other
         # kernel and the monitoring controllers.
         assert raster is get_raster(batch, batch.xy)
-        assert ShardedKernel.from_sensors(batch, cell_size=10.0).raster is raster
+        assert gridded_kernel(batch, 10.0).raster is raster
         ext = raster.exterior_distance_sq(region)
         assert raster.exterior_distance_sq(region) is ext
         assert np.array_equal(ext, region.exterior_distance_sq(batch.xy))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import make_point_query, make_snapshot
-from oracles import ScalarGreedyAllocator
+from oracles import ScalarGreedyAllocator, dense_single_values
 from repro.core import (
     GreedyAllocator,
     ValuationKernel,
@@ -113,7 +113,7 @@ class TestPerPairGainParity:
             assert got == pytest.approx(want, **ULP_TOLERANCE)
 
     def test_point_rows_from_kernel_block_match(self):
-        """The precomputed ``single_values`` block equals the self-derived row."""
+        """The kernel's precomputed point rows equal the self-derived row."""
         rng = np.random.default_rng(7)
         sensors = random_sensors(rng)
         queries = [
@@ -124,7 +124,7 @@ class TestPerPairGainParity:
             for _ in range(6)
         ]
         kernel = ValuationKernel.from_sensors(sensors)
-        block = kernel.single_values(queries)
+        block = dense_single_values(kernel, queries)
         roster = kernel.roster()
         for i, query in enumerate(queries):
             state = query.new_state()

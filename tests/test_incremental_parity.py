@@ -18,14 +18,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import PerRowGreedyAllocator, compile_greedy_as
-from repro.core import ShardedKernel, ValuationKernel, delta_old_to_new
+from oracles import DenseKernel, PerRowGreedyAllocator, compile_greedy_as, compile_kernel_as
+from repro.core import ValuationKernel, delta_old_to_new
 from repro.core.engine import normalize_incremental
 from repro.datasets import ScenarioSpec, StreamSpec
 from repro.experiments import allocation_signature, replay_spec
 from repro.mobility import ChurnMobility, RandomWaypointMobility
 from repro.sensors import FleetConfig, SensorFleet, SlotDelta, TieredTrust
-from repro.spatial import Region, UniformGridIndex, WorldRaster
+from repro.queries import PointQuery
+from repro.spatial import Location, Region, UniformGridIndex, WorldRaster
 
 REGION = Region.from_origin(40, 40)
 HOTSPOT = Region.centered_in(REGION, 26, 26)
@@ -226,8 +227,10 @@ def test_ensure_delta_falls_back_without_a_chain(sharded):
     delta at all) must still yield a correct kernel via full rebuild."""
     fleet = churn_fleet(FleetConfig(), seed=9, n=70)
     batch, _ = fleet.announcements_with_delta()
-    cls = ShardedKernel if sharded else ValuationKernel
+    cls = ValuationKernel if sharded else DenseKernel
     kernel = cls.ensure_delta(None, batch, None)
+    if sharded:
+        kernel.candidate_indices(PointQuery(Location(0, 0), 10.0))  # warm the grid
     assert kernel is not None
     fleet.advance()
     fleet.advance()  # skip a slot: the delta chains from the *previous*
@@ -277,18 +280,19 @@ FLEETS = {
 
 
 @pytest.mark.parametrize("fused", [True, False], ids=["fused-auto", "fused-off"])
-@pytest.mark.parametrize("sharding", [None, "auto"], ids=["dense", "sharded"])
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sharded"])
 @pytest.mark.parametrize("fleet", FLEETS, ids=list(FLEETS))
-def test_replay_parity(fleet, sharding, fused, monkeypatch):
+def test_replay_parity(fleet, dense, fused, monkeypatch):
     if not fused:
         compile_greedy_as(monkeypatch, PerRowGreedyAllocator)
+    if dense:
+        compile_kernel_as(monkeypatch, DenseKernel)
     spec = ScenarioSpec(
         name=f"replay-{fleet}",
         n_sensors=200,
         n_slots=4,
         seed=23,
         streams=STREAMS,
-        sharding=sharding,
         fleet={"linear_energy": True, "random_privacy": True, "lifetime": 6},
         **FLEETS[fleet],
     )

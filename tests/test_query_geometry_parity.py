@@ -1,7 +1,8 @@
 """Batch-relevance geometry parity: ``Query.relevant_mask`` vs the scalar
 ``Query.relevant`` scan, array-native coverage-mask matrices vs the
 ``Location``-built ones, and mask-driven allocations vs the scalar-relevance
-reference paths — dense and sharded.
+reference paths — on the production kernel and the full-fleet
+:class:`oracles.DenseKernel`.
 
 The contract under test (see ``repro.queries.base``): every built-in query
 type's ``relevant_mask`` answers the scalar predicate for each stacked
@@ -13,7 +14,7 @@ forms, so those agree *bitwise by construction*; the quality-gated types
 in the final ulp on engineered boundary instances, which random fleets never
 hit.  Region-heavy allocations through the mask path must therefore compare
 ``==`` (assignments, values, payments) against the scalar-relevance
-reference implementations, dense and sharded.
+reference implementations, on both kernels.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import make_snapshot
-from oracles import ScalarGreedyAllocator
+from helpers import gridded_kernel, make_snapshot
+from oracles import DenseKernel, ScalarGreedyAllocator
 from repro.core import (
     BaselineAllocator,
     GreedyAllocator,
-    ShardedKernel,
     ValuationKernel,
 )
 from repro.core.allocation import AllocationResult
@@ -432,10 +432,10 @@ class TestRegionHeavyAllocationParity:
             queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
         )
         dense = GreedyAllocator().allocate(
-            queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
+            queries, sensors, kernel=DenseKernel.from_sensors(sensors)
         )
         sharded = GreedyAllocator().allocate(
-            queries, sensors, kernel=ShardedKernel.from_sensors(sensors, cell_size=6.0)
+            queries, sensors, kernel=gridded_kernel(sensors, 6.0)
         )
         assert_allocations_identical(dense, scalar)
         assert_allocations_identical(sharded, scalar)
@@ -445,10 +445,10 @@ class TestRegionHeavyAllocationParity:
         queries, sensors = region_heavy_slot(400 + seed, n_sensors=90)
         reference = _ReferenceBaseline().allocate(queries, sensors)
         dense = BaselineAllocator().allocate(
-            queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
+            queries, sensors, kernel=DenseKernel.from_sensors(sensors)
         )
         sharded = BaselineAllocator().allocate(
-            queries, sensors, kernel=ShardedKernel.from_sensors(sensors, cell_size=7.5)
+            queries, sensors, kernel=gridded_kernel(sensors, 7.5)
         )
         assert_allocations_identical(dense, reference)
         assert_allocations_identical(sharded, reference)
@@ -503,39 +503,39 @@ class TestLazySnapshots:
 
 
 # ----------------------------------------------------------------------
-# sharded candidate views: memoized gathers reused across queries
+# candidate views: memoized gathers reused across queries
 # ----------------------------------------------------------------------
 class TestShardedCandidateViews:
     def test_queries_sharing_a_cell_range_share_the_gather(self):
         rng = np.random.default_rng(31)
         sensors = random_sensors(rng, n=60, side=40.0)
-        kernel = ShardedKernel.from_sensors(sensors, cell_size=5.0)
+        kernel = gridded_kernel(sensors, 5.0)
         region = Region(10, 10, 25, 25)
         a = SpatialAggregateQuery(region, budget=30.0, sensing_range=5.0)
         b = SpatialAggregateQuery(region, budget=99.0, sensing_range=5.0)
         va = kernel.candidate_view(a)
         vb = kernel.candidate_view(b)
-        assert va is not None and vb is not None
         assert va[1] is vb[1] and va[2] is vb[2] and va[3] is vb[3]
 
     def test_view_matches_candidate_indices(self):
         rng = np.random.default_rng(32)
         sensors = random_sensors(rng, n=50, side=40.0)
-        kernel = ShardedKernel.from_sensors(sensors, cell_size=4.0)
+        kernel = gridded_kernel(sensors, 4.0)
         for query in one_of_each_query_type(rng, side=40.0):
             view = kernel.candidate_view(query)
             idx = kernel.candidate_indices(query)
-            assert view is not None
             assert np.array_equal(view[0], idx)
             assert np.array_equal(view[1], kernel.sensor_xy[idx])
             assert np.array_equal(view[2], kernel.gamma[idx])
             assert np.array_equal(view[3], kernel.trust[idx])
 
-    def test_unknown_type_returns_none(self):
+    def test_unknown_type_returns_the_full_fleet(self):
         class OpaquePoint(PointQuery):
             pass
 
         rng = np.random.default_rng(33)
         sensors = random_sensors(rng, n=20)
-        kernel = ShardedKernel.from_sensors(sensors, cell_size=4.0)
-        assert kernel.candidate_view(OpaquePoint(Location(1, 1), 10.0)) is None
+        kernel = gridded_kernel(sensors, 4.0)
+        cand, xy, gamma, trust = kernel.candidate_view(OpaquePoint(Location(1, 1), 10.0))
+        assert cand.tolist() == list(range(20))
+        assert xy is kernel.sensor_xy and gamma is kernel.gamma and trust is kernel.trust

@@ -42,13 +42,12 @@ class PoisonQuery(PointQuery):
 
 
 SPECS = {
-    # the plain 300-sensor unit-test service
-    "dense": make_spec(),
-    # sharded kernel + incremental slot state over churn, with aggregates:
-    # the failed step has already spliced the announcements and rasters
-    "sharded-incremental": make_spec(
+    # the plain 300-sensor unit-test service, full rebuild every slot
+    "rebuild": make_spec(),
+    # incremental slot state over churn, with aggregates: the failed step
+    # has already spliced the announcements, rasters and grid index
+    "incremental": make_spec(
         n_sensors=400,
-        sharding="auto",
         incremental="auto",
         mobility={"kind": "churn", "fraction": 0.05},
         streams=[
@@ -116,7 +115,7 @@ def test_poisoned_slot_fails_alone_and_replay_still_agrees(name):
 
 
 def test_serve_keeps_ticking_past_a_failed_slot():
-    spec = SPECS["dense"]
+    spec = SPECS["rebuild"]
     service = MarketplaceService.from_spec(spec)
     rng = np.random.default_rng(9)
     submit_draw(service, 0, rng)
@@ -138,7 +137,7 @@ def test_serve_keeps_ticking_past_a_failed_slot():
 
 
 def test_failures_are_exported_by_error_class(tmp_path):
-    service = MarketplaceService.from_spec(SPECS["dense"])
+    service = MarketplaceService.from_spec(SPECS["rebuild"])
     rng = np.random.default_rng(2)
     service.submit(poison(service, rng))
     with pytest.raises(RuntimeError):

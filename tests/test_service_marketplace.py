@@ -132,6 +132,29 @@ def test_queued_arrivals_carry_over_and_wait_is_observed():
     assert service.metrics.settled == 2
 
 
+def test_bursty_load_keeps_the_admission_ledger():
+    """Bursts that outrun the admission cap turn into a bounded queue and
+    explicit ``queue_full`` rejections, never unbounded growth, and the
+    per-tick ledger adds up to the service totals."""
+    n_ticks, depth, cap = 8, 12, 3
+    service = MarketplaceService.from_spec(
+        make_spec(n_slots=n_ticks), max_queue_depth=depth, max_admitted_per_tick=cap
+    )
+    generator = LoadGenerator(
+        BurstyProfile(rate=2.0, burst_rate=40.0, period=4, burst_length=1),
+        service.workloads,
+        seed=7,
+    )
+    generator.drive(service, n_ticks)
+    metrics = service.metrics
+    assert len(metrics.slots) == n_ticks
+    assert metrics.submitted > n_ticks * cap
+    assert all(s.admitted <= cap for s in metrics.slots)
+    assert metrics.admitted == sum(s.admitted for s in metrics.slots)
+    assert metrics.max_queue_depth <= depth
+    assert metrics.rejected.get(REJECT_QUEUE_FULL, 0) > 0
+
+
 def test_tick_property_tracks_fleet_clock():
     service = MarketplaceService.from_spec(make_spec())
     assert service.tick == 0

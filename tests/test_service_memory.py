@@ -12,6 +12,7 @@ import weakref
 
 import numpy as np
 
+from oracles import DenseKernel, compile_kernel_as
 from repro.datasets import RWM_REGION, ScenarioSpec, StreamSpec, rwm
 from repro.mobility import ChurnMobility
 from repro.queries import SpatialAggregateQuery
@@ -43,37 +44,40 @@ def incremental_spec(**knobs) -> ScenarioSpec:
     return ScenarioSpec(**defaults)
 
 
-def test_incremental_service_keeps_at_most_two_rasters():
-    for sharding in (None, "auto"):
-        service = MarketplaceService.from_spec(incremental_spec(sharding=sharding))
-        generator = LoadGenerator(PoissonProfile(6.0), service.workloads, seed=3)
-        schedule = generator.schedule(N_TICKS)
-        refs = []
-        coverage_of: dict[int, set[int]] = {}
-        for batch in schedule:
-            for query in batch:
-                service.submit(query)
-            service.tick_once()
-            raster = service.engine._kernel.raster
-            fns = {
-                id(q.coverage)
-                for q in service.trace.slots[-1].queries
-                if isinstance(q, SpatialAggregateQuery)
-            }
-            # A raster reused over unchanged announcements serves both slots.
-            coverage_of.setdefault(id(raster), set()).update(fns)
-            refs.append(weakref.ref(raster))
-            del raster
-        assert service.metrics.admitted > 0
-        gc.collect()
-        live = [ref() for ref in refs]
-        live = list({id(r): r for r in live if r is not None}.values())
-        assert 1 <= len(live) <= 2, (sharding, len(live))
-        assert service.engine._kernel.raster in live
-        assert any(r._coverage_rows for r in live)
-        for raster in live:
-            cached = {id(entry[0]) for entry in raster._coverage_rows.values()}
-            assert cached <= coverage_of[id(raster)]
+def test_incremental_service_keeps_at_most_two_rasters(monkeypatch):
+    for dense in (True, False):
+        with monkeypatch.context() as patch:
+            if dense:
+                compile_kernel_as(patch, DenseKernel)
+            service = MarketplaceService.from_spec(incremental_spec())
+            generator = LoadGenerator(PoissonProfile(6.0), service.workloads, seed=3)
+            schedule = generator.schedule(N_TICKS)
+            refs = []
+            coverage_of: dict[int, set[int]] = {}
+            for batch in schedule:
+                for query in batch:
+                    service.submit(query)
+                service.tick_once()
+                raster = service.engine._kernel.raster
+                fns = {
+                    id(q.coverage)
+                    for q in service.trace.slots[-1].queries
+                    if isinstance(q, SpatialAggregateQuery)
+                }
+                # A raster reused over unchanged announcements serves both slots.
+                coverage_of.setdefault(id(raster), set()).update(fns)
+                refs.append(weakref.ref(raster))
+                del raster
+            assert service.metrics.admitted > 0
+            gc.collect()
+            live = [ref() for ref in refs]
+            live = list({id(r): r for r in live if r is not None}.values())
+            assert 1 <= len(live) <= 2, (dense, len(live))
+            assert service.engine._kernel.raster in live
+            assert any(r._coverage_rows for r in live)
+            for raster in live:
+                cached = {id(entry[0]) for entry in raster._coverage_rows.values()}
+                assert cached <= coverage_of[id(raster)]
 
 
 def test_churn_rwm_spec_skips_the_discarded_trace():

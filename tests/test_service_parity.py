@@ -4,21 +4,19 @@ offline :class:`~repro.core.engine.SlotEngine` replay of the same query
 sequence (the :func:`~repro.experiments.allocation_signature` relabeling
 discipline of ``experiments/replay.py``).
 
-Every engine configuration the batch layer ships — dense and sharded
-kernels, full-rebuild and incremental slot state — must uphold the
-contract, and so must the per-row gain-refresh oracle
-(:class:`oracles.PerRowGreedyAllocator`, compiled into the dense
-corner), so the suite sweeps recorded traces across those corners plus
-saturated admission (rejections must not perturb what *was* admitted).
+Every engine configuration the batch layer ships — full-rebuild and
+incremental slot state — must uphold the contract, and so must the
+oracles (:class:`oracles.PerRowGreedyAllocator` gain refreshes and the
+full-fleet :class:`oracles.DenseKernel`, compiled into the dense corners),
+so the suite sweeps recorded traces across those corners plus saturated
+admission (rejections must not perturb what *was* admitted).
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from oracles import PerRowGreedyAllocator, compile_greedy_as
+from oracles import DenseKernel, PerRowGreedyAllocator, compile_greedy_as, compile_kernel_as
 from repro.datasets import ScenarioSpec, StreamSpec
 from repro.service import (
     BurstyProfile,
@@ -53,21 +51,19 @@ def make_spec(name, **knobs):
 
 
 SCENARIOS = {
-    # dense kernel, per-row gains (ORACLES), full rebuild every slot
-    "dense": make_spec("svc-dense", sharding=None, incremental=False),
-    # sharded kernel + fused type-blocked gain batches
-    "sharded-fused": make_spec("svc-sharded-fused", sharding="auto"),
-    # sharded kernel + incremental slot state over churn mobility
+    # DenseKernel (DENSE), per-row gains (ORACLES), full rebuild every slot
+    "dense": make_spec("svc-dense", incremental=False),
+    # grid candidate views + fused type-blocked gain batches
+    "sharded-fused": make_spec("svc-sharded-fused"),
+    # grid candidate views + incremental slot state over churn mobility
     "sharded-incremental": make_spec(
         "svc-sharded-incremental",
-        sharding="auto",
         incremental="auto",
         mobility={"kind": "churn", "fraction": 0.02},
     ),
-    # dense kernel + incremental slot state (delta path without shards)
+    # DenseKernel + incremental slot state (delta path without a grid)
     "dense-incremental": make_spec(
         "svc-dense-incremental",
-        sharding=None,
         incremental="auto",
         mobility={"kind": "churn", "fraction": 0.02},
     ),
@@ -76,6 +72,9 @@ SCENARIOS = {
 #: scenarios whose engines run a reference allocator instead of the
 #: production greedy (see :func:`oracles.compile_greedy_as`)
 ORACLES = {"dense": PerRowGreedyAllocator}
+#: scenarios whose engines run on the full-fleet kernel oracle
+#: (see :func:`oracles.compile_kernel_as`)
+DENSE = {"dense", "dense-incremental"}
 
 
 def run_and_replay(spec, service, generator, n_ticks=N_TICKS):
@@ -91,6 +90,8 @@ def run_and_replay(spec, service, generator, n_ticks=N_TICKS):
 def test_service_matches_offline_replay(name, monkeypatch):
     if name in ORACLES:
         compile_greedy_as(monkeypatch, ORACLES[name])
+    if name in DENSE:
+        compile_kernel_as(monkeypatch, DenseKernel)
     spec = SCENARIOS[name]
     service = MarketplaceService.from_spec(spec)
     generator = LoadGenerator(
@@ -129,6 +130,7 @@ def test_parity_across_engine_corners_is_mutual(monkeypatch):
     spec = SCENARIOS["dense"]
     with monkeypatch.context() as patch:
         compile_greedy_as(patch, ORACLES["dense"])
+        compile_kernel_as(patch, DenseKernel)
         service = MarketplaceService.from_spec(spec)
         generator = LoadGenerator(
             PoissonProfile(8.0), service.workloads, seed=spec.seed
@@ -137,8 +139,7 @@ def test_parity_across_engine_corners_is_mutual(monkeypatch):
     assert replayed == live
 
     flat = [q for batch in generator.schedule(N_TICKS) for q in batch]
-    sharded = dataclasses.replace(spec, sharding="auto")
-    assert replay_admission_trace(sharded, service.trace, flat) == live
+    assert replay_admission_trace(spec, service.trace, flat) == live
 
 
 def test_trace_queries_replay_without_regeneration():

@@ -1,13 +1,13 @@
-"""Sharded-vs-dense parity: the :class:`ShardedKernel` must produce
-bit-identical value matrices and allocations to the dense
-:class:`ValuationKernel` on every query type, across shard cell sizes,
+"""Candidate-view parity: :class:`ValuationKernel`'s grid candidate views
+must produce bit-identical values and allocations to the full-fleet
+:class:`~oracles.DenseKernel` on every query type, across grid cell sizes,
 and end-to-end through the four figure families.
 
-The contract under test (see ``repro.core.sharding``): candidate shards
+The contract under test (see ``repro.core.valuation``): candidate cells
 are supersets of each query's relevant sensors, every omitted (query,
-sensor) pair is exactly ``0.0`` under the dense formulas, and candidate
-pairs go through the same elementwise operation sequence — so allocations
-must match *exactly*, not just to tolerance.
+sensor) pair is exactly ``0.0`` under the full-fleet formulas, and
+candidate pairs go through the same elementwise operation sequence — so
+allocations must match *exactly*, not just to tolerance.
 """
 
 from __future__ import annotations
@@ -15,12 +15,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import make_point_query, make_snapshot
-from oracles import ScalarGreedyAllocator
+from helpers import gridded_kernel, make_point_query, make_snapshot
+from oracles import (
+    DenseKernel,
+    ScalarGreedyAllocator,
+    compile_kernel_as,
+    dense_single_values,
+    relevance,
+    single_values,
+)
 from repro.core import (
     BaselineAllocator,
     GreedyAllocator,
-    ShardedKernel,
     ValuationKernel,
     resolve_cell_size,
 )
@@ -52,7 +58,7 @@ from repro.queries import (
 )
 from repro.spatial import Location, Region, Trajectory
 
-CELL_SIZES = [0.75, 2.5, 6.0, 50.0]  # fine shards ... one-shard degenerate
+CELL_SIZES = [0.75, 2.5, 6.0, 50.0]  # fine cells ... one-cell degenerate
 
 
 def random_sensors(rng, n=40, side=30.0):
@@ -134,14 +140,16 @@ class TestKernelParity:
             )
             for _ in range(15)
         ]
-        dense = ValuationKernel.from_sensors(sensors)
-        sharded = ShardedKernel.from_sensors(sensors, cell_size=cell)
-        assert np.array_equal(dense.single_values(queries), sharded.single_values(queries))
-        assert np.array_equal(dense.relevance(queries), sharded.relevance(queries))
+        dense = DenseKernel.from_sensors(sensors)
+        sharded = gridded_kernel(sensors, cell)
+        values = dense_single_values(sharded, queries)
+        assert np.array_equal(single_values(dense, queries), values)
+        assert np.array_equal(relevance(dense, queries), values > 0.0)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("cell", CELL_SIZES)
-    def test_value_rows_bit_identical(self, seed, cell):
+    def test_value_rows_vanish_outside_candidates(self, seed, cell):
+        """The matrix path (eq. 9/12) is nonzero only on candidate columns."""
         rng = np.random.default_rng(50 + seed)
         sensors = random_sensors(rng)
         queries = [
@@ -151,18 +159,20 @@ class TestKernelParity:
             )
             for _ in range(10)
         ]
-        dense = ValuationKernel.from_sensors(sensors)
-        sharded = ShardedKernel.from_sensors(sensors, cell_size=cell)
-        assert np.array_equal(dense.value_rows(queries), sharded.value_rows(queries))
+        sharded = gridded_kernel(sensors, cell)
+        rows = sharded.value_rows(queries)
+        for query, row in zip(queries, rows):
+            outside = np.ones(len(sensors), dtype=bool)
+            outside[sharded.candidate_indices(query)] = False
+            assert not row[outside].any()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_candidates_are_supersets_of_relevance(self, seed):
         rng = np.random.default_rng(100 + seed)
         sensors = random_sensors(rng)
-        sharded = ShardedKernel.from_sensors(sensors, cell_size=3.0)
+        sharded = gridded_kernel(sensors, 3.0)
         for query in queries_of_every_type(rng):
             cand = sharded.candidate_indices(query)
-            assert cand is not None
             relevant = {j for j, s in enumerate(sensors) if query.relevant(s)}
             assert relevant <= set(cand.tolist())
 
@@ -172,31 +182,25 @@ class TestKernelParity:
 
         rng = np.random.default_rng(0)
         sensors = random_sensors(rng)
-        sharded = ShardedKernel.from_sensors(sensors, cell_size=3.0)
-        assert sharded.candidate_indices(OpaqueQuery(Location(1, 1), 10.0)) is None
+        sharded = gridded_kernel(sensors, 3.0)
+        every = list(range(len(sensors)))
+        query = OpaqueQuery(Location(1, 1), 10.0)
+        assert sharded.candidate_indices(query).tolist() == every
+        cand, xy, gamma, trust = sharded.candidate_view(query)
+        assert cand.tolist() == every
+        assert xy is sharded.sensor_xy
+        assert gamma is sharded.gamma and trust is sharded.trust
         # sparse_single_values must still serve it (full roster).
-        [(idx, vals)] = sharded.sparse_single_values([OpaqueQuery(Location(1, 1), 10.0)])
-        assert idx.tolist() == list(range(len(sensors)))
+        [(idx, vals)] = sharded.sparse_single_values([query])
+        assert idx.tolist() == every
 
     def test_empty_inputs(self):
-        sharded = ShardedKernel.from_sensors([])
-        assert sharded.single_values([]).shape == (0, 0)
-        assert sharded.n_shards == 0
+        sharded = ValuationKernel.from_sensors([])
+        assert sharded.sparse_single_values([]) == []
+        assert sharded.index.n_shards == 0
         query = make_point_query(x=0, y=0)
-        assert sharded.single_values([query]).shape == (1, 0)
-
-    def test_normalize_sharding_vocabulary(self):
-        from repro.core import normalize_sharding
-
-        assert normalize_sharding(None) is None
-        assert normalize_sharding(False) is None
-        assert normalize_sharding(True) == "auto"
-        assert normalize_sharding("auto") == "auto"
-        assert normalize_sharding(2) == 2.0
-        assert normalize_sharding(3.5) == 3.5
-        for junk in ("fast", 0, -1.0, [2.0]):
-            with pytest.raises(ValueError):
-                normalize_sharding(junk)
+        [(idx, vals)] = sharded.sparse_single_values([query])
+        assert idx.size == 0 and vals.size == 0
 
     def test_heuristic_cell_size_positive(self):
         rng = np.random.default_rng(1)
@@ -207,28 +211,13 @@ class TestKernelParity:
         colinear = np.stack([np.arange(50.0), np.full(50, 2.0)], axis=1)
         assert resolve_cell_size(colinear) > 0
 
-    def test_shard_structure(self):
-        rng = np.random.default_rng(9)
-        sensors = random_sensors(rng, n=60)
-        sharded = ShardedKernel.from_sensors(sensors, cell_size=5.0)
-        members = np.concatenate([s.indices for s in sharded.shards()])
-        assert sorted(members.tolist()) == list(range(60))
-        shard = next(iter(sharded.shards()))
-        local = shard.kernel  # lazily built shard-local kernel
-        assert local.n_sensors == shard.n_sensors
-        assert np.array_equal(local.sensor_xy, sharded.sensor_xy[shard.indices])
-        # The shard-local kernel is itself a full protocol citizen.
-        query = make_point_query(
-            x=float(local.sensor_xy[0, 0]), y=float(local.sensor_xy[0, 1])
-        )
-        dense_row = ValuationKernel.from_sensors(local.sensors).single_values([query])
-        assert np.array_equal(local.single_values([query]), dense_row)
-
     def test_ensure_reuses_matching_sharded_kernel(self):
         rng = np.random.default_rng(3)
         sensors = random_sensors(rng)
-        kernel = ShardedKernel.from_sensors(sensors, cell_size=4.0)
-        _ = kernel.index  # warm the grid
+        kernel = gridded_kernel(sensors, 4.0)
+        index = kernel.index
+        probe = queries_of_every_type(rng)[0]
+        view = kernel.candidate_view(probe)
         repriced = [
             make_snapshot(
                 s.sensor_id, x=s.location.x, y=s.location.y, cost=1.0,
@@ -236,15 +225,15 @@ class TestKernelParity:
             )
             for s in sensors
         ]
-        reused = ShardedKernel.ensure(kernel, repriced, cell_size=4.0)
+        reused = ValuationKernel.ensure(kernel, repriced)
         assert reused is kernel
         assert reused.sensors is repriced  # rebound to the current list
+        # The warm grid and candidate caches survive the reuse.
+        assert reused.index is index
+        assert reused.candidate_view(probe) is view
         moved = random_sensors(np.random.default_rng(4))
-        rebuilt = ShardedKernel.ensure(kernel, moved, cell_size=4.0)
+        rebuilt = ValuationKernel.ensure(kernel, moved)
         assert rebuilt is not kernel
-        # A dense kernel never satisfies the sharded reuse check.
-        dense = ValuationKernel.from_sensors(sensors)
-        assert isinstance(ShardedKernel.ensure(dense, sensors), ShardedKernel)
 
 
 # ----------------------------------------------------------------------
@@ -267,8 +256,8 @@ class TestBoundaryStraddling:
     @pytest.mark.parametrize("cell", [1.0, 2.0, 3.0])
     def test_queries_on_shard_corners(self, cell):
         sensors = self.grid_world()
-        dense = ValuationKernel.from_sensors(sensors)
-        sharded = ShardedKernel.from_sensors(sensors, cell_size=cell)
+        dense = DenseKernel.from_sensors(sensors)
+        sharded = gridded_kernel(sensors, cell)
         # Query locations on cell corners, edges and centres; radii that
         # end exactly on boundaries.
         queries = [
@@ -276,15 +265,17 @@ class TestBoundaryStraddling:
             for (x, y) in [(2.0, 2.0), (2.0, 3.5), (4.999, 5.001), (0.0, 0.0), (9.0, 9.0)]
             for r in (1.0, 2.0, 2.5)
         ]
-        assert np.array_equal(dense.single_values(queries), sharded.single_values(queries))
+        assert np.array_equal(
+            single_values(dense, queries), dense_single_values(sharded, queries)
+        )
         a = GreedyAllocator().allocate(queries, sensors, kernel=dense)
         b = GreedyAllocator().allocate(queries, sensors, kernel=sharded)
         assert_allocations_identical(a, b)
 
     def test_region_query_aligned_with_shard_edges(self):
         sensors = self.grid_world()
-        dense = ValuationKernel.from_sensors(sensors)
-        sharded = ShardedKernel.from_sensors(sensors, cell_size=2.0)
+        dense = DenseKernel.from_sensors(sensors)
+        sharded = gridded_kernel(sensors, 2.0)
         queries = [
             SpatialAggregateQuery(
                 Region(2.0, 2.0, 6.0, 6.0), budget=50.0,
@@ -301,22 +292,24 @@ class TestBoundaryStraddling:
 
     def test_single_shard_reach_uses_shard_members_directly(self):
         sensors = self.grid_world()
-        sharded = ShardedKernel.from_sensors(sensors, cell_size=20.0)
-        assert sharded.n_shards == 1
+        sharded = gridded_kernel(sensors, 20.0)
+        assert sharded.index.n_shards == 1
         query = PointQuery(Location(5.0, 5.0), budget=15.0, dmax=3.0)
         cand = sharded.candidate_indices(query)
         assert sorted(cand.tolist()) == list(range(100))
 
     def test_query_outside_fleet_bbox(self):
         sensors = self.grid_world()
-        dense = ValuationKernel.from_sensors(sensors)
-        sharded = ShardedKernel.from_sensors(sensors, cell_size=2.0)
+        dense = DenseKernel.from_sensors(sensors)
+        sharded = gridded_kernel(sensors, 2.0)
         queries = [
             PointQuery(Location(-50.0, -50.0), budget=15.0, dmax=5.0),  # far off-grid
             PointQuery(Location(-3.0, 5.0), budget=15.0, dmax=4.0),     # straddles the edge
             PointQuery(Location(11.0, 11.0), budget=15.0, dmax=3.0),    # beyond max corner
         ]
-        assert np.array_equal(dense.single_values(queries), sharded.single_values(queries))
+        assert np.array_equal(
+            single_values(dense, queries), dense_single_values(sharded, queries)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -330,10 +323,10 @@ class TestAllocatorParity:
         sensors = random_sensors(rng, n=45)
         queries = queries_of_every_type(rng)
         a = GreedyAllocator().allocate(
-            queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
+            queries, sensors, kernel=DenseKernel.from_sensors(sensors)
         )
         b = GreedyAllocator().allocate(
-            queries, sensors, kernel=ShardedKernel.from_sensors(sensors, cell_size=cell)
+            queries, sensors, kernel=gridded_kernel(sensors, cell)
         )
         assert_allocations_identical(a, b)
 
@@ -344,32 +337,60 @@ class TestAllocatorParity:
         sensors = random_sensors(rng, n=45)
         queries = queries_of_every_type(rng)
         a = BaselineAllocator().allocate(
-            queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
+            queries, sensors, kernel=DenseKernel.from_sensors(sensors)
         )
         b = BaselineAllocator().allocate(
-            queries, sensors, kernel=ShardedKernel.from_sensors(sensors, cell_size=cell)
+            queries, sensors, kernel=gridded_kernel(sensors, cell)
         )
         assert_allocations_identical(a, b)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_scalar_greedy_accepts_sharded_kernel(self, seed):
+    def test_scalar_greedy_matches_candidate_path(self, seed):
         rng = np.random.default_rng(3000 + seed)
         sensors = random_sensors(rng, n=35)
         queries = queries_of_every_type(rng)
         a = ScalarGreedyAllocator().allocate(
-            queries, sensors, kernel=ValuationKernel.from_sensors(sensors)
+            queries, sensors, kernel=DenseKernel.from_sensors(sensors)
         )
-        b = ScalarGreedyAllocator().allocate(
-            queries, sensors, kernel=ShardedKernel.from_sensors(sensors, cell_size=3.0)
+        b = GreedyAllocator().allocate(
+            queries, sensors, kernel=gridded_kernel(sensors, 3.0)
         )
         assert_allocations_identical(a, b)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("allocator", [GreedyAllocator, BaselineAllocator])
+    def test_unknown_types_take_the_full_fleet_view(self, seed, allocator):
+        """Subclasses that override only the scalar ``relevant`` get the
+        full-fleet candidate view and the scalar scan fallback."""
+
+        class OpaquePoint(PointQuery):
+            def relevant(self, snapshot):
+                return super().relevant(snapshot)
+
+        class OpaqueAggregate(SpatialAggregateQuery):
+            def relevant(self, snapshot):
+                return super().relevant(snapshot)
+
+        rng = np.random.default_rng(4000 + seed)
+        sensors = random_sensors(rng, n=45)
+        region = Region.random_subregion(
+            Region.from_origin(30.0, 30.0), rng, min_side=5, max_side=12
+        )
+        queries = queries_of_every_type(rng) + [
+            OpaquePoint(Location(14, 14), budget=18.0, dmax=7.0),
+            OpaqueAggregate(region, budget=30.0, sensing_range=5.0, coverage_radius=3.0),
+        ]
+        a = allocator().allocate(queries, sensors, kernel=DenseKernel.from_sensors(sensors))
+        b = allocator().allocate(queries, sensors, kernel=gridded_kernel(sensors, 2.5))
+        assert_allocations_identical(a, b)
+        assert any(q.query_id in b.assignments for q in queries[-2:])
 
     def test_sharded_kernel_with_repriced_announcements(self):
         """Costs come from the passed announcements, never the shard cache."""
         queries = [make_point_query(x=0, y=0, budget=20.0, theta_min=0.0)]
         original = [make_snapshot(0, x=0, y=0, cost=5.0)]
-        kernel = ShardedKernel.from_sensors(original, cell_size=2.0)
-        kernel.single_values(queries)  # warm the shard caches
+        kernel = gridded_kernel(original, 2.0)
+        kernel.sparse_single_values(queries)  # warm the candidate caches
         repriced = [make_snapshot(0, x=0, y=0, cost=1.0)]
         assert kernel.matches(repriced)
         result = GreedyAllocator().allocate(queries, repriced, kernel=kernel)
@@ -378,13 +399,13 @@ class TestAllocatorParity:
 
 
 # ----------------------------------------------------------------------
-# end-to-end: the four figure families + mix, sharded vs dense engines
+# end-to-end: the four figure families + mix, candidate views vs DenseKernel
 # ----------------------------------------------------------------------
 class TestEndToEndFigureFamilies:
     SEED = 321
     N_SLOTS = 5
 
-    def _run(self, family, sharding):
+    def _run(self, family):
         scenario = build_rwm_scenario(self.SEED, n_sensors=60, n_slots=10)
         allocator = GreedyAllocator()
         rng = np.random.default_rng(self.SEED)
@@ -392,17 +413,13 @@ class TestEndToEndFigureFamilies:
             workload = PointQueryWorkload(
                 scenario.working_region, n_queries=30, budget=15.0, dmax=scenario.dmax
             )
-            engine = one_shot_engine(
-                scenario.make_fleet(), workload, allocator, rng, sharding=sharding
-            )
+            engine = one_shot_engine(scenario.make_fleet(), workload, allocator, rng)
         elif family == "aggregate":
             workload = AggregateQueryWorkload(
                 scenario.working_region, budget_factor=15.0, mean_queries=4,
                 count_spread=2, sensing_range=scenario.dmax,
             )
-            engine = one_shot_engine(
-                scenario.make_fleet(), workload, allocator, rng, sharding=sharding
-            )
+            engine = one_shot_engine(scenario.make_fleet(), workload, allocator, rng)
         elif family == "location_monitoring":
             ozone = build_ozone_dataset(self.SEED)
             workload = LocationMonitoringWorkload(
@@ -411,7 +428,7 @@ class TestEndToEndFigureFamilies:
                 duration_range=(2, 5), dmax=scenario.dmax,
             )
             engine = location_monitoring_engine(
-                scenario.make_fleet(), workload, allocator, rng, sharding=sharding
+                scenario.make_fleet(), workload, allocator, rng
             )
         elif family == "event":
             workload = EventDetectionWorkload(
@@ -419,7 +436,7 @@ class TestEndToEndFigureFamilies:
                 duration_range=(2, 5), dmax=scenario.dmax,
             )
             engine = event_detection_engine(
-                scenario.make_fleet(), workload, allocator, rng, sharding=sharding
+                scenario.make_fleet(), workload, allocator, rng
             )
         else:  # region_monitoring
             world = build_intel_scenario(self.SEED, n_sensors=40, n_slots=10)
@@ -428,92 +445,87 @@ class TestEndToEndFigureFamilies:
                 duration_range=(2, 4), sensing_radius=world.scenario.dmax,
             )
             engine = region_monitoring_engine(
-                world.scenario.make_fleet(), workload, allocator, rng,
-                sharding=sharding,
+                world.scenario.make_fleet(), workload, allocator, rng
             )
         return engine.run(self.N_SLOTS)
+
+    @staticmethod
+    def _on_both_kernels(monkeypatch, run):
+        """``run()`` on the production kernel, then on the dense oracle."""
+        candidate = run()
+        with monkeypatch.context() as patch:
+            compile_kernel_as(patch, DenseKernel)
+            dense = run()
+        return dense, candidate
 
     @pytest.mark.parametrize(
         "family",
         ["point", "aggregate", "location_monitoring", "region_monitoring", "event"],
     )
-    def test_family_parity(self, family):
+    def test_family_parity(self, family, monkeypatch):
         assert_summaries_identical(
-            self._run(family, sharding=None), self._run(family, sharding=True)
+            *self._on_both_kernels(monkeypatch, lambda: self._run(family))
         )
 
-    @pytest.mark.parametrize("sharding", [True, 2.0])
-    def test_mix_family_parity(self, sharding):
+    def _mix(self, **options):
         scenario = build_rwm_scenario(self.SEED, n_sensors=50, n_slots=10)
         ozone = build_ozone_dataset(self.SEED)
-        summaries = []
-        for mode in (None, sharding):
-            point_wl = PointQueryWorkload(
-                scenario.working_region, n_queries=20, budget=15.0, dmax=scenario.dmax
-            )
-            agg_wl = AggregateQueryWorkload(
-                scenario.working_region, budget_factor=15.0, mean_queries=3,
-                count_spread=1, sensing_range=scenario.dmax,
-            )
-            lm_wl = LocationMonitoringWorkload(
-                scenario.working_region, ozone.values, ozone.model(),
-                budget_factor=15.0, max_live=5, arrivals_per_slot=2,
-                duration_range=(2, 4), dmax=scenario.dmax,
-            )
-            engine = mix_engine(
-                scenario.make_fleet(), point_wl, agg_wl, lm_wl,
-                np.random.default_rng(self.SEED),
-                joint=GreedyAllocator(), sharding=mode,
-            )
-            summaries.append(engine.run(self.N_SLOTS))
-        assert_summaries_identical(summaries[0], summaries[1])
+        point_wl = PointQueryWorkload(
+            scenario.working_region, n_queries=20, budget=15.0, dmax=scenario.dmax
+        )
+        agg_wl = AggregateQueryWorkload(
+            scenario.working_region, budget_factor=15.0, mean_queries=3,
+            count_spread=1, sensing_range=scenario.dmax,
+        )
+        lm_wl = LocationMonitoringWorkload(
+            scenario.working_region, ozone.values, ozone.model(),
+            budget_factor=15.0, max_live=5, arrivals_per_slot=2,
+            duration_range=(2, 4), dmax=scenario.dmax,
+        )
+        engine = mix_engine(
+            scenario.make_fleet(), point_wl, agg_wl, lm_wl,
+            np.random.default_rng(self.SEED), **options,
+        )
+        return engine.run(self.N_SLOTS)
 
-    def test_sequential_buffered_parity(self):
-        """Stage-2 zero-cost re-announcements must reuse the sharded kernel
+    def test_mix_family_parity(self, monkeypatch):
+        assert_summaries_identical(
+            *self._on_both_kernels(
+                monkeypatch, lambda: self._mix(joint=GreedyAllocator())
+            )
+        )
+
+    def test_sequential_buffered_parity(self, monkeypatch):
+        """Stage-2 zero-cost re-announcements must reuse the slot kernel
         (positions unchanged) while taking costs from the re-priced list."""
-        scenario = build_rwm_scenario(self.SEED, n_sensors=50, n_slots=10)
-        ozone = build_ozone_dataset(self.SEED)
-        summaries = []
-        for mode in (None, True):
-            point_wl = PointQueryWorkload(
-                scenario.working_region, n_queries=20, budget=15.0, dmax=scenario.dmax
+        assert_summaries_identical(
+            *self._on_both_kernels(
+                monkeypatch,
+                lambda: self._mix(
+                    sequential=True,
+                    stage1_allocator=GreedyAllocator(),
+                    stage2_allocator=GreedyAllocator(),
+                ),
             )
-            agg_wl = AggregateQueryWorkload(
-                scenario.working_region, budget_factor=15.0, mean_queries=3,
-                count_spread=1, sensing_range=scenario.dmax,
-            )
-            lm_wl = LocationMonitoringWorkload(
-                scenario.working_region, ozone.values, ozone.model(),
-                budget_factor=15.0, max_live=5, arrivals_per_slot=2,
-                duration_range=(2, 4), dmax=scenario.dmax,
-            )
-            engine = mix_engine(
-                scenario.make_fleet(), point_wl, agg_wl, lm_wl,
-                np.random.default_rng(self.SEED),
-                sequential=True,
-                stage1_allocator=GreedyAllocator(),
-                stage2_allocator=GreedyAllocator(),
-                sharding=mode,
-            )
-            summaries.append(engine.run(self.N_SLOTS))
-        assert_summaries_identical(summaries[0], summaries[1])
+        )
 
-    def test_baseline_allocator_end_to_end(self):
+    def test_baseline_allocator_end_to_end(self, monkeypatch):
         scenario = build_rwm_scenario(self.SEED, n_sensors=60, n_slots=10)
-        summaries = []
-        for mode in (None, 2.0):
+
+        def run():
             workload = PointQueryWorkload(
                 scenario.working_region, n_queries=30, budget=15.0, dmax=scenario.dmax
             )
             engine = one_shot_engine(
                 scenario.make_fleet(), workload, BaselineAllocator(),
-                np.random.default_rng(self.SEED), sharding=mode,
+                np.random.default_rng(self.SEED),
             )
-            summaries.append(engine.run(self.N_SLOTS))
-        assert_summaries_identical(summaries[0], summaries[1])
+            return engine.run(self.N_SLOTS)
 
-    def test_scenario_spec_sharding_knob(self):
-        base = ScenarioSpec(
+        assert_summaries_identical(*self._on_both_kernels(monkeypatch, run))
+
+    def test_scenario_spec_runs_on_dense_oracle(self, monkeypatch):
+        spec = ScenarioSpec(
             name="parity",
             dataset="rwm",
             seed=77,
@@ -525,17 +537,4 @@ class TestEndToEndFigureFamilies:
                 StreamSpec("event", params={"threshold": 45.0, "arrivals_per_slot": 1}),
             ),
         )
-        import dataclasses
-
-        sharded = dataclasses.replace(base, sharding=True)
-        assert sharded.to_dict()["sharding"] is True
-        assert ScenarioSpec.from_dict(sharded.to_dict()) == sharded
-        # "auto" is the same spelling the engine and CLI accept.
-        auto = dataclasses.replace(base, sharding="auto")
-        assert ScenarioSpec.from_dict(auto.to_dict()) == auto
-        with pytest.raises(ValueError, match="sharding"):
-            dataclasses.replace(base, sharding="fast")
-        with pytest.raises(ValueError, match="sharding"):
-            dataclasses.replace(base, sharding=-1.0)
-        assert_summaries_identical(base.run(), sharded.run())
-        assert_summaries_identical(base.run(), auto.run())
+        assert_summaries_identical(*self._on_both_kernels(monkeypatch, spec.run))
