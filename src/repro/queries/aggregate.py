@@ -18,9 +18,13 @@ that reduction with a corridor coverage function.
 Gain evaluation is layered: :class:`_CoverageState` answers scalar
 ``gain``; :class:`_CoverageBatch` vectorizes ``gain_many`` against a
 (lazily built) dense coverage-mask matrix; and :class:`_CoverageBlock`
-fuses a whole slot's same-type batches into one evaluator indexing the
+fuses a whole slot's same-type batches into one evaluator built from the
 shared :class:`~repro.spatial.raster.WorldRaster` covered-cell CSR rows —
-no per-query mask matrices at all.  All three produce bit-identical gains
+no per-query mask matrices at all.  Unlike the other two layers the block
+holds state of its own: per (member, sensor) counts of still-uncovered
+cells, which it brings up to date by diffing each member's live coverage
+mask against its own copy.  The counts are exact integers and masks only
+grow, so the sync cannot drift.  All three produce bit-identical gains
 (the batch/block layers reuse the scalar layer's arithmetic sequence).
 """
 
@@ -42,6 +46,7 @@ from ..spatial import (
     as_xy,
 )
 from ..spatial.coverage import masks_for_xy
+from ..spatial.geometry import require_positive
 from .base import (
     BatchGainState,
     GainBlock,
@@ -163,59 +168,93 @@ class _CoverageBatch(BatchGainState):
 
 
 class _CoverageBlock(GainBlock):
-    """Fused eq.-(5) gains for a slot's aggregate queries over shared CSR rows.
+    """Fused eq.-(5) gains for a slot's aggregate queries, from live counts.
 
-    All members' covered-cell rows live in one concatenated cell index
-    space (per-member offsets).  A round's pairs gather their covered
-    cells in one flattened pass, count the *uncovered* ones against a
-    per-member uncovered-cell vector refreshed from the live states
-    (``np.bincount`` with 0/1 float weights — exact integer sums), and
-    finish with the exact per-pair eq.-(5) operation order of
+    The block keeps, per member ``p`` and roster column ``j``, the exact
+    integer ``uncovered[p, j] = |row(j) \\ mask_p|``: how many of sensor
+    ``j``'s covered cells the member's state has not covered yet.  It starts
+    at the raster's CSR row lengths and is kept current by diff: each call
+    first compares every touched member's live ``state._mask`` against the
+    block's own copy of it and, for each newly covered cell, decrements the
+    columns covering that cell through a per-member cell → column transpose
+    of the same CSR rows.  A commit only ever sets mask bits, so after the
+    sync every count equals what re-gathering the row against the live mask
+    would give, whatever commits (and how many) happened since the last
+    call — including before the first one.  A pair's gain then reads one
+    count and finishes with the exact per-pair eq.-(5) operation order of
     :meth:`_CoverageBatch.gain_many`, so fused gains are bit-identical to
     the per-member path.  Callers must pass *relevant* pairs only (the
     greedy allocator's dirty pairs are relevance-filtered by construction);
     the base :class:`GainBlock` remains the evaluator for arbitrary pairs.
+
+    :attr:`cells_read` counts the transpose entries visited while
+    decrementing — the block's covered-cell reads, a deterministic work
+    counter.
     """
 
     def __init__(self, members) -> None:
         super().__init__(members)
         m = len(self.members)
         n = self.members[0].roster.n_sensors if self.members else 0
-        cell_counts = np.fromiter(
-            (b.state.query.coverage.cell_count for b in self.members), np.int64, m
+        self._n_cells = np.fromiter(
+            (b.state.query.coverage.cell_count for b in self.members), float, m
         )
-        self._n_cells = cell_counts.astype(float)
-        self._cell_off = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(cell_counts, out=self._cell_off[1:])
-        self._uncovered = np.zeros(int(self._cell_off[-1]), dtype=float)
         self._budgets = np.fromiter(
             (b.state.query.budget for b in self.members), float, m
         )
         self._qualities = np.empty((m, n), dtype=float)
-        # Per-(member, roster column) slice into the concatenated cell ids.
-        self._start = np.zeros((m, n), dtype=np.int64)
-        self._len = np.zeros((m, n), dtype=np.int64)
-        chunks = []
-        base = 0
+        self._uncovered = np.zeros((m, n), dtype=np.int32)
+        # Covered-cell count and mask of each member as of its last sync.
+        self._covered = np.zeros(m, dtype=float)
+        self._seen: list[np.ndarray] = []
+        # Per-member transpose: the roster columns covering cell ``c`` are
+        # ``_cell_cols[p][_cell_ptr[p][c]:_cell_ptr[p][c + 1]]``.
+        self._cell_ptr: list[np.ndarray] = []
+        self._cell_cols: list[np.ndarray] = []
+        self.cells_read = 0
         for p, member in enumerate(self.members):
             self._qualities[p] = member._quality
             indptr, cells = member._coverage_rows()
             rel_idx = member._rel_idx
-            if rel_idx.size:
-                self._start[p, rel_idx] = indptr[:-1] + base
-                self._len[p, rel_idx] = np.diff(indptr)
-            chunks.append(cells + self._cell_off[p])
-            base += len(cells)
-        self._cells = (
-            np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+            lens = np.diff(indptr)
+            self._uncovered[p, rel_idx] = lens
+            n_cells = int(self._n_cells[p])
+            # A stable sort of 16-bit keys is numpy's radix sort.
+            keys = cells.astype(np.uint16) if n_cells <= 1 << 16 else cells
+            order = np.argsort(keys, kind="stable")
+            self._cell_cols.append(np.repeat(rel_idx, lens)[order])
+            ptr = np.zeros(n_cells + 1, dtype=np.int64)
+            np.cumsum(np.bincount(cells, minlength=n_cells), out=ptr[1:])
+            self._cell_ptr.append(ptr)
+            self._seen.append(np.zeros(n_cells, dtype=bool))
+
+    def _sync(self, p: int, mask: np.ndarray) -> None:
+        """Bring member ``p``'s uncovered counts up to its live ``mask``."""
+        seen = self._seen[p]
+        fresh = np.flatnonzero(mask & ~seen)
+        if fresh.size == 0:
+            return
+        seen[fresh] = True
+        self._covered[p] += fresh.size
+        ptr = self._cell_ptr[p]
+        starts = ptr[fresh]
+        lens = ptr[fresh + 1] - starts
+        total = int(lens.sum())
+        if total == 0:
+            return
+        prev = np.zeros(len(fresh), dtype=np.int64)
+        np.cumsum(lens[:-1], out=prev[1:])
+        entries = np.repeat(starts - prev, lens) + np.arange(total)
+        self._uncovered[p] -= np.bincount(
+            self._cell_cols[p][entries], minlength=self._uncovered.shape[1]
         )
+        self.cells_read += total
 
     def gain_many_block(
         self, member_idx: np.ndarray, indices: np.ndarray
     ) -> np.ndarray:
         members = self.members
         n_members = len(members)
-        base_covered = np.zeros(n_members, dtype=float)
         quality_sums = np.zeros(n_members, dtype=float)
         counts_sel = np.ones(n_members, dtype=float)
         values = np.zeros(n_members, dtype=float)
@@ -223,25 +262,11 @@ class _CoverageBlock(GainBlock):
         # touched member.
         for u in member_idx[member_runs(member_idx)[:-1]]:
             state = members[u].state
-            self._uncovered[self._cell_off[u] : self._cell_off[u + 1]] = ~state._mask
-            base_covered[u] = state._mask.sum()
+            self._sync(u, state._mask)
             quality_sums[u] = state._quality_sum
             counts_sel[u] = len(state.selected) + 1
             values[u] = state.value
-        starts = self._start[member_idx, indices]
-        lens = self._len[member_idx, indices]
-        total = int(lens.sum())
-        if total:
-            prev = np.zeros(len(member_idx), dtype=np.int64)
-            np.cumsum(lens[:-1], out=prev[1:])
-            ids = self._cells[np.repeat(starts - prev, lens) + np.arange(total)]
-            pair_of = np.repeat(np.arange(len(member_idx)), lens)
-            new_covered = np.bincount(
-                pair_of, weights=self._uncovered[ids], minlength=len(member_idx)
-            )
-        else:
-            new_covered = np.zeros(len(member_idx), dtype=float)
-        counts = base_covered[member_idx] + new_covered
+        counts = self._covered[member_idx] + self._uncovered[member_idx, indices]
         n_cells = self._n_cells[member_idx]
         empty = n_cells == 0.0
         coverage = counts / np.where(empty, 1.0, n_cells)
@@ -311,11 +336,13 @@ class SpatialAggregateQuery(Query):
         query_id: str | None = None,
         issued_at: int = 0,
     ) -> None:
+        # Geometry first: workloads derive the budget from
+        # ``sensing_range``, so a NaN range would otherwise be reported as
+        # a NaN budget.
+        require_positive("sensing_range", sensing_range)
+        if coverage_radius is not None:
+            require_positive("coverage_radius", coverage_radius)
         super().__init__(budget, query_id, issued_at)
-        if sensing_range <= 0:
-            raise ValueError("sensing_range must be positive")
-        if coverage_radius is not None and coverage_radius <= 0:
-            raise ValueError("coverage_radius must be positive")
         self.region = region
         self.sensing_range = sensing_range
         self.op = op

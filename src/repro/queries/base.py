@@ -287,7 +287,10 @@ class GainBlock:
     type in an allocator call; :meth:`gain_many_block` evaluates an entire
     round's dirty (member, sensor) pairs in one pass.  Like batch states,
     blocks re-read each member's *live* scalar state on every call, so no
-    synchronization hooks are needed after commits.
+    synchronization hooks are needed after commits.  A block may cache
+    derived state between calls (the aggregate block keeps uncovered-cell
+    counts), but only state it can bring up to date from the live members
+    at the start of each call.
 
     The base implementation loops ``gain_many`` over the per-member runs of
     the pair list — always correct for arbitrary subclasses, merely not

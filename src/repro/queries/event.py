@@ -28,6 +28,7 @@ import numpy as np
 
 from ..sensors import SensorSnapshot
 from ..spatial import Location
+from ..spatial.geometry import require_positive
 from .base import (
     BatchGainState,
     GainBlock,
@@ -181,6 +182,7 @@ class EventSlotQuery(Query):
         super().__init__(budget, new_query_id("ev"), issued_at)
         if not (0.0 < required_confidence <= 1.0):
             raise ValueError("required confidence must be in (0, 1]")
+        require_positive("dmax", dmax)
         self.location = location
         self.required_confidence = required_confidence
         self.theta_min = theta_min
@@ -242,6 +244,7 @@ class EventDetectionQuery(ContinuousQuery):
         super().__init__(budget, t1, t2, query_id)
         if not (0.0 < confidence <= 1.0):
             raise ValueError("confidence must be in (0, 1]")
+        require_positive("dmax", dmax)
         self.location = location
         self.threshold = threshold
         self.confidence = confidence

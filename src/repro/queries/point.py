@@ -18,12 +18,14 @@ its k best qualities scaled by the fill ratio.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from ..sensors import SensorSnapshot
 from ..spatial import Location, as_xy
+from ..spatial.geometry import require_positive
 from .base import (
     BatchGainState,
     GainBlock,
@@ -39,8 +41,7 @@ __all__ = ["reading_quality", "PointQuery", "MultiSensorPointQuery"]
 
 def reading_quality(snapshot: SensorSnapshot, location: Location, dmax: float) -> float:
     """Eq. (4): quality of a reading from ``snapshot`` for ``location``."""
-    if dmax <= 0:
-        raise ValueError("dmax must be positive")
+    require_positive("dmax", dmax)
     distance = snapshot.location.distance_to(location)
     if distance > dmax:
         return 0.0
@@ -298,8 +299,9 @@ class PointQuery(Query):
         super().__init__(budget, query_id, issued_at)
         if not (0.0 <= theta_min <= 1.0):
             raise ValueError("theta_min must be in [0, 1]")
-        if dmax <= 0:
-            raise ValueError("dmax must be positive")
+        require_positive("dmax", dmax)
+        if not (math.isfinite(location.x) and math.isfinite(location.y)):
+            raise ValueError(f"location must be finite, got ({location.x}, {location.y})")
         self.location = location
         self.theta_min = theta_min
         self.dmax = dmax
@@ -388,8 +390,7 @@ class MultiSensorPointQuery(Query):
             raise ValueError("n_readings must be >= 1")
         if not (0.0 <= theta_min <= 1.0):
             raise ValueError("theta_min must be in [0, 1]")
-        if dmax <= 0:
-            raise ValueError("dmax must be positive")
+        require_positive("dmax", dmax)
         self.location = location
         self.n_readings = n_readings
         self.theta_min = theta_min

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Location, as_xy
+from .geometry import Location, as_xy, require_positive
 from .region import Region
 from .trajectory import Trajectory
 
@@ -153,8 +153,7 @@ class AreaCoverage(CoverageFunction):
     _cells: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.sensing_range <= 0:
-            raise ValueError("sensing_range must be positive")
+        require_positive("sensing_range", self.sensing_range)
         self._cells = self.region.grid_xy(self.cell_size)
 
     @property
@@ -197,8 +196,7 @@ class WeightedCoverage(CoverageFunction):
     _weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.sensing_range <= 0:
-            raise ValueError("sensing_range must be positive")
+        require_positive("sensing_range", self.sensing_range)
         self._cells = self.region.grid_xy(self.cell_size)
         self._weights = np.asarray(
             [self.weight_fn(Location(x, y)) for x, y in self._cells.tolist()],
@@ -240,8 +238,7 @@ class TrajectoryCoverage(CoverageFunction):
     _cells: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.sensing_range <= 0:
-            raise ValueError("sensing_range must be positive")
+        require_positive("sensing_range", self.sensing_range)
         points = self.trajectory.sample_points(self.spacing)
         self._cells = np.asarray([(p.x, p.y) for p in points], dtype=float)
 

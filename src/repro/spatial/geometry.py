@@ -23,6 +23,7 @@ __all__ = [
     "pairwise_distances",
     "nearest",
     "centroid",
+    "require_positive",
 ]
 
 
@@ -45,6 +46,17 @@ def as_xy(points) -> np.ndarray:
             return points.astype(float)
         return points
     return np.asarray([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
+
+
+def require_positive(name: str, value: float) -> None:
+    """Refuse a length parameter that is not a finite positive number.
+
+    A bare ``value <= 0`` check lets NaN (every comparison is false) and
+    ``inf`` through, and both then fail far from the input with an error
+    that names some other quantity.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True, order=True)

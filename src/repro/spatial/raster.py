@@ -20,8 +20,9 @@ kernel, the announcement batch and the controllers already share) and
 caches
 
 * :meth:`coverage_rows` — per-sensor covered-cell rows in CSR form
-  (``indptr``/``cells``), the structure the fused aggregate gain blocks
-  (:class:`repro.queries.aggregate._CoverageBlock`) index into;
+  (``indptr``/``cells``), from which the fused aggregate gain blocks
+  (:class:`repro.queries.aggregate._CoverageBlock`) build their
+  uncovered-cell counts and cell → sensor transposes;
 * :meth:`exterior_distance_sq` / :meth:`contains_mask` — per-region
   containment passes, shared by aggregate ``relevant_mask`` screening and
   ``RegionMonitoringController.region_counts``.

@@ -10,6 +10,7 @@ Regions appear in three roles in the paper:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -30,6 +31,11 @@ class Region:
     y_max: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x_min, self.y_min, self.x_max, self.y_max))):
+            raise ValueError(
+                f"region bounds must be finite, got ({self.x_min},{self.y_min})-"
+                f"({self.x_max},{self.y_max})"
+            )
         if self.x_max < self.x_min or self.y_max < self.y_min:
             raise ValueError(
                 f"degenerate region: ({self.x_min},{self.y_min})-"
@@ -71,6 +77,9 @@ class Region:
         queries ("queried regions are generated randomly in the working
         region", Sections 4.4 and 4.6).
         """
+        for name, side in (("min_side", min_side), ("max_side", max_side)):
+            if side is not None and not math.isfinite(side):
+                raise ValueError(f"{name} must be finite, got {side}")
         max_w = outer.width if max_side is None else min(max_side, outer.width)
         max_h = outer.height if max_side is None else min(max_side, outer.height)
         if min_side > max_w or min_side > max_h:

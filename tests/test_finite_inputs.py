@@ -1,9 +1,11 @@
-"""Non-finite prices and budgets are rejected where they enter.
+"""Non-finite prices, budgets and query geometry are rejected where they enter.
 
 Every boundary check used to read ``x < 0``, which NaN and inf pass: a
 NaN-priced sensor was then selected ahead of a strictly better one and
-settled a ``nan`` payment.  Each entry point now refuses non-finite
-values at construction time, before any slot runs.
+settled a ``nan`` payment, and a NaN ``dmax`` or region bound failed deep
+in the slot with ``cannot convert float NaN to integer``.  Each entry point
+now refuses non-finite values at construction time with a one-line reason
+that names the field.
 """
 
 from __future__ import annotations
@@ -17,7 +19,16 @@ import pytest
 from helpers import make_snapshot
 from repro.cli import main
 from repro.datasets import ScenarioSpec
-from repro.queries import PointQuery, SpatialAggregateQuery
+from repro.queries import (
+    EventDetectionQuery,
+    EventSlotQuery,
+    LocationMonitoringQuery,
+    MultiSensorPointQuery,
+    PointQuery,
+    SpatialAggregateQuery,
+    TrajectoryQuery,
+)
+from repro.queries.point import reading_quality
 from repro.sensors import (
     FixedEnergyCost,
     LinearEnergyCost,
@@ -25,7 +36,14 @@ from repro.sensors import (
     SensorSnapshot,
 )
 from repro.sensors.state import FleetState
-from repro.spatial import Location, Region
+from repro.spatial import (
+    AreaCoverage,
+    Location,
+    Region,
+    Trajectory,
+    TrajectoryCoverage,
+    WeightedCoverage,
+)
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 IDS = ["nan", "inf", "-inf"]
@@ -119,3 +137,151 @@ def test_nan_priced_spec_is_rejected_before_any_slot(tmp_path, capsys):
     assert err.strip() == (
         "error running nan-price: base_price must be finite and non-negative"
     )
+
+
+# ----------------------------------------------------------------------
+# query geometry
+# ----------------------------------------------------------------------
+REGION = Region(0.0, 0.0, 10.0, 10.0)
+PATH = Trajectory((Location(1.0, 1.0), Location(8.0, 6.0)))
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=IDS)
+@pytest.mark.parametrize("corner", range(4))
+def test_region_rejects_non_finite_bounds(corner, value):
+    bounds = [0.0, 0.0, 5.0, 5.0]
+    bounds[corner] = value
+    with pytest.raises(ValueError, match="region bounds must be finite"):
+        Region(*bounds)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=IDS)
+def test_random_subregion_rejects_non_finite_sides(value):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="min_side must be finite"):
+        Region.random_subregion(REGION, rng, min_side=value)
+    with pytest.raises(ValueError, match="max_side must be finite"):
+        Region.random_subregion(REGION, rng, max_side=value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=IDS)
+def test_aggregate_query_rejects_non_finite_sensing_range(value):
+    with pytest.raises(ValueError, match="sensing_range must be finite and positive"):
+        SpatialAggregateQuery(REGION, budget=10.0, sensing_range=value)
+    # Workloads derive the budget from the range: the range is named, not
+    # the NaN budget it produced.
+    with pytest.raises(ValueError, match="sensing_range must be finite and positive"):
+        SpatialAggregateQuery(REGION, budget=math.nan, sensing_range=value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=IDS)
+def test_aggregate_query_rejects_non_finite_coverage_radius(value):
+    with pytest.raises(ValueError, match="coverage_radius must be finite and positive"):
+        SpatialAggregateQuery(REGION, budget=10.0, coverage_radius=value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=IDS)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda r: AreaCoverage(REGION, r),
+        lambda r: WeightedCoverage(REGION, r, weight_fn=lambda c: 1.0),
+        lambda r: TrajectoryCoverage(PATH, r),
+        lambda r: TrajectoryQuery(PATH, budget=10.0, sensing_range=r),
+    ],
+    ids=["area", "weighted", "trajectory", "trajectory-query"],
+)
+def test_coverage_rejects_non_finite_sensing_range(make, value):
+    with pytest.raises(ValueError, match="sensing_range must be finite and positive"):
+        make(value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=IDS)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda d: PointQuery(Location(1.0, 1.0), budget=10.0, dmax=d),
+        lambda d: MultiSensorPointQuery(
+            Location(1.0, 1.0), budget=10.0, n_readings=2, dmax=d
+        ),
+        lambda d: EventSlotQuery(
+            Location(1.0, 1.0), budget=10.0, required_confidence=0.9,
+            theta_min=0.1, dmax=d, parent_id="ev",
+        ),
+        lambda d: reading_quality(make_snapshot(0), Location(1.0, 1.0), d),
+        lambda d: EventDetectionQuery(
+            Location(1.0, 1.0), 0, 5, threshold=1.0, confidence=0.9,
+            budget=10.0, dmax=d,
+        ),
+        lambda d: LocationMonitoringQuery(
+            Location(1.0, 1.0), 0, 5, [1, 3], budget=10.0,
+            series=np.zeros(10), model=None, dmax=d,
+        ),
+    ],
+    ids=[
+        "point", "multi-point", "event-slot", "reading-quality",
+        "event-detection", "location-monitoring",
+    ],
+)
+def test_point_queries_reject_non_finite_dmax(make, value):
+    with pytest.raises(ValueError, match="dmax must be finite and positive"):
+        make(value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=IDS)
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_point_query_rejects_non_finite_location(axis, value):
+    xy = {"x": 1.0, "y": 1.0, axis: value}
+    with pytest.raises(ValueError, match="location must be finite"):
+        PointQuery(Location(xy["x"], xy["y"]), budget=10.0)
+
+
+# One spec per field a scenario spec can set; the PointQuery location, the
+# region bounds themselves and the coverage functions' ranges have no spec
+# field of their own (they come from the world region and ``min_side`` /
+# ``max_side`` / ``coverage_radius``), so the constructor tests above cover
+# them.
+GEOMETRY_SPECS = {
+    "nan-min-side": (
+        {"kind": "aggregate", "params": {"mean_queries": 3, "count_spread": 0, "min_side": math.nan}},
+        "min_side must be finite, got nan",
+    ),
+    "nan-max-side": (
+        {"kind": "aggregate", "params": {"mean_queries": 3, "count_spread": 0, "max_side": math.nan}},
+        "max_side must be finite, got nan",
+    ),
+    "nan-sensing-range": (
+        {"kind": "aggregate", "params": {"mean_queries": 3, "count_spread": 0, "sensing_range": math.nan}},
+        "sensing_range must be finite and positive, got nan",
+    ),
+    "nan-coverage-radius": (
+        {"kind": "aggregate", "params": {"mean_queries": 3, "count_spread": 0, "coverage_radius": math.nan}},
+        "coverage_radius must be finite and positive, got nan",
+    ),
+    "nan-point-dmax": (
+        {"kind": "point", "params": {"n_queries": 5, "dmax": math.nan}},
+        "dmax must be finite and positive, got nan",
+    ),
+    "nan-monitoring-dmax": (
+        {"kind": "location_monitoring", "params": {"dmax": math.nan}},
+        "dmax must be finite and positive, got nan",
+    ),
+    "nan-event-dmax": (
+        {"kind": "event", "params": {"dmax": math.nan}},
+        "dmax must be finite and positive, got nan",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRY_SPECS))
+def test_nan_geometry_spec_exits_with_one_line(name, tmp_path, capsys):
+    stream, reason = GEOMETRY_SPECS[name]
+    spec = {
+        "name": name, "dataset": "rwm", "seed": 3, "n_sensors": 40,
+        "n_slots": 1, "streams": [stream],
+    }
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(spec))
+    assert main(["scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error running {name}: {reason}\n"

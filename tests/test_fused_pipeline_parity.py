@@ -20,7 +20,11 @@ The contract under test (see ``repro.queries.base`` and
   in ``test_query_geometry_parity.py``;
 * ``GreedyAllocator._recompute_net``'s one-pass column cumsum matches the
   sequential Python ``sum`` reference bit-for-bit (zero rows are exact
-  no-ops because stored gains are never ``-0.0``).
+  no-ops because stored gains are never ``-0.0``);
+* the aggregate block's live uncovered-cell counts stay ``==`` to the
+  per-member ``_CoverageBatch.gain_many`` whatever commits happen between
+  its calls, and read far fewer covered cells than re-gathering every
+  evaluated pair's row would.
 """
 
 from __future__ import annotations
@@ -29,11 +33,15 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import gridded_kernel, make_snapshot
 from oracles import DenseKernel, PerRowGreedyAllocator
 from repro.core import GreedyAllocator, ValuationKernel
+from repro.core.engine import SimulationSummary
 from repro.core.monitoring import RegionMonitoringController
+from repro.datasets import ScenarioSpec
 from repro.queries import (
     AggregateQueryWorkload,
     BatchGainState,
@@ -48,7 +56,7 @@ from repro.queries import (
     gain_block_trusted,
     resolve_batch_state,
 )
-from repro.queries.aggregate import _CoverageBatch, _CoverageState
+from repro.queries.aggregate import _CoverageBatch, _CoverageBlock, _CoverageState
 from repro.sensors import AnnouncementBatch
 from repro.spatial import (
     AreaCoverage,
@@ -461,3 +469,143 @@ class TestRecomputeNet:
             gain_matrix, costs, np.arange(6), net
         )
         assert np.array_equal(net, -costs)
+
+
+# ----------------------------------------------------------------------
+# _CoverageBlock: live uncovered-cell counts vs per-member gains
+# ----------------------------------------------------------------------
+def coverage_block_slot(rng, n, side=30.0):
+    """Sensors and aggregate/trajectory queries covering the block's corner
+    cases: two members share one coverage object, one member has no
+    relevant columns, and a relevant sensor covers no cell (empty row)."""
+    world = Region.from_origin(side, side)
+    sub = Region.random_subregion(world, rng, min_side=4, max_side=14)
+    other = Region.random_subregion(world, rng, min_side=4, max_side=14)
+    radius = float(rng.uniform(1.0, 4.0))
+    reach = radius + float(rng.uniform(1.0, 4.0))
+    shared = AreaCoverage(sub, radius)
+    queries = [
+        SpatialAggregateQuery(sub, budget=30.0, sensing_range=reach, coverage=shared),
+        SpatialAggregateQuery(sub, budget=25.0, sensing_range=reach + 1.0, coverage=shared),
+        SpatialAggregateQuery(
+            other, budget=35.0, sensing_range=reach,
+            coverage=WeightedCoverage(other, radius, weight_fn=lambda c: 1.0 + c.x),
+        ),
+        TrajectoryQuery(
+            Trajectory.random(world, rng), budget=20.0,
+            sensing_range=float(rng.uniform(1.0, 4.0)),
+            spacing=float(rng.uniform(0.5, 2.0)),
+        ),
+        SpatialAggregateQuery(
+            Region(10 * side, 10 * side, 11 * side, 11 * side),
+            budget=10.0, sensing_range=2.0,
+        ),
+    ]
+    sensors = random_sensors(rng, n=n, side=side)
+    # Within the first query's reach of its region, but no cell centre lies
+    # within ``radius`` of it: a relevant column with an empty row.
+    mid_y = 0.5 * (sub.y_min + sub.y_max)
+    sensors.append(make_snapshot(n, x=sub.x_max + 0.5 * (radius + reach), y=mid_y))
+    return queries, sensors
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    on_kernel=st.booleans(),
+    before_first=st.integers(0, 3),
+    per_call=st.integers(1, 3),
+)
+def test_block_gains_equal_per_member_gains_after_every_commit(
+    seed, n, on_kernel, before_first, per_call
+):
+    rng = np.random.default_rng(seed)
+    queries, sensors = coverage_block_slot(rng, n)
+    if on_kernel:  # raster CSR rows; the plain roster takes the mask rows
+        roster = ValuationKernel.from_sensors(sensors).roster(
+            np.arange(len(sensors)), sensors
+        )
+    else:
+        roster = SensorRoster(sensors)
+    states = [q.new_state() for q in queries]
+    batches = [resolve_batch_state(state, roster) for state in states]
+    block = _CoverageBatch.block(batches)
+    assert type(block) is _CoverageBlock
+    relevant = [roster.relevance_row(q) for q in queries]
+    assert not relevant[-1].any()
+    assert relevant[0][-1]
+    alive = np.ones(len(sensors), dtype=bool)
+
+    def check():
+        cols = [np.flatnonzero(rel & alive) for rel in relevant]
+        member_idx = np.repeat(np.arange(len(cols)), [len(c) for c in cols])
+        got = block.gain_many_block(member_idx, np.concatenate(cols))
+        expected = np.concatenate(
+            [batch.gain_many(c) for batch, c in zip(batches, cols)]
+        )
+        assert np.array_equal(got, expected)
+
+    order = rng.permutation(len(sensors))
+    if before_first == 0:
+        check()
+    for step, j in enumerate(order):
+        # Commit to every member that finds the sensor relevant, plus
+        # (sometimes) one that does not: ``add`` still counts it.
+        for p, state in enumerate(states):
+            if relevant[p][j] or rng.random() < 0.2:
+                state.add(roster.snapshots[j])
+        alive[j] = False
+        done = step + 1
+        if done >= before_first and (done - before_first) % per_call == 0:
+            check()
+    check()
+
+
+def test_covered_cell_reads_are_a_fifth_of_the_regather(monkeypatch):
+    """On a region_agg-shaped slot the block's covered-cell reads (the
+    transpose entries it visits while syncing) are at most a fifth of the
+    covered cells of every evaluated pair's row, which is what re-gathering
+    the rows on each call reads."""
+    spec = ScenarioSpec.from_dict({
+        "name": "region-agg-shaped",
+        "dataset": "rwm",
+        "seed": 23,
+        "n_sensors": 10000,
+        "n_slots": 1,
+        "allocator": "greedy",
+        "allocation": "joint",
+        "streams": [
+            {"kind": "aggregate", "params": {
+                "budget_factor": 2.5, "mean_queries": 24, "count_spread": 0,
+                "sensing_range": 10.0, "min_side": 8.0, "max_side": 16.0,
+                "coverage_radius": 5.0,
+            }},
+        ],
+    })
+    blocks = []
+    init = _CoverageBlock.__init__
+    gain_many_block = _CoverageBlock.gain_many_block
+
+    def traced_init(self, members):
+        init(self, members)
+        row_len = np.zeros((len(members), members[0].roster.n_sensors), np.int64)
+        for p, member in enumerate(members):
+            indptr, _ = member._coverage_rows()
+            row_len[p, member._rel_idx] = np.diff(indptr)
+        self.regathered = 0
+        self.row_len = row_len
+        blocks.append(self)
+
+    def traced_gain_many_block(self, member_idx, indices):
+        self.regathered += int(self.row_len[member_idx, indices].sum())
+        return gain_many_block(self, member_idx, indices)
+
+    monkeypatch.setattr(_CoverageBlock, "__init__", traced_init)
+    monkeypatch.setattr(_CoverageBlock, "gain_many_block", traced_gain_many_block)
+    engine = spec.build()
+    engine.step(SimulationSummary())
+    assert len(blocks) == 1 and len(blocks[0].members) == 24
+    block = blocks[0]
+    assert block.cells_read > 0
+    assert 5 * block.cells_read <= block.regathered
