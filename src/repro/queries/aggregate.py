@@ -219,8 +219,10 @@ class _CoverageBlock(GainBlock):
             lens = np.diff(indptr)
             self._uncovered[p, rel_idx] = lens
             n_cells = int(self._n_cells[p])
-            # A stable sort of 16-bit keys is numpy's radix sort.
-            keys = cells.astype(np.uint16) if n_cells <= 1 << 16 else cells
+            # Cell ids cast to the narrowest unsigned type that holds them:
+            # numpy stable-sorts 8- and 16-bit keys by radix sort, ~5x the
+            # int64 sort on region_agg's rows.
+            keys = cells.astype(np.min_scalar_type(max(n_cells - 1, 0)))
             order = np.argsort(keys, kind="stable")
             self._cell_cols.append(np.repeat(rel_idx, lens)[order])
             ptr = np.zeros(n_cells + 1, dtype=np.int64)

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..sensors import SensorSnapshot
 from ..spatial import Location
-from ..spatial.geometry import require_positive
+from ..spatial.geometry import require_finite_location, require_positive
 from .base import (
     BatchGainState,
     GainBlock,
@@ -183,6 +183,7 @@ class EventSlotQuery(Query):
         if not (0.0 < required_confidence <= 1.0):
             raise ValueError("required confidence must be in (0, 1]")
         require_positive("dmax", dmax)
+        require_finite_location("location", location)
         self.location = location
         self.required_confidence = required_confidence
         self.theta_min = theta_min
@@ -245,6 +246,7 @@ class EventDetectionQuery(ContinuousQuery):
         if not (0.0 < confidence <= 1.0):
             raise ValueError("confidence must be in (0, 1]")
         require_positive("dmax", dmax)
+        require_finite_location("location", location)
         self.location = location
         self.threshold = threshold
         self.confidence = confidence

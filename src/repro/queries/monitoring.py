@@ -30,7 +30,7 @@ from ..phenomena import (
 from ..phenomena.sampling_times import window_series
 from ..sensors import SensorSnapshot
 from ..spatial import Location, Region, as_xy
-from ..spatial.geometry import require_positive
+from ..spatial.geometry import require_finite_location, require_positive
 from .aggregate import sensor_quality
 from .base import new_query_id
 from .point import _quality_gated_mask
@@ -104,6 +104,7 @@ class LocationMonitoringQuery(ContinuousQuery):
         if any(not (t1 <= t <= t2) for t in times):
             raise ValueError("desired sampling times must lie in [t1, t2]")
         require_positive("dmax", dmax)
+        require_finite_location("location", location)
         self.location = location
         self.desired_times = times
         self.series = np.asarray(series, dtype=float)

@@ -18,14 +18,13 @@ its k best qualities scaled by the fill ratio.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from ..sensors import SensorSnapshot
 from ..spatial import Location, as_xy
-from ..spatial.geometry import require_positive
+from ..spatial.geometry import require_finite_location, require_positive
 from .base import (
     BatchGainState,
     GainBlock,
@@ -300,8 +299,7 @@ class PointQuery(Query):
         if not (0.0 <= theta_min <= 1.0):
             raise ValueError("theta_min must be in [0, 1]")
         require_positive("dmax", dmax)
-        if not (math.isfinite(location.x) and math.isfinite(location.y)):
-            raise ValueError(f"location must be finite, got ({location.x}, {location.y})")
+        require_finite_location("location", location)
         self.location = location
         self.theta_min = theta_min
         self.dmax = dmax
@@ -391,6 +389,7 @@ class MultiSensorPointQuery(Query):
         if not (0.0 <= theta_min <= 1.0):
             raise ValueError("theta_min must be in [0, 1]")
         require_positive("dmax", dmax)
+        require_finite_location("location", location)
         self.location = location
         self.n_readings = n_readings
         self.theta_min = theta_min

@@ -24,6 +24,7 @@ __all__ = [
     "nearest",
     "centroid",
     "require_positive",
+    "require_finite_location",
 ]
 
 
@@ -57,6 +58,12 @@ def require_positive(name: str, value: float) -> None:
     """
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def require_finite_location(name: str, location: Location) -> None:
+    """Refuse a location with a NaN or infinite coordinate."""
+    if not (math.isfinite(location.x) and math.isfinite(location.y)):
+        raise ValueError(f"{name} must be finite, got ({location.x}, {location.y})")
 
 
 @dataclass(frozen=True, order=True)

@@ -77,9 +77,12 @@ class Region:
         queries ("queried regions are generated randomly in the working
         region", Sections 4.4 and 4.6).
         """
-        for name, side in (("min_side", min_side), ("max_side", max_side)):
-            if side is not None and not math.isfinite(side):
-                raise ValueError(f"{name} must be finite, got {side}")
+        if not math.isfinite(min_side):
+            raise ValueError(f"min_side must be finite, got {min_side}")
+        # An infinite max_side caps nothing, like None; NaN would slip past
+        # the extent check below.
+        if max_side is not None and math.isnan(max_side):
+            raise ValueError(f"max_side must not be NaN, got {max_side}")
         max_w = outer.width if max_side is None else min(max_side, outer.width)
         max_h = outer.height if max_side is None else min(max_side, outer.height)
         if min_side > max_w or min_side > max_h:

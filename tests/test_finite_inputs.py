@@ -156,12 +156,25 @@ def test_region_rejects_non_finite_bounds(corner, value):
 
 
 @pytest.mark.parametrize("value", NON_FINITE, ids=IDS)
-def test_random_subregion_rejects_non_finite_sides(value):
+def test_random_subregion_rejects_non_finite_min_side(value):
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="min_side must be finite"):
         Region.random_subregion(REGION, rng, min_side=value)
-    with pytest.raises(ValueError, match="max_side must be finite"):
-        Region.random_subregion(REGION, rng, max_side=value)
+
+
+def test_random_subregion_rejects_nan_max_side():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="max_side must not be NaN"):
+        Region.random_subregion(REGION, rng, max_side=math.nan)
+
+
+def test_random_subregion_infinite_max_side_caps_nothing():
+    """``max_side=inf`` means no cap, the same draws as ``None``."""
+    uncapped = Region.random_subregion(REGION, np.random.default_rng(4), max_side=math.inf)
+    default = Region.random_subregion(REGION, np.random.default_rng(4))
+    assert uncapped == default
+    with pytest.raises(ValueError, match="min_side exceeds"):
+        Region.random_subregion(REGION, np.random.default_rng(4), max_side=-math.inf)
 
 
 @pytest.mark.parametrize("value", NON_FINITE, ids=IDS)
@@ -230,13 +243,31 @@ def test_point_queries_reject_non_finite_dmax(make, value):
 
 @pytest.mark.parametrize("value", NON_FINITE, ids=IDS)
 @pytest.mark.parametrize("axis", ["x", "y"])
-def test_point_query_rejects_non_finite_location(axis, value):
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda loc: PointQuery(loc, budget=10.0),
+        lambda loc: MultiSensorPointQuery(loc, budget=10.0, n_readings=2),
+        lambda loc: EventSlotQuery(
+            loc, budget=10.0, required_confidence=0.9, theta_min=0.1, dmax=4.0,
+            parent_id="ev",
+        ),
+        lambda loc: EventDetectionQuery(
+            loc, 0, 5, threshold=1.0, confidence=0.9, budget=10.0
+        ),
+        lambda loc: LocationMonitoringQuery(
+            loc, 0, 5, [1, 3], budget=10.0, series=np.zeros(10), model=None,
+        ),
+    ],
+    ids=["point", "multi-point", "event-slot", "event-detection", "location-monitoring"],
+)
+def test_location_queries_reject_non_finite_location(make, axis, value):
     xy = {"x": 1.0, "y": 1.0, axis: value}
     with pytest.raises(ValueError, match="location must be finite"):
-        PointQuery(Location(xy["x"], xy["y"]), budget=10.0)
+        make(Location(xy["x"], xy["y"]))
 
 
-# One spec per field a scenario spec can set; the PointQuery location, the
+# One spec per field a scenario spec can set; the query locations, the
 # region bounds themselves and the coverage functions' ranges have no spec
 # field of their own (they come from the world region and ``min_side`` /
 # ``max_side`` / ``coverage_radius``), so the constructor tests above cover
@@ -248,7 +279,7 @@ GEOMETRY_SPECS = {
     ),
     "nan-max-side": (
         {"kind": "aggregate", "params": {"mean_queries": 3, "count_spread": 0, "max_side": math.nan}},
-        "max_side must be finite, got nan",
+        "max_side must not be NaN, got nan",
     ),
     "nan-sensing-range": (
         {"kind": "aggregate", "params": {"mean_queries": 3, "count_spread": 0, "sensing_range": math.nan}},

@@ -509,33 +509,26 @@ def coverage_block_slot(rng, n, side=30.0):
     return queries, sensors
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 40),
-    on_kernel=st.booleans(),
-    before_first=st.integers(0, 3),
-    per_call=st.integers(1, 3),
-)
-def test_block_gains_equal_per_member_gains_after_every_commit(
-    seed, n, on_kernel, before_first, per_call
-):
-    rng = np.random.default_rng(seed)
-    queries, sensors = coverage_block_slot(rng, n)
-    if on_kernel:  # raster CSR rows; the plain roster takes the mask rows
-        roster = ValuationKernel.from_sensors(sensors).roster(
+def kernel_or_plain_roster(sensors, on_kernel):
+    """Raster CSR rows on a kernel roster; mask rows on a plain one."""
+    if on_kernel:
+        return ValuationKernel.from_sensors(sensors).roster(
             np.arange(len(sensors)), sensors
         )
-    else:
-        roster = SensorRoster(sensors)
+    return SensorRoster(sensors)
+
+
+def assert_block_tracks_commits(rng, queries, roster, before_first, per_call):
+    """Commit the roster's sensors in a random order and check, every
+    ``per_call`` commits after the first ``before_first``, that the fused
+    block's gains over all live relevant pairs are ``==`` the per-member
+    ``gain_many``.  Returns the relevance rows."""
     states = [q.new_state() for q in queries]
     batches = [resolve_batch_state(state, roster) for state in states]
     block = _CoverageBatch.block(batches)
     assert type(block) is _CoverageBlock
     relevant = [roster.relevance_row(q) for q in queries]
-    assert not relevant[-1].any()
-    assert relevant[0][-1]
-    alive = np.ones(len(sensors), dtype=bool)
+    alive = np.ones(roster.n_sensors, dtype=bool)
 
     def check():
         cols = [np.flatnonzero(rel & alive) for rel in relevant]
@@ -546,7 +539,7 @@ def test_block_gains_equal_per_member_gains_after_every_commit(
         )
         assert np.array_equal(got, expected)
 
-    order = rng.permutation(len(sensors))
+    order = rng.permutation(roster.n_sensors)
     if before_first == 0:
         check()
     for step, j in enumerate(order):
@@ -560,6 +553,53 @@ def test_block_gains_equal_per_member_gains_after_every_commit(
         if done >= before_first and (done - before_first) % per_call == 0:
             check()
     check()
+    return relevant
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    on_kernel=st.booleans(),
+    before_first=st.integers(0, 3),
+    per_call=st.integers(1, 3),
+)
+def test_block_gains_equal_per_member_gains_after_every_commit(
+    seed, n, on_kernel, before_first, per_call
+):
+    rng = np.random.default_rng(seed)
+    queries, sensors = coverage_block_slot(rng, n)
+    roster = kernel_or_plain_roster(sensors, on_kernel)
+    relevant = assert_block_tracks_commits(rng, queries, roster, before_first, per_call)
+    assert not relevant[-1].any()
+    assert relevant[0][-1]
+
+
+@pytest.mark.parametrize("on_kernel", [True, False])
+def test_block_tracks_commits_past_16_bit_cell_ids(on_kernel):
+    """A region with more than 2**16 cells sorts its transpose on wider
+    keys; gains stay ``==`` to the per-member path there too."""
+    rng = np.random.default_rng(11)
+    region = Region.from_origin(300.0, 300.0)
+    assert AreaCoverage(region, 3.0).cell_count > 1 << 16
+    queries = [
+        SpatialAggregateQuery(region, budget=40.0, sensing_range=3.0),
+        SpatialAggregateQuery(
+            region, budget=30.0, sensing_range=4.0,
+            coverage=AreaCoverage(region, 4.0),
+        ),
+    ]
+    # Clustered so that rows overlap and their cell ids straddle 2**16
+    # (row 218 of the 300-cell-wide grid).
+    sensors = random_sensors(rng, n=30, side=20.0)
+    sensors = [
+        make_snapshot(
+            s.sensor_id, x=208.0 + s.location.x, y=208.0 + s.location.y, cost=s.cost
+        )
+        for s in sensors
+    ]
+    roster = kernel_or_plain_roster(sensors, on_kernel)
+    assert_block_tracks_commits(rng, queries, roster, before_first=2, per_call=2)
 
 
 def test_covered_cell_reads_are_a_fifth_of_the_regather(monkeypatch):
