@@ -567,7 +567,7 @@ def test_incremental_warm_slot_speedup():
 
     def incremental_slot(kernel):
         batch, delta = fleet_inc.announcements_with_delta()
-        kernel = ValuationKernel.ensure_delta(kernel, batch, delta)
+        kernel = ValuationKernel.ensure(kernel, batch, delta)
         touch(kernel)
         return kernel
 

@@ -7,7 +7,6 @@ Usage::
     python -m repro scenario --example > myspec.json
     python -m repro scenario myspec.json --slots 20
     python -m repro scenario myspec.json --json > summary.json
-    python -m repro replay myspec.json --csv replay.csv
     python -m repro serve --spec myspec.json --slots 20 --exit-after
     python -m repro loadgen myspec.json --slots 20 --check-parity
     python -m repro lint --format=json
@@ -63,10 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print a ready-to-run sample spec and exit")
     scenario.add_argument("--slots", type=int, default=None,
                           help="override the spec's n_slots")
-    scenario.add_argument("--incremental", default=None, metavar="MODE",
-                          help="override the spec's incremental slot state: "
-                               "'off' or 'auto' (allocations are "
-                               "bit-identical either way)")
     scenario.add_argument("--profile", action="store_true",
                           help="print a per-slot phase-timing breakdown "
                                "(announce / kernel / allocate / settle)")
@@ -77,20 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "single spec, an array for several")
     scenario.add_argument("--out", default=None,
                           help="write per-spec summary JSON files here")
-
-    replay = sub.add_parser(
-        "replay",
-        help="replay a spec against full-rebuild vs incremental engines "
-             "and assert bit-identical allocations",
-    )
-    replay.add_argument("spec", nargs="+",
-                        help="path(s) to ScenarioSpec JSON files")
-    replay.add_argument("--slots", type=int, default=None,
-                        help="override the spec's n_slots")
-    replay.add_argument("--csv", default=None, metavar="PATH",
-                        help="write the per-slot latency/churn/parity CSV "
-                             "here (per spec; multiple specs get a "
-                             "-<name> suffix)")
 
     serve = sub.add_parser(
         "serve",
@@ -228,26 +209,6 @@ def _run_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_incremental(value: str | None):
-    """CLI incremental override: 'off' -> full per-slot rebuilds,
-    'on'/'auto' -> differential slot state.  The resulting value goes
-    through the shared ``normalize_incremental`` validation."""
-    if value is None:
-        return None
-    from .core.engine import normalize_incremental
-
-    lowered = value.lower()
-    try:
-        if lowered in ("off", "none", "false"):
-            return normalize_incremental(False)
-        if lowered in ("on", "true", "auto"):
-            return normalize_incremental("auto")
-        raise ValueError(value)
-    except ValueError:
-        print(f"invalid --incremental value {value!r}", file=sys.stderr)
-        raise SystemExit(2) from None
-
-
 def _run_scenario(args: argparse.Namespace) -> int:
     from .datasets import ScenarioSpec
 
@@ -264,13 +225,10 @@ def _run_scenario(args: argparse.Namespace) -> int:
 
     from .service.metrics import summary_payload
 
-    incremental_override = _parse_incremental(args.incremental)
     json_payloads: list[dict] = []
     for path in args.spec:
         try:
             spec = ScenarioSpec.from_json(path)
-            if args.incremental is not None:
-                spec = dataclasses.replace(spec, incremental=incremental_override)
         except (OSError, ValueError, TypeError) as exc:
             print(f"error loading {path}: {exc}", file=sys.stderr)
             return 2
@@ -320,41 +278,6 @@ def _run_scenario(args: argparse.Namespace) -> int:
     if args.json:
         out = json_payloads[0] if len(json_payloads) == 1 else json_payloads
         print(json.dumps(out, indent=2))
-    return 0
-
-
-def _run_replay(args: argparse.Namespace) -> int:
-    from .core import ReproError
-    from .datasets import ScenarioSpec
-    from .experiments import replay_spec
-
-    broken = 0
-    for path in args.spec:
-        try:
-            spec = ScenarioSpec.from_json(path)
-        except (OSError, ValueError, TypeError) as exc:
-            print(f"error loading {path}: {exc}", file=sys.stderr)
-            return 2
-        try:
-            report = replay_spec(spec, args.slots)
-        except (ValueError, TypeError, ReproError) as exc:
-            print(f"error replaying {spec.name}: {exc}", file=sys.stderr)
-            return 2
-        print(report.format())
-        if args.csv:
-            target = Path(args.csv)
-            if len(args.spec) > 1:
-                target = target.with_name(
-                    f"{target.stem}-{spec.name}{target.suffix or '.csv'}"
-                )
-            target.parent.mkdir(parents=True, exist_ok=True)
-            report.write_csv(target)
-            print(f"  wrote {target}")
-        if not report.parity:
-            broken += 1
-    if broken:
-        print(f"{broken} spec(s) broke allocation parity", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -624,8 +547,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "figures":
         return _run_figures(args)
-    if args.command == "replay":
-        return _run_replay(args)
     if args.command == "scenario":
         return _run_scenario(args)
     if args.command == "serve":

@@ -13,7 +13,6 @@ from .engine import (
     RegionMonitoringStream,
     SequentialBufferedAllocation,
     SlotEngine,
-    normalize_incremental,
     event_detection_engine,
     location_monitoring_engine,
     mix_engine,
@@ -65,7 +64,6 @@ __all__ = [
     "BaselineAllocator",
     "PointProblem",
     "ValuationKernel",
-    "normalize_incremental",
     "resolve_cell_size",
     "delta_old_to_new",
     "SlotEngine",

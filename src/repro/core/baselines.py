@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from ..queries import PointQuery, Query
-from ..queries.base import resolve_relevant_mask
+from ..queries.base import resolve_batch_state, resolve_relevant_mask
 from ..sensors import SensorSnapshot
 from ..sensors.state import as_announcement_sequence
 from .allocation import AllocationResult, check_distinct
@@ -132,7 +132,7 @@ class BaselineAllocator:
             else:
                 # The roster holds exactly this query's relevant sensors.
                 roster.relevance_rows[query.query_id] = np.ones(n_cand, dtype=bool)
-            batch = state.batch(roster)
+            batch = resolve_batch_state(state, roster)
             local_indices = roster.all_indices
             cand_costs = announced_costs[candidate_idx]
             chosen = np.zeros(n_cand, dtype=bool)

@@ -71,7 +71,6 @@ __all__ = [
     "JointSlotAllocation",
     "SequentialBufferedAllocation",
     "SlotEngine",
-    "normalize_incremental",
     "quality_of",
     "call_allocator",
     "one_shot_engine",
@@ -84,25 +83,8 @@ __all__ = [
 #: Retirement timestamp that expires every continuous query (end-of-run flush).
 FLUSH_SLOT = 10**9
 
-#: The engine's per-slot phase labels, in protocol order (profiling/replay).
+#: The engine's per-slot phase labels, in protocol order (profiling).
 PHASES = ("announce", "kernel", "allocate", "settle")
-
-
-def normalize_incremental(setting) -> "bool | str":
-    """Canonicalize an incremental-slot-state knob value.
-
-    ``None``/``False`` → ``False`` (full per-slot rebuilds, the historical
-    behavior); ``True``/``"auto"`` → ``"auto"`` (differential announce +
-    kernel/raster/index patching, bit-identical allocations).  Anything
-    else raises ``ValueError`` — the engine,
-    :class:`~repro.datasets.ScenarioSpec` and the CLI all validate through
-    here.
-    """
-    if setting is None or setting is False:
-        return False
-    if setting is True or setting == "auto":
-        return "auto"
-    raise ValueError(f"unknown incremental setting {setting!r}")
 
 
 def quality_of(query: Query, value: float) -> float:
@@ -624,15 +606,15 @@ class SlotEngine:
         verify_each_slot: run the settlement invariants on every slot's
             merged result (Algorithm 5 does; cheap, but off by default for
             the single-family engines which verify inside the allocator).
-        incremental: maintain slot state differentially
-            (:func:`normalize_incremental`): ``None``/``False`` rebuilds
-            announcements, kernels and rasters from scratch each slot;
-            ``True``/``"auto"`` uses the fleet's
-            :meth:`~repro.sensors.SensorFleet.announcements_with_delta`
-            and the kernels' ``ensure_delta`` so per-slot work is
-            proportional to churn (moved/exhausted/repriced sensors), not
-            fleet size.  Allocations and payments are bit-identical either
-            way — the replay harness (``repro replay``) asserts it.
+
+    Every slot re-announces the fleet through
+    :meth:`~repro.sensors.SensorFleet.announcements_with_delta`.  The
+    fleet decides from its own movement whether the slot state patches or
+    rebuilds: with a :class:`~repro.sensors.SlotDelta` (a baseline exists
+    and at most :data:`~repro.sensors.state.REBUILD_FRACTION` of its rows
+    moved) the kernel, world raster and grid index patch forward so
+    per-slot work is proportional to churn; without one they rebuild from
+    scratch.  Allocations and payments are bit-identical either way.
 
     Each :meth:`step` also records its phase wall-times in
     :attr:`last_timings` (``{phase: seconds}`` over :data:`PHASES`) and the
@@ -649,7 +631,6 @@ class SlotEngine:
         rng: np.random.Generator,
         *,
         verify_each_slot: bool = False,
-        incremental: bool | str | None = None,
     ) -> None:
         if not streams:
             raise ValueError("SlotEngine needs at least one query stream")
@@ -661,7 +642,6 @@ class SlotEngine:
             self.allocation = JointSlotAllocation(allocation)  # type: ignore[arg-type]
         self.rng = rng
         self.verify_each_slot = verify_each_slot
-        self.incremental = normalize_incremental(incremental)
         self.profile = False
         self.last_timings: dict[str, float] = {}
         self.last_delta = None
@@ -700,16 +680,12 @@ class SlotEngine:
         # The fleet announces as an AnnouncementBatch: stacked arrays plus
         # a lazy Sequence[SensorSnapshot] view, so the batch threads
         # through streams/allocators unchanged while the kernel build
-        # below adopts the arrays zero-copy (no per-sensor loop).  The
-        # incremental path splices the batch from the previous slot's and
-        # hands the SlotDelta to the kernel so its raster and grid index
-        # patch instead of rebuilding — bit-identical allocations either
-        # way.
+        # below adopts the arrays zero-copy (no per-sensor loop).  When the
+        # fleet also hands out a SlotDelta, the batch was spliced from the
+        # previous slot's and the kernel's raster and grid index patch
+        # instead of rebuilding.
         t0 = time.perf_counter()
-        if self.incremental:
-            sensors, delta = self.fleet.announcements_with_delta()
-        else:
-            sensors, delta = self.fleet.announcements(), None
+        sensors, delta = self.fleet.announcements_with_delta()
         self.last_delta = delta
         t1 = time.perf_counter()
         # Consecutive slots with unchanged announcements (stationary fleets,
@@ -717,10 +693,7 @@ class SlotEngine:
         # kernel, warm grid index and candidate caches included: the batch's
         # version stamp makes the check O(1) either way, and value matrices
         # never depend on the announced costs that may still move.
-        if self.incremental:
-            kernel = ValuationKernel.ensure_delta(self._kernel, sensors, delta)
-        else:
-            kernel = ValuationKernel.ensure(self._kernel, sensors)
+        kernel = ValuationKernel.ensure(self._kernel, sensors, delta)
         self._kernel = kernel
         t2 = time.perf_counter()
         result = self.allocation.run(t, self.streams, sensors, kernel)
@@ -751,21 +724,18 @@ class SlotEngine:
 # ----------------------------------------------------------------------
 # engine factories for the four canonical experiment families
 # ----------------------------------------------------------------------
-def one_shot_engine(
-    fleet, workload, allocator, rng, *, incremental=None
-) -> SlotEngine:
+def one_shot_engine(fleet, workload, allocator, rng) -> SlotEngine:
     """Figures 2-7: a stream of one-shot (point or aggregate) queries."""
     return SlotEngine(
         fleet,
         [OneShotStream(workload, kind="one_shot", record_slot_qualities=True)],
         JointSlotAllocation(allocator),
         rng,
-        incremental=incremental,
     )
 
 
 def location_monitoring_engine(
-    fleet, workload, point_allocator, rng, controller=None, *, incremental=None
+    fleet, workload, point_allocator, rng, controller=None
 ) -> SlotEngine:
     """Figure 8: continuous location-monitoring queries."""
     return SlotEngine(
@@ -773,12 +743,11 @@ def location_monitoring_engine(
         [LocationMonitoringStream(workload, controller=controller)],
         JointSlotAllocation(point_allocator),
         rng,
-        incremental=incremental,
     )
 
 
 def region_monitoring_engine(
-    fleet, workload, point_allocator, rng, controller=None, *, incremental=None
+    fleet, workload, point_allocator, rng, controller=None
 ) -> SlotEngine:
     """Figure 9: continuous region-monitoring queries over a GP field."""
     return SlotEngine(
@@ -786,13 +755,11 @@ def region_monitoring_engine(
         [RegionMonitoringStream(workload, controller=controller)],
         JointSlotAllocation(point_allocator),
         rng,
-        incremental=incremental,
     )
 
 
 def event_detection_engine(
-    fleet, workload, point_allocator, rng, *,
-    phenomenon=None, incremental=None
+    fleet, workload, point_allocator, rng, *, phenomenon=None
 ) -> SlotEngine:
     """Event-detection extension: redundant-sampling slot queries."""
     return SlotEngine(
@@ -800,7 +767,6 @@ def event_detection_engine(
         [EventDetectionStream(workload, phenomenon=phenomenon)],
         JointSlotAllocation(point_allocator),
         rng,
-        incremental=incremental,
     )
 
 
@@ -818,7 +784,6 @@ def mix_engine(
     sequential: bool = False,
     stage1_allocator: Allocator | None = None,
     stage2_allocator: Allocator | None = None,
-    incremental=None,
 ) -> SlotEngine:
     """Figure 10: point + aggregate + monitoring streams in one slot cycle.
 
@@ -881,5 +846,4 @@ def mix_engine(
         allocation,
         rng,
         verify_each_slot=True,
-        incremental=incremental,
     )

@@ -264,6 +264,7 @@ class ValuationKernel:
         cls,
         kernel: "ValuationKernel | None",
         sensors: Sequence[SensorSnapshot],
+        delta=None,
     ) -> "ValuationKernel":
         """Reuse ``kernel`` when it covers exactly ``sensors``, else build.
 
@@ -273,6 +274,21 @@ class ValuationKernel:
         and slot-to-slot reuse survives pure price moves) — consumers must
         treat :attr:`costs` as a build-time snapshot, never as settlement
         truth.
+
+        ``delta`` is the :class:`~repro.sensors.SlotDelta` that
+        :meth:`~repro.sensors.FleetState.announce_update` returned with
+        ``sensors``.  When it chains from exactly the batch ``kernel`` was
+        built over, the new kernel (which adopts the already spliced batch
+        arrays zero-copy) patches forward instead of rebuilding: the old
+        world raster is carried as a patched raster (containment and
+        coverage-CSR caches refill by splicing, see
+        :meth:`~repro.spatial.WorldRaster.patched`) and the grid index by
+        an incremental bucket splice
+        (:meth:`~repro.spatial.index.UniformGridIndex.updated`) that
+        re-buckets only dirty sensors under the old index's frozen
+        geometry; the per-range candidate caches refill lazily.
+        Allocations computed through the result are bit-identical to a
+        full rebuild's.
         """
         if kernel is not None and kernel.matches(sensors):
             # Rebind to the current announcements: identity attributes are
@@ -290,47 +306,14 @@ class ValuationKernel:
                 if stamp is not None:
                     kernel._stamp = stamp
             return kernel
-        return cls.from_sensors(sensors)
-
-    @classmethod
-    def ensure_delta(
-        cls,
-        kernel: "ValuationKernel | None",
-        batch,
-        delta,
-    ) -> "ValuationKernel":
-        """Differential :meth:`ensure`: patch forward instead of rebuilding.
-
-        ``batch``/``delta`` come from
-        :meth:`~repro.sensors.FleetState.announce_update`.  Equal stamps
-        reuse ``kernel`` outright (as :meth:`ensure`).  Otherwise a new
-        kernel adopts the new batch's arrays zero-copy — they were already
-        spliced churn-proportionally by the announce layer — and, when the
-        delta chains from exactly the batch ``kernel`` was built over, the
-        old kernel's world raster is carried forward as a patched raster
-        (containment and coverage-CSR caches refill by splicing, see
-        :meth:`~repro.spatial.WorldRaster.patched`) and its grid index by an
-        incremental bucket splice
-        (:meth:`~repro.spatial.index.UniformGridIndex.updated`) that
-        re-buckets only dirty sensors under the old index's frozen geometry;
-        the per-range candidate caches refill lazily.  Allocations computed
-        through the result are bit-identical to the full-rebuild path's.
-        """
-        if kernel is not None and kernel.matches(batch):
-            if batch is not kernel.sensors:
-                kernel.sensors = as_announcement_sequence(batch)
-                stamp = getattr(batch, "token", None)
-                if stamp is not None:
-                    kernel._stamp = stamp
-            return kernel
-        new = cls.from_batch(batch)
+        new = cls.from_sensors(sensors)
         if kernel is not None and delta is not None and delta.prev_token == kernel._stamp:
-            raster = kernel._carry_raster(batch, delta)
+            raster = kernel._carry_raster(sensors, delta)
             if raster is not None:
                 new._raster = raster
             if kernel._index is not None:
                 new._index = kernel._index.updated(
-                    batch.xy,
+                    sensors.xy,
                     delta_old_to_new(delta, len(kernel.sensor_xy)),
                     np.asarray(delta.fresh_cols, dtype=np.intp),
                 )

@@ -196,12 +196,6 @@ class ScenarioSpec:
             ``trust_model`` entry declares one of the
             :mod:`repro.sensors.trust` models, e.g.
             ``{"kind": "tiered", "levels": [...], "weights": [...]}``).
-        incremental: differential slot state — ``None``/``false`` rebuilds
-            announcement batches, kernels and rasters from scratch every
-            slot (the historical behavior); ``true``/``"auto"`` patches
-            them from the per-slot :class:`~repro.sensors.SlotDelta`
-            instead (see :func:`~repro.core.engine.normalize_incremental`;
-            allocations and payments are bit-identical either way).
         mobility: optional mobility override for the world.  ``None``
             keeps the dataset's native trace;
             ``{"kind": "churn", "fraction": 0.01}`` replaces it with a
@@ -231,7 +225,6 @@ class ScenarioSpec:
     allocation: str = "joint"
     streams: tuple[StreamSpec, ...] = (StreamSpec("point"),)
     fleet: dict[str, Any] = field(default_factory=dict)
-    incremental: bool | str | None = None
     mobility: dict[str, Any] | None = None
     service: dict[str, Any] | None = None
 
@@ -248,10 +241,6 @@ class ScenarioSpec:
             raise ValueError("a scenario needs at least one stream")
         if self.n_slots < 1:
             raise ValueError("n_slots must be >= 1")
-        from ..core.engine import normalize_incremental
-
-        if self.incremental is not None:
-            normalize_incremental(self.incremental)  # validation only
         if self.mobility is not None:
             kind = self.mobility.get("kind")
             if kind != "churn":
@@ -300,10 +289,20 @@ class ScenarioSpec:
                 "kernel and the shard cell size were removed (every kernel "
                 "shards); drop the field or set it to true/\"auto\""
             )
+        # Retired knob: the fleet now decides per slot whether slot state
+        # patches or rebuilds, so every value the knob used to take loads
+        # (and selects nothing).
+        incremental = payload.pop("incremental", None)
+        if incremental not in (None, "auto") and not isinstance(incremental, bool):
+            raise ValueError(
+                f"'incremental': {incremental!r} is not supported: the knob is "
+                "retired (the fleet chooses patch or rebuild from its own "
+                "movement); drop the field"
+            )
         known = {
             "name", "dataset", "seed", "workload_seed", "n_sensors", "n_slots",
             "rnc_presence", "allocator", "allocation", "fleet",
-            "incremental", "mobility", "service",
+            "mobility", "service",
         }
         extra = set(payload) - known
         if extra:
@@ -331,8 +330,6 @@ class ScenarioSpec:
             out["rnc_presence"] = self.rnc_presence
         if self.fleet:
             out["fleet"] = dict(self.fleet)
-        if self.incremental is not None:
-            out["incremental"] = self.incremental
         if self.mobility is not None:
             out["mobility"] = dict(self.mobility)
         if self.service is not None:
@@ -529,7 +526,6 @@ class ScenarioSpec:
             allocation,
             np.random.default_rng(workload_seed),
             verify_each_slot=len(streams) > 1,
-            incremental=self.incremental,
         )
 
     def run(self, n_slots: int | None = None):

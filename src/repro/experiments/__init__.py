@@ -15,7 +15,7 @@ from .figures import (
     fig_event,
     trust_sweep,
 )
-from .replay import ReplayReport, ReplaySlot, allocation_signature, replay_spec
+from .replay import allocation_signature
 from .reporting import ascii_chart, format_figure, format_metric_table
 from .robustness import ReplicatedResult, ordering_robustness, replicate
 from .runner import (
@@ -42,10 +42,7 @@ __all__ = [
     "format_figure",
     "format_metric_table",
     "ascii_chart",
-    "ReplayReport",
-    "ReplaySlot",
     "allocation_signature",
-    "replay_spec",
     "ReplicatedResult",
     "replicate",
     "ordering_robustness",

@@ -58,7 +58,7 @@ class ChurnMobility(MobilityModel):
     (chosen uniformly without replacement) to fresh uniform positions in
     the region; everyone else keeps their exact coordinates, so the moved
     set *is* the per-slot churn — which makes this the reference workload
-    for the incremental slot-state path and the replay harness.
+    for the patched slot-state path.
 
     Deterministic given the generator's seed, so recording it with
     :meth:`~repro.mobility.base.MobilityModel.run_xy` into a

@@ -259,6 +259,8 @@ class RegionMonitoringQuery(ContinuousQuery):
         query_id: str | None = None,
     ) -> None:
         super().__init__(budget, t1, t2, query_id)
+        require_positive("dmax", dmax)
+        require_positive("cell_size", cell_size)
         self.region = region
         self.gp = gp
         self.dmax = dmax

@@ -216,9 +216,11 @@ class SensorFleet:
         """Differential :meth:`announcements`: ``(batch, SlotDelta | None)``.
 
         The batch is bit-identical to :meth:`announcements`; the delta
-        (``None`` on the first call) tells announcement-derived structures
-        which rows moved, exhausted, or repriced since the previous call so
-        they can patch instead of rebuild.
+        tells announcement-derived structures which rows moved, exhausted,
+        or repriced since the previous call so they can patch instead of
+        rebuild.  It is ``None`` on the first call and whenever too many
+        sensors moved for a patch to pay
+        (:data:`~repro.sensors.state.REBUILD_FRACTION`).
         """
         self._refresh_positions()
         return self._state.announce_update(self._clock, self._working_region)

@@ -57,12 +57,22 @@ from .costs import PrivacySensitivity
 from .sensor import SensorSnapshot
 
 __all__ = [
+    "REBUILD_FRACTION",
     "FleetState",
     "SlotDelta",
     "AnnouncementBatch",
     "SnapshotColumnView",
     "as_announcement_sequence",
 ]
+
+#: Once more than this fraction of rows changed, a differential update
+#: rebuilds instead of patching: the splice would touch most of the
+#: structure anyway.  :meth:`FleetState.announce_update` applies it to the
+#: fleet rows that moved since the baseline (random-waypoint fleets move
+#: nearly all of them every slot, churn fleets a few percent), and
+#: :class:`~repro.spatial.WorldRaster` to the coverage rows a splice would
+#: recompute.
+REBUILD_FRACTION = 0.25
 
 #: Distinguishes fleets (and therefore batch tokens) within one process.
 _state_uid = itertools.count()
@@ -419,16 +429,22 @@ class FleetState:
         rows ride along).  New arrays are always built; the previous batch
         is never mutated, so kernels/rasters holding its arrays stay valid.
 
-        Returns ``(batch, None)`` when no baseline exists (first call, or
-        a different working region) — the consumer must full-rebuild.
+        Returns ``(batch, None)`` — the consumer must full-rebuild — when
+        no baseline exists (first call, or a different working region) or
+        when more than :data:`REBUILD_FRACTION` of the fleet's rows moved
+        since the baseline; the batch then becomes the new baseline.
         """
         prev = self._last_batch
-        if prev is None or prev.token[-1] != working_region:
+        moved = np.flatnonzero(self._dirty_moved)
+        if (
+            prev is None
+            or prev.token[-1] != working_region
+            or len(moved) > REBUILD_FRACTION * self.n_sensors
+        ):
             batch = self.announce(now, working_region)
             self._rebase(batch)
             return batch, None
 
-        moved = np.flatnonzero(self._dirty_moved)
         exhausted = np.flatnonzero(self._dirty_exhausted)
         # Rows whose announced cost may differ from the previous batch:
         # fixed energy + zero privacy -> constant; linear energy -> only

@@ -12,7 +12,7 @@ service:
 * a slot ticker (fixed ``tick_interval`` or run-to-completion) drains up
   to ``max_admitted_per_tick`` queued queries into the next slot through
   the :class:`AdmissionStream` adapter, steps the engine once — which
-  also applies fleet churn via the existing incremental announce path —
+  also applies fleet churn through the fleet's differential announce —
   and folds the outcome into :class:`~.metrics.ServiceMetrics`;
 * the excess stays queued (backpressure), and a full queue rejects new
   submissions instead of growing without bound;
@@ -26,9 +26,9 @@ and :func:`replay_admission_trace` re-runs the same per-slot query
 sequence through an offline batch engine built from the same spec.  The
 per-slot allocations must compare equal under
 :func:`~repro.experiments.replay.allocation_signature` — the same
-canonical query-id relabeling discipline as ``repro replay`` — which
-``tests/test_service_parity.py`` pins across rebuild/incremental and
-fused/per-row engines.
+canonical query-id relabeling discipline every parity suite uses — which
+``tests/test_service_parity.py`` pins across rebuilt/patched slot state
+and fused/per-row engines.
 """
 
 from __future__ import annotations
@@ -282,9 +282,8 @@ class AdmissionTrace:
 def service_engine(spec) -> tuple[SlotEngine, AdmissionStream, list]:
     """Compile a spec into a service-ready engine.
 
-    Reuses the spec's whole compilation path (world, fleet, the
-    incremental knob), then swaps the declared one-shot
-    streams for a single :class:`AdmissionStream` — their workloads are
+    Reuses the spec's whole compilation path (world, fleet, allocator),
+    then swaps the declared one-shot streams for a single :class:`AdmissionStream` — their workloads are
     returned as the arrival templates the load generator draws queries
     from.  Monitoring/event streams own live cross-slot query state the
     admission queue cannot schedule, so specs declaring them are
@@ -405,9 +404,9 @@ class MarketplaceService:
 
         The per-tick admission cap bounds slot size; everything else
         stays queued.  Fleet churn advances inside the engine step
-        (through the incremental announce path when the spec enables
-        it), and the slot's allocation signature + admission record are
-        appended to the parity artifacts.
+        (patching slot state when few sensors moved), and the slot's
+        allocation signature + admission record are appended to the
+        parity artifacts.
 
         If the engine step raises, the drained queries are recorded as
         failed (:meth:`AdmissionTrace.record_failure`, reason

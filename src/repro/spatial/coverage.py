@@ -154,6 +154,7 @@ class AreaCoverage(CoverageFunction):
 
     def __post_init__(self) -> None:
         require_positive("sensing_range", self.sensing_range)
+        require_positive("cell_size", self.cell_size)
         self._cells = self.region.grid_xy(self.cell_size)
 
     @property
@@ -197,6 +198,7 @@ class WeightedCoverage(CoverageFunction):
 
     def __post_init__(self) -> None:
         require_positive("sensing_range", self.sensing_range)
+        require_positive("cell_size", self.cell_size)
         self._cells = self.region.grid_xy(self.cell_size)
         self._weights = np.asarray(
             [self.weight_fn(Location(x, y)) for x, y in self._cells.tolist()],
@@ -239,6 +241,7 @@ class TrajectoryCoverage(CoverageFunction):
 
     def __post_init__(self) -> None:
         require_positive("sensing_range", self.sensing_range)
+        require_positive("spacing", self.spacing)
         points = self.trajectory.sample_points(self.spacing)
         self._cells = np.asarray([(p.x, p.y) for p in points], dtype=float)
 

@@ -54,7 +54,7 @@ of one slot's consumers (the kernel, its candidate machinery, the
 monitoring controllers) resolve to the same instance and every cache entry
 is computed at most once per slot.  A :meth:`~WorldRaster.patched` raster
 keeps its predecessor (the only raster a splice ever reads) and drops it
-the moment its own successor is made, so a long-running incremental
+the moment its own successor is made, so a long-running patching
 service holds at most two rasters — the live slot's and the one it splices
 from — however many ticks it has run.  A cache miss on a raster whose
 predecessor link is gone takes the full build, which is bit-identical.
@@ -300,8 +300,12 @@ class WorldRaster:
         row builder on just that subset.  Row-for-row bit-identical to a
         full :meth:`_build_rows` because the builder's membership test is
         per-sensor independent.  Returns ``None`` (full rebuild) when the
-        previous slot never rasterized ``fn`` or too few rows carry over.
+        previous slot never rasterized ``fn`` or more than
+        :data:`~repro.sensors.state.REBUILD_FRACTION` of the rows (and
+        over 64) would be recomputed.
         """
+        from ..sensors.state import REBUILD_FRACTION
+
         prev_raster, _, _, _, _, _, new_to_old = self._patch
         entry = prev_raster._coverage_rows.get(id(fn))
         if entry is None or entry[0] is not fn:
@@ -319,7 +323,7 @@ class WorldRaster:
         ok = (old_of >= 0) & (pcols[j] == oc)
         j = np.where(ok, j, -1)
         comp = np.flatnonzero(~ok)
-        if comp.size * 4 > k and comp.size > 64:
+        if comp.size > REBUILD_FRACTION * k and comp.size > 64:
             return None
         if comp.size:
             sub_indptr, sub_cells = self._build_rows(fn, cols[comp])

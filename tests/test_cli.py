@@ -143,16 +143,18 @@ class TestRemovedKnobs:
     A spec still setting ``fused``/``backend``/``workspace`` fails through
     the ordinary unknown-field path; the matching flags are gone.  A spec's
     ``sharding`` field still loads when it asks for what every kernel now
-    does (``true``/``"auto"``) and fails with one line otherwise."""
+    does (``true``/``"auto"``) and fails with one line otherwise.  Its
+    ``incremental`` field loads with any value it used to take (the fleet
+    now picks patch or rebuild itself) and fails with one line otherwise;
+    ``--incremental`` and the ``replay`` command are gone."""
 
     OLD_FIELDS = {"fused": "auto", "backend": "numpy", "workspace": "auto"}
 
-    @pytest.mark.parametrize("command", ["scenario", "replay"])
     @pytest.mark.parametrize("field", sorted(OLD_FIELDS))
-    def test_old_spec_field_is_an_unknown_field(self, tmp_path, capsys, command, field):
+    def test_old_spec_field_is_an_unknown_field(self, tmp_path, capsys, field):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({**SPEC_PAYLOAD, field: self.OLD_FIELDS[field]}))
-        assert main([command, str(path), "--slots", "1"]) == 2
+        assert main(["scenario", str(path), "--slots", "1"]) == 2
         err = capsys.readouterr().err
         assert err.strip() == (
             f"error loading {path}: unknown ScenarioSpec fields: [{field!r}]"
@@ -165,8 +167,7 @@ class TestRemovedKnobs:
             ["scenario", "x.json", "--backend", "numpy"],
             ["scenario", "x.json", "--workspace", "off"],
             ["scenario", "x.json", "--sharding", "4"],
-            ["replay", "x.json", "--backend", "numpy"],
-            ["replay", "x.json", "--profile"],
+            ["scenario", "x.json", "--incremental", "auto"],
             ["serve", "--spec", "x.json", "--backend", "numpy"],
         ],
         ids=" ".join,
@@ -177,14 +178,19 @@ class TestRemovedKnobs:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["scenario", "replay"])
+    def test_replay_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["replay", "x.json"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'replay'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", [False, 2.5], ids=["false", "cell-size"])
     def test_dense_or_cell_size_sharding_fails_with_one_line(
-        self, tmp_path, capsys, command, value
+        self, tmp_path, capsys, value
     ):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({**SPEC_PAYLOAD, "sharding": value}))
-        assert main([command, str(path), "--slots", "1"]) == 2
+        assert main(["scenario", str(path), "--slots", "1"]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert err.startswith(f"error loading {path}: 'sharding'")
@@ -197,6 +203,24 @@ class TestRemovedKnobs:
         assert main(["scenario", str(path), "--slots", "1", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "sharding" not in payload["spec"]
+
+    @pytest.mark.parametrize(
+        "value", ["auto", True, False, None], ids=["auto", "true", "false", "null"]
+    )
+    def test_legacy_incremental_still_runs(self, tmp_path, capsys, value):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**SPEC_PAYLOAD, "incremental": value}))
+        assert main(["scenario", str(path), "--slots", "1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "incremental" not in payload["spec"]
+
+    def test_unknown_incremental_fails_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**SPEC_PAYLOAD, "incremental": "bogus"}))
+        assert main(["scenario", str(path), "--slots", "1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error loading {path}: 'incremental': 'bogus'")
 
 
 class TestServe:

@@ -5,9 +5,22 @@ from __future__ import annotations
 import pytest
 
 from helpers import make_point_query, make_snapshot, random_instance
-from repro.core import BaselineAllocator, OptimalPointAllocator
-from repro.queries import SpatialAggregateQuery
-from repro.spatial import Region
+from repro.core import BaselineAllocator, GreedyAllocator, OptimalPointAllocator
+from repro.queries import PointQuery, SpatialAggregateQuery
+from repro.queries.point import _BestSensorState
+from repro.spatial import Location, Region
+
+
+class _HalfGainState(_BestSensorState):
+    """Overrides only the scalar ``gain``: half the closed form."""
+
+    def gain(self, sensor):
+        return 0.5 * super().gain(sensor)
+
+
+class HalfGainPointQuery(PointQuery):
+    def new_state(self):
+        return _HalfGainState(self)
 
 
 class TestBaselinePointBehaviour:
@@ -107,3 +120,20 @@ class TestBaselineAggregateBehaviour:
         junk = make_snapshot(1, x=10.2, y=10, cost=1.0, trust=0.01)
         result = BaselineAllocator().allocate([query], [good, junk])
         assert result.assignments[query.query_id] == (0,)
+
+
+@pytest.mark.parametrize(
+    "allocator", [GreedyAllocator, BaselineAllocator], ids=["greedy", "baseline"]
+)
+def test_scalar_gain_override_is_honoured(allocator):
+    """A state overriding only ``gain`` must not be valued through its
+    base's closed-form batch state: the recorded value is the override's."""
+    query = HalfGainPointQuery(Location(0, 0), budget=10.0, theta_min=0.0, dmax=5.0)
+    sensor = make_snapshot(0, x=1, y=0, cost=3.0)
+    state = query.new_state()
+    expected = state.gain(sensor)
+    assert expected == pytest.approx(4.0)
+    result = allocator().allocate([query], [sensor])
+    assert result.values[query.query_id] == expected
+    result.verify()
+

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import patch_slot_state
 from repro.core import GreedyAllocator, SimulationSummary, SlotEngine
 from repro.core.engine import (
     EventDetectionStream,
@@ -53,14 +54,13 @@ class UnaffordableWorkload:
         ]
 
 
-def make_engine(streams, **kwargs):
+def make_engine(streams):
     scenario = build_rwm_scenario(seed=11, n_sensors=60, n_slots=4)
     return SlotEngine(
         scenario.make_fleet(),
         streams,
         GreedyAllocator(),
         np.random.default_rng(5),
-        **kwargs,
     )
 
 
@@ -92,11 +92,9 @@ def test_zero_query_slots_settle_cleanly(kind):
     assert summary.total_queries == 0
 
 
-def test_zero_query_slots_settle_cleanly_with_incremental():
-    engine = make_engine(
-        [OneShotStream(NothingWorkload(), kind="point")],
-        incremental="auto",
-    )
+def test_zero_query_slots_settle_cleanly_with_incremental(monkeypatch):
+    patch_slot_state(monkeypatch)
+    engine = make_engine([OneShotStream(NothingWorkload(), kind="point")])
     summary = SimulationSummary()
     for _ in range(3):
         record = engine.step(summary)

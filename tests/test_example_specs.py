@@ -198,13 +198,14 @@ def test_compare_scenarios_sweeps_spec_files():
 
 def test_stationary_churn_spec_exercises_the_incremental_path():
     """The stationary-churn spec declares 20k near-stationary sensors
-    (~1% relocating per slot, recorded as a replayable trace) with the
-    incremental slot state on; a scaled-down build must drive the
-    differential announce path — per-slot deltas whose churn matches the
-    declared fraction — and produce bit-identical allocations vs a full
-    rebuild of the same spec."""
+    (~1% relocating per slot, recorded as a replayable trace); a
+    scaled-down build must drive the differential announce path —
+    per-slot deltas whose churn matches the declared fraction — and
+    produce bit-identical allocations vs a full rebuild of the same
+    spec."""
     import dataclasses
 
+    from oracles import rebuild_engine
     from repro.core.metrics import SimulationSummary
     from repro.experiments import allocation_signature
     from repro.mobility import TraceMobility
@@ -212,20 +213,19 @@ def test_stationary_churn_spec_exercises_the_incremental_path():
 
     spec = ScenarioSpec.from_json(SPEC_DIR / "stationary_churn.json")
     assert spec.n_sensors >= 20_000
-    assert spec.incremental == "auto"
     assert spec.mobility == {"kind": "churn", "fraction": 0.01}
     small = dataclasses.replace(spec, n_sensors=1500, n_slots=3)
     engine = small.build()
-    assert engine.incremental == "auto"
     # The mobility override recorded the churn model into a trace.
     assert isinstance(engine.fleet.mobility, TraceMobility)
 
-    full = dataclasses.replace(small, incremental=False).build()
+    full = rebuild_engine(small.build())
     churns = []
     inc_summary, full_summary = SimulationSummary(), SimulationSummary()
     for t in range(3):
         engine.step(inc_summary)
         full.step(full_summary)
+        assert full.last_delta is None
         if t == 0:
             # No previous batch to difference against: the first slot is
             # a full announce (delta-free by design).

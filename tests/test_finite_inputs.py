@@ -19,12 +19,14 @@ import pytest
 from helpers import make_snapshot
 from repro.cli import main
 from repro.datasets import ScenarioSpec
+from repro.phenomena import GaussianProcessField, RBFKernel
 from repro.queries import (
     EventDetectionQuery,
     EventSlotQuery,
     LocationMonitoringQuery,
     MultiSensorPointQuery,
     PointQuery,
+    RegionMonitoringQuery,
     SpatialAggregateQuery,
     TrajectoryQuery,
 )
@@ -144,6 +146,7 @@ def test_nan_priced_spec_is_rejected_before_any_slot(tmp_path, capsys):
 # ----------------------------------------------------------------------
 REGION = Region(0.0, 0.0, 10.0, 10.0)
 PATH = Trajectory((Location(1.0, 1.0), Location(8.0, 6.0)))
+GP = GaussianProcessField(RBFKernel(1.0, 2.0), noise=0.2)
 
 
 @pytest.mark.parametrize("value", NON_FINITE, ids=IDS)
@@ -206,6 +209,31 @@ def test_aggregate_query_rejects_non_finite_coverage_radius(value):
 )
 def test_coverage_rejects_non_finite_sensing_range(make, value):
     with pytest.raises(ValueError, match="sensing_range must be finite and positive"):
+        make(value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=IDS)
+@pytest.mark.parametrize(
+    "make,field",
+    [
+        (lambda v: AreaCoverage(REGION, 2.0, cell_size=v), "cell_size"),
+        (
+            lambda v: WeightedCoverage(REGION, 2.0, weight_fn=lambda c: 1.0, cell_size=v),
+            "cell_size",
+        ),
+        (lambda v: TrajectoryCoverage(PATH, 2.0, spacing=v), "spacing"),
+        (
+            lambda v: RegionMonitoringQuery(REGION, 0, 3, 10.0, GP, cell_size=v),
+            "cell_size",
+        ),
+        (lambda v: RegionMonitoringQuery(REGION, 0, 3, 10.0, GP, dmax=v), "dmax"),
+    ],
+    ids=["area", "weighted", "trajectory", "region-monitoring", "region-monitoring-dmax"],
+)
+def test_rasterization_rejects_non_finite_resolution(make, field, value):
+    """A NaN cell size used to die converting to an integer, and an
+    infinite one to rasterize silently into a single cell or sample."""
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
         make(value)
 
 

@@ -1,33 +1,47 @@
 """Incremental-vs-full-rebuild parity: the differential slot state must be
 bit-identical to rebuilding everything from scratch.
 
-The contract under test (see ``repro.sensors.state.SlotDelta`` and the
-``ensure_delta`` class methods): an announcement batch spliced from the
-previous slot's batch carries unchanged rows verbatim and recomputes only
-dirty ones through the *same* elementwise formulas, patched world rasters
-carry containment/coverage rows for sensors that did not move, and the
-spliced spatial index returns the same members per cell — so allocations
-and the individual eq.-10 cost shares must match *exactly*, not just to
-tolerance.  The replay harness (``repro.experiments.replay``) runs both
-engines in lockstep and is itself exercised here across fleets x kernels
-x pipelines.
+The contract under test (see ``repro.sensors.state.SlotDelta`` and
+``ValuationKernel.ensure``'s ``delta`` argument): an announcement batch
+spliced from the previous slot's batch carries unchanged rows verbatim and
+recomputes only dirty ones through the *same* elementwise formulas,
+patched world rasters carry containment/coverage rows for sensors that did
+not move, and the spliced spatial index returns the same members per cell
+— so allocations and the individual eq.-10 cost shares must match
+*exactly*, not just to tolerance.  :func:`oracles.lockstep_replay` runs a
+rebuilding and a patching engine side by side across fleets x kernels x
+pipelines.  The last section pins which of the two paths the fleet picks
+on its own: it patches while at most ``REBUILD_FRACTION`` of its rows
+moved since the baseline, and rebuilds otherwise.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oracles import DenseKernel, PerRowGreedyAllocator, compile_greedy_as, compile_kernel_as
+from oracles import (
+    DenseKernel,
+    PerRowGreedyAllocator,
+    compile_greedy_as,
+    compile_kernel_as,
+    lockstep_replay,
+    patch_slot_state,
+)
 from repro.core import ValuationKernel, delta_old_to_new
-from repro.core.engine import normalize_incremental
+from repro.core.metrics import SimulationSummary
 from repro.datasets import ScenarioSpec, StreamSpec
-from repro.experiments import allocation_signature, replay_spec
-from repro.mobility import ChurnMobility, RandomWaypointMobility
-from repro.sensors import FleetConfig, SensorFleet, SlotDelta, TieredTrust
+from repro.experiments import allocation_signature
+from repro.mobility import ChurnMobility, RandomWaypointMobility, StationaryMobility
 from repro.queries import PointQuery
+from repro.sensors import FleetConfig, SensorFleet, SlotDelta, TieredTrust
+from repro.sensors.state import REBUILD_FRACTION
 from repro.spatial import Location, Region, UniformGridIndex, WorldRaster
 
+SPEC_DIR = Path(__file__).resolve().parent.parent / "examples" / "specs"
 REGION = Region.from_origin(40, 40)
 HOTSPOT = Region.centered_in(REGION, 26, 26)
 
@@ -79,9 +93,12 @@ def assert_batches_identical(spliced, fresh):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", CONFIGS, ids=list(CONFIGS))
 @pytest.mark.parametrize("make", [waypoint_fleet, churn_fleet], ids=["rwp", "churn"])
-def test_announce_update_matches_fresh_announce(name, make):
+def test_announce_update_matches_fresh_announce(name, make, monkeypatch):
     """Chained deltas across slots (with measurements driving exhaustion
-    and privacy repricing) must reproduce the full announce exactly."""
+    and privacy repricing) must reproduce the full announce exactly —
+    including on waypoint fleets, where everyone moves and only the
+    always-patch setting keeps the delta path on."""
+    patch_slot_state(monkeypatch)
     config = CONFIGS[name]
     inc, ref = make(config, seed=11), make(config, seed=11)
     rng = np.random.default_rng(3)
@@ -219,7 +236,7 @@ def test_raster_patch_matches_fresh_raster():
 
 
 # ----------------------------------------------------------------------
-# layer 3: kernels patched through ensure_delta
+# layer 3: kernels patched through ensure's delta
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("sharded", [False, True], ids=["dense", "sharded"])
 def test_ensure_delta_falls_back_without_a_chain(sharded):
@@ -228,7 +245,7 @@ def test_ensure_delta_falls_back_without_a_chain(sharded):
     fleet = churn_fleet(FleetConfig(), seed=9, n=70)
     batch, _ = fleet.announcements_with_delta()
     cls = ValuationKernel if sharded else DenseKernel
-    kernel = cls.ensure_delta(None, batch, None)
+    kernel = cls.ensure(None, batch, None)
     if sharded:
         kernel.candidate_indices(PointQuery(Location(0, 0), 10.0))  # warm the grid
     assert kernel is not None
@@ -236,7 +253,7 @@ def test_ensure_delta_falls_back_without_a_chain(sharded):
     fleet.advance()  # skip a slot: the delta chains from the *previous*
     stale_prev, stale_delta = fleet.announcements_with_delta()
     # Forge a break: hand the old kernel a delta chained elsewhere.
-    again = cls.ensure_delta(kernel, stale_prev, stale_delta)
+    again = cls.ensure(kernel, stale_prev, stale_delta)
     ref = cls.from_batch(stale_prev)
     np.testing.assert_array_equal(again.sensor_xy, ref.sensor_xy)
     np.testing.assert_array_equal(again.costs, ref.costs)
@@ -272,7 +289,7 @@ STREAMS = (
 FLEETS = {
     # ~stationary: nobody moves, exhaustion is the only churn.
     "stationary": {"mobility": {"kind": "churn", "fraction": 0.0}},
-    # low-churn recorded trace: the incremental path's home regime.
+    # low-churn recorded trace: the patched path's home regime.
     "trace": {"mobility": {"kind": "churn", "fraction": 0.05}},
     # everyone moves every slot: worst case, still must agree.
     "waypoint": {},
@@ -287,6 +304,7 @@ def test_replay_parity(fleet, dense, fused, monkeypatch):
         compile_greedy_as(monkeypatch, PerRowGreedyAllocator)
     if dense:
         compile_kernel_as(monkeypatch, DenseKernel)
+    patch_slot_state(monkeypatch)
     spec = ScenarioSpec(
         name=f"replay-{fleet}",
         n_sensors=200,
@@ -296,34 +314,13 @@ def test_replay_parity(fleet, dense, fused, monkeypatch):
         fleet={"linear_energy": True, "random_privacy": True, "lifetime": 6},
         **FLEETS[fleet],
     )
-    report = replay_spec(spec)
-    assert report.n_slots == 4
-    assert report.parity, report.format()
-    assert all(0.0 <= s.churn_fraction <= 1.0 for s in report.slots)
-
-
-def test_replay_report_csv_and_format(tmp_path):
-    spec = ScenarioSpec(
-        name="replay-csv",
-        n_sensors=120,
-        n_slots=3,
-        seed=31,
-        streams=STREAMS,
-        mobility={"kind": "churn", "fraction": 0.1},
-    )
-    report = replay_spec(spec)
-    assert report.parity
-    text = report.format()
-    assert "parity OK" in text and "announce" in text
-    out = tmp_path / "replay.csv"
-    report.write_csv(out)
-    lines = out.read_text().splitlines()
-    assert len(lines) == 1 + 3
-    header = lines[0].split(",")
-    assert header[:3] == ["slot", "churn_fraction", "parity"]
-    assert "t_allocate_full" in header and "t_kernel_incremental" in header
-    # Every row carries the parity flag the harness asserted on.
-    assert all(row.split(",")[2] == "1" for row in lines[1:])
+    slots = lockstep_replay(spec)
+    assert len(slots) == 4
+    for t, (rebuilt, patched, delta) in enumerate(slots):
+        assert rebuilt == patched, t
+        # Always-patch: every warm slot took the delta path.
+        assert (delta is None) == (t == 0)
+        assert delta is None or 0.0 <= delta.churn_fraction <= 1.0
 
 
 def test_allocation_signature_canonicalizes_query_ids():
@@ -353,10 +350,68 @@ def test_allocation_signature_canonicalizes_query_ids():
     assert allocation_signature(a) != allocation_signature(c)
 
 
-def test_normalize_incremental_contract():
-    assert normalize_incremental(None) is False
-    assert normalize_incremental(False) is False
-    assert normalize_incremental(True) == "auto"
-    assert normalize_incremental("auto") == "auto"
-    with pytest.raises(ValueError):
-        normalize_incremental("sometimes")
+# ----------------------------------------------------------------------
+# the fleet's own choice: patch while few rows moved, rebuild otherwise
+# ----------------------------------------------------------------------
+def slot_deltas(spec: ScenarioSpec) -> list:
+    """The engine's per-slot delta over a run of ``spec``."""
+    engine = spec.build()
+    summary = SimulationSummary()
+    deltas = []
+    for _ in range(spec.n_slots):
+        engine.step(summary)
+        deltas.append(engine.last_delta)
+    return deltas
+
+
+@pytest.mark.parametrize("spec_name", ["trust_churn", "region_storm"])
+def test_waypoint_fleets_rebuild_every_slot(spec_name, monkeypatch):
+    """Random-waypoint fleets move nearly every sensor every slot: the
+    fleet hands out no delta, and no raster is ever patched."""
+    patched = []
+    original = WorldRaster.patched
+
+    def spy(self, *args, **kwargs):
+        patched.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(WorldRaster, "patched", spy)
+    spec = ScenarioSpec.from_json(SPEC_DIR / f"{spec_name}.json")
+    assert spec.dataset == "rwm" and spec.mobility is None
+    small = dataclasses.replace(spec, n_sensors=300, n_slots=4)
+    assert slot_deltas(small) == [None] * 4
+    assert not patched
+    # The churn side (every warm slot of stationary_churn gets a delta) is
+    # pinned by test_example_specs.py's stationary-churn test.
+
+
+def test_a_quarter_of_the_rows_moved_is_the_patch_limit():
+    """Exactly ``n/4`` moved rows still patch; ``n/4 + 1`` rebuild, and the
+    rebuilt batch becomes the next slot's baseline."""
+    assert REBUILD_FRACTION == 0.25
+    n = 40
+    positions = [Location(float(4 + i % 8), float(4 + i // 8)) for i in range(n)]
+    fleet = SensorFleet(
+        StationaryMobility(REGION, positions), REGION, FleetConfig(),
+        np.random.default_rng(0),
+    )
+    xy = fleet.mobility.locations_xy().copy()
+    fleet.mobility.locations_xy = lambda: xy
+    assert fleet.announcements_with_delta()[1] is None  # no baseline yet
+
+    xy = xy.copy()
+    xy[: n // 4, 0] += 0.5
+    batch, delta = fleet.announcements_with_delta()
+    assert isinstance(delta, SlotDelta)
+    np.testing.assert_array_equal(delta.moved, np.arange(n // 4))
+
+    xy = xy.copy()
+    xy[: n // 4 + 1, 1] += 0.5
+    rebuilt, delta = fleet.announcements_with_delta()
+    assert delta is None
+    np.testing.assert_array_equal(rebuilt.xy, xy)
+
+    _, delta = fleet.announcements_with_delta()
+    assert isinstance(delta, SlotDelta)
+    assert delta.prev_token == rebuilt.token
+    assert len(delta.moved) == 0

@@ -44,11 +44,10 @@ class PoisonQuery(PointQuery):
 SPECS = {
     # the plain 300-sensor unit-test service, full rebuild every slot
     "rebuild": make_spec(),
-    # incremental slot state over churn, with aggregates: the failed step
+    # patched slot state over churn, with aggregates: the failed step
     # has already spliced the announcements, rasters and grid index
     "incremental": make_spec(
         n_sensors=400,
-        incremental="auto",
         mobility={"kind": "churn", "fraction": 0.05},
         streams=[
             StreamSpec("point", {"n_queries": 4, "budget": 12.0}),

@@ -29,7 +29,6 @@ def incremental_spec(**knobs) -> ScenarioSpec:
         n_sensors=400,
         n_slots=N_TICKS,
         allocator="greedy",
-        incremental="auto",
         mobility={"kind": "churn", "fraction": 0.05},
         streams=[
             StreamSpec("point", {"n_queries": 4, "budget": 12.0}),

@@ -4,9 +4,10 @@ offline :class:`~repro.core.engine.SlotEngine` replay of the same query
 sequence (the :func:`~repro.experiments.allocation_signature` relabeling
 discipline of ``experiments/replay.py``).
 
-Every engine configuration the batch layer ships — full-rebuild and
-incremental slot state — must uphold the contract, and so must the
-oracles (:class:`oracles.PerRowGreedyAllocator` gain refreshes and the
+Both ways of keeping slot state — rebuilt every slot
+(:func:`oracles.rebuild_slot_state`) and patched from the fleet's
+per-slot delta (churn mobility) — must uphold the contract, and so must
+the oracles (:class:`oracles.PerRowGreedyAllocator` gain refreshes and the
 full-fleet :class:`oracles.DenseKernel`, compiled into the dense corners),
 so the suite sweeps recorded traces across those corners plus saturated
 admission (rejections must not perturb what *was* admitted).
@@ -16,7 +17,13 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import DenseKernel, PerRowGreedyAllocator, compile_greedy_as, compile_kernel_as
+from oracles import (
+    DenseKernel,
+    PerRowGreedyAllocator,
+    compile_greedy_as,
+    compile_kernel_as,
+    rebuild_slot_state,
+)
 from repro.datasets import ScenarioSpec, StreamSpec
 from repro.service import (
     BurstyProfile,
@@ -52,19 +59,17 @@ def make_spec(name, **knobs):
 
 SCENARIOS = {
     # DenseKernel (DENSE), per-row gains (ORACLES), full rebuild every slot
-    "dense": make_spec("svc-dense", incremental=False),
+    "dense": make_spec("svc-dense"),
     # grid candidate views + fused type-blocked gain batches
     "sharded-fused": make_spec("svc-sharded-fused"),
-    # grid candidate views + incremental slot state over churn mobility
+    # grid candidate views + patched slot state over churn mobility
     "sharded-incremental": make_spec(
         "svc-sharded-incremental",
-        incremental="auto",
         mobility={"kind": "churn", "fraction": 0.02},
     ),
-    # DenseKernel + incremental slot state (delta path without a grid)
+    # DenseKernel + patched slot state (delta path without a grid)
     "dense-incremental": make_spec(
         "svc-dense-incremental",
-        incremental="auto",
         mobility={"kind": "churn", "fraction": 0.02},
     ),
 }
@@ -75,6 +80,8 @@ ORACLES = {"dense": PerRowGreedyAllocator}
 #: scenarios whose engines run on the full-fleet kernel oracle
 #: (see :func:`oracles.compile_kernel_as`)
 DENSE = {"dense", "dense-incremental"}
+#: scenarios whose fleets announce without a delta (full rebuild each slot)
+REBUILD = {"dense"}
 
 
 def run_and_replay(spec, service, generator, n_ticks=N_TICKS):
@@ -92,6 +99,8 @@ def test_service_matches_offline_replay(name, monkeypatch):
         compile_greedy_as(monkeypatch, ORACLES[name])
     if name in DENSE:
         compile_kernel_as(monkeypatch, DenseKernel)
+    if name in REBUILD:
+        rebuild_slot_state(monkeypatch)
     spec = SCENARIOS[name]
     service = MarketplaceService.from_spec(spec)
     generator = LoadGenerator(
@@ -131,6 +140,7 @@ def test_parity_across_engine_corners_is_mutual(monkeypatch):
     with monkeypatch.context() as patch:
         compile_greedy_as(patch, ORACLES["dense"])
         compile_kernel_as(patch, DenseKernel)
+        rebuild_slot_state(patch)
         service = MarketplaceService.from_spec(spec)
         generator = LoadGenerator(
             PoissonProfile(8.0), service.workloads, seed=spec.seed
