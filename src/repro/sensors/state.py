@@ -309,17 +309,25 @@ class FleetState:
     # mutation
     # ------------------------------------------------------------------
     def set_positions(self, xy: np.ndarray) -> None:
-        """Refresh the per-sensor positions (copied; ``(n, 2)``).
+        """Refresh the per-sensor positions (copied; ``(n, 2)``, finite).
 
         The positions version is bumped only when coordinates actually
         changed, so stationary fleets (and replayed traces holding their
-        final frame) keep their kernel-reuse token across slots.
+        final frame) keep their kernel-reuse token across slots.  A NaN or
+        infinite row is refused: it would never announce (every region
+        comparison is false) and, as NaN compares ``!=`` to itself, would
+        count as moved on every slot.
         """
         xy = np.array(xy, dtype=float, copy=True)
         if xy.shape != (self.n_sensors, 2):
             raise ValueError(
                 f"positions must have shape ({self.n_sensors}, 2), got {xy.shape}"
             )
+        finite = np.isfinite(xy).all(axis=1)
+        if not finite.all():
+            row = int(finite.argmin())
+            x, y = xy[row].tolist()
+            raise ValueError(f"positions must be finite, got row {row} ({x}, {y})")
         if self.xy is None:
             self.xy = xy
             self.positions_version += 1

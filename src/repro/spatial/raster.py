@@ -30,23 +30,28 @@ caches
 **Bit-identity contract.**  Every cached quantity is produced by exactly
 the arithmetic of the uncached path.  Containment caches call the very
 ``Region`` methods consumers called before.  Coverage rows reproduce the
-membership of ``masks_for_xy`` row-for-row: the grid-accelerated builder
-only *pre-selects candidate cells* with a conservative index box — the
-final membership test is the same ``sqrt(dx*dx + dy*dy) <= sensing_range``
+membership of ``masks_for_xy`` row-for-row: every cell the builder emits
+(or skips) is decided by the same ``sqrt(dx*dx + dy*dy) <= sensing_range``
 on the function's own stored cell coordinates, so a cell is covered in the
 CSR iff it is covered in the dense mask, down to the last ulp of a
 boundary case.
 
-**The grid fast path.**  For exact :class:`~repro.spatial.AreaCoverage` /
+**Per-column runs.**  For exact :class:`~repro.spatial.AreaCoverage` /
 :class:`~repro.spatial.WeightedCoverage` instances (subclasses are *not*
 trusted — they may re-rasterize arbitrarily and fall back to the dense
 mask builder) the cell layout is the row-major ``Region.grid_cells`` grid,
-so each sensor's candidate cells form a small index box around it: the
-builder enumerates ``O(r^2 / cell^2)`` candidates per sensor instead of
-testing all ``n_cells``, which is what turns a 48x48-region slot's
-per-sensor work from ~2300 cells into ~120.  The layout is validated
-against the function's stored ``_cells`` (count and exact first/last
-centres) before it is trusted.
+validated once per function per raster against the stored ``_cells`` as a
+whole separable ``columns x rows`` product.  Within one grid column ``dx``
+is fixed and the row centres ascend, and rounded subtraction, squaring,
+addition and ``sqrt`` are all monotone, so the membership test holds on
+one contiguous run of rows — exactly, in floating point — and that run,
+when not empty, contains the row nearest the sensor in ``y``.  The builder
+therefore works per (sensor, column) pair of a sensor's candidate
+columns: one exact test of the nearest row decides whether the column is
+empty, the run's ends are estimated from the chord half-height and then
+corrected with the exact test until each end is covered and its outer
+neighbour is not.  That is ``O(r / cell)`` candidates per sensor instead of
+the ``O(r^2 / cell^2)`` cells of its bounding box.
 
 Lifetime: a raster lives exactly as long as its coordinate block — it is
 attached to the announcement batch (or kernel) that owns the array, so all
@@ -70,6 +75,8 @@ from .region import Region
 __all__ = ["WorldRaster", "get_raster"]
 
 _ATTR = "_world_raster"
+#: Outward steps of the stacked [lo; hi] run ends.
+_OUTWARD = np.array([-1, 1])
 
 
 def get_raster(holder, xy: np.ndarray) -> "WorldRaster":
@@ -94,14 +101,18 @@ def get_raster(holder, xy: np.ndarray) -> "WorldRaster":
 
 
 def _grid_layout(fn: CoverageFunction):
-    """``(x_min, y_min, cell, nx, ny)`` when ``fn`` is a trusted region grid.
+    """``(x_min, y_min, cell, xs, ys_padded)`` when ``fn`` is a trusted region grid.
 
     Exact-type gate (mirroring ``ValuationKernel._query_box``): only the
     in-repo rasterized region functions are known to lay their cells out as
-    the row-major ``Region.grid_cells`` grid.  The reconstruction is then
-    validated against the stored cells — count plus exact first/last centre
-    coordinates (the same ``x_min + (i + 0.5) * cell`` expression
-    ``grid_cells`` evaluates, so equality is exact, not approximate).
+    the row-major ``Region.grid_cells`` grid.  The whole layout is then
+    validated against the stored cells: cell ``ix * ny + iy`` must sit
+    exactly at ``(xs[ix], ys[iy])``, where ``xs``/``ys`` are the
+    ``x_min + (i + 0.5) * cell`` centres ``grid_cells`` evaluates (so
+    equality is exact, and both axes ascend).  Any other layout returns
+    ``None`` and takes the dense fallback.  The row centres come back
+    padded with ``-inf``/``+inf`` sentinels (padded row ``iy + 1`` is grid
+    row ``iy``), so a probe one row off the grid is simply uncovered.
     """
     if type(fn) not in (AreaCoverage, WeightedCoverage):
         return None
@@ -111,20 +122,16 @@ def _grid_layout(fn: CoverageFunction):
     nx = max(1, int(round(region.width / cell)))
     ny = max(1, int(round(region.height / cell)))
     cells = fn._cells
-    if len(cells) != nx * ny:
+    if cells.shape != (nx * ny, 2):
         return None
-    first_x = region.x_min + (0 + 0.5) * cell
-    first_y = region.y_min + (0 + 0.5) * cell
-    last_x = region.x_min + (nx - 1 + 0.5) * cell
-    last_y = region.y_min + (ny - 1 + 0.5) * cell
-    if (
-        cells[0, 0] != first_x
-        or cells[0, 1] != first_y
-        or cells[-1, 0] != last_x
-        or cells[-1, 1] != last_y
+    xs = region.x_min + (np.arange(nx) + 0.5) * cell
+    ys = region.y_min + (np.arange(ny) + 0.5) * cell
+    if not (
+        (cells[:, 0].reshape(nx, ny) == xs[:, None]).all()
+        and (cells[:, 1].reshape(nx, ny) == ys).all()
     ):
         return None
-    return region.x_min, region.y_min, cell, nx, ny
+    return region.x_min, region.y_min, cell, xs, np.concatenate(([-np.inf], ys, [np.inf]))
 
 
 class WorldRaster:
@@ -143,6 +150,14 @@ class WorldRaster:
         self._coverage_rows: dict[int, tuple] = {}
         self._exterior: dict[Region, np.ndarray] = {}
         self._contains: dict[Region, np.ndarray] = {}
+        # id(fn) -> (fn, _grid_layout(fn)); see :meth:`_layout`.
+        self._layouts: dict[int, tuple] = {}
+        # Work counters (read by benchmarks and tests, never by the build):
+        # rows that went through :meth:`_build_rows`, and the candidate
+        # entries it materialized for them — (sensor, column) pairs on the
+        # grid path, mask entries on the dense fallback.
+        self.rows_built = 0
+        self.candidates_built = 0
         # Set by :meth:`patched`: (prev_raster, fresh_idx, carry_old,
         # carry_new, identity, aligned, new_to_old) — the splice plan that
         # lets this raster's caches fill from the previous slot's instead
@@ -165,7 +180,7 @@ class WorldRaster:
         did not move and recomputing only the fresh subset, which is
         bit-identical to a from-scratch fill because every cached quantity
         is computed row-independently (elementwise containment arithmetic;
-        per-sensor candidate boxes + exact distance tests for coverage
+        per-sensor column runs fixed by exact distance tests for coverage
         rows).
 
         Splicing reads exactly one slot back, so this raster's own link to
@@ -319,10 +334,9 @@ class WorldRaster:
         k = len(cols)
         old_of = new_to_old[cols]  # -1 where dropped or moved
         oc = np.maximum(old_of, 0)
-        j = np.minimum(np.searchsorted(pcols, oc), len(pcols) - 1)
+        j = np.minimum(pcols.searchsorted(oc), len(pcols) - 1)
         ok = (old_of >= 0) & (pcols[j] == oc)
-        j = np.where(ok, j, -1)
-        comp = np.flatnonzero(~ok)
+        comp = (~ok).nonzero()[0]
         if comp.size > REBUILD_FRACTION * k and comp.size > 64:
             return None
         if comp.size:
@@ -330,91 +344,151 @@ class WorldRaster:
         else:
             sub_indptr = np.zeros(1, dtype=np.int64)
             sub_cells = np.zeros(0, dtype=np.int64)
-        lens = np.empty(k, dtype=np.int64)
-        okidx = np.flatnonzero(ok)
-        jk = j[okidx]
-        lens[okidx] = pindptr[jk + 1] - pindptr[jk]
-        lens[comp] = np.diff(sub_indptr)
+        src = pindptr[j]
+        lens = pindptr[j + 1] - src
+        src[comp] = sub_indptr[:-1]
+        lens[comp] = sub_indptr[1:] - sub_indptr[:-1]
         indptr = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(lens, out=indptr[1:])
-        cells = np.empty(int(indptr[-1]), dtype=np.int64)
-        # Copy in maximal runs: consecutive carried rows that are also
-        # consecutive in the old CSR collapse into one memcpy; computed
-        # rows are contiguous in the sub-CSR by construction.
-        if k:
-            brk = np.ones(k, dtype=bool)
-            brk[1:] = (ok[1:] != ok[:-1]) | (ok[1:] & ok[:-1] & (j[1:] != j[:-1] + 1))
-            run_starts = np.flatnonzero(brk)
-            run_ends = np.append(run_starts[1:], k)
-            sub_cursor = 0
-            for a, b in zip(run_starts, run_ends):
-                dst0, dst1 = int(indptr[a]), int(indptr[b])
-                if ok[a]:
-                    src0 = int(pindptr[j[a]])
-                    cells[dst0:dst1] = pcells[src0 : src0 + (dst1 - dst0)]
-                else:
-                    src0 = int(sub_indptr[sub_cursor])
-                    cells[dst0:dst1] = sub_cells[src0 : src0 + (dst1 - dst0)]
-                    sub_cursor += b - a
+        np.add.accumulate(lens, out=indptr[1:])
+        # Copy in maximal runs, one concatenate: consecutive carried rows
+        # that are also consecutive in the old CSR form one span, and
+        # computed rows are contiguous in the sub-CSR by construction.
+        brk = np.ones(k, dtype=bool)
+        brk[1:] = (ok[1:] != ok[:-1]) | (ok[1:] & (j[1:] != j[:-1] + 1))
+        starts = brk.nonzero()[0]
+        edges = indptr[starts].tolist() + [int(indptr[-1])]
+        spans = [
+            (pcells if carried else sub_cells)[a : a + end - begin]
+            for carried, a, begin, end in zip(
+                ok[starts].tolist(), src[starts].tolist(), edges, edges[1:]
+            )
+        ]
+        cells = np.concatenate(spans) if spans else np.zeros(0, dtype=np.int64)
         return indptr, cells
+
+    def _layout(self, fn: CoverageFunction):
+        """:func:`_grid_layout` of ``fn``, validated once per raster.
+
+        A patched raster takes its predecessor's verdict for a function it
+        already validated, so a splice's small fresh-row builds skip the
+        ``O(n_cells)`` layout check.
+        """
+        key = id(fn)
+        hit = self._layouts.get(key)
+        if hit is None or hit[0] is not fn:
+            prev = self._patch[0]._layouts.get(key) if self._patch is not None else None
+            hit = prev if prev is not None and prev[0] is fn else (fn, _grid_layout(fn))
+            self._layouts[key] = hit
+        return hit[1]
 
     def _build_rows(
         self, fn: CoverageFunction, cols: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        layout = _grid_layout(fn)
+        """CSR rows of ``fn`` for ``cols`` from scratch (module docstring:
+        per-column runs on a validated grid, dense masks otherwise)."""
+        k = len(cols)
+        self.rows_built += k
+        layout = self._layout(fn)
         if layout is None:
             # Dense fallback: any coverage function, any cell layout.  The
             # mask matrix is transient — only its nonzero structure is kept.
             masks = masks_for_xy(fn, self.xy[cols])
+            self.candidates_built += masks.size
             rows, cells = np.nonzero(masks)
-            counts = np.bincount(rows, minlength=len(cols))
-            indptr = np.zeros(len(cols) + 1, dtype=np.int64)
+            counts = np.bincount(rows, minlength=k)
+            indptr = np.zeros(k + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
             return indptr, cells.astype(np.int64, copy=False)
-        x_min, y_min, cell, nx, ny = layout
+        x_min, y_min, cell, xs, yp = layout
+        nx, ny = len(xs), len(yp) - 2
         r = float(fn.sensing_range)
+        v = r / cell
         pts = self.xy[cols]
         sx = pts[:, 0]
         sy = pts[:, 1]
-        # Conservative candidate index boxes (padded by one cell so float
-        # rounding of the division can never exclude a boundary cell —
-        # including the <= 1-ulp drift of factoring the shared ``u``
-        # subexpression out of both bounds); the exact distance test below
-        # decides true membership.  Both coordinate axes ride through each
-        # vector op at once: at splice-time this path runs on handfuls of
-        # fresh rows per query, where the op count is the cost.
-        u = (pts - (x_min, y_min)) / cell - 0.5
-        v = r / cell
-        lo = np.floor(u - v).astype(np.int64) - 1
-        hi = np.ceil(u + v).astype(np.int64) + 1
-        bound = np.array([nx - 1, ny - 1], dtype=np.int64)
-        np.minimum(lo, bound, out=lo)
-        np.maximum(lo, 0, out=lo)
-        np.minimum(hi, bound, out=hi)
-        np.maximum(hi, 0, out=hi)
-        ix_lo, iy_lo = lo[:, 0], lo[:, 1]
-        box = hi - lo + 1
-        box_nx, box_ny = box[:, 0], box[:, 1]
-        counts = np.multiply(box_nx, box_ny)
-        total = int(counts.sum())
+        # Candidate columns: a covered cell has sqrt(dx*dx) <= r, so its
+        # column index lies in [u - v, u + v] up to rounding; the floors
+        # and one extra column on the right absorb that (about
+        # 2*ceil(v) + 2 columns).  Clamped in float (fmax/fmin also send
+        # NaN to an empty range) before the integer cast.
+        u = (sx - x_min) / cell - 0.5
+        lo = np.fmin(np.fmax(np.floor(u - v), 0.0), nx)
+        width = np.fmin(np.fmax(np.floor(u + v), -2.0), nx - 2.0) - lo
+        width = np.fmax(width + 2.0, 0.0).astype(np.int64)
+        lo = lo.astype(np.int64)
+        total = int(np.add.reduce(width))
+        self.candidates_built += total
         if total == 0:
-            return np.zeros(len(cols) + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        owner = np.repeat(np.arange(len(cols), dtype=np.int64), counts)
-        prev = np.zeros(len(cols), dtype=np.int64)
-        np.cumsum(counts[:-1], out=prev[1:])
-        rank = np.arange(total, dtype=np.int64) - prev[owner]
-        ix = ix_lo[owner] + rank // box_ny[owner]
-        iy = iy_lo[owner] + rank % box_ny[owner]
-        cell_idx = ix * ny + iy
-        # Membership on the function's stored cell coordinates, with the
-        # dense builder's exact arithmetic (cell - sensor, sqrt, <= r).
-        cxy = fn._cells[cell_idx]
-        dx = cxy[:, 0] - sx[owner]
-        dy = cxy[:, 1] - sy[owner]
-        keep = np.sqrt(dx * dx + dy * dy) <= r
-        owner = owner[keep]
-        cells = cell_idx[keep]
-        counts = np.bincount(owner, minlength=len(cols))
-        indptr = np.zeros(len(cols) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+            return np.zeros(k + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        # Per sensor, the row nearest in y.  With ``m = searchsorted(yp,
+        # sy)``, fl(cy - sy) is <= 0 below padded row m and >= 0 from it on,
+        # and monotone in ``cy``, so every column's smallest dy*dy sits at
+        # padded row m - 1 or m (a sentinel there has dy*dy = inf and is
+        # never picked).
+        m = np.minimum(yp.searchsorted(sy), ny + 1)
+        below = m - 1
+        dy = yp[below] - sy
+        dy2_below = dy * dy
+        dy = yp[m] - sy
+        dy2_above = dy * dy
+        seed = below + (dy2_above < dy2_below)
+        seed_dy2 = np.minimum(dy2_below, dy2_above)
+        # One entry per (sensor, candidate column) pair, grouped by sensor
+        # and ascending in ix.
+        owner = np.arange(k).repeat(width)
+        ix = np.arange(total) + (lo + width - np.add.accumulate(width))[owner]
+        dx = xs[ix] - sx[owner]
+        dx2 = dx * dx
+        # Along one column the exact test sqrt(dx2 + dy*dy) <= r holds on
+        # one contiguous iy run (every rounded step is monotone in |dy|);
+        # the run, when not empty, holds the nearest row.
+        nonempty = (np.sqrt(dx2 + seed_dy2[owner]) <= r).nonzero()[0]
+        p = len(nonempty)
+        if p == 0:
+            return np.zeros(k + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        owner = owner[nonempty]
+        ix = ix[nonempty]
+        dx2 = dx2[nonempty]
+        # Estimate both run ends from the chord half-height, clamped to
+        # their side of the seed row.  Ends are stacked [lo ends; hi ends]
+        # with outward steps [-1; +1]; an end is exact when its row is
+        # covered and the next row outward is not.
+        pseed = seed[owner]
+        pw = ((sy - y_min) / cell + 0.5)[owner]
+        half = np.sqrt(np.fmax(r * r - dx2, 0.0)) / cell
+        ends = np.concatenate((
+            np.fmin(np.fmax(np.ceil(pw - half), 1.0), pseed),
+            np.fmax(np.fmin(np.floor(pw + half), ny), pseed),
+        )).astype(np.int64)
+        step = _OUTWARD.repeat(p)
+        psy = sy[owner]
+        esy = np.concatenate((psy, psy, psy, psy))
+        edx2 = np.concatenate((dx2, dx2, dx2, dx2))
+
+        def covered(rows, at):
+            dy = yp[rows] - esy[at]
+            return np.sqrt(edx2[at] + dy * dy) <= r
+
+        probe = covered(np.concatenate((ends, ends + step)), slice(None))
+        # Rare: walk a wrong estimate back toward the (covered) seed row,
+        # or on outward while the next row is covered.  An uncovered end
+        # lies outside the run, so its outward neighbour is uncovered too.
+        at = (~probe[: 2 * p]).nonzero()[0]
+        while at.size:
+            ends[at] -= step[at]
+            at = at[~covered(ends[at], at)]
+        at = probe[2 * p :].nonzero()[0]
+        while at.size:
+            ends[at] += step[at]
+            at = at[covered(ends[at] + step[at], at)]
+        # Emit each run ix*ny + [lo..hi] (padded rows are one ahead).
+        run_lo = ends[:p]
+        lens = ends[p:] - run_lo + 1
+        run_start = np.zeros(p + 1, dtype=np.int64)
+        np.add.accumulate(lens, out=run_start[1:])
+        cells = (ix * ny + run_lo - 1 - run_start[:-1]).repeat(lens) + np.arange(
+            run_start[-1]
+        )
+        indptr = np.zeros(k + 1, dtype=np.int64)
+        indptr[1:] = run_start[np.add.accumulate(np.bincount(owner, minlength=k))]
         return indptr, cells

@@ -1,4 +1,5 @@
-"""Non-finite prices, budgets and query geometry are rejected where they enter.
+"""Non-finite prices, budgets, query geometry and sensor positions are
+rejected where they enter.
 
 Every boundary check used to read ``x < 0``, which NaN and inf pass: a
 NaN-priced sensor was then selected ahead of a strictly better one and
@@ -102,6 +103,40 @@ def test_fleet_state_rejects_nan_columns(column, message):
 def test_fleet_state_rejects_infinite_price():
     with pytest.raises(ValueError, match="base_price must be finite"):
         fleet_state(base_price=np.array([10.0, math.inf, 10.0]))
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=IDS)
+def test_fleet_state_rejects_non_finite_positions(value):
+    state = fleet_state()
+    good = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    for row, axis in ((1, 0), (2, 1)):
+        xy = good.copy()
+        xy[row, axis] = value
+        with pytest.raises(ValueError) as info:
+            state.set_positions(xy)
+        expected = [float(c) for c in good[row]]
+        expected[axis] = value
+        assert str(info.value) == (
+            f"positions must be finite, got row {row} ({expected[0]}, {expected[1]})"
+        )
+    # Nothing was stored: the state still has no positions, and a valid
+    # frame afterwards announces every sensor.
+    assert state.xy is None
+    state.set_positions(good)
+    batch = state.announce(0, Region.from_origin(10.0, 10.0))
+    assert list(batch.ids) == [0, 1, 2]
+    # A refused frame leaves the stored one and its version untouched.
+    version = state.positions_version
+    with pytest.raises(ValueError, match="positions must be finite, got row 1"):
+        state.set_positions([[1.0, 1.0], [value, 2.0], [3.0, 3.0]])
+    assert state.positions_version == version
+    assert np.array_equal(state.xy, good)
+
+
+def test_nan_position_reports_the_first_bad_row():
+    state = fleet_state()
+    with pytest.raises(ValueError, match=r"^positions must be finite, got row 1 \(nan, 2\.0\)$"):
+        state.set_positions([[1.0, 1.0], [math.nan, 2.0], [math.inf, 3.0]])
 
 
 @pytest.mark.parametrize("value", NON_FINITE, ids=IDS)

@@ -10,8 +10,9 @@ The contract under test (see ``repro.queries.base`` and
   type, dense and sharded: each ``gain_many_block`` implementation
   performs the exact per-pair arithmetic of its ``gain_many``;
 * ``WorldRaster.coverage_rows`` reproduces the dense
-  ``masks_for_xy`` membership row-for-row (the grid fast path only
-  pre-selects candidate cells; the final membership test is identical);
+  ``masks_for_xy`` membership row-for-row (the per-column run builder
+  decides every emitted and skipped cell with the identical membership
+  test), fresh and spliced, down to ulp-grazing sensors;
 * the **fallback lattice** routes subclasses out of paths their overrides
   invalidate: a batch state overriding only ``gain_many`` never reaches a
   native fused block (``gain_block_trusted``), a valuation state
@@ -30,6 +31,7 @@ The contract under test (see ``repro.queries.base`` and
 from __future__ import annotations
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -68,6 +70,7 @@ from repro.spatial import (
     WorldRaster,
     get_raster,
 )
+from repro.spatial.coverage import masks_for_xy
 
 SIDE = 60.0
 
@@ -216,6 +219,65 @@ class TestFusedAllocationParity:
 # ----------------------------------------------------------------------
 # world raster: CSR coverage rows vs dense masks, containment caches
 # ----------------------------------------------------------------------
+def assert_rows_match_masks(fn, xy, cols, indptr, cells):
+    masks = masks_for_xy(fn, xy[cols])
+    for i in range(len(cols)):
+        assert np.array_equal(cells[indptr[i]:indptr[i + 1]], np.flatnonzero(masks[i])), i
+
+
+#: Integer offsets at distance exactly 5 (3-4-5 and axis-aligned).
+PYTHAGOREAN = [(3, 4), (4, 3), (-3, 4), (4, -3), (-4, -3), (0, 5), (-5, 0)]
+
+
+@st.composite
+def adversarial_sensor(draw, region, cell, r):
+    nx = max(1, int(round(region.width / cell)))
+    ny = max(1, int(round(region.height / cell)))
+    cx = region.x_min + (draw(st.integers(0, nx - 1)) + 0.5) * cell
+    cy = region.y_min + (draw(st.integers(0, ny - 1)) + 0.5) * cell
+    kind = draw(st.sampled_from(["pythagorean", "ulp", "uniform", "far"]))
+    if kind == "pythagorean":
+        dx, dy = draw(st.sampled_from(PYTHAGOREAN))
+        scale = r / 5.0
+        return cx + dx * scale, cy + dy * scale
+    if kind == "ulp":
+        reach = np.nextafter(r, draw(st.sampled_from([0.0, np.inf])))
+        reach *= draw(st.sampled_from([-1.0, 1.0]))
+        return (cx + reach, cy) if draw(st.booleans()) else (cx, cy + reach)
+    if kind == "uniform":
+        pad = r + cell
+        return (
+            draw(st.floats(region.x_min - pad, region.x_max + pad)),
+            draw(st.floats(region.y_min - pad, region.y_max + pad)),
+        )
+    away = draw(st.sampled_from([-1e4, 1e4, 1e7]))
+    return cx + away, cy + draw(st.sampled_from([0.0, away]))
+
+
+@st.composite
+def adversarial_raster_case(draw):
+    cell = draw(st.sampled_from([1.0, 0.3, 0.7]))
+    x0 = draw(st.sampled_from([0.0, 1e6 - 2.25, 999_999.7])) + draw(st.floats(-1, 1))
+    y0 = draw(st.sampled_from([0.0, 1e6 + 0.35])) + draw(st.floats(-1, 1))
+    one_wide = st.floats(0.2 * cell, 1.4 * cell)  # rounds to one cell
+    width = draw(st.one_of(one_wide, st.floats(0.5, 9.7)))
+    height = draw(st.one_of(one_wide, st.floats(0.5, 9.7)))
+    region = Region(x0, y0, x0 + width, y0 + height)
+    r = draw(st.sampled_from([5.0, 2.5, 1.3]))
+    if draw(st.booleans()):
+        fn = AreaCoverage(region, r, cell_size=cell)
+    else:
+        fn = WeightedCoverage(region, r, weight_fn=lambda c: 1.0 + c.x % 3, cell_size=cell)
+    n = draw(st.integers(1, 12))
+    sensor = adversarial_sensor(region, cell, r)
+    xy = np.array([draw(sensor) for _ in range(n)])
+    fresh = np.array(sorted(draw(st.sets(st.integers(0, n - 1)))), dtype=np.intp)
+    xy_next = xy.copy()
+    for i in fresh:
+        xy_next[i] = draw(sensor)
+    return fn, xy, xy_next, fresh
+
+
 class TestWorldRasterRows:
     @pytest.mark.parametrize("seed", range(5))
     def test_coverage_rows_match_dense_masks(self, seed):
@@ -234,11 +296,7 @@ class TestWorldRasterRows:
         cols = np.sort(rng.choice(len(xy), size=50, replace=False))
         for fn in functions:
             indptr, cells = raster.coverage_rows(fn, cols)
-            masks = fn.masks_for(xy[cols])
-            for i in range(len(cols)):
-                row = cells[indptr[i]:indptr[i + 1]]
-                expected = np.flatnonzero(masks[i])
-                assert np.array_equal(row, expected), type(fn).__name__
+            assert_rows_match_masks(fn, xy, cols, indptr, cells)
             # Cached and read-only.
             again = raster.coverage_rows(fn, cols)
             assert again[0] is indptr and again[1] is cells
@@ -260,12 +318,44 @@ class TestWorldRasterRows:
         fn = SparseCoverage(Region.from_origin(30, 30), sensing_range=6.0)
         cols = np.arange(40)
         indptr, cells = raster.coverage_rows(fn, cols)
-        masks = fn.masks_for(xy)
-        for i in range(len(cols)):
-            assert np.array_equal(
-                cells[indptr[i]:indptr[i + 1]], np.flatnonzero(masks[i])
-            )
+        assert_rows_match_masks(fn, xy, cols, indptr, cells)
         assert cells.size and np.all(cells % 2 == 1)
+
+    def test_moved_middle_cell_takes_the_dense_fallback(self):
+        """The run builder reads the layout as separable columns x rows, so
+        a grid whose first and last centres are intact but whose middle is
+        not is refused as a whole and still gets exact rows."""
+        rng = np.random.default_rng(78)
+        xy = rng.uniform(-2, 22, size=(40, 2))
+        fn = AreaCoverage(Region(0.0, 0.0, 20.0, 20.0), sensing_range=4.0)
+        fn._cells = fn._cells.copy()
+        fn._cells[len(fn._cells) // 2] += (0.25, -0.5)
+        raster = WorldRaster(xy)
+        assert raster._layout(fn) is None
+        cols = np.arange(len(xy))
+        indptr, cells = raster.coverage_rows(fn, cols)
+        assert raster.candidates_built == len(cols) * fn.n_cells
+        assert_rows_match_masks(fn, xy, cols, indptr, cells)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=adversarial_raster_case())
+    def test_exact_types_match_dense_masks_fresh_and_patched(self, case):
+        """Boundary-grazing sensors (exact Pythagorean offsets, one ulp
+        inside and outside the range), origins near 1e6, fractional cell
+        sizes on non-round sides, one-wide grids and far-away sensors: the
+        per-column runs equal the dense masks row for row, both built from
+        scratch and spliced onto a patched raster."""
+        fn, xy, xy_next, fresh = case
+        raster = WorldRaster(xy)
+        assert raster._layout(fn) is not None
+        cols = np.arange(len(xy))
+        indptr, cells = raster.coverage_rows(fn, cols)
+        assert_rows_match_masks(fn, xy, cols, indptr, cells)
+        patched = raster.patched(xy_next, np.arange(len(xy)), fresh)
+        indptr, cells = patched.coverage_rows(fn, cols)
+        assert_rows_match_masks(fn, xy_next, cols, indptr, cells)
+        # Spliced: only the fresh rows went through the builder.
+        assert patched.rows_built == len(fresh)
 
     def test_containment_caches_and_sharing(self):
         rng = np.random.default_rng(88)
@@ -602,12 +692,8 @@ def test_block_tracks_commits_past_16_bit_cell_ids(on_kernel):
     assert_block_tracks_commits(rng, queries, roster, before_first=2, per_call=2)
 
 
-def test_covered_cell_reads_are_a_fifth_of_the_regather(monkeypatch):
-    """On a region_agg-shaped slot the block's covered-cell reads (the
-    transpose entries it visits while syncing) are at most a fifth of the
-    covered cells of every evaluated pair's row, which is what re-gathering
-    the rows on each call reads."""
-    spec = ScenarioSpec.from_dict({
+def region_agg_shaped_spec():
+    return ScenarioSpec.from_dict({
         "name": "region-agg-shaped",
         "dataset": "rwm",
         "seed": 23,
@@ -623,6 +709,32 @@ def test_covered_cell_reads_are_a_fifth_of_the_regather(monkeypatch):
             }},
         ],
     })
+
+
+def test_row_builder_candidates_are_one_box_row_per_sensor():
+    """The run builder materializes one candidate per (sensor, column) of a
+    sensor's box: at most ``2*ceil(r/cell) + 3`` per row built, the box's
+    width where enumerating its cells would cost its area."""
+    engine = region_agg_shaped_spec().build()
+    engine.step(SimulationSummary())
+    raster = engine._kernel.raster
+    entries = list(raster._coverage_rows.values())
+    assert len(entries) == 24
+    rows = sum(len(cols) for _, cols, _, _ in entries)
+    assert raster.rows_built == rows > 0
+    bound = sum(
+        len(cols) * (2 * math.ceil(fn.sensing_range / fn.cell_size) + 3)
+        for fn, cols, _, _ in entries
+    )
+    assert 0 < raster.candidates_built <= bound
+
+
+def test_covered_cell_reads_are_a_fifth_of_the_regather(monkeypatch):
+    """On a region_agg-shaped slot the block's covered-cell reads (the
+    transpose entries it visits while syncing) are at most a fifth of the
+    covered cells of every evaluated pair's row, which is what re-gathering
+    the rows on each call reads."""
+    spec = region_agg_shaped_spec()
     blocks = []
     init = _CoverageBlock.__init__
     gain_many_block = _CoverageBlock.gain_many_block
