@@ -14,8 +14,8 @@ import numpy as np
 from conftest import run_once
 from repro.core import (
     LocationMonitoringController,
-    LocationMonitoringSimulation,
     OptimalPointAllocator,
+    location_monitoring_engine,
 )
 from repro.datasets import build_ozone_dataset, build_rnc_scenario
 from repro.queries import LocationMonitoringWorkload
@@ -39,14 +39,14 @@ def sweep(scale):
             arrivals_per_slot=scale.lm_arrivals_per_slot,
             dmax=scenario.dmax,
         )
-        sim = LocationMonitoringSimulation(
+        engine = location_monitoring_engine(
             scenario.make_fleet(),
             workload,
             OptimalPointAllocator(),
             np.random.default_rng(2013),
             controller=LocationMonitoringController(alpha=alpha),
         )
-        summary = sim.run(scale.n_slots)
+        summary = engine.run(scale.n_slots)
         rows.append(
             (alpha, summary.average_utility, summary.average_quality("location_monitoring"))
         )

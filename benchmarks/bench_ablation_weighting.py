@@ -15,8 +15,8 @@ from conftest import run_once
 from repro.core import (
     OptimalPointAllocator,
     RegionMonitoringController,
-    RegionMonitoringSimulation,
     paper_weight_function,
+    region_monitoring_engine,
 )
 from repro.datasets import build_intel_scenario
 from repro.queries import RegionMonitoringWorkload
@@ -34,14 +34,14 @@ def run_variant(scale, weighted: bool):
     controller = RegionMonitoringController(
         weight_fn=paper_weight_function if weighted else (lambda k: 1.0),
     )
-    sim = RegionMonitoringSimulation(
+    engine = region_monitoring_engine(
         world.scenario.make_fleet(),
         workload,
         OptimalPointAllocator(),
         np.random.default_rng(2013),
         controller=controller,
     )
-    summary = sim.run(scale.n_slots)
+    summary = engine.run(scale.n_slots)
     return summary.average_utility, summary.average_quality("region_monitoring")
 
 

@@ -1,6 +1,6 @@
 """Seed-robustness of the headline result (Figure 2's ordering).
 
-EXPERIMENTS.md claims the reproduced orderings are robust across seeds;
+A reproduced ordering should not hinge on one lucky seed;
 this bench replicates Figure 2 over several seeds and requires the
 Optimal >= LocalSearch >= Baseline ordering to hold in every replicate.
 """

@@ -25,16 +25,17 @@ from repro import (
     BaselineMixAllocator,
     LocationMonitoringWorkload,
     MixAllocator,
-    MixSimulation,
     PointQueryWorkload,
+    mix_engine,
 )
+from repro.core import SlotEngine
 from repro.datasets import build_ozone_dataset, build_rnc_scenario
 
 N_SLOTS = 12
 BUDGET_FACTOR = 15.0
 
 
-def build_simulation(mix, seed: int = 2013) -> MixSimulation:
+def build_engine(mix, seed: int = 2013) -> SlotEngine:
     # A down-scaled Lausanne: 200 participants, ~40 in the downtown hotspot.
     scenario = build_rnc_scenario(
         seed=seed, n_sensors=200, target_presence=40.0, n_slots=N_SLOTS
@@ -59,8 +60,8 @@ def build_simulation(mix, seed: int = 2013) -> MixSimulation:
         arrivals_per_slot=4,
         dmax=scenario.dmax,
     )
-    return MixSimulation(
-        scenario.make_fleet(), citizens, newspaper, agency, mix, np.random.default_rng(5)
+    return mix_engine(
+        scenario.make_fleet(), citizens, newspaper, agency, np.random.default_rng(5), mix=mix
     )
 
 
@@ -68,7 +69,7 @@ def main() -> None:
     print(f"Query mix on the RNC-substitute city, {N_SLOTS} slots\n")
     results = {}
     for name, mix in [("Algorithm 5", MixAllocator()), ("Baseline", BaselineMixAllocator())]:
-        summary = build_simulation(mix).run(N_SLOTS)
+        summary = build_engine(mix).run(N_SLOTS)
         results[name] = summary
         print(f"--- {name}")
         print(f"  avg utility / slot      : {summary.average_utility:9.1f}")

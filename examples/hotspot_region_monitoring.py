@@ -21,8 +21,8 @@ import numpy as np
 
 from repro import (
     OptimalPointAllocator,
-    RegionMonitoringSimulation,
     RegionMonitoringWorkload,
+    region_monitoring_engine,
 )
 from repro.datasets import build_intel_scenario
 
@@ -38,13 +38,13 @@ def main() -> None:
         sensing_radius=world.scenario.dmax,
         queries_per_slot=1,
     )
-    sim = RegionMonitoringSimulation(
+    engine = region_monitoring_engine(
         world.scenario.make_fleet(),
         workload,
         OptimalPointAllocator(),
         np.random.default_rng(3),
     )
-    summary = sim.run(N_SLOTS)
+    summary = engine.run(N_SLOTS)
 
     print(f"Region monitoring, {N_SLOTS} slots, learned GP "
           f"(variance={world.gp.kernel.variance:.2f}, "

@@ -17,12 +17,12 @@ from repro import (
     BaselineAllocator,
     FleetConfig,
     LocalSearchPointAllocator,
-    OneShotSimulation,
     OptimalPointAllocator,
     PointQueryWorkload,
     RandomWaypointMobility,
     Region,
     SensorFleet,
+    one_shot_engine,
 )
 
 N_SLOTS = 10
@@ -52,10 +52,10 @@ def main() -> None:
         ("Baseline", BaselineAllocator()),
     ]:
         # Same seeds -> same world and same queries for every algorithm.
-        sim = OneShotSimulation(
+        engine = one_shot_engine(
             build_fleet(seed=7), workload, allocator, np.random.default_rng(11)
         )
-        summary = sim.run(N_SLOTS)
+        summary = engine.run(N_SLOTS)
         print(
             f"{name:<12} {summary.average_utility:>17.1f} "
             f"{summary.satisfaction_ratio:>12.1%}"

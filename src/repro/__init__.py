@@ -12,7 +12,7 @@ Quickstart::
     import numpy as np
     from repro import (
         Region, RandomWaypointMobility, SensorFleet, FleetConfig,
-        PointQueryWorkload, OptimalPointAllocator, OneShotSimulation,
+        PointQueryWorkload, OptimalPointAllocator, one_shot_engine,
     )
 
     rng = np.random.default_rng(0)
@@ -21,12 +21,12 @@ Quickstart::
     fleet = SensorFleet(RandomWaypointMobility(world, 200, rng), hotspot,
                         FleetConfig(), rng)
     workload = PointQueryWorkload(hotspot, n_queries=300, budget=15.0)
-    sim = OneShotSimulation(fleet, workload, OptimalPointAllocator(), rng)
-    summary = sim.run(50)
+    engine = one_shot_engine(fleet, workload, OptimalPointAllocator(), rng)
+    summary = engine.run(50)
     print(summary.average_utility, summary.satisfaction_ratio)
 
-See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every reproduced figure.
+See README.md for the architecture and the reproduced figures, and
+``repro figures --validate`` for the paper-vs-measured check of each figure.
 """
 
 from .core import (
@@ -39,16 +39,11 @@ from .core import (
     GreedyAllocator,
     LocalSearchPointAllocator,
     LocationMonitoringController,
-    LocationMonitoringSimulation,
     MixAllocator,
-    MixOutcome,
-    MixSimulation,
-    OneShotSimulation,
     OptimalPointAllocator,
     PaymentInvariantError,
     RandomizedLocalSearchAllocator,
     RegionMonitoringController,
-    RegionMonitoringSimulation,
     ReproError,
     SimulationSummary,
     SolverError,
@@ -58,8 +53,12 @@ from .core import (
     solve_clairvoyant,
     simulate_myopic_gap,
     exhaustive_point_search,
+    location_monitoring_engine,
+    mix_engine,
+    one_shot_engine,
     paper_weight_function,
     plan_sampling,
+    region_monitoring_engine,
 )
 from .mobility import (
     MobilityModel,
@@ -188,13 +187,12 @@ __all__ = [
     "RegionMonitoringController",
     "MixAllocator",
     "BaselineMixAllocator",
-    "MixOutcome",
     "plan_sampling",
     "paper_weight_function",
-    "OneShotSimulation",
-    "LocationMonitoringSimulation",
-    "RegionMonitoringSimulation",
-    "MixSimulation",
+    "one_shot_engine",
+    "location_monitoring_engine",
+    "region_monitoring_engine",
+    "mix_engine",
     "SimulationSummary",
     "ReproError",
     "AllocationError",

@@ -51,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--chart", action="store_true",
                          help="render ASCII charts in addition to tables")
     figures.add_argument("--validate", action="store_true",
-                         help="run the DESIGN.md shape checklist on each figure")
+                         help="run each figure's shape checklist "
+                              "(repro.experiments.validation)")
 
     scenario = sub.add_parser(
         "scenario", help="run a declared ScenarioSpec (JSON) through the SlotEngine"

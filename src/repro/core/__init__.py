@@ -23,7 +23,7 @@ from .errors import AllocationError, PaymentInvariantError, ReproError, SolverEr
 from .greedy import GreedyAllocator
 from .local_search import LocalSearchPointAllocator, RandomizedLocalSearchAllocator
 from .metrics import RunningStat, SimulationSummary, SlotRecord
-from .mix import BaselineMixAllocator, MixAllocator, MixOutcome
+from .mix import BaselineMixAllocator, MixAllocator
 from .monitoring import (
     LocationMonitoringController,
     RegionMonitoringController,
@@ -33,12 +33,6 @@ from .optimal import OptimalPointAllocator, exhaustive_point_search
 from .payments import proportionate_shares, redistribute_contribution
 from .point_problem import PointProblem
 from .sampling import SamplingPlan, paper_weight_function, plan_sampling
-from .simulation import (
-    LocationMonitoringSimulation,
-    MixSimulation,
-    OneShotSimulation,
-    RegionMonitoringSimulation,
-)
 from .valuation import ValuationKernel, delta_old_to_new, resolve_cell_size
 
 __all__ = [
@@ -89,12 +83,7 @@ __all__ = [
     "paper_weight_function",
     "MixAllocator",
     "BaselineMixAllocator",
-    "MixOutcome",
     "SimulationSummary",
     "SlotRecord",
     "RunningStat",
-    "OneShotSimulation",
-    "LocationMonitoringSimulation",
-    "RegionMonitoringSimulation",
-    "MixSimulation",
 ]

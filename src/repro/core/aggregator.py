@@ -6,19 +6,20 @@ aggregator.  The aggregator periodically collects the queries and tries to
 optimally answer them" (Section 2).
 
 :class:`Aggregator` is that server: applications :meth:`submit` queries of
-any supported type at any time; each :meth:`run_slot` call collects the
-current announcements, executes Algorithm 5 over everything live, settles
-payments into per-user and per-sensor accounts, and advances the world.
-The simulation engines of :mod:`repro.core.simulation` remain the slim
-harness used by the benchmark reproductions; the aggregator is the API a
-downstream application would actually embed.
+any supported type at any time; each :meth:`run_slot` call runs one slot
+of the :class:`~repro.core.engine.SlotEngine` that
+:func:`~repro.core.engine.mix_engine` builds (announce, Algorithm 5 over
+everything live, settle, advance) and charges the outcome to per-query
+receipts and per-user accounts.  It is a submission adapter over that
+engine, as :class:`~repro.service.AdmissionStream` is for the service.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+
+import numpy as np
 
 from ..queries import (
     EventDetectionQuery,
@@ -28,10 +29,23 @@ from ..queries import (
     RegionMonitoringQuery,
 )
 from ..sensors import SensorFleet
+from .engine import EventDetectionStream, mix_engine
 from .errors import AllocationError
-from .mix import BaselineMixAllocator, MixAllocator, MixOutcome
+from .metrics import SimulationSummary
+from .mix import BaselineMixAllocator, MixAllocator
 
 __all__ = ["Aggregator", "QueryReceipt", "SlotDigest", "UserAccount"]
+
+
+class _Submissions:
+    """Stream workload handing over the queries staged since the last slot."""
+
+    def __init__(self) -> None:
+        self.staged: list = []
+
+    def generate(self, t, rng, live_count: int = 0) -> list:
+        staged, self.staged = self.staged, []
+        return staged
 
 
 @dataclass
@@ -91,10 +105,15 @@ class Aggregator:
         fleet: the sensor population (announcements + settlement side).
         mix: the per-slot scheduling policy; Algorithm 5 by default, the
             sequential baseline if you want to feel the difference.
+        ground_truth: optional callable ``Location -> float`` giving the
+            phenomenon value the event witnesses report; without it they
+            report 0.0, so event-detection queries pay for confidence but
+            can only *fire* on a negative threshold.
 
     Lifecycle: ``submit()`` any number of queries (at any slot), then call
     ``run_slot()`` once per time slot.  One-shot queries live for exactly
-    the next slot; continuous queries stay until they expire.
+    the next slot their owner can still pay for; continuous queries stay
+    until they expire.
     """
 
     def __init__(
@@ -105,15 +124,39 @@ class Aggregator:
     ) -> None:
         self.fleet = fleet
         self.mix = mix if mix is not None else MixAllocator()
-        #: optional callable Location -> float giving the phenomenon value;
-        #: event-detection queries can only *fire* when it is provided.
         self.ground_truth = ground_truth
         self._owner: dict[str, str] = {}
+        # One-shot queries wait here until their owner has budget left.
         self._pending_points: list[PointQuery] = []
         self._pending_one_shot: list[Query] = []
-        self._live_lm: list[LocationMonitoringQuery] = []
-        self._live_rm: list[RegionMonitoringQuery] = []
-        self._live_events: list[EventDetectionQuery] = []
+        self._points, self._one_shots, self._lm, self._rm, self._events = (
+            _Submissions() for _ in range(5)
+        )
+        self.engine = mix_engine(
+            fleet, self._points, self._one_shots, self._lm,
+            np.random.default_rng(0), region_workload=self._rm, mix=self.mix,
+        )
+        phenomenon = None
+        if ground_truth is not None:
+            def phenomenon(t, location):
+                return ground_truth(location)
+        # Rank 0 after the aggregate stream: event slot queries enter the
+        # allocation right after the non-point one-shots.
+        self.engine.streams.append(
+            EventDetectionStream(self._events, phenomenon=phenomenon, allocation_rank=0)
+        )
+        self._lm_stream = self.engine.stream("location_monitoring")
+        self._rm_stream = self.engine.stream("region_monitoring")
+        self._event_stream = self.engine.stream("event")
+        self._one_shot_streams = (
+            self.engine.stream("point"), self.engine.stream("aggregate")
+        )
+        self._continuous = (
+            (self._lm_stream, self._lm),
+            (self._rm_stream, self._rm),
+            (self._event_stream, self._events),
+        )
+        self._summary = SimulationSummary()
         self.receipts: dict[str, QueryReceipt] = {}
         self.accounts: dict[str, UserAccount] = {}
         self.digests: list[SlotDigest] = []
@@ -126,7 +169,15 @@ class Aggregator:
         return self.fleet.clock
 
     def open_account(self, user_id: str, budget: float = math.inf) -> UserAccount:
-        """Register a user with an optional hard spending budget."""
+        """Register a user with an optional hard spending budget.
+
+        ``inf`` (the default) means no cap; a NaN or negative budget is
+        refused, since a NaN budget would re-queue the user's queries forever.
+        """
+        if not budget >= 0.0:
+            raise ValueError(
+                f"account budget must be non-negative or inf, got {budget}"
+            )
         if user_id in self.accounts:
             raise AllocationError(f"user {user_id!r} already has an account")
         account = UserAccount(user_id=user_id, budget=budget)
@@ -141,11 +192,11 @@ class Aggregator:
         monitoring, event detection (continuous).
         """
         if isinstance(query, LocationMonitoringQuery):
-            bucket, kind = self._live_lm, "location_monitoring"
+            bucket, kind = self._lm.staged, "location_monitoring"
         elif isinstance(query, RegionMonitoringQuery):
-            bucket, kind = self._live_rm, "region_monitoring"
+            bucket, kind = self._rm.staged, "region_monitoring"
         elif isinstance(query, EventDetectionQuery):
-            bucket, kind = self._live_events, "event"
+            bucket, kind = self._events.staged, "event"
         elif isinstance(query, PointQuery):
             bucket, kind = self._pending_points, "point"
         elif isinstance(query, Query):
@@ -178,42 +229,46 @@ class Aggregator:
         """Execute one time slot end to end and settle all payments."""
         t = self.clock
         self._expire_continuous(t)
-        sensors = self.fleet.announcements()
+        self._points.staged = self._drain_affordable(self._pending_points)
+        self._one_shots.staged = self._drain_affordable(self._pending_one_shot)
+        record = self.engine.step(self._summary)
+        result = self.engine.last_result
+        query_paid, _ = result.payment_totals()
+        lm, rm = self._lm_stream, self._rm_stream
 
-        points = self._drain_affordable(self._pending_points)
-        one_shot = self._drain_affordable(self._pending_one_shot)
-        event_children = [
-            q.create_slot_query(t) for q in self._live_events if q.active(t)
-        ]
-        event_parents = {c.query_id: p for c, p in zip(
-            event_children, [q for q in self._live_events if q.active(t)]
-        )}
+        def charge(query_id: str, child_id: str) -> None:
+            self._charge(
+                query_id, result.values.get(child_id, 0.0), query_paid.get(child_id, 0.0)
+            )
 
-        outcome: MixOutcome = self.mix.allocate_slot(
-            t,
-            points,
-            list(one_shot) + list(event_children),
-            self._live_lm,
-            self._live_rm,
-            sensors,
-        )
-        result = outcome.result
+        # Charge order (events, one-shots, location then region monitoring)
+        # fixes the float summation order of every account.
+        for child in self._event_stream.children:
+            charge(child.parent_id, child.query_id)
+        for stream in self._one_shot_streams:
+            for query in stream.current:
+                charge(query.query_id, query.query_id)
+                self.receipts[query.query_id].completed_at = t
+        for child in lm.children:
+            charge(child.parent_id, child.query_id)
+        for outcome in rm.outcomes:
+            self._charge(outcome.query_id, outcome.achieved_value, outcome.paid)
 
-        events_fired = self._settle_events(t, outcome, event_parents)
-        self._settle_one_shot(t, points + one_shot, outcome)
-        self._settle_continuous(outcome)
-
-        self.fleet.record_measurements(list(result.selected))
-        self.fleet.advance()
-
+        # Slot welfare: one-shot values plus the realized monitoring values
+        # (eq.-16 deltas, achieved region values) minus the sensors' costs.
+        child_ids = {c.query_id for c in lm.children}
+        child_ids.update(c.query_id for c in rm.children)
+        one_shot = sum(v for qid, v in result.values.items() if qid not in child_ids)
+        rm_value = sum(o.achieved_value for o in rm.outcomes)
+        utility = one_shot + lm.value_delta + rm_value - result.total_cost
         digest = SlotDigest(
             slot=t,
-            utility=outcome.total_utility,
-            total_value=outcome.total_utility + result.total_cost,
+            utility=utility,
+            total_value=utility + result.total_cost,
             total_cost=result.total_cost,
             answered=result.answered_count(),
             sensors_used=len(result.selected),
-            events_fired=events_fired,
+            events_fired=int(record.extras["detections"]),
         )
         self.digests.append(digest)
         return digest
@@ -234,11 +289,10 @@ class Aggregator:
                 admitted.append(query)
             else:
                 skipped.append(query)
-        pending.clear()
-        pending.extend(skipped)  # re-queue until budget frees up
+        pending[:] = skipped  # re-queue until budget frees up
         return admitted
 
-    def _charge(self, query_id: str, value: float, paid: float, t: int) -> None:
+    def _charge(self, query_id: str, value: float, paid: float) -> None:
         receipt = self.receipts[query_id]
         receipt.answered = receipt.answered or value > 0
         receipt.value += value
@@ -247,58 +301,14 @@ class Aggregator:
         account.spent += paid
         account.value_received += value
 
-    def _settle_one_shot(self, t: int, queries: Sequence[Query], outcome: MixOutcome) -> None:
-        result = outcome.result
-        for query in queries:
-            value = result.values.get(query.query_id, 0.0)
-            paid = result.query_payment(query.query_id)
-            self._charge(query.query_id, value, paid, t)
-            self.receipts[query.query_id].completed_at = t
-
-    def _settle_continuous(self, outcome: MixOutcome) -> None:
-        result = outcome.result
-        # Location monitoring: charge the realized deltas through children.
-        for child in outcome.lm_children:
-            paid = result.query_payment(child.query_id)
-            value = result.values.get(child.query_id, 0.0)
-            self._charge(child.parent_id, value, paid, self.clock)
-        for rm_outcome in outcome.rm_outcomes:
-            self._charge(
-                rm_outcome.query_id,
-                rm_outcome.achieved_value,
-                rm_outcome.paid,
-                self.clock,
-            )
-
-    def _settle_events(self, t: int, outcome: MixOutcome, parents: dict) -> int:
-        result = outcome.result
-        fired = 0
-        for child_id, parent in parents.items():
-            paid = result.query_payment(child_id)
-            value = result.values.get(child_id, 0.0)
-            sensor_ids = result.assignments.get(child_id, ())
-            readings = []
-            if self.ground_truth is not None:
-                for sid in sensor_ids:
-                    snapshot = result.selected[sid]
-                    truth = self.ground_truth(snapshot.location)
-                    # Witness reliability = the derived query's eq.-4 quality.
-                    quality = max(
-                        0.0, min(1.0, (1.0 - snapshot.inaccuracy) * snapshot.trust)
-                    )
-                    readings.append((truth, quality))
-            if parent.apply_readings(t, readings, paid):
-                fired += 1
-            self._charge(parent.query_id, value, paid, t)
-        return fired
-
     def _expire_continuous(self, t: int) -> None:
-        for bucket in (self._live_lm, self._live_rm, self._live_events):
-            expired = [q for q in bucket if q.expired(t)]
-            for query in expired:
-                receipt = self.receipts[query.query_id]
-                receipt.completed_at = t - 1
-            bucket[:] = [q for q in bucket if not q.expired(t)]
+        """Close the receipts of continuous queries over by slot ``t``; the
+        streams retire the live ones themselves."""
+        for stream, submissions in self._continuous:
+            for query in stream.live + submissions.staged:
+                if query.expired(t):
+                    self.receipts[query.query_id].completed_at = t - 1
+            submissions.staged = [q for q in submissions.staged if not q.expired(t)]
 
     # ------------------------------------------------------------------
     # reporting
@@ -307,4 +317,7 @@ class Aggregator:
         return float(sum(d.utility for d in self.digests))
 
     def live_query_count(self) -> int:
-        return len(self._live_lm) + len(self._live_rm) + len(self._live_events)
+        return sum(
+            len(stream.live) + len(submissions.staged)
+            for stream, submissions in self._continuous
+        )

@@ -78,6 +78,21 @@ class AllocationResult:
     # ------------------------------------------------------------------
     # per-party accounting
     # ------------------------------------------------------------------
+    def payment_totals(self) -> tuple[dict[str, float], dict[int, float]]:
+        """Per-query and per-sensor payment sums from one ledger pass.
+
+        Settlement reads these instead of calling :meth:`query_payment` /
+        :meth:`sensor_income` (a full ledger scan each) per party.  Each
+        sum accumulates in ledger insertion order, so the totals are
+        ``==`` to what those helpers return.
+        """
+        query_paid: dict[str, float] = {}
+        sensor_paid: dict[int, float] = {}
+        for (qid, sid), payment in self.payments.items():
+            query_paid[qid] = query_paid.get(qid, 0.0) + payment
+            sensor_paid[sid] = sensor_paid.get(sid, 0.0) + payment
+        return query_paid, sensor_paid
+
     def query_payment(self, query_id: str) -> float:
         return float(
             sum(p for (qid, _), p in self.payments.items() if qid == query_id)
@@ -153,20 +168,12 @@ class AllocationResult:
         condition states the good case, so a NaN (every comparison with it
         is False) cannot slip through.
         """
-        # One grouping pass over the ledger instead of a full payments scan
-        # per query/sensor (the helpers stay O(n) for ad-hoc callers, but
-        # verify runs on every slot of every engine).  Per-key accumulation
-        # follows the ledger's insertion order, so the sums are bit-equal
-        # to what query_payment / sensor_income return.
-        query_paid: dict[str, float] = {}
-        sensor_paid: dict[int, float] = {}
         for (qid, sid), payment in self.payments.items():
             if not (math.isfinite(payment) and payment >= -tolerance):
                 raise PaymentInvariantError(
                     f"invalid payment {payment} from {qid} to sensor {sid}"
                 )
-            query_paid[qid] = query_paid.get(qid, 0.0) + payment
-            sensor_paid[sid] = sensor_paid.get(sid, 0.0) + payment
+        query_paid, sensor_paid = self.payment_totals()
         for sid, snapshot in self.selected.items():
             income = sensor_paid.get(sid, 0.0)
             slack = max(tolerance, tolerance * snapshot.cost)

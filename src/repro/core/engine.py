@@ -56,7 +56,11 @@ from ..queries import (
 from ..sensors import SensorFleet, SensorSnapshot
 from .allocation import AllocationResult, Allocator
 from .metrics import SimulationSummary, SlotRecord
-from .monitoring import LocationMonitoringController, RegionMonitoringController
+from .monitoring import (
+    LocationMonitoringController,
+    RegionMonitoringController,
+    RegionSlotOutcome,
+)
 from .valuation import ValuationKernel
 
 __all__ = [
@@ -200,6 +204,7 @@ class OneShotStream(QueryStream):
         if self.count_issued:
             record.issued += len(self.current)
         value = 0.0
+        query_paid, _ = result.payment_totals()
         for query in self.current:
             if result.is_answered(query.query_id):
                 if self.count_answered:
@@ -211,7 +216,10 @@ class OneShotStream(QueryStream):
                     record.qualities.append(quality)
                 label = self.quality_label or query.query_type.value
                 summary.add_quality(label, quality)
-            summary.record_query_outcome(result.query_utility(query.query_id))
+            summary.record_query_outcome(
+                result.values.get(query.query_id, 0.0)
+                - query_paid.get(query.query_id, 0.0)
+            )
         record.value += value
 
 
@@ -244,6 +252,7 @@ class LocationMonitoringStream(QueryStream):
         self.live_key = live_key
         self.live: list[LocationMonitoringQuery] = []
         self.children: list[PointQuery] = []
+        self.value_delta = 0.0
 
     def begin_slot(self, t, rng, summary):
         self._retire(t, summary)
@@ -254,10 +263,10 @@ class LocationMonitoringStream(QueryStream):
         return list(self.children)
 
     def settle(self, t, result, record, summary):
-        samples, value_delta = self.controller.apply_results(
+        samples, self.value_delta = self.controller.apply_results(
             self.live, self.children, result, t
         )
-        record.value += value_delta
+        record.value += self.value_delta
         if self.count_issued:
             record.issued += len(self.children)
         if self.count_answered:
@@ -311,6 +320,7 @@ class RegionMonitoringStream(QueryStream):
         self.live: list[RegionMonitoringQuery] = []
         self.children: list[PointQuery] = []
         self.plans: dict = {}
+        self.outcomes: list[RegionSlotOutcome] = []
 
     def begin_slot(self, t, rng, summary):
         self._retire(t, summary)
@@ -323,11 +333,11 @@ class RegionMonitoringStream(QueryStream):
         return list(self.children)
 
     def settle(self, t, result, record, summary):
-        outcomes = self.controller.apply_results(
+        self.outcomes = self.controller.apply_results(
             self.live, self.children, self.plans, result, t
         )
-        self.controller.adjust_payments(result, outcomes)
-        record.value += sum(o.achieved_value for o in outcomes)
+        self.controller.adjust_payments(result, self.outcomes)
+        record.value += sum(o.achieved_value for o in self.outcomes)
         if self.count_issued:
             record.issued += len(self.children)
         if self.count_answered:
@@ -413,6 +423,7 @@ class EventDetectionStream(QueryStream):
 
     def settle(self, t, result, record, summary):
         by_id = {q.query_id: q for q in self.live}
+        query_paid, _ = result.payment_totals()
         fired = 0
         value = 0.0
         for child in self.children:
@@ -432,7 +443,7 @@ class EventDetectionStream(QueryStream):
             ]
             achieved = result.values.get(child.query_id, 0.0)
             if query.record_slot(
-                t, readings, achieved, result.query_payment(child.query_id)
+                t, readings, achieved, query_paid.get(child.query_id, 0.0)
             ):
                 fired += 1
             value += achieved
@@ -778,23 +789,21 @@ def mix_engine(
     rng,
     *,
     region_workload=None,
-    joint: Allocator | None = None,
-    lm_controller: LocationMonitoringController | None = None,
-    rm_controller: RegionMonitoringController | None = None,
-    sequential: bool = False,
-    stage1_allocator: Allocator | None = None,
-    stage2_allocator: Allocator | None = None,
+    mix=None,
 ) -> SlotEngine:
     """Figure 10: point + aggregate + monitoring streams in one slot cycle.
 
-    ``sequential=False`` reproduces Algorithm 5 (joint allocation over all
-    emitted queries, default greedy); ``sequential=True`` the Section 4.7
-    baseline (aggregates buffered first, then everything else at
-    discounted sensor costs).
+    ``mix`` is the pipeline configuration: a
+    :class:`~repro.core.mix.MixAllocator` (Algorithm 5, the default: joint
+    allocation over all emitted queries) or a
+    :class:`~repro.core.mix.BaselineMixAllocator` (the Section 4.7
+    baseline: aggregates buffered first, then everything else at
+    discounted sensor costs).  Its controllers drive the monitoring streams.
     """
-    from .baselines import BaselineAllocator
-    from .greedy import GreedyAllocator
+    if mix is None:
+        from .mix import MixAllocator
 
+        mix = MixAllocator()
     streams: list[QueryStream] = [
         OneShotStream(
             point_workload,
@@ -816,7 +825,7 @@ def mix_engine(
         ),
         LocationMonitoringStream(
             location_workload,
-            controller=lm_controller,
+            controller=mix.lm_controller,
             count_issued=False,
             count_answered=False,
             samples_key="lm_samples",
@@ -827,23 +836,16 @@ def mix_engine(
         streams.append(
             RegionMonitoringStream(
                 region_workload,
-                controller=rm_controller,
+                controller=mix.rm_controller,
                 count_issued=False,
                 count_answered=False,
                 live_key=None,
             )
         )
-    if sequential:
-        allocation: SlotAllocation = SequentialBufferedAllocation(
-            stage1_allocator if stage1_allocator is not None else BaselineAllocator(),
-            stage2_allocator if stage2_allocator is not None else BaselineAllocator(),
-        )
-    else:
-        allocation = JointSlotAllocation(joint if joint is not None else GreedyAllocator())
     return SlotEngine(
         fleet,
         streams,
-        allocation,
+        mix.allocation(),
         rng,
         verify_each_slot=True,
     )

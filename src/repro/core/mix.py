@@ -1,79 +1,37 @@
 """Query-mix data acquisition — Algorithm 5 (Section 3.4) and its baseline.
 
-Algorithm 5's four stages map to :meth:`MixAllocator.allocate_slot`:
+Algorithm 5's four stages run inside one :class:`~repro.core.SlotEngine`
+slot (see :func:`~repro.core.engine.mix_engine`):
 
 1. *Point query creation*: Algorithms 2/3 derive point queries for the live
-   location/region monitoring queries.
+   location/region monitoring queries (the monitoring streams' ``emit``).
 2. *Sensor selection*: user point queries, aggregate queries and all the
-   derived point queries go jointly into Algorithm 1.
-3. *Result application*: Algorithms 2/3 fold the outcomes back.
+   derived point queries go jointly into Algorithm 1
+   (:class:`~repro.core.engine.JointSlotAllocation`).
+3. *Result application*: Algorithms 2/3 fold the outcomes back (the
+   monitoring streams' ``settle``).
 4. *Payment adjustment & accounting*: region-monitoring cost contributions
-   rebalance the ledger; the caller then charges users and pays sensors.
+   rebalance the ledger before the one-shot streams read it.
 
 The baseline (Section 4.7) instead executes sequentially with data
-buffering: aggregates first through the Section 4.4 baseline, then point
-queries (user-issued plus monitoring-derived at desired times only) through
-the Section 4.3 baseline, with stage-1 sensors costing zero in stage 2.
+buffering (:class:`~repro.core.engine.SequentialBufferedAllocation`):
+aggregates first through the Section 4.4 baseline, then point queries
+(user-issued plus monitoring-derived at desired times only) through the
+Section 4.3 baseline, with stage-1 sensors costing zero in stage 2.
+
+The two classes here are the configurations of those two pipelines: the
+allocators and Algorithm 2/3 controllers a mix engine is built from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
-
-from ..queries import (
-    LocationMonitoringQuery,
-    PointQuery,
-    Query,
-    RegionMonitoringQuery,
-)
-from ..sensors import SensorSnapshot
-from .allocation import AllocationResult, Allocator
+from .allocation import Allocator
 from .baselines import BaselineAllocator
-from .engine import call_allocator
+from .engine import JointSlotAllocation, SequentialBufferedAllocation, SlotAllocation
 from .greedy import GreedyAllocator
-from .monitoring import (
-    LocationMonitoringController,
-    RegionMonitoringController,
-    RegionSlotOutcome,
-)
-from .valuation import ValuationKernel
+from .monitoring import LocationMonitoringController, RegionMonitoringController
 
-__all__ = ["MixOutcome", "MixAllocator", "BaselineMixAllocator"]
-
-
-@dataclass
-class MixOutcome:
-    """Everything the accounting layer needs from one mixed slot."""
-
-    result: AllocationResult
-    lm_children: list[PointQuery] = field(default_factory=list)
-    rm_children: list[PointQuery] = field(default_factory=list)
-    lm_samples: int = 0
-    lm_value_delta: float = 0.0
-    rm_outcomes: list[RegionSlotOutcome] = field(default_factory=list)
-
-    @property
-    def child_ids(self) -> set[str]:
-        ids = {c.query_id for c in self.lm_children}
-        ids.update(c.query_id for c in self.rm_children)
-        return ids
-
-    @property
-    def total_utility(self) -> float:
-        """Slot social welfare: one-shot + monitoring values minus costs.
-
-        Monitoring children's allocated values are replaced by the realized
-        quantities: the parents' eq. 16 value deltas for location
-        monitoring, and the achieved slot values (which include the shared
-        ``A_{r,t}`` sensors) for region monitoring.
-        """
-        child_ids = self.child_ids
-        one_shot = sum(
-            v for qid, v in self.result.values.items() if qid not in child_ids
-        )
-        rm_value = sum(o.achieved_value for o in self.rm_outcomes)
-        return one_shot + self.lm_value_delta + rm_value - self.result.total_cost
+__all__ = ["MixAllocator", "BaselineMixAllocator"]
 
 
 class MixAllocator:
@@ -83,8 +41,6 @@ class MixAllocator:
         joint: the stage-2 allocator (paper: Algorithm 1 / greedy).
         lm_controller / rm_controller: the Algorithm 2/3 controllers.
     """
-
-    name = "Alg5"
 
     def __init__(
         self,
@@ -100,46 +56,9 @@ class MixAllocator:
             rm_controller if rm_controller is not None else RegionMonitoringController()
         )
 
-    def allocate_slot(
-        self,
-        t: int,
-        point_queries: Sequence[PointQuery],
-        aggregate_queries: Sequence[Query],
-        lm_queries: Sequence[LocationMonitoringQuery],
-        rm_queries: Sequence[RegionMonitoringQuery],
-        sensors: Sequence[SensorSnapshot],
-        kernel: ValuationKernel | None = None,
-    ) -> MixOutcome:
-        # Stage 1: point-query creation for continuous queries.
-        lm_children = self.lm_controller.create_point_queries(lm_queries, t)
-        rm_children, plans = self.rm_controller.create_point_queries(
-            rm_queries, sensors, t
-        )
-        # Stage 2: joint sensor selection over every query at once.
-        all_queries: list[Query] = []
-        all_queries.extend(aggregate_queries)
-        all_queries.extend(point_queries)
-        all_queries.extend(lm_children)
-        all_queries.extend(rm_children)
-        result = call_allocator(self.joint, all_queries, sensors, kernel)
-        # Stage 3: apply the outcomes to the continuous queries.
-        lm_samples, lm_value_delta = self.lm_controller.apply_results(
-            lm_queries, lm_children, result, t
-        )
-        rm_outcomes = self.rm_controller.apply_results(
-            rm_queries, rm_children, plans, result, t
-        )
-        # Stage 4: payment adjustment for the shared-sensor contributions.
-        self.rm_controller.adjust_payments(result, rm_outcomes)
-        result.verify()
-        return MixOutcome(
-            result=result,
-            lm_children=lm_children,
-            rm_children=rm_children,
-            lm_samples=lm_samples,
-            lm_value_delta=lm_value_delta,
-            rm_outcomes=rm_outcomes,
-        )
+    def allocation(self) -> SlotAllocation:
+        """Every emitted query in one ``joint`` call."""
+        return JointSlotAllocation(self.joint)
 
 
 class BaselineMixAllocator:
@@ -149,10 +68,9 @@ class BaselineMixAllocator:
     then cost nothing for the point stage ("the cost of selected sensors is
     set to zero for subsequent queries"), which runs user point queries and
     desired-time-only monitoring point queries through the Section 4.3
-    baseline.
+    baseline.  Event-detection slot queries (redundant-sampling sets, like
+    aggregates) run in the first stage.
     """
-
-    name = "BaselineMix"
 
     def __init__(self) -> None:
         self.aggregate_stage = BaselineAllocator()
@@ -164,68 +82,8 @@ class BaselineMixAllocator:
             weight_fn=lambda k: 1.0, use_shared_sensors=False
         )
 
-    def allocate_slot(
-        self,
-        t: int,
-        point_queries: Sequence[PointQuery],
-        aggregate_queries: Sequence[Query],
-        lm_queries: Sequence[LocationMonitoringQuery],
-        rm_queries: Sequence[RegionMonitoringQuery],
-        sensors: Sequence[SensorSnapshot],
-        kernel: ValuationKernel | None = None,
-    ) -> MixOutcome:
-        result = AllocationResult()
-        stage1 = call_allocator(
-            self.aggregate_stage, list(aggregate_queries), sensors, kernel
-        )
-        result.merge(stage1)
-
-        # Stage-1 sensors are buffered: re-announce them at zero cost.
-        zeroed = {
-            sid: SensorSnapshot(
-                sensor_id=snap.sensor_id,
-                location=snap.location,
-                cost=0.0,
-                inaccuracy=snap.inaccuracy,
-                trust=snap.trust,
-            )
-            for sid, snap in stage1.selected.items()
-        }
-        stage2_sensors = [zeroed.get(s.sensor_id, s) for s in sensors]
-
-        lm_children = self.lm_controller.create_point_queries(lm_queries, t)
-        rm_children, plans = self.rm_controller.create_point_queries(
-            rm_queries, stage2_sensors, t
-        )
-        stage2_queries: list[Query] = list(point_queries) + lm_children + rm_children
-        stage2 = call_allocator(self.point_stage, stage2_queries, stage2_sensors, kernel)
-
-        lm_samples, lm_value_delta = self.lm_controller.apply_results(
-            lm_queries, lm_children, stage2, t
-        )
-        rm_outcomes = self.rm_controller.apply_results(
-            rm_queries, rm_children, plans, stage2, t
-        )
-
-        # Merge stage 2, restoring original cost snapshots so the combined
-        # ledger still shows each sensor recovering its true cost (paid
-        # once, in stage 1).
-        restored = AllocationResult(
-            selected={
-                sid: (stage1.selected[sid] if sid in stage1.selected else snap)
-                for sid, snap in stage2.selected.items()
-            },
-            assignments=stage2.assignments,
-            values=stage2.values,
-            payments=stage2.payments,
-        )
-        result.merge(restored)
-        result.verify()
-        return MixOutcome(
-            result=result,
-            lm_children=lm_children,
-            rm_children=rm_children,
-            lm_samples=lm_samples,
-            lm_value_delta=lm_value_delta,
-            rm_outcomes=rm_outcomes,
+    def allocation(self) -> SlotAllocation:
+        """Aggregate and event kinds first, then everything else."""
+        return SequentialBufferedAllocation(
+            self.aggregate_stage, self.point_stage, stage1_kinds=("aggregate", "event")
         )

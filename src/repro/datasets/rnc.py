@@ -1,6 +1,6 @@
 """The RNC scenario — synthetic substitute for the Nokia campaign trace.
 
-See :mod:`repro.mobility.nokia` and DESIGN.md ("Dataset substitutions") for
+See :mod:`repro.mobility.nokia` for
 why a calibrated anchor-based synthesizer reproduces the consumable
 statistics of the paper's RNC dataset: 237x300 grid, 635 sensors, ~120 on
 average inside the 100x100 working subregion, human-like churn.  Eq. 4 uses

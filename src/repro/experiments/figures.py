@@ -2,7 +2,7 @@
 
 Each ``figN`` function regenerates the corresponding figure's series — the
 same x-axis sweep, the same algorithms, the same metrics — on the synthetic
-scenario substitutes (see DESIGN.md).  All functions take an
+scenario substitutes of :mod:`repro.datasets`.  All functions take an
 :class:`~repro.experiments.config.ExperimentScale` so benches can run them
 small (``ci``) or at the published size (``paper``).
 """
@@ -13,9 +13,11 @@ import numpy as np
 
 from ..core import (
     BaselineAllocator,
+    BaselineMixAllocator,
     GreedyAllocator,
     LocalSearchPointAllocator,
     LocationMonitoringController,
+    MixAllocator,
     OptimalPointAllocator,
     RegionMonitoringController,
     event_detection_engine,
@@ -406,23 +408,12 @@ def fig10(scale: ExperimentScale | None = None, seed: int = 2013) -> FigureResul
         seed, scale.rnc_sensors, scale.rnc_presence, scale.n_slots, fleet_config=config
     )
     ozone = build_ozone_dataset(seed, n_slots=max(50, scale.n_slots))
-    variants = {
-        "Alg5": {},
-        "Baseline": {
-            "sequential": True,
-            "lm_controller": LocationMonitoringController(
-                opportunistic=False, scheduled_only=True
-            ),
-            "rm_controller": RegionMonitoringController(
-                weight_fn=lambda k: 1.0, use_shared_sensors=False
-            ),
-        },
-    }
+    variants = {"Alg5": MixAllocator, "Baseline": BaselineMixAllocator}
     figure = FigureResult("fig10", "Query mix, RNC", "budget factor")
     with SeriesCollector(figure) as fig:
         fig.x_values = list(scale.mix_budget_factors)
         for factor in scale.mix_budget_factors:
-            for name, mix_options in variants.items():
+            for name, make_mix in variants.items():
                 point_wl = PointQueryWorkload(
                     scenario.working_region,
                     n_queries=scale.point_queries_per_slot,
@@ -451,7 +442,7 @@ def fig10(scale: ExperimentScale | None = None, seed: int = 2013) -> FigureResul
                     agg_wl,
                     lm_wl,
                     np.random.default_rng(seed + int(factor * 10)),
-                    **mix_options,
+                    mix=make_mix(),
                 )
                 summary = engine.run(scale.n_slots)
                 fig.add(name, "avg_utility", summary.average_utility)

@@ -2,7 +2,7 @@
 
 The paper's figures are line plots; we print the underlying series as
 aligned tables (one row per x value, one column per algorithm), which is
-what EXPERIMENTS.md records and what the benches emit.
+what the CLI and the benches emit.
 """
 
 from __future__ import annotations

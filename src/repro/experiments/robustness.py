@@ -4,7 +4,7 @@ A single-seed sweep can get lucky.  :func:`replicate` reruns a figure
 function over several seeds and aggregates per-algorithm/metric series into
 mean and standard deviation; :func:`ordering_robustness` counts in how many
 replicates one algorithm dominates another — the quantitative backing for
-EXPERIMENTS.md's "orderings robust across seeds".
+calling an ordering robust across seeds.
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ class FigureResult:
         return self.series[algorithm][metric]
 
     # ------------------------------------------------------------------
-    # shape checks used by benches and EXPERIMENTS.md
+    # shape checks used by benches and repro.experiments.validation
     # ------------------------------------------------------------------
     def dominates(
         self,

@@ -1,4 +1,4 @@
-"""Shape validation: DESIGN.md Section 5 as an executable checklist.
+"""Shape validation: the paper's Section 4 findings as an executable checklist.
 
 Every qualitative relationship the reproduction must exhibit ("who wins,
 where the baseline collapses, what converges") is encoded as a named check
@@ -78,7 +78,7 @@ def _close(a: str, b: str, metric: str, rel: float = 0.1):
     return check
 
 
-#: figure id -> list of checks (DESIGN.md Section 5 expectations)
+#: figure id -> list of checks (the shape each reproduced figure must have)
 CHECKLISTS: dict[str, list[Callable[[FigureResult], CheckResult]]] = {
     "fig2": [
         _dominance("Optimal", "Baseline", "avg_utility"),

@@ -10,8 +10,7 @@ We cannot ship that data, so this module synthesizes a trace with the same
 presence, human-like anchor-based trips with pauses and region churn.  The
 downstream algorithms only ever see per-slot (location, price) announcements
 restricted to the working subregion, so matching density, sparsity and churn
-reproduces the experimental conditions (see DESIGN.md, "Dataset
-substitutions").
+reproduces the experimental conditions.
 
 Human-like structure: every synthetic participant owns a small set of
 *anchor points* (home, work, errands).  Trips run between anchors under the

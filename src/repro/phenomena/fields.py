@@ -11,7 +11,7 @@ non-trivial.
 The substitution is behaviour-preserving because the region-monitoring code
 path needs only (a) a spatially correlated training set to learn GP
 hyper-parameters from and (b) a per-cell ground truth for mobile sensors to
-report (see DESIGN.md).
+report.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class CorrelatedField:
             raise ValueError("innovation_scale must be non-negative")
         self.region = region
         # Unit-ish marginal variance keeps eq. 7's unnormalized F in the
-        # magnitude band of the paper's Figure 9 (see EXPERIMENTS.md).
+        # magnitude band of the paper's Figure 9.
         self.kernel = kernel if kernel is not None else RBFKernel(variance=1.0, length_scale=2.0)
         self.mean = mean
         self._rho = temporal_rho

@@ -352,7 +352,7 @@ class SpatialAggregateQuery(Query):
         # (eq. 4's dmax); ``coverage_radius`` bounds the area one reading
         # *represents* for the coverage term of eq. 5 — physical phenomena
         # decorrelate far faster than a device can be asked for data, so
-        # the default keeps them separate (see DESIGN.md / EXPERIMENTS.md).
+        # the default keeps them separate.
         self.coverage_radius = (
             coverage_radius if coverage_radius is not None else sensing_range
         )

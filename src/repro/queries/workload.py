@@ -14,8 +14,8 @@ emits fresh query objects per time slot:
 * :class:`RegionMonitoringWorkload` — Section 4.6: one query per slot over a
   random rectangle of the Intel-substitute field, duration ~ U[5, 20],
   budget ``A(r)/(3 pi r_s^2) * b``.
-* :class:`EventDetectionWorkload` — the event extension (not in the paper's
-  evaluation, flagged in DESIGN.md).
+* :class:`EventDetectionWorkload` — the event extension (Section 2.3 defers
+  it; not in the paper's evaluation).
 """
 
 from __future__ import annotations
@@ -300,7 +300,7 @@ class TrajectoryQueryWorkload:
 
 @dataclass
 class EventDetectionWorkload:
-    """Event-detection queries (extension; see DESIGN.md Section 8)."""
+    """Event-detection queries (extension; see :mod:`repro.queries.event`)."""
 
     region: Region
     threshold: float

@@ -1,6 +1,6 @@
 """Spatial substrate: locations, regions, grids, trajectories, coverage."""
 
-from .coverage import AreaCoverage, CoverageFunction, TrajectoryCoverage, WeightedCoverage
+from .coverage import AreaCoverage, CoverageFunction, TrajectoryCoverage
 from .geometry import Location, as_xy, centroid, euclidean, manhattan, nearest, pairwise_distances
 from .grid import Grid, GridIndex
 from .index import UniformGridIndex
@@ -19,7 +19,6 @@ __all__ = [
     "UniformGridIndex",
     "Trajectory",
     "AreaCoverage",
-    "WeightedCoverage",
     "TrajectoryCoverage",
     "CoverageFunction",
     "euclidean",

@@ -6,11 +6,10 @@ the selected sensors.  A simple coverage function can calculate the fraction
 of the area covered by the sensors, while a more general function might also
 take into account the dispersion or the importance of the locations".
 
-All three flavours are provided:
+Two flavours are provided:
 
 * :class:`AreaCoverage` — fraction of the region's grid cells within sensing
   range of at least one selected sensor (the paper's "simple" function);
-* :class:`WeightedCoverage` — cell-importance-weighted variant;
 * :class:`TrajectoryCoverage` — fraction of corridor sample points covered.
 
 Coverage functions are classic monotone submodular set functions; the test
@@ -29,7 +28,6 @@ arithmetic and therefore produce bit-identical masks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -40,7 +38,6 @@ from .trajectory import Trajectory
 __all__ = [
     "CoverageFunction",
     "AreaCoverage",
-    "WeightedCoverage",
     "TrajectoryCoverage",
     "masks_for_xy",
 ]
@@ -178,51 +175,6 @@ class AreaCoverage(CoverageFunction):
     @property
     def cell_count(self) -> int:
         return self.n_cells
-
-
-@dataclass
-class WeightedCoverage(CoverageFunction):
-    """Importance-weighted coverage over ``region``.
-
-    ``weight_fn`` assigns a non-negative importance to each cell centre
-    (e.g. population density); coverage is the covered fraction of total
-    importance.  With a constant weight this reduces to :class:`AreaCoverage`.
-    """
-
-    region: Region
-    sensing_range: float
-    weight_fn: Callable[[Location], float]
-    cell_size: float = 1.0
-    _cells: np.ndarray = field(init=False, repr=False)
-    _weights: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        require_positive("sensing_range", self.sensing_range)
-        require_positive("cell_size", self.cell_size)
-        self._cells = self.region.grid_xy(self.cell_size)
-        self._weights = np.asarray(
-            [self.weight_fn(Location(x, y)) for x, y in self._cells.tolist()],
-            dtype=float,
-        )
-        if (self._weights < 0).any():
-            raise ValueError("cell weights must be non-negative")
-
-    def __call__(self, sensor_locations) -> float:
-        total = self._weights.sum()
-        if total == 0:
-            return 0.0
-        covered = _cover_matrix(self._cells, sensor_locations, self.sensing_range)
-        return float(self._weights[covered].sum() / total)
-
-    def mask_for(self, location: Location) -> np.ndarray:
-        return _cover_matrix(self._cells, [location], self.sensing_range)
-
-    def masks_for(self, locations) -> np.ndarray:
-        return _mask_matrix(self._cells, locations, self.sensing_range)
-
-    @property
-    def cell_count(self) -> int:
-        return len(self._cells)
 
 
 @dataclass

@@ -36,10 +36,9 @@ on the function's own stored cell coordinates, so a cell is covered in the
 CSR iff it is covered in the dense mask, down to the last ulp of a
 boundary case.
 
-**Per-column runs.**  For exact :class:`~repro.spatial.AreaCoverage` /
-:class:`~repro.spatial.WeightedCoverage` instances (subclasses are *not*
-trusted — they may re-rasterize arbitrarily and fall back to the dense
-mask builder) the cell layout is the row-major ``Region.grid_cells`` grid,
+**Per-column runs.**  For exact :class:`~repro.spatial.AreaCoverage`
+instances (subclasses are *not* trusted — they may re-rasterize
+arbitrarily and fall back to the dense mask builder) the cell layout is the row-major ``Region.grid_cells`` grid,
 validated once per function per raster against the stored ``_cells`` as a
 whole separable ``columns x rows`` product.  Within one grid column ``dx``
 is fixed and the row centres ascend, and rounded subtraction, squaring,
@@ -69,7 +68,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coverage import AreaCoverage, CoverageFunction, WeightedCoverage, masks_for_xy
+from .coverage import AreaCoverage, CoverageFunction, masks_for_xy
 from .region import Region
 
 __all__ = ["WorldRaster", "get_raster"]
@@ -104,7 +103,7 @@ def _grid_layout(fn: CoverageFunction):
     """``(x_min, y_min, cell, xs, ys_padded)`` when ``fn`` is a trusted region grid.
 
     Exact-type gate (mirroring ``ValuationKernel._query_box``): only the
-    in-repo rasterized region functions are known to lay their cells out as
+    in-repo rasterized region function is known to lay its cells out as
     the row-major ``Region.grid_cells`` grid.  The whole layout is then
     validated against the stored cells: cell ``ix * ny + iy`` must sit
     exactly at ``(xs[ix], ys[iy])``, where ``xs``/``ys`` are the
@@ -114,7 +113,7 @@ def _grid_layout(fn: CoverageFunction):
     padded with ``-inf``/``+inf`` sentinels (padded row ``iy + 1`` is grid
     row ``iy``), so a probe one row off the grid is simply uncovered.
     """
-    if type(fn) not in (AreaCoverage, WeightedCoverage):
+    if type(fn) is not AreaCoverage:
         return None
     region, cell = fn.region, float(fn.cell_size)
     if not cell > 0.0:

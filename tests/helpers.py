@@ -10,13 +10,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.mix import BaselineMixAllocator
+from repro.core.monitoring import LocationMonitoringController, RegionMonitoringController
 from repro.core.valuation import ValuationKernel
 from repro.queries import PointQuery
 from repro.sensors import SensorSnapshot
 from repro.spatial import Location, Region
 from repro.spatial.index import UniformGridIndex
 
-__all__ = ["gridded_kernel", "make_snapshot", "make_point_query", "random_instance"]
+__all__ = [
+    "gridded_kernel",
+    "make_snapshot",
+    "make_point_query",
+    "random_instance",
+    "sequential_mix",
+]
 
 
 def make_snapshot(
@@ -87,3 +95,14 @@ def gridded_kernel(sensors, cell_size: float) -> ValuationKernel:
     kernel = ValuationKernel.from_sensors(sensors)
     kernel._index = UniformGridIndex(kernel.sensor_xy, cell_size)
     return kernel
+
+
+def sequential_mix(stage_allocator) -> BaselineMixAllocator:
+    """The Section 4.7 buffered pipeline with both stages on
+    ``stage_allocator()`` and Algorithm 2/3's default controllers."""
+    mix = BaselineMixAllocator()
+    mix.aggregate_stage = stage_allocator()
+    mix.point_stage = stage_allocator()
+    mix.lm_controller = LocationMonitoringController()
+    mix.rm_controller = RegionMonitoringController()
+    return mix

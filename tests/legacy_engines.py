@@ -12,10 +12,13 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from oracles import (
+    OracleBaselineMixAllocator as BaselineMixAllocator,
+    OracleMixAllocator as MixAllocator,
+)
 from repro.core.allocation import AllocationResult, Allocator
 from repro.core.baselines import BaselineAllocator
 from repro.core.metrics import SimulationSummary, SlotRecord
-from repro.core.mix import BaselineMixAllocator, MixAllocator
 from repro.core.monitoring import (
     LocationMonitoringController,
     RegionMonitoringController,

@@ -29,25 +29,45 @@ make fleets announce without a delta (every slot rebuilds from scratch),
 exists (every warm slot patches), and :func:`lockstep_replay` steps a
 rebuilding engine next to a default one and returns both sides'
 allocation signatures per slot.
+
+Algorithm 5 runs in production as a :class:`~repro.core.SlotEngine` slot
+built by ``mix_engine`` from a :class:`~repro.core.MixAllocator` or
+:class:`~repro.core.BaselineMixAllocator` configuration.  The hand-rolled
+per-slot pipelines it replaced live here as :class:`OracleMixAllocator`
+and :class:`OracleBaselineMixAllocator` (``allocate_slot`` returning a
+:class:`MixOutcome`); :mod:`legacy_engines` drives them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.allocation import AllocationResult, check_distinct
+from repro.core.engine import call_allocator
 from repro.core.greedy import GreedyAllocator
 from repro.core.metrics import SimulationSummary
+from repro.core.mix import BaselineMixAllocator, MixAllocator
+from repro.core.monitoring import RegionSlotOutcome
 from repro.core.payments import proportionate_shares
 from repro.core.valuation import ValuationKernel
 from repro.experiments.replay import allocation_signature
-from repro.queries import PointQuery, Query, ValuationState
+from repro.queries import (
+    LocationMonitoringQuery,
+    PointQuery,
+    Query,
+    RegionMonitoringQuery,
+    ValuationState,
+)
 from repro.sensors import SensorFleet, SensorSnapshot
 
 __all__ = [
     "DenseKernel",
+    "MixOutcome",
+    "OracleBaselineMixAllocator",
+    "OracleMixAllocator",
     "PerRowGreedyAllocator",
     "SLOT_STATES",
     "ScalarGreedyAllocator",
@@ -349,3 +369,155 @@ def lockstep_replay(spec, n_slots: int | None = None) -> list[tuple]:
             )
         )
     return slots
+
+
+# ----------------------------------------------------------------------
+# Algorithm 5 as a hand-rolled per-slot pipeline
+# ----------------------------------------------------------------------
+@dataclass
+class MixOutcome:
+    """Everything the accounting layer needs from one mixed slot."""
+
+    result: AllocationResult
+    lm_children: list[PointQuery] = field(default_factory=list)
+    rm_children: list[PointQuery] = field(default_factory=list)
+    lm_samples: int = 0
+    lm_value_delta: float = 0.0
+    rm_outcomes: list[RegionSlotOutcome] = field(default_factory=list)
+
+    @property
+    def child_ids(self) -> set[str]:
+        ids = {c.query_id for c in self.lm_children}
+        ids.update(c.query_id for c in self.rm_children)
+        return ids
+
+    @property
+    def total_utility(self) -> float:
+        """Slot social welfare: one-shot + monitoring values minus costs.
+
+        Monitoring children's allocated values are replaced by the realized
+        quantities: the parents' eq. 16 value deltas for location
+        monitoring, and the achieved slot values (which include the shared
+        ``A_{r,t}`` sensors) for region monitoring.
+        """
+        child_ids = self.child_ids
+        one_shot = sum(
+            v for qid, v in self.result.values.items() if qid not in child_ids
+        )
+        rm_value = sum(o.achieved_value for o in self.rm_outcomes)
+        return one_shot + self.lm_value_delta + rm_value - self.result.total_cost
+
+
+class OracleMixAllocator(MixAllocator):
+    """Algorithm 5's four stages as one hand-rolled slot call."""
+
+    def allocate_slot(
+        self,
+        t: int,
+        point_queries: Sequence[PointQuery],
+        aggregate_queries: Sequence[Query],
+        lm_queries: Sequence[LocationMonitoringQuery],
+        rm_queries: Sequence[RegionMonitoringQuery],
+        sensors: Sequence[SensorSnapshot],
+        kernel: ValuationKernel | None = None,
+    ) -> MixOutcome:
+        # Stage 1: point-query creation for continuous queries.
+        lm_children = self.lm_controller.create_point_queries(lm_queries, t)
+        rm_children, plans = self.rm_controller.create_point_queries(
+            rm_queries, sensors, t
+        )
+        # Stage 2: joint sensor selection over every query at once.
+        all_queries: list[Query] = []
+        all_queries.extend(aggregate_queries)
+        all_queries.extend(point_queries)
+        all_queries.extend(lm_children)
+        all_queries.extend(rm_children)
+        result = call_allocator(self.joint, all_queries, sensors, kernel)
+        # Stage 3: apply the outcomes to the continuous queries.
+        lm_samples, lm_value_delta = self.lm_controller.apply_results(
+            lm_queries, lm_children, result, t
+        )
+        rm_outcomes = self.rm_controller.apply_results(
+            rm_queries, rm_children, plans, result, t
+        )
+        # Stage 4: payment adjustment for the shared-sensor contributions.
+        self.rm_controller.adjust_payments(result, rm_outcomes)
+        result.verify()
+        return MixOutcome(
+            result=result,
+            lm_children=lm_children,
+            rm_children=rm_children,
+            lm_samples=lm_samples,
+            lm_value_delta=lm_value_delta,
+            rm_outcomes=rm_outcomes,
+        )
+
+
+class OracleBaselineMixAllocator(BaselineMixAllocator):
+    """The Section 4.7 sequential baseline as one hand-rolled slot call."""
+
+    def allocate_slot(
+        self,
+        t: int,
+        point_queries: Sequence[PointQuery],
+        aggregate_queries: Sequence[Query],
+        lm_queries: Sequence[LocationMonitoringQuery],
+        rm_queries: Sequence[RegionMonitoringQuery],
+        sensors: Sequence[SensorSnapshot],
+        kernel: ValuationKernel | None = None,
+    ) -> MixOutcome:
+        result = AllocationResult()
+        stage1 = call_allocator(
+            self.aggregate_stage, list(aggregate_queries), sensors, kernel
+        )
+        result.merge(stage1)
+
+        # Stage-1 sensors are buffered: re-announce them at zero cost.
+        zeroed = {
+            sid: SensorSnapshot(
+                sensor_id=snap.sensor_id,
+                location=snap.location,
+                cost=0.0,
+                inaccuracy=snap.inaccuracy,
+                trust=snap.trust,
+            )
+            for sid, snap in stage1.selected.items()
+        }
+        stage2_sensors = [zeroed.get(s.sensor_id, s) for s in sensors]
+
+        lm_children = self.lm_controller.create_point_queries(lm_queries, t)
+        rm_children, plans = self.rm_controller.create_point_queries(
+            rm_queries, stage2_sensors, t
+        )
+        stage2_queries: list[Query] = list(point_queries) + lm_children + rm_children
+        stage2 = call_allocator(self.point_stage, stage2_queries, stage2_sensors, kernel)
+
+        lm_samples, lm_value_delta = self.lm_controller.apply_results(
+            lm_queries, lm_children, stage2, t
+        )
+        rm_outcomes = self.rm_controller.apply_results(
+            rm_queries, rm_children, plans, stage2, t
+        )
+
+        # Merge stage 2, restoring original cost snapshots so the combined
+        # ledger still shows each sensor recovering its true cost (paid
+        # once, in stage 1).
+        restored = AllocationResult(
+            selected={
+                sid: (stage1.selected[sid] if sid in stage1.selected else snap)
+                for sid, snap in stage2.selected.items()
+            },
+            assignments=stage2.assignments,
+            values=stage2.values,
+            payments=stage2.payments,
+        )
+        result.merge(restored)
+        result.verify()
+        return MixOutcome(
+            result=result,
+            lm_children=lm_children,
+            rm_children=rm_children,
+            lm_samples=lm_samples,
+            lm_value_delta=lm_value_delta,
+            rm_outcomes=rm_outcomes,
+        )

@@ -5,16 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import make_snapshot
 from repro.core import Aggregator, AllocationError, BaselineMixAllocator
 from repro.datasets import build_ozone_dataset, build_rwm_scenario
+from repro.mobility import StationaryMobility
 from repro.phenomena import schedule_for_window
 from repro.queries import (
     EventDetectionQuery,
     LocationMonitoringQuery,
     PointQuery,
     SpatialAggregateQuery,
+    detection_confidence,
 )
-from repro.spatial import Region
+from repro.queries.point import reading_quality
+from repro.sensors import FleetConfig, SensorFleet
+from repro.spatial import Location, Region
 
 SCENARIO = build_rwm_scenario(seed=21, n_sensors=80, n_slots=10)
 OZONE = build_ozone_dataset(seed=21)
@@ -171,3 +176,82 @@ class TestAccounting:
         assert account.spent == pytest.approx(sum(r.paid for r in receipts))
         assert account.value_received == pytest.approx(sum(r.value for r in receipts))
         assert account.utility == pytest.approx(sum(r.utility for r in receipts))
+
+
+class TestEventSettlement:
+    """Witness readings settle with eq. (4), as ``EventDetectionStream`` does."""
+
+    DMAX = 5.0
+    WHERE = Location(20.0, 20.0)
+    # One witness at 0.9 * dmax (quality 0.1), one at 0.5 * dmax (0.5).
+    OFFSETS = ((0.9 * DMAX, 0.0), (0.0, 0.5 * DMAX))
+
+    def _run(self, ground_truth):
+        region = Region.from_origin(40, 40)
+        positions = [
+            Location(self.WHERE.x + dx, self.WHERE.y + dy) for dx, dy in self.OFFSETS
+        ]
+        fleet = SensorFleet(
+            StationaryMobility(region, positions), region,
+            FleetConfig(inaccuracy_range=(0.0, 0.0)), np.random.default_rng(0),
+        )
+        agg = Aggregator(fleet, ground_truth=ground_truth)
+        event = EventDetectionQuery(
+            self.WHERE, 0, 0, threshold=50.0, confidence=0.8, budget=200.0,
+            theta_min=0.0, dmax=self.DMAX,
+        )
+        receipt = agg.submit(event)
+        digest = agg.run_slot()
+        qualities = [
+            reading_quality(make_snapshot(i, p.x, p.y), self.WHERE, self.DMAX)
+            for i, p in enumerate(positions)
+        ]
+        return event, receipt, digest, qualities
+
+    def test_witness_quality_includes_distance_factor(self):
+        event, receipt, _, qualities = self._run(lambda loc: 100.0)
+        assert qualities[0] == pytest.approx(0.1)
+        assert event.confidence_history == [detection_confidence(qualities)]
+        assert event.value_accrued == receipt.value > 0.0
+        assert event.spent == receipt.paid
+
+    def test_readings_recorded_without_ground_truth(self):
+        event, _, digest, qualities = self._run(None)
+        assert event.confidence_history == [detection_confidence(qualities)]
+        assert event.detections == [] and digest.events_fired == 0
+
+
+class TestEngineAdapter:
+    """The Aggregator runs its slots on the ``SlotEngine`` ``mix_engine`` builds."""
+
+    def test_stationary_fleet_reuses_the_slot_kernel(self):
+        region = Region.from_origin(30, 30)
+        positions = [Location(5.0 + 4.0 * i, 15.0) for i in range(6)]
+        fleet = SensorFleet(
+            StationaryMobility(region, positions), region, FleetConfig(),
+            np.random.default_rng(0),
+        )
+        agg = Aggregator(fleet)
+        kernels = []
+        for i in range(3):
+            agg.submit(PointQuery(positions[i], budget=25.0, theta_min=0.0, dmax=5.0))
+            agg.run_slot()
+            kernels.append(agg.engine._kernel)
+        assert kernels[0] is kernels[1] is kernels[2]
+        assert sum(d.answered for d in agg.digests) == 3
+
+    def test_query_submitted_after_its_window_never_runs(self):
+        agg = make_aggregator()
+        agg.run(2)
+        desired = schedule_for_window(OZONE.values, 0, 2, 1, OZONE.model())
+        late = LocationMonitoringQuery(
+            SCENARIO.working_region.sample_location(np.random.default_rng(4)),
+            0, 1, desired, budget=50.0, series=OZONE.values, model=OZONE.model(),
+            theta_min=0.0, dmax=SCENARIO.dmax,
+        )
+        receipt = agg.submit(late)
+        assert agg.live_query_count() == 1
+        digest = agg.run_slot()
+        assert receipt.completed_at == 1
+        assert agg.live_query_count() == 0
+        assert late.spent == 0.0 and digest.answered == 0

@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from helpers import make_point_query, make_snapshot
-from repro.core import AllocationError, AllocationResult, PaymentInvariantError, check_distinct
+from repro.core import (
+    AllocationError,
+    AllocationResult,
+    PaymentInvariantError,
+    RegionMonitoringController,
+    RegionSlotOutcome,
+    SimulationSummary,
+    check_distinct,
+    mix_engine,
+)
+from repro.datasets import build_intel_scenario, build_ozone_dataset
+from repro.queries import (
+    AggregateQueryWorkload,
+    LocationMonitoringWorkload,
+    PointQueryWorkload,
+    RegionMonitoringWorkload,
+)
 
 
 class TestRecordAndAccounting:
@@ -170,3 +187,67 @@ class TestCheckDistinct:
 
     def test_distinct_inputs_pass(self):
         check_distinct([make_point_query()], [make_snapshot(0), make_snapshot(1)])
+
+
+def _party_ids(result: AllocationResult) -> tuple[set, set]:
+    return {q for q, _ in result.payments}, {s for _, s in result.payments}
+
+
+def assert_totals_match_scans(result: AllocationResult) -> None:
+    query_paid, sensor_paid = result.payment_totals()
+    qids, sids = _party_ids(result)
+    assert query_paid == {q: result.query_payment(q) for q in qids}
+    assert sensor_paid == {s: result.sensor_income(s) for s in sids}
+
+
+class TestPaymentTotals:
+    """``payment_totals`` is the one grouping pass settlement reads; each
+    total must be ``==`` to the per-party ledger scan it replaced."""
+
+    def test_totals_after_contribution_adjustment(self):
+        result = AllocationResult()
+        for sid, cost in ((7, 10.0), (8, 3.3)):
+            snap = make_snapshot(sid, cost=cost)
+            result.record("a", snap, 20.0, 0.1 * cost)
+            result.record("b", snap, 20.0, 0.7 * cost)
+            result.record("c", snap, 20.0, 0.2 * cost)
+        outcome = RegionSlotOutcome(query_id="rm1", contributions={7: 4.0, 8: 0.3})
+        RegionMonitoringController().adjust_payments(result, [outcome])
+        assert ("rm1", 7) in result.payments
+        assert_totals_match_scans(result)
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_totals_over_seeded_mix_slots(self, seed):
+        world = build_intel_scenario(seed=seed, n_sensors=12, n_slots=10)
+        scenario = world.scenario
+        ozone = build_ozone_dataset(seed=seed)
+        rm_workload = RegionMonitoringWorkload(
+            scenario.working_region, world.gp, budget_factor=10.0,
+            duration_range=(2, 4), sensing_radius=scenario.dmax,
+        )
+        engine = mix_engine(
+            scenario.make_fleet(),
+            PointQueryWorkload(
+                scenario.working_region, n_queries=6, budget=15.0, dmax=scenario.dmax
+            ),
+            AggregateQueryWorkload(
+                scenario.working_region, budget_factor=15.0, mean_queries=2,
+                count_spread=1, sensing_range=scenario.dmax,
+            ),
+            LocationMonitoringWorkload(
+                scenario.working_region, ozone.values, ozone.model(),
+                budget_factor=15.0, max_live=4, arrivals_per_slot=2,
+                duration_range=(2, 4), dmax=scenario.dmax,
+            ),
+            np.random.default_rng(seed),
+            region_workload=rm_workload,
+        )
+        contributed = 0
+        summary = SimulationSummary()
+        for _ in range(5):
+            engine.step(summary)
+            result = engine.last_result
+            rm_ids = {q.query_id for q in engine.stream("region_monitoring").live}
+            contributed += sum(1 for q, _ in result.payments if q in rm_ids)
+            assert_totals_match_scans(result)
+        assert contributed > 0  # the adjustment path ran

@@ -175,41 +175,16 @@ class TestSequentialBufferedAllocation:
         result.verify()
 
 
-class TestMixWrapperGuards:
-    def test_custom_allocate_slot_is_refused(self):
-        from repro.core import MixAllocator, MixSimulation
-
-        class Custom(MixAllocator):
-            def allocate_slot(self, *args, **kwargs):  # pragma: no cover
-                raise AssertionError("never dispatched by the wrapper")
-
-        with pytest.raises(TypeError, match="SlotEngine"):
-            MixSimulation(
-                SCENARIO.make_fleet(), _point_workload(5), None, None,
-                Custom(), np.random.default_rng(0),
-            )
-
-    def test_duck_typed_mix_is_refused(self):
-        from repro.core import MixSimulation
-
-        class Duck:
-            def allocate_slot(self, *args, **kwargs):  # pragma: no cover
-                raise AssertionError
-
-        with pytest.raises(TypeError, match="SlotEngine"):
-            MixSimulation(
-                SCENARIO.make_fleet(), _point_workload(5), None, None,
-                Duck(), np.random.default_rng(0),
-            )
-
-    def test_subclass_without_override_is_accepted(self):
-        from repro.core import GreedyAllocator, MixAllocator, MixSimulation
+class TestMixConfiguration:
+    def test_mix_subclass_configures_engine(self):
+        from repro.core import MixAllocator
 
         class Tweaked(MixAllocator):
             def __init__(self):
                 super().__init__(joint=GreedyAllocator(min_gain=1e-8))
 
-        sim = MixSimulation(
+        mix = Tweaked()
+        engine = mix_engine(
             SCENARIO.make_fleet(),
             _point_workload(5),
             AggregateQueryWorkload(
@@ -221,10 +196,22 @@ class TestMixWrapperGuards:
                 budget_factor=15.0, max_live=4, arrivals_per_slot=2,
                 duration_range=(2, 3), dmax=SCENARIO.dmax,
             ),
-            Tweaked(),
             np.random.default_rng(2),
+            mix=mix,
         )
-        assert sim.run(2).n_slots == 2
+        assert engine.allocation.allocator is mix.joint
+        assert engine.stream("location_monitoring").controller is mix.lm_controller
+        assert engine.run(2).n_slots == 2
+
+    def test_baseline_mix_buffers_aggregates_and_events_first(self):
+        from repro.core import BaselineMixAllocator
+
+        mix = BaselineMixAllocator()
+        allocation = mix.allocation()
+        assert isinstance(allocation, SequentialBufferedAllocation)
+        assert allocation.stage1_allocator is mix.aggregate_stage
+        assert allocation.stage2_allocator is mix.point_stage
+        assert allocation.stage1_kinds == {"aggregate", "event"}
 
 
 class TestMixEngineComposition:

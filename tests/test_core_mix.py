@@ -1,4 +1,8 @@
-"""Tests for Algorithm 5 (query mix) and the sequential mix baseline."""
+"""Tests for Algorithm 5 (query mix) and the sequential mix baseline.
+
+These drive the hand-rolled per-slot pipelines in :mod:`oracles`; the
+engine-parity suite holds ``mix_engine`` equal to them slot by slot.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,8 @@ import numpy as np
 import pytest
 
 from helpers import make_snapshot
-from repro.core import BaselineMixAllocator, GreedyAllocator, MixAllocator
+from oracles import OracleBaselineMixAllocator, OracleMixAllocator
+from repro.core import GreedyAllocator
 from repro.phenomena import (
     GaussianProcessField,
     HarmonicRegressionModel,
@@ -63,7 +68,7 @@ def build_slot(seed=0, n_sensors=20):
 class TestMixAllocator:
     def test_joint_allocation_covers_all_types(self):
         points, aggregates, lm, rm, sensors = build_slot()
-        outcome = MixAllocator().allocate_slot(0, points, aggregates, lm, rm, sensors)
+        outcome = OracleMixAllocator().allocate_slot(0, points, aggregates, lm, rm, sensors)
         result = outcome.result
         answered_types = set()
         for qid in result.assignments:
@@ -76,23 +81,23 @@ class TestMixAllocator:
 
     def test_payment_invariants_after_adjustment(self):
         points, aggregates, lm, rm, sensors = build_slot(seed=1)
-        outcome = MixAllocator().allocate_slot(0, points, aggregates, lm, rm, sensors)
+        outcome = OracleMixAllocator().allocate_slot(0, points, aggregates, lm, rm, sensors)
         outcome.result.verify()  # raises on violation
 
     def test_lm_state_updated(self):
         points, aggregates, lm, rm, sensors = build_slot(seed=2)
-        outcome = MixAllocator().allocate_slot(0, points, aggregates, lm, rm, sensors)
+        outcome = OracleMixAllocator().allocate_slot(0, points, aggregates, lm, rm, sensors)
         total_samples = sum(len(q.sampled_times) for q in lm)
         assert total_samples == outcome.lm_samples
 
     def test_rm_slot_recorded(self):
         points, aggregates, lm, rm, sensors = build_slot(seed=3)
-        MixAllocator().allocate_slot(0, points, aggregates, lm, rm, sensors)
+        OracleMixAllocator().allocate_slot(0, points, aggregates, lm, rm, sensors)
         assert len(rm[0].slot_values) == 1
 
     def test_total_utility_consistent(self):
         points, aggregates, lm, rm, sensors = build_slot(seed=4)
-        outcome = MixAllocator().allocate_slot(0, points, aggregates, lm, rm, sensors)
+        outcome = OracleMixAllocator().allocate_slot(0, points, aggregates, lm, rm, sensors)
         child_ids = outcome.child_ids
         one_shot = sum(
             v for qid, v in outcome.result.values.items() if qid not in child_ids
@@ -106,13 +111,13 @@ class TestMixAllocator:
         assert outcome.total_utility == pytest.approx(expected)
 
     def test_empty_slot(self):
-        outcome = MixAllocator().allocate_slot(0, [], [], [], [], [])
+        outcome = OracleMixAllocator().allocate_slot(0, [], [], [], [], [])
         assert outcome.total_utility == 0.0
 
     def test_custom_joint_allocator(self):
         points, aggregates, lm, rm, sensors = build_slot(seed=5)
         joint = GreedyAllocator(min_gain=1e-6)
-        outcome = MixAllocator(joint=joint).allocate_slot(
+        outcome = OracleMixAllocator(joint=joint).allocate_slot(
             0, points, aggregates, lm, rm, sensors
         )
         assert outcome.result is not None
@@ -121,7 +126,7 @@ class TestMixAllocator:
 class TestBaselineMix:
     def test_runs_and_verifies(self):
         points, aggregates, lm, rm, sensors = build_slot(seed=6)
-        outcome = BaselineMixAllocator().allocate_slot(
+        outcome = OracleBaselineMixAllocator().allocate_slot(
             0, points, aggregates, lm, rm, sensors
         )
         outcome.result.verify()
@@ -130,7 +135,7 @@ class TestBaselineMix:
         """A sensor bought by the aggregate stage costs the point stage
         nothing; total sensor income still equals its cost."""
         points, aggregates, lm, rm, sensors = build_slot(seed=7)
-        outcome = BaselineMixAllocator().allocate_slot(
+        outcome = OracleBaselineMixAllocator().allocate_slot(
             0, points, aggregates, lm, rm, sensors
         )
         result = outcome.result
@@ -142,10 +147,10 @@ class TestBaselineMix:
         alg5_total, base_total = 0.0, 0.0
         for seed in range(5):
             points, aggregates, lm, rm, sensors = build_slot(seed=seed)
-            alg5 = MixAllocator().allocate_slot(0, points, aggregates, lm, rm, sensors)
+            alg5 = OracleMixAllocator().allocate_slot(0, points, aggregates, lm, rm, sensors)
             alg5_total += alg5.total_utility
             points, aggregates, lm, rm, sensors = build_slot(seed=seed)
-            base = BaselineMixAllocator().allocate_slot(
+            base = OracleBaselineMixAllocator().allocate_slot(
                 0, points, aggregates, lm, rm, sensors
             )
             base_total += base.total_utility
@@ -153,7 +158,7 @@ class TestBaselineMix:
 
     def test_lm_children_only_at_desired_times(self):
         points, aggregates, lm, rm, sensors = build_slot(seed=8)
-        baseline = BaselineMixAllocator()
+        baseline = OracleBaselineMixAllocator()
         t = 1
         if any(t in q.desired_times for q in lm):
             t = max(max(q.desired_times) for q in lm) + 1

@@ -1,4 +1,4 @@
-"""Tests for the slot-synchronous simulation engines and metrics."""
+"""Tests for the four engine factories (Figures 2-10) and the metrics."""
 
 from __future__ import annotations
 
@@ -9,14 +9,14 @@ from repro.core import (
     BaselineAllocator,
     BaselineMixAllocator,
     LocationMonitoringController,
-    LocationMonitoringSimulation,
     MixAllocator,
-    MixSimulation,
-    OneShotSimulation,
     OptimalPointAllocator,
-    RegionMonitoringSimulation,
     SimulationSummary,
     SlotRecord,
+    location_monitoring_engine,
+    mix_engine,
+    one_shot_engine,
+    region_monitoring_engine,
 )
 from repro.datasets import build_intel_scenario, build_ozone_dataset, build_rwm_scenario
 from repro.queries import (
@@ -69,7 +69,7 @@ class TestOneShotSimulation:
         workload = PointQueryWorkload(
             SCENARIO.working_region, n_queries=30, budget=15.0, dmax=SCENARIO.dmax
         )
-        sim = OneShotSimulation(
+        sim = one_shot_engine(
             SCENARIO.make_fleet(), workload, OptimalPointAllocator(),
             np.random.default_rng(0),
         )
@@ -85,7 +85,7 @@ class TestOneShotSimulation:
         workload = PointQueryWorkload(
             SCENARIO.working_region, n_queries=30, budget=25.0, dmax=SCENARIO.dmax
         )
-        sim = OneShotSimulation(fleet, workload, OptimalPointAllocator(), np.random.default_rng(0))
+        sim = one_shot_engine(fleet, workload, OptimalPointAllocator(), np.random.default_rng(0))
         sim.run(3)
         assert fleet.total_readings() > 0
 
@@ -94,7 +94,7 @@ class TestOneShotSimulation:
             workload = PointQueryWorkload(
                 SCENARIO.working_region, n_queries=20, budget=15.0, dmax=SCENARIO.dmax
             )
-            sim = OneShotSimulation(
+            sim = one_shot_engine(
                 SCENARIO.make_fleet(), workload, OptimalPointAllocator(),
                 np.random.default_rng(5),
             )
@@ -109,7 +109,7 @@ class TestOneShotSimulation:
         )
         from repro.core import GreedyAllocator
 
-        sim = OneShotSimulation(
+        sim = one_shot_engine(
             SCENARIO.make_fleet(), workload, GreedyAllocator(), np.random.default_rng(0)
         )
         summary = sim.run(3)
@@ -125,16 +125,16 @@ class TestLocationMonitoringSimulation:
         )
 
     def test_queries_flushed_at_end(self):
-        sim = LocationMonitoringSimulation(
+        sim = location_monitoring_engine(
             SCENARIO.make_fleet(), self._workload(), OptimalPointAllocator(),
             np.random.default_rng(0),
         )
         summary = sim.run(6)
-        assert not sim.live  # everything retired/flushed
+        assert not sim.stream("location_monitoring").live  # everything retired/flushed
         assert summary.total_queries > 0
 
     def test_live_count_respects_cap(self):
-        sim = LocationMonitoringSimulation(
+        sim = location_monitoring_engine(
             SCENARIO.make_fleet(), self._workload(), OptimalPointAllocator(),
             np.random.default_rng(0),
         )
@@ -144,7 +144,7 @@ class TestLocationMonitoringSimulation:
 
     def test_baseline_controller_variant(self):
         controller = LocationMonitoringController(opportunistic=False, scheduled_only=True)
-        sim = LocationMonitoringSimulation(
+        sim = location_monitoring_engine(
             SCENARIO.make_fleet(), self._workload(), BaselineAllocator(),
             np.random.default_rng(0), controller=controller,
         )
@@ -159,7 +159,7 @@ class TestRegionMonitoringSimulation:
             world.scenario.working_region, world.gp, budget_factor=15.0,
             duration_range=(3, 5), sensing_radius=world.scenario.dmax,
         )
-        sim = RegionMonitoringSimulation(
+        sim = region_monitoring_engine(
             world.scenario.make_fleet(), workload, OptimalPointAllocator(),
             np.random.default_rng(0),
         )
@@ -182,8 +182,8 @@ class TestMixSimulation:
             budget_factor=15.0, max_live=6, arrivals_per_slot=2,
             duration_range=(3, 5), dmax=SCENARIO.dmax,
         )
-        return MixSimulation(
-            SCENARIO.make_fleet(), point, agg, lm, mix, np.random.default_rng(3)
+        return mix_engine(
+            SCENARIO.make_fleet(), point, agg, lm, np.random.default_rng(3), mix=mix
         )
 
     def test_mix_simulation_runs(self):

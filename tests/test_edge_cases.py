@@ -10,10 +10,9 @@ from repro.core import (
     BaselineAllocator,
     GreedyAllocator,
     LocalSearchPointAllocator,
-    MixAllocator,
-    MixSimulation,
-    OneShotSimulation,
     OptimalPointAllocator,
+    mix_engine,
+    one_shot_engine,
 )
 from repro.datasets import build_intel_scenario, build_ozone_dataset, build_rwm_scenario
 from repro.queries import (
@@ -81,7 +80,7 @@ class TestExhaustedWorld:
         workload = PointQueryWorkload(
             scenario.working_region, n_queries=40, budget=35.0, dmax=scenario.dmax
         )
-        sim = OneShotSimulation(
+        sim = one_shot_engine(
             scenario.make_fleet(), workload, OptimalPointAllocator(),
             np.random.default_rng(0),
         )
@@ -103,7 +102,7 @@ class TestExhaustedWorld:
         workload = PointQueryWorkload(
             scenario.working_region, n_queries=10, budget=15.0, dmax=scenario.dmax
         )
-        sim = OneShotSimulation(fleet, workload, GreedyAllocator(), np.random.default_rng(1))
+        sim = one_shot_engine(fleet, workload, GreedyAllocator(), np.random.default_rng(1))
         summary = sim.run(2)
         assert summary.n_slots == 2
 
@@ -130,9 +129,9 @@ class TestMixWithRegionMonitoring:
             scenario.working_region, world.gp, budget_factor=15.0,
             duration_range=(3, 5), sensing_radius=scenario.dmax,
         )
-        sim = MixSimulation(
-            scenario.make_fleet(), point, agg, lm, MixAllocator(),
-            np.random.default_rng(2), region_workload=rm,
+        sim = mix_engine(
+            scenario.make_fleet(), point, agg, lm, np.random.default_rng(2),
+            region_workload=rm,
         )
         summary = sim.run(6)
         assert summary.n_slots == 6

@@ -20,20 +20,21 @@ from legacy_engines import (
     LegacyOneShotSimulation,
     LegacyRegionMonitoringSimulation,
 )
+from oracles import OracleBaselineMixAllocator, OracleMixAllocator
 from repro.core import (
     BaselineAllocator,
     BaselineMixAllocator,
     GreedyAllocator,
     LocalSearchPointAllocator,
     LocationMonitoringController,
-    LocationMonitoringSimulation,
     MixAllocator,
-    MixSimulation,
-    OneShotSimulation,
     OptimalPointAllocator,
     RegionMonitoringController,
-    RegionMonitoringSimulation,
     SimulationSummary,
+    location_monitoring_engine,
+    mix_engine,
+    one_shot_engine,
+    region_monitoring_engine,
 )
 from repro.datasets import build_intel_scenario, build_ozone_dataset, build_rwm_scenario
 from repro.queries import (
@@ -47,6 +48,13 @@ SCENARIO = build_rwm_scenario(seed=101, n_sensors=50, n_slots=10)
 OZONE = build_ozone_dataset(seed=101)
 N_SLOTS = 5
 APPROX = dict(rel=1e-9, abs=1e-9)
+
+
+def mix_simulation(fleet, point_wl, agg_wl, lm_wl, mix, rng, region_workload=None):
+    """``mix_engine`` in the legacy mix loop's argument order."""
+    return mix_engine(
+        fleet, point_wl, agg_wl, lm_wl, rng, region_workload=region_workload, mix=mix
+    )
 
 
 def assert_summaries_equal(new: SimulationSummary, old: SimulationSummary) -> None:
@@ -104,7 +112,7 @@ class TestOneShotParity:
             SCENARIO.make_fleet(), _point_workload(), allocator_factory(),
             np.random.default_rng(7),
         ).run(N_SLOTS)
-        new = OneShotSimulation(
+        new = one_shot_engine(
             SCENARIO.make_fleet(), _point_workload(), allocator_factory(),
             np.random.default_rng(7),
         ).run(N_SLOTS)
@@ -115,7 +123,7 @@ class TestOneShotParity:
             SCENARIO.make_fleet(), _aggregate_workload(), GreedyAllocator(),
             np.random.default_rng(9),
         ).run(N_SLOTS)
-        new = OneShotSimulation(
+        new = one_shot_engine(
             SCENARIO.make_fleet(), _aggregate_workload(), GreedyAllocator(),
             np.random.default_rng(9),
         ).run(N_SLOTS)
@@ -138,7 +146,7 @@ class TestLocationMonitoringParity:
             np.random.default_rng(21),
             controller=LocationMonitoringController(**controller_kwargs),
         ).run(N_SLOTS)
-        new = LocationMonitoringSimulation(
+        new = location_monitoring_engine(
             SCENARIO.make_fleet(), _lm_workload(), allocator_factory(),
             np.random.default_rng(21),
             controller=LocationMonitoringController(**controller_kwargs),
@@ -175,7 +183,7 @@ class TestRegionMonitoringParity:
             np.random.default_rng(31),
             controller=controller_factory(),
         ).run(N_SLOTS)
-        new = RegionMonitoringSimulation(
+        new = region_monitoring_engine(
             world.scenario.make_fleet(),
             RegionMonitoringWorkload(
                 world.scenario.working_region, world.gp, **workload_args
@@ -199,13 +207,13 @@ class TestMixParity:
         ).run(N_SLOTS)
 
     def test_algorithm5(self):
-        old = self._run(LegacyMixSimulation, MixAllocator)
-        new = self._run(MixSimulation, MixAllocator)
+        old = self._run(LegacyMixSimulation, OracleMixAllocator)
+        new = self._run(mix_simulation, MixAllocator)
         assert_summaries_equal(new, old)
 
     def test_baseline_mix(self):
-        old = self._run(LegacyMixSimulation, BaselineMixAllocator)
-        new = self._run(MixSimulation, BaselineMixAllocator)
+        old = self._run(LegacyMixSimulation, OracleBaselineMixAllocator)
+        new = self._run(mix_simulation, BaselineMixAllocator)
         assert_summaries_equal(new, old)
 
     def test_algorithm5_with_region_stream(self):
@@ -215,7 +223,7 @@ class TestMixParity:
             sensing_radius=world.scenario.dmax,
         )
 
-        def run(sim_cls):
+        def run(sim_cls, mix_cls):
             return sim_cls(
                 world.scenario.make_fleet(),
                 PointQueryWorkload(
@@ -232,13 +240,13 @@ class TestMixParity:
                     budget_factor=15.0, max_live=4, arrivals_per_slot=2,
                     duration_range=(2, 4), dmax=world.scenario.dmax,
                 ),
-                MixAllocator(),
+                mix_cls(),
                 np.random.default_rng(13),
                 region_workload=RegionMonitoringWorkload(
                     world.scenario.working_region, world.gp, **rm_workload_args
                 ),
             ).run(N_SLOTS)
 
-        old = run(LegacyMixSimulation)
-        new = run(MixSimulation)
+        old = run(LegacyMixSimulation, OracleMixAllocator)
+        new = run(mix_simulation, MixAllocator)
         assert_summaries_equal(new, old)

@@ -19,7 +19,8 @@ import pytest
 
 from helpers import make_snapshot
 from repro.cli import main
-from repro.datasets import ScenarioSpec
+from repro.core import Aggregator
+from repro.datasets import ScenarioSpec, build_rwm_scenario
 from repro.phenomena import GaussianProcessField, RBFKernel
 from repro.queries import (
     EventDetectionQuery,
@@ -45,7 +46,6 @@ from repro.spatial import (
     Region,
     Trajectory,
     TrajectoryCoverage,
-    WeightedCoverage,
 )
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -236,11 +236,10 @@ def test_aggregate_query_rejects_non_finite_coverage_radius(value):
     "make",
     [
         lambda r: AreaCoverage(REGION, r),
-        lambda r: WeightedCoverage(REGION, r, weight_fn=lambda c: 1.0),
         lambda r: TrajectoryCoverage(PATH, r),
         lambda r: TrajectoryQuery(PATH, budget=10.0, sensing_range=r),
     ],
-    ids=["area", "weighted", "trajectory", "trajectory-query"],
+    ids=["area", "trajectory", "trajectory-query"],
 )
 def test_coverage_rejects_non_finite_sensing_range(make, value):
     with pytest.raises(ValueError, match="sensing_range must be finite and positive"):
@@ -252,10 +251,6 @@ def test_coverage_rejects_non_finite_sensing_range(make, value):
     "make,field",
     [
         (lambda v: AreaCoverage(REGION, 2.0, cell_size=v), "cell_size"),
-        (
-            lambda v: WeightedCoverage(REGION, 2.0, weight_fn=lambda c: 1.0, cell_size=v),
-            "cell_size",
-        ),
         (lambda v: TrajectoryCoverage(PATH, 2.0, spacing=v), "spacing"),
         (
             lambda v: RegionMonitoringQuery(REGION, 0, 3, 10.0, GP, cell_size=v),
@@ -263,7 +258,7 @@ def test_coverage_rejects_non_finite_sensing_range(make, value):
         ),
         (lambda v: RegionMonitoringQuery(REGION, 0, 3, 10.0, GP, dmax=v), "dmax"),
     ],
-    ids=["area", "weighted", "trajectory", "region-monitoring", "region-monitoring-dmax"],
+    ids=["area", "trajectory", "region-monitoring", "region-monitoring-dmax"],
 )
 def test_rasterization_rejects_non_finite_resolution(make, field, value):
     """A NaN cell size used to die converting to an integer, and an
@@ -379,3 +374,15 @@ def test_nan_geometry_spec_exits_with_one_line(name, tmp_path, capsys):
     assert main(["scenario", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error running {name}: {reason}\n"
+
+
+@pytest.mark.parametrize("budget", [math.nan, -5.0], ids=["nan", "negative"])
+def test_aggregator_account_rejects_nan_and_negative_budget(budget):
+    """A NaN budget compares false against every remaining-budget check, so
+    the user's queries used to re-queue forever."""
+    agg = Aggregator(build_rwm_scenario(seed=3, n_sensors=10, n_slots=2).make_fleet())
+    with pytest.raises(ValueError, match="account budget must be non-negative or inf"):
+        agg.open_account("user", budget=budget)
+    assert "user" not in agg.accounts
+    assert math.isinf(agg.open_account("user").budget)
+    assert agg.open_account("free", budget=0.0).budget == 0.0

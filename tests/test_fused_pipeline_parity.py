@@ -66,7 +66,6 @@ from repro.spatial import (
     Region,
     Trajectory,
     TrajectoryCoverage,
-    WeightedCoverage,
     WorldRaster,
     get_raster,
 )
@@ -132,10 +131,6 @@ def every_type_queries(rng, copies=3, side=SIDE):
             ),
             SpatialAggregateQuery(
                 sub, budget=40.0, sensing_range=7.0, coverage_radius=3.5
-            ),
-            SpatialAggregateQuery(
-                sub, budget=35.0, sensing_range=7.0,
-                coverage=WeightedCoverage(sub, 3.5, weight_fn=lambda c: 1.0 + c.x),
             ),
             TrajectoryQuery(trajectory, budget=35.0, sensing_range=6.0),
             EventSlotQuery(
@@ -264,10 +259,7 @@ def adversarial_raster_case(draw):
     height = draw(st.one_of(one_wide, st.floats(0.5, 9.7)))
     region = Region(x0, y0, x0 + width, y0 + height)
     r = draw(st.sampled_from([5.0, 2.5, 1.3]))
-    if draw(st.booleans()):
-        fn = AreaCoverage(region, r, cell_size=cell)
-    else:
-        fn = WeightedCoverage(region, r, weight_fn=lambda c: 1.0 + c.x % 3, cell_size=cell)
+    fn = AreaCoverage(region, r, cell_size=cell)
     n = draw(st.integers(1, 12))
     sensor = adversarial_sensor(region, cell, r)
     xy = np.array([draw(sensor) for _ in range(n)])
@@ -290,7 +282,6 @@ class TestWorldRasterRows:
         trajectory = Trajectory.random(Region.from_origin(SIDE, SIDE), rng)
         functions = [
             AreaCoverage(region, sensing_range=5.0),
-            WeightedCoverage(region, 5.0, weight_fn=lambda c: 1.0 + c.y),
             TrajectoryCoverage(trajectory, sensing_range=4.0, spacing=1.5),
         ]
         cols = np.sort(rng.choice(len(xy), size=50, replace=False))
@@ -578,8 +569,7 @@ def coverage_block_slot(rng, n, side=30.0):
         SpatialAggregateQuery(sub, budget=30.0, sensing_range=reach, coverage=shared),
         SpatialAggregateQuery(sub, budget=25.0, sensing_range=reach + 1.0, coverage=shared),
         SpatialAggregateQuery(
-            other, budget=35.0, sensing_range=reach,
-            coverage=WeightedCoverage(other, radius, weight_fn=lambda c: 1.0 + c.x),
+            other, budget=35.0, sensing_range=reach, coverage_radius=radius
         ),
         TrajectoryQuery(
             Trajectory.random(world, rng), budget=20.0,

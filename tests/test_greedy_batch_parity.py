@@ -13,10 +13,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import make_point_query, make_snapshot
+from helpers import make_point_query, make_snapshot, sequential_mix
 from oracles import ScalarGreedyAllocator, dense_single_values
 from repro.core import (
     GreedyAllocator,
+    MixAllocator,
     ValuationKernel,
     location_monitoring_engine,
     one_shot_engine,
@@ -289,7 +290,7 @@ class TestEndToEndFigureFamilies:
             engine = mix_engine(
                 scenario.make_fleet(), point_wl, agg_wl, lm_wl,
                 np.random.default_rng(self.SEED),
-                joint=make_allocator(),
+                mix=MixAllocator(joint=make_allocator()),
             )
             summaries.append(engine.run(self.N_SLOTS))
         summaries_equal(summaries[0], summaries[1])
@@ -318,9 +319,7 @@ class TestEndToEndFigureFamilies:
             engine = mix_engine(
                 scenario.make_fleet(), point_wl, agg_wl, lm_wl,
                 np.random.default_rng(self.SEED),
-                sequential=True,
-                stage1_allocator=make_allocator(),
-                stage2_allocator=make_allocator(),
+                mix=sequential_mix(make_allocator),
             )
             summaries.append(engine.run(self.N_SLOTS))
         summaries_equal(summaries[0], summaries[1])

@@ -1,5 +1,5 @@
 """Integration tests: tiny-scale runs of every figure, checking the
-qualitative shapes the paper reports (DESIGN.md Section 5)."""
+qualitative shapes the paper reports (Section 4)."""
 
 from __future__ import annotations
 

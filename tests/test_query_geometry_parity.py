@@ -52,7 +52,6 @@ from repro.spatial import (
     Region,
     Trajectory,
     TrajectoryCoverage,
-    WeightedCoverage,
 )
 
 SIDE = 30.0
@@ -333,7 +332,6 @@ class TestMaskMatrixParity:
         trajectory = Trajectory.random(Region.from_origin(SIDE, SIDE), rng)
         functions = [
             AreaCoverage(region, sensing_range=4.0),
-            WeightedCoverage(region, 4.0, weight_fn=lambda c: 1.0 + c.x),
             TrajectoryCoverage(trajectory, sensing_range=3.0, spacing=1.5),
         ]
         for fn in functions:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import gridded_kernel, make_point_query, make_snapshot
+from helpers import gridded_kernel, make_point_query, make_snapshot, sequential_mix
 from oracles import (
     DenseKernel,
     ScalarGreedyAllocator,
@@ -27,6 +27,7 @@ from oracles import (
 from repro.core import (
     BaselineAllocator,
     GreedyAllocator,
+    MixAllocator,
     ValuationKernel,
     resolve_cell_size,
 )
@@ -491,7 +492,7 @@ class TestEndToEndFigureFamilies:
     def test_mix_family_parity(self, monkeypatch):
         assert_summaries_identical(
             *self._on_both_kernels(
-                monkeypatch, lambda: self._mix(joint=GreedyAllocator())
+                monkeypatch, lambda: self._mix(mix=MixAllocator(joint=GreedyAllocator()))
             )
         )
 
@@ -501,11 +502,7 @@ class TestEndToEndFigureFamilies:
         assert_summaries_identical(
             *self._on_both_kernels(
                 monkeypatch,
-                lambda: self._mix(
-                    sequential=True,
-                    stage1_allocator=GreedyAllocator(),
-                    stage2_allocator=GreedyAllocator(),
-                ),
+                lambda: self._mix(mix=sequential_mix(GreedyAllocator)),
             )
         )
 

@@ -13,7 +13,6 @@ from repro.spatial import (
     Region,
     Trajectory,
     TrajectoryCoverage,
-    WeightedCoverage,
 )
 
 REGION = Region.from_origin(10, 10)
@@ -74,30 +73,6 @@ class TestAreaCoverage:
         assert gain_big <= gain_small + 1e-9
 
 
-class TestWeightedCoverage:
-    def test_uniform_weights_match_area_coverage(self):
-        area = AreaCoverage(REGION, sensing_range=3.0)
-        weighted = WeightedCoverage(REGION, 3.0, weight_fn=lambda loc: 1.0)
-        sensors = [Location(2, 2), Location(8, 8)]
-        assert weighted(sensors) == pytest.approx(area(sensors))
-
-    def test_importance_shifts_coverage(self):
-        # All importance on the left half: a right-half sensor scores ~0.
-        weighted = WeightedCoverage(
-            REGION, 2.0, weight_fn=lambda loc: 1.0 if loc.x < 5 else 0.0
-        )
-        assert weighted([Location(8, 5)]) == pytest.approx(0.0)
-        assert weighted([Location(1, 5)]) > 0.0
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedCoverage(REGION, 2.0, weight_fn=lambda loc: -1.0)
-
-    def test_zero_total_weight(self):
-        weighted = WeightedCoverage(REGION, 2.0, weight_fn=lambda loc: 0.0)
-        assert weighted([Location(5, 5)]) == 0.0
-
-
 #: Regions whose cell centres are rounding-sensitive: negative and
 #: non-representable origins, cell sizes that do not divide the sides,
 #: sub-cell sides (one cell), and a far-from-origin offset.
@@ -116,18 +91,9 @@ def test_grid_centres_are_bitwise_grid_cells(region, cell):
     for cells in (
         region.grid_xy(cell),
         AreaCoverage(region, 3.0, cell_size=cell)._cells,
-        WeightedCoverage(region, 3.0, lambda loc: 1.0, cell_size=cell)._cells,
     ):
         assert cells.shape == reference.shape
         assert np.array_equal(cells.view(np.int64), reference.view(np.int64))
-
-
-def test_weight_fn_sees_cell_centre_locations():
-    region, cell = AWKWARD_GRIDS[0]
-    seen = []
-    WeightedCoverage(region, 3.0, lambda loc: seen.append(loc) or 1.0, cell_size=cell)
-    assert seen == list(region.grid_cells(cell))
-    assert all(type(loc) is Location for loc in seen)
 
 
 class TestTrajectoryCoverage:
