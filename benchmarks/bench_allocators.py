@@ -477,7 +477,7 @@ def test_batch_cold_slot_speedup():
         return ValuationKernel.from_sensors(snapshots)
 
     def batch_path() -> ValuationKernel:
-        return ValuationKernel.from_batch(fleet.announcements())
+        return ValuationKernel.from_sensors(fleet.announcements())
 
     # Identical stacked arrays first (also warms both paths).
     a, b = batch_path(), object_path()
@@ -514,7 +514,7 @@ def test_batch_cold_slot_speedup():
     cold = []
     for _ in range(3):
         start = time.perf_counter()
-        ValuationKernel.from_batch(fleet.announcements()).index
+        ValuationKernel.from_sensors(fleet.announcements()).index
         cold.append(time.perf_counter() - start)
     _record_case(
         "cold_slot_batch_sharded_20000",

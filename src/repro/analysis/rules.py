@@ -81,9 +81,8 @@ def _in_scope(relpath: str, scope: tuple[str, ...]) -> bool:
 class CapabilityHookRule(Rule):
     """``getattr(x, "name", default)`` probes must name a defined attribute.
 
-    The allocators discover optional batch/stream/allocator capabilities
-    (``kernel_arrays``, ``token``, ``supports_kernel``, ...) through bare
-    string probes; a rename on the providing class silently
+    The engine discovers optional allocator capabilities
+    (``supports_kernel``, ...) through bare string probes; a rename on the providing class silently
     turns the probe into a permanent miss.  Every literal probe in the
     capability scope must resolve against the repo-wide defined-attribute
     table built by the index.

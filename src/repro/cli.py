@@ -200,7 +200,10 @@ def _run_figures(args: argparse.Namespace) -> int:
                 print(ascii_chart(result, metric))
         print()
         if out_dir:
+            # The wall-clock time stays in the text report only, so the
+            # same figure and seed always write the same bytes.
             payload = dataclasses.asdict(result)
+            del payload["elapsed_seconds"]
             (out_dir / f"{name}_{scale.name}.json").write_text(
                 json.dumps(payload, indent=2)
             )

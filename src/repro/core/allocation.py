@@ -16,28 +16,28 @@ from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 from ..queries import Query
-from ..sensors import SensorSnapshot
+from ..sensors import AnnouncementBatch, SensorSnapshot
+from ..sensors.state import announcement_batch
 from .errors import AllocationError, PaymentInvariantError
 
 __all__ = ["AllocationResult", "Allocator", "check_distinct"]
 
 
-def check_distinct(queries: Sequence[Query], sensors: Sequence[SensorSnapshot]) -> None:
+def check_distinct(
+    queries: Sequence[Query], sensors: Sequence[SensorSnapshot]
+) -> AnnouncementBatch:
     """Reject duplicate query ids / sensor ids early with a clear error.
 
-    Announcement producers that guarantee unique sensor ids by construction
-    (an :class:`~repro.sensors.AnnouncementBatch`, whose ids are fleet row
-    indices) declare it via a truthy ``distinct_sensor_ids`` attribute and
-    skip the O(n) duplicate scan — the slot path never walks the batch.
+    Returns the announcements as an :class:`~repro.sensors.AnnouncementBatch`
+    (see :func:`~repro.sensors.state.announcement_batch`): the one
+    conversion an allocator makes, which also refuses duplicate sensor ids
+    in a snapshot list.  A fleet's batch is unique by construction (its ids
+    are fleet row indices), so the slot path never walks it.
     """
     qids = [q.query_id for q in queries]
     if len(set(qids)) != len(qids):
         raise AllocationError("duplicate query ids in allocation input")
-    if getattr(sensors, "distinct_sensor_ids", False):
-        return
-    sids = [s.sensor_id for s in sensors]
-    if len(set(sids)) != len(sids):
-        raise AllocationError("duplicate sensor ids in allocation input")
+    return announcement_batch(sensors)
 
 
 @dataclass

@@ -39,7 +39,6 @@ import numpy as np
 from ..queries import PointQuery, Query
 from ..queries.base import resolve_batch_state, resolve_relevant_mask
 from ..sensors import SensorSnapshot
-from ..sensors.state import as_announcement_sequence
 from .allocation import AllocationResult, check_distinct
 from .valuation import ValuationKernel
 
@@ -71,12 +70,10 @@ class BaselineAllocator:
         sensors: Sequence[SensorSnapshot],
         kernel: ValuationKernel | None = None,
     ) -> AllocationResult:
-        check_distinct(queries, sensors)
+        sensors = check_distinct(queries, sensors)
         result = AllocationResult()
         if not queries or not len(sensors):
             return result
-        # Keep an AnnouncementBatch lazy; copy only non-indexable inputs.
-        sensors = as_announcement_sequence(sensors)
         kernel = ValuationKernel.ensure(kernel, sensors)
         n_all = len(sensors)
 
@@ -90,11 +87,7 @@ class BaselineAllocator:
             for q, entry in zip(plain, kernel.sparse_single_values(plain))
         }
 
-        # Announced costs as one stacked column (the exact values the lazy
-        # snapshots materialize from); snapshot lists pay one gather.
-        announced_costs = getattr(sensors, "costs", None)
-        if announced_costs is None:
-            announced_costs = np.fromiter((s.cost for s in sensors), float, n_all)
+        announced_costs = sensors.costs
         paid = np.zeros(n_all, dtype=bool)  # cost already covered (buffered)
         answered: set[str] = set()
 

@@ -54,6 +54,7 @@ from ..queries import (
     RegionMonitoringQuery,
 )
 from ..sensors import SensorFleet, SensorSnapshot
+from ..sensors.state import announcement_batch
 from .allocation import AllocationResult, Allocator
 from .metrics import SimulationSummary, SlotRecord
 from .monitoring import (
@@ -537,6 +538,7 @@ class SequentialBufferedAllocation:
         self.stage1_kinds = frozenset(stage1_kinds)
 
     def run(self, t, streams, sensors, kernel):
+        sensors = announcement_batch(sensors)
         stage1_streams = [s for s in streams if s.kind in self.stage1_kinds]
         stage2_streams = [s for s in streams if s.kind not in self.stage1_kinds]
 
@@ -548,33 +550,16 @@ class SequentialBufferedAllocation:
         result.merge(stage1)
 
         # Stage-1 sensors are buffered: re-announce them at zero cost.  The
-        # kernel stays valid — it never depends on announced prices.  A
-        # batch announcement reprices through a zero-copy cost view (only
-        # the selected rows change; identity arrays and token are shared),
-        # so the slot path stays free of per-sensor loops; snapshot lists
-        # keep the historical per-element rebuild.
-        if getattr(sensors, "with_costs", None) is not None and stage1.selected:
-            zero_costs = sensors.costs.copy()
-            rows = np.searchsorted(
-                sensors.ids,
-                np.fromiter(stage1.selected, np.int64, len(stage1.selected)),
+        # kernel stays valid — it never depends on announced prices — and
+        # the repriced batch is a zero-copy cost view (only the selected
+        # rows change; identity arrays and token are shared), so the slot
+        # path stays free of per-sensor loops.
+        stage2_sensors = sensors
+        if stage1.selected:
+            buffered = np.isin(
+                sensors.ids, np.fromiter(stage1.selected, np.int64, len(stage1.selected))
             )
-            zero_costs[rows] = 0.0
-            stage2_sensors = sensors.with_costs(zero_costs)
-        elif getattr(sensors, "with_costs", None) is not None:
-            stage2_sensors = sensors
-        else:
-            zeroed = {
-                sid: SensorSnapshot(
-                    sensor_id=snap.sensor_id,
-                    location=snap.location,
-                    cost=0.0,
-                    inaccuracy=snap.inaccuracy,
-                    trust=snap.trust,
-                )
-                for sid, snap in stage1.selected.items()
-            }
-            stage2_sensors = [zeroed.get(s.sensor_id, s) for s in sensors]
+            stage2_sensors = sensors.with_costs(np.where(buffered, 0.0, sensors.costs))
 
         stage2_queries = _emissions_in_rank_order(
             (stream, stream.emit(t, stage2_sensors)) for stream in stage2_streams

@@ -51,8 +51,7 @@ from ..queries.base import (
     resolve_batch_state,
     resolve_relevant_mask,
 )
-from ..sensors import SensorSnapshot
-from ..sensors.state import as_announcement_sequence
+from ..sensors import AnnouncementBatch, SensorSnapshot
 from .allocation import AllocationResult, check_distinct
 from .payments import proportionate_shares
 from .valuation import ValuationKernel
@@ -85,15 +84,10 @@ class GreedyAllocator:
         sensors: Sequence[SensorSnapshot],
         kernel: ValuationKernel | None = None,
     ) -> AllocationResult:
-        check_distinct(queries, sensors)
+        sensors = check_distinct(queries, sensors)
         result = AllocationResult()
         if queries and len(sensors):
-            # Announcements pass through as-is: an AnnouncementBatch stays
-            # lazy (copying it would materialize every snapshot); only other
-            # non-indexable inputs are copied defensively.
-            self._allocate_batch(
-                list(queries), as_announcement_sequence(sensors), kernel, result
-            )
+            self._allocate_batch(list(queries), sensors, kernel, result)
         if self.verify:
             result.verify()
         return result
@@ -104,7 +98,7 @@ class GreedyAllocator:
     def _allocate_batch(
         self,
         queries: list[Query],
-        sensors: Sequence[SensorSnapshot],
+        sensors: AnnouncementBatch,
         kernel: ValuationKernel | None,
         result: AllocationResult,
     ) -> None:
@@ -146,14 +140,7 @@ class GreedyAllocator:
         # kernel may be a reused one whose own snapshots carry stale prices.
         roster = kernel.roster(cols, sensors)
         relevance = relevance_all[:, cols]
-        # A batch announcement carries costs as a stacked array (the exact
-        # values its lazy snapshots are materialized from); snapshot lists
-        # pay the per-candidate gather.
-        announced_costs = getattr(sensors, "costs", None)
-        if announced_costs is not None:
-            costs = announced_costs[cols]
-        else:
-            costs = np.fromiter((sensors[j].cost for j in cols), float, cols.size)
+        costs = sensors.costs[cols]
         if plain_idx:
             # Scatter the sparse rows into the reduced column space.
             # Candidate columns relevant to no query are absent from

@@ -78,7 +78,7 @@ class LocalSearchPointAllocator:
         sensors: Sequence[SensorSnapshot],
         kernel: ValuationKernel | None = None,
     ) -> AllocationResult:
-        problem = PointProblem.build(list(queries), list(sensors), kernel=kernel)
+        problem = PointProblem.build(list(queries), sensors, kernel=kernel)
         if problem.n_sensors == 0 or problem.n_locations == 0:
             return AllocationResult()
         member_mask = self.search(problem)

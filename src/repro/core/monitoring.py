@@ -26,25 +26,12 @@ from ..queries import (
     new_query_id,
 )
 from ..queries.base import resolve_relevant_mask
-from ..sensors import SensorSnapshot
+from ..sensors import AnnouncementBatch, SensorSnapshot
+from ..sensors.state import announcement_batch
 from ..spatial.raster import get_raster
 from .allocation import AllocationResult
 from .sampling import SamplingPlan, paper_weight_function, plan_sampling
 
-
-def _announcement_xy(sensors: Sequence[SensorSnapshot]) -> np.ndarray:
-    """``(n, 2)`` coordinates of an announcement sequence.
-
-    An :class:`~repro.sensors.AnnouncementBatch` hands over its stacked
-    array directly (no snapshot materialization); plain lists are stacked
-    once here.
-    """
-    xy = getattr(sensors, "xy", None)
-    if xy is not None:
-        return xy
-    return np.asarray(
-        [(s.location.x, s.location.y) for s in sensors], dtype=float
-    ).reshape(-1, 2)
 
 __all__ = [
     "AlphaSchedule",
@@ -154,6 +141,7 @@ class LocationMonitoringController:
         """
         by_parent = {c.parent_id: c for c in children}
         by_id = {q.query_id: q for q in queries}
+        query_paid, _ = result.payment_totals()
         samples = 0
         value_delta = 0.0
         for parent_id, child in by_parent.items():
@@ -165,7 +153,7 @@ class LocationMonitoringController:
                 continue  # pi = -inf in the paper: sampling failed
             snapshot = result.selected[sensor_ids[0]]
             quality = child.quality(snapshot)
-            payment = result.query_payment(child.query_id)
+            payment = query_paid.get(child.query_id, 0.0)
             before = query.achieved_value()
             query.apply_sample(t, quality, payment)
             value_delta += query.achieved_value() - before
@@ -226,13 +214,14 @@ class RegionMonitoringController:
         per active query over the stacked announcement coordinates — no
         per-snapshot ``region.contains`` scans.
         """
+        sensors = announcement_batch(sensors)
         masks = self._region_masks(queries, sensors, t)
         return self._counts_from_masks(masks, sensors)
 
     @staticmethod
     def _region_masks(
         queries: Sequence[RegionMonitoringQuery],
-        sensors: Sequence[SensorSnapshot],
+        sensors: AnnouncementBatch,
         t: int,
     ) -> dict[str, np.ndarray]:
         """One in-region mask per active query over the stacked coordinates.
@@ -247,7 +236,7 @@ class RegionMonitoringController:
         that overrides only the scalar :meth:`relevant` falls back to the
         per-snapshot scan instead of the stale inherited mask.
         """
-        xy = _announcement_xy(sensors)
+        xy = sensors.xy
         raster = get_raster(sensors, xy)
         masks: dict[str, np.ndarray] = {}
         for q in queries:
@@ -266,15 +255,12 @@ class RegionMonitoringController:
 
     @staticmethod
     def _counts_from_masks(
-        masks: dict[str, np.ndarray], sensors: Sequence[SensorSnapshot]
+        masks: dict[str, np.ndarray], sensors: AnnouncementBatch
     ) -> dict[int, int]:
         total = np.zeros(len(sensors), dtype=np.int64)
         for mask in masks.values():
             total += mask
-        ids = getattr(sensors, "sensor_ids", None)
-        if ids is None:
-            ids = [s.sensor_id for s in sensors]
-        return {int(sid): int(k) for sid, k in zip(ids, total)}
+        return {int(sid): int(k) for sid, k in zip(sensors.ids, total)}
 
     def create_point_queries(
         self,
@@ -282,6 +268,7 @@ class RegionMonitoringController:
         sensors: Sequence[SensorSnapshot],
         t: int,
     ) -> tuple[list[PointQuery], dict[str, SamplingPlan]]:
+        sensors = announcement_batch(sensors)
         # One mask pass per active query, shared by the k-counts and the
         # per-query in-region candidate gathers below.
         masks = self._region_masks(queries, sensors, t)
@@ -338,6 +325,7 @@ class RegionMonitoringController:
         children_by_parent: dict[str, list[PointQuery]] = {}
         for child in children:
             children_by_parent.setdefault(child.parent_id, []).append(child)
+        query_paid, _ = result.payment_totals()
         outcomes: list[RegionSlotOutcome] = []
         for query_id, plan in plans.items():
             query = by_id[query_id]
@@ -353,7 +341,7 @@ class RegionMonitoringController:
                     continue
                 snapshot = result.selected[sensor_ids[0]]
                 achieved[snapshot.sensor_id] = snapshot
-                paid += result.query_payment(child.query_id)
+                paid += query_paid.get(child.query_id, 0.0)
 
             shared: dict[int, SensorSnapshot] = {}
             if self.use_shared_sensors:

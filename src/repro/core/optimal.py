@@ -68,7 +68,7 @@ class OptimalPointAllocator:
         sensors: Sequence[SensorSnapshot],
         kernel: ValuationKernel | None = None,
     ) -> AllocationResult:
-        problem = PointProblem.build(list(queries), list(sensors), kernel=kernel)
+        problem = PointProblem.build(list(queries), sensors, kernel=kernel)
         if problem.n_sensors == 0 or problem.n_locations == 0:
             return AllocationResult()
 
@@ -147,7 +147,7 @@ def exhaustive_point_search(
     Returns the best allocation and its eq.-(12) utility.  Exponential in
     the number of sensors — keep instances small.
     """
-    problem = PointProblem.build(list(queries), list(sensors))
+    problem = PointProblem.build(list(queries), sensors)
     n = problem.n_sensors
     if n > 20:
         raise ValueError("exhaustive search is limited to <= 20 sensors")

@@ -11,11 +11,12 @@ against hundreds of sensors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..queries import PointQuery
-from ..sensors import SensorSnapshot
+from ..sensors import AnnouncementBatch, SensorSnapshot
 from ..spatial import Location
 from .allocation import AllocationResult, check_distinct
 from .errors import AllocationError
@@ -30,7 +31,8 @@ class PointProblem:
     """Dense value matrix form of a point-query allocation instance.
 
     Attributes:
-        sensors: the slot's announcements (column order of the matrices).
+        sensors: the slot's announcement batch (column order of the
+            matrices).
         locations: distinct queried locations (row order).
         location_queries: queries grouped per location.
         query_values: per query, its value row ``v_q(s_j)`` over sensors.
@@ -38,7 +40,7 @@ class PointProblem:
         costs: announced sensor costs ``c_j``.
     """
 
-    sensors: list[SensorSnapshot]
+    sensors: AnnouncementBatch
     locations: list[Location]
     location_queries: list[list[PointQuery]]
     query_values: dict[str, np.ndarray]
@@ -49,7 +51,7 @@ class PointProblem:
     def build(
         cls,
         queries: list[PointQuery],
-        sensors: list[SensorSnapshot],
+        sensors: Sequence[SensorSnapshot],
         kernel: ValuationKernel | None = None,
     ) -> "PointProblem":
         """Build the dense problem, reusing a slot-shared ``kernel`` if given.
@@ -66,8 +68,7 @@ class PointProblem:
                     f"point-query allocators accept only PointQuery, got "
                     f"{type(query).__name__} ({query.query_id})"
                 )
-        check_distinct(queries, sensors)
-        sensors = list(sensors)
+        sensors = check_distinct(queries, sensors)
         n = len(sensors)
         kernel = ValuationKernel.ensure(kernel, sensors)
 
@@ -105,7 +106,7 @@ class PointProblem:
             location_queries,
             query_values,
             values,
-            costs=np.asarray([s.cost for s in sensors], dtype=float),
+            costs=sensors.costs,
         )
 
     # ------------------------------------------------------------------

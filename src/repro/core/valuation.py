@@ -8,8 +8,12 @@ per-location Python loop inside every allocator call; at paper scale
 (hundreds of queries × hundreds of sensors, every slot, every algorithm in
 a sweep) that loop dominates the profile.
 
-:class:`ValuationKernel` stacks one slot's announcements once (coordinates,
-inaccuracy ``gamma``, trust ``tau``).  The engine builds one kernel per slot
+:class:`ValuationKernel` adopts one slot's
+:class:`~repro.sensors.AnnouncementBatch` arrays (coordinates, inaccuracy
+``gamma``, trust ``tau``) without copying them; a plain snapshot list is
+converted to a batch once, by
+:func:`~repro.sensors.state.announcement_batch`, when the kernel is built.
+Its reuse check compares batch tokens.  The engine builds one kernel per slot
 and hands it to whatever allocator runs, so the stacked arrays are shared
 across :class:`~repro.core.point_problem.PointProblem`, the query-mix
 pipeline and the monitoring controllers instead of being reassembled per
@@ -73,13 +77,12 @@ from ..queries import (
     TrajectoryQuery,
 )
 from ..sensors import SensorSnapshot
-from ..sensors.state import SnapshotColumnView, as_announcement_sequence
+from ..sensors.state import AnnouncementBatch, SnapshotColumnView, announcement_batch
 from ..spatial.index import UniformGridIndex
 from ..spatial.raster import WorldRaster, get_raster
 
 __all__ = [
     "ValuationKernel",
-    "announcement_token",
     "delta_old_to_new",
     "resolve_cell_size",
 ]
@@ -123,27 +126,6 @@ def delta_old_to_new(delta, n_old: int) -> np.ndarray:
     return old_to_new
 
 
-def announcement_token(sensors: Sequence[SensorSnapshot]) -> tuple:
-    """Identity token of an announcement batch.
-
-    Two batches with equal tokens are interchangeable for every value
-    matrix the kernel produces: same sensor ids, positions, inaccuracies
-    and trusts in the same column order.  Announced *costs* are excluded
-    on purpose — value matrices never depend on them (see
-    :class:`ValuationKernel`), which is what lets a kernel survive
-    re-announcements that change prices only.
-
-    :class:`~repro.sensors.AnnouncementBatch` producers carry the same
-    identity as an O(1) version stamp (``batch.token``); kernels compare
-    stamps first and fall back to this per-sensor tuple only for
-    non-batch announcement lists.
-    """
-    return tuple(
-        (s.sensor_id, s.location.x, s.location.y, s.inaccuracy, s.trust)
-        for s in sensors
-    )
-
-
 def _stack_queries(
     queries: Sequence[PointQuery],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -166,10 +148,8 @@ class ValuationKernel:
     """One slot's announcements, stacked for broadcasted valuation.
 
     Attributes:
-        sensors: the announcements, defining the column order of every
-            matrix the kernel produces — a plain snapshot list, or an
-            :class:`~repro.sensors.AnnouncementBatch` (lazy snapshot
-            sequence) when the kernel was built zero-copy from a batch.
+        sensors: the :class:`~repro.sensors.AnnouncementBatch`, defining
+            the column order of every matrix the kernel produces.
         sensor_xy: ``(n, 2)`` sensor coordinates.
         gamma: per-sensor inaccuracy ``gamma_s``.
         trust: per-sensor trust ``tau_s``.
@@ -186,14 +166,12 @@ class ValuationKernel:
     kernel keeps them warm.
     """
 
-    sensors: Sequence[SensorSnapshot]
+    sensors: AnnouncementBatch
     sensor_xy: np.ndarray
     gamma: np.ndarray
     trust: np.ndarray
     costs: np.ndarray
-    #: precomputed :func:`announcement_token` of ``sensors`` (lazy).
-    _token: tuple | None = field(default=None, repr=False, compare=False)
-    #: the producing batch's O(1) version stamp, when built from one.
+    #: the token of the batch the kernel was built from.
     _stamp: tuple | None = field(default=None, repr=False, compare=False)
     #: the slot's shared world raster over ``sensor_xy`` (lazy).
     _raster: WorldRaster | None = field(default=None, repr=False, compare=False)
@@ -209,55 +187,16 @@ class ValuationKernel:
     # ------------------------------------------------------------------
     @classmethod
     def from_sensors(cls, sensors: Sequence[SensorSnapshot]) -> "ValuationKernel":
-        # Keep the caller's list object when possible: allocators that
-        # receive the same announcement list the kernel was built from get
-        # an O(1) identity fast path in :meth:`matches`.  The kernel treats
-        # the list as frozen — replacing its *elements* after construction
-        # is a caller bug the fast path cannot detect (snapshots themselves
-        # are frozen dataclasses, so the only mutable surface is the list
-        # slots), exactly as mutating the stacked arrays would be.  Every
-        # in-repo producer builds a fresh list per slot.
-        #
-        # An AnnouncementBatch producer takes the zero-copy path: its
-        # stacked arrays are adopted as-is (same values the per-snapshot
-        # loop would stack — each snapshot is materialized *from* them)
-        # and its version stamp replaces the O(n) token build.
-        arrays = getattr(sensors, "kernel_arrays", None)
-        if arrays is not None:
-            xy, gamma, trust, costs = arrays()
-            kernel = cls(sensors, xy, gamma, trust, costs)
-            kernel._stamp = sensors.token
-            return kernel
-        sensors = sensors if type(sensors) is list else list(sensors)
-        n = len(sensors)
-        xy = np.empty((n, 2), dtype=float)
-        gamma = np.empty(n, dtype=float)
-        trust = np.empty(n, dtype=float)
-        costs = np.empty(n, dtype=float)
-        # reprolint: disable=hot-loop(object-path fallback for plain snapshot lists; batches take kernel_arrays above)
-        for j, snapshot in enumerate(sensors):
-            xy[j, 0] = snapshot.location.x
-            xy[j, 1] = snapshot.location.y
-            gamma[j] = snapshot.inaccuracy
-            trust[j] = snapshot.trust
-            costs[j] = snapshot.cost
-        return cls(sensors, xy, gamma, trust, costs)
+        """A kernel over the announcements, converted once to a batch.
 
-    @classmethod
-    def from_batch(cls, batch) -> "ValuationKernel":
-        """Zero-copy kernel over an :class:`~repro.sensors.AnnouncementBatch`.
-
-        The batch's stacked arrays become the kernel's arrays (array
-        slices, no per-sensor loop) and its O(1) token becomes the reuse
-        stamp.  Equivalent to ``from_sensors(batch)`` — this spelling
-        exists for callers that want to require the batch protocol.
+        The batch's stacked arrays are adopted as-is (no copy, no
+        per-sensor loop) and its token becomes the reuse stamp.  The
+        kernel treats them as frozen, as the batch does.
         """
-        if getattr(batch, "kernel_arrays", None) is None:
-            raise TypeError(
-                "from_batch needs an AnnouncementBatch-like producer "
-                "(kernel_arrays/token); use from_sensors for snapshot lists"
-            )
-        return cls.from_sensors(batch)
+        batch = announcement_batch(sensors)
+        return cls(
+            batch, batch.xy, batch.gamma, batch.trust, batch.costs, _stamp=batch.token
+        )
 
     @classmethod
     def ensure(
@@ -290,21 +229,14 @@ class ValuationKernel:
         Allocations computed through the result are bit-identical to a
         full rebuild's.
         """
+        sensors = announcement_batch(sensors)
         if kernel is not None and kernel.matches(sensors):
             # Rebind to the current announcements: identity attributes are
             # equal by the match, and rebinding restores the O(1) ``is``
             # fast path for every later check this slot (the kernel
             # otherwise stays pinned to the *previous* slot's batch after a
-            # cross-slot reuse and pays a stamp/token compare per consumer).
-            if sensors is not kernel.sensors:
-                kernel.sensors = as_announcement_sequence(sensors)
-                # A token-less newcomer (plain snapshot list) proved equal
-                # identity via matches(), so any existing stamp still
-                # describes this kernel — keep it rather than degrading
-                # future batch comparisons to the O(n) token walk.
-                stamp = getattr(sensors, "token", None)
-                if stamp is not None:
-                    kernel._stamp = stamp
+            # cross-slot reuse and pays a token compare per consumer).
+            kernel.sensors = sensors
             return kernel
         new = cls.from_sensors(sensors)
         if kernel is not None and delta is not None and delta.prev_token == kernel._stamp:
@@ -319,60 +251,33 @@ class ValuationKernel:
                 )
         return new
 
-    def _carry_raster(self, batch, delta) -> WorldRaster | None:
+    def _carry_raster(self, batch: AnnouncementBatch, delta) -> WorldRaster | None:
         """Patch this kernel's raster onto the next batch's coordinates."""
         raster = self._raster
         if raster is None or raster.xy is not self.sensor_xy:
-            raster = getattr(self.sensors, "_world_raster", None)
+            raster = self.sensors.world_raster
             if raster is None or raster.xy is not self.sensor_xy:
                 return None
         patched = raster.patched(
             batch.xy, delta_old_to_new(delta, len(self.sensor_xy)), delta.fresh_cols
         )
-        try:
-            setattr(batch, "_world_raster", patched)
-        except (AttributeError, TypeError):
-            pass
+        batch.world_raster = patched
         return patched
 
-    @property
-    def token(self) -> tuple:
-        """Cached :func:`announcement_token` of this kernel's batch."""
-        if self._token is None:
-            self._token = announcement_token(self.sensors)
-        return self._token
-
     def matches(self, sensors: Sequence[SensorSnapshot]) -> bool:
-        """O(1) reuse check for the common cases, token compare otherwise.
+        """Whether the kernel covers exactly these announcements.
 
         Allocators call this on every ``allocate``; when they are handed
-        the very batch/list the slot kernel was built from (the engine's
-        normal path) the identity check answers immediately.  When both
-        sides carry batch version stamps the stamps decide in O(1): equal
-        stamps guarantee identical announcement identity, and unequal
-        stamps mean the producing fleet state actually changed (stamps are
-        bumped only on real position/exhaustion changes) or the producers
-        are different fleets — either way a rebuild is the correct, cheap
-        answer.  Only mixed list/batch comparisons fall back to the
-        per-sensor token walk, which exits on the first mismatch.
+        the very batch the slot kernel was built from (the engine's normal
+        path) the identity check answers immediately.  Otherwise the batch
+        tokens decide: a fleet's stamps compare in O(1) — equal stamps
+        guarantee identical announcement identity, and unequal stamps mean
+        the producing fleet state actually changed or the producers are
+        different fleets — and converted snapshot lists compare their
+        ``(id, x, y, gamma, trust)`` rows.
         """
-        if sensors is self.sensors:
-            return True
-        stamp = getattr(sensors, "token", None)
-        if stamp is not None and self._stamp is not None:
-            return stamp == self._stamp
-        if len(sensors) != len(self.sensors):
-            return False
-        for cached, snapshot in zip(self.token, sensors):
-            if (
-                cached[0] != snapshot.sensor_id
-                or cached[1] != snapshot.location.x
-                or cached[2] != snapshot.location.y
-                or cached[3] != snapshot.inaccuracy
-                or cached[4] != snapshot.trust
-            ):
-                return False
-        return True
+        sensors = announcement_batch(sensors)
+        return sensors is self.sensors or sensors.token == self._stamp
 
     # ------------------------------------------------------------------
     # shape
@@ -385,9 +290,9 @@ class ValuationKernel:
     def raster(self) -> WorldRaster:
         """The slot's shared :class:`~repro.spatial.WorldRaster`.
 
-        Attached to the announcement batch when possible (see
-        :func:`~repro.spatial.raster.get_raster`), so a kernel built
-        zero-copy from a batch shares one raster — and its cached
+        Attached to the announcement batch (see
+        :func:`~repro.spatial.raster.get_raster`), so the kernel shares
+        one raster — and its cached
         containment/coverage geometry — with every other consumer of that
         batch this slot (monitoring controllers, other kernels).
         Revalidated against :attr:`sensor_xy` by object identity, which
@@ -409,19 +314,19 @@ class ValuationKernel:
 
         ``indices`` selects candidate columns in order (default: all).
         ``snapshots`` supplies the snapshot objects the roster should carry
-        — pass the slot's *current* announcement list whenever the kernel
+        — pass the slot's *current* announcement batch whenever the kernel
         may be a reused one (cross-slot reuse, the sequential baseline's
         zero-cost re-announcements): the identity attributes are guaranteed
         equal by :meth:`matches`, but announced costs live only on the
-        current snapshots.
+        current batch.
 
         Column subsets are carried as a lazy
         :class:`~repro.sensors.state.SnapshotColumnView`, so building a
-        roster over a candidate subset of an ``AnnouncementBatch`` never
+        roster over a candidate subset of the batch never
         materializes a snapshot — only the columns a consumer actually
         indexes (the committed winners) are built.
         """
-        source = self.sensors if snapshots is None else as_announcement_sequence(snapshots)
+        source = self.sensors if snapshots is None else snapshots
         if indices is None:
             roster = SensorRoster(source, self.sensor_xy, self.gamma, self.trust)
         else:

@@ -83,7 +83,7 @@ import numpy as np
 
 from ..dispatch import batch_hook_trusted
 from ..sensors import SensorSnapshot
-from ..sensors.state import as_announcement_sequence
+from ..sensors.state import announcement_batch
 
 __all__ = [
     "QueryType",
@@ -165,8 +165,15 @@ class SensorRoster:
     coordinate/inaccuracy/trust arrays across all the call's batch states,
     so each query type vectorizes against the same memory.
 
+    Built from announcements alone, the roster converts them once through
+    :func:`~repro.sensors.state.announcement_batch` and shares the batch's
+    arrays; :meth:`~repro.core.valuation.ValuationKernel.roster` passes a
+    lazy column view of its batch together with the matching array slices.
+
     Attributes:
-        snapshots: the candidates, defining the column order.
+        snapshots: the candidates, defining the column order (an
+            :class:`~repro.sensors.AnnouncementBatch` or a column view of
+            one).
         xy: ``(n, 2)`` candidate coordinates.
         gamma: per-candidate inaccuracy ``gamma_s``.
         trust: per-candidate trust ``tau_s``.
@@ -196,20 +203,10 @@ class SensorRoster:
         gamma: np.ndarray | None = None,
         trust: np.ndarray | None = None,
     ) -> None:
-        # Lists/tuples and AnnouncementBatch views index in O(1) and are
-        # treated as frozen — adopt them as-is (copying a batch would
-        # materialize every lazy snapshot); copy anything else defensively.
-        self.snapshots = as_announcement_sequence(snapshots)
-        n = len(self.snapshots)
         if xy is None:
-            xy = np.empty((n, 2), dtype=float)
-            gamma = np.empty(n, dtype=float)
-            trust = np.empty(n, dtype=float)
-            for j, snapshot in enumerate(self.snapshots):
-                xy[j, 0] = snapshot.location.x
-                xy[j, 1] = snapshot.location.y
-                gamma[j] = snapshot.inaccuracy
-                trust[j] = snapshot.trust
+            snapshots = announcement_batch(snapshots)
+            xy, gamma, trust = snapshots.xy, snapshots.gamma, snapshots.trust
+        self.snapshots = snapshots
         self.xy = xy
         self.gamma = gamma
         self.trust = trust

@@ -27,21 +27,23 @@ This module replaces the object walk with structure-of-arrays state:
 :class:`AnnouncementBatch`
     One slot's announcements as array slices (ids, coordinates, eq.-8
     costs, ``gamma``, ``tau``) plus an O(1) identity token derived from the
-    state's version stamps.  The batch is also a lazy
-    ``Sequence[SensorSnapshot]`` — legacy consumers that index or iterate
-    get per-row snapshot objects materialized (and cached) on demand, so
-    the object API keeps working while the engine/kernel path never builds
-    a single snapshot.
+    state's version stamps.  It is the one announcement type: allocators,
+    the valuation kernel, rosters and controllers read its arrays, and
+    :func:`announcement_batch` converts any other announcement input (a
+    plain list of :class:`SensorSnapshot`) once at the entry point.  The
+    batch is also a lazy ``Sequence[SensorSnapshot]`` — consumers that
+    index or iterate get per-row snapshot objects materialized (and
+    cached) on demand, so only the sensors an allocation actually selects
+    ever become objects.
 
 Version stamps: the state bumps ``positions_version`` only when a position
 refresh actually changes coordinates and ``exhaustion_version`` only when a
 recording newly exhausts a sensor.  A batch token is
 ``(uid, positions_version, exhaustion_version)`` — equal tokens therefore
 guarantee identical announcement *identity* (ids, positions, gamma, trust;
-announced costs are deliberately excluded, matching
-:func:`~repro.core.valuation.announcement_token`'s contract), which is what
-lets a :class:`~repro.core.valuation.ValuationKernel` answer its reuse
-check in O(1) instead of comparing per-sensor tuples.
+announced costs are deliberately excluded), which is what lets a
+:class:`~repro.core.valuation.ValuationKernel` answer its reuse check in
+O(1) instead of comparing per-sensor tuples.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ __all__ = [
     "SlotDelta",
     "AnnouncementBatch",
     "SnapshotColumnView",
-    "as_announcement_sequence",
+    "announcement_batch",
 ]
 
 #: Once more than this fraction of rows changed, a differential update
@@ -78,21 +80,18 @@ REBUILD_FRACTION = 0.25
 _state_uid = itertools.count()
 
 
-def as_announcement_sequence(sensors):
-    """Canonical indexable form of an announcement input.
+def announcement_batch(sensors) -> "AnnouncementBatch":
+    """The one announcement type every consumer reads.
 
-    Lists, tuples, batch-protocol producers (``kernel_arrays``/``token``,
-    i.e. :class:`AnnouncementBatch`) and :class:`SnapshotColumnView` column
-    gathers pass through untouched — copying any of them would materialize
-    every lazy snapshot; any other iterable is copied to a list.  The
-    single predicate all consumers (kernels, allocators, rosters) share,
-    so the batch duck-type cannot drift.
+    An :class:`AnnouncementBatch` passes through unchanged; anything else
+    (a list of :class:`SensorSnapshot`, any iterable of them) is converted
+    once through :meth:`AnnouncementBatch.from_snapshots`.  Allocators,
+    the valuation kernel, rosters and controllers call this at their entry
+    and read the batch's arrays from then on.
     """
-    if isinstance(sensors, (list, tuple, SnapshotColumnView)) or getattr(
-        sensors, "kernel_arrays", None
-    ) is not None:
+    if isinstance(sensors, AnnouncementBatch):
         return sensors
-    return list(sensors)
+    return AnnouncementBatch.from_snapshots(sensors)
 
 
 class SlotDelta:
@@ -301,7 +300,7 @@ class FleetState:
         Stable across cost-only changes (readings that do not exhaust,
         privacy-history aging); bumped whenever positions actually move or
         a sensor newly exhausts — exactly the attributes
-        :func:`~repro.core.valuation.announcement_token` covers.
+        an announcement token covers.
         """
         return ("fleet-state", self._uid, self.positions_version, self.exhaustion_version)
 
@@ -395,7 +394,7 @@ class FleetState:
         """The slot's announcements: in-region, non-exhausted, priced.
 
         One vectorized pass; no snapshot objects are built (the returned
-        batch materializes them lazily if a legacy consumer asks).
+        batch materializes them lazily for the rows a consumer indexes).
         """
         if self.xy is None:
             raise RuntimeError("positions were never set; call set_positions first")
@@ -587,29 +586,31 @@ class AnnouncementBatch(Sequence):
     """One slot's announcements as stacked arrays + a lazy snapshot view.
 
     The array attributes (``ids``, ``xy``, ``costs``, ``gamma``, ``trust``)
-    share one column order and are consumed directly by
-    :meth:`~repro.core.valuation.ValuationKernel.from_batch` without any
-    per-sensor work.  The batch is simultaneously an immutable
-    ``Sequence[SensorSnapshot]``: indexing or iterating materializes (and
-    caches) frozen per-row :class:`SensorSnapshot` objects, so pre-batch
-    consumers — allocator fallbacks, monitoring controllers, tests — keep
-    working unchanged.
+    share one column order and are read directly by the kernel, the
+    allocators and the controllers without any per-sensor work.  The batch
+    is simultaneously an immutable ``Sequence[SensorSnapshot]``: indexing
+    or iterating materializes (and caches) frozen per-row
+    :class:`SensorSnapshot` objects, so settlement and the scalar query
+    fallbacks get objects for exactly the rows they touch.
 
     Attributes:
-        ids: announced sensor ids (fleet row indices), strictly ascending.
+        ids: announced sensor ids, unique (fleet row indices, ascending,
+            for a fleet's batch).
         xy: ``(m, 2)`` announced coordinates.
         costs: eq.-8 announced prices.
         gamma: per-announcement inaccuracy.
         trust: per-announcement trust.
-        token: O(1) identity stamp (see :attr:`FleetState.stamp`); equal
-            tokens guarantee identical ids/positions/gamma/trust (announced
-            costs excluded, by the kernel-token contract).
-        clock: the slot the batch was announced for.
+        token: identity token; equal tokens guarantee identical
+            ids/positions/gamma/trust (announced costs are excluded, so a
+            kernel survives re-pricing).  A fleet's batch carries the O(1)
+            :attr:`FleetState.stamp`, a converted snapshot list its rows'
+            ``(id, x, y, gamma, trust)`` tuples.
+        clock: the slot the batch was announced for (``None`` when
+            converted from snapshots).
+        world_raster: the slot's shared
+            :class:`~repro.spatial.WorldRaster` over ``xy``, attached by
+            :func:`~repro.spatial.raster.get_raster`.
     """
-
-    #: Sensor ids are fleet row indices — unique by construction, which
-    #: lets allocator input validation skip its O(n) duplicate scan.
-    distinct_sensor_ids = True
 
     def __init__(
         self,
@@ -619,7 +620,7 @@ class AnnouncementBatch(Sequence):
         gamma: np.ndarray,
         trust: np.ndarray,
         token: tuple,
-        clock: int,
+        clock: int | None,
     ) -> None:
         self.ids = ids
         self.xy = xy
@@ -628,22 +629,53 @@ class AnnouncementBatch(Sequence):
         self.trust = trust
         self.token = token
         self.clock = clock
+        self.world_raster = None
         self._snapshots: list[SensorSnapshot | None] = [None] * len(ids)
 
-    def kernel_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The ``(xy, gamma, trust, costs)`` arrays a kernel stacks —
-        shared, not copied (the batch never mutates them)."""
-        return self.xy, self.gamma, self.trust, self.costs
+    @classmethod
+    def from_snapshots(cls, snapshots) -> "AnnouncementBatch":
+        """Stack a snapshot list into a batch, keeping the caller's objects.
+
+        The snapshot cache is pre-filled with the given snapshots, so
+        indexing the batch (and therefore ``result.selected``) returns them
+        unchanged.  Duplicate sensor ids are refused with
+        :class:`~repro.core.errors.AllocationError`.
+        """
+        from ..core.errors import AllocationError
+
+        snapshots = list(snapshots)
+        n = len(snapshots)
+        ids = np.fromiter((s.sensor_id for s in snapshots), np.int64, n)
+        if len(np.unique(ids)) != n:
+            raise AllocationError("duplicate sensor ids in allocation input")
+        xy = np.empty((n, 2), dtype=float)
+        xy[:, 0] = np.fromiter((s.location.x for s in snapshots), float, n)
+        xy[:, 1] = np.fromiter((s.location.y for s in snapshots), float, n)
+        costs = np.fromiter((s.cost for s in snapshots), float, n)
+        gamma = np.fromiter((s.inaccuracy for s in snapshots), float, n)
+        trust = np.fromiter((s.trust for s in snapshots), float, n)
+        token = tuple(
+            zip(
+                ids.tolist(),
+                xy[:, 0].tolist(),
+                xy[:, 1].tolist(),
+                gamma.tolist(),
+                trust.tolist(),
+            )
+        )
+        batch = cls(ids, xy, costs, gamma, trust, token, clock=None)
+        batch._snapshots = snapshots
+        return batch
 
     def with_costs(self, costs: np.ndarray) -> "AnnouncementBatch":
         """The same announcement identity at different prices.
 
-        Shares every identity array *and the token* (the kernel-token
-        contract excludes announced costs, so reuse checks keep answering
-        in O(1)); only the cost column — and therefore the lazily
-        materialized snapshots — differs.  This is how the sequential
-        buffering baseline re-announces stage-1 sensors at zero cost
-        without walking the batch.
+        Shares every identity array *and the token* (tokens exclude
+        announced costs, so reuse checks keep answering in O(1)); only the
+        cost column — and therefore the lazily materialized snapshots —
+        differs.  This is how the sequential buffering baseline
+        re-announces stage-1 sensors at zero cost without walking the
+        batch.
         """
         costs = np.asarray(costs, dtype=float)
         if costs.shape != self.costs.shape:
@@ -657,10 +689,6 @@ class AnnouncementBatch(Sequence):
             token=self.token,
             clock=self.clock,
         )
-
-    @property
-    def sensor_ids(self) -> np.ndarray:
-        return self.ids
 
     # ------------------------------------------------------------------
     # Sequence[SensorSnapshot] protocol (lazy)

@@ -73,7 +73,6 @@ from .region import Region
 
 __all__ = ["WorldRaster", "get_raster"]
 
-_ATTR = "_world_raster"
 #: Outward steps of the stacked [lo; hi] run ends.
 _OUTWARD = np.array([-1, 1])
 
@@ -81,21 +80,14 @@ _OUTWARD = np.array([-1, 1])
 def get_raster(holder, xy: np.ndarray) -> "WorldRaster":
     """The :class:`WorldRaster` shared by all consumers of ``xy``.
 
-    ``holder`` is the object that owns the coordinate block — an
-    :class:`~repro.sensors.AnnouncementBatch`, usually.  The raster is
-    cached as an attribute on it so the kernel, its candidate machinery
-    and the monitoring controllers all resolve to one instance;
-    holders that refuse attributes (plain lists) simply get a fresh raster
-    per call, which is correct and merely uncached.
+    ``holder`` is the :class:`~repro.sensors.AnnouncementBatch` that owns
+    the coordinate block.  The raster is cached in its ``world_raster``
+    attribute, so the kernel, its candidate machinery and the monitoring
+    controllers all resolve to one instance.
     """
-    raster = getattr(holder, _ATTR, None)
-    if raster is not None and raster.xy is xy:
-        return raster
-    raster = WorldRaster(xy)
-    try:
-        setattr(holder, _ATTR, raster)
-    except (AttributeError, TypeError):
-        pass
+    raster = holder.world_raster
+    if raster is None or raster.xy is not xy:
+        raster = holder.world_raster = WorldRaster(xy)
     return raster
 
 

@@ -108,6 +108,31 @@ class TestCommands:
         assert payload["figure_id"] == "fig2"
         assert "Optimal" in payload["series"]
 
+    def test_figure_json_is_byte_identical_across_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.cli as cli_module
+
+        monkeypatch.setenv("REPRO_SCALE", "ci")
+        calls = iter([0.4, 2.7])
+
+        def stub(scale, seed):
+            result = FigureResult("figX", "stub", "x", x_values=[1.0, 2.0])
+            result.add("Greedy", "avg_utility", seed + 0.5)
+            result.add("Greedy", "avg_utility", seed + 1.5)
+            result.elapsed_seconds = next(calls)  # wall clock differs per run
+            return result
+
+        monkeypatch.setattr(cli_module, "ALL_FIGURES", {"figX": stub})
+        first, second = tmp_path / "a", tmp_path / "b"
+        for out in (first, second):
+            assert main(["figures", "--figure", "figX", "--out", str(out)]) == 0
+        out = capsys.readouterr().out
+        assert "(0.4s)" in out and "(2.7s)" in out  # the text report keeps it
+        a = (first / "figX_ci.json").read_bytes()
+        assert a == (second / "figX_ci.json").read_bytes()
+        assert "elapsed_seconds" not in json.loads(a)
+
 
 class TestScenarioJson:
     def test_scenario_json_emits_shared_payload(self, spec_file, capsys):

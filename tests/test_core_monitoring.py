@@ -256,3 +256,45 @@ class TestRegionController:
         child_paid = outcome.paid - sum(outcome.contributions.values())
         pool = 0.5 * max(0.0, plan.expected_cost - child_paid)
         assert sum(outcome.contributions.values()) <= pool + 1e-9
+
+
+class TestSettlementReadsLedgerOnce:
+    """Both controllers settle from one ``payment_totals`` pass, never a
+    per-child ``query_payment`` ledger scan."""
+
+    @staticmethod
+    def _forbid_query_payment(monkeypatch):
+        def scan(self, query_id):
+            raise AssertionError("settlement called query_payment")
+
+        monkeypatch.setattr(AllocationResult, "query_payment", scan)
+
+    def test_location_controller(self, monkeypatch):
+        controller = LocationMonitoringController()
+        query = lm_query()
+        t = query.desired_times[0]
+        children = controller.create_point_queries([query], t)
+        result = OptimalPointAllocator().allocate(
+            children, [make_snapshot(0, x=5, y=5, cost=5.0)]
+        )
+        paid = result.query_payment(children[0].query_id)
+        self._forbid_query_payment(monkeypatch)
+        samples, _ = controller.apply_results([query], children, result, t)
+        assert samples == 1
+        assert query.spent == paid
+
+    def test_region_controller(self, monkeypatch):
+        controller = RegionMonitoringController()
+        query = rm_query()
+        sensors = TestRegionController()._sensors()
+        children, plans = controller.create_point_queries([query], sensors, 0)
+        result = GreedyAllocator().allocate(children, sensors)
+        paid = 0.0
+        for child in children:
+            if result.assignments.get(child.query_id):
+                paid += result.query_payment(child.query_id)
+        self._forbid_query_payment(monkeypatch)
+        outcomes = controller.apply_results([query], children, plans, result, 0)
+        contributed = sum(outcomes[0].contributions.values())
+        assert outcomes[0].paid == paid + contributed
+        assert query.spent == outcomes[0].paid

@@ -19,11 +19,15 @@ from oracles import DenseKernel
 from repro.core import (
     BaselineAllocator,
     GreedyAllocator,
+    LocalSearchPointAllocator,
+    OptimalPointAllocator,
+    RegionMonitoringController,
     ValuationKernel,
     one_shot_engine,
 )
 from repro.mobility import RandomWaypointMobility, StationaryMobility
-from repro.queries import PointQueryWorkload
+from repro.phenomena import GaussianProcessField, RBFKernel
+from repro.queries import PointQueryWorkload, RegionMonitoringQuery
 from repro.sensors import (
     AnnouncementBatch,
     FleetConfig,
@@ -137,7 +141,7 @@ def test_allocations_bit_identical(name, sharded):
             HOTSPOT, n_queries=30, budget=18.0, dmax=6.0
         ).generate(object_fleet.clock, rng_b)
         kernel_cls = ValuationKernel if sharded else DenseKernel
-        kernel_a = kernel_cls.from_batch(batch)
+        kernel_a = kernel_cls.from_sensors(batch)
         kernel_b = kernel_cls.from_sensors(reference)
         a = allocator.allocate(queries_a, batch, kernel=kernel_a)
         b = allocator.allocate(queries_b, reference, kernel=kernel_b)
@@ -342,18 +346,18 @@ def test_token_distinguishes_announce_regions():
     whole = state.announce(clock, REGION)
     hotspot = state.announce(clock, HOTSPOT)
     assert whole.token != hotspot.token
-    kernel = ValuationKernel.from_batch(whole)
+    kernel = ValuationKernel.from_sensors(whole)
     assert not kernel.matches(hotspot)
 
 
-def test_rebind_to_snapshot_list_keeps_the_stamp():
-    """ensure() rebinding to an identity-equal plain list (the sequential
-    baseline's zero-cost stage) must not wipe the batch stamp — the next
-    slot's batch comparison stays O(1) instead of walking snapshots."""
+def test_rebind_to_repriced_batch_keeps_the_stamp():
+    """ensure() rebinding to an identity-equal repriced batch (the
+    sequential baseline's zero-cost stage) must keep the batch stamp — the
+    next slot's batch comparison stays O(1) instead of walking snapshots."""
     fleet = stationary_fleet()
     batch = fleet.announcements()
     kernel = ValuationKernel.ensure(None, batch)
-    repriced = list(batch)  # same identity, token-less container
+    repriced = batch.with_costs(np.zeros(len(batch)))  # same identity, new prices
     assert ValuationKernel.ensure(kernel, repriced) is kernel
     assert kernel.sensors is repriced
     fleet.advance()
@@ -383,7 +387,7 @@ def test_sequential_buffering_keeps_the_batch_lazy():
     for stream in (stage1, stage2):
         stream.begin_slot(0, rng, None)
     allocation = SequentialBufferedAllocation(GreedyAllocator(), GreedyAllocator())
-    kernel = ValuationKernel.from_batch(batch)
+    kernel = ValuationKernel.from_sensors(batch)
     result = allocation.run(0, [stage1, stage2], batch, kernel)
     result.verify()
     materialized = sum(s is not None for s in batch._snapshots)
@@ -397,7 +401,7 @@ def test_with_costs_shares_identity_and_token():
     assert zero.token == batch.token
     assert zero.ids is batch.ids and zero.xy is batch.xy
     assert zero[0].cost == 0.0 and batch[0].cost == 10.0
-    kernel = ValuationKernel.from_batch(batch)
+    kernel = ValuationKernel.from_sensors(batch)
     assert kernel.matches(zero)  # costs are excluded from identity
     with pytest.raises(ValueError):
         batch.with_costs(np.zeros(len(batch) + 1))
@@ -426,3 +430,70 @@ def test_batch_is_a_lazy_snapshot_sequence():
         batch[len(batch)]
     # Snapshots are cached: same object on re-access.
     assert batch[0] is batch[0]
+
+
+# ----------------------------------------------------------------------
+# the announcement boundary: a snapshot list converts to a batch once
+# ----------------------------------------------------------------------
+BOUNDARY_ALLOCATORS = {
+    "greedy": GreedyAllocator,
+    "baseline": BaselineAllocator,
+    "optimal": OptimalPointAllocator,
+    "local_search": LocalSearchPointAllocator,
+}
+
+
+def boundary_slot(seed: int = 19):
+    fleet = make_fleet(CONFIGS["linear_and_privacy"], seed=seed)
+    queries = PointQueryWorkload(
+        HOTSPOT, n_queries=20, budget=18.0, dmax=6.0
+    ).generate(fleet.clock, np.random.default_rng(seed))
+    return fleet, queries
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_ALLOCATORS))
+def test_allocators_equal_on_batch_and_snapshot_list(name):
+    fleet, queries = boundary_slot()
+    batch = fleet.announcements()
+    a = BOUNDARY_ALLOCATORS[name]().allocate(queries, batch)
+    b = BOUNDARY_ALLOCATORS[name]().allocate(queries, list(batch))
+    assert a.selected == b.selected
+    assert a.assignments == b.assignments
+    assert a.values == b.values
+    assert a.payments == b.payments
+    assert a.selected
+
+
+def test_region_controller_equal_on_batch_and_snapshot_list():
+    fleet, _ = boundary_slot()
+    batch = fleet.announcements()
+    gp = GaussianProcessField(RBFKernel(1.0, 2.0), noise=0.2)
+    queries = [
+        RegionMonitoringQuery(Region(10, 10, 22, 20), 0, 5, 80.0, gp),
+        RegionMonitoringQuery(Region(15, 12, 30, 30), 0, 5, 60.0, gp),
+    ]
+    controller = RegionMonitoringController()
+    children_a, plans_a = controller.create_point_queries(queries, batch, 0)
+    children_b, plans_b = controller.create_point_queries(queries, list(batch), 0)
+    assert plans_a == plans_b
+    assert any(plan.current for plan in plans_a.values())
+
+    def fields(children):
+        return [(c.location, c.budget, c.theta_min, c.dmax, c.parent_id) for c in children]
+
+    assert fields(children_a) == fields(children_b)
+    assert controller.region_counts(queries, batch, 0) == controller.region_counts(
+        queries, list(batch), 0
+    )
+
+
+@pytest.mark.parametrize("name", ["optimal", "local_search"])
+def test_point_allocators_materialize_only_their_picks(name):
+    """The matrix allocators read the batch's arrays: only the sensors a
+    result selects ever become snapshot objects."""
+    fleet, queries = boundary_slot()
+    batch = fleet.announcements()
+    result = BOUNDARY_ALLOCATORS[name]().allocate(queries, batch)
+    assert result.selected
+    materialized = sum(s is not None for s in batch._snapshots)
+    assert materialized <= len(result.selected) < len(batch)

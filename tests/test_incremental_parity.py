@@ -254,7 +254,7 @@ def test_ensure_delta_falls_back_without_a_chain(sharded):
     stale_prev, stale_delta = fleet.announcements_with_delta()
     # Forge a break: hand the old kernel a delta chained elsewhere.
     again = cls.ensure(kernel, stale_prev, stale_delta)
-    ref = cls.from_batch(stale_prev)
+    ref = cls.from_sensors(stale_prev)
     np.testing.assert_array_equal(again.sensor_xy, ref.sensor_xy)
     np.testing.assert_array_equal(again.costs, ref.costs)
 

@@ -228,7 +228,8 @@ class TestKernelParity:
         ]
         reused = ValuationKernel.ensure(kernel, repriced)
         assert reused is kernel
-        assert reused.sensors is repriced  # rebound to the current list
+        # Rebound to a batch over the current list's own snapshots.
+        assert all(a is b for a, b in zip(reused.sensors, repriced, strict=True))
         # The warm grid and candidate caches survive the reuse.
         assert reused.index is index
         assert reused.candidate_view(probe) is view
