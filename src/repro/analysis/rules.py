@@ -81,9 +81,8 @@ def _in_scope(relpath: str, scope: tuple[str, ...]) -> bool:
 class CapabilityHookRule(Rule):
     """``getattr(x, "name", default)`` probes must name a defined attribute.
 
-    The engine discovers optional allocator capabilities
-    (``supports_kernel``, ...) through bare string probes; a rename on the providing class silently
-    turns the probe into a permanent miss.  Every literal probe in the
+    A capability discovered through a bare string probe silently turns
+    into a permanent miss when the providing class renames the attribute.  Every literal probe in the
     capability scope must resolve against the repo-wide defined-attribute
     table built by the index.
     """
@@ -130,7 +129,7 @@ class CapabilityHookRule(Rule):
 #: only the scalar is overridden (the hazard batch_hook_trusted guards).
 _HOOK_PAIRS = {
     "relevant": "relevant_mask",
-    "gain": "gain_many",
+    "gain": "block",
     "sample_target": "sample_targets",
 }
 #: batch hooks whose *call sites* must route through the dispatch guards

@@ -201,13 +201,15 @@ class AllocationResult:
 class Allocator(Protocol):
     """The common interface of all per-slot scheduling algorithms.
 
-    Allocators may additionally accept a ``kernel`` keyword (a
-    :class:`~repro.core.valuation.ValuationKernel` built once per slot from
-    the same announcements) to skip restacking the slot's sensor arrays;
-    the engine only passes it to allocators that declare support via a
-    truthy ``supports_kernel`` attribute.
+    ``kernel`` is the slot's :class:`~repro.core.valuation.ValuationKernel`,
+    built once from the same announcements (the engine always passes it;
+    ``None`` makes the allocator build its own), so allocators skip
+    restacking the slot's sensor arrays.
     """
 
     def allocate(
-        self, queries: Sequence[Query], sensors: Sequence[SensorSnapshot]
+        self,
+        queries: Sequence[Query],
+        sensors: Sequence[SensorSnapshot],
+        kernel=None,
     ) -> AllocationResult: ...

@@ -17,17 +17,16 @@ One engine covers both published baselines:
 because a single-sensor point query *is* a set query whose second sensor
 never adds value.
 
-The implementation is array-native end to end: candidate sets come from the
-kernel's sparse point rows or each query's vectorized
-:meth:`~repro.queries.Query.relevant_mask` (scalar ``relevant`` scans
-survive only as the fallback for query types without vectorized geometry),
-per-round gains arrive through the batch-gain protocol, the paid/chosen
-bookkeeping lives in boolean column arrays, and announcement snapshots are
-materialized only for the sensors actually picked (``result.record`` /
-``state.add`` time).  Sensor picks replicate the historical per-candidate
-scan *exactly* — including its sequential "beats the incumbent by more than
-``min_gain``" tie-breaking — so allocations are bit-identical to the
-pre-vectorization implementation.
+Both run on Greedy's gain setup (:func:`~repro.core.greedy.gain_setup`):
+each query's candidates are its row of the shared relevance matrix, its
+gains come from its type's :class:`~repro.queries.GainBlock` (one
+``gain_many_block`` call per round, with the query as the only member
+touched), the paid/chosen bookkeeping lives in boolean column arrays, and
+announcement snapshots are materialized only for the sensors actually
+picked.  Sensor picks replicate the historical per-candidate scan
+*exactly* — ascending column order and its sequential "beats the
+incumbent by more than ``min_gain``" tie-breaking — so allocations are
+bit-identical to the pre-vectorization implementation.
 """
 
 from __future__ import annotations
@@ -37,9 +36,10 @@ from typing import Sequence
 import numpy as np
 
 from ..queries import PointQuery, Query
-from ..queries.base import resolve_batch_state, resolve_relevant_mask
 from ..sensors import SensorSnapshot
+from ..spatial import Location
 from .allocation import AllocationResult, check_distinct
+from .greedy import GainSetup, gain_setup
 from .valuation import ValuationKernel
 
 __all__ = ["BaselineAllocator"]
@@ -56,7 +56,6 @@ class BaselineAllocator:
     """
 
     name = "Baseline"
-    supports_kernel = True
 
     def __init__(self, min_gain: float = 1e-9, share_colocated: bool = True) -> None:
         if min_gain < 0:
@@ -74,64 +73,38 @@ class BaselineAllocator:
         result = AllocationResult()
         if not queries or not len(sensors):
             return result
-        kernel = ValuationKernel.ensure(kernel, sensors)
-        n_all = len(sensors)
+        queries = list(queries)
+        setup = gain_setup(queries, sensors, kernel)
+        if setup is not None:
+            self._run(queries, setup, result)
+        result.verify()
+        return result
 
-        # Vectorized Q_{l_s} prefilter + precomputed value rows for plain
-        # point queries: per-query sparse (candidate columns, values) pairs
-        # from the kernel — every omitted column is exactly zero, so the
-        # candidate sets below equal a full-fleet scan's.
-        plain = [q for q in queries if type(q) is PointQuery]
-        sparse_rows = {
-            q.query_id: entry
-            for q, entry in zip(plain, kernel.sparse_single_values(plain))
-        }
-
-        announced_costs = sensors.costs
-        paid = np.zeros(n_all, dtype=bool)  # cost already covered (buffered)
+    def _run(
+        self, queries: list[Query], setup: GainSetup, result: AllocationResult
+    ) -> None:
+        roster, costs = setup.roster, setup.costs
+        paid = np.zeros(roster.n_sensors, dtype=bool)  # cost already covered (buffered)
         answered: set[str] = set()
+        # Point queries by queried location, each group in query order.
+        colocated: dict[Location, list[PointQuery]] = {}
+        if self.share_colocated:
+            for query in queries:
+                if isinstance(query, PointQuery):
+                    colocated.setdefault(query.location, []).append(query)
 
-        for query in queries:
+        for i, query in enumerate(queries):
             if query.query_id in answered:
                 continue
-            state = query.new_state()
-            sparse = sparse_rows.get(query.query_id)
-            if sparse is not None:
-                idx, vals = sparse
-                positive = vals > 0.0
-                candidate_idx = idx[positive]
-                candidate_vals = vals[positive]
-            else:
-                # Non-point queries: one relevance-mask pass over the
-                # query's candidate view, ascending column order so near-
-                # tie picks cannot diverge from the historical full scan.
-                cand, cand_xy, cand_gamma, cand_trust = kernel.candidate_view(query)
-                mask = resolve_relevant_mask(query, cand_xy, cand_gamma, cand_trust)
-                if mask is not None:
-                    candidate_idx = cand[mask]
-                else:
-                    candidate_idx = np.fromiter(
-                        (j for j in cand if query.relevant(sensors[j])), np.intp
-                    )
-                candidate_vals = None
-            n_cand = len(candidate_idx)
-            # Per-query roster over a lazy column view: the batch state
-            # evaluates all of this query's candidates in one vectorized
-            # pass per round, and no snapshot is built until a candidate
-            # actually wins a round.
-            roster = kernel.roster(candidate_idx, sensors)
-            if candidate_vals is not None:
-                roster.value_rows[query.query_id] = candidate_vals
-            else:
-                # The roster holds exactly this query's relevant sensors.
-                roster.relevance_rows[query.query_id] = np.ones(n_cand, dtype=bool)
-            batch = resolve_batch_state(state, roster)
-            local_indices = roster.all_indices
-            cand_costs = announced_costs[candidate_idx]
-            chosen = np.zeros(n_cand, dtype=bool)
-            while n_cand:
-                gains = batch.gain_many(local_indices)
-                effective = np.where(paid[candidate_idx], 0.0, cand_costs)
+            state = setup.states[i]
+            # The query's relevant roster columns, ascending, so near-tie
+            # picks cannot diverge from the historical full scan.
+            candidates = np.flatnonzero(setup.relevance[i])
+            cand_costs = costs[candidates]
+            chosen = np.zeros(len(candidates), dtype=bool)
+            while len(candidates):
+                gains = setup.row_gains(i, candidates)
+                effective = np.where(paid[candidates], 0.0, cand_costs)
                 nets = gains - effective
                 # The historical pick scan, array-side: walk the candidates
                 # in order, replacing the incumbent only when a net beats
@@ -151,10 +124,9 @@ class BaselineAllocator:
                     positions = positions[first + 1 :]
                 if best_pos < 0:
                     break
-                column = int(candidate_idx[best_pos])
-                snapshot = roster.snapshots[best_pos]
-                newly_paid = not paid[column]
-                payment = float(cand_costs[best_pos]) if newly_paid else 0.0
+                column = int(candidates[best_pos])
+                snapshot = roster.snapshots[column]
+                payment = 0.0 if paid[column] else float(cand_costs[best_pos])
                 state.add(snapshot)
                 chosen[best_pos] = True
                 paid[column] = True
@@ -164,18 +136,14 @@ class BaselineAllocator:
             # Point-query co-location sharing: "a sensor that is selected to
             # answer a query at a certain location is also assigned to all
             # other queries at that location" (Section 4.3).
-            if self.share_colocated and isinstance(query, PointQuery) and chosen.any():
-                chosen_snapshot = roster.snapshots[int(np.argmax(chosen))]
-                for other in queries:
-                    if (
-                        isinstance(other, PointQuery)
-                        and other.query_id not in answered
-                        and other.location == query.location
-                    ):
-                        value = other.value_single(chosen_snapshot)
+            if isinstance(query, PointQuery) and chosen.any():
+                group = colocated.get(query.location, ())
+                if len(group) > 1:
+                    shared = roster.snapshots[int(candidates[np.argmax(chosen)])]
+                    for other in group:
+                        if other.query_id in answered:
+                            continue
+                        value = other.value_single(shared)
                         if value > 0.0:
-                            result.record(other, chosen_snapshot, value, 0.0)
+                            result.record(other, shared, value, 0.0)
                             answered.add(other.query_id)
-
-        result.verify()
-        return result

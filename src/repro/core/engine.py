@@ -77,7 +77,6 @@ __all__ = [
     "SequentialBufferedAllocation",
     "SlotEngine",
     "quality_of",
-    "call_allocator",
     "one_shot_engine",
     "location_monitoring_engine",
     "region_monitoring_engine",
@@ -97,18 +96,6 @@ def quality_of(query: Query, value: float) -> float:
     if query.max_value <= 0:
         return 0.0
     return value / query.max_value
-
-
-def call_allocator(
-    allocator: Allocator,
-    queries: Sequence[Query],
-    sensors: Sequence[SensorSnapshot],
-    kernel: ValuationKernel | None,
-) -> AllocationResult:
-    """Invoke ``allocator``, forwarding the slot kernel when supported."""
-    if kernel is not None and getattr(allocator, "supports_kernel", False):
-        return allocator.allocate(queries, sensors, kernel=kernel)
-    return allocator.allocate(queries, sensors)
 
 
 # ----------------------------------------------------------------------
@@ -514,7 +501,7 @@ class JointSlotAllocation:
     def run(self, t, streams, sensors, kernel):
         emissions = [(stream, stream.emit(t, sensors)) for stream in streams]
         queries = _emissions_in_rank_order(emissions)
-        return call_allocator(self.allocator, queries, sensors, kernel)
+        return self.allocator.allocate(queries, sensors, kernel=kernel)
 
 
 class SequentialBufferedAllocation:
@@ -545,7 +532,7 @@ class SequentialBufferedAllocation:
         stage1_queries = _emissions_in_rank_order(
             (stream, stream.emit(t, sensors)) for stream in stage1_streams
         )
-        stage1 = call_allocator(self.stage1_allocator, stage1_queries, sensors, kernel)
+        stage1 = self.stage1_allocator.allocate(stage1_queries, sensors, kernel=kernel)
         result = AllocationResult()
         result.merge(stage1)
 
@@ -564,8 +551,8 @@ class SequentialBufferedAllocation:
         stage2_queries = _emissions_in_rank_order(
             (stream, stream.emit(t, stage2_sensors)) for stream in stage2_streams
         )
-        stage2 = call_allocator(
-            self.stage2_allocator, stage2_queries, stage2_sensors, kernel
+        stage2 = self.stage2_allocator.allocate(
+            stage2_queries, stage2_sensors, kernel=kernel
         )
 
         # Merge stage 2, restoring original cost snapshots so the combined

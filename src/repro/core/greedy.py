@@ -11,24 +11,19 @@ Theorem 1's guarantees:
 3. non-negative individual query utility;
 4. ``O(|Q| |S|^2)`` valuation calls.
 
-The allocator drives the queries' batch-gain protocol
-(:meth:`~repro.queries.ValuationState.batch`): a dense
-``(n_queries, n_sensors)`` gain matrix is built once and only the *dirty*
-rows — queries that received a sensor in the previous round — are
-re-evaluated after each commit.  Same-type batch states are grouped into
-:class:`~repro.queries.GainBlock` stacks, so each round's dirty
-(query, sensor) pairs are evaluated with one ``gain_many_block`` call per
-query *type*.  Blocks are built through the fallback lattice
-(:func:`~repro.queries.gain_block_trusted`,
-:func:`~repro.queries.resolve_batch_state`), so subclasses that override
-only scalar or only row-level hooks are routed to the generic evaluators
-that honour their overrides, and every block implementation is
-bit-identical to its per-row ``gain_many``.  Per-sensor net utilities are
-re-accumulated for the affected columns with a sequential (``cumsum``)
-pass in query order, which reproduces the pseudo-code's per-sensor ``sum``
-addition order bit-for-bit, so the parity suites can require identical
-sensors and cost shares against a per-pair ``ValuationState.gain``
-reference loop.
+The allocator drives the queries' block-gain protocol
+(:meth:`~repro.queries.ValuationState.block`) over one shared setup
+(:func:`gain_setup`: relevance, roster, value/relevance rows, states and
+per-type :class:`~repro.queries.GainBlock` stacks), which the sequential
+baseline builds the same way.  A dense ``(n_queries, n_sensors)`` gain
+matrix is filled once and only the *dirty* rows — queries that received a
+sensor in the previous round — are re-evaluated after each commit, with
+one ``gain_many_block`` call per query *type*.  Per-sensor net utilities
+are re-accumulated for the affected columns with a sequential
+(``cumsum``) pass in query order, which reproduces the pseudo-code's
+per-sensor ``sum`` addition order bit-for-bit, so the parity suites can
+require identical sensors and cost shares against a per-pair
+``ValuationState.gain`` reference loop.
 
 One exact optimization over the pseudo-code: a sensor's cached marginal
 sum only changes when one of *its* relevant queries received a new sensor,
@@ -47,8 +42,8 @@ import numpy as np
 from ..queries import PointQuery, Query, ValuationState
 from ..queries.base import (
     GainBlock,
-    gain_block_trusted,
-    resolve_batch_state,
+    SensorRoster,
+    build_gain_block,
     resolve_relevant_mask,
 )
 from ..sensors import AnnouncementBatch, SensorSnapshot
@@ -56,7 +51,138 @@ from .allocation import AllocationResult, check_distinct
 from .payments import proportionate_shares
 from .valuation import ValuationKernel
 
-__all__ = ["GreedyAllocator"]
+__all__ = ["GainSetup", "GreedyAllocator", "gain_setup"]
+
+
+class GainSetup:
+    """One allocator call's gain machinery, shared by Greedy and Baseline.
+
+    Attributes:
+        roster: the candidate sensors — every announced column relevant to
+            at least one query (the paper's ``Q_{l_s}`` taken per sensor),
+            ascending.  Every array below is indexed by roster position.
+        relevance: ``(n_queries, n)`` boolean relevance rows, query order.
+        costs: the announced cost of each roster column.
+        states: the live :class:`~repro.queries.ValuationState` of each
+            query, query order.
+        plain_idx: the rows of the plain :class:`~repro.queries.PointQuery`
+            queries, whose eq.-(3) values are ``point_values`` (one row
+            each, also parked on the roster as its value rows).
+        row_block, member_pos, blocks: query row ``i`` is member
+            ``member_pos[i]`` of gain block ``blocks[row_block[i]]``.
+    """
+
+    def __init__(
+        self,
+        roster: SensorRoster,
+        relevance: np.ndarray,
+        costs: np.ndarray,
+        states: list[ValuationState],
+        plain_idx: list[int],
+        point_values: np.ndarray,
+    ) -> None:
+        self.roster = roster
+        self.relevance = relevance
+        self.costs = costs
+        self.states = states
+        self.plain_idx = plain_idx
+        self.point_values = point_values
+        self.row_block, self.member_pos, self.blocks = _build_blocks(states, roster)
+
+    def row_gains(self, row: int, columns: np.ndarray) -> np.ndarray:
+        """Query ``row``'s marginal gains against the roster ``columns``
+        (relevant columns only), through its gain block."""
+        member = np.full(len(columns), self.member_pos[row], dtype=np.intp)
+        return self.blocks[self.row_block[row]].gain_many_block(member, columns)
+
+
+def gain_setup(
+    queries: list[Query],
+    sensors: AnnouncementBatch,
+    kernel: ValuationKernel | None,
+) -> GainSetup | None:
+    """Relevance, roster, value/relevance rows, states and gain blocks of
+    one allocator call; ``None`` when no sensor is relevant to any query.
+
+    Relevance goes through the kernel's candidate views (the paper's
+    ``Q_{l_s}`` pre-filter): one fused eq.-(3) pass over the plain point
+    queries' (query, candidate) pairs — whose values double as their gain
+    rows — and one vectorized ``relevant_mask`` pass per other query over
+    its memoized candidate block.  The scalar per-snapshot ``relevant``
+    scan survives only as the fallback for query types that declare no
+    vectorized geometry.  Every omitted pair is exactly zero/irrelevant,
+    so the result equals a full-fleet pass bit for bit.
+    """
+    kernel = ValuationKernel.ensure(kernel, sensors)
+    n_queries, n_all = len(queries), len(sensors)
+    plain_idx = [i for i, q in enumerate(queries) if type(q) is PointQuery]
+    sparse_entries = kernel.sparse_single_values([queries[i] for i in plain_idx])
+    relevance_all = np.zeros((n_queries, n_all), dtype=bool)
+    for i, (idx, vals) in zip(plain_idx, sparse_entries):
+        relevance_all[i, idx] = vals > 0.0
+    for i, query in enumerate(queries):
+        if type(query) is PointQuery:
+            continue
+        cand, cand_xy, cand_gamma, cand_trust = kernel.candidate_view(query)
+        mask = resolve_relevant_mask(query, cand_xy, cand_gamma, cand_trust)
+        if mask is not None:
+            relevance_all[i, cand] = mask
+        else:
+            row = relevance_all[i]
+            for j in cand:
+                if query.relevant(sensors[j]):
+                    row[j] = True
+
+    cols = np.flatnonzero(relevance_all.any(axis=0))
+    if cols.size == 0:
+        return None
+    # Snapshots and costs come from the *passed* announcements — the
+    # kernel may be a reused one whose own snapshots carry stale prices.
+    roster = kernel.roster(cols, sensors)
+    relevance = relevance_all[:, cols]
+    # Scatter the sparse point rows into the roster's column space.
+    # Candidate columns relevant to no query are absent from ``cols`` but
+    # carry value 0.0 by construction, so dropping them is exact.
+    point_values = np.zeros((len(plain_idx), cols.size))
+    col_pos = np.full(n_all, -1, dtype=np.intp)
+    col_pos[cols] = np.arange(cols.size, dtype=np.intp)
+    for p, (idx, vals) in enumerate(sparse_entries):
+        pos = col_pos[idx]
+        keep = pos >= 0
+        point_values[p, pos[keep]] = vals[keep]
+    for p, i in enumerate(plain_idx):
+        roster.value_rows[queries[i].query_id] = point_values[p]
+    for i, query in enumerate(queries):
+        if type(query) is not PointQuery:
+            roster.relevance_rows[query.query_id] = relevance[i]
+    states = [q.new_state() for q in queries]
+    return GainSetup(
+        roster, relevance, sensors.costs[cols], states, plain_idx, point_values
+    )
+
+
+def _build_blocks(
+    states: list[ValuationState], roster: SensorRoster
+) -> tuple[np.ndarray, np.ndarray, list[GainBlock]]:
+    """Group the states by exact class into per-type gain blocks.
+
+    Returns ``(row_block, member_pos, blocks)``: for query row ``i``,
+    ``blocks[row_block[i]]`` is its block and ``member_pos[i]`` its member
+    index within it.  Member order follows query order, so pairs sorted by
+    query row arrive member-grouped as the block protocol requires.
+    """
+    groups: dict[type, list[int]] = {}
+    for i, state in enumerate(states):
+        groups.setdefault(type(state), []).append(i)
+    row_block = np.empty(len(states), dtype=np.intp)
+    member_pos = np.empty(len(states), dtype=np.intp)
+    blocks: list[GainBlock] = []
+    for rows in groups.values():
+        for p, i in enumerate(rows):
+            row_block[i] = len(blocks)
+            member_pos[i] = p
+        blocks.append(build_gain_block([states[i] for i in rows], roster))
+    return row_block, member_pos, blocks
 
 
 class GreedyAllocator:
@@ -70,7 +196,6 @@ class GreedyAllocator:
     """
 
     name = "Greedy"
-    supports_kernel = True
 
     def __init__(self, min_gain: float = 1e-9, verify: bool = True) -> None:
         if min_gain < 0:
@@ -102,87 +227,29 @@ class GreedyAllocator:
         kernel: ValuationKernel | None,
         result: AllocationResult,
     ) -> None:
-        kernel = ValuationKernel.ensure(kernel, sensors)
-        n_queries, n_all = len(queries), len(sensors)
-
-        # Relevance through the kernel's candidate views (the paper's
-        # Q_{l_s} pre-filter): one fused eq.-(3) pass over the plain point
-        # queries' (query, candidate) pairs — whose values double as their
-        # precomputed gain rows below — and one vectorized `relevant_mask`
-        # pass per other query over its memoized candidate block.  The
-        # scalar per-snapshot `relevant` scan survives only as the fallback
-        # for query types that declare no vectorized geometry.  Every
-        # omitted pair is exactly zero/irrelevant, so the result equals a
-        # full-fleet pass bit for bit.
-        plain_idx = [i for i, q in enumerate(queries) if type(q) is PointQuery]
-        sparse_entries = kernel.sparse_single_values([queries[i] for i in plain_idx])
-        relevance_all = np.zeros((n_queries, n_all), dtype=bool)
-        for i, (idx, vals) in zip(plain_idx, sparse_entries):
-            relevance_all[i, idx] = vals > 0.0
-        for i, query in enumerate(queries):
-            if type(query) is PointQuery:
-                continue
-            cand, cand_xy, cand_gamma, cand_trust = kernel.candidate_view(query)
-            mask = resolve_relevant_mask(query, cand_xy, cand_gamma, cand_trust)
-            if mask is not None:
-                relevance_all[i, cand] = mask
-            else:
-                row = relevance_all[i]
-                for j in cand:
-                    if query.relevant(sensors[j]):
-                        row[j] = True
-
-        # Candidate roster: the paper's Q_{l_s} — sensors serving anything.
-        cols = np.flatnonzero(relevance_all.any(axis=0))
-        if cols.size == 0:
+        setup = gain_setup(queries, sensors, kernel)
+        if setup is None:
             return
-        # Snapshots and costs come from the *passed* announcements — the
-        # kernel may be a reused one whose own snapshots carry stale prices.
-        roster = kernel.roster(cols, sensors)
-        relevance = relevance_all[:, cols]
-        costs = sensors.costs[cols]
-        if plain_idx:
-            # Scatter the sparse rows into the reduced column space.
-            # Candidate columns relevant to no query are absent from
-            # ``cols`` but carry value 0.0 by construction, so dropping
-            # them is exact.
-            block = np.zeros((len(plain_idx), cols.size))
-            col_pos = np.full(n_all, -1, dtype=np.intp)
-            col_pos[cols] = np.arange(cols.size, dtype=np.intp)
-            for p, (idx, vals) in enumerate(sparse_entries):
-                pos = col_pos[idx]
-                keep = pos >= 0
-                block[p, pos[keep]] = vals[keep]
-            for p, i in enumerate(plain_idx):
-                roster.value_rows[queries[i].query_id] = block[p]
-        for i, query in enumerate(queries):
-            if type(query) is not PointQuery:
-                roster.relevance_rows[query.query_id] = relevance[i]
-
-        states: dict[str, ValuationState] = {q.query_id: q.new_state() for q in queries}
-        batches = [resolve_batch_state(states[q.query_id], roster) for q in queries]
-        groups = self._build_blocks(batches)
-
-        n = cols.size
-        gain_matrix = np.zeros((n_queries, n), dtype=float)
+        roster, relevance, costs = setup.roster, setup.relevance, setup.costs
+        n = roster.n_sensors
+        gain_matrix = np.zeros((len(queries), n), dtype=float)
         alive = np.ones(n, dtype=bool)
         all_indices = roster.all_indices
-        # Initial fill.  Point-query rows come straight from the kernel
+        # Initial fill.  Point-query rows come straight from the value
         # block (empty state: the marginal gain IS the single value), one
         # vectorized pass for the whole block; other query types fill via
-        # their batch states, one fused pass per type.
-        if plain_idx:
-            rows = np.asarray(plain_idx, dtype=np.intp)
-            keep = relevance[rows] & (block > self.min_gain)
-            gain_matrix[rows] = np.where(keep, block, 0.0)
+        # their gain blocks, one fused pass per type.
+        if setup.plain_idx:
+            rows = np.asarray(setup.plain_idx, dtype=np.intp)
+            values = setup.point_values
+            keep = relevance[rows] & (values > self.min_gain)
+            gain_matrix[rows] = np.where(keep, values, 0.0)
         nonpoint_rows = [
             i
             for i, query in enumerate(queries)
             if type(query) is not PointQuery and relevance[i].any()
         ]
-        self._refresh_rows(
-            gain_matrix, relevance, batches, nonpoint_rows, all_indices, groups
-        )
+        self._refresh_rows(gain_matrix, setup, nonpoint_rows, all_indices)
         net = np.empty(n, dtype=float)
         self._recompute_net(gain_matrix, costs, all_indices, net)
 
@@ -200,8 +267,8 @@ class GreedyAllocator:
             for i in benefiting:
                 qid = queries[i].query_id
                 gain = gains[qid]
-                realized = states[qid].add(snapshot)
-                # The committed gain must match the batch evaluation; the
+                realized = setup.states[i].add(snapshot)
+                # The committed gain must match the block evaluation; the
                 # states are only mutated here, so any drift is a query-
                 # implementation bug worth failing loudly on.
                 if abs(realized - gain) > 1e-6 * max(1.0, abs(gain)):
@@ -218,71 +285,30 @@ class GreedyAllocator:
             live = np.flatnonzero(alive)
             if live.size == 0:
                 break
-            self._refresh_rows(
-                gain_matrix, relevance, batches, benefiting, live, groups
-            )
+            self._refresh_rows(gain_matrix, setup, benefiting, live)
             dirty = relevance[benefiting].any(axis=0)
             dirty &= alive
             dirty_cols = np.flatnonzero(dirty)
             if dirty_cols.size:
                 self._recompute_net(gain_matrix, costs, dirty_cols, net)
 
-    @staticmethod
-    def _build_blocks(
-        batches: list,
-    ) -> tuple[np.ndarray, np.ndarray, list[GainBlock]]:
-        """Group the slot's batch states into per-type gain blocks.
-
-        Returns ``(row_block, member_pos, blocks)``: for query row ``i``,
-        ``blocks[row_block[i]]`` is its fused block and ``member_pos[i]``
-        its member index within it.  Grouping is by *exact* batch-state
-        type; a type's native ``block`` hook is used only when the fallback
-        lattice trusts it (:func:`~repro.queries.gain_block_trusted`), else
-        the generic row-looping :class:`~repro.queries.GainBlock` preserves
-        any ``gain_many`` override.  Member order follows query order, so
-        pairs sorted by query row arrive member-grouped as the block
-        protocol requires.
-        """
-        groups: dict[type, list[int]] = {}
-        for i, state in enumerate(batches):
-            groups.setdefault(type(state), []).append(i)
-        row_block = np.empty(len(batches), dtype=np.intp)
-        member_pos = np.empty(len(batches), dtype=np.intp)
-        blocks: list[GainBlock] = []
-        for cls, rows in groups.items():
-            members = [batches[i] for i in rows]
-            block = (
-                cls.block(members) if gain_block_trusted(cls) else GainBlock(members)
-            )
-            for p, i in enumerate(rows):
-                row_block[i] = len(blocks)
-                member_pos[i] = p
-            blocks.append(block)
-        return row_block, member_pos, blocks
-
     def _refresh_rows(
         self,
         gain_matrix: np.ndarray,
-        relevance: np.ndarray,
-        batches: list,
+        setup: GainSetup,
         rows: Sequence[int] | np.ndarray,
         columns: np.ndarray,
-        groups: tuple[np.ndarray, np.ndarray, list[GainBlock]],
     ) -> None:
         """Re-evaluate ``rows``' gains against ``columns``.
 
-        All dirty relevant (query, sensor) pairs are gathered at once and dispatched as one ``gain_many_block`` call per
-        touched block; ``np.nonzero`` emits pairs in row-major order and
-        block members follow query order, so each block's pairs arrive
-        member-grouped.  Single dirty rows go through their block too —
-        block evaluators own the cheap shared-structure path (e.g. the
-        coverage block's raster CSR rows vs a lazily built dense mask
-        matrix), so bouncing to per-row ``gain_many`` would rebuild state
-        the block exists to avoid.
+        All dirty relevant (query, sensor) pairs are gathered at once and
+        dispatched as one ``gain_many_block`` call per touched block;
+        ``np.nonzero`` emits pairs in row-major order and block members
+        follow query order, so each block's pairs arrive member-grouped.
         """
-        row_block, member_pos, blocks = groups
+        row_block, member_pos, blocks = setup.row_block, setup.member_pos, setup.blocks
         row_idx = np.asarray(rows, dtype=np.intp)
-        r_pos, c_pos = np.nonzero(relevance[np.ix_(row_idx, columns)])
+        r_pos, c_pos = np.nonzero(setup.relevance[np.ix_(row_idx, columns)])
         if r_pos.size == 0:
             return
         pair_rows = row_idx[r_pos]

@@ -64,7 +64,6 @@ class LocalSearchPointAllocator:
     """
 
     name = "LocalSearch"
-    supports_kernel = True
 
     def __init__(self, epsilon: float = 0.01) -> None:
         if epsilon <= 0:

@@ -50,7 +50,6 @@ class OptimalPointAllocator:
     """
 
     name = "Optimal"
-    supports_kernel = True
 
     def __init__(
         self,

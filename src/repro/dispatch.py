@@ -2,8 +2,10 @@
 
 Several subsystems pair a scalar extension hook with a batched one —
 ``Query.relevant`` / ``Query.relevant_mask`` (the batch-relevance
-protocol) and ``WaypointMobility.sample_target`` / ``sample_targets`` (the
-loop-free mobility advance).  A subclass that customizes only the *scalar*
+protocol), ``ValuationState.gain`` / ``ValuationState.block`` (the
+block-gain protocol both allocators evaluate gains through) and
+``WaypointMobility.sample_target`` / ``sample_targets`` (the loop-free
+mobility advance).  A subclass that customizes only the *scalar*
 hook must not be silently routed through the inherited batch hook, which
 no longer reflects its behaviour.  :func:`batch_hook_trusted` is the one
 shared staleness test: the batch hook is trusted only when its defining

@@ -2,15 +2,12 @@
 
 from .aggregate import AggregateOp, SpatialAggregateQuery, TrajectoryQuery, sensor_quality
 from .base import (
-    BatchGainState,
     GainBlock,
     Query,
     QueryType,
     SensorRoster,
     ValuationState,
-    gain_block_trusted,
     new_query_id,
-    resolve_batch_state,
     resolve_relevant_mask,
 )
 from .event import EventDetectionQuery, EventSlotQuery, detection_confidence
@@ -30,12 +27,9 @@ __all__ = [
     "QueryType",
     "ValuationState",
     "SensorRoster",
-    "BatchGainState",
     "GainBlock",
     "new_query_id",
     "resolve_relevant_mask",
-    "resolve_batch_state",
-    "gain_block_trusted",
     "PointQuery",
     "MultiSensorPointQuery",
     "reading_quality",

@@ -15,17 +15,16 @@ aggregate query in which instead of providing a region of interest, a
 trajectory is specified" (Section 2.2.3); :class:`TrajectoryQuery` performs
 that reduction with a corridor coverage function.
 
-Gain evaluation is layered: :class:`_CoverageState` answers scalar
-``gain``; :class:`_CoverageBatch` vectorizes ``gain_many`` against a
-(lazily built) dense coverage-mask matrix; and :class:`_CoverageBlock`
-fuses a whole slot's same-type batches into one evaluator built from the
-shared :class:`~repro.spatial.raster.WorldRaster` covered-cell CSR rows —
-no per-query mask matrices at all.  Unlike the other two layers the block
-holds state of its own: per (member, sensor) counts of still-uncovered
-cells, which it brings up to date by diffing each member's live coverage
-mask against its own copy.  The counts are exact integers and masks only
-grow, so the sync cannot drift.  All three produce bit-identical gains
-(the batch/block layers reuse the scalar layer's arithmetic sequence).
+Gain evaluation has two layers: :class:`_CoverageState` answers scalar
+``gain``, and :class:`_CoverageBlock` evaluates a whole slot's aggregate
+and trajectory states at once from the shared
+:class:`~repro.spatial.raster.WorldRaster` covered-cell CSR rows — no
+per-query mask matrices at all.  The block holds state of its own: per
+(member, sensor) counts of still-uncovered cells, which it brings up to
+date by diffing each member's live coverage mask against its own copy.
+The counts are exact integers and masks only grow, so the sync cannot
+drift, and both layers produce bit-identical gains (the block reuses the
+scalar layer's arithmetic sequence).
 """
 
 from __future__ import annotations
@@ -45,16 +44,15 @@ from ..spatial import (
     TrajectoryCoverage,
     as_xy,
 )
-from ..spatial.coverage import masks_for_xy
 from ..spatial.geometry import require_positive
+from ..spatial.raster import WorldRaster
 from .base import (
-    BatchGainState,
     GainBlock,
     Query,
     QueryType,
     SensorRoster,
     ValuationState,
-    member_runs,
+    touched_members,
 )
 
 __all__ = ["AggregateOp", "SpatialAggregateQuery", "TrajectoryQuery", "sensor_quality"]
@@ -81,92 +79,6 @@ def sensor_quality(snapshot: SensorSnapshot) -> float:
     return (1.0 - snapshot.inaccuracy) * snapshot.trust
 
 
-class _CoverageBatch(BatchGainState):
-    """Aggregate-query batch gains via a stacked coverage-mask matrix.
-
-    Built once per allocator call: an ``(n_relevant, n_cells)`` boolean
-    matrix of per-candidate coverage masks plus the ``(1-gamma)*tau``
-    quality column.  A :meth:`gain_many` round is then pure boolean/array
-    arithmetic against the live state's accumulated mask — integer cell
-    counts and the exact eq.-(5) operation order keep every gain
-    bit-identical to the scalar :meth:`_CoverageState.gain`.
-    """
-
-    def __init__(self, state: "_CoverageState", roster: SensorRoster) -> None:
-        super().__init__(state, roster)
-        query = state.query
-        relevant = roster.relevance_row(query)
-        self._relevant = relevant
-        self._rel_idx = np.flatnonzero(relevant)
-        # Row index into the mask matrix per roster column (-1: irrelevant).
-        self._mask_row = np.full(roster.n_sensors, -1, dtype=np.intp)
-        self._mask_row[self._rel_idx] = np.arange(len(self._rel_idx))
-        # The dense mask matrix builds lazily: the fused block path indexes
-        # the slot raster's CSR coverage rows instead and never needs it.
-        self._masks: np.ndarray | None = None
-        self._quality = (1.0 - roster.gamma) * roster.trust
-
-    @property
-    def masks(self) -> np.ndarray:
-        """``(n_relevant, n_cells)`` per-candidate coverage masks (lazy).
-
-        Masks come straight from the roster's shared coordinate block — no
-        Location objects, no snapshot materialization (built-in coverage
-        functions take (n, 2) arrays natively; legacy overrides still get
-        Location sequences via :func:`masks_for_xy`).
-        """
-        if self._masks is None:
-            self._masks = masks_for_xy(
-                self.state.query.coverage, self.roster.xy[self._rel_idx]
-            )
-        return self._masks
-
-    def gain_many(self, indices: np.ndarray) -> np.ndarray:
-        state = self.state
-        query = state.query
-        n_cells = query.coverage.cell_count
-        count = len(state.selected) + 1
-        base_covered = int(state._mask.sum())
-        counts = np.full(len(indices), base_covered, dtype=np.int64)
-        quality_sums = np.full(len(indices), state._quality_sum, dtype=float)
-        rel_pos = np.flatnonzero(self._relevant[indices])
-        if rel_pos.size:
-            rel_cols = indices[rel_pos]
-            rows = self.masks[self._mask_row[rel_cols]]
-            counts[rel_pos] += (rows & ~state._mask).sum(axis=1)
-            quality_sums[rel_pos] = state._quality_sum + self._quality[rel_cols]
-        coverage = counts / n_cells if n_cells else np.zeros(len(indices))
-        value_new = (query.budget * coverage) * (quality_sums / count)
-        return value_new - state.value
-
-    @classmethod
-    def block(cls, members) -> GainBlock:
-        return _CoverageBlock(members)
-
-    def _coverage_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR covered-cell rows over the relevant roster columns.
-
-        Prefers the slot raster's shared (and box-accelerated) builder;
-        rosters without one fall back to the dense mask matrix's nonzero
-        structure.  Either way the row memberships are exactly the dense
-        matrix's ``True`` positions (see :mod:`repro.spatial.raster`).
-        """
-        raster = self.roster.raster
-        if raster is not None:
-            kernel_columns = self.roster.kernel_columns
-            world_cols = (
-                self._rel_idx
-                if kernel_columns is None
-                else kernel_columns[self._rel_idx]
-            )
-            return raster.coverage_rows(self.state.query.coverage, world_cols)
-        rows, cells = np.nonzero(self.masks)
-        counts = np.bincount(rows, minlength=len(self._rel_idx))
-        indptr = np.zeros(len(self._rel_idx) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, cells.astype(np.int64, copy=False)
-
-
 class _CoverageBlock(GainBlock):
     """Fused eq.-(5) gains for a slot's aggregate queries, from live counts.
 
@@ -181,28 +93,30 @@ class _CoverageBlock(GainBlock):
     sync every count equals what re-gathering the row against the live mask
     would give, whatever commits (and how many) happened since the last
     call — including before the first one.  A pair's gain then reads one
-    count and finishes with the exact per-pair eq.-(5) operation order of
-    :meth:`_CoverageBatch.gain_many`, so fused gains are bit-identical to
-    the per-member path.  Callers must pass *relevant* pairs only (the
-    greedy allocator's dirty pairs are relevance-filtered by construction);
-    the base :class:`GainBlock` remains the evaluator for arbitrary pairs.
+    count and finishes with the exact eq.-(5) operation order of the scalar
+    :meth:`_CoverageState.gain`, so fused gains are bit-identical to it.
+    Callers must pass *relevant* pairs only (both allocators evaluate
+    relevance-filtered pairs by construction); the base :class:`GainBlock`
+    remains the evaluator for arbitrary pairs.
 
     :attr:`cells_read` counts the transpose entries visited while
     decrementing — the block's covered-cell reads, a deterministic work
     counter.
     """
 
-    def __init__(self, members) -> None:
-        super().__init__(members)
-        m = len(self.members)
-        n = self.members[0].roster.n_sensors if self.members else 0
+    def __init__(self, states, roster: SensorRoster) -> None:
+        super().__init__(states, roster)
+        m = len(self.states)
+        n = roster.n_sensors
         self._n_cells = np.fromiter(
-            (b.state.query.coverage.cell_count for b in self.members), float, m
+            (state.query.coverage.cell_count for state in self.states), float, m
         )
         self._budgets = np.fromiter(
-            (b.state.query.budget for b in self.members), float, m
+            (state.query.budget for state in self.states), float, m
         )
-        self._qualities = np.empty((m, n), dtype=float)
+        # Eq.-(5) reading quality (1 - gamma) * tau of every roster column,
+        # the scalar `sensor_quality` arithmetic.
+        self._quality = (1.0 - roster.gamma) * roster.trust
         self._uncovered = np.zeros((m, n), dtype=np.int32)
         # Covered-cell count and mask of each member as of its last sync.
         self._covered = np.zeros(m, dtype=float)
@@ -212,10 +126,14 @@ class _CoverageBlock(GainBlock):
         self._cell_ptr: list[np.ndarray] = []
         self._cell_cols: list[np.ndarray] = []
         self.cells_read = 0
-        for p, member in enumerate(self.members):
-            self._qualities[p] = member._quality
-            indptr, cells = member._coverage_rows()
-            rel_idx = member._rel_idx
+        # Rosters cut from a kernel carry the slot raster, keyed in world
+        # columns; any other roster gets a raster over its own coordinates.
+        self._raster, self._world_cols = roster.raster, roster.kernel_columns
+        if self._raster is None:
+            self._raster, self._world_cols = WorldRaster(roster.xy), None
+        for p, state in enumerate(self.states):
+            rel_idx = np.flatnonzero(roster.relevance_row(state.query))
+            indptr, cells = self.coverage_rows(state.query, rel_idx)
             lens = np.diff(indptr)
             self._uncovered[p, rel_idx] = lens
             n_cells = int(self._n_cells[p])
@@ -229,6 +147,18 @@ class _CoverageBlock(GainBlock):
             np.cumsum(np.bincount(cells, minlength=n_cells), out=ptr[1:])
             self._cell_ptr.append(ptr)
             self._seen.append(np.zeros(n_cells, dtype=bool))
+
+    def coverage_rows(
+        self, query: "SpatialAggregateQuery", rel_idx: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """CSR covered-cell rows of ``query`` over the roster columns ``rel_idx``.
+
+        Read through the raster's shared cache; the row memberships are
+        exactly the dense coverage masks' ``True`` positions (see
+        :mod:`repro.spatial.raster`).
+        """
+        cols = rel_idx if self._world_cols is None else self._world_cols[rel_idx]
+        return self._raster.coverage_rows(query.coverage, cols)
 
     def _sync(self, p: int, mask: np.ndarray) -> None:
         """Bring member ``p``'s uncovered counts up to its live ``mask``."""
@@ -255,15 +185,12 @@ class _CoverageBlock(GainBlock):
     def gain_many_block(
         self, member_idx: np.ndarray, indices: np.ndarray
     ) -> np.ndarray:
-        members = self.members
-        n_members = len(members)
+        n_members = len(self.states)
         quality_sums = np.zeros(n_members, dtype=float)
         counts_sel = np.ones(n_members, dtype=float)
         values = np.zeros(n_members, dtype=float)
-        # Pairs arrive member-grouped, so each run's first entry names one
-        # touched member.
-        for u in member_idx[member_runs(member_idx)[:-1]]:
-            state = members[u].state
+        for u in touched_members(member_idx):
+            state = self.states[u]
             self._sync(u, state._mask)
             quality_sums[u] = state._quality_sum
             counts_sel[u] = len(state.selected) + 1
@@ -273,7 +200,7 @@ class _CoverageBlock(GainBlock):
         empty = n_cells == 0.0
         coverage = counts / np.where(empty, 1.0, n_cells)
         coverage[empty] = 0.0
-        qsums = quality_sums[member_idx] + self._qualities[member_idx, indices]
+        qsums = quality_sums[member_idx] + self._quality[indices]
         value_new = (self._budgets[member_idx] * coverage) * (
             qsums / counts_sel[member_idx]
         )
@@ -320,8 +247,9 @@ class _CoverageState(ValuationState):
         self.value = self._value_with(None, None)
         return self.value - before
 
-    def batch(self, roster: SensorRoster) -> BatchGainState:
-        return _CoverageBatch(self, roster)
+    @classmethod
+    def block(cls, states, roster: SensorRoster) -> GainBlock:
+        return _CoverageBlock(states, roster)
 
 
 class SpatialAggregateQuery(Query):

@@ -12,39 +12,28 @@ aggregator relies on the end users to provide a valuation function
   scratch (the default state does exactly that recomputation; performance-
   critical query types override it).
 
-On top of the scalar interface sits the **batch-gain protocol**: an
+On top of the scalar interface sits the **block-gain protocol**: an
 allocator stacks one slot's candidate announcements into a
-:class:`SensorRoster` and asks each live :class:`ValuationState` for a
-:class:`BatchGainState` (:meth:`ValuationState.batch`).  The batch state
-evaluates the query's marginal gain against *many* candidate sensors in a
-single vectorized pass (:meth:`BatchGainState.gain_many`), while the
-underlying scalar state remains the source of truth for commits
-(:meth:`ValuationState.add`) — batch states read the live scalar state on
-every call, so no synchronization hooks are needed.  The default batch
-state simply loops over :meth:`ValuationState.gain`, which keeps arbitrary
-user-provided valuation functions correct; the built-in query types
-override it with closed-form vectorizations.
+:class:`SensorRoster`, groups the live :class:`ValuationState` objects by
+class and asks each group for one :class:`GainBlock`
+(:meth:`ValuationState.block`).  The block evaluates the marginal gains of
+*many* (query, sensor) pairs of its type in one vectorized
+:meth:`GainBlock.gain_many_block` pass, while the scalar states remain the
+source of truth for commits (:meth:`ValuationState.add`) — blocks read the
+live states on every call, so no synchronization hooks are needed.  The
+base :class:`GainBlock` loops the scalar :meth:`ValuationState.gain`,
+which keeps arbitrary user-provided valuation functions correct; the
+built-in query types override ``block`` with stacked closed forms
+(quality-row matrices for the point-flavoured types, covered-cell counts
+over the slot raster's CSR rows for the coverage types).  Both allocators
+(Greedy and the sequential baseline) reach their gains through these
+blocks only.
 
-One level above the per-query batch states sits the **block-gain
-protocol**: an allocator groups same-type batch states into a
-:class:`GainBlock` (:meth:`BatchGainState.block`) and evaluates *all* dirty
-(query, sensor) pairs of the group in one fused
-:meth:`GainBlock.gain_many_block` call per greedy round, instead of one
-``gain_many`` call per dirty query row.  The built-in query types override
-``block`` with stacked closed forms (quality-row matrices for the
-point-flavoured types, flattened covered-cell CSR deltas for the coverage
-types); the base :class:`GainBlock` falls back to a per-member
-``gain_many`` loop, which keeps arbitrary subclasses correct.
-
-Both layers are guarded by the MRO staleness test of
-:func:`repro.dispatch.batch_hook_trusted`, forming the **fallback
-lattice**: a subclass overriding only the scalar ``gain`` is routed out of
-its base's closed-form batch state by :func:`resolve_batch_state` (it gets
-the generic scalar-looping :class:`BatchGainState`); a subclass overriding
-only ``gain_many`` is routed out of its base's fused block by
-:func:`gain_block_trusted` (it gets the generic row-looping
-:class:`GainBlock`).  Either way the override stays authoritative and the
-fused path degrades one level at a time, never past correctness.
+One guard keeps the protocol honest, the MRO staleness test of
+:func:`repro.dispatch.batch_hook_trusted` applied by
+:func:`build_gain_block`: a subclass overriding the scalar ``gain``
+without overriding ``block`` gets the generic :class:`GainBlock`, so the
+override stays authoritative.
 
 Alongside the gains sits the **batch-relevance protocol**
 (:meth:`Query.relevant_mask`): one vectorized pass mapping a slot's stacked
@@ -67,7 +56,7 @@ route their *scalar* predicate through the mask with ``n = 1`` so the two
 forms cannot disagree even in the final ulp.  The quality-gated types
 (point, multi-point, event) keep their historical ``math.hypot`` scalar
 path; their masks use ``np.hypot``, which can differ in the last ulp on
-engineered boundary instances (the same caveat every batch-gain state
+engineered boundary instances (the same caveat every built-in gain block
 documents).
 """
 
@@ -90,13 +79,12 @@ __all__ = [
     "Query",
     "ValuationState",
     "SensorRoster",
-    "BatchGainState",
     "GainBlock",
+    "build_gain_block",
     "member_runs",
     "new_query_id",
     "resolve_relevant_mask",
-    "resolve_batch_state",
-    "gain_block_trusted",
+    "touched_members",
 ]
 
 
@@ -158,11 +146,11 @@ class QueryType(enum.Enum):
 
 
 class SensorRoster:
-    """One allocator call's candidate sensors, stacked for batch gains.
+    """One allocator call's candidate sensors, stacked for block gains.
 
-    The roster fixes a *column order* — every array a batch state produces
+    The roster fixes a *column order* — every array a gain block produces
     is indexed by position in ``snapshots`` — and shares the stacked
-    coordinate/inaccuracy/trust arrays across all the call's batch states,
+    coordinate/inaccuracy/trust arrays across all the call's gain blocks,
     so each query type vectorizes against the same memory.
 
     Built from announcements alone, the roster converts them once through
@@ -184,16 +172,16 @@ class SensorRoster:
             instead of re-deriving each row).
         relevance_rows: optional precomputed boolean relevance rows keyed
             by query id — allocators that already screened ``Q_{l_s}``
-            park the rows here so batch states don't re-run the scalar
+            park the rows here so gain blocks don't re-run the scalar
             ``Query.relevant`` per candidate.
         raster: optional :class:`~repro.spatial.WorldRaster` of the slot
-            the roster was cut from — kernels attach it so batch/block
-            states share the slot's cached coverage rows and containment
-            passes instead of re-rasterizing per query.
+            the roster was cut from — kernels attach it so gain blocks
+            share the slot's cached coverage rows and containment passes
+            instead of re-rasterizing per query.
         kernel_columns: when the roster is a column subset of a kernel,
             the kernel (world) column index of each roster column —
             ``None`` means the identity mapping.  Raster caches are keyed
-            in world columns, so block states translate through this.
+            in world columns, so gain blocks translate through this.
     """
 
     def __init__(
@@ -241,77 +229,44 @@ class SensorRoster:
         return np.arange(self.n_sensors, dtype=np.intp)
 
 
-class BatchGainState:
-    """Vectorized marginal-gain view of one query over a fixed roster.
-
-    The base implementation falls back to the scalar
-    :meth:`ValuationState.gain` per candidate — always correct, never
-    fast.  Built-in query types return closed-form subclasses from
-    :meth:`ValuationState.batch`.
-
-    Batch states hold a reference to the *live* scalar state and re-read
-    it on every :meth:`gain_many` call, so commits through
-    :meth:`ValuationState.add` are picked up automatically.
-    """
-
-    def __init__(self, state: "ValuationState", roster: SensorRoster) -> None:
-        self.state = state
-        self.roster = roster
-
-    def gain_many(self, indices: np.ndarray) -> np.ndarray:
-        """Marginal gains of ``roster.snapshots[j]`` for each ``j`` in order."""
-        gain = self.state.gain
-        snapshots = self.roster.snapshots
-        return np.asarray([gain(snapshots[j]) for j in indices], dtype=float)
-
-    @classmethod
-    def block(cls, members: Sequence["BatchGainState"]) -> "GainBlock":
-        """A fused evaluator over same-class batch states (see the module
-        docstring's block-gain protocol).
-
-        The base implementation returns the generic row-looping
-        :class:`GainBlock` — always correct, never fused.  Built-in batch
-        states override this classmethod with stacked closed forms whose
-        per-pair results are bit-identical to their own ``gain_many``.
-        """
-        return GainBlock(members)
-
-
 class GainBlock:
-    """Fused marginal-gain evaluation over a group of same-class batch states.
+    """Fused marginal-gain evaluation over the states of one query type.
 
-    One block owns the batch states (``members``) of every query of one
-    type in an allocator call; :meth:`gain_many_block` evaluates an entire
-    round's dirty (member, sensor) pairs in one pass.  Like batch states,
-    blocks re-read each member's *live* scalar state on every call, so no
-    synchronization hooks are needed after commits.  A block may cache
-    derived state between calls (the aggregate block keeps uncovered-cell
-    counts), but only state it can bring up to date from the live members
-    at the start of each call.
+    One block owns the valuation states (``states``) of every query of one
+    type in an allocator call, over one shared :class:`SensorRoster`;
+    :meth:`gain_many_block` evaluates a whole batch of (member, sensor)
+    pairs in one pass.  Blocks re-read the *live* member states on every
+    call, so commits through :meth:`ValuationState.add` need no
+    synchronization hooks.  A block may cache derived state between calls
+    (the aggregate block keeps uncovered-cell counts), but only state it
+    can bring up to date from the live members at the start of each call.
 
-    The base implementation loops ``gain_many`` over the per-member runs of
-    the pair list — always correct for arbitrary subclasses, merely not
-    fused.  Built-in query types subclass with stacked closed forms.
+    The base implementation loops each member's scalar
+    :meth:`ValuationState.gain` — always correct for user-defined query
+    types, merely not fused.  Built-in query types subclass with stacked
+    closed forms.
     """
 
-    def __init__(self, members: Sequence[BatchGainState]) -> None:
-        self.members = list(members)
+    def __init__(self, states: Sequence["ValuationState"], roster: SensorRoster) -> None:
+        self.states = list(states)
+        self.roster = roster
 
     def gain_many_block(
         self, member_idx: np.ndarray, indices: np.ndarray
     ) -> np.ndarray:
-        """Gains of pair ``(members[member_idx[p]], indices[p])`` for each p.
+        """Gains of pair ``(states[member_idx[p]], roster column indices[p])``.
 
         ``member_idx`` must be *grouped*: equal members occupy contiguous
         runs (allocators produce the pairs row-major, so this holds by
         construction).  Results are positionally aligned with the input
-        pairs and bit-identical to calling each member's ``gain_many`` on
-        its run.
+        pairs.
         """
         out = np.empty(len(member_idx), dtype=float)
+        snapshots = self.roster.snapshots
         bounds = member_runs(member_idx)
         for a, b in zip(bounds[:-1], bounds[1:]):
-            out[a:b] = self.members[member_idx[a]].gain_many(indices[a:b])
+            gain = self.states[member_idx[a]].gain
+            out[a:b] = [gain(snapshots[j]) for j in indices[a:b]]
         return out
 
 
@@ -329,37 +284,31 @@ def member_runs(member_idx: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], inner, [n]))
 
 
-#: Scalar hooks whose override invalidates an inherited closed-form
-#: ``batch`` state: the scalar gain itself (``add`` shares its arithmetic
-#: through the same state class, so ``gain`` is the one source of truth).
-_GAIN_HOOKS = ("gain",)
+def touched_members(member_idx: np.ndarray) -> np.ndarray:
+    """The distinct members of a member-grouped pair list, in run order."""
+    if len(member_idx) and member_idx[0] == member_idx[-1]:
+        # Grouped, so equal ends mean one run: a single-member call.
+        return member_idx[:1]
+    return member_idx[member_runs(member_idx)[:-1]]
 
 
-def resolve_batch_state(state: "ValuationState", roster: SensorRoster) -> BatchGainState:
-    """``state.batch(roster)``, honouring scalar-only ``gain`` overrides.
+def build_gain_block(
+    states: Sequence["ValuationState"], roster: SensorRoster
+) -> GainBlock:
+    """The gain block of same-class ``states``, honouring ``gain`` overrides.
 
-    First level of the fallback lattice (module docstring): a subclass
-    that overrides the scalar :meth:`ValuationState.gain` *without*
-    overriding :meth:`ValuationState.batch` must not be routed through its
-    base's closed-form batch state, whose stacked arithmetic no longer
-    reflects the scalar semantics.  Such states get the generic
-    :class:`BatchGainState`, which loops their own ``gain``.
+    The one consistency guard of the gain path
+    (:func:`repro.dispatch.batch_hook_trusted`): a state subclass that
+    overrides the scalar :meth:`ValuationState.gain` *without* overriding
+    the :meth:`ValuationState.block` classmethod must not be evaluated
+    through its base's stacked closed form, which no longer reflects its
+    semantics.  Such states get the generic :class:`GainBlock`, which
+    loops their own ``gain``.
     """
-    if batch_hook_trusted(type(state), "batch", _GAIN_HOOKS):
-        return state.batch(roster)
-    return BatchGainState(state, roster)
-
-
-def gain_block_trusted(batch_cls: type) -> bool:
-    """Whether ``batch_cls``'s ``block`` hook still speaks for ``gain_many``.
-
-    Second level of the fallback lattice: a batch-state subclass that
-    overrides ``gain_many`` without overriding the ``block`` classmethod
-    must not be fused through its base's stacked block.  Callers build the
-    generic row-looping :class:`GainBlock` instead, which honours the
-    ``gain_many`` override.
-    """
-    return batch_hook_trusted(batch_cls, "block", ("gain_many",))
+    cls = type(states[0])
+    if batch_hook_trusted(cls, "block", ("gain",)):
+        return cls.block(states, roster)
+    return GainBlock(states, roster)
 
 
 class ValuationState:
@@ -387,9 +336,18 @@ class ValuationState:
         self.value += gain
         return gain
 
-    def batch(self, roster: SensorRoster) -> BatchGainState:
-        """A vectorized gain evaluator over ``roster`` (scalar fallback)."""
-        return BatchGainState(self, roster)
+    @classmethod
+    def block(
+        cls, states: Sequence["ValuationState"], roster: SensorRoster
+    ) -> GainBlock:
+        """A fused gain evaluator over same-class ``states`` and ``roster``.
+
+        The base implementation returns the generic scalar-looping
+        :class:`GainBlock`; built-in states override it with stacked
+        closed forms.  Allocators consult it only while it still speaks
+        for ``gain`` (:func:`build_gain_block`).
+        """
+        return GainBlock(states, roster)
 
 
 class Query(abc.ABC):

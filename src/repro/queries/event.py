@@ -30,16 +30,16 @@ from ..sensors import SensorSnapshot
 from ..spatial import Location
 from ..spatial.geometry import require_finite_location, require_positive
 from .base import (
-    BatchGainState,
     GainBlock,
     Query,
     QueryType,
     SensorRoster,
     ValuationState,
     new_query_id,
+    touched_members,
 )
 from .monitoring import ContinuousQuery
-from .point import _quality_gated_mask, _quality_row, reading_quality
+from .point import _gated_quality_row, _quality_gated_mask, reading_quality
 
 __all__ = ["EventDetectionQuery", "EventSlotQuery", "detection_confidence"]
 
@@ -54,70 +54,42 @@ def detection_confidence(qualities: Sequence[float]) -> float:
     return 1.0 - confidence
 
 
-class _EventBatch(BatchGainState):
-    """Event-slot batch gains via the running ``prod(1 - theta)`` update.
+class _EventBlock(GainBlock):
+    """Fused event-slot gains: stacked quality rows, live failure products.
 
     The scalar valuation rebuilds the witness-failure product from scratch
     per candidate; the live state already carries that product over the
     committed witnesses, so a candidate's new confidence is one multiply:
-    ``1 - prod * (1 - theta_cand)``.  The product accumulates in exactly
-    the scalar :func:`detection_confidence` multiplication order, so only
-    the candidate quality itself can differ from the scalar path in the
-    final ulp (``np.hypot`` vs ``math.hypot``, as for all point-flavoured
-    batch states).
+    ``1 - prod * (1 - theta_cand)``, then the clipped confidence ratio
+    scaled by the budget.  The product accumulates in exactly the scalar
+    :func:`detection_confidence` multiplication order, so only the
+    candidate quality itself can differ from the scalar path in the final
+    ulp (``np.hypot`` vs ``math.hypot``, as for every point-flavoured
+    block).  Failure products and values are gathered live per call, for
+    the touched members only.
     """
 
-    def __init__(self, state: "_EventState", roster: SensorRoster) -> None:
-        super().__init__(state, roster)
-        query = state.query
-        theta = _quality_row(query.location, query.dmax, roster)
-        theta[theta < query.theta_min] = 0.0
-        self._qualities = theta
-
-    def gain_many(self, indices: np.ndarray) -> np.ndarray:
-        state = self.state
-        query = state.query
-        theta = self._qualities[indices]
-        confidence = 1.0 - state._failure_prod * (1.0 - theta)
-        value_new = query.budget * np.minimum(
-            1.0, confidence / query.required_confidence
-        )
-        return value_new - state.value
-
-    @classmethod
-    def block(cls, members) -> GainBlock:
-        return _EventBlock(members)
-
-
-class _EventBlock(GainBlock):
-    """Fused event-slot gains: stacked quality rows, live failure products.
-
-    Per pair this performs :meth:`_EventBatch.gain_many`'s exact scalar
-    chain — ``1 - prod * (1 - theta)``, then the clipped confidence ratio
-    scaled by the budget — with the per-member failure products and values
-    gathered live each call, so fused and per-row gains are bit-identical.
-    """
-
-    def __init__(self, members) -> None:
-        super().__init__(members)
-        n = members[0].roster.n_sensors if members else 0
-        self._qualities = np.empty((len(self.members), n), dtype=float)
-        self._budgets = np.empty(len(self.members), dtype=float)
-        self._required = np.empty(len(self.members), dtype=float)
-        for p, member in enumerate(self.members):
-            self._qualities[p] = member._qualities
-            self._budgets[p] = member.state.query.budget
-            self._required[p] = member.state.query.required_confidence
+    def __init__(self, states, roster: SensorRoster) -> None:
+        super().__init__(states, roster)
+        m = len(self.states)
+        self._qualities = np.empty((m, roster.n_sensors), dtype=float)
+        self._budgets = np.empty(m, dtype=float)
+        self._required = np.empty(m, dtype=float)
+        for p, state in enumerate(self.states):
+            self._qualities[p] = _gated_quality_row(state.query, roster)
+            self._budgets[p] = state.query.budget
+            self._required[p] = state.query.required_confidence
+        self._failure = np.ones(m, dtype=float)
+        self._values = np.zeros(m, dtype=float)
 
     def gain_many_block(
         self, member_idx: np.ndarray, indices: np.ndarray
     ) -> np.ndarray:
-        failure = np.fromiter(
-            (m.state._failure_prod for m in self.members), float, len(self.members)
-        )
-        values = np.fromiter(
-            (m.state.value for m in self.members), float, len(self.members)
-        )
+        failure, values = self._failure, self._values
+        for u in touched_members(member_idx):
+            state = self.states[u]
+            failure[u] = state._failure_prod
+            values[u] = state.value
         theta = self._qualities[member_idx, indices]
         confidence = 1.0 - failure[member_idx] * (1.0 - theta)
         value_new = self._budgets[member_idx] * np.minimum(
@@ -162,8 +134,9 @@ class _EventState(ValuationState):
         self.value += gain
         return gain
 
-    def batch(self, roster: SensorRoster) -> BatchGainState:
-        return _EventBatch(self, roster)
+    @classmethod
+    def block(cls, states, roster: SensorRoster) -> GainBlock:
+        return _EventBlock(states, roster)
 
 
 class EventSlotQuery(Query):

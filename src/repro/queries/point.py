@@ -26,13 +26,13 @@ from ..sensors import SensorSnapshot
 from ..spatial import Location, as_xy
 from ..spatial.geometry import require_finite_location, require_positive
 from .base import (
-    BatchGainState,
     GainBlock,
     Query,
     QueryType,
     SensorRoster,
     ValuationState,
     member_runs,
+    touched_members,
 )
 
 __all__ = ["reading_quality", "PointQuery", "MultiSensorPointQuery"]
@@ -104,51 +104,46 @@ def _quality_gated_mask(
 
 def _single_value_row(query: "PointQuery", roster: SensorRoster) -> np.ndarray:
     """Eq. (3) value row for one query — `ValuationKernel.sparse_single_values`
-    evaluated on a roster, for allocators without a slot kernel block."""
+    evaluated on a roster, for rosters without a precomputed value row."""
     theta = _quality_row(query.location, query.dmax, roster)
     values = query.budget * theta
     values[theta < query.theta_min] = 0.0
     return values
 
 
-class _BestSensorBatch(BatchGainState):
-    """Point-query batch gains: one value row clipped at the current best."""
-
-    def __init__(self, state: "_BestSensorState", roster: SensorRoster) -> None:
-        super().__init__(state, roster)
-        row = roster.value_rows.get(state.query.query_id)
-        self._row = row if row is not None else _single_value_row(state.query, roster)
-
-    def gain_many(self, indices: np.ndarray) -> np.ndarray:
-        return np.maximum(self._row[indices] - self.state.value, 0.0)
-
-    @classmethod
-    def block(cls, members) -> GainBlock:
-        return _BestSensorBlock(members)
+def _gated_quality_row(query, roster: SensorRoster) -> np.ndarray:
+    """Eq.-(4) quality row zeroed below ``theta_min`` (multi-point, event)."""
+    theta = _quality_row(query.location, query.dmax, roster)
+    theta[theta < query.theta_min] = 0.0
+    return theta
 
 
 class _BestSensorBlock(GainBlock):
     """Fused point-query gains: the stacked value rows clipped per member.
 
-    Per pair this is exactly :meth:`_BestSensorBatch.gain_many`'s
-    ``max(row[j] - state.value, 0)`` — the member values are gathered live
-    per call, the rows once at construction — so the fused and per-row
-    paths are bit-identical.
+    Per pair this is ``max(row[j] - state.value, 0)``, the scalar
+    :meth:`_BestSensorState.gain` on the eq.-(3) value row (taken from the
+    roster's precomputed rows when the allocator parked them there).  The
+    rows are stacked once at construction; member values are gathered live
+    per call, for the touched members only.  Only the value itself can
+    differ from the scalar path in the final ulp (``np.hypot`` vs
+    ``math.hypot``).
     """
 
-    def __init__(self, members) -> None:
-        super().__init__(members)
-        n = members[0].roster.n_sensors if members else 0
-        self._rows = np.empty((len(self.members), n), dtype=float)
-        for p, member in enumerate(self.members):
-            self._rows[p] = member._row
+    def __init__(self, states, roster: SensorRoster) -> None:
+        super().__init__(states, roster)
+        self._rows = np.empty((len(self.states), roster.n_sensors), dtype=float)
+        for p, state in enumerate(self.states):
+            row = roster.value_rows.get(state.query.query_id)
+            self._rows[p] = row if row is not None else _single_value_row(state.query, roster)
+        self._values = np.zeros(len(self.states), dtype=float)
 
     def gain_many_block(
         self, member_idx: np.ndarray, indices: np.ndarray
     ) -> np.ndarray:
-        values = np.fromiter(
-            (m.state.value for m in self.members), float, len(self.members)
-        )
+        values = self._values
+        for u in touched_members(member_idx):
+            values[u] = self.states[u].value
         return np.maximum(
             self._rows[member_idx, indices] - values[member_idx], 0.0
         )
@@ -166,72 +161,35 @@ class _BestSensorState(ValuationState):
         self.value += gain
         return gain
 
-    def batch(self, roster: SensorRoster) -> BatchGainState:
-        return _BestSensorBatch(self, roster)
-
-
-class _TopKBatch(BatchGainState):
-    """Multi-sensor point-query batch gains: vectorized top-k average.
-
-    Re-sorts the (small) selected-quality list against every candidate
-    quality at once and sums the k best columns *sequentially*, which
-    replicates the scalar ``sum(sorted(...)[:k])`` addition order exactly;
-    only the candidate quality itself can differ from the scalar path in
-    the final ulp (``np.hypot`` vs ``math.hypot``).
-    """
-
-    def __init__(self, state: "_TopKState", roster: SensorRoster) -> None:
-        super().__init__(state, roster)
-        query = state.query
-        theta = _quality_row(query.location, query.dmax, roster)
-        theta[theta < query.theta_min] = 0.0
-        self._qualities = theta
-
-    def gain_many(self, indices: np.ndarray) -> np.ndarray:
-        state = self.state
-        query = state.query
-        selected = [query.quality(s) for s in state.selected]
-        m = len(selected)
-        stacked = np.empty((len(indices), m + 1), dtype=float)
-        stacked[:, :m] = selected
-        stacked[:, m] = self._qualities[indices]
-        stacked = np.sort(stacked, axis=1)[:, ::-1]
-        k = min(query.n_readings, m + 1)
-        total = stacked[:, 0].copy()
-        for j in range(1, k):
-            total += stacked[:, j]
-        value_new = query.budget * total / query.n_readings
-        return value_new - state.value
-
     @classmethod
-    def block(cls, members) -> GainBlock:
-        return _TopKBlock(members)
+    def block(cls, states, roster: SensorRoster) -> GainBlock:
+        return _BestSensorBlock(states, roster)
 
 
 class _TopKBlock(GainBlock):
     """Fused multi-sensor point-query gains over padded quality matrices.
 
-    Candidate qualities are stacked once; each call pads every pair's row
-    to the widest dirty member's selected count with ``-1`` sentinels
-    (real qualities are ``>= 0``, so after the descending sort the padding
-    sits strictly below every real entry and a pair's leading ``m + 1``
-    sorted entries equal :meth:`_TopKBatch.gain_many`'s exactly), then a
-    row ``cumsum`` — sequential addition, the same order as the per-row
-    loop — is sampled at each pair's own ``k - 1``.  Bit-identical to the
-    per-member path.
+    Candidate qualities are stacked once; each call re-sorts every touched
+    member's (small) selected-quality list against its pairs' candidate
+    qualities, padding each pair's row to the widest touched member's
+    selected count with ``-1`` sentinels (real qualities are ``>= 0``, so
+    after the descending sort the padding sits strictly below every real
+    entry), then a row ``cumsum`` — sequential addition, the scalar
+    ``sum(sorted(...)[:k])`` order — is sampled at each pair's own
+    ``k - 1``.  Only the candidate quality itself can differ from the
+    scalar path in the final ulp (``np.hypot`` vs ``math.hypot``).
     """
 
-    def __init__(self, members) -> None:
-        super().__init__(members)
-        n = members[0].roster.n_sensors if members else 0
-        self._qualities = np.empty((len(self.members), n), dtype=float)
-        for p, member in enumerate(self.members):
-            self._qualities[p] = member._qualities
+    def __init__(self, states, roster: SensorRoster) -> None:
+        super().__init__(states, roster)
+        self._qualities = np.empty((len(self.states), roster.n_sensors), dtype=float)
+        for p, state in enumerate(self.states):
+            self._qualities[p] = _gated_quality_row(state.query, roster)
 
     def gain_many_block(
         self, member_idx: np.ndarray, indices: np.ndarray
     ) -> np.ndarray:
-        members = self.members
+        states = self.states
         # Pairs arrive member-grouped: one contiguous run per touched member.
         bounds = member_runs(member_idx)
         runs = [
@@ -239,21 +197,21 @@ class _TopKBlock(GainBlock):
         ]
         selected = {}
         for u, _ in runs:
-            state = members[u].state
+            state = states[u]
             query = state.query
             selected[u] = [query.quality(s) for s in state.selected]
         width = max((len(selected[u]) for u, _ in runs), default=0) + 1
         stacked = np.full((len(member_idx), width), -1.0)
-        k_of = np.empty(len(members), dtype=np.intp)
-        values = np.zeros(len(members), dtype=float)
-        budgets = np.empty(len(members), dtype=float)
-        n_readings = np.empty(len(members), dtype=float)
+        k_of = np.empty(len(states), dtype=np.intp)
+        values = np.zeros(len(states), dtype=float)
+        budgets = np.empty(len(states), dtype=float)
+        n_readings = np.empty(len(states), dtype=float)
         for u, rows in runs:
             qualities = selected[u]
             if qualities:
                 stacked[rows, : len(qualities)] = qualities
             stacked[rows, len(qualities)] = self._qualities[u][indices[rows]]
-            state = members[u].state
+            state = states[u]
             k_of[u] = min(state.query.n_readings, len(qualities) + 1)
             values[u] = state.value
             budgets[u] = state.query.budget
@@ -266,10 +224,11 @@ class _TopKBlock(GainBlock):
 
 
 class _TopKState(ValuationState):
-    """Generic scalar state for multi-sensor point queries, plus batch gains."""
+    """Generic scalar state for multi-sensor point queries, plus block gains."""
 
-    def batch(self, roster: SensorRoster) -> BatchGainState:
-        return _TopKBatch(self, roster)
+    @classmethod
+    def block(cls, states, roster: SensorRoster) -> GainBlock:
+        return _TopKBlock(states, roster)
 
 
 class PointQuery(Query):

@@ -390,14 +390,9 @@ class FleetState:
     # ------------------------------------------------------------------
     # the announcement batch
     # ------------------------------------------------------------------
-    def announce(self, now: int, working_region: Region) -> "AnnouncementBatch":
-        """The slot's announcements: in-region, non-exhausted, priced.
-
-        One vectorized pass; no snapshot objects are built (the returned
-        batch materializes them lazily for the rows a consumer indexes).
-        """
-        if self.xy is None:
-            raise RuntimeError("positions were never set; call set_positions first")
+    def _announcing_rows(self, working_region: Region) -> np.ndarray:
+        """Ascending rows that announce: inside ``working_region`` and not
+        exhausted (readings taken below the lifetime)."""
         x, y = self.xy[:, 0], self.xy[:, 1]
         usable = (
             (x >= working_region.x_min)
@@ -406,7 +401,17 @@ class FleetState:
             & (y <= working_region.y_max)
             & (self.readings_taken < self.lifetime)
         )
-        idx = np.flatnonzero(usable)
+        return np.flatnonzero(usable)
+
+    def announce(self, now: int, working_region: Region) -> "AnnouncementBatch":
+        """The slot's announcements: in-region, non-exhausted, priced.
+
+        One vectorized pass; no snapshot objects are built (the returned
+        batch materializes them lazily for the rows a consumer indexes).
+        """
+        if self.xy is None:
+            raise RuntimeError("positions were never set; call set_positions first")
+        idx = self._announcing_rows(working_region)
         return AnnouncementBatch(
             ids=idx,
             xy=self.xy[idx],
@@ -472,16 +477,7 @@ class FleetState:
             )
         repriced = np.flatnonzero(repriced_mask)
 
-        assert self.xy is not None
-        x, y = self.xy[:, 0], self.xy[:, 1]
-        usable = (
-            (x >= working_region.x_min)
-            & (x <= working_region.x_max)
-            & (y >= working_region.y_min)
-            & (y <= working_region.y_max)
-            & (self.readings_taken < self.lifetime)
-        )
-        idx = np.flatnonzero(usable)
+        idx = self._announcing_rows(working_region)
         m = len(idx)
 
         # Column maps between the two batches (both id arrays ascending).
@@ -675,12 +671,12 @@ class AnnouncementBatch(Sequence):
         cost column — and therefore the lazily materialized snapshots —
         differs.  This is how the sequential buffering baseline
         re-announces stage-1 sensors at zero cost without walking the
-        batch.
+        batch.  The world raster is shared too: it depends on ``xy`` only.
         """
         costs = np.asarray(costs, dtype=float)
         if costs.shape != self.costs.shape:
             raise ValueError("costs must have one entry per announcement")
-        return AnnouncementBatch(
+        repriced = AnnouncementBatch(
             ids=self.ids,
             xy=self.xy,
             costs=costs,
@@ -689,6 +685,8 @@ class AnnouncementBatch(Sequence):
             token=self.token,
             clock=self.clock,
         )
+        repriced.world_raster = self.world_raster
+        return repriced
 
     # ------------------------------------------------------------------
     # Sequence[SensorSnapshot] protocol (lazy)

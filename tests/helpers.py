@@ -14,11 +14,13 @@ from repro.core.mix import BaselineMixAllocator
 from repro.core.monitoring import LocationMonitoringController, RegionMonitoringController
 from repro.core.valuation import ValuationKernel
 from repro.queries import PointQuery
+from repro.queries.base import build_gain_block
 from repro.sensors import SensorSnapshot
 from repro.spatial import Location, Region
 from repro.spatial.index import UniformGridIndex
 
 __all__ = [
+    "block_gains",
     "gridded_kernel",
     "make_snapshot",
     "make_point_query",
@@ -86,6 +88,15 @@ def random_instance(seed: int, n_sensors: int = 8, n_queries: int = 10, side: fl
         for _ in range(n_queries)
     ]
     return queries, sensors
+
+
+def block_gains(state, roster, indices) -> np.ndarray:
+    """``state``'s marginal gains at the roster columns ``indices`` (which
+    must be relevant to its query) through the production gain block, with
+    ``state`` as the block's only member."""
+    indices = np.asarray(indices, dtype=np.intp)
+    block = build_gain_block([state], roster)
+    return block.gain_many_block(np.zeros(len(indices), dtype=np.intp), indices)
 
 
 def gridded_kernel(sensors, cell_size: float) -> ValuationKernel:

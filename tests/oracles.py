@@ -9,7 +9,11 @@ of live here as executable oracles, next to :mod:`legacy_engines`:
   (:func:`relevant_queries_by_sensor`);
 * :class:`PerRowGreedyAllocator` — the batch path with every refresh
   going through one per-row ``gain_many`` call per dirty query instead of
-  the fused per-type ``gain_many_block`` passes.
+  the fused per-type ``gain_many_block`` passes.  The per-row closed
+  forms it calls (:func:`row_gains`: :class:`BestSensorRows`,
+  :class:`TopKRows`, :class:`CoverageRows`, :class:`EventRows`) are the
+  per-query batch states the production gain blocks were fused from, kept
+  verbatim.
 
 Both are drop-in allocators (engines, mixes and the baselines' stage
 slots accept them), so whole-engine parity runs can swap them in.
@@ -46,31 +50,46 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.allocation import AllocationResult, check_distinct
-from repro.core.engine import call_allocator
 from repro.core.greedy import GreedyAllocator
 from repro.core.metrics import SimulationSummary
 from repro.core.mix import BaselineMixAllocator, MixAllocator
 from repro.core.monitoring import RegionSlotOutcome
 from repro.core.payments import proportionate_shares
 from repro.core.valuation import ValuationKernel
+from repro.dispatch import batch_hook_trusted
 from repro.experiments.replay import allocation_signature
 from repro.queries import (
     LocationMonitoringQuery,
     PointQuery,
     Query,
     RegionMonitoringQuery,
+    SensorRoster,
     ValuationState,
 )
+from repro.queries.aggregate import _CoverageState
+from repro.queries.event import _EventState
+from repro.queries.point import (
+    _BestSensorState,
+    _quality_row,
+    _single_value_row,
+    _TopKState,
+)
 from repro.sensors import SensorFleet, SensorSnapshot
+from repro.spatial.coverage import masks_for_xy
 
 __all__ = [
+    "BestSensorRows",
+    "CoverageRows",
     "DenseKernel",
+    "EventRows",
     "MixOutcome",
     "OracleBaselineMixAllocator",
     "OracleMixAllocator",
     "PerRowGreedyAllocator",
+    "RowGains",
     "SLOT_STATES",
     "ScalarGreedyAllocator",
+    "TopKRows",
     "compile_greedy_as",
     "compile_kernel_as",
     "dense_single_values",
@@ -80,6 +99,7 @@ __all__ = [
     "rebuild_slot_state",
     "relevance",
     "relevant_queries_by_sensor",
+    "row_gains",
     "single_values",
 ]
 
@@ -265,28 +285,202 @@ class ScalarGreedyAllocator(GreedyAllocator):
                     dirty.add(sid)
 
 
+# ----------------------------------------------------------------------
+# per-row closed forms: one query's gains against many roster columns
+# ----------------------------------------------------------------------
+class RowGains:
+    """Vectorized marginal-gain view of one query over a fixed roster.
+
+    The base implementation falls back to the scalar
+    :meth:`ValuationState.gain` per candidate — always correct, never
+    fast.  :func:`row_gains` returns the closed-form subclasses for the
+    built-in states.
+
+    Row views hold a reference to the *live* scalar state and re-read it
+    on every :meth:`gain_many` call, so commits through
+    :meth:`ValuationState.add` are picked up automatically.
+    """
+
+    def __init__(self, state: ValuationState, roster: SensorRoster) -> None:
+        self.state = state
+        self.roster = roster
+
+    def gain_many(self, indices: np.ndarray) -> np.ndarray:
+        """Marginal gains of ``roster.snapshots[j]`` for each ``j`` in order."""
+        gain = self.state.gain
+        snapshots = self.roster.snapshots
+        return np.asarray([gain(snapshots[j]) for j in indices], dtype=float)
+
+
+class BestSensorRows(RowGains):
+    """Point-query batch gains: one value row clipped at the current best."""
+
+    def __init__(self, state, roster: SensorRoster) -> None:
+        super().__init__(state, roster)
+        row = roster.value_rows.get(state.query.query_id)
+        self._row = row if row is not None else _single_value_row(state.query, roster)
+
+    def gain_many(self, indices: np.ndarray) -> np.ndarray:
+        return np.maximum(self._row[indices] - self.state.value, 0.0)
+
+
+class TopKRows(RowGains):
+    """Multi-sensor point-query batch gains: vectorized top-k average.
+
+    Re-sorts the (small) selected-quality list against every candidate
+    quality at once and sums the k best columns *sequentially*, which
+    replicates the scalar ``sum(sorted(...)[:k])`` addition order exactly;
+    only the candidate quality itself can differ from the scalar path in
+    the final ulp (``np.hypot`` vs ``math.hypot``).
+    """
+
+    def __init__(self, state, roster: SensorRoster) -> None:
+        super().__init__(state, roster)
+        query = state.query
+        theta = _quality_row(query.location, query.dmax, roster)
+        theta[theta < query.theta_min] = 0.0
+        self._qualities = theta
+
+    def gain_many(self, indices: np.ndarray) -> np.ndarray:
+        state = self.state
+        query = state.query
+        selected = [query.quality(s) for s in state.selected]
+        m = len(selected)
+        stacked = np.empty((len(indices), m + 1), dtype=float)
+        stacked[:, :m] = selected
+        stacked[:, m] = self._qualities[indices]
+        stacked = np.sort(stacked, axis=1)[:, ::-1]
+        k = min(query.n_readings, m + 1)
+        total = stacked[:, 0].copy()
+        for j in range(1, k):
+            total += stacked[:, j]
+        value_new = query.budget * total / query.n_readings
+        return value_new - state.value
+
+
+class CoverageRows(RowGains):
+    """Aggregate-query batch gains via a stacked coverage-mask matrix.
+
+    Built once per allocator call: an ``(n_relevant, n_cells)`` boolean
+    matrix of per-candidate coverage masks plus the ``(1-gamma)*tau``
+    quality column.  A :meth:`gain_many` round is then pure boolean/array
+    arithmetic against the live state's accumulated mask — integer cell
+    counts and the exact eq.-(5) operation order keep every gain
+    bit-identical to the scalar ``_CoverageState.gain``.
+    """
+
+    def __init__(self, state, roster: SensorRoster) -> None:
+        super().__init__(state, roster)
+        relevant = roster.relevance_row(state.query)
+        self._relevant = relevant
+        self._rel_idx = np.flatnonzero(relevant)
+        # Row index into the mask matrix per roster column (-1: irrelevant).
+        self._mask_row = np.full(roster.n_sensors, -1, dtype=np.intp)
+        self._mask_row[self._rel_idx] = np.arange(len(self._rel_idx))
+        self._masks: np.ndarray | None = None
+        self._quality = (1.0 - roster.gamma) * roster.trust
+
+    @property
+    def masks(self) -> np.ndarray:
+        """``(n_relevant, n_cells)`` per-candidate coverage masks (lazy)."""
+        if self._masks is None:
+            self._masks = masks_for_xy(
+                self.state.query.coverage, self.roster.xy[self._rel_idx]
+            )
+        return self._masks
+
+    def gain_many(self, indices: np.ndarray) -> np.ndarray:
+        state = self.state
+        query = state.query
+        n_cells = query.coverage.cell_count
+        count = len(state.selected) + 1
+        base_covered = int(state._mask.sum())
+        counts = np.full(len(indices), base_covered, dtype=np.int64)
+        quality_sums = np.full(len(indices), state._quality_sum, dtype=float)
+        rel_pos = np.flatnonzero(self._relevant[indices])
+        if rel_pos.size:
+            rel_cols = indices[rel_pos]
+            rows = self.masks[self._mask_row[rel_cols]]
+            counts[rel_pos] += (rows & ~state._mask).sum(axis=1)
+            quality_sums[rel_pos] = state._quality_sum + self._quality[rel_cols]
+        coverage = counts / n_cells if n_cells else np.zeros(len(indices))
+        value_new = (query.budget * coverage) * (quality_sums / count)
+        return value_new - state.value
+
+
+class EventRows(RowGains):
+    """Event-slot batch gains via the running ``prod(1 - theta)`` update.
+
+    The live state already carries the witness-failure product over the
+    committed witnesses, so a candidate's new confidence is one multiply:
+    ``1 - prod * (1 - theta_cand)``.
+    """
+
+    def __init__(self, state, roster: SensorRoster) -> None:
+        super().__init__(state, roster)
+        query = state.query
+        theta = _quality_row(query.location, query.dmax, roster)
+        theta[theta < query.theta_min] = 0.0
+        self._qualities = theta
+
+    def gain_many(self, indices: np.ndarray) -> np.ndarray:
+        state = self.state
+        query = state.query
+        theta = self._qualities[indices]
+        confidence = 1.0 - state._failure_prod * (1.0 - theta)
+        value_new = query.budget * np.minimum(
+            1.0, confidence / query.required_confidence
+        )
+        return value_new - state.value
+
+
+#: built-in valuation state -> its per-row closed form
+_ROW_FORMS = {
+    _BestSensorState: BestSensorRows,
+    _TopKState: TopKRows,
+    _CoverageState: CoverageRows,
+    _EventState: EventRows,
+}
+
+
+def row_gains(state: ValuationState, roster: SensorRoster) -> RowGains:
+    """``state``'s per-row gain view over ``roster``.
+
+    A built-in state (or a subclass that leaves its gain arithmetic alone)
+    gets its closed form; a subclass that overrides the scalar ``gain``
+    without vouching for the block form — the production lattice's test —
+    and every user-defined state get the scalar loop.
+    """
+    cls = type(state)
+    if batch_hook_trusted(cls, "block", ("gain",)):
+        for base in cls.__mro__:
+            if base in _ROW_FORMS:
+                return _ROW_FORMS[base](state, roster)
+    return RowGains(state, roster)
+
+
 class PerRowGreedyAllocator(GreedyAllocator):
     """The batch path with per-row ``gain_many`` refreshes: no gain blocks.
 
     Every dirty query re-evaluates its relevant live columns with its own
-    batch state's ``gain_many``; the fused block evaluators must match it
+    :func:`row_gains` view; the fused block evaluators must match it
     bit-for-bit.
     """
 
     name = "Greedy (per-row oracle)"
 
-    @staticmethod
-    def _build_blocks(batches: list) -> None:
-        return None
-
-    def _refresh_rows(self, gain_matrix, relevance, batches, rows, columns, groups):
+    def _refresh_rows(self, gain_matrix, setup, rows, columns):
+        # One row view per query, built on the setup's first refresh.
+        if getattr(self, "_setup", None) is not setup:
+            self._setup = setup
+            self._rows = [row_gains(state, setup.roster) for state in setup.states]
         for row in rows:
             # Only the query's *relevant* columns are evaluated — irrelevant
             # entries are zero-initialized and never change.
-            targets = columns[relevance[row, columns]]
+            targets = columns[setup.relevance[row, columns]]
             if targets.size == 0:
                 continue
-            gains = batches[row].gain_many(targets)
+            gains = self._rows[row].gain_many(targets)
             gain_matrix[row, targets] = np.where(gains > self.min_gain, gains, 0.0)
 
 
@@ -432,7 +626,7 @@ class OracleMixAllocator(MixAllocator):
         all_queries.extend(point_queries)
         all_queries.extend(lm_children)
         all_queries.extend(rm_children)
-        result = call_allocator(self.joint, all_queries, sensors, kernel)
+        result = self.joint.allocate(all_queries, sensors, kernel=kernel)
         # Stage 3: apply the outcomes to the continuous queries.
         lm_samples, lm_value_delta = self.lm_controller.apply_results(
             lm_queries, lm_children, result, t
@@ -467,8 +661,8 @@ class OracleBaselineMixAllocator(BaselineMixAllocator):
         kernel: ValuationKernel | None = None,
     ) -> MixOutcome:
         result = AllocationResult()
-        stage1 = call_allocator(
-            self.aggregate_stage, list(aggregate_queries), sensors, kernel
+        stage1 = self.aggregate_stage.allocate(
+            list(aggregate_queries), sensors, kernel=kernel
         )
         result.merge(stage1)
 
@@ -490,7 +684,7 @@ class OracleBaselineMixAllocator(BaselineMixAllocator):
             rm_queries, stage2_sensors, t
         )
         stage2_queries: list[Query] = list(point_queries) + lm_children + rm_children
-        stage2 = call_allocator(self.point_stage, stage2_queries, stage2_sensors, kernel)
+        stage2 = self.point_stage.allocate(stage2_queries, stage2_sensors, kernel=kernel)
 
         lm_samples, lm_value_delta = self.lm_controller.apply_results(
             lm_queries, lm_children, stage2, t

@@ -8,10 +8,12 @@ import pytest
 from helpers import make_point_query, make_snapshot
 from repro.core import (
     BaselineAllocator,
+    BaselineMixAllocator,
     GreedyAllocator,
     JointSlotAllocation,
     LocalSearchPointAllocator,
     LocationMonitoringStream,
+    MixAllocator,
     OneShotStream,
     SequentialBufferedAllocation,
     SlotEngine,
@@ -19,13 +21,21 @@ from repro.core import (
     mix_engine,
     one_shot_engine,
 )
-from repro.core.engine import call_allocator, quality_of
-from repro.datasets import ScenarioSpec, StreamSpec, build_ozone_dataset, build_rwm_scenario
+from repro.core.engine import quality_of
+from repro.datasets import (
+    ScenarioSpec,
+    StreamSpec,
+    build_intel_scenario,
+    build_ozone_dataset,
+    build_rwm_scenario,
+)
 from repro.queries import (
     AggregateQueryWorkload,
     LocationMonitoringWorkload,
     PointQueryWorkload,
+    RegionMonitoringWorkload,
 )
+from repro.spatial import WorldRaster
 
 SCENARIO = build_rwm_scenario(seed=55, n_sensors=40, n_slots=8)
 OZONE = build_ozone_dataset(seed=55)
@@ -83,12 +93,10 @@ class TestEngineBasics:
 
 
 class TestKernelPlumbing:
-    def test_call_allocator_forwards_kernel(self):
+    def test_joint_allocation_forwards_kernel(self):
         calls = {}
 
         class Spy:
-            supports_kernel = True
-
             def allocate(self, queries, sensors, kernel=None):
                 calls["kernel"] = kernel
                 from repro.core import AllocationResult
@@ -97,19 +105,8 @@ class TestKernelPlumbing:
 
         sensors = [make_snapshot(0)]
         kernel = ValuationKernel.from_sensors(sensors)
-        call_allocator(Spy(), [], sensors, kernel)
+        JointSlotAllocation(Spy()).run(0, [], sensors, kernel)
         assert calls["kernel"] is kernel
-
-    def test_call_allocator_skips_unsupporting(self):
-        class Plain:
-            def allocate(self, queries, sensors):
-                from repro.core import AllocationResult
-
-                return AllocationResult()
-
-        sensors = [make_snapshot(0)]
-        kernel = ValuationKernel.from_sensors(sensors)
-        call_allocator(Plain(), [], sensors, kernel)  # must not raise
 
     def test_allocator_runs_without_kernel(self):
         """An allocator handed ``kernel=None`` builds its own and settles
@@ -173,6 +170,46 @@ class TestSequentialBufferedAllocation:
         kernel = ValuationKernel.from_sensors(sensors)
         result = strategy.run(0, streams, sensors, kernel)
         result.verify()
+
+    @pytest.mark.parametrize(
+        "mix_cls", [MixAllocator, BaselineMixAllocator], ids=["alg5", "baseline"]
+    )
+    def test_one_world_raster_per_slot(self, monkeypatch, mix_cls):
+        """The zero-cost re-announcement shares the slot's raster, so the
+        stage-2 region controller does not build a second one."""
+        world = build_intel_scenario(seed=8, n_sensors=60, n_slots=10)
+        scenario = world.scenario
+        built = []
+        init = WorldRaster.__init__
+
+        def counting_init(self, xy):
+            built.append(len(xy))
+            init(self, xy)
+
+        monkeypatch.setattr(WorldRaster, "__init__", counting_init)
+        engine = mix_engine(
+            scenario.make_fleet(),
+            PointQueryWorkload(
+                scenario.working_region, n_queries=6, budget=15.0, dmax=scenario.dmax
+            ),
+            AggregateQueryWorkload(
+                scenario.working_region, budget_factor=15.0, mean_queries=2,
+                count_spread=1, sensing_range=scenario.dmax,
+            ),
+            LocationMonitoringWorkload(
+                scenario.working_region, OZONE.values, OZONE.model(),
+                budget_factor=15.0, max_live=4, arrivals_per_slot=2,
+                duration_range=(2, 4), dmax=scenario.dmax,
+            ),
+            np.random.default_rng(8),
+            region_workload=RegionMonitoringWorkload(
+                scenario.working_region, world.gp, budget_factor=10.0,
+                duration_range=(2, 4), sensing_radius=scenario.dmax,
+            ),
+            mix=mix_cls(),
+        )
+        engine.run(6)
+        assert len(built) == 6
 
 
 class TestMixConfiguration:

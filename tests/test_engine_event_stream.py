@@ -1,12 +1,13 @@
 """EventDetectionStream: lifecycle, settlement accounting, and the
-closed-form ``gain_many`` of the derived :class:`EventSlotQuery`."""
+closed-form block and per-row gains of the derived :class:`EventSlotQuery`."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from helpers import make_snapshot
+from helpers import block_gains, make_snapshot
+from oracles import row_gains
 from repro.core import (
     EventDetectionStream,
     GreedyAllocator,
@@ -72,12 +73,14 @@ class TestEventSlotQueryState:
             for i in range(20)
         ]
         roster = SensorRoster(sensors)
+        relevant = np.flatnonzero(roster.relevance_row(query))
         state = query.new_state()
         for step in range(4):
-            batch = state.batch(roster)
-            got = batch.gain_many(roster.all_indices)
             want = np.array([state.gain(s) for s in sensors])
+            got = row_gains(state, roster).gain_many(roster.all_indices)
             assert got == pytest.approx(want, **ULP)
+            got = block_gains(state, roster, relevant)
+            assert got == pytest.approx(want[relevant], **ULP)
             state.add(sensors[step])
 
     def test_running_product_saturates(self):
@@ -89,8 +92,8 @@ class TestEventSlotQueryState:
         # A second perfect witness adds nothing once saturated.
         other = make_snapshot(1, x=10, y=10, inaccuracy=0.0, trust=1.0)
         assert state.gain(other) == pytest.approx(0.0, abs=1e-12)
-        batch = state.batch(SensorRoster([perfect, other]))
-        assert batch.gain_many(np.array([1])) == pytest.approx([0.0], abs=1e-12)
+        roster = SensorRoster([perfect, other])
+        assert block_gains(state, roster, [1]) == pytest.approx([0.0], abs=1e-12)
 
 
 class TestEventDetectionQueryAccounting:

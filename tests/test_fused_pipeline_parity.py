@@ -1,5 +1,5 @@
-"""Fused slot pipeline parity: type-blocked gain batches and the shared
-world coverage raster vs the per-row (PR-5) masked path.
+"""Fused slot pipeline parity: type-blocked gain blocks and the shared
+world coverage raster vs the per-row masked path.
 
 The contract under test (see ``repro.queries.base`` and
 ``repro.spatial.raster``):
@@ -8,24 +8,23 @@ The contract under test (see ``repro.queries.base`` and
   payments — compare ``==`` against the per-row ``gain_many`` oracle
   (:class:`oracles.PerRowGreedyAllocator`) for every built-in query
   type, dense and sharded: each ``gain_many_block`` implementation
-  performs the exact per-pair arithmetic of its ``gain_many``;
+  performs the exact per-pair arithmetic of its per-row closed form
+  (:func:`oracles.row_gains`);
 * ``WorldRaster.coverage_rows`` reproduces the dense
   ``masks_for_xy`` membership row-for-row (the per-column run builder
   decides every emitted and skipped cell with the identical membership
   test), fresh and spliced, down to ulp-grazing sensors;
-* the **fallback lattice** routes subclasses out of paths their overrides
-  invalidate: a batch state overriding only ``gain_many`` never reaches a
-  native fused block (``gain_block_trusted``), a valuation state
-  overriding only scalar ``gain`` never reaches a native batch state
-  (``resolve_batch_state``) — mirroring the relevance-mask lattice pinned
-  in ``test_query_geometry_parity.py``;
+* the **override guard** routes a valuation state that overrides only
+  the scalar ``gain`` out of its base's native block
+  (``build_gain_block``) — mirroring the relevance-mask guard pinned in
+  ``test_query_geometry_parity.py``;
 * ``GreedyAllocator._recompute_net``'s one-pass column cumsum matches the
   sequential Python ``sum`` reference bit-for-bit (zero rows are exact
   no-ops because stored gains are never ``-0.0``);
 * the aggregate block's live uncovered-cell counts stay ``==`` to the
-  per-member ``_CoverageBatch.gain_many`` whatever commits happen between
-  its calls, and read far fewer covered cells than re-gathering every
-  evaluated pair's row would.
+  per-member oracle ``CoverageRows.gain_many`` whatever commits happen
+  between its calls, and read far fewer covered cells than re-gathering
+  every evaluated pair's row would.
 """
 
 from __future__ import annotations
@@ -39,14 +38,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import gridded_kernel, make_snapshot
-from oracles import DenseKernel, PerRowGreedyAllocator
+from oracles import DenseKernel, PerRowGreedyAllocator, row_gains
 from repro.core import GreedyAllocator, ValuationKernel
 from repro.core.engine import SimulationSummary
 from repro.core.monitoring import RegionMonitoringController
 from repro.datasets import ScenarioSpec
+from repro.dispatch import batch_hook_trusted
 from repro.queries import (
     AggregateQueryWorkload,
-    BatchGainState,
     EventSlotQuery,
     GainBlock,
     MultiSensorPointQuery,
@@ -55,10 +54,9 @@ from repro.queries import (
     SpatialAggregateQuery,
     TrajectoryQuery,
     TrajectoryQueryWorkload,
-    gain_block_trusted,
-    resolve_batch_state,
 )
-from repro.queries.aggregate import _CoverageBatch, _CoverageBlock, _CoverageState
+from repro.queries.aggregate import _CoverageBlock, _CoverageState
+from repro.queries.base import build_gain_block
 from repro.sensors import AnnouncementBatch
 from repro.spatial import (
     AreaCoverage,
@@ -396,32 +394,33 @@ class TestWorldRasterRows:
 
 
 # ----------------------------------------------------------------------
-# the fallback lattice: overrides route out of the fused path
+# the override guard: scalar-only gain overrides route out of the fused path
 # ----------------------------------------------------------------------
 class TestFallbackLattice:
     def test_builtin_blocks_are_trusted(self):
-        from repro.queries.aggregate import _CoverageBatch
-        from repro.queries.event import _EventBatch
-        from repro.queries.point import _BestSensorBatch, _TopKBatch
+        from repro.queries.event import _EventBlock, _EventState
+        from repro.queries.point import (
+            _BestSensorBlock,
+            _BestSensorState,
+            _TopKBlock,
+            _TopKState,
+        )
 
-        for cls in (_CoverageBatch, _EventBatch, _BestSensorBatch, _TopKBatch):
-            assert gain_block_trusted(cls), cls.__name__
+        rng = np.random.default_rng(4)
+        roster = SensorRoster(random_sensors(rng, n=10, side=20.0))
+        queries = every_type_queries(rng, copies=1, side=20.0)
+        natives = {
+            _BestSensorState: _BestSensorBlock,
+            _TopKState: _TopKBlock,
+            _CoverageState: _CoverageBlock,
+            _EventState: _EventBlock,
+        }
+        for state in (q.new_state() for q in queries):
+            cls = type(state)
+            assert batch_hook_trusted(cls, "block", ("gain",)), cls.__name__
+            assert type(build_gain_block([state], roster)) is natives[cls]
 
-    def test_gain_many_override_distrusts_the_inherited_block(self):
-        class RowOverride(_CoverageBatch):
-            def gain_many(self, indices):
-                return super().gain_many(indices)
-
-        assert not gain_block_trusted(RowOverride)
-
-        class RowAndBlockOverride(RowOverride):
-            @classmethod
-            def block(cls, members):
-                return GainBlock(members)
-
-        assert gain_block_trusted(RowAndBlockOverride)
-
-    def test_scalar_gain_override_distrusts_the_inherited_batch(self):
+    def test_scalar_gain_override_distrusts_the_inherited_block(self):
         class ScalarOverride(_CoverageState):
             def gain(self, snapshot):
                 return super().gain(snapshot)
@@ -432,54 +431,15 @@ class TestFallbackLattice:
             Region(2, 2, 15, 15), budget=20.0, sensing_range=5.0
         )
         roster = SensorRoster(sensors)
-        generic = resolve_batch_state(ScalarOverride(query), roster)
-        assert type(generic) is BatchGainState
-        native = resolve_batch_state(_CoverageState(query), roster)
-        assert type(native) is _CoverageBatch
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_gain_many_override_is_honoured_end_to_end(self, seed):
-        """Aggregate queries whose batch state overrides only ``gain_many``
-        must be evaluated through it (generic row-looping GainBlock), with
-        allocations identical to the per-row path."""
-        calls = []
-
-        class TracingBatch(_CoverageBatch):
-            def gain_many(self, indices):
-                calls.append(len(indices))
-                return super().gain_many(indices)
-
-        class TracingState(_CoverageState):
-            def batch(self, roster):
-                return TracingBatch(self, roster)
-
-        class TracingAggregate(SpatialAggregateQuery):
-            def new_state(self):
-                return TracingState(self)
-
-        rng = np.random.default_rng(6000 + seed)
-        sensors = random_sensors(rng, n=90, side=40.0)
-        world = Region.from_origin(40.0, 40.0)
-        queries = [
-            TracingAggregate(
-                Region.random_subregion(world, rng, min_side=10, max_side=20),
-                budget=45.0, sensing_range=7.0, coverage_radius=3.5,
-            )
-            for _ in range(5)
-        ]
-        fused = GreedyAllocator().allocate(queries, sensors)
-        assert calls, "override was never routed through"
-        fused_calls = len(calls)
-        calls.clear()
-        masked = PerRowGreedyAllocator().allocate(queries, sensors)
-        assert calls, "per-row path must call gain_many too"
-        assert fused_calls and len(calls)
-        assert_allocations_identical(fused, masked)
+        generic = build_gain_block([ScalarOverride(query)], roster)
+        assert type(generic) is GainBlock
+        native = build_gain_block([_CoverageState(query)], roster)
+        assert type(native) is _CoverageBlock
 
     @pytest.mark.parametrize("seed", range(3))
     def test_scalar_gain_override_is_honoured_end_to_end(self, seed):
-        """A valuation state overriding only scalar ``gain`` is batched via
-        the generic per-snapshot BatchGainState, fused or not."""
+        """A valuation state overriding only scalar ``gain`` is evaluated
+        through the generic scalar-looping GainBlock."""
         calls = []
 
         class ScalarTracingState(_CoverageState):
@@ -590,7 +550,8 @@ def coverage_block_slot(rng, n, side=30.0):
 
 
 def kernel_or_plain_roster(sensors, on_kernel):
-    """Raster CSR rows on a kernel roster; mask rows on a plain one."""
+    """The slot raster's CSR rows on a kernel roster; a roster-local raster
+    on a plain one."""
     if on_kernel:
         return ValuationKernel.from_sensors(sensors).roster(
             np.arange(len(sensors)), sensors
@@ -602,10 +563,10 @@ def assert_block_tracks_commits(rng, queries, roster, before_first, per_call):
     """Commit the roster's sensors in a random order and check, every
     ``per_call`` commits after the first ``before_first``, that the fused
     block's gains over all live relevant pairs are ``==`` the per-member
-    ``gain_many``.  Returns the relevance rows."""
+    oracle ``gain_many``.  Returns the relevance rows."""
     states = [q.new_state() for q in queries]
-    batches = [resolve_batch_state(state, roster) for state in states]
-    block = _CoverageBatch.block(batches)
+    rows = [row_gains(state, roster) for state in states]
+    block = build_gain_block(states, roster)
     assert type(block) is _CoverageBlock
     relevant = [roster.relevance_row(q) for q in queries]
     alive = np.ones(roster.n_sensors, dtype=bool)
@@ -615,7 +576,7 @@ def assert_block_tracks_commits(rng, queries, roster, before_first, per_call):
         member_idx = np.repeat(np.arange(len(cols)), [len(c) for c in cols])
         got = block.gain_many_block(member_idx, np.concatenate(cols))
         expected = np.concatenate(
-            [batch.gain_many(c) for batch, c in zip(batches, cols)]
+            [row.gain_many(c) for row, c in zip(rows, cols)]
         )
         assert np.array_equal(got, expected)
 
@@ -729,12 +690,13 @@ def test_covered_cell_reads_are_a_fifth_of_the_regather(monkeypatch):
     init = _CoverageBlock.__init__
     gain_many_block = _CoverageBlock.gain_many_block
 
-    def traced_init(self, members):
-        init(self, members)
-        row_len = np.zeros((len(members), members[0].roster.n_sensors), np.int64)
-        for p, member in enumerate(members):
-            indptr, _ = member._coverage_rows()
-            row_len[p, member._rel_idx] = np.diff(indptr)
+    def traced_init(self, states, roster):
+        init(self, states, roster)
+        row_len = np.zeros((len(states), roster.n_sensors), np.int64)
+        for p, state in enumerate(states):
+            rel_idx = np.flatnonzero(roster.relevance_row(state.query))
+            indptr, _ = self.coverage_rows(state.query, rel_idx)
+            row_len[p, rel_idx] = np.diff(indptr)
         self.regathered = 0
         self.row_len = row_len
         blocks.append(self)
@@ -747,7 +709,7 @@ def test_covered_cell_reads_are_a_fifth_of_the_regather(monkeypatch):
     monkeypatch.setattr(_CoverageBlock, "gain_many_block", traced_gain_many_block)
     engine = spec.build()
     engine.step(SimulationSummary())
-    assert len(blocks) == 1 and len(blocks[0].members) == 24
+    assert len(blocks) == 1 and len(blocks[0].states) == 24
     block = blocks[0]
     assert block.cells_read > 0
     assert 5 * block.cells_read <= block.regathered

@@ -1,11 +1,11 @@
-"""Batch-gain protocol parity: ``gain_many`` vs scalar ``gain``, and the
+"""Gain-path parity: block and per-row gains vs scalar ``gain``, and the
 vectorized greedy vs the scalar reference path.
 
-Tolerances follow the documented numerics: aggregate/trajectory batch
-states replicate the scalar operation sequence exactly (bit-equal), while
-point-flavoured states go through ``np.hypot`` where the scalar path uses
-``math.hypot`` — documented to differ only in the final ulp, asserted here
-at 1e-12 relative.
+Tolerances follow the documented numerics: the aggregate/trajectory gain
+block and per-row oracle replicate the scalar operation sequence exactly
+(bit-equal), while point-flavoured ones go through ``np.hypot`` where the
+scalar path uses ``math.hypot`` — documented to differ only in the final
+ulp, asserted here at 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import make_point_query, make_snapshot, sequential_mix
-from oracles import ScalarGreedyAllocator, dense_single_values
+from helpers import block_gains, make_point_query, make_snapshot, sequential_mix
+from oracles import ScalarGreedyAllocator, dense_single_values, row_gains
 from repro.core import (
     GreedyAllocator,
     MixAllocator,
@@ -79,7 +79,8 @@ def queries_of_every_type(rng):
 
 
 class TestPerPairGainParity:
-    """``gain_many`` must agree with scalar ``gain`` for every pair."""
+    """Gain blocks (on relevant pairs) and the per-row oracle (on every
+    pair) must agree with scalar ``gain``."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("query_index", range(5))
@@ -88,14 +89,16 @@ class TestPerPairGainParity:
         sensors = random_sensors(rng)
         query = queries_of_every_type(rng)[query_index]
         roster = SensorRoster(sensors)
+        relevant = np.flatnonzero(roster.relevance_row(query))
         state = query.new_state()
         # Compare on the empty state and as the selected set grows.
         commit_order = rng.permutation(len(sensors))[:3]
         for step in range(len(commit_order) + 1):
-            batch = state.batch(roster)
-            got = batch.gain_many(roster.all_indices)
             want = np.array([state.gain(s) for s in sensors])
+            got = row_gains(state, roster).gain_many(roster.all_indices)
             assert got == pytest.approx(want, **ULP_TOLERANCE)
+            got = block_gains(state, roster, relevant)
+            assert got == pytest.approx(want[relevant], **ULP_TOLERANCE)
             if step < len(commit_order):
                 state.add(sensors[commit_order[step]])
 
@@ -107,11 +110,13 @@ class TestPerPairGainParity:
         for query in queries_of_every_type(rng):
             state = query.new_state()
             state.add(sensors[0])
-            batch = state.batch(roster)
             subset = np.asarray(sorted(rng.permutation(len(sensors))[:7]), dtype=np.intp)
-            got = batch.gain_many(subset)
             want = np.array([state.gain(sensors[j]) for j in subset])
+            got = row_gains(state, roster).gain_many(subset)
             assert got == pytest.approx(want, **ULP_TOLERANCE)
+            relevant = roster.relevance_row(query)[subset]
+            got = block_gains(state, roster, subset[relevant])
+            assert got == pytest.approx(want[relevant], **ULP_TOLERANCE)
 
     def test_point_rows_from_kernel_block_match(self):
         """The kernel's precomputed point rows equal the self-derived row."""
@@ -129,10 +134,14 @@ class TestPerPairGainParity:
         roster = kernel.roster()
         for i, query in enumerate(queries):
             state = query.new_state()
-            plain = state.batch(roster).gain_many(roster.all_indices)
+            every = roster.all_indices
+            plain = row_gains(state, roster).gain_many(every)
+            plain_block = block_gains(state, roster, every)
             roster.value_rows[query.query_id] = block[i]
-            primed = state.batch(roster).gain_many(roster.all_indices)
+            primed = row_gains(state, roster).gain_many(every)
             assert np.array_equal(plain, primed)
+            assert np.array_equal(plain_block, block_gains(state, roster, every))
+            assert np.array_equal(plain_block, plain)
 
 
 def exact_allocation_parity(queries, sensors, kernel=None):
