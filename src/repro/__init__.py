@@ -110,7 +110,7 @@ from .sensors import (
     SensorSnapshot,
     UniformTrust,
 )
-from .spatial import Grid, GridIndex, Location, Region, Trajectory
+from .spatial import Grid, Location, Region, Trajectory
 
 __version__ = "1.0.0"
 
@@ -120,7 +120,6 @@ __all__ = [
     "Location",
     "Region",
     "Grid",
-    "GridIndex",
     "Trajectory",
     # mobility
     "MobilityModel",

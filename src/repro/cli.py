@@ -201,7 +201,9 @@ def _run_figures(args: argparse.Namespace) -> int:
         print()
         if out_dir:
             # The wall-clock time stays in the text report only, so the
-            # same figure and seed always write the same bytes.
+            # same figure and seed write the same bytes at one BLAS thread
+            # count (region monitoring's GP posterior may differ in the
+            # last bits across thread counts; see README, Determinism).
             payload = dataclasses.asdict(result)
             del payload["elapsed_seconds"]
             (out_dir / f"{name}_{scale.name}.json").write_text(

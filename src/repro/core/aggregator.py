@@ -125,7 +125,6 @@ class Aggregator:
         self.fleet = fleet
         self.mix = mix if mix is not None else MixAllocator()
         self.ground_truth = ground_truth
-        self._owner: dict[str, str] = {}
         # One-shot queries wait here until their owner has budget left.
         self._pending_points: list[PointQuery] = []
         self._pending_one_shot: list[Query] = []
@@ -219,7 +218,6 @@ class Aggregator:
         )
         self.receipts[query.query_id] = receipt
         account.queries.append(query.query_id)
-        self._owner[query.query_id] = user_id
         return receipt
 
     # ------------------------------------------------------------------
@@ -284,7 +282,7 @@ class Aggregator:
         """Pop pending one-shot queries whose owner still has budget."""
         admitted, skipped = [], []
         for query in pending:
-            account = self.accounts[self._owner[query.query_id]]
+            account = self.accounts[self.receipts[query.query_id].user_id]
             if account.remaining_budget > 0:
                 admitted.append(query)
             else:

@@ -5,22 +5,30 @@ Every experiment family used to own a near-identical simulation loop
 (one-shot, location monitoring, region monitoring, query mix).  The
 :class:`SlotEngine` factors that loop out once::
 
-    announce -> generate queries -> allocate -> settle -> advance
+    announce -> generate queries -> allocate -> settle -> verify -> advance
 
 and delegates everything family-specific to pluggable
 :class:`QueryStream` components:
 
 * :class:`OneShotStream` — fresh point/aggregate queries per slot;
-* :class:`LocationMonitoringStream` — live continuous queries driven
-  through Algorithm 2's controller;
-* :class:`RegionMonitoringStream` — Algorithm 3's controller over a GP
-  field.
+* :class:`LiveQueryStream` — the one lifecycle of continuous queries
+  (live in ``[t1, t2]``, children derived and settled every slot,
+  quality reported at expiry), with three subclasses:
+  :class:`LocationMonitoringStream` (Algorithm 2's controller),
+  :class:`RegionMonitoringStream` (Algorithm 3's controller over a GP
+  field) and :class:`EventDetectionStream` (Section 2.3's extension).
 
 Each stream owns its arrivals, retirement, and quality accounting; the
 engine owns the clock, the announcements, the per-slot
 :class:`~repro.core.valuation.ValuationKernel` (built once and shared by
-every allocator consulted in the slot) and the
+every allocator consulted in the slot), the settlement invariants
+(:meth:`~repro.core.allocation.AllocationResult.verify` on every settled
+ledger, after the monitoring streams' payment adjustments) and the
 :class:`~repro.core.metrics.SimulationSummary`.
+
+A stream option exists only where two callers need different values
+(README, "Stream options"); allocation ranks default to one table,
+:data:`ALLOCATION_RANKS`.
 
 How the emitted queries are turned into an
 :class:`~repro.core.allocation.AllocationResult` is itself pluggable:
@@ -45,14 +53,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from ..queries import (
-    EventDetectionQuery,
-    EventSlotQuery,
-    LocationMonitoringQuery,
-    PointQuery,
-    Query,
-    RegionMonitoringQuery,
-)
+from ..queries import Query
 from ..sensors import SensorFleet, SensorSnapshot
 from ..sensors.state import announcement_batch
 from .allocation import AllocationResult, Allocator
@@ -65,10 +66,13 @@ from .monitoring import (
 from .valuation import ValuationKernel
 
 __all__ = [
+    "ALLOCATION_RANKS",
     "FLUSH_SLOT",
+    "MIN_EVENT_BUDGET",
     "PHASES",
     "QueryStream",
     "OneShotStream",
+    "LiveQueryStream",
     "LocationMonitoringStream",
     "RegionMonitoringStream",
     "EventDetectionStream",
@@ -86,6 +90,22 @@ __all__ = [
 
 #: Retirement timestamp that expires every continuous query (end-of-run flush).
 FLUSH_SLOT = 10**9
+
+#: Stream kind -> default allocation rank, reproducing Algorithm 5's input
+#: order: aggregates, then points, then the monitoring-derived children,
+#: then event slot queries.  Kinds not listed (``one_shot``, the service's
+#: ``admitted``) rank 0.  The keys are the stream kinds a scenario spec
+#: can declare.
+ALLOCATION_RANKS = {
+    "aggregate": 0,
+    "point": 1,
+    "location_monitoring": 2,
+    "region_monitoring": 3,
+    "event": 4,
+}
+
+#: Event slot queries with a budget of at most this are not emitted.
+MIN_EVENT_BUDGET = 1e-6
 
 #: The engine's per-slot phase labels, in protocol order (profiling).
 PHASES = ("announce", "kernel", "allocate", "settle")
@@ -113,7 +133,9 @@ class QueryStream(abc.ABC):
 
     ``allocation_rank``
         Sort key for concatenating emissions into the joint allocation
-        (aggregates first reproduces Algorithm 5's input order).
+        (aggregates first reproduces Algorithm 5's input order; the
+        built-in streams default to their kind's :data:`ALLOCATION_RANKS`
+        entry).
     ``settle_rank``
         Sort key for settlement; monitoring streams settle first so their
         payment adjustments land before one-shot streams read per-query
@@ -154,9 +176,10 @@ class OneShotStream(QueryStream):
     Args:
         workload: any ``generate(t, rng) -> list[Query]`` source.
         kind: label used by allocation strategies to stage streams.
-        count_issued / count_answered: whether this stream's queries count
-            towards the slot's issued/answered totals (the paper's mix
-            figure counts only user point queries).
+        allocation_rank: overrides the kind's :data:`ALLOCATION_RANKS` entry.
+        counted: whether this stream's queries count towards the slot's
+            issued/answered totals (the paper's mix figure counts only
+            user point queries).
         record_slot_qualities: additionally append per-slot quality samples
             to the :class:`SlotRecord` (the single-family engines do).
         quality_label: summary label for quality samples; defaults to each
@@ -167,17 +190,17 @@ class OneShotStream(QueryStream):
         self,
         workload,
         kind: str = "one_shot",
-        allocation_rank: int = 0,
-        count_issued: bool = True,
-        count_answered: bool = True,
+        allocation_rank: int | None = None,
+        counted: bool = True,
         record_slot_qualities: bool = True,
         quality_label: str | None = None,
     ) -> None:
         self.workload = workload
         self.kind = kind
-        self.allocation_rank = allocation_rank
-        self.count_issued = count_issued
-        self.count_answered = count_answered
+        self.allocation_rank = (
+            ALLOCATION_RANKS.get(kind, 0) if allocation_rank is None else allocation_rank
+        )
+        self.counted = counted
         self.record_slot_qualities = record_slot_qualities
         self.quality_label = quality_label
         self.current: list[Query] = []
@@ -189,13 +212,13 @@ class OneShotStream(QueryStream):
         return list(self.current)
 
     def settle(self, t, result, record, summary):
-        if self.count_issued:
+        if self.counted:
             record.issued += len(self.current)
         value = 0.0
         query_paid, _ = result.payment_totals()
         for query in self.current:
             if result.is_answered(query.query_id):
-                if self.count_answered:
+                if self.counted:
                     record.answered += 1
                 achieved = result.values[query.query_id]
                 value += achieved
@@ -211,11 +234,85 @@ class OneShotStream(QueryStream):
         record.value += value
 
 
-class LocationMonitoringStream(QueryStream):
-    """Live location-monitoring queries driven by Algorithm 2's controller."""
+class LiveQueryStream(QueryStream):
+    """Continuous queries live in ``[t1, t2]`` that derive children per slot.
+
+    The shared lifecycle of Algorithm 2, Algorithm 3 and the Section 2.3
+    event extension: :meth:`begin_slot` retires the expired queries, then
+    admits the slot's arrivals into :attr:`live`; each subclass's
+    :meth:`emit` derives :attr:`children` from the live queries and its
+    :meth:`settle` folds the outcome back, ending with :meth:`_book` (the
+    issued/answered counts and the ``live`` extra).  An expired query
+    reports its quality under the stream's ``kind`` and its outcome
+    ``achieved_value() - spent``.
+
+    Args:
+        workload: the arrival source (``generate(t, rng)``).
+        allocation_rank: overrides the kind's :data:`ALLOCATION_RANKS` entry.
+        counted: whether the derived children count towards the slot's
+            issued/answered totals.
+        live_key: slot-record extra that receives the live-query count
+            (``None`` records nothing).
+    """
+
+    def __init__(
+        self,
+        workload,
+        allocation_rank: int | None = None,
+        counted: bool = True,
+        live_key: str | None = "live",
+    ) -> None:
+        self.workload = workload
+        self.allocation_rank = (
+            ALLOCATION_RANKS[self.kind] if allocation_rank is None else allocation_rank
+        )
+        self.counted = counted
+        self.live_key = live_key
+        self.live: list = []
+        self.children: list[Query] = []
+
+    def begin_slot(self, t, rng, summary):
+        self._retire(t, summary)
+        self.live.extend(self._arrivals(t, rng))
+
+    def _arrivals(self, t: int, rng: np.random.Generator) -> list:
+        return self.workload.generate(t, rng)
+
+    def flush(self, summary):
+        self._retire(FLUSH_SLOT, summary)
+
+    def _retire(self, t: int, summary: SimulationSummary) -> None:
+        remaining = []
+        for query in self.live:
+            if query.expired(t):
+                summary.add_quality(self.kind, query.quality_of_results())
+                summary.record_query_outcome(query.achieved_value() - query.spent)
+                self._expired(query, summary)
+            else:
+                remaining.append(query)
+        self.live = remaining
+
+    def _expired(self, query, summary: SimulationSummary) -> None:
+        """Extra accounting for one retired query (none by default)."""
+
+    def _book(self, result: AllocationResult, record: SlotRecord) -> None:
+        if self.counted:
+            record.issued += len(self.children)
+            record.answered += sum(
+                1 for child in self.children if result.is_answered(child.query_id)
+            )
+        if self.live_key is not None:
+            record.extras[self.live_key] = float(len(self.live))
+
+
+class LocationMonitoringStream(LiveQueryStream):
+    """Live location-monitoring queries driven by Algorithm 2's controller.
+
+    ``samples_key`` names the slot-record extra that receives the slot's
+    successful sample count (``None`` records nothing).
+    """
 
     kind = "location_monitoring"
-    allocation_rank = 2
     settle_rank = -2
 
     def __init__(
@@ -223,28 +320,19 @@ class LocationMonitoringStream(QueryStream):
         workload,
         controller: LocationMonitoringController | None = None,
         allocation_rank: int | None = None,
-        count_issued: bool = True,
-        count_answered: bool = True,
+        counted: bool = True,
         samples_key: str | None = "samples",
         live_key: str | None = "live",
     ) -> None:
-        self.workload = workload
+        super().__init__(workload, allocation_rank, counted, live_key)
         self.controller = (
             controller if controller is not None else LocationMonitoringController()
         )
-        if allocation_rank is not None:
-            self.allocation_rank = allocation_rank
-        self.count_issued = count_issued
-        self.count_answered = count_answered
         self.samples_key = samples_key
-        self.live_key = live_key
-        self.live: list[LocationMonitoringQuery] = []
-        self.children: list[PointQuery] = []
         self.value_delta = 0.0
 
-    def begin_slot(self, t, rng, summary):
-        self._retire(t, summary)
-        self.live.extend(self.workload.generate(t, rng, live_count=len(self.live)))
+    def _arrivals(self, t, rng):
+        return self.workload.generate(t, rng, live_count=len(self.live))
 
     def emit(self, t, sensors):
         self.children = self.controller.create_point_queries(self.live, t)
@@ -255,36 +343,15 @@ class LocationMonitoringStream(QueryStream):
             self.live, self.children, result, t
         )
         record.value += self.value_delta
-        if self.count_issued:
-            record.issued += len(self.children)
-        if self.count_answered:
-            record.answered += sum(
-                1 for child in self.children if result.is_answered(child.query_id)
-            )
         if self.samples_key is not None:
             record.extras[self.samples_key] = float(samples)
-        if self.live_key is not None:
-            record.extras[self.live_key] = float(len(self.live))
-
-    def flush(self, summary):
-        self._retire(FLUSH_SLOT, summary)
-
-    def _retire(self, t: int, summary: SimulationSummary) -> None:
-        remaining: list[LocationMonitoringQuery] = []
-        for query in self.live:
-            if query.expired(t):
-                summary.add_quality("location_monitoring", query.quality_of_results())
-                summary.record_query_outcome(query.achieved_value() - query.spent)
-            else:
-                remaining.append(query)
-        self.live = remaining
+        self._book(result, record)
 
 
-class RegionMonitoringStream(QueryStream):
+class RegionMonitoringStream(LiveQueryStream):
     """Live region-monitoring queries driven by Algorithm 3's controller."""
 
     kind = "region_monitoring"
-    allocation_rank = 3
     settle_rank = -1
 
     def __init__(
@@ -292,27 +359,15 @@ class RegionMonitoringStream(QueryStream):
         workload,
         controller: RegionMonitoringController | None = None,
         allocation_rank: int | None = None,
-        count_issued: bool = True,
-        count_answered: bool = True,
+        counted: bool = True,
         live_key: str | None = "live",
     ) -> None:
-        self.workload = workload
+        super().__init__(workload, allocation_rank, counted, live_key)
         self.controller = (
             controller if controller is not None else RegionMonitoringController()
         )
-        if allocation_rank is not None:
-            self.allocation_rank = allocation_rank
-        self.count_issued = count_issued
-        self.count_answered = count_answered
-        self.live_key = live_key
-        self.live: list[RegionMonitoringQuery] = []
-        self.children: list[PointQuery] = []
         self.plans: dict = {}
         self.outcomes: list[RegionSlotOutcome] = []
-
-    def begin_slot(self, t, rng, summary):
-        self._retire(t, summary)
-        self.live.extend(self.workload.generate(t, rng))
 
     def emit(self, t, sensors):
         self.children, self.plans = self.controller.create_point_queries(
@@ -326,37 +381,19 @@ class RegionMonitoringStream(QueryStream):
         )
         self.controller.adjust_payments(result, self.outcomes)
         record.value += sum(o.achieved_value for o in self.outcomes)
-        if self.count_issued:
-            record.issued += len(self.children)
-        if self.count_answered:
-            record.answered += sum(
-                1 for child in self.children if result.is_answered(child.query_id)
-            )
-        if self.live_key is not None:
-            record.extras[self.live_key] = float(len(self.live))
-
-    def flush(self, summary):
-        self._retire(FLUSH_SLOT, summary)
-
-    def _retire(self, t: int, summary: SimulationSummary) -> None:
-        remaining: list[RegionMonitoringQuery] = []
-        for query in self.live:
-            if query.expired(t):
-                summary.add_quality("region_monitoring", query.quality_of_results())
-                summary.record_query_outcome(query.total_value() - query.spent)
-            else:
-                remaining.append(query)
-        self.live = remaining
+        self._book(result, record)
 
 
-class EventDetectionStream(QueryStream):
+class EventDetectionStream(LiveQueryStream):
     """Live event-detection queries (Section 2.3's deferred extension).
 
     Each slot, every active :class:`~repro.queries.EventDetectionQuery`
     derives a redundant-sampling :class:`~repro.queries.EventSlotQuery`
     whose valuation pays for additional witnesses only until the requested
-    confidence is reached; the allocation outcome is folded back as
-    (value, quality) readings.
+    confidence is reached (children with a budget of at most
+    :data:`MIN_EVENT_BUDGET` are not emitted); the allocation outcome is
+    folded back as (value, quality) readings, and the slot's fired count
+    goes to the ``detections`` extra.
 
     Args:
         workload: an ``EventDetectionWorkload``-like arrival source.
@@ -365,39 +402,20 @@ class EventDetectionStream(QueryStream):
             no event can fire, but the acquisition economics (confidence,
             payments, utility) are unaffected, which is all the allocation
             experiments measure.
-        min_budget: slot queries cheaper than this are not emitted.
     """
 
     kind = "event"
-    allocation_rank = 4
-    settle_rank = 0
 
     def __init__(
         self,
         workload,
         phenomenon=None,
         allocation_rank: int | None = None,
-        count_issued: bool = True,
-        count_answered: bool = True,
+        counted: bool = True,
         live_key: str | None = "live",
-        detections_key: str | None = "detections",
-        min_budget: float = 1e-6,
     ) -> None:
-        self.workload = workload
+        super().__init__(workload, allocation_rank, counted, live_key)
         self.phenomenon = phenomenon
-        if allocation_rank is not None:
-            self.allocation_rank = allocation_rank
-        self.count_issued = count_issued
-        self.count_answered = count_answered
-        self.live_key = live_key
-        self.detections_key = detections_key
-        self.min_budget = min_budget
-        self.live: list[EventDetectionQuery] = []
-        self.children: list[EventSlotQuery] = []
-
-    def begin_slot(self, t, rng, summary):
-        self._retire(t, summary)
-        self.live.extend(self.workload.generate(t, rng))
 
     def emit(self, t, sensors):
         self.children = []
@@ -405,7 +423,7 @@ class EventDetectionStream(QueryStream):
             if not query.active(t):
                 continue
             child = query.create_slot_query(t)
-            if child.budget > self.min_budget:
+            if child.budget > MIN_EVENT_BUDGET:
                 self.children.append(child)
         return list(self.children)
 
@@ -415,9 +433,7 @@ class EventDetectionStream(QueryStream):
         fired = 0
         value = 0.0
         for child in self.children:
-            query = by_id.get(child.parent_id)
-            if query is None:
-                continue
+            query = by_id[child.parent_id]
             snapshots = [
                 result.selected[sid]
                 for sid in result.assignments.get(child.query_id, ())
@@ -435,39 +451,20 @@ class EventDetectionStream(QueryStream):
             ):
                 fired += 1
             value += achieved
-            if self.count_answered and result.is_answered(child.query_id):
-                record.answered += 1
         record.value += value
-        if self.count_issued:
-            record.issued += len(self.children)
-        if self.live_key is not None:
-            record.extras[self.live_key] = float(len(self.live))
-        if self.detections_key is not None:
-            record.extras[self.detections_key] = float(fired)
+        self._book(result, record)
+        record.extras["detections"] = float(fired)
 
-    def flush(self, summary):
-        self._retire(FLUSH_SLOT, summary)
-
-    def _retire(self, t: int, summary: SimulationSummary) -> None:
-        remaining: list[EventDetectionQuery] = []
-        for query in self.live:
-            if query.expired(t):
-                summary.add_quality("event", query.quality_of_results())
-                summary.record_query_outcome(query.achieved_value() - query.spent)
-                # Figure-style detection accounting: whether the event
-                # fired over the lifetime, and (for fired queries) the
-                # latency in slots from issue to the first detection.
-                summary.add_quality(
-                    "event_detected", 1.0 if query.detections else 0.0
-                )
-                if query.detections:
-                    summary.add_quality(
-                        "event_detection_latency",
-                        float(query.detections[0][0] - query.t1),
-                    )
-            else:
-                remaining.append(query)
-        self.live = remaining
+    def _expired(self, query, summary):
+        # Figure-style detection accounting: whether the event fired over
+        # the lifetime, and (for fired queries) the latency in slots from
+        # issue to the first detection.
+        summary.add_quality("event_detected", 1.0 if query.detections else 0.0)
+        if query.detections:
+            summary.add_quality(
+                "event_detection_latency",
+                float(query.detections[0][0] - query.t1),
+            )
 
 
 # ----------------------------------------------------------------------
@@ -586,9 +583,12 @@ class SlotEngine:
         rng: drives the workloads only — mobility randomness lives in the
             fleet, so two engines sharing a replayed trace and the same
             workload seed compare algorithms on identical inputs.
-        verify_each_slot: run the settlement invariants on every slot's
-            merged result (Algorithm 5 does; cheap, but off by default for
-            the single-family engines which verify inside the allocator).
+
+    Every slot's settled ledger is checked with
+    :meth:`~repro.core.allocation.AllocationResult.verify`: the allocators
+    verify their own results, but settlement may still edit the ledger
+    (region monitoring's payment refunds), and the merged result of a
+    two-stage allocation is only checked here.
 
     Every slot re-announces the fleet through
     :meth:`~repro.sensors.SensorFleet.announcements_with_delta`.  The
@@ -612,8 +612,6 @@ class SlotEngine:
         streams: Sequence[QueryStream],
         allocation: SlotAllocation | Allocator,
         rng: np.random.Generator,
-        *,
-        verify_each_slot: bool = False,
     ) -> None:
         if not streams:
             raise ValueError("SlotEngine needs at least one query stream")
@@ -624,7 +622,6 @@ class SlotEngine:
         else:
             self.allocation = JointSlotAllocation(allocation)  # type: ignore[arg-type]
         self.rng = rng
-        self.verify_each_slot = verify_each_slot
         self.profile = False
         self.last_timings: dict[str, float] = {}
         self.last_delta = None
@@ -685,8 +682,7 @@ class SlotEngine:
         record = SlotRecord(slot=t, cost=result.total_cost)
         for stream in sorted(self.streams, key=lambda s: s.settle_rank):
             stream.settle(t, result, record, summary)
-        if self.verify_each_slot:
-            result.verify()
+        result.verify()
         summary.slots.append(record)
         self.fleet.record_measurements(list(result.selected))
         self.fleet.advance()
@@ -780,26 +776,20 @@ def mix_engine(
         OneShotStream(
             point_workload,
             kind="point",
-            allocation_rank=1,
-            count_issued=True,
-            count_answered=True,
             record_slot_qualities=False,
             quality_label="point",
         ),
         OneShotStream(
             aggregate_workload,
             kind="aggregate",
-            allocation_rank=0,
-            count_issued=False,
-            count_answered=False,
+            counted=False,
             record_slot_qualities=False,
             quality_label="aggregate",
         ),
         LocationMonitoringStream(
             location_workload,
             controller=mix.lm_controller,
-            count_issued=False,
-            count_answered=False,
+            counted=False,
             samples_key="lm_samples",
             live_key=None,
         ),
@@ -809,15 +799,8 @@ def mix_engine(
             RegionMonitoringStream(
                 region_workload,
                 controller=mix.rm_controller,
-                count_issued=False,
-                count_answered=False,
+                counted=False,
                 live_key=None,
             )
         )
-    return SlotEngine(
-        fleet,
-        streams,
-        mix.allocation(),
-        rng,
-        verify_each_slot=True,
-    )
+    return SlotEngine(fleet, streams, mix.allocation(), rng)

@@ -30,6 +30,7 @@ from ..sensors import AnnouncementBatch, SensorSnapshot
 from ..sensors.state import announcement_batch
 from ..spatial.raster import get_raster
 from .allocation import AllocationResult
+from .payments import redistribute_contribution
 from .sampling import SamplingPlan, paper_weight_function, plan_sampling
 
 
@@ -400,23 +401,32 @@ class RegionMonitoringController:
         """Fold the contributions into the allocation's payment ledger.
 
         Each contribution towards sensor ``a`` proportionally refunds the
-        queries that already paid for ``a`` and books the amount against
-        the region-monitoring query, keeping the sensor's income exactly
-        equal to its cost.
+        queries that already paid for ``a``
+        (:func:`~repro.core.payments.redistribute_contribution`) and books
+        the amount against the region-monitoring query, keeping the
+        sensor's income exactly equal to its cost.  A per-sensor index of
+        ledger keys, in ledger order, replaces a ledger scan per
+        contribution; a newly booked key joins its sensor's list, so every
+        refund sums its payers in ledger order.
         """
+        if not any(outcome.contributions for outcome in outcomes):
+            return
+        payers_of: dict[int, list[tuple[str, int]]] = {}
+        for key in result.payments:
+            payers_of.setdefault(key[1], []).append(key)
         for outcome in outcomes:
             for sensor_id, amount in outcome.contributions.items():
+                keys = payers_of.setdefault(sensor_id, [])
                 payers = {
-                    key: p
-                    for key, p in result.payments.items()
-                    if key[1] == sensor_id and p > 0
+                    key: result.payments[key]
+                    for key in keys
+                    if result.payments[key] > 0
                 }
-                total = sum(payers.values())
-                if total <= 0:
+                refunded, applied = redistribute_contribution(payers, amount)
+                if applied <= 0:
                     continue
-                applied = min(amount, total)
-                factor = (total - applied) / total
-                for key, payment in payers.items():
-                    result.payments[key] = payment * factor
+                result.payments.update(refunded)
                 key = (outcome.query_id, sensor_id)
+                if key not in result.payments:
+                    keys.append(key)
                 result.payments[key] = result.payments.get(key, 0.0) + applied

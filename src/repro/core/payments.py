@@ -12,9 +12,11 @@ every query keeps a non-negative net benefit (Theorem 1, property 3).
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, TypeVar
 
 __all__ = ["proportionate_shares", "redistribute_contribution"]
+
+K = TypeVar("K")
 
 
 def proportionate_shares(
@@ -47,17 +49,19 @@ def proportionate_shares(
 
 
 def redistribute_contribution(
-    payments: Mapping[str, float], contribution: float
-) -> tuple[dict[str, float], float]:
+    payments: Mapping[K, float], contribution: float
+) -> tuple[dict[K, float], float]:
     """Reduce existing payers' shares by an external cost contribution.
 
-    Used by the query-mix payment adjustment (Algorithm 5, step 5): when a
-    region-monitoring query contributes towards the cost of a sensor that
-    other queries already paid for, those payments shrink pro rata so the
-    sensor still recovers exactly its cost.
+    Used by the query-mix payment adjustment (Algorithm 5, step 5,
+    :meth:`~repro.core.monitoring.RegionMonitoringController.adjust_payments`):
+    when a region-monitoring query contributes towards the cost of a sensor
+    that other queries already paid for, those payments shrink pro rata so
+    the sensor still recovers exactly its cost.
 
     Args:
-        payments: current per-query payments for one sensor.
+        payments: current payments for one sensor, by payer (a query id,
+            or a ``(query_id, sensor_id)`` ledger key).
         contribution: the amount the contributing query adds (clamped to
             the total of existing payments; you cannot refund more than was
             paid).

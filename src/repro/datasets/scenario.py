@@ -24,6 +24,7 @@ from typing import Any
 
 import numpy as np
 
+from ..core.engine import ALLOCATION_RANKS
 from ..mobility import MobilityTrace, TraceMobility
 from ..sensors import (
     BetaTrust,
@@ -83,16 +84,6 @@ class Scenario:
 # ----------------------------------------------------------------------
 # declarative scenario specs
 # ----------------------------------------------------------------------
-#: stream kind -> allocation rank reproducing Algorithm 5's input order
-#: (aggregates, then points, then monitoring-derived children).
-_STREAM_RANKS = {
-    "aggregate": 0,
-    "point": 1,
-    "location_monitoring": 2,
-    "region_monitoring": 3,
-    "event": 4,
-}
-
 _ALLOCATORS = ("optimal", "local_search", "randomized_local_search", "greedy", "baseline")
 
 #: JSON-declarable trust models for the ``fleet.trust_model`` override.
@@ -141,10 +132,10 @@ class StreamSpec:
     controller: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in _STREAM_RANKS:
+        if self.kind not in ALLOCATION_RANKS:
             raise ValueError(
                 f"unknown stream kind {self.kind!r}; choose from "
-                f"{sorted(_STREAM_RANKS)}"
+                f"{sorted(ALLOCATION_RANKS)}"
             )
 
     @classmethod
@@ -439,16 +430,12 @@ class ScenarioSpec:
 
         streams: list = []
         for spec in self.streams:
-            rank = _STREAM_RANKS[spec.kind]
             if spec.kind == "point":
                 workload = PointQueryWorkload(
                     region, **{"dmax": scenario.dmax, **spec.params}
                 )
                 streams.append(
-                    _engine.OneShotStream(
-                        workload, kind="point", allocation_rank=rank,
-                        quality_label="point",
-                    )
+                    _engine.OneShotStream(workload, kind="point", quality_label="point")
                 )
             elif spec.kind == "aggregate":
                 workload = AggregateQueryWorkload(
@@ -456,8 +443,7 @@ class ScenarioSpec:
                 )
                 streams.append(
                     _engine.OneShotStream(
-                        workload, kind="aggregate", allocation_rank=rank,
-                        quality_label="aggregate",
+                        workload, kind="aggregate", quality_label="aggregate"
                     )
                 )
             elif spec.kind == "location_monitoring":
@@ -470,9 +456,7 @@ class ScenarioSpec:
                 options = dict(spec.controller)
                 controller = LocationMonitoringController(**options)
                 streams.append(
-                    _engine.LocationMonitoringStream(
-                        workload, controller=controller, allocation_rank=rank
-                    )
+                    _engine.LocationMonitoringStream(workload, controller=controller)
                 )
             elif spec.kind == "event":
                 workload = EventDetectionWorkload(
@@ -480,7 +464,7 @@ class ScenarioSpec:
                     **{"threshold": 50.0, "dmax": scenario.dmax, **spec.params},
                 )
                 streams.append(
-                    _engine.EventDetectionStream(workload, allocation_rank=rank)
+                    _engine.EventDetectionStream(workload)
                 )
             else:  # region_monitoring
                 if gp is None:
@@ -498,9 +482,7 @@ class ScenarioSpec:
                     options.setdefault("weight_fn", paper_weight_function)
                 controller = RegionMonitoringController(**options)
                 streams.append(
-                    _engine.RegionMonitoringStream(
-                        workload, controller=controller, allocation_rank=rank
-                    )
+                    _engine.RegionMonitoringStream(workload, controller=controller)
                 )
 
         factories = {
@@ -525,7 +507,6 @@ class ScenarioSpec:
             streams,
             allocation,
             np.random.default_rng(workload_seed),
-            verify_each_slot=len(streams) > 1,
         )
 
     def run(self, n_slots: int | None = None):

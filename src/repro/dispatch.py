@@ -35,9 +35,9 @@ def batch_hook_trusted(cls: type, batch_hook: str, scalar_hooks: tuple[str, ...]
     are ignored (not every type defines every delegated hook).
     """
     mro = cls.__mro__
-    batch_owner = next(c for c in mro if batch_hook in c.__dict__)
+    batch_provider = next(c for c in mro if batch_hook in c.__dict__)
     for hook in scalar_hooks:
         owner = next((c for c in mro if hook in c.__dict__), None)
-        if owner is not None and not issubclass(batch_owner, owner):
+        if owner is not None and not issubclass(batch_provider, owner):
             return False
     return True

@@ -66,7 +66,7 @@ import abc
 import enum
 import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -413,9 +413,6 @@ class Query(abc.ABC):
         ``F`` is unbounded — the paper's Figure 9(b) shows exactly that.
         """
         return self.budget
-
-    def filter_relevant(self, snapshots: Iterable[SensorSnapshot]) -> list[SensorSnapshot]:
-        return [s for s in snapshots if self.relevant(s)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.query_id} budget={self.budget:g}>"

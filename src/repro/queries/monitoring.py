@@ -353,5 +353,6 @@ class RegionMonitoringQuery(ContinuousQuery):
             return 0.0
         return float(sum(ratios) / len(ratios))
 
-    def total_value(self) -> float:
+    def achieved_value(self) -> float:
+        """Total achieved slot value over the lifetime so far."""
         return float(sum(self.slot_values))

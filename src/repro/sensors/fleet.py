@@ -216,9 +216,9 @@ class SensorFleet:
         """Differential :meth:`announcements`: ``(batch, SlotDelta | None)``.
 
         The batch is bit-identical to :meth:`announcements`; the delta
-        tells announcement-derived structures which rows moved, exhausted,
-        or repriced since the previous call so they can patch instead of
-        rebuild.  It is ``None`` on the first call and whenever too many
+        maps its columns onto the previous call's and names the columns
+        whose geometry changed, so announcement-derived structures can
+        patch instead of rebuild.  It is ``None`` on the first call and whenever too many
         sensors moved for a patch to pay
         (:data:`~repro.sensors.state.REBUILD_FRACTION`).
         """

@@ -100,75 +100,32 @@ class SlotDelta:
     Produced by :meth:`FleetState.announce_update` next to the new
     :class:`AnnouncementBatch`.  Consumers patch announcement-derived
     structures (kernel arrays, grid index, world raster) instead of
-    rebuilding them; every index array is expressed in *both* coordinate
-    systems a consumer might live in:
+    rebuilding them.  Both index arrays live in batch-column space:
 
-    fleet-row space (``moved`` / ``exhausted`` / ``repriced``)
-        The dirty sets over ``FleetState`` rows, regardless of whether the
-        rows announced.
+    ``kept_src[j]``
+        the previous batch's column that new column ``j`` re-uses, or
+        ``-1`` if the sensor newly announced;
+    ``fresh_cols``
+        the new-batch columns whose *geometry* cannot be spliced from the
+        previous structures (new announcers plus moved survivors).
 
-    batch-column space (``kept_src`` / ``fresh_cols`` / ``stale_cols``)
-        ``kept_src[j]`` is the previous batch's column that new column
-        ``j`` re-uses, or ``-1`` if the sensor newly announced.
-        ``fresh_cols`` are the new-batch columns whose *geometry* cannot
-        be spliced from the previous structures (new announcers plus
-        moved survivors); ``stale_cols`` are the previous-batch columns
-        that disappeared or moved.  ``membership_changed`` is False only
-        when the two batches announce exactly the same rows in the same
-        order.
-
-    The delta never aliases mutable fleet buffers: all arrays are freshly
-    computed per announcement and safe to hold across slots.
+    ``prev_token`` is the previous batch's token: a consumer patches only
+    a structure built from exactly that batch.  The delta never aliases
+    mutable fleet buffers: its arrays are freshly computed per
+    announcement and safe to hold across slots.
     """
 
-    __slots__ = (
-        "prev_token",
-        "token",
-        "moved",
-        "exhausted",
-        "repriced",
-        "kept_src",
-        "fresh_cols",
-        "stale_cols",
-        "membership_changed",
-    )
+    __slots__ = ("prev_token", "kept_src", "fresh_cols")
 
     def __init__(
-        self,
-        prev_token: tuple,
-        token: tuple,
-        moved: np.ndarray,
-        exhausted: np.ndarray,
-        repriced: np.ndarray,
-        kept_src: np.ndarray,
-        fresh_cols: np.ndarray,
-        stale_cols: np.ndarray,
-        membership_changed: bool,
+        self, prev_token: tuple, kept_src: np.ndarray, fresh_cols: np.ndarray
     ) -> None:
         self.prev_token = prev_token
-        self.token = token
-        self.moved = moved
-        self.exhausted = exhausted
-        self.repriced = repriced
         self.kept_src = kept_src
         self.fresh_cols = fresh_cols
-        self.stale_cols = stale_cols
-        self.membership_changed = membership_changed
-
-    @property
-    def churn_fraction(self) -> float:
-        """Dirty announced columns over announced columns (0 when empty)."""
-        n = len(self.kept_src)
-        if n == 0:
-            return 0.0
-        return len(self.fresh_cols) / n
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<SlotDelta moved={len(self.moved)} exhausted={len(self.exhausted)} "
-            f"repriced={len(self.repriced)} fresh={len(self.fresh_cols)}/"
-            f"{len(self.kept_src)}>"
-        )
+        return f"<SlotDelta fresh={len(self.fresh_cols)}/{len(self.kept_src)}>"
 
 
 class SnapshotColumnView(Sequence):
@@ -276,13 +233,12 @@ class FleetState:
         self.exhaustion_version = 0
         self._uid = next(_state_uid)
         # Dirty accumulators for the differential announce path: fleet rows
-        # that moved / were recorded / newly exhausted since the last
-        # :meth:`announce_update` consumed them.  Plain :meth:`announce`
-        # never reads or resets these, so mixing both APIs stays correct —
-        # the sets simply keep accumulating relative to ``_last_batch``.
+        # that moved / were recorded since the last :meth:`announce_update`
+        # consumed them.  Plain :meth:`announce` never reads or resets
+        # these, so mixing both APIs stays correct — the sets simply keep
+        # accumulating relative to ``_last_batch``.
         self._dirty_moved = np.zeros(n, dtype=bool)
         self._dirty_recorded = np.zeros(n, dtype=bool)
-        self._dirty_exhausted = np.zeros(n, dtype=bool)
         self._last_batch: AnnouncementBatch | None = None
         self._last_flagged: np.ndarray | None = None
 
@@ -351,7 +307,6 @@ class FleetState:
         spent = self.readings_taken[ids] >= self.lifetime[ids]
         if np.any(spent):
             self.exhaustion_version += 1
-            self._dirty_exhausted[np.asarray(ids)[spent]] = True
 
     # ------------------------------------------------------------------
     # vectorized eq. 8 pricing
@@ -447,17 +402,15 @@ class FleetState:
         since the baseline; the batch then becomes the new baseline.
         """
         prev = self._last_batch
-        moved = np.flatnonzero(self._dirty_moved)
         if (
             prev is None
             or prev.token[-1] != working_region
-            or len(moved) > REBUILD_FRACTION * self.n_sensors
+            or np.count_nonzero(self._dirty_moved) > REBUILD_FRACTION * self.n_sensors
         ):
             batch = self.announce(now, working_region)
             self._rebase(batch)
             return batch, None
 
-        exhausted = np.flatnonzero(self._dirty_exhausted)
         # Rows whose announced cost may differ from the previous batch:
         # fixed energy + zero privacy -> constant; linear energy -> only
         # recorded rows; privacy -> any row with a windowed report now or
@@ -475,7 +428,6 @@ class FleetState:
                 if self.linear_energy
                 else np.zeros(self.n_sensors, dtype=bool)
             )
-        repriced = np.flatnonzero(repriced_mask)
 
         idx = self._announcing_rows(working_region)
         m = len(idx)
@@ -486,10 +438,7 @@ class FleetState:
         if m == len(prev.ids) and bool(np.array_equal(idx, prev.ids)):
             kept = np.ones(m, dtype=bool)
             kept_src = np.arange(m, dtype=np.intp)
-            moved_here = self._dirty_moved[idx]
-            fresh_cols = np.flatnonzero(moved_here)
-            stale_cols = fresh_cols
-            membership_changed = False
+            fresh_cols = np.flatnonzero(self._dirty_moved[idx])
         else:
             pos = np.searchsorted(prev.ids, idx)
             pos_c = np.minimum(pos, max(len(prev.ids) - 1, 0))
@@ -499,17 +448,7 @@ class FleetState:
                 else np.zeros(m, dtype=bool)
             )
             kept_src = np.where(kept, pos_c, -1).astype(np.intp)
-            moved_here = self._dirty_moved[idx]
-            fresh_cols = np.flatnonzero(~kept | moved_here)
-            rpos = np.searchsorted(idx, prev.ids)
-            rpos_c = np.minimum(rpos, max(m - 1, 0))
-            kept_prev = (
-                (rpos < m) & (idx[rpos_c] == prev.ids)
-                if m
-                else np.zeros(len(prev.ids), dtype=bool)
-            )
-            stale_cols = np.flatnonzero(~kept_prev | self._dirty_moved[prev.ids])
-            membership_changed = not (m == len(prev.ids) and bool(kept.all()))
+            fresh_cols = np.flatnonzero(~kept | self._dirty_moved[idx])
 
         costs = np.empty(m)
         need = ~kept | repriced_mask[idx]
@@ -519,27 +458,16 @@ class FleetState:
         if dirty.size:
             costs[dirty] = self.announce_costs(idx[dirty], now)
 
-        token = self.stamp + (working_region,)
         batch = AnnouncementBatch(
             ids=idx,
             xy=self.xy[idx],
             costs=costs,
             gamma=self.gamma[idx],
             trust=self.trust[idx],
-            token=token,
+            token=self.stamp + (working_region,),
             clock=now,
         )
-        delta = SlotDelta(
-            prev_token=prev.token,
-            token=token,
-            moved=moved,
-            exhausted=exhausted,
-            repriced=repriced,
-            kept_src=kept_src,
-            fresh_cols=fresh_cols,
-            stale_cols=stale_cols,
-            membership_changed=membership_changed,
-        )
+        delta = SlotDelta(prev.token, kept_src, fresh_cols)
         self._rebase(batch, flagged)
         return batch, delta
 
@@ -548,7 +476,6 @@ class FleetState:
         self._last_batch = batch
         self._dirty_moved[:] = False
         self._dirty_recorded[:] = False
-        self._dirty_exhausted[:] = False
         if self._any_privacy:
             self._last_flagged = (
                 flagged if flagged is not None else self._report_flags.any(axis=1)

@@ -2,7 +2,7 @@
 
 from .coverage import AreaCoverage, CoverageFunction, TrajectoryCoverage
 from .geometry import Location, as_xy, centroid, euclidean, manhattan, nearest, pairwise_distances
-from .grid import Grid, GridIndex
+from .grid import Grid
 from .index import UniformGridIndex
 from .raster import WorldRaster, get_raster
 from .region import Region
@@ -15,7 +15,6 @@ __all__ = [
     "as_xy",
     "Region",
     "Grid",
-    "GridIndex",
     "UniformGridIndex",
     "Trajectory",
     "AreaCoverage",

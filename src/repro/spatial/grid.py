@@ -2,21 +2,20 @@
 
 The paper griditizes every dataset (80x80 RWM cells, 100 m cells for the
 Lausanne campaign, 20x15 cells for the Intel-Lab replay).  A :class:`Grid`
-maps continuous locations to integer cells and back and offers the
-neighbourhood queries the allocators need (which sensors lie within
-``dmax`` of a queried location).
+maps continuous locations to integer cells and back.  Radius and box
+queries over a slot's sensors go through
+:class:`repro.spatial.index.UniformGridIndex`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
 from .geometry import Location
 from .region import Region
 
-__all__ = ["Grid", "GridIndex"]
+__all__ = ["Grid"]
 
 
 @dataclass(frozen=True)
@@ -68,47 +67,3 @@ class Grid:
     def centers(self) -> Iterator[Location]:
         for cell in self.cells():
             yield self.center_of(cell)
-
-
-@dataclass
-class GridIndex:
-    """Bucketed spatial index for radius queries over point sets.
-
-    The point-query allocators repeatedly ask "which sensors are within
-    ``dmax`` of location l?".  With hundreds of sensors and hundreds of
-    queried locations per slot, a bucket index turns the O(|S| * |L|) scan
-    into a handful of bucket lookups per location.
-    """
-
-    cell_size: float = 5.0
-    _buckets: dict[tuple[int, int], list[tuple[Location, Hashable]]] = field(
-        default_factory=lambda: defaultdict(list)
-    )
-
-    def insert(self, location: Location, item: Hashable) -> None:
-        """Index ``item`` at ``location``."""
-        self._buckets[self._key(location)].append((location, item))
-
-    def extend(self, entries: Iterable[tuple[Location, Hashable]]) -> None:
-        for location, item in entries:
-            self.insert(location, item)
-
-    def within(self, center: Location, radius: float) -> list[tuple[Location, Hashable]]:
-        """All indexed entries with Euclidean distance <= ``radius``."""
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        reach = int(radius // self.cell_size) + 1
-        kx, ky = self._key(center)
-        hits: list[tuple[Location, Hashable]] = []
-        for dx in range(-reach, reach + 1):
-            for dy in range(-reach, reach + 1):
-                for location, item in self._buckets.get((kx + dx, ky + dy), ()):
-                    if center.distance_to(location) <= radius:
-                        hits.append((location, item))
-        return hits
-
-    def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
-
-    def _key(self, location: Location) -> tuple[int, int]:
-        return (int(location.x // self.cell_size), int(location.y // self.cell_size))

@@ -8,13 +8,12 @@ buckets a fixed ``(n, 2)`` coordinate array once (vectorized, CSR-style)
 and answers *cell-range* queries — "all points in the cells intersecting
 this box" — with a handful of array slices.
 
-Contrast with :class:`repro.spatial.grid.GridIndex`, the per-item bucket
-dict used by incremental consumers: this index is built in one shot from a
-stacked array, returns **column indices** into that array (what the
-valuation kernels need), and answers box queries as cell *supersets* —
-callers' own arithmetic discards the out-of-radius corners, which is
-exactly what keeps candidate valuations bit-identical to a full-fleet pass
-(values beyond ``dmax`` are zero either way).
+The index is built in one shot from a stacked array, returns **column
+indices** into that array (what the valuation kernels need), and answers
+box queries as cell *supersets* — callers' own arithmetic discards the
+out-of-radius corners, which is exactly what keeps candidate valuations
+bit-identical to a full-fleet pass (values beyond ``dmax`` are zero
+either way).
 
 Internals: points are assigned integer cells relative to the point set's
 own bounding box, cell keys are sorted once, and each bucket is a slice of

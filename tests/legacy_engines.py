@@ -220,7 +220,7 @@ class LegacyRegionMonitoringSimulation:
         for query in self.live:
             if query.expired(t):
                 summary.add_quality("region_monitoring", query.quality_of_results())
-                summary.record_query_outcome(query.total_value() - query.spent)
+                summary.record_query_outcome(query.achieved_value() - query.spent)
             else:
                 remaining.append(query)
         self.live = remaining
@@ -308,7 +308,7 @@ class LegacyMixSimulation:
         for query in self.live_rm:
             if query.expired(t):
                 summary.add_quality("region_monitoring", query.quality_of_results())
-                summary.record_query_outcome(query.total_value() - query.spent)
+                summary.record_query_outcome(query.achieved_value() - query.spent)
             else:
                 live_rm.append(query)
         self.live_rm = live_rm

@@ -15,6 +15,7 @@ from repro.core import (
     LocationMonitoringStream,
     MixAllocator,
     OneShotStream,
+    PaymentInvariantError,
     SequentialBufferedAllocation,
     SlotEngine,
     ValuationKernel,
@@ -62,6 +63,24 @@ class TestEngineBasics:
         assert isinstance(engine.allocation, JointSlotAllocation)
         summary = engine.run(3)
         assert summary.n_slots == 3
+
+    def test_every_settled_ledger_is_verified(self):
+        """Settlement may edit the ledger after the allocator verified it
+        (region monitoring's refunds do); the engine checks the settled
+        result of every slot, single-stream engines included."""
+
+        class Overpaying(OneShotStream):
+            def settle(self, t, result, record, summary):
+                super().settle(t, result, record, summary)
+                for key in result.payments:
+                    result.payments[key] *= 2.0
+
+        engine = SlotEngine(
+            SCENARIO.make_fleet(), [Overpaying(_point_workload())], GreedyAllocator(),
+            np.random.default_rng(0),
+        )
+        with pytest.raises(PaymentInvariantError):
+            engine.run(3)
 
     def test_stream_lookup(self):
         engine = one_shot_engine(
@@ -149,7 +168,6 @@ class TestSequentialBufferedAllocation:
             self._streams(),
             SequentialBufferedAllocation(BaselineAllocator(), BaselineAllocator()),
             np.random.default_rng(6),
-            verify_each_slot=True,
         )
         summary = engine.run(4)
         assert summary.n_slots == 4

@@ -12,6 +12,7 @@ from repro.core import (
     LocationMonitoringController,
     OptimalPointAllocator,
     RegionMonitoringController,
+    RegionSlotOutcome,
 )
 from repro.phenomena import (
     GaussianProcessField,
@@ -226,8 +227,6 @@ class TestRegionController:
         result = AllocationResult()
         snap = make_snapshot(7, x=5, y=5, cost=10.0)
         result.record("payer", snap, 20.0, 10.0)
-        from repro.core import RegionSlotOutcome
-
         outcome = RegionSlotOutcome(
             query_id="rm1", contributions={7: 4.0}
         )
@@ -235,6 +234,34 @@ class TestRegionController:
         assert result.sensor_income(7) == pytest.approx(10.0)
         assert result.payments[("payer", 7)] == pytest.approx(6.0)
         assert result.payments[("rm1", 7)] == pytest.approx(4.0)
+
+    def test_two_contributions_to_one_multi_payer_sensor(self):
+        """The second contribution refunds the first contributor too, and a
+        sensor nobody paid for books nothing (hand-computed ledger)."""
+        result = AllocationResult()
+        seven = make_snapshot(7, cost=12.0)
+        result.record("a", seven, 20.0, 8.0)
+        result.record("c", make_snapshot(3, cost=5.0), 9.0, 5.0)
+        result.record("b", seven, 20.0, 4.0)
+        RegionMonitoringController.adjust_payments(result, [
+            RegionSlotOutcome(query_id="rm1", contributions={7: 6.0}),
+            RegionSlotOutcome(query_id="rm2", contributions={7: 3.0, 3: 10.0, 9: 1.0}),
+        ])
+        # rm1: a, b pay 8 + 4 = 12 -> factor 1/2, rm1 books 6.
+        # rm2 on 7: a, b, rm1 pay 4 + 2 + 6 = 12 -> factor 3/4, rm2 books 3.
+        # rm2 on 3: c pays 5 -> refunded in full, rm2 books the 5 applied.
+        assert result.payments == {
+            ("a", 7): 3.0,
+            ("c", 3): 0.0,
+            ("b", 7): 1.5,
+            ("rm1", 7): 4.5,
+            ("rm2", 7): 3.0,
+            ("rm2", 3): 5.0,
+        }
+        assert list(result.payments) == [
+            ("a", 7), ("c", 3), ("b", 7), ("rm1", 7), ("rm2", 7), ("rm2", 3),
+        ]
+        result.verify()
 
     def test_contribution_pool_bounded(self):
         """Contributions never exceed alpha * (C_t - paid)."""

@@ -232,7 +232,8 @@ def test_stationary_churn_spec_exercises_the_incremental_path():
             assert engine.last_delta is None
         else:
             assert isinstance(engine.last_delta, SlotDelta)
-            churns.append(engine.last_delta.churn_fraction)
+            delta = engine.last_delta
+            churns.append(len(delta.fresh_cols) / len(delta.kept_src))
         assert allocation_signature(engine.last_result) == allocation_signature(
             full.last_result
         )

@@ -125,14 +125,14 @@ def test_announce_update_matches_fresh_announce(name, make, monkeypatch):
 
 
 def test_delta_bookkeeping_is_consistent():
-    """kept_src / fresh / stale partition the old and new column spaces."""
+    """kept_src maps the new columns onto the old ones; fresh_cols holds
+    exactly the columns whose geometry cannot be spliced."""
     fleet = churn_fleet(FleetConfig(), seed=5, n=80, fraction=0.2)
     prev, _ = fleet.announcements_with_delta()
     fleet.advance()
     batch, delta = fleet.announcements_with_delta()
     assert isinstance(delta, SlotDelta)
     assert delta.prev_token == prev.token
-    assert delta.token == batch.token
     kept = delta.kept_src
     assert len(kept) == len(batch.ids)
     valid = kept >= 0
@@ -140,12 +140,19 @@ def test_delta_bookkeeping_is_consistent():
     np.testing.assert_array_equal(
         np.asarray(batch.ids)[valid], np.asarray(prev.ids)[kept[valid]]
     )
-    # fresh = new announcers or moved survivors; dropped ids show in stale.
-    fresh = set(np.flatnonzero(~valid))
-    assert fresh <= set(delta.fresh_cols)
+    # The previous columns no new column re-uses are exactly the dropped ids.
     dropped = set(prev.ids) - set(batch.ids)
-    assert dropped == {prev.ids[j] for j in delta.stale_cols} - set(batch.ids) | dropped
-    assert 0.0 <= delta.churn_fraction <= 1.0
+    assert set(prev.ids) - set(np.asarray(prev.ids)[kept[valid]]) == dropped
+    # fresh = new announcers or moved survivors; every other column keeps
+    # its previous coordinates.
+    fresh = np.zeros(len(kept), dtype=bool)
+    fresh[delta.fresh_cols] = True
+    assert not np.any(~valid & ~fresh)
+    spliced = valid & ~fresh
+    np.testing.assert_array_equal(
+        np.asarray(batch.xy)[spliced], np.asarray(prev.xy)[kept[spliced]]
+    )
+    assert len(delta.fresh_cols) <= len(kept)
 
 
 # ----------------------------------------------------------------------
@@ -262,14 +269,8 @@ def test_ensure_delta_falls_back_without_a_chain(sharded):
 def test_delta_old_to_new_roundtrip():
     delta = SlotDelta(
         prev_token=("p",),
-        token=("t",),
-        moved=np.array([2]),
-        exhausted=np.array([], dtype=np.int64),
-        repriced=np.array([], dtype=np.int64),
         kept_src=np.array([0, -1, 3]),
         fresh_cols=np.array([1]),
-        stale_cols=np.array([1, 2]),
-        membership_changed=True,
     )
     old_to_new = delta_old_to_new(delta, 4)
     np.testing.assert_array_equal(old_to_new, [0, -1, -1, 2])
@@ -320,7 +321,7 @@ def test_replay_parity(fleet, dense, fused, monkeypatch):
         assert rebuilt == patched, t
         # Always-patch: every warm slot took the delta path.
         assert (delta is None) == (t == 0)
-        assert delta is None or 0.0 <= delta.churn_fraction <= 1.0
+        assert delta is None or len(delta.fresh_cols) <= len(delta.kept_src)
 
 
 def test_allocation_signature_canonicalizes_query_ids():
@@ -403,7 +404,8 @@ def test_a_quarter_of_the_rows_moved_is_the_patch_limit():
     xy[: n // 4, 0] += 0.5
     batch, delta = fleet.announcements_with_delta()
     assert isinstance(delta, SlotDelta)
-    np.testing.assert_array_equal(delta.moved, np.arange(n // 4))
+    np.testing.assert_array_equal(delta.kept_src, np.arange(n))
+    np.testing.assert_array_equal(delta.fresh_cols, np.arange(n // 4))
 
     xy = xy.copy()
     xy[: n // 4 + 1, 1] += 0.5
@@ -414,4 +416,4 @@ def test_a_quarter_of_the_rows_moved_is_the_patch_limit():
     _, delta = fleet.announcements_with_delta()
     assert isinstance(delta, SlotDelta)
     assert delta.prev_token == rebuilt.token
-    assert len(delta.moved) == 0
+    assert len(delta.fresh_cols) == 0

@@ -157,7 +157,7 @@ class TestRegionMonitoring:
         assert value > 0
         assert q.spent == 3.0
         assert q.used_sensor_count == 1
-        assert q.total_value() == pytest.approx(value)
+        assert q.achieved_value() == pytest.approx(value)
 
     def test_quality_of_results_ratio(self):
         q = self.rm_query()

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.spatial import Grid, GridIndex, Location, Region
+from repro.spatial import Grid, Location, Region
 
 
 class TestGrid:
@@ -46,40 +45,3 @@ class TestGrid:
         grid = Grid(Region(5, 5, 9, 8))
         for c in grid.centers():
             assert grid.region.contains(c)
-
-
-class TestGridIndex:
-    def test_within_finds_only_in_radius(self):
-        index = GridIndex(cell_size=5.0)
-        index.insert(Location(0, 0), "a")
-        index.insert(Location(3, 4), "b")  # distance 5
-        index.insert(Location(10, 0), "c")
-        hits = {item for _, item in index.within(Location(0, 0), 5.0)}
-        assert hits == {"a", "b"}
-
-    def test_within_zero_radius_matches_exact(self):
-        index = GridIndex()
-        index.insert(Location(2, 2), "x")
-        assert [i for _, i in index.within(Location(2, 2), 0.0)] == ["x"]
-
-    def test_negative_radius_raises(self):
-        index = GridIndex()
-        with pytest.raises(ValueError):
-            index.within(Location(0, 0), -1.0)
-
-    def test_extend_and_len(self):
-        index = GridIndex()
-        index.extend([(Location(i, i), i) for i in range(10)])
-        assert len(index) == 10
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(3)
-        points = [Location(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(200)]
-        index = GridIndex(cell_size=7.0)
-        index.extend([(p, i) for i, p in enumerate(points)])
-        for _ in range(20):
-            center = Location(rng.uniform(0, 50), rng.uniform(0, 50))
-            radius = rng.uniform(1, 15)
-            expected = {i for i, p in enumerate(points) if center.distance_to(p) <= radius}
-            got = {item for _, item in index.within(center, radius)}
-            assert got == expected
