@@ -225,7 +225,7 @@ _WALL_CLOCK = {
 class DeterminismRule(Rule):
     """Replay/parity contracts require seeded RNGs and no wall clock.
 
-    Every hot-path contract in the repo (patch-vs-rebuild slot state, service
+    Every hot-path contract in the repo (fused-vs-per-row gains, service
     live-vs-offline, sweep reproducibility) is *bit-identical*; a single
     global-state RNG draw or wall-clock read breaks replay silently.
     Flags module-level ``np.random.*`` / ``random.*`` draws, RNG

@@ -33,7 +33,7 @@ from .optimal import OptimalPointAllocator, exhaustive_point_search
 from .payments import proportionate_shares, redistribute_contribution
 from .point_problem import PointProblem
 from .sampling import SamplingPlan, paper_weight_function, plan_sampling
-from .valuation import ValuationKernel, delta_old_to_new, resolve_cell_size
+from .valuation import ValuationKernel, resolve_cell_size
 
 __all__ = [
     "Aggregator",
@@ -59,7 +59,6 @@ __all__ = [
     "PointProblem",
     "ValuationKernel",
     "resolve_cell_size",
-    "delta_old_to_new",
     "SlotEngine",
     "QueryStream",
     "OneShotStream",

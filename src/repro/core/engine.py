@@ -591,19 +591,16 @@ class SlotEngine:
     two-stage allocation is only checked here.
 
     Every slot re-announces the fleet through
-    :meth:`~repro.sensors.SensorFleet.announcements_with_delta`.  The
-    fleet decides from its own movement whether the slot state patches or
-    rebuilds: with a :class:`~repro.sensors.SlotDelta` (a baseline exists
-    and at most :data:`~repro.sensors.state.REBUILD_FRACTION` of its rows
-    moved) the kernel, world raster and grid index patch forward so
-    per-slot work is proportional to churn; without one they rebuild from
-    scratch.  Allocations and payments are bit-identical either way.
+    :meth:`~repro.sensors.SensorFleet.announcements` (Section 2.1: sensors
+    announce location and price at the start of every slot) and builds the
+    slot state — kernel, grid index, world raster — fresh from that batch,
+    unless the announcements are unchanged, when the previous slot's kernel
+    is reused as is.
 
     Each :meth:`step` also records its phase wall-times in
-    :attr:`last_timings` (``{phase: seconds}`` over :data:`PHASES`) and the
-    announce delta in :attr:`last_delta`; setting :attr:`profile` to True
-    additionally copies the timings into the slot record's extras as
-    ``t_<phase>`` (the ``repro scenario --profile`` path).
+    :attr:`last_timings` (``{phase: seconds}`` over :data:`PHASES`); setting
+    :attr:`profile` to True additionally copies the timings into the slot
+    record's extras as ``t_<phase>`` (the ``repro scenario --profile`` path).
     """
 
     def __init__(
@@ -624,7 +621,6 @@ class SlotEngine:
         self.rng = rng
         self.profile = False
         self.last_timings: dict[str, float] = {}
-        self.last_delta = None
         self.last_result: AllocationResult | None = None
         self.last_record: SlotRecord | None = None
         self._kernel: ValuationKernel | None = None
@@ -660,20 +656,16 @@ class SlotEngine:
         # The fleet announces as an AnnouncementBatch: stacked arrays plus
         # a lazy Sequence[SensorSnapshot] view, so the batch threads
         # through streams/allocators unchanged while the kernel build
-        # below adopts the arrays zero-copy (no per-sensor loop).  When the
-        # fleet also hands out a SlotDelta, the batch was spliced from the
-        # previous slot's and the kernel's raster and grid index patch
-        # instead of rebuilding.
+        # below adopts the arrays zero-copy (no per-sensor loop).
         t0 = time.perf_counter()
-        sensors, delta = self.fleet.announcements_with_delta()
-        self.last_delta = delta
+        sensors = self.fleet.announcements()
         t1 = time.perf_counter()
         # Consecutive slots with unchanged announcements (stationary fleets,
         # replayed traces with sleeping sensors) reuse the previous slot's
         # kernel, warm grid index and candidate caches included: the batch's
         # version stamp makes the check O(1) either way, and value matrices
         # never depend on the announced costs that may still move.
-        kernel = ValuationKernel.ensure(self._kernel, sensors, delta)
+        kernel = ValuationKernel.ensure(self._kernel, sensors)
         self._kernel = kernel
         t2 = time.perf_counter()
         result = self.allocation.run(t, self.streams, sensors, kernel)

@@ -83,7 +83,6 @@ from ..spatial.raster import WorldRaster, get_raster
 
 __all__ = [
     "ValuationKernel",
-    "delta_old_to_new",
     "resolve_cell_size",
 ]
 
@@ -115,15 +114,6 @@ def resolve_cell_size(xy: np.ndarray, target_occupancy: float = 4.0) -> float:
         return 1.0
     area = (width if width > 0.0 else 1.0) * (height if height > 0.0 else 1.0)
     return float(np.sqrt(target_occupancy * area / n))
-
-
-def delta_old_to_new(delta, n_old: int) -> np.ndarray:
-    """Previous-batch-column → new-batch-column map of a
-    :class:`~repro.sensors.SlotDelta` (``-1`` = no longer announced)."""
-    old_to_new = np.full(n_old, -1, dtype=np.int64)
-    valid = delta.kept_src >= 0
-    old_to_new[delta.kept_src[valid]] = np.flatnonzero(valid)
-    return old_to_new
 
 
 def _stack_queries(
@@ -203,7 +193,6 @@ class ValuationKernel:
         cls,
         kernel: "ValuationKernel | None",
         sensors: Sequence[SensorSnapshot],
-        delta=None,
     ) -> "ValuationKernel":
         """Reuse ``kernel`` when it covers exactly ``sensors``, else build.
 
@@ -212,22 +201,8 @@ class ValuationKernel:
         sequential mix baseline re-announces stage-1 sensors at zero cost,
         and slot-to-slot reuse survives pure price moves) — consumers must
         treat :attr:`costs` as a build-time snapshot, never as settlement
-        truth.
-
-        ``delta`` is the :class:`~repro.sensors.SlotDelta` that
-        :meth:`~repro.sensors.FleetState.announce_update` returned with
-        ``sensors``.  When it chains from exactly the batch ``kernel`` was
-        built over, the new kernel (which adopts the already spliced batch
-        arrays zero-copy) patches forward instead of rebuilding: the old
-        world raster is carried as a patched raster (containment and
-        coverage-CSR caches refill by splicing, see
-        :meth:`~repro.spatial.WorldRaster.patched`) and the grid index by
-        an incremental bucket splice
-        (:meth:`~repro.spatial.index.UniformGridIndex.updated`) that
-        re-buckets only dirty sensors under the old index's frozen
-        geometry; the per-range candidate caches refill lazily.
-        Allocations computed through the result are bit-identical to a
-        full rebuild's.
+        truth.  Any other batch gets a fresh kernel, whose grid index and
+        raster are built lazily on first use.
         """
         sensors = announcement_batch(sensors)
         if kernel is not None and kernel.matches(sensors):
@@ -238,31 +213,7 @@ class ValuationKernel:
             # cross-slot reuse and pays a token compare per consumer).
             kernel.sensors = sensors
             return kernel
-        new = cls.from_sensors(sensors)
-        if kernel is not None and delta is not None and delta.prev_token == kernel._stamp:
-            raster = kernel._carry_raster(sensors, delta)
-            if raster is not None:
-                new._raster = raster
-            if kernel._index is not None:
-                new._index = kernel._index.updated(
-                    sensors.xy,
-                    delta_old_to_new(delta, len(kernel.sensor_xy)),
-                    np.asarray(delta.fresh_cols, dtype=np.intp),
-                )
-        return new
-
-    def _carry_raster(self, batch: AnnouncementBatch, delta) -> WorldRaster | None:
-        """Patch this kernel's raster onto the next batch's coordinates."""
-        raster = self._raster
-        if raster is None or raster.xy is not self.sensor_xy:
-            raster = self.sensors.world_raster
-            if raster is None or raster.xy is not self.sensor_xy:
-                return None
-        patched = raster.patched(
-            batch.xy, delta_old_to_new(delta, len(self.sensor_xy)), delta.fresh_cols
-        )
-        batch.world_raster = patched
-        return patched
+        return cls.from_sensors(sensors)
 
     def matches(self, sensors: Sequence[SensorSnapshot]) -> bool:
         """Whether the kernel covers exactly these announcements.

@@ -280,15 +280,15 @@ class ScenarioSpec:
                 "kernel and the shard cell size were removed (every kernel "
                 "shards); drop the field or set it to true/\"auto\""
             )
-        # Retired knob: the fleet now decides per slot whether slot state
-        # patches or rebuilds, so every value the knob used to take loads
-        # (and selects nothing).
+        # Retired knob: every slot builds its state fresh from the slot's
+        # announcements, so every value the knob used to take loads (and
+        # selects nothing).
         incremental = payload.pop("incremental", None)
         if incremental not in (None, "auto") and not isinstance(incremental, bool):
             raise ValueError(
                 f"'incremental': {incremental!r} is not supported: the knob is "
-                "retired (the fleet chooses patch or rebuild from its own "
-                "movement); drop the field"
+                "retired (every slot builds its state fresh from its "
+                "announcements); drop the field"
             )
         known = {
             "name", "dataset", "seed", "workload_seed", "n_sensors", "n_slots",

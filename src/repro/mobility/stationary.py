@@ -57,8 +57,7 @@ class ChurnMobility(MobilityModel):
     slots.  Each :meth:`advance` relocates ``round(fraction * n)`` sensors
     (chosen uniformly without replacement) to fresh uniform positions in
     the region; everyone else keeps their exact coordinates, so the moved
-    set *is* the per-slot churn — which makes this the reference workload
-    for the patched slot-state path.
+    set *is* the per-slot churn — the reference low-mobility workload.
 
     Deterministic given the generator's seed, so recording it with
     :meth:`~repro.mobility.base.MobilityModel.run_xy` into a

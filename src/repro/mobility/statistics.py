@@ -118,7 +118,7 @@ def compute_statistics(trace: MobilityTrace, working_region: Region) -> TraceSta
 class ChurnStatistics:
     """Per-slot movement churn of a mobility model or recorded trace.
 
-    The quantities the patched slot-state path is proportional to:
+    How much of a fleet moves from slot to slot:
 
     * ``moved_fraction[t]`` — fraction of sensors whose coordinates
       changed between slot ``t-1`` and slot ``t`` (slot 0 is 0.0 by

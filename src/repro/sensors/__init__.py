@@ -12,7 +12,7 @@ from .costs import (
 from .fleet import FleetConfig, SensorFleet
 from .reputation import BetaReputationTracker, ReputationRecord
 from .sensor import Sensor, SensorSnapshot
-from .state import AnnouncementBatch, FleetState, SlotDelta
+from .state import AnnouncementBatch, FleetState
 from .trust import BetaTrust, FullTrust, TieredTrust, TrustModel, UniformTrust
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "SensorFleet",
     "FleetConfig",
     "FleetState",
-    "SlotDelta",
     "AnnouncementBatch",
     "EnergyCostModel",
     "FixedEnergyCost",

@@ -212,19 +212,6 @@ class SensorFleet:
         self._refresh_positions()
         return self._state.announce(self._clock, self._working_region)
 
-    def announcements_with_delta(self):
-        """Differential :meth:`announcements`: ``(batch, SlotDelta | None)``.
-
-        The batch is bit-identical to :meth:`announcements`; the delta
-        maps its columns onto the previous call's and names the columns
-        whose geometry changed, so announcement-derived structures can
-        patch instead of rebuild.  It is ``None`` on the first call and whenever too many
-        sensors moved for a patch to pay
-        (:data:`~repro.sensors.state.REBUILD_FRACTION`).
-        """
-        self._refresh_positions()
-        return self._state.announce_update(self._clock, self._working_region)
-
     def record_measurements(self, sensor_ids: Sequence[int]) -> None:
         """Book one reading for each selected sensor at the current slot.
 

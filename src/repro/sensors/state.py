@@ -59,22 +59,11 @@ from .costs import PrivacySensitivity
 from .sensor import SensorSnapshot
 
 __all__ = [
-    "REBUILD_FRACTION",
     "FleetState",
-    "SlotDelta",
     "AnnouncementBatch",
     "SnapshotColumnView",
     "announcement_batch",
 ]
-
-#: Once more than this fraction of rows changed, a differential update
-#: rebuilds instead of patching: the splice would touch most of the
-#: structure anyway.  :meth:`FleetState.announce_update` applies it to the
-#: fleet rows that moved since the baseline (random-waypoint fleets move
-#: nearly all of them every slot, churn fleets a few percent), and
-#: :class:`~repro.spatial.WorldRaster` to the coverage rows a splice would
-#: recompute.
-REBUILD_FRACTION = 0.25
 
 #: Distinguishes fleets (and therefore batch tokens) within one process.
 _state_uid = itertools.count()
@@ -92,40 +81,6 @@ def announcement_batch(sensors) -> "AnnouncementBatch":
     if isinstance(sensors, AnnouncementBatch):
         return sensors
     return AnnouncementBatch.from_snapshots(sensors)
-
-
-class SlotDelta:
-    """What changed between two consecutive announcements of one fleet.
-
-    Produced by :meth:`FleetState.announce_update` next to the new
-    :class:`AnnouncementBatch`.  Consumers patch announcement-derived
-    structures (kernel arrays, grid index, world raster) instead of
-    rebuilding them.  Both index arrays live in batch-column space:
-
-    ``kept_src[j]``
-        the previous batch's column that new column ``j`` re-uses, or
-        ``-1`` if the sensor newly announced;
-    ``fresh_cols``
-        the new-batch columns whose *geometry* cannot be spliced from the
-        previous structures (new announcers plus moved survivors).
-
-    ``prev_token`` is the previous batch's token: a consumer patches only
-    a structure built from exactly that batch.  The delta never aliases
-    mutable fleet buffers: its arrays are freshly computed per
-    announcement and safe to hold across slots.
-    """
-
-    __slots__ = ("prev_token", "kept_src", "fresh_cols")
-
-    def __init__(
-        self, prev_token: tuple, kept_src: np.ndarray, fresh_cols: np.ndarray
-    ) -> None:
-        self.prev_token = prev_token
-        self.kept_src = kept_src
-        self.fresh_cols = fresh_cols
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SlotDelta fresh={len(self.fresh_cols)}/{len(self.kept_src)}>"
 
 
 class SnapshotColumnView(Sequence):
@@ -232,15 +187,6 @@ class FleetState:
         self.positions_version = 0
         self.exhaustion_version = 0
         self._uid = next(_state_uid)
-        # Dirty accumulators for the differential announce path: fleet rows
-        # that moved / were recorded since the last :meth:`announce_update`
-        # consumed them.  Plain :meth:`announce` never reads or resets
-        # these, so mixing both APIs stays correct — the sets simply keep
-        # accumulating relative to ``_last_batch``.
-        self._dirty_moved = np.zeros(n, dtype=bool)
-        self._dirty_recorded = np.zeros(n, dtype=bool)
-        self._last_batch: AnnouncementBatch | None = None
-        self._last_flagged: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # shape / identity
@@ -283,16 +229,9 @@ class FleetState:
             row = int(finite.argmin())
             x, y = xy[row].tolist()
             raise ValueError(f"positions must be finite, got row {row} ({x}, {y})")
-        if self.xy is None:
+        if self.xy is None or (self.xy != xy).any():
             self.xy = xy
             self.positions_version += 1
-            self._dirty_moved[:] = True
-            return
-        changed = (self.xy != xy).any(axis=1)
-        if changed.any():
-            self.xy = xy
-            self.positions_version += 1
-            self._dirty_moved |= changed
 
     def clear_slot(self, now: int) -> None:
         """Retire the report-buffer column slot ``now`` is about to reuse."""
@@ -303,7 +242,6 @@ class FleetState:
         slot ``now``: lifetime counter plus privacy report history."""
         self.readings_taken[ids] += 1
         self._report_flags[ids, now % (self.privacy_window + 1)] = 1.0
-        self._dirty_recorded[ids] = True
         spent = self.readings_taken[ids] >= self.lifetime[ids]
         if np.any(spent):
             self.exhaustion_version += 1
@@ -381,105 +319,6 @@ class FleetState:
             token=self.stamp + (working_region,),
             clock=now,
         )
-
-    def announce_update(
-        self, now: int, working_region: Region
-    ) -> tuple["AnnouncementBatch", "SlotDelta | None"]:
-        """Differential :meth:`announce`: the new batch plus what changed.
-
-        Produces a batch **bit-identical** to ``announce(now,
-        working_region)`` — survivors' identity columns are gathered from
-        the same state arrays, and costs are spliced (copied for rows whose
-        eq.-8 inputs did not change, recomputed for the dirty subset; the
-        subset recompute is exact because every cost term is elementwise or
-        an exact small-integer accumulation, so it cannot depend on which
-        rows ride along).  New arrays are always built; the previous batch
-        is never mutated, so kernels/rasters holding its arrays stay valid.
-
-        Returns ``(batch, None)`` — the consumer must full-rebuild — when
-        no baseline exists (first call, or a different working region) or
-        when more than :data:`REBUILD_FRACTION` of the fleet's rows moved
-        since the baseline; the batch then becomes the new baseline.
-        """
-        prev = self._last_batch
-        if (
-            prev is None
-            or prev.token[-1] != working_region
-            or np.count_nonzero(self._dirty_moved) > REBUILD_FRACTION * self.n_sensors
-        ):
-            batch = self.announce(now, working_region)
-            self._rebase(batch)
-            return batch, None
-
-        # Rows whose announced cost may differ from the previous batch:
-        # fixed energy + zero privacy -> constant; linear energy -> only
-        # recorded rows; privacy -> any row with a windowed report now or
-        # at the previous announce (the eq.-14 weights permute with the
-        # clock, so every flagged row's extra term changes slot to slot).
-        if self._any_privacy:
-            flagged = self._report_flags.any(axis=1)
-            repriced_mask = self._dirty_recorded | flagged
-            if self._last_flagged is not None:
-                repriced_mask |= self._last_flagged
-        else:
-            flagged = None
-            repriced_mask = (
-                self._dirty_recorded
-                if self.linear_energy
-                else np.zeros(self.n_sensors, dtype=bool)
-            )
-
-        idx = self._announcing_rows(working_region)
-        m = len(idx)
-
-        # Column maps between the two batches (both id arrays ascending).
-        # Stable membership — the overwhelmingly common warm slot — needs
-        # no bisection at all: every column keeps its position.
-        if m == len(prev.ids) and bool(np.array_equal(idx, prev.ids)):
-            kept = np.ones(m, dtype=bool)
-            kept_src = np.arange(m, dtype=np.intp)
-            fresh_cols = np.flatnonzero(self._dirty_moved[idx])
-        else:
-            pos = np.searchsorted(prev.ids, idx)
-            pos_c = np.minimum(pos, max(len(prev.ids) - 1, 0))
-            kept = (
-                (pos < len(prev.ids)) & (prev.ids[pos_c] == idx)
-                if len(prev.ids)
-                else np.zeros(m, dtype=bool)
-            )
-            kept_src = np.where(kept, pos_c, -1).astype(np.intp)
-            fresh_cols = np.flatnonzero(~kept | self._dirty_moved[idx])
-
-        costs = np.empty(m)
-        need = ~kept | repriced_mask[idx]
-        carry = np.flatnonzero(~need)
-        costs[carry] = prev.costs[kept_src[carry]]
-        dirty = np.flatnonzero(need)
-        if dirty.size:
-            costs[dirty] = self.announce_costs(idx[dirty], now)
-
-        batch = AnnouncementBatch(
-            ids=idx,
-            xy=self.xy[idx],
-            costs=costs,
-            gamma=self.gamma[idx],
-            trust=self.trust[idx],
-            token=self.stamp + (working_region,),
-            clock=now,
-        )
-        delta = SlotDelta(prev.token, kept_src, fresh_cols)
-        self._rebase(batch, flagged)
-        return batch, delta
-
-    def _rebase(self, batch: "AnnouncementBatch", flagged: np.ndarray | None = None) -> None:
-        """Make ``batch`` the differential baseline; reset dirty sets."""
-        self._last_batch = batch
-        self._dirty_moved[:] = False
-        self._dirty_recorded[:] = False
-        if self._any_privacy:
-            self._last_flagged = (
-                flagged if flagged is not None else self._report_flags.any(axis=1)
-            )
 
     # ------------------------------------------------------------------
     # object-view compatibility

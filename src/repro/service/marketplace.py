@@ -27,8 +27,8 @@ sequence through an offline batch engine built from the same spec.  The
 per-slot allocations must compare equal under
 :func:`~repro.experiments.replay.allocation_signature` — the same
 canonical query-id relabeling discipline every parity suite uses — which
-``tests/test_service_parity.py`` pins across rebuilt/patched slot state
-and fused/per-row engines.
+``tests/test_service_parity.py`` pins across dense/grid kernels and
+fused/per-row engines.
 """
 
 from __future__ import annotations
@@ -403,8 +403,8 @@ class MarketplaceService:
         """Run one slot: drain admissions, step the engine, observe.
 
         The per-tick admission cap bounds slot size; everything else
-        stays queued.  Fleet churn advances inside the engine step
-        (patching slot state when few sensors moved), and the slot's
+        stays queued.  Fleet churn advances inside the engine step, and
+        the slot's
         allocation signature + admission record are appended to the
         parity artifacts.
 

@@ -6,10 +6,9 @@ against the *same* announced coordinates:
 * **coverage rasterization** — every aggregate/trajectory query builds an
   ``(n_relevant, n_cells)`` mask matrix (``CoverageFunction.masks_for``)
   even though a sensor's covered cells are a tiny disk of the region;
-* **region containment** — monitoring controllers and relevance prefilters
-  evaluate ``Region.contains_many`` / ``Region.exterior_distance_sq`` per
-  consumer per call, although a (region, announcement-set) pair can only
-  ever produce one answer per slot;
+* **region containment** — monitoring controllers evaluate
+  ``Region.contains_many`` per consumer per call, although a (region,
+  announcement-set) pair can only ever produce one answer per slot;
 * and every consumer re-derives these independently, so nothing is shared
   between the kernel's candidate views, the fused gain blocks and the
   monitoring controllers.
@@ -23,13 +22,12 @@ caches
   (``indptr``/``cells``), from which the fused aggregate gain blocks
   (:class:`repro.queries.aggregate._CoverageBlock`) build their
   uncovered-cell counts and cell → sensor transposes;
-* :meth:`exterior_distance_sq` / :meth:`contains_mask` — per-region
-  containment passes, shared by aggregate ``relevant_mask`` screening and
-  ``RegionMonitoringController.region_counts``.
+* :meth:`contains_mask` — per-region containment passes, shared by the
+  ``RegionMonitoringController.region_counts`` calls of one slot.
 
 **Bit-identity contract.**  Every cached quantity is produced by exactly
 the arithmetic of the uncached path.  Containment caches call the very
-``Region`` methods consumers called before.  Coverage rows reproduce the
+``Region`` method consumers called before.  Coverage rows reproduce the
 membership of ``masks_for_xy`` row-for-row: every cell the builder emits
 (or skips) is decided by the same ``sqrt(dx*dx + dy*dy) <= sensing_range``
 on the function's own stored cell coordinates, so a cell is covered in the
@@ -56,12 +54,9 @@ Lifetime: a raster lives exactly as long as its coordinate block — it is
 attached to the announcement batch (or kernel) that owns the array, so all
 of one slot's consumers (the kernel, its candidate machinery, the
 monitoring controllers) resolve to the same instance and every cache entry
-is computed at most once per slot.  A :meth:`~WorldRaster.patched` raster
-keeps its predecessor (the only raster a splice ever reads) and drops it
-the moment its own successor is made, so a long-running patching
-service holds at most two rasters — the live slot's and the one it splices
-from — however many ticks it has run.  A cache miss on a raster whose
-predecessor link is gone takes the full build, which is bit-identical.
+is computed at most once per slot.  Every slot's announcements get a
+fresh raster; nothing links it to the previous slot's, so a long-running
+service holds only the live slot's raster.
 """
 
 from __future__ import annotations
@@ -139,7 +134,6 @@ class WorldRaster:
         # pin the id against reuse and because the raster's lifetime is one
         # slot's announcement block.
         self._coverage_rows: dict[int, tuple] = {}
-        self._exterior: dict[Region, np.ndarray] = {}
         self._contains: dict[Region, np.ndarray] = {}
         # id(fn) -> (fn, _grid_layout(fn)); see :meth:`_layout`.
         self._layouts: dict[int, tuple] = {}
@@ -149,117 +143,16 @@ class WorldRaster:
         # grid path, mask entries on the dense fallback.
         self.rows_built = 0
         self.candidates_built = 0
-        # Set by :meth:`patched`: (prev_raster, fresh_idx, carry_old,
-        # carry_new, identity, aligned, new_to_old) — the splice plan that
-        # lets this raster's caches fill from the previous slot's instead
-        # of from scratch.  ``None`` for from-scratch rasters.
-        self._patch: tuple | None = None
-
-    # ------------------------------------------------------------------
-    # differential construction
-    # ------------------------------------------------------------------
-    def patched(
-        self, xy: np.ndarray, old_to_new: np.ndarray, fresh_cols: np.ndarray
-    ) -> "WorldRaster":
-        """A raster over the next slot's block, seeded from this one.
-
-        ``old_to_new`` maps this raster's columns to columns of ``xy``
-        (``-1`` = no longer announced); ``fresh_cols`` are the ``xy``
-        columns whose geometry cannot be carried (new announcers plus
-        movers).  Every cache fill on the returned raster first tries to
-        *splice* from this raster's entries — carrying rows whose sensor
-        did not move and recomputing only the fresh subset, which is
-        bit-identical to a from-scratch fill because every cached quantity
-        is computed row-independently (elementwise containment arithmetic;
-        per-sensor column runs fixed by exact distance tests for coverage
-        rows).
-
-        Splicing reads exactly one slot back, so this raster's own link to
-        *its* predecessor is dropped here: the returned raster keeps this
-        one alive until its own successor exists, and no chain of past
-        slots (with their coverage rows and the coverage functions they
-        pin) stays reachable.  Later cache misses on this raster take the
-        full build.
-        """
-        self._patch = None
-        out = WorldRaster(xy)
-        m = len(out.xy)
-        fresh_mask = np.zeros(m, dtype=bool)
-        fresh_mask[fresh_cols] = True
-        old_cols = np.flatnonzero(old_to_new >= 0)
-        new_cols = old_to_new[old_cols]
-        carried = ~fresh_mask[new_cols]
-        carry_old = old_cols[carried]
-        carry_new = new_cols[carried]
-        identity = (
-            not len(fresh_cols)
-            and len(carry_new) == m
-            and len(self.xy) == m
-            and bool((carry_new == np.arange(m)).all())
-        )
-        # Aligned: every carried column keeps its position (stable
-        # membership, only movers/new announcers differ) — carrying a
-        # cached array is then one memcpy + a fresh-subset overwrite
-        # instead of a gather/scatter pair.
-        aligned = len(self.xy) == m and bool(np.array_equal(carry_new, carry_old))
-        new_to_old = np.full(m, -1, dtype=np.int64)
-        new_to_old[carry_new] = carry_old
-        fresh_idx = np.flatnonzero(fresh_mask)
-        out._patch = (
-            self, fresh_idx, carry_old, carry_new, identity, aligned, new_to_old
-        )
-        return out
-
-    def _spliced_region_array(self, cache_name: str, region: Region, compute):
-        """Carry + subset-recompute one per-region containment array."""
-        patch = self._patch
-        if patch is None:
-            return None
-        prev_raster, fresh_idx, carry_old, carry_new, identity, aligned, _ = patch
-        prev = getattr(prev_raster, cache_name).get(region)
-        if prev is None:
-            return None
-        if identity:
-            return prev
-        if aligned:
-            out = prev.copy()
-        else:
-            out = np.empty(len(self.xy), dtype=prev.dtype)
-            out[carry_new] = prev[carry_old]
-        if fresh_idx.size:
-            out[fresh_idx] = compute(self.xy[fresh_idx])
-        out.setflags(write=False)
-        return out
 
     # ------------------------------------------------------------------
     # region containment caches
     # ------------------------------------------------------------------
-    def exterior_distance_sq(self, region: Region) -> np.ndarray:
-        """Cached ``region.exterior_distance_sq`` over the world block.
-
-        The returned array is shared and read-only; thresholding it (e.g.
-        ``<= sensing_range**2`` for the aggregate relevance prefilter)
-        allocates a fresh mask, so consumers compose freely.
-        """
-        out = self._exterior.get(region)
-        if out is None:
-            out = self._spliced_region_array(
-                "_exterior", region, region.exterior_distance_sq
-            )
-            if out is None:
-                out = region.exterior_distance_sq(self.xy)
-                out.setflags(write=False)
-            self._exterior[region] = out
-        return out
-
     def contains_mask(self, region: Region) -> np.ndarray:
         """Cached ``region.contains_many`` over the world block (read-only)."""
         out = self._contains.get(region)
         if out is None:
-            out = self._spliced_region_array("_contains", region, region.contains_many)
-            if out is None:
-                out = region.contains_many(self.xy)
-                out.setflags(write=False)
+            out = region.contains_many(self.xy)
+            out.setflags(write=False)
             self._contains[region] = out
         return out
 
@@ -286,90 +179,18 @@ class WorldRaster:
             and (entry[1] is cols or np.array_equal(entry[1], cols))
         ):
             return entry[2], entry[3]
-        spliced = self._spliced_rows(fn, cols) if self._patch is not None else None
-        if spliced is not None:
-            indptr, cells = spliced
-        else:
-            indptr, cells = self._build_rows(fn, cols)
+        indptr, cells = self._build_rows(fn, cols)
         indptr.setflags(write=False)
         cells.setflags(write=False)
         self._coverage_rows[key] = (fn, cols, indptr, cells)
         return indptr, cells
 
-    def _spliced_rows(
-        self, fn: CoverageFunction, cols: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Assemble ``fn``'s CSR rows from the previous slot's entry.
-
-        Carried rows (sensor announced both slots, did not move) are copied
-        span-wise from the old CSR; the rest are rebuilt with the normal
-        row builder on just that subset.  Row-for-row bit-identical to a
-        full :meth:`_build_rows` because the builder's membership test is
-        per-sensor independent.  Returns ``None`` (full rebuild) when the
-        previous slot never rasterized ``fn`` or more than
-        :data:`~repro.sensors.state.REBUILD_FRACTION` of the rows (and
-        over 64) would be recomputed.
-        """
-        from ..sensors.state import REBUILD_FRACTION
-
-        prev_raster, _, _, _, _, _, new_to_old = self._patch
-        entry = prev_raster._coverage_rows.get(id(fn))
-        if entry is None or entry[0] is not fn:
-            return None
-        _, pcols, pindptr, pcells = entry
-        # Row lookup by bisection over the old column list (ascending by
-        # construction — flatnonzero output); guards against exotic
-        # callers that cached an unsorted column order.
-        if not len(pcols) or not bool((pcols[1:] > pcols[:-1]).all()):
-            return None
-        k = len(cols)
-        old_of = new_to_old[cols]  # -1 where dropped or moved
-        oc = np.maximum(old_of, 0)
-        j = np.minimum(pcols.searchsorted(oc), len(pcols) - 1)
-        ok = (old_of >= 0) & (pcols[j] == oc)
-        comp = (~ok).nonzero()[0]
-        if comp.size > REBUILD_FRACTION * k and comp.size > 64:
-            return None
-        if comp.size:
-            sub_indptr, sub_cells = self._build_rows(fn, cols[comp])
-        else:
-            sub_indptr = np.zeros(1, dtype=np.int64)
-            sub_cells = np.zeros(0, dtype=np.int64)
-        src = pindptr[j]
-        lens = pindptr[j + 1] - src
-        src[comp] = sub_indptr[:-1]
-        lens[comp] = sub_indptr[1:] - sub_indptr[:-1]
-        indptr = np.zeros(k + 1, dtype=np.int64)
-        np.add.accumulate(lens, out=indptr[1:])
-        # Copy in maximal runs, one concatenate: consecutive carried rows
-        # that are also consecutive in the old CSR form one span, and
-        # computed rows are contiguous in the sub-CSR by construction.
-        brk = np.ones(k, dtype=bool)
-        brk[1:] = (ok[1:] != ok[:-1]) | (ok[1:] & (j[1:] != j[:-1] + 1))
-        starts = brk.nonzero()[0]
-        edges = indptr[starts].tolist() + [int(indptr[-1])]
-        spans = [
-            (pcells if carried else sub_cells)[a : a + end - begin]
-            for carried, a, begin, end in zip(
-                ok[starts].tolist(), src[starts].tolist(), edges, edges[1:]
-            )
-        ]
-        cells = np.concatenate(spans) if spans else np.zeros(0, dtype=np.int64)
-        return indptr, cells
-
     def _layout(self, fn: CoverageFunction):
-        """:func:`_grid_layout` of ``fn``, validated once per raster.
-
-        A patched raster takes its predecessor's verdict for a function it
-        already validated, so a splice's small fresh-row builds skip the
-        ``O(n_cells)`` layout check.
-        """
+        """:func:`_grid_layout` of ``fn``, validated once per raster."""
         key = id(fn)
         hit = self._layouts.get(key)
         if hit is None or hit[0] is not fn:
-            prev = self._patch[0]._layouts.get(key) if self._patch is not None else None
-            hit = prev if prev is not None and prev[0] is fn else (fn, _grid_layout(fn))
-            self._layouts[key] = hit
+            hit = self._layouts[key] = (fn, _grid_layout(fn))
         return hit[1]
 
     def _build_rows(

@@ -24,16 +24,6 @@ every query's view covers every column and point values come from one
 broadcast ``(q, n)`` eq.-(3) block.  :func:`compile_kernel_as` makes
 spec-built engines run on it.
 
-Every engine re-announces its fleet through
-``SensorFleet.announcements_with_delta``, and the fleet decides from its
-own movement whether slot state patches or rebuilds.  Both sides stay
-reachable from here: :func:`rebuild_engine` / :func:`rebuild_slot_state`
-make fleets announce without a delta (every slot rebuilds from scratch),
-:func:`patch_slot_state` makes them hand out a delta whenever a baseline
-exists (every warm slot patches), and :func:`lockstep_replay` steps a
-rebuilding engine next to a default one and returns both sides'
-allocation signatures per slot.
-
 Algorithm 5 runs in production as a :class:`~repro.core.SlotEngine` slot
 built by ``mix_engine`` from a :class:`~repro.core.MixAllocator` or
 :class:`~repro.core.BaselineMixAllocator` configuration.  The hand-rolled
@@ -51,13 +41,11 @@ import numpy as np
 
 from repro.core.allocation import AllocationResult, check_distinct
 from repro.core.greedy import GreedyAllocator
-from repro.core.metrics import SimulationSummary
 from repro.core.mix import BaselineMixAllocator, MixAllocator
 from repro.core.monitoring import RegionSlotOutcome
 from repro.core.payments import proportionate_shares
 from repro.core.valuation import ValuationKernel
 from repro.dispatch import batch_hook_trusted
-from repro.experiments.replay import allocation_signature
 from repro.queries import (
     LocationMonitoringQuery,
     PointQuery,
@@ -74,7 +62,7 @@ from repro.queries.point import (
     _single_value_row,
     _TopKState,
 )
-from repro.sensors import SensorFleet, SensorSnapshot
+from repro.sensors import SensorSnapshot
 from repro.spatial.coverage import masks_for_xy
 
 __all__ = [
@@ -87,16 +75,11 @@ __all__ = [
     "OracleMixAllocator",
     "PerRowGreedyAllocator",
     "RowGains",
-    "SLOT_STATES",
     "ScalarGreedyAllocator",
     "TopKRows",
     "compile_greedy_as",
     "compile_kernel_as",
     "dense_single_values",
-    "lockstep_replay",
-    "patch_slot_state",
-    "rebuild_engine",
-    "rebuild_slot_state",
     "relevance",
     "relevant_queries_by_sensor",
     "row_gains",
@@ -490,8 +473,7 @@ def compile_greedy_as(monkeypatch, allocator_cls) -> None:
 
     :meth:`~repro.datasets.ScenarioSpec.build` imports the allocator class
     at call time, so every engine built while the patch is active — the
-    service's, the offline replay's, both sides of ``lockstep_replay`` — runs
-    the oracle.
+    service's and the offline replay's — runs the oracle.
     """
     monkeypatch.setattr("repro.core.greedy.GreedyAllocator", allocator_cls)
 
@@ -506,63 +488,6 @@ def compile_kernel_as(monkeypatch, kernel_cls) -> None:
     """
     for module in ("engine", "greedy", "baselines", "point_problem"):
         monkeypatch.setattr(f"repro.core.{module}.ValuationKernel", kernel_cls)
-
-
-def _announce_without_delta(fleet):
-    return fleet.announcements(), None
-
-
-def rebuild_slot_state(monkeypatch) -> None:
-    """Make every fleet announce without a ``SlotDelta`` for the rest of
-    the test (or ``monkeypatch`` scope): engines rebuild announcements,
-    kernels, rasters and grid indexes from scratch every slot."""
-    monkeypatch.setattr(SensorFleet, "announcements_with_delta", _announce_without_delta)
-
-
-def patch_slot_state(monkeypatch) -> None:
-    """Make every fleet hand out a ``SlotDelta`` whenever it has a
-    baseline, however many rows moved, for the rest of the test (or
-    ``monkeypatch`` scope): engines patch every warm slot, and world
-    rasters splice coverage rows however many must be recomputed."""
-    monkeypatch.setattr("repro.sensors.state.REBUILD_FRACTION", 1.0)
-
-
-#: the two ways to keep slot state, by name, for parametrized suites
-SLOT_STATES = {"rebuild": rebuild_slot_state, "patch": patch_slot_state}
-
-
-def rebuild_engine(engine):
-    """Make one engine's fleet announce without a delta; returns it."""
-    fleet = engine.fleet
-    fleet.announcements_with_delta = lambda: _announce_without_delta(fleet)
-    return engine
-
-
-def lockstep_replay(spec, n_slots: int | None = None) -> list[tuple]:
-    """Step a rebuilding engine and a default engine of ``spec`` in lockstep.
-
-    Both engines are compiled from the same spec (identical world, fleet
-    and workload seeds); the first rebuilds its slot state every slot
-    (:func:`rebuild_engine`).  Returns one ``(rebuild signature, engine
-    signature, engine's SlotDelta or None)`` per slot (default: the
-    spec's ``n_slots``), signatures as
-    :func:`~repro.experiments.allocation_signature`.
-    """
-    rebuild = rebuild_engine(spec.build())
-    engine = spec.build()
-    rebuild_summary, summary = SimulationSummary(), SimulationSummary()
-    slots = []
-    for _ in range(n_slots if n_slots is not None else spec.n_slots):
-        rebuild.step(rebuild_summary)
-        engine.step(summary)
-        slots.append(
-            (
-                allocation_signature(rebuild.last_result),
-                allocation_signature(engine.last_result),
-                engine.last_delta,
-            )
-        )
-    return slots
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import patch_slot_state
 from repro.core import GreedyAllocator, SimulationSummary, SlotEngine
 from repro.core.engine import (
     EventDetectionStream,
@@ -90,16 +89,6 @@ def test_zero_query_slots_settle_cleanly(kind):
         stream.flush(summary)
     assert summary.n_slots == 3
     assert summary.total_queries == 0
-
-
-def test_zero_query_slots_settle_cleanly_with_incremental(monkeypatch):
-    patch_slot_state(monkeypatch)
-    engine = make_engine([OneShotStream(NothingWorkload(), kind="point")])
-    summary = SimulationSummary()
-    for _ in range(3):
-        record = engine.step(summary)
-        assert record.issued == 0
-    assert summary.n_slots == 3
 
 
 def test_all_rejected_slots_settle_cleanly():

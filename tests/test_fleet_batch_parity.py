@@ -84,10 +84,6 @@ class ObjectPathFleet(SensorFleet):
         super().announcements()  # keep position bookkeeping identical
         return object_path_announcements(self)
 
-    def announcements_with_delta(self):  # type: ignore[override]
-        # The engine's entry point: a snapshot list never patches.
-        return self.announcements(), None
-
 
 def drive_slot(fleet: SensorFleet, rng: np.random.Generator, batch) -> None:
     """Allocate a point-query slot and book the results, advancing state."""

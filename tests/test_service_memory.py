@@ -1,9 +1,9 @@
 """The service's resident memory does not grow with the ticks it has run
-or with the spec's ``n_slots``: a patched :class:`WorldRaster` drops its
-own predecessor link once its successor exists, so at most two rasters
-(and their coverage-row caches) are alive; and a spec whose ``mobility``
-block replaces the RWM trace never generates or caches the trace it
-would discard."""
+or with the spec's ``n_slots``: every slot builds a fresh
+:class:`WorldRaster` that nothing links to the next slot's, so only the
+live slot's raster (and its coverage-row cache) stays alive; and a spec
+whose ``mobility`` block replaces the RWM trace never generates or
+caches the trace it would discard."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from repro.service import LoadGenerator, MarketplaceService, PoissonProfile
 N_TICKS = 12
 
 
-def incremental_spec(**knobs) -> ScenarioSpec:
+def churn_spec(**knobs) -> ScenarioSpec:
     defaults = dict(
         name="svc-memory",
         dataset="rwm",
@@ -43,12 +43,12 @@ def incremental_spec(**knobs) -> ScenarioSpec:
     return ScenarioSpec(**defaults)
 
 
-def test_incremental_service_keeps_at_most_two_rasters(monkeypatch):
+def test_service_keeps_only_the_live_raster(monkeypatch):
     for dense in (True, False):
         with monkeypatch.context() as patch:
             if dense:
                 compile_kernel_as(patch, DenseKernel)
-            service = MarketplaceService.from_spec(incremental_spec())
+            service = MarketplaceService.from_spec(churn_spec())
             generator = LoadGenerator(PoissonProfile(6.0), service.workloads, seed=3)
             schedule = generator.schedule(N_TICKS)
             refs = []
@@ -71,7 +71,7 @@ def test_incremental_service_keeps_at_most_two_rasters(monkeypatch):
             gc.collect()
             live = [ref() for ref in refs]
             live = list({id(r): r for r in live if r is not None}.values())
-            assert 1 <= len(live) <= 2, (dense, len(live))
+            assert len(live) == 1, (dense, len(live))
             assert service.engine._kernel.raster in live
             assert any(r._coverage_rows for r in live)
             for raster in live:
@@ -81,7 +81,7 @@ def test_incremental_service_keeps_at_most_two_rasters(monkeypatch):
 
 def test_churn_rwm_spec_skips_the_discarded_trace():
     n_sensors, n_slots, fraction = 90, 37, 0.05
-    spec = incremental_spec(
+    spec = churn_spec(
         seed=8, n_sensors=n_sensors, n_slots=n_slots,
         mobility={"kind": "churn", "fraction": fraction},
     )

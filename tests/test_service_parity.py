@@ -4,12 +4,11 @@ offline :class:`~repro.core.engine.SlotEngine` replay of the same query
 sequence (the :func:`~repro.experiments.allocation_signature` relabeling
 discipline of ``experiments/replay.py``).
 
-Both ways of keeping slot state — rebuilt every slot
-(:func:`oracles.rebuild_slot_state`) and patched from the fleet's
-per-slot delta (churn mobility) — must uphold the contract, and so must
-the oracles (:class:`oracles.PerRowGreedyAllocator` gain refreshes and the
-full-fleet :class:`oracles.DenseKernel`, compiled into the dense corners),
-so the suite sweeps recorded traces across those corners plus saturated
+Moving (random-waypoint) and near-stationary (churn) fleets must uphold
+the contract, and so must the oracles
+(:class:`oracles.PerRowGreedyAllocator` gain refreshes and the full-fleet
+:class:`oracles.DenseKernel`, compiled into the dense corners), so the
+suite sweeps recorded traces across those corners plus saturated
 admission (rejections must not perturb what *was* admitted).
 """
 
@@ -22,9 +21,10 @@ from oracles import (
     PerRowGreedyAllocator,
     compile_greedy_as,
     compile_kernel_as,
-    rebuild_slot_state,
 )
+from repro.core import AllocationResult
 from repro.datasets import ScenarioSpec, StreamSpec
+from repro.experiments import allocation_signature
 from repro.service import (
     BurstyProfile,
     LoadGenerator,
@@ -58,18 +58,18 @@ def make_spec(name, **knobs):
 
 
 SCENARIOS = {
-    # DenseKernel (DENSE), per-row gains (ORACLES), full rebuild every slot
+    # DenseKernel (DENSE), per-row gains (ORACLES)
     "dense": make_spec("svc-dense"),
     # grid candidate views + fused type-blocked gain batches
     "sharded-fused": make_spec("svc-sharded-fused"),
-    # grid candidate views + patched slot state over churn mobility
-    "sharded-incremental": make_spec(
-        "svc-sharded-incremental",
+    # grid candidate views over churn mobility
+    "sharded-churn": make_spec(
+        "svc-sharded-churn",
         mobility={"kind": "churn", "fraction": 0.02},
     ),
-    # DenseKernel + patched slot state (delta path without a grid)
-    "dense-incremental": make_spec(
-        "svc-dense-incremental",
+    # DenseKernel over churn mobility
+    "dense-churn": make_spec(
+        "svc-dense-churn",
         mobility={"kind": "churn", "fraction": 0.02},
     ),
 }
@@ -79,9 +79,7 @@ SCENARIOS = {
 ORACLES = {"dense": PerRowGreedyAllocator}
 #: scenarios whose engines run on the full-fleet kernel oracle
 #: (see :func:`oracles.compile_kernel_as`)
-DENSE = {"dense", "dense-incremental"}
-#: scenarios whose fleets announce without a delta (full rebuild each slot)
-REBUILD = {"dense"}
+DENSE = {"dense", "dense-churn"}
 
 
 def run_and_replay(spec, service, generator, n_ticks=N_TICKS):
@@ -99,8 +97,6 @@ def test_service_matches_offline_replay(name, monkeypatch):
         compile_greedy_as(monkeypatch, ORACLES[name])
     if name in DENSE:
         compile_kernel_as(monkeypatch, DenseKernel)
-    if name in REBUILD:
-        rebuild_slot_state(monkeypatch)
     spec = SCENARIOS[name]
     service = MarketplaceService.from_spec(spec)
     generator = LoadGenerator(
@@ -140,7 +136,6 @@ def test_parity_across_engine_corners_is_mutual(monkeypatch):
     with monkeypatch.context() as patch:
         compile_greedy_as(patch, ORACLES["dense"])
         compile_kernel_as(patch, DenseKernel)
-        rebuild_slot_state(patch)
         service = MarketplaceService.from_spec(spec)
         generator = LoadGenerator(
             PoissonProfile(8.0), service.workloads, seed=spec.seed
@@ -163,3 +158,28 @@ def test_trace_queries_replay_without_regeneration():
     generator.drive(service, N_TICKS)
     replayed = replay_admission_trace(spec, service.trace)
     assert replayed == service.slot_signatures
+
+
+def test_allocation_signature_canonicalizes_query_ids():
+    """Two engines label identical queries differently (process-global id
+    counter); the signature must equate them by generation order."""
+    a = AllocationResult(
+        selected={},
+        assignments={"q10": (1, 2), "q11": (3,)},
+        values={"q10": 1.5, "q11": 0.25},
+        payments={("q10", 1): 0.75, ("q10", 2): 0.75, ("q11", 3): 0.25},
+    )
+    b = AllocationResult(
+        selected={},
+        assignments={"q57": (1, 2), "q58": (3,)},
+        values={"q57": 1.5, "q58": 0.25},
+        payments={("q57", 1): 0.75, ("q57", 2): 0.75, ("q58", 3): 0.25},
+    )
+    assert allocation_signature(a) == allocation_signature(b)
+    c = AllocationResult(
+        selected={},
+        assignments={"q57": (1, 2), "q58": (3,)},
+        values={"q57": 1.5, "q58": 0.2500000001},
+        payments={("q57", 1): 0.75, ("q57", 2): 0.75, ("q58", 3): 0.25},
+    )
+    assert allocation_signature(a) != allocation_signature(c)

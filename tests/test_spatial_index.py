@@ -1,4 +1,8 @@
-"""Unit tests for the uniform-grid point index behind the sharding layer."""
+"""Unit tests for the uniform-grid point index behind the kernel's
+candidate views.
+
+Queries go through the pair the kernel calls: :meth:`cell_range` for a
+box, then :meth:`indices_in_cell_range` for its cells' members."""
 
 from __future__ import annotations
 
@@ -6,6 +10,17 @@ import numpy as np
 import pytest
 
 from repro.spatial import UniformGridIndex
+
+
+def in_box(index, x0, x1, y0, y1):
+    """Candidate indices for a box, resolved the way the kernel does."""
+    rng = index.cell_range(x0, x1, y0, y1)
+    return np.zeros(0, dtype=np.intp) if rng is None else index.indices_in_cell_range(*rng)
+
+
+def in_disk(index, x, y, r):
+    """Candidate indices for a disk: the cells of its bounding box."""
+    return in_box(index, x - r, x + r, y - r, y + r)
 
 
 def brute_disk(xy, x, y, r):
@@ -29,30 +44,14 @@ class TestConstruction:
         index = UniformGridIndex(np.zeros((0, 2)), 1.0)
         assert index.n_points == 0
         assert index.n_shards == 0
-        assert len(index.indices_in_disk(0.0, 0.0, 10.0)) == 0
-        assert len(index.members((0, 0))) == 0
-        assert list(index.shards()) == []
+        assert index.cell_range(-10.0, 10.0, -10.0, 10.0) is None
+        assert len(index.indices_in_cell_range(0, 0, 0, 0)) == 0
 
     def test_single_point(self):
         index = UniformGridIndex(np.array([[3.0, 4.0]]), 2.0)
         assert index.n_shards == 1
-        assert index.indices_in_disk(3.0, 4.0, 0.0).tolist() == [0]
-        assert len(index.indices_in_disk(100.0, 100.0, 1.0)) == 0
-
-    def test_every_point_bucketed_once(self):
-        rng = np.random.default_rng(0)
-        xy = rng.uniform(-50, 50, size=(300, 2))
-        index = UniformGridIndex(xy, 7.0)
-        seen = np.concatenate([members for _, members in index.shards()])
-        assert sorted(seen.tolist()) == list(range(300))
-
-    def test_members_matches_cell_of(self):
-        rng = np.random.default_rng(1)
-        xy = rng.uniform(0, 30, size=(100, 2))
-        index = UniformGridIndex(xy, 4.0)
-        for j in range(100):
-            cell = index.cell_of(xy[j, 0], xy[j, 1])
-            assert j in index.members(cell)
+        assert in_disk(index, 3.0, 4.0, 0.0).tolist() == [0]
+        assert len(in_disk(index, 100.0, 100.0, 1.0)) == 0
 
 
 class TestBoxQueries:
@@ -65,7 +64,7 @@ class TestBoxQueries:
         for _ in range(20):
             x, y = rng.uniform(-30, 70, size=2)
             r = float(rng.uniform(0, 15))
-            got = set(index.indices_in_disk(x, y, r).tolist())
+            got = set(in_disk(index, x, y, r).tolist())
             assert brute_disk(xy, x, y, r) <= got
 
     @pytest.mark.parametrize("seed", range(5))
@@ -76,27 +75,26 @@ class TestBoxQueries:
         for _ in range(20):
             x0, y0 = rng.uniform(-5, 35, size=2)
             x1, y1 = x0 + rng.uniform(0, 15), y0 + rng.uniform(0, 15)
-            got = set(index.indices_in_box(x0, x1, y0, y1).tolist())
+            got = set(in_box(index, x0, x1, y0, y1).tolist())
             assert brute_box(xy, x0, x1, y0, y1) <= got
 
     def test_results_are_sorted_and_unique(self):
         rng = np.random.default_rng(42)
         xy = rng.uniform(0, 20, size=(80, 2))
         index = UniformGridIndex(xy, 2.5)
-        got = index.indices_in_disk(10.0, 10.0, 6.0)
+        got = in_disk(index, 10.0, 10.0, 6.0)
         assert got.tolist() == sorted(set(got.tolist()))
 
     def test_whole_grid_query_returns_everything(self):
         rng = np.random.default_rng(3)
         xy = rng.uniform(0, 10, size=(50, 2))
         index = UniformGridIndex(xy, 1.0)
-        got = index.indices_in_box(-100.0, 100.0, -100.0, 100.0)
+        got = in_box(index, -100.0, 100.0, -100.0, 100.0)
         assert got.tolist() == list(range(50))
 
     def test_disjoint_query_is_empty(self):
         xy = np.array([[0.0, 0.0], [1.0, 1.0]])
         index = UniformGridIndex(xy, 1.0)
-        assert len(index.indices_in_box(50.0, 60.0, 50.0, 60.0)) == 0
         assert index.cell_range(50.0, 60.0, 50.0, 60.0) is None
 
     def test_unclipped_cell_range_does_not_bleed_between_columns(self):
@@ -108,16 +106,11 @@ class TestBoxQueries:
         assert got.tolist() == [0, 1]  # column-0 members only
         assert len(index.indices_in_cell_range(5, 9, 0, 0)) == 0
 
-    def test_negative_radius_rejected(self):
-        index = UniformGridIndex(np.array([[0.0, 0.0]]), 1.0)
-        with pytest.raises(ValueError):
-            index.indices_in_disk(0.0, 0.0, -1.0)
-
     def test_colinear_points(self):
         xy = np.array([[float(i), 5.0] for i in range(30)])
         index = UniformGridIndex(xy, 2.0)
         assert index.n_rows == 1
-        got = set(index.indices_in_disk(10.0, 5.0, 3.0).tolist())
+        got = set(in_disk(index, 10.0, 5.0, 3.0).tolist())
         assert brute_disk(xy, 10.0, 5.0, 3.0) <= got
 
     def test_points_on_cell_boundaries(self):
@@ -127,7 +120,6 @@ class TestBoxQueries:
             [[float(c), float(r)] for c in range(5) for r in range(5)]
         )
         index = UniformGridIndex(xy, 1.0)
-        seen = np.concatenate([m for _, m in index.shards()])
-        assert sorted(seen.tolist()) == list(range(25))
-        got = set(index.indices_in_disk(2.0, 2.0, 1.0).tolist())
+        assert in_box(index, 0.0, 4.0, 0.0, 4.0).tolist() == list(range(25))
+        got = set(in_disk(index, 2.0, 2.0, 1.0).tolist())
         assert brute_disk(xy, 2.0, 2.0, 1.0) <= got
