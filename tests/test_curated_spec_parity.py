@@ -1,10 +1,12 @@
 """Whole-engine parity on the curated ``examples/specs/`` workloads.
 
 The synthetic parity suites pin the production greedy against its
-oracles on generated query streams; this one runs the two curated
-region-heavy specs — ``region_storm`` (many overlapping aggregates) and
-``stationary_churn`` (a near-stationary fleet where a few sensors move
-per slot) — scaled to CI size, on both kernels: the production kernel's
+oracles on generated query streams; this one runs curated specs —
+``region_storm`` (many overlapping aggregates), ``stationary_churn`` (a
+near-stationary fleet where a few sensors move per slot),
+``adversarial_pricing`` (steep linear energy and windowed privacy
+prices) and ``trust_churn`` (tiered trust under point and event
+streams) — scaled to CI size, on both kernels: the production kernel's
 candidate views and the full-fleet :class:`oracles.DenseKernel`.  On
 each kernel the production greedy must settle exactly what the per-row
 oracle (:class:`oracles.PerRowGreedyAllocator`) settles, and the two
@@ -29,7 +31,7 @@ from repro.datasets import ScenarioSpec
 from repro.experiments.replay import allocation_signature
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "examples" / "specs"
-SPEC_NAMES = ["region_storm", "stationary_churn"]
+SPEC_NAMES = ["region_storm", "stationary_churn", "adversarial_pricing", "trust_churn"]
 
 #: kernel corners: the full-fleet DenseKernel oracle, the production
 #: candidate-view kernel.

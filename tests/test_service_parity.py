@@ -4,7 +4,8 @@ offline :class:`~repro.core.engine.SlotEngine` replay of the same query
 sequence (the :func:`~repro.experiments.allocation_signature` relabeling
 discipline of ``experiments/replay.py``).
 
-Moving (random-waypoint) and near-stationary (churn) fleets must uphold
+Moving (random-waypoint), near-stationary (churn) and stationary fleets
+(whose ticks keep the previous kernel) must uphold
 the contract, and so must the oracles
 (:class:`oracles.PerRowGreedyAllocator` gain refreshes and the full-fleet
 :class:`oracles.DenseKernel`, compiled into the dense corners), so the
@@ -72,6 +73,16 @@ SCENARIOS = {
         "svc-dense-churn",
         mobility={"kind": "churn", "fraction": 0.02},
     ),
+    # grid candidate views over a fleet nobody leaves: ticks keep the kernel
+    "sharded-stationary": make_spec(
+        "svc-sharded-stationary",
+        mobility={"kind": "churn", "fraction": 0.0},
+    ),
+    # DenseKernel over a fleet nobody leaves
+    "dense-stationary": make_spec(
+        "svc-dense-stationary",
+        mobility={"kind": "churn", "fraction": 0.0},
+    ),
 }
 
 #: scenarios whose engines run a reference allocator instead of the
@@ -79,7 +90,7 @@ SCENARIOS = {
 ORACLES = {"dense": PerRowGreedyAllocator}
 #: scenarios whose engines run on the full-fleet kernel oracle
 #: (see :func:`oracles.compile_kernel_as`)
-DENSE = {"dense", "dense-churn"}
+DENSE = {"dense", "dense-churn", "dense-stationary"}
 
 
 def run_and_replay(spec, service, generator, n_ticks=N_TICKS):

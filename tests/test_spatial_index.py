@@ -53,6 +53,30 @@ class TestConstruction:
         assert in_disk(index, 3.0, 4.0, 0.0).tolist() == [0]
         assert len(in_disk(index, 100.0, 100.0, 1.0)) == 0
 
+    def test_every_point_bucketed_once(self):
+        rng = np.random.default_rng(0)
+        xy = rng.uniform(-50, 50, size=(300, 2))
+        index = UniformGridIndex(xy, 7.0)
+        seen = np.concatenate(
+            [
+                index.indices_in_cell_range(c, c, r, r)
+                for c in range(index.n_cols)
+                for r in range(index.n_rows)
+            ]
+        )
+        assert sorted(seen.tolist()) == list(range(300))
+
+    def test_point_found_in_its_own_cell(self):
+        """A zero-size box at a point's coordinates resolves to one cell,
+        and that cell holds the point."""
+        rng = np.random.default_rng(1)
+        xy = rng.uniform(0, 30, size=(100, 2))
+        index = UniformGridIndex(xy, 4.0)
+        for j in range(100):
+            c0, c1, r0, r1 = index.cell_range(xy[j, 0], xy[j, 0], xy[j, 1], xy[j, 1])
+            assert (c0, r0) == (c1, r1)
+            assert j in index.indices_in_cell_range(c0, c1, r0, r1)
+
 
 class TestBoxQueries:
     @pytest.mark.parametrize("seed", range(5))
