@@ -18,7 +18,7 @@ because a single-sensor point query *is* a set query whose second sensor
 never adds value.
 
 Both run on Greedy's gain setup (:func:`~repro.core.greedy.gain_setup`):
-each query's candidates are its row of the shared relevance matrix, its
+each query's candidates are its row of the shared relevance CSR, its
 gains come from its type's :class:`~repro.queries.GainBlock` (one
 ``gain_many_block`` call per round, with the query as the only member
 touched), the paid/chosen bookkeeping lives in boolean column arrays, and
@@ -99,7 +99,7 @@ class BaselineAllocator:
             state = setup.states[i]
             # The query's relevant roster columns, ascending, so near-tie
             # picks cannot diverge from the historical full scan.
-            candidates = np.flatnonzero(setup.relevance[i])
+            candidates = setup.row_columns(i)
             cand_costs = costs[candidates]
             chosen = np.zeros(len(candidates), dtype=bool)
             while len(candidates):

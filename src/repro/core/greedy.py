@@ -15,15 +15,25 @@ The allocator drives the queries' block-gain protocol
 (:meth:`~repro.queries.ValuationState.block`) over one shared setup
 (:func:`gain_setup`: relevance, roster, value/relevance rows, states and
 per-type :class:`~repro.queries.GainBlock` stacks), which the sequential
-baseline builds the same way.  A dense ``(n_queries, n_sensors)`` gain
-matrix is filled once and only the *dirty* rows — queries that received a
-sensor in the previous round — are re-evaluated after each commit, with
-one ``gain_many_block`` call per query *type*.  Per-sensor net utilities
-are re-accumulated for the affected columns with a sequential
-(``cumsum``) pass in query order, which reproduces the pseudo-code's
-per-sensor ``sum`` addition order bit-for-bit, so the parity suites can
-require identical sensors and cost shares against a per-pair
-``ValuationState.gain`` reference loop.
+baseline builds the same way.
+
+Relevance is stored sparse, as the paper's ``Q_{l_s}``: one paired-CSR
+structure over the relevant (query, sensor) pairs only, with a
+query-major view (each query's relevant roster columns, ascending) and a
+column-major view (each column's relevant queries, ascending) of the same
+entries.  Greedy keeps one marginal gain per entry.  After each commit only
+the benefiting queries' live entries are re-evaluated, with one
+``gain_many_block`` call per query *type*, and only the live columns those
+entries touch get their net utility re-summed.
+
+A column's net is re-summed over its own entries in query order by one
+sequential pass (``np.bincount`` with weights adds in input order), which
+is exactly the addition order of the pseudo-code's per-sensor ``sum``.
+The pairs the CSR omits are irrelevant, so their gain is zero, and stored
+gains are never ``-0.0``: skipping them drops only exact ``+0.0`` no-ops.
+The parity suites can therefore require identical sensors and cost shares
+against a per-pair ``ValuationState.gain`` reference loop and against the
+dense ``(n_queries, n_sensors)`` gain-matrix loop this replaced.
 
 One exact optimization over the pseudo-code: a sensor's cached marginal
 sum only changes when one of *its* relevant queries received a new sensor,
@@ -35,6 +45,7 @@ sensor wins each round).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -57,17 +68,23 @@ __all__ = ["GainSetup", "GreedyAllocator", "gain_setup"]
 class GainSetup:
     """One allocator call's gain machinery, shared by Greedy and Baseline.
 
+    The relevant (query, roster column) pairs are numbered row-major:
+    entry ``e`` is the pair ``(entry_rows[e], entry_cols[e])``.
+
     Attributes:
         roster: the candidate sensors — every announced column relevant to
             at least one query (the paper's ``Q_{l_s}`` taken per sensor),
             ascending.  Every array below is indexed by roster position.
-        relevance: ``(n_queries, n)`` boolean relevance rows, query order.
+        row_ptr, entry_cols: the query-major view — query ``i``'s relevant
+            roster columns are ``entry_cols[row_ptr[i]:row_ptr[i + 1]]``,
+            ascending.
+        entry_rows: the query row of each entry.
         costs: the announced cost of each roster column.
         states: the live :class:`~repro.queries.ValuationState` of each
             query, query order.
         plain_idx: the rows of the plain :class:`~repro.queries.PointQuery`
-            queries, whose eq.-(3) values are ``point_values`` (one row
-            each, also parked on the roster as its value rows).
+            queries, whose eq.-(3) values are ``point_values`` (one dense
+            roster row each, also parked on the roster as its value rows).
         row_block, member_pos, blocks: query row ``i`` is member
             ``member_pos[i]`` of gain block ``blocks[row_block[i]]``.
     """
@@ -75,19 +92,40 @@ class GainSetup:
     def __init__(
         self,
         roster: SensorRoster,
-        relevance: np.ndarray,
+        row_ptr: np.ndarray,
+        entry_cols: np.ndarray,
         costs: np.ndarray,
         states: list[ValuationState],
         plain_idx: list[int],
         point_values: np.ndarray,
     ) -> None:
         self.roster = roster
-        self.relevance = relevance
+        self.row_ptr = row_ptr
+        self.entry_cols = entry_cols
+        self.entry_rows = np.repeat(
+            np.arange(len(row_ptr) - 1, dtype=np.intp), np.diff(row_ptr)
+        )
         self.costs = costs
         self.states = states
         self.plain_idx = plain_idx
         self.point_values = point_values
         self.row_block, self.member_pos, self.blocks = _build_blocks(states, roster)
+
+    def row_columns(self, row: int) -> np.ndarray:
+        """Query ``row``'s relevant roster columns, ascending."""
+        return self.entry_cols[self.row_ptr[row] : self.row_ptr[row + 1]]
+
+    @cached_property
+    def column_view(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(col_ptr, col_entries)``: the column-major view.
+
+        Column ``j``'s entries are ``col_entries[col_ptr[j]:col_ptr[j + 1]]``,
+        in query order — a stable sort of the row-major entries by column.
+        """
+        n = self.roster.n_sensors
+        col_ptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.entry_cols, minlength=n), out=col_ptr[1:])
+        return col_ptr, np.argsort(self.entry_cols, kind="stable")
 
     def row_gains(self, row: int, columns: np.ndarray) -> np.ndarray:
         """Query ``row``'s marginal gains against the roster ``columns``
@@ -105,59 +143,65 @@ def gain_setup(
     one allocator call; ``None`` when no sensor is relevant to any query.
 
     Relevance goes through the kernel's candidate views (the paper's
-    ``Q_{l_s}`` pre-filter): one fused eq.-(3) pass over the plain point
-    queries' (query, candidate) pairs — whose values double as their gain
+    ``Q_{l_s}`` pre-filter) straight into the query-major CSR: one fused
+    eq.-(3) pass over the plain point queries' (query, candidate) pairs —
+    the positive values are the relevant pairs and double as their gain
     rows — and one vectorized ``relevant_mask`` pass per other query over
     its memoized candidate block.  The scalar per-snapshot ``relevant``
     scan survives only as the fallback for query types that declare no
-    vectorized geometry.  Every omitted pair is exactly zero/irrelevant,
-    so the result equals a full-fleet pass bit for bit.
+    vectorized geometry.  Candidate columns are ascending, so every CSR row
+    is too.  Every omitted pair is exactly zero/irrelevant, so the result
+    equals a full-fleet pass bit for bit.
     """
     kernel = ValuationKernel.ensure(kernel, sensors)
     n_queries, n_all = len(queries), len(sensors)
     plain_idx = [i for i, q in enumerate(queries) if type(q) is PointQuery]
     sparse_entries = kernel.sparse_single_values([queries[i] for i in plain_idx])
-    relevance_all = np.zeros((n_queries, n_all), dtype=bool)
+    world_rows: list[np.ndarray] = [np.empty(0, dtype=np.intp)] * n_queries
+    plain_values = []
     for i, (idx, vals) in zip(plain_idx, sparse_entries):
-        relevance_all[i, idx] = vals > 0.0
+        keep = vals > 0.0
+        world_rows[i] = idx[keep]
+        plain_values.append(vals[keep])
     for i, query in enumerate(queries):
         if type(query) is PointQuery:
             continue
         cand, cand_xy, cand_gamma, cand_trust = kernel.candidate_view(query)
         mask = resolve_relevant_mask(query, cand_xy, cand_gamma, cand_trust)
-        if mask is not None:
-            relevance_all[i, cand] = mask
-        else:
-            row = relevance_all[i]
-            for j in cand:
-                if query.relevant(sensors[j]):
-                    row[j] = True
+        if mask is None:
+            mask = [query.relevant(sensors[j]) for j in cand]
+        world_rows[i] = cand[np.asarray(mask, dtype=bool)]
 
-    cols = np.flatnonzero(relevance_all.any(axis=0))
-    if cols.size == 0:
+    world_cols = np.concatenate(world_rows) if n_queries else np.empty(0, np.intp)
+    if world_cols.size == 0:
         return None
+    row_ptr = np.zeros(n_queries + 1, dtype=np.intp)
+    np.cumsum([len(row) for row in world_rows], out=row_ptr[1:])
+    relevant = np.zeros(n_all, dtype=bool)
+    relevant[world_cols] = True
+    cols = np.flatnonzero(relevant)
+    col_pos = np.empty(n_all, dtype=np.intp)
+    col_pos[cols] = np.arange(cols.size, dtype=np.intp)
+    entry_cols = col_pos[world_cols]
     # Snapshots and costs come from the *passed* announcements — the
     # kernel may be a reused one whose own snapshots carry stale prices.
     roster = kernel.roster(cols, sensors)
-    relevance = relevance_all[:, cols]
-    # Scatter the sparse point rows into the roster's column space.
-    # Candidate columns relevant to no query are absent from ``cols`` but
-    # carry value 0.0 by construction, so dropping them is exact.
+    # Dense roster rows for the gain blocks, filled from the CSR: omitted
+    # columns carry value 0.0 / no relevance by construction.
     point_values = np.zeros((len(plain_idx), cols.size))
-    col_pos = np.full(n_all, -1, dtype=np.intp)
-    col_pos[cols] = np.arange(cols.size, dtype=np.intp)
-    for p, (idx, vals) in enumerate(sparse_entries):
-        pos = col_pos[idx]
-        keep = pos >= 0
-        point_values[p, pos[keep]] = vals[keep]
     for p, i in enumerate(plain_idx):
-        roster.value_rows[queries[i].query_id] = point_values[p]
+        row = point_values[p]
+        row[entry_cols[row_ptr[i] : row_ptr[i + 1]]] = plain_values[p]
+        roster.value_rows[queries[i].query_id] = row
     for i, query in enumerate(queries):
         if type(query) is not PointQuery:
-            roster.relevance_rows[query.query_id] = relevance[i]
+            row = np.zeros(cols.size, dtype=bool)
+            row[entry_cols[row_ptr[i] : row_ptr[i + 1]]] = True
+            roster.relevance_rows[query.query_id] = row
     states = [q.new_state() for q in queries]
     return GainSetup(
-        roster, relevance, sensors.costs[cols], states, plain_idx, point_values
+        roster, row_ptr, entry_cols, sensors.costs[cols], states, plain_idx,
+        point_values,
     )
 
 
@@ -185,6 +229,37 @@ def _build_blocks(
     return row_block, member_pos, blocks
 
 
+def resum_nets(
+    gains: np.ndarray,
+    col_ptr: np.ndarray,
+    col_entries: np.ndarray,
+    costs: np.ndarray,
+    columns: np.ndarray,
+    net: np.ndarray,
+) -> int:
+    """Set ``net[columns]`` to each column's entry gains, summed in query
+    order, minus its cost; returns the number of entries summed.
+
+    ``np.bincount`` with weights adds sequentially in input order, and the
+    column-major entries list each column's queries in query order — the
+    addition order of the pseudo-code's per-sensor ``sum``.  A column with
+    no (or only zero) gains gets ``-cost``.
+    """
+    starts = col_ptr[columns]
+    lengths = col_ptr[columns + 1] - starts
+    # seg[p]: which of ``columns`` the p-th gathered entry belongs to.
+    seg = np.repeat(np.arange(len(columns), dtype=np.intp), lengths)
+    pos = np.arange(seg.size, dtype=np.intp)
+    pos += (starts - (np.cumsum(lengths) - lengths))[seg]
+    sums = np.bincount(seg, weights=gains[col_entries[pos]], minlength=len(columns))
+    net[columns] = sums - costs[columns]
+    return pos.size
+
+
+#: Work counters of one :meth:`GreedyAllocator.allocate` call.
+COUNTERS = ("rounds", "pairs_gathered", "pairs_evaluated", "net_entries_resummed")
+
+
 class GreedyAllocator:
     """Algorithm 1: greedy joint sensor selection for arbitrary query mixes.
 
@@ -193,6 +268,14 @@ class GreedyAllocator:
             zero (guards against float noise keeping the loop alive).
         verify: run the Theorem-1 invariant checks on the result (cheap;
             disable only in tight benchmarking loops).
+
+    Attributes:
+        last_counters: deterministic work counts of the last
+            :meth:`allocate` call — ``rounds`` (sensors committed),
+            ``pairs_gathered`` (relevant pairs sliced by gain refreshes),
+            ``pairs_evaluated`` (the live ones among them, sent to
+            ``gain_many_block``) and ``net_entries_resummed`` (gain entries
+            added into net utilities).
     """
 
     name = "Greedy"
@@ -202,6 +285,7 @@ class GreedyAllocator:
             raise ValueError("min_gain must be non-negative")
         self.min_gain = min_gain
         self.verify = verify
+        self.last_counters = dict.fromkeys(COUNTERS, 0)
 
     def allocate(
         self,
@@ -211,6 +295,7 @@ class GreedyAllocator:
     ) -> AllocationResult:
         sensors = check_distinct(queries, sensors)
         result = AllocationResult()
+        self.last_counters = dict.fromkeys(COUNTERS, 0)
         if queries and len(sensors):
             self._allocate_batch(list(queries), sensors, kernel, result)
         if self.verify:
@@ -218,7 +303,7 @@ class GreedyAllocator:
         return result
 
     # ------------------------------------------------------------------
-    # dense gain matrix + masked recomputation
+    # per-entry gains + masked recomputation
     # ------------------------------------------------------------------
     def _allocate_batch(
         self,
@@ -230,43 +315,58 @@ class GreedyAllocator:
         setup = gain_setup(queries, sensors, kernel)
         if setup is None:
             return
-        roster, relevance, costs = setup.roster, setup.relevance, setup.costs
+        counters = self.last_counters
+        roster, costs = setup.roster, setup.costs
+        entry_rows, entry_cols = setup.entry_rows, setup.entry_cols
+        col_ptr, col_entries = setup.column_view
         n = roster.n_sensors
-        gain_matrix = np.zeros((len(queries), n), dtype=float)
+        gains = np.zeros(len(entry_cols), dtype=float)
         alive = np.ones(n, dtype=bool)
-        all_indices = roster.all_indices
-        # Initial fill.  Point-query rows come straight from the value
-        # block (empty state: the marginal gain IS the single value), one
+        # Initial fill.  Point-query entries come straight from the value
+        # rows (empty state: the marginal gain IS the single value), one
         # vectorized pass for the whole block; other query types fill via
         # their gain blocks, one fused pass per type.
         if setup.plain_idx:
-            rows = np.asarray(setup.plain_idx, dtype=np.intp)
-            values = setup.point_values
-            keep = relevance[rows] & (values > self.min_gain)
-            gain_matrix[rows] = np.where(keep, values, 0.0)
-        nonpoint_rows = [
-            i
-            for i, query in enumerate(queries)
-            if type(query) is not PointQuery and relevance[i].any()
-        ]
-        self._refresh_rows(gain_matrix, setup, nonpoint_rows, all_indices)
+            plain_pos = np.full(len(queries), -1, dtype=np.intp)
+            plain_pos[setup.plain_idx] = np.arange(len(setup.plain_idx))
+            pos = plain_pos[entry_rows]
+            point = np.flatnonzero(pos >= 0)
+            values = setup.point_values[pos[point], entry_cols[point]]
+            gains[point] = np.where(values > self.min_gain, values, 0.0)
+        row_ptr = setup.row_ptr
+        nonpoint_rows = np.asarray(
+            [
+                i
+                for i, query in enumerate(queries)
+                if type(query) is not PointQuery and row_ptr[i + 1] > row_ptr[i]
+            ],
+            dtype=np.intp,
+        )
+        self._refresh(setup, gains, nonpoint_rows, alive, np.zeros(n, dtype=bool))
         net = np.empty(n, dtype=float)
-        self._recompute_net(gain_matrix, costs, all_indices, net)
+        counters["net_entries_resummed"] += resum_nets(
+            gains, col_ptr, col_entries, costs, roster.all_indices, net
+        )
 
         while alive.any():
             candidate_net = np.where(alive, net, -np.inf)
             j = int(np.argmax(candidate_net))
-            column = gain_matrix[:, j]
-            benefiting = np.flatnonzero(column)
+            entries = col_entries[col_ptr[j] : col_ptr[j + 1]]
+            column = gains[entries]
+            positive = column != 0.0
+            benefiting = entry_rows[entries[positive]]
             if net[j] <= 0.0 or benefiting.size == 0:
                 break
 
             snapshot = roster.snapshots[j]
-            gains = {queries[i].query_id: float(column[i]) for i in benefiting}
-            shares = proportionate_shares(gains, snapshot.cost)
+            gains_by_id = {
+                queries[i].query_id: float(g)
+                for i, g in zip(benefiting, column[positive])
+            }
+            shares = proportionate_shares(gains_by_id, snapshot.cost)
             for i in benefiting:
                 qid = queries[i].query_id
-                gain = gains[qid]
+                gain = gains_by_id[qid]
                 realized = setup.states[i].add(snapshot)
                 # The committed gain must match the block evaluation; the
                 # states are only mutated here, so any drift is a query-
@@ -278,71 +378,51 @@ class GreedyAllocator:
                     )
                 result.record(queries[i], snapshot, gain, shares[qid])
             alive[j] = False
-
-            # Masked recomputation: only the rows that just grew, only the
-            # still-live columns; then re-accumulate the nets of sensors
-            # sharing any touched query.
-            live = np.flatnonzero(alive)
-            if live.size == 0:
+            counters["rounds"] += 1
+            if not alive.any():
                 break
-            self._refresh_rows(gain_matrix, setup, benefiting, live)
-            dirty = relevance[benefiting].any(axis=0)
-            dirty &= alive
-            dirty_cols = np.flatnonzero(dirty)
-            if dirty_cols.size:
-                self._recompute_net(gain_matrix, costs, dirty_cols, net)
 
-    def _refresh_rows(
+            # Masked recomputation: only the rows that just grew, only their
+            # still-live entries; then re-sum the nets of the live columns
+            # those entries touch, each over its own entries.
+            dirty = np.zeros(n, dtype=bool)
+            self._refresh(setup, gains, benefiting, alive, dirty)
+            counters["net_entries_resummed"] += resum_nets(
+                gains, col_ptr, col_entries, costs, np.flatnonzero(dirty), net
+            )
+
+    def _refresh(
         self,
-        gain_matrix: np.ndarray,
         setup: GainSetup,
-        rows: Sequence[int] | np.ndarray,
-        columns: np.ndarray,
+        gains: np.ndarray,
+        rows: np.ndarray,
+        alive: np.ndarray,
+        touched: np.ndarray,
     ) -> None:
-        """Re-evaluate ``rows``' gains against ``columns``.
+        """Re-evaluate ``rows``' live entries; mark their columns ``touched``.
 
-        All dirty relevant (query, sensor) pairs are gathered at once and
-        dispatched as one ``gain_many_block`` call per touched block;
-        ``np.nonzero`` emits pairs in row-major order and block members
-        follow query order, so each block's pairs arrive member-grouped.
+        Per block, its rows' CSR entries are sliced (ascending rows,
+        ascending columns within each), filtered by ``alive`` and dispatched
+        as one ``gain_many_block`` call; block members follow query order,
+        so the pairs arrive member-grouped.  A block whose rows have no live
+        entry has nothing to evaluate.
         """
-        row_block, member_pos, blocks = setup.row_block, setup.member_pos, setup.blocks
-        row_idx = np.asarray(rows, dtype=np.intp)
-        r_pos, c_pos = np.nonzero(setup.relevance[np.ix_(row_idx, columns)])
-        if r_pos.size == 0:
-            return
-        pair_rows = row_idx[r_pos]
-        pair_cols = columns[c_pos]
-        pair_block = row_block[pair_rows]
-        # Candidate blocks from the (query-sized) row list, not by hashing
-        # the (pair-sized) block ids; a row without live relevant pairs
-        # leaves its block with nothing to evaluate.
-        for b in np.unique(row_block[row_idx]):
-            in_block = pair_block == b
-            if not in_block.any():
+        counters = self.last_counters
+        row_ptr, entry_cols = setup.row_ptr, setup.entry_cols
+        row_block = setup.row_block[rows]
+        for b in np.unique(row_block):
+            entries = np.concatenate(
+                [np.arange(row_ptr[r], row_ptr[r + 1]) for r in rows[row_block == b]]
+            )
+            counters["pairs_gathered"] += entries.size
+            cols = entry_cols[entries]
+            live = alive[cols]
+            entries, cols = entries[live], cols[live]
+            counters["pairs_evaluated"] += entries.size
+            if entries.size == 0:
                 continue
-            pr = pair_rows[in_block]
-            pc = pair_cols[in_block]
-            gains = blocks[b].gain_many_block(member_pos[pr], pc)
-            gain_matrix[pr, pc] = np.where(gains > self.min_gain, gains, 0.0)
-
-    @staticmethod
-    def _recompute_net(
-        gain_matrix: np.ndarray,
-        costs: np.ndarray,
-        columns: np.ndarray,
-        net: np.ndarray,
-    ) -> None:
-        """Net utility of ``columns``, re-accumulated in query order.
-
-        Summation runs sequentially down the query axis (``cumsum``), which
-        is exactly the addition order of the per-pair reference's Python
-        ``sum`` over its per-sensor gains dict — stored gains are never
-        ``-0.0``, so the all-zero rows the reference skips are exact no-ops
-        here and one full-height cumsum replaces a contributing-row scan
-        bit-for-bit.  Near-tie sensor selections therefore cannot diverge
-        from the reference.
-        """
-        sub = gain_matrix[:, columns]
-        np.cumsum(sub, axis=0, out=sub)
-        net[columns] = sub[-1] - costs[columns]
+            block_gains = setup.blocks[b].gain_many_block(
+                setup.member_pos[setup.entry_rows[entries]], cols
+            )
+            gains[entries] = np.where(block_gains > self.min_gain, block_gains, 0.0)
+            touched[cols] = True

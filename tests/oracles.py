@@ -1,13 +1,18 @@
 """Reference implementations the parity suites check production code against.
 
 :class:`~repro.core.GreedyAllocator` runs one code path: the batch-gain
-protocol with same-type gain blocks.  The two implementations it grew out
-of live here as executable oracles, next to :mod:`legacy_engines`:
+protocol with same-type gain blocks over a paired-CSR relevance.  The
+three implementations it grew out of live here as executable oracles,
+next to :mod:`legacy_engines`:
 
 * :class:`ScalarGreedyAllocator` — the historical per-pair
   ``ValuationState.gain`` loop over the ``Q_{l_s}`` prefilter
   (:func:`relevant_queries_by_sensor`);
-* :class:`PerRowGreedyAllocator` — the batch path with every refresh
+* :class:`DenseGreedyAllocator` — the dense ``(n_queries, n_sensors)``
+  gain-matrix loop with full-height ``cumsum`` net re-sums that the
+  paired-CSR core replaced, over the dense relevance rebuilt from the
+  setup's CSR (:func:`dense_relevance`);
+* :class:`PerRowGreedyAllocator` — that dense loop with every refresh
   going through one per-row ``gain_many`` call per dirty query instead of
   the fused per-type ``gain_many_block`` passes.  The per-row closed
   forms it calls (:func:`row_gains`: :class:`BestSensorRows`,
@@ -15,7 +20,7 @@ of live here as executable oracles, next to :mod:`legacy_engines`:
   per-query batch states the production gain blocks were fused from, kept
   verbatim.
 
-Both are drop-in allocators (engines, mixes and the baselines' stage
+All three are drop-in allocators (engines, mixes and the baselines' stage
 slots accept them), so whole-engine parity runs can swap them in.
 
 :class:`~repro.core.ValuationKernel` resolves relevance through grid
@@ -40,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.allocation import AllocationResult, check_distinct
-from repro.core.greedy import GreedyAllocator
+from repro.core.greedy import GainSetup, GreedyAllocator, gain_setup
 from repro.core.mix import BaselineMixAllocator, MixAllocator
 from repro.core.monitoring import RegionSlotOutcome
 from repro.core.payments import proportionate_shares
@@ -68,6 +73,7 @@ from repro.spatial.coverage import masks_for_xy
 __all__ = [
     "BestSensorRows",
     "CoverageRows",
+    "DenseGreedyAllocator",
     "DenseKernel",
     "EventRows",
     "MixOutcome",
@@ -79,6 +85,7 @@ __all__ = [
     "TopKRows",
     "compile_greedy_as",
     "compile_kernel_as",
+    "dense_relevance",
     "dense_single_values",
     "relevance",
     "relevant_queries_by_sensor",
@@ -192,7 +199,7 @@ class ScalarGreedyAllocator(GreedyAllocator):
     Caches each sensor's (net utility, per-query positive gains) and, after
     a commit, re-evaluates only sensors sharing a query that just grew.
     Gains are summed with Python ``sum`` in relevant-query order — the
-    addition order the batch path's column ``cumsum`` reproduces.
+    addition order the batch path's per-column re-sum reproduces.
     """
 
     name = "Greedy (scalar oracle)"
@@ -442,8 +449,142 @@ def row_gains(state: ValuationState, roster: SensorRoster) -> RowGains:
     return RowGains(state, roster)
 
 
-class PerRowGreedyAllocator(GreedyAllocator):
-    """The batch path with per-row ``gain_many`` refreshes: no gain blocks.
+class DenseGreedyAllocator(GreedyAllocator):
+    """The dense gain-matrix loop the paired-CSR core replaced.
+
+    Keeps a full ``(n_queries, n_sensors)`` gain matrix over the dense
+    relevance rebuilt from the setup's CSR, refreshes every relevant live
+    pair of the dirty rows through ``relevance[np.ix_(rows, live)]``, and
+    re-accumulates dirty columns' nets with a full-height ``cumsum``.  The
+    sparse core must match it bit-for-bit.
+    """
+
+    name = "Greedy (dense oracle)"
+
+    def _allocate_batch(
+        self,
+        queries: list[Query],
+        sensors,
+        kernel: ValuationKernel | None,
+        result: AllocationResult,
+    ) -> None:
+        setup = gain_setup(queries, sensors, kernel)
+        if setup is None:
+            return
+        setup.relevance = dense_relevance(setup)
+        roster, relevance, costs = setup.roster, setup.relevance, setup.costs
+        n = roster.n_sensors
+        gain_matrix = np.zeros((len(queries), n), dtype=float)
+        alive = np.ones(n, dtype=bool)
+        all_indices = roster.all_indices
+        # Initial fill.  Point-query rows come straight from the value
+        # block (empty state: the marginal gain IS the single value), one
+        # vectorized pass for the whole block; other query types fill via
+        # their gain blocks, one fused pass per type.
+        if setup.plain_idx:
+            rows = np.asarray(setup.plain_idx, dtype=np.intp)
+            values = setup.point_values
+            keep = relevance[rows] & (values > self.min_gain)
+            gain_matrix[rows] = np.where(keep, values, 0.0)
+        nonpoint_rows = [
+            i
+            for i, query in enumerate(queries)
+            if type(query) is not PointQuery and relevance[i].any()
+        ]
+        self._refresh_rows(gain_matrix, setup, nonpoint_rows, all_indices)
+        net = np.empty(n, dtype=float)
+        self._recompute_net(gain_matrix, costs, all_indices, net)
+
+        while alive.any():
+            candidate_net = np.where(alive, net, -np.inf)
+            j = int(np.argmax(candidate_net))
+            column = gain_matrix[:, j]
+            benefiting = np.flatnonzero(column)
+            if net[j] <= 0.0 or benefiting.size == 0:
+                break
+
+            snapshot = roster.snapshots[j]
+            gains = {queries[i].query_id: float(column[i]) for i in benefiting}
+            shares = proportionate_shares(gains, snapshot.cost)
+            for i in benefiting:
+                qid = queries[i].query_id
+                gain = gains[qid]
+                realized = setup.states[i].add(snapshot)
+                if abs(realized - gain) > 1e-6 * max(1.0, abs(gain)):
+                    raise RuntimeError(
+                        f"query {qid} marginal gain drifted: batch {gain}, "
+                        f"realized {realized}"
+                    )
+                result.record(queries[i], snapshot, gain, shares[qid])
+            alive[j] = False
+
+            # Masked recomputation: only the rows that just grew, only the
+            # still-live columns; then re-accumulate the nets of sensors
+            # sharing any touched query.
+            live = np.flatnonzero(alive)
+            if live.size == 0:
+                break
+            self._refresh_rows(gain_matrix, setup, benefiting, live)
+            dirty = relevance[benefiting].any(axis=0)
+            dirty &= alive
+            dirty_cols = np.flatnonzero(dirty)
+            if dirty_cols.size:
+                self._recompute_net(gain_matrix, costs, dirty_cols, net)
+
+    def _refresh_rows(
+        self,
+        gain_matrix: np.ndarray,
+        setup: GainSetup,
+        rows: Sequence[int] | np.ndarray,
+        columns: np.ndarray,
+    ) -> None:
+        """Re-evaluate ``rows``' gains against ``columns``.
+
+        All dirty relevant (query, sensor) pairs are gathered at once and
+        dispatched as one ``gain_many_block`` call per touched block;
+        ``np.nonzero`` emits pairs in row-major order and block members
+        follow query order, so each block's pairs arrive member-grouped.
+        """
+        row_block, member_pos, blocks = setup.row_block, setup.member_pos, setup.blocks
+        row_idx = np.asarray(rows, dtype=np.intp)
+        r_pos, c_pos = np.nonzero(setup.relevance[np.ix_(row_idx, columns)])
+        if r_pos.size == 0:
+            return
+        pair_rows = row_idx[r_pos]
+        pair_cols = columns[c_pos]
+        pair_block = row_block[pair_rows]
+        for b in np.unique(row_block[row_idx]):
+            in_block = pair_block == b
+            if not in_block.any():
+                continue
+            pr = pair_rows[in_block]
+            pc = pair_cols[in_block]
+            gains = blocks[b].gain_many_block(member_pos[pr], pc)
+            gain_matrix[pr, pc] = np.where(gains > self.min_gain, gains, 0.0)
+
+    @staticmethod
+    def _recompute_net(
+        gain_matrix: np.ndarray,
+        costs: np.ndarray,
+        columns: np.ndarray,
+        net: np.ndarray,
+    ) -> None:
+        """Net utility of ``columns``, re-accumulated in query order by one
+        full-height ``cumsum`` down the query axis."""
+        sub = gain_matrix[:, columns]
+        np.cumsum(sub, axis=0, out=sub)
+        net[columns] = sub[-1] - costs[columns]
+
+
+def dense_relevance(setup: GainSetup) -> np.ndarray:
+    """The setup's CSR relevance as a dense ``(n_queries, n)`` bool matrix."""
+    relevance = np.zeros((len(setup.states), setup.roster.n_sensors), dtype=bool)
+    relevance[setup.entry_rows, setup.entry_cols] = True
+    return relevance
+
+
+class PerRowGreedyAllocator(DenseGreedyAllocator):
+    """The dense loop with per-row ``gain_many`` refreshes: no gain blocks.
 
     Every dirty query re-evaluates its relevant live columns with its own
     :func:`row_gains` view; the fused block evaluators must match it

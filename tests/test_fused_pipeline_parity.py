@@ -6,7 +6,8 @@ The contract under test (see ``repro.queries.base`` and
 
 * ``GreedyAllocator()`` allocations — assignments, values,
   payments — compare ``==`` against the per-row ``gain_many`` oracle
-  (:class:`oracles.PerRowGreedyAllocator`) for every built-in query
+  (:class:`oracles.PerRowGreedyAllocator`) and the dense gain-matrix
+  loop (:class:`oracles.DenseGreedyAllocator`) for every built-in query
   type, dense and sharded: each ``gain_many_block`` implementation
   performs the exact per-pair arithmetic of its per-row closed form
   (:func:`oracles.row_gains`);
@@ -18,9 +19,6 @@ The contract under test (see ``repro.queries.base`` and
   the scalar ``gain`` out of its base's native block
   (``build_gain_block``) — mirroring the relevance-mask guard pinned in
   ``test_query_geometry_parity.py``;
-* ``GreedyAllocator._recompute_net``'s one-pass column cumsum matches the
-  sequential Python ``sum`` reference bit-for-bit (zero rows are exact
-  no-ops because stored gains are never ``-0.0``);
 * the aggregate block's live uncovered-cell counts stay ``==`` to the
   per-member oracle ``CoverageRows.gain_many`` whatever commits happen
   between its calls, and read far fewer covered cells than re-gathering
@@ -38,7 +36,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import gridded_kernel, make_snapshot
-from oracles import DenseKernel, PerRowGreedyAllocator, row_gains
+from oracles import (
+    DenseGreedyAllocator,
+    DenseKernel,
+    PerRowGreedyAllocator,
+    row_gains,
+)
 from repro.core import GreedyAllocator, ValuationKernel
 from repro.core.engine import SimulationSummary
 from repro.core.monitoring import RegionMonitoringController
@@ -166,8 +169,12 @@ class TestFusedAllocationParity:
         sharded = GreedyAllocator().allocate(
             queries, sensors, kernel=gridded_kernel(sensors, 8.0)
         )
+        dense = DenseGreedyAllocator().allocate(
+            queries, sensors, kernel=gridded_kernel(sensors, 8.0)
+        )
         assert_allocations_identical(fused, masked)
         assert_allocations_identical(sharded, masked)
+        assert_allocations_identical(dense, masked)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_every_builtin_type_fused_equals_masked(self, seed):
@@ -183,8 +190,12 @@ class TestFusedAllocationParity:
         sharded = GreedyAllocator().allocate(
             queries, sensors, kernel=gridded_kernel(sensors, 9.0)
         )
+        dense = DenseGreedyAllocator().allocate(
+            queries, sensors, kernel=gridded_kernel(sensors, 9.0)
+        )
         assert_allocations_identical(fused, masked)
         assert_allocations_identical(sharded, masked)
+        assert_allocations_identical(dense, masked)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_batch_announcements_share_the_raster_and_stay_identical(self, seed):
@@ -463,41 +474,6 @@ class TestFallbackLattice:
         # Aggregate scalar and batch gains share one arithmetic path, so
         # the traced slot must still allocate identically.
         assert_allocations_identical(fused, reference)
-
-
-# ----------------------------------------------------------------------
-# _recompute_net: one-pass cumsum vs the sequential reference
-# ----------------------------------------------------------------------
-class TestRecomputeNet:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_sequential_sum_bitwise(self, seed):
-        rng = np.random.default_rng(8000 + seed)
-        n_queries, n = 37, 53
-        gain_matrix = rng.uniform(0.0, 1.0, size=(n_queries, n))
-        # Adversarial magnitudes: summation order matters.
-        gain_matrix *= 10.0 ** rng.integers(-12, 12, size=(n_queries, n))
-        gain_matrix[rng.random((n_queries, n)) < 0.6] = 0.0
-        gain_matrix[rng.choice(n_queries, size=10)] = 0.0  # whole zero rows
-        costs = rng.uniform(0.5, 5.0, size=n)
-        columns = np.sort(rng.choice(n, size=30, replace=False))
-        net = np.zeros(n)
-        GreedyAllocator._recompute_net(gain_matrix, costs, columns, net)
-        for j in columns:
-            total = 0.0
-            for i in range(n_queries):
-                g = gain_matrix[i, j]
-                if g != 0.0:
-                    total += g
-            assert net[j] == total - costs[j]
-
-    def test_all_zero_columns(self):
-        gain_matrix = np.zeros((4, 6))
-        costs = np.arange(6, dtype=float) + 1.0
-        net = np.full(6, np.nan)
-        GreedyAllocator._recompute_net(
-            gain_matrix, costs, np.arange(6), net
-        )
-        assert np.array_equal(net, -costs)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 
 from helpers import block_gains, make_point_query, make_snapshot, sequential_mix
-from oracles import ScalarGreedyAllocator, dense_single_values, row_gains
+from oracles import (
+    DenseGreedyAllocator,
+    ScalarGreedyAllocator,
+    dense_single_values,
+    row_gains,
+)
 from repro.core import (
     GreedyAllocator,
     MixAllocator,
@@ -216,7 +221,8 @@ def summaries_equal(a, b):
 
 
 class TestEndToEndFigureFamilies:
-    """Vectorized vs scalar greedy through all four figure families."""
+    """Vectorized vs scalar and dense-oracle greedy through all four
+    figure families."""
 
     SEED = 321
     N_SLOTS = 5
@@ -224,7 +230,9 @@ class TestEndToEndFigureFamilies:
     def _engines(self, family):
         scenario = build_rwm_scenario(self.SEED, n_sensors=60, n_slots=10)
         engines = []
-        for make_allocator in (GreedyAllocator, ScalarGreedyAllocator):
+        for make_allocator in (
+            GreedyAllocator, ScalarGreedyAllocator, DenseGreedyAllocator
+        ):
             allocator = make_allocator()
             rng = np.random.default_rng(self.SEED)
             if family == "point":
@@ -272,10 +280,10 @@ class TestEndToEndFigureFamilies:
         "family", ["point", "aggregate", "location_monitoring", "region_monitoring"]
     )
     def test_family_parity(self, family):
-        vectorized_engine, scalar_engine = self._engines(family)
-        summaries_equal(
-            vectorized_engine.run(self.N_SLOTS), scalar_engine.run(self.N_SLOTS)
-        )
+        vectorized_engine, scalar_engine, dense_engine = self._engines(family)
+        summary = vectorized_engine.run(self.N_SLOTS)
+        summaries_equal(summary, scalar_engine.run(self.N_SLOTS))
+        summaries_equal(summary, dense_engine.run(self.N_SLOTS))
 
     def test_mix_family_parity(self):
         """Algorithm 5's joint mix slot, vectorized vs scalar greedy."""
