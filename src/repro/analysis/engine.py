@@ -60,13 +60,6 @@ class LintConfig:
         "src/repro/cli.py",
         "src/repro/__main__.py",
     )
-    #: modules implementing the dispatch guards themselves — direct
-    #: batch-hook calls are their job (REP002)
-    dispatch_modules: tuple[str, ...] = (
-        "src/repro/dispatch.py",
-        "src/repro/queries/base.py",
-        "src/repro/spatial/coverage.py",
-    )
     #: extra attribute names REP001 accepts beyond the indexed tree
     extra_capabilities: tuple[str, ...] = ()
     #: committed baseline of grandfathered findings (None = no baseline)

@@ -2,15 +2,14 @@
 
 The index is the reason ``repro lint`` stays O(repo): each source file is
 read, tokenized (for suppression pragmas) and parsed exactly once, and the
-rules consume read-only views — the class table, the import alias maps,
-the qualified-name resolver and the repo-wide defined-attribute table that
-backs the capability-hook rule.
+rules consume read-only views — the import alias maps, the qualified-name
+resolver and the repo-wide defined-attribute table that backs the
+capability-hook rule.
 
 Rows (CHANGES-style):
     parse_suppressions - ``# reprolint: disable=rule(reason)`` comment map
-    ClassInfo          - per-class bases / methods / attribute names
-    ModuleIndex        - one file: AST + aliases + classes + suppressions
-    RepoIndex          - all modules + defined-attribute / class-name tables
+    ModuleIndex        - one file: AST + aliases + defined names + suppressions
+    RepoIndex          - all modules + the repo-wide defined-attribute table
 """
 
 from __future__ import annotations
@@ -19,12 +18,10 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
 __all__ = [
-    "ClassInfo",
     "ModuleIndex",
     "RepoIndex",
     "parse_suppressions",
@@ -86,21 +83,6 @@ def parse_suppressions(source: str) -> dict[int, dict[str, str | None]]:
     return out
 
 
-@dataclass
-class ClassInfo:
-    """One class definition: its bases (as written) and defined names."""
-
-    name: str
-    lineno: int
-    relpath: str
-    bases: tuple[str, ...]
-    methods: dict[str, int] = field(default_factory=dict)
-    attrs: set[str] = field(default_factory=set)
-
-    def defines(self, name: str) -> bool:
-        return name in self.methods or name in self.attrs
-
-
 def _dotted(node: ast.expr) -> str | None:
     """``a.b.c`` for a Name/Attribute chain, else ``None``."""
     parts: list[str] = []
@@ -126,7 +108,6 @@ class ModuleIndex:
         self.import_aliases: dict[str, str] = {}
         #: ``from math import sqrt``   -> {"sqrt": "math.sqrt"}
         self.from_imports: dict[str, str] = {}
-        self.classes: list[ClassInfo] = []
         #: attribute names this module defines somewhere (methods, class
         #: and ``self.x`` assignments, ``setattr(_, "x", _)``, __slots__)
         self.defined_attrs: dict[str, int] = {}
@@ -211,27 +192,22 @@ class ModuleIndex:
                     self.qualified_refs.add(qualified)
 
     def _scan_class(self, node: ast.ClassDef) -> None:
-        info = ClassInfo(
-            name=node.name,
-            lineno=node.lineno,
-            relpath=self.relpath,
-            bases=tuple(b for b in (_dotted(base) for base in node.bases) if b),
-        )
+        methods: dict[str, int] = {}
+        attrs: set[str] = set()
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                info.methods[stmt.name] = stmt.lineno
+                methods[stmt.name] = stmt.lineno
             elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                info.attrs.add(stmt.target.id)
+                attrs.add(stmt.target.id)
             elif isinstance(stmt, ast.Assign):
                 for target in stmt.targets:
                     if isinstance(target, ast.Name):
-                        info.attrs.add(target.id)
+                        attrs.add(target.id)
                         if target.id == "__slots__":
-                            info.attrs.update(_slot_names(stmt.value))
-        self.classes.append(info)
-        for name, lineno in info.methods.items():
+                            attrs.update(_slot_names(stmt.value))
+        for name, lineno in methods.items():
             self.defined_attrs.setdefault(name, lineno)
-        for name in info.attrs:
+        for name in attrs:
             self.defined_attrs.setdefault(name, node.lineno)
 
 
@@ -252,12 +228,9 @@ class RepoIndex:
     def __init__(self, modules: list[ModuleIndex]):
         self.modules = modules
         self.defined_attrs: dict[str, tuple[str, int]] = {}
-        self.classes_by_name: dict[str, list[ClassInfo]] = {}
         for module in modules:
             for name, lineno in module.defined_attrs.items():
                 self.defined_attrs.setdefault(name, (module.relpath, lineno))
-            for info in module.classes:
-                self.classes_by_name.setdefault(info.name, []).append(info)
 
     @classmethod
     def build(cls, root: Path, paths: tuple[str, ...]) -> "RepoIndex":
@@ -282,25 +255,3 @@ class RepoIndex:
                 if module is not None:
                     modules.append(module)
         return cls(modules)
-
-    # ------------------------------------------------------------------
-    # static MRO walk (repo-local classes only)
-    # ------------------------------------------------------------------
-    def ancestors(self, info: ClassInfo) -> Iterator[ClassInfo]:
-        """Transitive repo-local base classes, BFS, cycle-safe."""
-        queue = list(info.bases)
-        seen: set[str] = {info.name}
-        while queue:
-            base = queue.pop(0).rsplit(".", 1)[-1]
-            if base in seen:
-                continue
-            seen.add(base)
-            for candidate in self.classes_by_name.get(base, ()):
-                yield candidate
-                queue.extend(candidate.bases)
-
-    def ancestor_defining(self, info: ClassInfo, name: str) -> ClassInfo | None:
-        for ancestor in self.ancestors(info):
-            if ancestor.defines(name):
-                return ancestor
-        return None

@@ -1,11 +1,10 @@
-"""The rule registry and the six repo-specific invariant rules.
+"""The rule registry and the five repo-specific invariant rules.
 
 Each rule machine-checks one convention the reproduction's correctness
 rests on (see README "Static analysis" for the invariant each protects):
 
 Rows (CHANGES-style):
     capability-hook    REP001 - ``getattr(x, "name", ...)`` probes name real attrs
-    batch-hook-pairing REP002 - scalar/batch hook pairs stay routed via the MRO guard
     determinism        REP003 - no global-state / unseeded RNGs, no wall clock
     ulp-mixed-math     REP004 - no scalar ``math.f`` in modules using ``numpy.f``
     hot-loop           REP005 - no scalar sensor-axis ``for`` loops in hot modules
@@ -119,87 +118,6 @@ class CapabilityHookRule(Rule):
                 node,
                 f'capability probe {node.func.id}(..., "{name}") names no '
                 f"attribute defined anywhere in the indexed tree{hint}",
-            )
-
-
-# ----------------------------------------------------------------------
-# REP002 — batch-hook pairing
-# ----------------------------------------------------------------------
-#: scalar hook -> the batch sibling whose inherited form goes stale when
-#: only the scalar is overridden (the hazard batch_hook_trusted guards).
-_HOOK_PAIRS = {
-    "relevant": "relevant_mask",
-    "gain": "block",
-    "sample_target": "sample_targets",
-}
-#: batch hooks whose *call sites* must route through the dispatch guards
-#: (resolve_relevant_mask / batch_hook_trusted / masks_for_xy) so that
-#: scalar-only subclass overrides are honoured.
-_GUARDED_BATCH_HOOKS = ("relevant_mask", "sample_targets", "masks_for")
-
-
-@register
-class BatchHookPairingRule(Rule):
-    """Scalar/batch hook pairs must stay coherent with the MRO guard.
-
-    Two checks: (a) a class overriding a scalar hook while inheriting its
-    batch sibling ships a stale batch form — override both, or pragma the
-    intentional scalar-only fallback; (b) outside the dispatch modules,
-    batch hooks may only be invoked on ``self``/``cls`` — every external
-    call site must route through ``resolve_relevant_mask`` /
-    ``masks_for_xy`` / a ``batch_hook_trusted`` gate so scalar-only
-    overrides are not silently screened by an inherited mask.
-    """
-
-    id = "batch-hook-pairing"
-    code = "REP002"
-    summary = "scalar/batch hook pairs must route through the dispatch guards"
-
-    def check(self, module, repo, config):
-        for info in module.classes:
-            for scalar, batch in _HOOK_PAIRS.items():
-                if scalar not in info.methods or info.defines(batch):
-                    continue
-                ancestor = repo.ancestor_defining(info, batch)
-                if ancestor is None:
-                    continue
-                yield Finding(
-                    path=module.relpath,
-                    line=info.methods[scalar],
-                    col=0,
-                    rule=self.id,
-                    code=self.code,
-                    message=(
-                        f"{info.name} overrides scalar {scalar}() but inherits "
-                        f"{batch}() from {ancestor.name}; the inherited batch "
-                        f"hook no longer reflects the scalar semantics — "
-                        f"override {batch}() too (or pragma the intentional "
-                        f"scalar-only fallback)"
-                    ),
-                )
-        if _in_scope(module.relpath, config.dispatch_modules):
-            return
-        for node in ast.walk(module.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _GUARDED_BATCH_HOOKS
-            ):
-                continue
-            receiver = node.func.value
-            if isinstance(receiver, ast.Name) and receiver.id in ("self", "cls"):
-                continue
-            guard = {
-                "relevant_mask": "resolve_relevant_mask",
-                "sample_targets": "batch_hook_trusted",
-                "masks_for": "masks_for_xy",
-            }[node.func.attr]
-            yield self.finding(
-                module,
-                node,
-                f"direct .{node.func.attr}() call bypasses the scalar-override "
-                f"guard — route through {guard} so scalar-only subclass "
-                f"overrides are honoured",
             )
 
 

@@ -143,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the AST invariant checker (capability hooks, batch-hook "
-             "pairing, determinism, ULP hygiene, hot loops, async hygiene)",
+        help="run the AST invariant checker (capability hooks, determinism, "
+             "ULP hygiene, hot loops, async hygiene)",
     )
     lint.add_argument("paths", nargs="*", default=[],
                       help="files/dirs to lint (default: src/repro)")
@@ -359,12 +359,16 @@ def _run_serve(args: argparse.Namespace) -> int:
         return 2
     n_slots = args.slots if args.slots is not None else spec.n_slots
     generator = None
-    if args.rate is not None:
-        generator = LoadGenerator(
-            PoissonProfile(args.rate), service.workloads, seed=spec.seed
-        )
-    elif service.config.arrivals is not None:
-        generator = LoadGenerator.for_service(service)
+    try:
+        if args.rate is not None:
+            generator = LoadGenerator(
+                PoissonProfile(args.rate), service.workloads, seed=spec.seed
+            )
+        elif service.config.arrivals is not None:
+            generator = LoadGenerator.for_service(service)
+    except (ValueError, TypeError) as exc:
+        print(f"error building arrivals for {spec.name}: {exc}", file=sys.stderr)
+        return 2
     ticks = n_slots if args.exit_after else None
     cfg = service.config
     print(f"serving {spec.name}: tick {cfg.tick_interval}s, queue depth "
@@ -420,21 +424,25 @@ def _run_loadgen(args: argparse.Namespace) -> int:
 
     # Profile: CLI flags > the spec's arrivals block > Poisson default.
     seed = 0
-    if service.config.arrivals is not None:
-        profile, seed = profile_from_payload(service.config.arrivals)
-    else:
-        profile = PoissonProfile(16.0)
     kind = args.profile
-    if kind == "poisson" or (kind is None and args.rate is not None
-                             and args.burst_rate is None):
-        profile = PoissonProfile(args.rate if args.rate is not None else 16.0)
-    elif kind == "bursty" or args.burst_rate is not None:
-        profile = BurstyProfile(
-            rate=args.rate if args.rate is not None else 8.0,
-            burst_rate=args.burst_rate if args.burst_rate is not None else 64.0,
-            period=args.period if args.period is not None else 8,
-            burst_length=args.burst_length if args.burst_length is not None else 2,
-        )
+    try:
+        if service.config.arrivals is not None:
+            profile, seed = profile_from_payload(service.config.arrivals)
+        else:
+            profile = PoissonProfile(16.0)
+        if kind == "poisson" or (kind is None and args.rate is not None
+                                 and args.burst_rate is None):
+            profile = PoissonProfile(args.rate if args.rate is not None else 16.0)
+        elif kind == "bursty" or args.burst_rate is not None:
+            profile = BurstyProfile(
+                rate=args.rate if args.rate is not None else 8.0,
+                burst_rate=args.burst_rate if args.burst_rate is not None else 64.0,
+                period=args.period if args.period is not None else 8,
+                burst_length=args.burst_length if args.burst_length is not None else 2,
+            )
+    except (ValueError, TypeError) as exc:
+        print(f"error building arrivals for {spec.name}: {exc}", file=sys.stderr)
+        return 2
     if args.seed is not None:
         seed = args.seed
 

@@ -51,12 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from ..queries import PointQuery, Query, ValuationState
-from ..queries.base import (
-    GainBlock,
-    SensorRoster,
-    build_gain_block,
-    resolve_relevant_mask,
-)
+from ..queries.base import GainBlock, SensorRoster
 from ..sensors import AnnouncementBatch, SensorSnapshot
 from .allocation import AllocationResult, check_distinct
 from .payments import proportionate_shares
@@ -147,11 +142,9 @@ def gain_setup(
     eq.-(3) pass over the plain point queries' (query, candidate) pairs —
     the positive values are the relevant pairs and double as their gain
     rows — and one vectorized ``relevant_mask`` pass per other query over
-    its memoized candidate block.  The scalar per-snapshot ``relevant``
-    scan survives only as the fallback for query types that declare no
-    vectorized geometry.  Candidate columns are ascending, so every CSR row
-    is too.  Every omitted pair is exactly zero/irrelevant, so the result
-    equals a full-fleet pass bit for bit.
+    its memoized candidate block.  Candidate columns are ascending, so
+    every CSR row is too.  Every omitted pair is exactly zero/irrelevant,
+    so the result equals a full-fleet pass bit for bit.
     """
     kernel = ValuationKernel.ensure(kernel, sensors)
     n_queries, n_all = len(queries), len(sensors)
@@ -167,10 +160,7 @@ def gain_setup(
         if type(query) is PointQuery:
             continue
         cand, cand_xy, cand_gamma, cand_trust = kernel.candidate_view(query)
-        mask = resolve_relevant_mask(query, cand_xy, cand_gamma, cand_trust)
-        if mask is None:
-            mask = [query.relevant(sensors[j]) for j in cand]
-        world_rows[i] = cand[np.asarray(mask, dtype=bool)]
+        world_rows[i] = cand[query.relevant_mask(cand_xy, cand_gamma, cand_trust)]
 
     world_cols = np.concatenate(world_rows) if n_queries else np.empty(0, np.intp)
     if world_cols.size == 0:
@@ -221,11 +211,11 @@ def _build_blocks(
     row_block = np.empty(len(states), dtype=np.intp)
     member_pos = np.empty(len(states), dtype=np.intp)
     blocks: list[GainBlock] = []
-    for rows in groups.values():
+    for cls, rows in groups.items():
         for p, i in enumerate(rows):
             row_block[i] = len(blocks)
             member_pos[i] = p
-        blocks.append(build_gain_block([states[i] for i in rows], roster))
+        blocks.append(cls.block([states[i] for i in rows], roster))
     return row_block, member_pos, blocks
 
 

@@ -25,7 +25,6 @@ from ..queries import (
     RegionMonitoringQuery,
     new_query_id,
 )
-from ..queries.base import resolve_relevant_mask
 from ..sensors import AnnouncementBatch, SensorSnapshot
 from ..sensors.state import announcement_batch
 from ..spatial.raster import get_raster
@@ -232,10 +231,7 @@ class RegionMonitoringController:
         slot — and the allocator side, which shares the raster through the
         kernel — pay one pass per (region, announcement batch) pair.
         Plain containment is exactly ``relevant_mask``; subclasses that
-        override it keep the vectorized call, routed through
-        :func:`~repro.queries.base.resolve_relevant_mask` so a subclass
-        that overrides only the scalar :meth:`relevant` falls back to the
-        per-snapshot scan instead of the stale inherited mask.
+        override it keep the vectorized call.
         """
         xy = sensors.xy
         raster = get_raster(sensors, xy)
@@ -246,12 +242,7 @@ class RegionMonitoringController:
             if type(q) is RegionMonitoringQuery:
                 masks[q.query_id] = raster.contains_mask(q.region)
                 continue
-            mask = resolve_relevant_mask(q, xy)
-            if mask is None:
-                mask = np.fromiter(
-                    (q.relevant(s) for s in sensors), bool, len(sensors)
-                )
-            masks[q.query_id] = mask
+            masks[q.query_id] = q.relevant_mask(xy)
         return masks
 
     @staticmethod

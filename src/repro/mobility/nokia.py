@@ -138,15 +138,6 @@ class NokiaCampaignSynthesizer(WaypointMobility):
             for sensor_anchors in self._anchor_xy
         ]
 
-    def sample_target(self, index: int) -> Location:
-        anchors = self._anchor_xy[index]
-        anchor = anchors[int(self._rng.integers(0, len(anchors)))]
-        jitter_x = self._rng.uniform(-self._anchor_jitter, self._anchor_jitter)
-        jitter_y = self._rng.uniform(-self._anchor_jitter, self._anchor_jitter)
-        return self.region.clamp(
-            Location(float(anchor[0]) + jitter_x, float(anchor[1]) + jitter_y)
-        )
-
     def sample_targets(self, indices: np.ndarray) -> np.ndarray:
         """Batched anchor-biased destinations (anchor choice batch, then
         the two jitter batches, then a vectorized clamp)."""

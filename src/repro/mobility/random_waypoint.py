@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..dispatch import batch_hook_trusted
 from ..spatial import Location, Region
 from .base import MobilityModel
 
@@ -169,22 +168,12 @@ class WaypointMobility(MobilityModel):
         # MobilityModel.locations_xy.
         return self._positions
 
-    def sample_target(self, index: int) -> Location:
-        """Next trip destination for sensor ``index``; uniform by default.
-
-        Kept for subclasses that only customize the scalar form —
-        :meth:`_assign_trips` falls back to a per-sensor loop over this
-        method when it is overridden without :meth:`sample_targets`.
-        """
-        return self._region.sample_location(self._rng)
-
     def sample_targets(self, indices: np.ndarray) -> np.ndarray:
         """Next trip destinations for ``indices`` as an ``(k, 2)`` array.
 
-        The batched counterpart of :meth:`sample_target` (uniform by
-        default, drawn as one x batch then one y batch); subclasses bias
-        destinations here (e.g. towards home/work anchors in the Nokia
-        substitute).
+        Uniform by default, drawn as one x batch then one y batch.  This is
+        the one destination hook: subclasses bias destinations here (e.g.
+        towards home/work anchors in the Nokia substitute).
         """
         xs = self._rng.uniform(self._region.x_min, self._region.x_max, size=len(indices))
         ys = self._rng.uniform(self._region.y_min, self._region.y_max, size=len(indices))
@@ -221,22 +210,8 @@ class WaypointMobility(MobilityModel):
             self._assign_trips(needs_trip)
 
     def _assign_trips(self, indices: np.ndarray) -> None:
-        """Draw targets then speeds for ``indices`` (one batch each).
-
-        A subclass that customized only the scalar :meth:`sample_target`
-        is honoured (:func:`repro.dispatch.batch_hook_trusted`): the
-        batched hook is used only when its defining class sits at or below
-        the scalar hook's in the MRO — this covers subclasses of
-        intermediate models like the Nokia synthesizer, not just direct
-        ``WaypointMobility`` children.
-        """
-        if not batch_hook_trusted(type(self), "sample_targets", ("sample_target",)):
-            targets = np.asarray(
-                [tuple(self.sample_target(int(i))) for i in indices], dtype=float
-            ).reshape(-1, 2)
-        else:
-            targets = self.sample_targets(indices)
-        self._targets[indices] = targets
+        """Draw targets then speeds for ``indices`` (one batch each)."""
+        self._targets[indices] = self.sample_targets(indices)
         self._speeds[indices] = self._rng.uniform(
             self._min_speed, self._max_speed, size=len(indices)
         )

@@ -8,7 +8,6 @@ from .base import (
     SensorRoster,
     ValuationState,
     new_query_id,
-    resolve_relevant_mask,
 )
 from .event import EventDetectionQuery, EventSlotQuery, detection_confidence
 from .monitoring import ContinuousQuery, LocationMonitoringQuery, RegionMonitoringQuery
@@ -29,7 +28,6 @@ __all__ = [
     "SensorRoster",
     "GainBlock",
     "new_query_id",
-    "resolve_relevant_mask",
     "PointQuery",
     "MultiSensorPointQuery",
     "reading_quality",

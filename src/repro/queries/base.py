@@ -29,12 +29,6 @@ over the slot raster's CSR rows for the coverage types).  Both allocators
 (Greedy and the sequential baseline) reach their gains through these
 blocks only.
 
-One guard keeps the protocol honest, the MRO staleness test of
-:func:`repro.dispatch.batch_hook_trusted` applied by
-:func:`build_gain_block`: a subclass overriding the scalar ``gain``
-without overriding ``block`` gets the generic :class:`GainBlock`, so the
-override stays authoritative.
-
 Alongside the gains sits the **batch-relevance protocol**
 (:meth:`Query.relevant_mask`): one vectorized pass mapping a slot's stacked
 announcement arrays — ``(n, 2)`` coordinates plus the matching inaccuracy
@@ -43,16 +37,17 @@ and trust columns — to the boolean ``Q_{l_s}`` prefilter row the scalar
 announced sensor through the mask, so region-heavy slots never materialize
 candidate snapshots just to ask whether a sensor could serve a query.
 
-**Scalar fallback contract:** the base :meth:`Query.relevant_mask` returns
-``None``, meaning "no vectorized geometry is available — fall back to the
-per-snapshot :meth:`Query.relevant` scan".  A custom query type therefore
-only ever needs the scalar predicate to be correct — including a subclass
-of a built-in type that overrides *only* ``relevant``: allocators resolve
-masks through :func:`resolve_relevant_mask`, which refuses an inherited
-mask whenever the scalar predicate was redefined below it in the MRO.
-Every built-in type overrides the mask alongside the scalar predicate,
-and the purely geometric types (aggregate, trajectory)
-route their *scalar* predicate through the mask with ``n = 1`` so the two
+The batch hooks *are* the protocol.  ``relevant_mask`` is abstract, so a
+query type without it cannot be instantiated, and each subclass of
+:class:`Query` or :class:`ValuationState` is checked once, when it is
+defined (:func:`_require_batch_sibling`): a class body that defines a
+scalar hook — ``relevant``, ``value_single`` or ``quality`` on a query,
+``gain`` on a state — must define the batch sibling (``relevant_mask`` /
+``block``) in the same body, so an inherited batch form never goes stale
+behind a changed scalar one.  The scalar hooks stay the per-pair
+definitions that commits (:meth:`ValuationState.add`) and the test
+oracles use.  The purely geometric types (aggregate, trajectory) route
+their *scalar* predicate through the mask with ``n = 1`` so the two
 forms cannot disagree even in the final ulp.  The quality-gated types
 (point, multi-point, event) keep their historical ``math.hypot`` scalar
 path; their masks use ``np.hypot``, which can differ in the last ulp on
@@ -70,7 +65,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..dispatch import batch_hook_trusted
 from ..sensors import SensorSnapshot
 from ..sensors.state import announcement_batch
 
@@ -80,42 +74,12 @@ __all__ = [
     "ValuationState",
     "SensorRoster",
     "GainBlock",
-    "build_gain_block",
     "member_runs",
     "new_query_id",
-    "resolve_relevant_mask",
+    "require_budget",
     "touched_members",
 ]
 
-
-#: Methods whose override invalidates an inherited ``relevant_mask``: the
-#: scalar predicate itself plus the hooks the built-in predicates delegate
-#: to (``PointQuery.relevant`` → ``value_single`` → ``quality``;
-#: multi-point/event ``relevant`` → ``quality``).
-_RELEVANCE_HOOKS = ("relevant", "value_single", "quality")
-
-
-def resolve_relevant_mask(
-    query: "Query",
-    xy: np.ndarray,
-    gamma: np.ndarray | None = None,
-    trust: np.ndarray | None = None,
-) -> np.ndarray | None:
-    """``query.relevant_mask(...)``, honouring scalar-only overrides.
-
-    The consistency guard of the batch-relevance protocol
-    (:func:`repro.dispatch.batch_hook_trusted`): a subclass that overrides
-    the scalar :meth:`Query.relevant` — or one of the quality hooks the
-    built-in predicates delegate to (:data:`_RELEVANCE_HOOKS`) — *without*
-    overriding :meth:`Query.relevant_mask` would otherwise be screened
-    through the inherited (now stale) mask of its base class.  When the
-    mask cannot be trusted this returns ``None`` and the caller takes the
-    per-snapshot scalar scan, exactly as for query types with no
-    vectorized geometry at all.
-    """
-    if not batch_hook_trusted(type(query), "relevant_mask", _RELEVANCE_HOOKS):
-        return None
-    return query.relevant_mask(xy, gamma, trust)
 
 _query_counter = itertools.count()
 
@@ -123,6 +87,12 @@ _query_counter = itertools.count()
 def new_query_id(prefix: str = "q") -> str:
     """Process-unique query identifier (stable ordering, human readable)."""
     return f"{prefix}{next(_query_counter)}"
+
+
+def require_budget(budget: float) -> None:
+    """Refuse a NaN, infinite or negative query budget."""
+    if not (math.isfinite(budget) and budget >= 0):
+        raise ValueError(f"budget must be finite and non-negative, got {budget}")
 
 
 class QueryType(enum.Enum):
@@ -172,8 +142,7 @@ class SensorRoster:
             instead of re-deriving each row).
         relevance_rows: optional precomputed boolean relevance rows keyed
             by query id — allocators that already screened ``Q_{l_s}``
-            park the rows here so gain blocks don't re-run the scalar
-            ``Query.relevant`` per candidate.
+            park the rows here so gain blocks don't re-run the mask.
         raster: optional :class:`~repro.spatial.WorldRaster` of the slot
             the roster was cut from — kernels attach it so gain blocks
             share the slot's cached coverage rows and containment passes
@@ -204,19 +173,11 @@ class SensorRoster:
         self.kernel_columns: np.ndarray | None = None
 
     def relevance_row(self, query: "Query") -> np.ndarray:
-        """This query's boolean relevance over the roster (cached).
-
-        Prefers the query's vectorized :meth:`Query.relevant_mask` over the
-        roster's shared arrays; falls back to the scalar per-snapshot scan
-        when the query declares no vectorized geometry.
-        """
+        """This query's boolean relevance over the roster (cached): its
+        :meth:`Query.relevant_mask` over the roster's shared arrays."""
         row = self.relevance_rows.get(query.query_id)
         if row is None:
-            row = resolve_relevant_mask(query, self.xy, self.gamma, self.trust)
-            if row is None:
-                row = np.fromiter(
-                    (query.relevant(s) for s in self.snapshots), bool, self.n_sensors
-                )
+            row = query.relevant_mask(self.xy, self.gamma, self.trust)
             self.relevance_rows[query.query_id] = row
         return row
 
@@ -292,23 +253,20 @@ def touched_members(member_idx: np.ndarray) -> np.ndarray:
     return member_idx[member_runs(member_idx)[:-1]]
 
 
-def build_gain_block(
-    states: Sequence["ValuationState"], roster: SensorRoster
-) -> GainBlock:
-    """The gain block of same-class ``states``, honouring ``gain`` overrides.
+def _require_batch_sibling(cls: type, scalar_hooks: tuple[str, ...], batch_hook: str) -> None:
+    """Refuse a class body that defines a scalar hook without its batch sibling.
 
-    The one consistency guard of the gain path
-    (:func:`repro.dispatch.batch_hook_trusted`): a state subclass that
-    overrides the scalar :meth:`ValuationState.gain` *without* overriding
-    the :meth:`ValuationState.block` classmethod must not be evaluated
-    through its base's stacked closed form, which no longer reflects its
-    semantics.  Such states get the generic :class:`GainBlock`, which
-    loops their own ``gain``.
+    Called once per subclass, when it is defined.  A scalar hook changed
+    below an inherited batch hook would leave that batch form answering
+    for semantics it no longer has; allocators use only the batch form.
     """
-    cls = type(states[0])
-    if batch_hook_trusted(cls, "block", ("gain",)):
-        return cls.block(states, roster)
-    return GainBlock(states, roster)
+    body = vars(cls)
+    for hook in scalar_hooks:
+        if hook in body and batch_hook not in body:
+            raise TypeError(
+                f"{cls.__name__} defines {hook}() but not {batch_hook}(); "
+                f"define both in the same class"
+            )
 
 
 class ValuationState:
@@ -317,8 +275,13 @@ class ValuationState:
     The generic implementation recomputes the full set valuation on every
     :meth:`gain` call, which is always correct; query types with structure
     (max for point queries, coverage masks for aggregates, GP Cholesky
-    updates for region monitoring) override for speed.
+    updates for region monitoring) override for speed.  A subclass that
+    defines ``gain`` must define :meth:`block` too.
     """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        _require_batch_sibling(cls, ("gain",), "block")
 
     def __init__(self, query: "Query") -> None:
         self.query = query
@@ -343,19 +306,26 @@ class ValuationState:
         """A fused gain evaluator over same-class ``states`` and ``roster``.
 
         The base implementation returns the generic scalar-looping
-        :class:`GainBlock`; built-in states override it with stacked
-        closed forms.  Allocators consult it only while it still speaks
-        for ``gain`` (:func:`build_gain_block`).
+        :class:`GainBlock`, which is also the right answer for a subclass
+        whose ``gain`` has no closed form; built-in states override it
+        with stacked closed forms.
         """
         return GainBlock(states, roster)
 
 
 class Query(abc.ABC):
-    """Base class: identity, budget, lifetime, and the valuation interface."""
+    """Base class: identity, budget, lifetime, and the valuation interface.
+
+    A subclass that defines ``relevant``, ``value_single`` or ``quality``
+    must define :meth:`relevant_mask` too.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        _require_batch_sibling(cls, ("relevant", "value_single", "quality"), "relevant_mask")
 
     def __init__(self, budget: float, query_id: str | None = None, issued_at: int = 0) -> None:
-        if not (math.isfinite(budget) and budget >= 0):
-            raise ValueError(f"budget must be finite and non-negative, got {budget}")
+        require_budget(budget)
         self.budget = budget
         self.query_id = query_id if query_id is not None else new_query_id()
         self.issued_at = issued_at
@@ -375,12 +345,13 @@ class Query(abc.ABC):
     def relevant(self, snapshot: SensorSnapshot) -> bool:
         """Whether the sensor could contribute any value to this query."""
 
+    @abc.abstractmethod
     def relevant_mask(
         self,
         xy: np.ndarray,
         gamma: np.ndarray | None = None,
         trust: np.ndarray | None = None,
-    ) -> np.ndarray | None:
+    ) -> np.ndarray:
         """Vectorized ``Q_{l_s}`` prefilter over stacked announcements.
 
         Args:
@@ -392,13 +363,8 @@ class Query(abc.ABC):
 
         Returns:
             A boolean ``(n,)`` array where entry ``j`` answers
-            :meth:`relevant` for sensor ``j``, or ``None`` — the **scalar
-            fallback contract**: this query declares no vectorized
-            geometry and the caller must fall back to the per-snapshot
-            :meth:`relevant` scan.  The base class always returns ``None``
-            so user-defined query types stay correct unmodified.
+            :meth:`relevant` for sensor ``j``.
         """
-        return None
 
     def new_state(self) -> ValuationState:
         """Fresh incremental-valuation state (see :class:`ValuationState`)."""

@@ -32,7 +32,7 @@ from ..sensors import SensorSnapshot
 from ..spatial import Location, Region, as_xy
 from ..spatial.geometry import require_finite_location, require_positive
 from .aggregate import sensor_quality
-from .base import new_query_id
+from .base import new_query_id, require_budget
 from .point import _quality_gated_mask
 
 __all__ = ["ContinuousQuery", "LocationMonitoringQuery", "RegionMonitoringQuery"]
@@ -42,8 +42,7 @@ class ContinuousQuery:
     """Lifecycle shared by monitoring queries: active in ``[t1, t2]``."""
 
     def __init__(self, budget: float, t1: int, t2: int, query_id: str | None = None) -> None:
-        if budget < 0:
-            raise ValueError("budget must be non-negative")
+        require_budget(budget)
         if t2 < t1:
             raise ValueError("t2 must be >= t1")
         self.budget = budget

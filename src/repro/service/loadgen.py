@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import abc
 import asyncio
+import math
 from typing import Any, Sequence
 
 import numpy as np
@@ -45,6 +46,12 @@ __all__ = [
 ]
 
 
+def _require_rate(name: str, rate: float) -> float:
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {rate}")
+    return float(rate)
+
+
 class ArrivalProfile(abc.ABC):
     """Per-tick arrival counts of an open-loop workload."""
 
@@ -57,9 +64,7 @@ class PoissonProfile(ArrivalProfile):
     """Stationary Poisson arrivals: ``count ~ Poisson(rate)`` per tick."""
 
     def __init__(self, rate: float) -> None:
-        if rate < 0:
-            raise ValueError("rate must be >= 0")
-        self.rate = float(rate)
+        self.rate = _require_rate("rate", rate)
 
     def count(self, tick: int, rng: np.random.Generator) -> int:
         return int(rng.poisson(self.rate))
@@ -83,12 +88,10 @@ class BurstyProfile(ArrivalProfile):
         period: int = 8,
         burst_length: int = 2,
     ) -> None:
-        if rate < 0 or burst_rate < 0:
-            raise ValueError("rates must be >= 0")
+        self.rate = _require_rate("rate", rate)
+        self.burst_rate = _require_rate("burst_rate", burst_rate)
         if period < 1 or not (0 < burst_length <= period):
             raise ValueError("need period >= 1 and 0 < burst_length <= period")
-        self.rate = float(rate)
-        self.burst_rate = float(burst_rate)
         self.period = int(period)
         self.burst_length = int(burst_length)
 

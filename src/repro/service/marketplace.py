@@ -34,6 +34,7 @@ fused/per-row engines.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -110,8 +111,10 @@ class ServiceConfig:
     arrivals: dict[str, Any] | None = None
 
     def __post_init__(self) -> None:
-        if self.tick_interval < 0:
-            raise ValueError("tick_interval must be >= 0")
+        if not (math.isfinite(self.tick_interval) and self.tick_interval >= 0):
+            raise ValueError(
+                f"tick_interval must be finite and >= 0, got {self.tick_interval}"
+            )
         if self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
         if self.max_admitted_per_tick < 1:

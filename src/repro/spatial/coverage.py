@@ -22,7 +22,8 @@ accepts either a sequence of :class:`Location` objects or a stacked
 gain states hand the allocator's shared coordinate block straight to
 :meth:`masks_for`, so a slot with many region queries never materializes a
 single ``Location``; the two input forms go through identical broadcasted
-arithmetic and therefore produce bit-identical masks.
+arithmetic and therefore produce bit-identical masks.  The slot raster calls
+``masks_for`` with an ``(n, 2)`` array only, so an override must accept one.
 """
 
 from __future__ import annotations
@@ -39,25 +40,7 @@ __all__ = [
     "CoverageFunction",
     "AreaCoverage",
     "TrajectoryCoverage",
-    "masks_for_xy",
 ]
-
-
-def masks_for_xy(fn: "CoverageFunction", xy: np.ndarray) -> np.ndarray:
-    """``fn.masks_for`` over stacked coordinates, tolerating legacy overrides.
-
-    The allocator hot path feeds ``(n, 2)`` arrays straight to
-    :meth:`CoverageFunction.masks_for`.  Every implementation in this
-    module (including the base fallback) accepts them natively; a user
-    subclass that overrode ``masks_for`` against the historical
-    ``Sequence[Location]`` signature gets ``Location`` objects built for
-    it here instead of crashing on array rows.  The two forms stack to the
-    same coordinates, so results are identical either way.
-    """
-    owner = next(c for c in type(fn).__mro__ if "masks_for" in c.__dict__)
-    if owner.__module__ == __name__:
-        return fn.masks_for(xy)
-    return fn.masks_for([Location(float(x), float(y)) for x, y in xy])
 
 
 class CoverageFunction:
@@ -88,13 +71,13 @@ class CoverageFunction:
         this matrix once per allocator call and evaluate every candidate's
         coverage delta with a single boolean pass.  ``locations`` may be a
         ``(n, 2)`` coordinate array (the allocator hot path — no
-        ``Location`` objects are built) or a ``Location`` sequence.
+        ``Location`` objects are built) or a ``Location`` sequence; an
+        override must accept the array form.
 
-        **Scalar fallback contract:** the default implementation loops over
-        :meth:`mask_for`, so a custom function only ever needs the scalar
-        method to be correct; the built-in rasterized functions override
-        with a single broadcasted pass whose rows are bit-identical to the
-        scalar loop's.
+        The default implementation loops over :meth:`mask_for`, so a
+        custom function only needs the scalar method to be correct; the
+        built-in rasterized functions override with a single broadcasted
+        pass whose rows are bit-identical to the scalar loop's.
         """
         xy = as_xy(locations)
         if len(xy) == 0:

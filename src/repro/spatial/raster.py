@@ -28,7 +28,7 @@ caches
 **Bit-identity contract.**  Every cached quantity is produced by exactly
 the arithmetic of the uncached path.  Containment caches call the very
 ``Region`` method consumers called before.  Coverage rows reproduce the
-membership of ``masks_for_xy`` row-for-row: every cell the builder emits
+membership of ``fn.masks_for(xy)`` row-for-row: every cell the builder emits
 (or skips) is decided by the same ``sqrt(dx*dx + dy*dy) <= sensing_range``
 on the function's own stored cell coordinates, so a cell is covered in the
 CSR iff it is covered in the dense mask, down to the last ulp of a
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coverage import AreaCoverage, CoverageFunction, masks_for_xy
+from .coverage import AreaCoverage, CoverageFunction
 from .region import Region
 
 __all__ = ["WorldRaster", "get_raster"]
@@ -167,7 +167,7 @@ class WorldRaster:
         Returns ``(indptr, cells)``: row ``i`` (sensor ``cols[i]``) covers
         the cell indices ``cells[indptr[i]:indptr[i+1]]`` of ``fn``'s own
         cell order — exactly the ``True`` positions of row ``i`` of
-        ``masks_for_xy(fn, xy[cols])``, ascending.  Both arrays are shared
+        ``fn.masks_for(xy[cols])``, ascending.  Both arrays are shared
         and read-only.
         """
         cols = np.asarray(cols, dtype=np.intp)
@@ -204,7 +204,7 @@ class WorldRaster:
         if layout is None:
             # Dense fallback: any coverage function, any cell layout.  The
             # mask matrix is transient — only its nonzero structure is kept.
-            masks = masks_for_xy(fn, self.xy[cols])
+            masks = fn.masks_for(self.xy[cols])
             self.candidates_built += masks.size
             rows, cells = np.nonzero(masks)
             counts = np.bincount(rows, minlength=k)

@@ -14,7 +14,6 @@ from repro.core.mix import BaselineMixAllocator
 from repro.core.monitoring import LocationMonitoringController, RegionMonitoringController
 from repro.core.valuation import ValuationKernel
 from repro.queries import PointQuery
-from repro.queries.base import build_gain_block
 from repro.sensors import SensorSnapshot
 from repro.spatial import Location, Region
 from repro.spatial.index import UniformGridIndex
@@ -95,7 +94,7 @@ def block_gains(state, roster, indices) -> np.ndarray:
     must be relevant to its query) through the production gain block, with
     ``state`` as the block's only member."""
     indices = np.asarray(indices, dtype=np.intp)
-    block = build_gain_block([state], roster)
+    block = type(state).block([state], roster)
     return block.gain_many_block(np.zeros(len(indices), dtype=np.intp), indices)
 
 

@@ -50,7 +50,6 @@ from repro.core.mix import BaselineMixAllocator, MixAllocator
 from repro.core.monitoring import RegionSlotOutcome
 from repro.core.payments import proportionate_shares
 from repro.core.valuation import ValuationKernel
-from repro.dispatch import batch_hook_trusted
 from repro.queries import (
     LocationMonitoringQuery,
     PointQuery,
@@ -68,7 +67,6 @@ from repro.queries.point import (
     _TopKState,
 )
 from repro.sensors import SensorSnapshot
-from repro.spatial.coverage import masks_for_xy
 
 __all__ = [
     "BestSensorRows",
@@ -374,8 +372,8 @@ class CoverageRows(RowGains):
     def masks(self) -> np.ndarray:
         """``(n_relevant, n_cells)`` per-candidate coverage masks (lazy)."""
         if self._masks is None:
-            self._masks = masks_for_xy(
-                self.state.query.coverage, self.roster.xy[self._rel_idx]
+            self._masks = self.state.query.coverage.masks_for(
+                self.roster.xy[self._rel_idx]
             )
         return self._masks
 
@@ -436,17 +434,12 @@ _ROW_FORMS = {
 def row_gains(state: ValuationState, roster: SensorRoster) -> RowGains:
     """``state``'s per-row gain view over ``roster``.
 
-    A built-in state (or a subclass that leaves its gain arithmetic alone)
-    gets its closed form; a subclass that overrides the scalar ``gain``
-    without vouching for the block form — the production lattice's test —
-    and every user-defined state get the scalar loop.
+    Keyed by the class whose ``block`` the state uses: a built-in state (or
+    a subclass that keeps its block) gets its closed form; a state whose
+    block is its own or the base generic one gets the scalar loop.
     """
-    cls = type(state)
-    if batch_hook_trusted(cls, "block", ("gain",)):
-        for base in cls.__mro__:
-            if base in _ROW_FORMS:
-                return _ROW_FORMS[base](state, roster)
-    return RowGains(state, roster)
+    owner = next(c for c in type(state).__mro__ if "block" in vars(c))
+    return _ROW_FORMS.get(owner, RowGains)(state, roster)
 
 
 class DenseGreedyAllocator(GreedyAllocator):

@@ -119,98 +119,6 @@ class TestCapabilityHook:
 
 
 # ----------------------------------------------------------------------
-# REP002 batch-hook-pairing
-# ----------------------------------------------------------------------
-QUERY_BASE = """
-    class Query:
-        def relevant(self, snapshot):
-            return True
-        def relevant_mask(self, xy, gamma=None, trust=None):
-            return None
-"""
-
-SCALAR_ONLY_OVERRIDE = QUERY_BASE + """
-    class Narrow(Query):
-        def relevant(self, snapshot):
-            return snapshot.trust > 0.5
-"""
-
-PAIRED_OVERRIDE = QUERY_BASE + """
-    class Narrow(Query):
-        def relevant(self, snapshot):
-            return snapshot.trust > 0.5
-        def relevant_mask(self, xy, gamma=None, trust=None):
-            return trust > 0.5
-"""
-
-SELF_CALL_OVERRIDE = QUERY_BASE + """
-    class Wide(Query):
-        def relevant(self, snapshot):
-            return bool(self.relevant_mask(None)[0])
-        def relevant_mask(self, xy, gamma=None, trust=None):
-            return [True]
-"""
-
-
-class TestBatchHookPairing:
-    def test_scalar_only_override_fires(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "src/repro/queries/q.py": SCALAR_ONLY_OVERRIDE,
-        })
-        assert rules_fired(result) == {"batch-hook-pairing"}
-        assert "Narrow" in result.findings[0].message
-
-    def test_paired_override_is_clean(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "src/repro/queries/q.py": PAIRED_OVERRIDE,
-        })
-        assert result.modules == 1 and result.ok
-
-    def test_scalar_override_without_batch_ancestor_is_clean(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "src/repro/queries/q.py": """
-                class ScalarOnly:
-                    def relevant(self, snapshot):
-                        return True
-                class Narrow(ScalarOnly):
-                    def relevant(self, snapshot):
-                        return False
-            """,
-        })
-        assert result.ok
-
-    def test_direct_batch_hook_call_fires(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "src/repro/core/screen.py": "mask = query.relevant_mask(xy)\n",
-        })
-        assert rules_fired(result) == {"batch-hook-pairing"}
-        assert "resolve_relevant_mask" in result.findings[0].message
-
-    def test_self_call_and_dispatch_module_are_clean(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "src/repro/queries/q.py": SELF_CALL_OVERRIDE,
-            # the module that *implements* the guard calls the hook directly
-            "src/repro/queries/base.py": "def resolve(q, xy):\n    return q.relevant_mask(xy)\n",
-        })
-        assert result.modules == 2 and result.ok
-
-    def test_sample_target_pair_fires(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "src/repro/mobility/m.py": """
-                class Base:
-                    def sample_target(self, index):
-                        return 0
-                    def sample_targets(self, indices):
-                        return indices
-                class Biased(Base):
-                    def sample_target(self, index):
-                        return 1
-            """,
-        })
-        assert rules_fired(result) == {"batch-hook-pairing"}
-
-
-# ----------------------------------------------------------------------
 # REP003 determinism
 # ----------------------------------------------------------------------
 class TestDeterminism:
@@ -519,10 +427,9 @@ class TestEngineAndReporting:
         with pytest.raises(ValueError, match="unknown lint rule"):
             select_rules(LintConfig(root=tmp_path, rules=("nope",)))
 
-    def test_registry_has_the_six_contract_rules(self):
+    def test_registry_has_the_five_contract_rules(self):
         assert set(RULES) >= {
             "capability-hook",
-            "batch-hook-pairing",
             "determinism",
             "ulp-mixed-math",
             "hot-loop",

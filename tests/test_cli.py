@@ -300,6 +300,22 @@ class TestLoadgen:
         assert "parity OK" in out
         assert "queue_full" in out
 
+    @pytest.mark.parametrize(
+        "flags,reason",
+        [
+            (["--rate", "-1"], "rate must be finite and >= 0, got -1.0"),
+            (["--rate", "nan"], "rate must be finite and >= 0, got nan"),
+            (["--rate", "inf"], "rate must be finite and >= 0, got inf"),
+            (["--profile", "bursty", "--period", "0"],
+             "need period >= 1 and 0 < burst_length <= period"),
+        ],
+        ids=["negative-rate", "nan-rate", "inf-rate", "zero-period"],
+    )
+    def test_bad_arrival_flags_exit_with_one_line(self, spec_file, capsys, flags, reason):
+        assert main(["loadgen", str(spec_file), "--slots", "1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error building arrivals for cli-svc: {reason}\n"
+
 
 class TestAsciiChart:
     def _result(self):
@@ -350,9 +366,9 @@ class TestLint:
 
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for code in ("REP001", "REP002", "REP003", "REP004", "REP005", "REP006"):
-            assert code in out
+        lines = capsys.readouterr().out.splitlines()
+        codes = [line.split()[0] for line in lines]
+        assert codes == ["REP001", "REP003", "REP004", "REP005", "REP006"]
 
     def test_injected_violations_fail_with_json_report(self, tmp_path, capsys):
         root = self._violating_tree(tmp_path)

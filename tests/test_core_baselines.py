@@ -6,16 +6,20 @@ import pytest
 
 from helpers import make_point_query, make_snapshot, random_instance
 from repro.core import BaselineAllocator, GreedyAllocator, OptimalPointAllocator
-from repro.queries import PointQuery, SpatialAggregateQuery
+from repro.queries import GainBlock, PointQuery, SpatialAggregateQuery
 from repro.queries.point import _BestSensorState
 from repro.spatial import Location, Region
 
 
 class _HalfGainState(_BestSensorState):
-    """Overrides only the scalar ``gain``: half the closed form."""
+    """Half the closed form, evaluated by the generic scalar-looping block."""
 
     def gain(self, sensor):
         return 0.5 * super().gain(sensor)
+
+    @classmethod
+    def block(cls, states, roster):
+        return GainBlock(states, roster)
 
 
 class HalfGainPointQuery(PointQuery):
@@ -126,8 +130,8 @@ class TestBaselineAggregateBehaviour:
     "allocator", [GreedyAllocator, BaselineAllocator], ids=["greedy", "baseline"]
 )
 def test_scalar_gain_override_is_honoured(allocator):
-    """A state overriding only ``gain`` must not be valued through its
-    base's closed-form batch state: the recorded value is the override's."""
+    """A state overriding ``gain`` with the generic block is valued through
+    its own ``gain``, not its base's closed form."""
     query = HalfGainPointQuery(Location(0, 0), budget=10.0, theta_min=0.0, dmax=5.0)
     sensor = make_snapshot(0, x=1, y=0, cost=3.0)
     state = query.new_state()

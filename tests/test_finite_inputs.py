@@ -20,7 +20,7 @@ import pytest
 from helpers import make_snapshot
 from repro.cli import main
 from repro.core import Aggregator
-from repro.datasets import ScenarioSpec, build_rwm_scenario
+from repro.datasets import ScenarioSpec, build_intel_scenario, build_rwm_scenario
 from repro.phenomena import GaussianProcessField, RBFKernel
 from repro.queries import (
     EventDetectionQuery,
@@ -40,6 +40,7 @@ from repro.sensors import (
     SensorSnapshot,
 )
 from repro.sensors.state import FleetState
+from repro.service import ServiceConfig
 from repro.spatial import (
     AreaCoverage,
     Location,
@@ -67,6 +68,61 @@ def test_query_rejects_non_finite_budget(value):
         PointQuery(Location(0.0, 0.0), budget=value)
     with pytest.raises(ValueError, match="budget must be finite"):
         SpatialAggregateQuery(Region(0, 0, 5, 5), budget=value)
+
+
+@pytest.fixture(scope="module")
+def intel_gp():
+    return build_intel_scenario(11, n_sensors=10, n_slots=5).gp
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=IDS)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda b, gp: LocationMonitoringQuery(
+            Location(1.0, 1.0), 0, 5, [1, 3], budget=b, series=np.zeros(10), model=None,
+        ),
+        lambda b, gp: RegionMonitoringQuery(
+            region=Region(5, 5, 20, 20), t1=0, t2=4, budget=b, gp=gp
+        ),
+        lambda b, gp: EventDetectionQuery(
+            Location(1.0, 1.0), 0, 5, threshold=1.0, confidence=0.9, budget=b
+        ),
+    ],
+    ids=["location-monitoring", "region-monitoring", "event-detection"],
+)
+def test_continuous_queries_reject_non_finite_budget(make, value, intel_gp):
+    """A NaN budget used to pass ``budget < 0`` and leave the query with a
+    ``remaining_budget`` of 0.0 and a ``nan`` quality."""
+    with pytest.raises(
+        ValueError, match=f"^budget must be finite and non-negative, got {value}$"
+    ):
+        make(value, intel_gp)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=IDS)
+def test_service_config_rejects_non_finite_tick_interval(value):
+    """An infinite tick used to sleep forever between slots."""
+    with pytest.raises(
+        ValueError, match=f"^tick_interval must be finite and >= 0, got {value}$"
+    ):
+        ServiceConfig(tick_interval=value)
+    assert ServiceConfig(tick_interval=0.0).tick_interval == 0.0
+
+
+def test_serve_refuses_an_infinite_tick_with_one_line(tmp_path, capsys):
+    spec = {
+        "name": "tick-inf", "dataset": "rwm", "seed": 3, "n_sensors": 40,
+        "n_slots": 1, "streams": [{"kind": "point", "params": {"n_queries": 3}}],
+    }
+    path = tmp_path / "tick.json"
+    path.write_text(json.dumps(spec))
+    argv = ["serve", "--spec", str(path), "--tick", "inf", "--slots", "1", "--exit-after"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error building service for tick-inf: "
+        "tick_interval must be finite and >= 0, got inf\n"
+    )
 
 
 def fleet_state(n=3, **overrides):
@@ -358,6 +414,10 @@ GEOMETRY_SPECS = {
     "nan-event-dmax": (
         {"kind": "event", "params": {"dmax": math.nan}},
         "dmax must be finite and positive, got nan",
+    ),
+    "nan-monitoring-budget": (
+        {"kind": "location_monitoring", "params": {"budget_factor": math.nan}},
+        "budget must be finite and non-negative, got nan",
     ),
 }
 

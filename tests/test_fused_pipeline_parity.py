@@ -12,13 +12,12 @@ The contract under test (see ``repro.queries.base`` and
   performs the exact per-pair arithmetic of its per-row closed form
   (:func:`oracles.row_gains`);
 * ``WorldRaster.coverage_rows`` reproduces the dense
-  ``masks_for_xy`` membership row-for-row (the per-column run builder
+  ``masks_for`` membership row-for-row (the per-column run builder
   decides every emitted and skipped cell with the identical membership
-  test), fresh and spliced, down to ulp-grazing sensors;
-* the **override guard** routes a valuation state that overrides only
-  the scalar ``gain`` out of its base's native block
-  (``build_gain_block``) — mirroring the relevance-mask guard pinned in
-  ``test_query_geometry_parity.py``;
+  test), down to ulp-grazing sensors;
+* each built-in valuation state builds its native block through
+  ``ValuationState.block``, and a state that declares the generic
+  ``GainBlock`` is evaluated through its own scalar ``gain``;
 * the aggregate block's live uncovered-cell counts stay ``==`` to the
   per-member oracle ``CoverageRows.gain_many`` whatever commits happen
   between its calls, and read far fewer covered cells than re-gathering
@@ -46,7 +45,6 @@ from repro.core import GreedyAllocator, ValuationKernel
 from repro.core.engine import SimulationSummary
 from repro.core.monitoring import RegionMonitoringController
 from repro.datasets import ScenarioSpec
-from repro.dispatch import batch_hook_trusted
 from repro.queries import (
     AggregateQueryWorkload,
     EventSlotQuery,
@@ -59,7 +57,6 @@ from repro.queries import (
     TrajectoryQueryWorkload,
 )
 from repro.queries.aggregate import _CoverageBlock, _CoverageState
-from repro.queries.base import build_gain_block
 from repro.sensors import AnnouncementBatch
 from repro.spatial import (
     AreaCoverage,
@@ -70,7 +67,6 @@ from repro.spatial import (
     WorldRaster,
     get_raster,
 )
-from repro.spatial.coverage import masks_for_xy
 
 SIDE = 60.0
 
@@ -224,7 +220,7 @@ class TestFusedAllocationParity:
 # world raster: CSR coverage rows vs dense masks, containment caches
 # ----------------------------------------------------------------------
 def assert_rows_match_masks(fn, xy, cols, indptr, cells):
-    masks = masks_for_xy(fn, xy[cols])
+    masks = fn.masks_for(xy[cols])
     for i in range(len(cols)):
         assert np.array_equal(cells[indptr[i]:indptr[i + 1]], np.flatnonzero(masks[i])), i
 
@@ -393,10 +389,10 @@ class TestWorldRasterRows:
 
 
 # ----------------------------------------------------------------------
-# the override guard: scalar-only gain overrides route out of the fused path
+# the block protocol: native blocks, and the generic block on request
 # ----------------------------------------------------------------------
-class TestFallbackLattice:
-    def test_builtin_blocks_are_trusted(self):
+class TestBlockProtocol:
+    def test_builtin_states_build_their_native_blocks(self):
         from repro.queries.event import _EventBlock, _EventState
         from repro.queries.point import (
             _BestSensorBlock,
@@ -416,35 +412,22 @@ class TestFallbackLattice:
         }
         for state in (q.new_state() for q in queries):
             cls = type(state)
-            assert batch_hook_trusted(cls, "block", ("gain",)), cls.__name__
-            assert type(build_gain_block([state], roster)) is natives[cls]
-
-    def test_scalar_gain_override_distrusts_the_inherited_block(self):
-        class ScalarOverride(_CoverageState):
-            def gain(self, snapshot):
-                return super().gain(snapshot)
-
-        rng = np.random.default_rng(5)
-        sensors = random_sensors(rng, n=10, side=20.0)
-        query = SpatialAggregateQuery(
-            Region(2, 2, 15, 15), budget=20.0, sensing_range=5.0
-        )
-        roster = SensorRoster(sensors)
-        generic = build_gain_block([ScalarOverride(query)], roster)
-        assert type(generic) is GainBlock
-        native = build_gain_block([_CoverageState(query)], roster)
-        assert type(native) is _CoverageBlock
+            assert type(cls.block([state], roster)) is natives[cls], cls.__name__
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_scalar_gain_override_is_honoured_end_to_end(self, seed):
-        """A valuation state overriding only scalar ``gain`` is evaluated
-        through the generic scalar-looping GainBlock."""
+    def test_generic_block_is_honoured_end_to_end(self, seed):
+        """A valuation state that declares the generic ``GainBlock`` is
+        evaluated through its own scalar ``gain``."""
         calls = []
 
         class ScalarTracingState(_CoverageState):
             def gain(self, snapshot):
                 calls.append(snapshot.sensor_id)
                 return super().gain(snapshot)
+
+            @classmethod
+            def block(cls, states, roster):
+                return GainBlock(states, roster)
 
         class ScalarTracingAggregate(SpatialAggregateQuery):
             def new_state(self):
@@ -469,7 +452,7 @@ class TestFallbackLattice:
             for i in range(3)
         ]
         fused = GreedyAllocator().allocate(traced, sensors)
-        assert calls, "scalar override was never routed through"
+        assert calls, "the generic block never called the scalar gain"
         reference = GreedyAllocator().allocate(plain, sensors)
         # Aggregate scalar and batch gains share one arithmetic path, so
         # the traced slot must still allocate identically.
@@ -530,7 +513,7 @@ def assert_block_tracks_commits(rng, queries, roster, before_first, per_call):
     oracle ``gain_many``.  Returns the relevance rows."""
     states = [q.new_state() for q in queries]
     rows = [row_gains(state, roster) for state in states]
-    block = build_gain_block(states, roster)
+    block = type(states[0]).block(states, roster)
     assert type(block) is _CoverageBlock
     relevant = [roster.relevance_row(q) for q in queries]
     alive = np.ones(roster.n_sensors, dtype=bool)

@@ -210,24 +210,22 @@ class TestWaypointReplayParity:
             np.testing.assert_array_equal(model._speeds, speeds)
             np.testing.assert_array_equal(model._pauses, pauses)
 
-    def test_scalar_sample_target_override_is_honoured(self):
+    def test_sample_targets_override_is_honoured(self):
         class PinnedTargets(WaypointMobility):
-            """Overrides only the scalar hook — the pre-batch extension API."""
-
-            def sample_target(self, index):
-                return Location(1.0 + index, 2.0)
+            def sample_targets(self, indices):
+                return np.column_stack([1.0 + indices, np.full(len(indices), 2.0)])
 
         model = PinnedTargets(REGION, 5, np.random.default_rng(0), max_pause=0)
         assert model._targets[3, 0] == 4.0
         assert set(model._targets[:, 1]) == {2.0}
 
-    def test_scalar_override_below_a_batched_subclass_is_honoured(self):
-        """The shim is MRO-based: a subclass of the (batched) Nokia
-        synthesizer that overrides only the scalar hook still wins."""
+    def test_override_below_the_nokia_synthesizer_is_honoured(self):
+        """A subclass of an intermediate model with its own destinations
+        (the Nokia synthesizer) still wins with its override."""
 
         class Commuters(NokiaCampaignSynthesizer):
-            def sample_target(self, index):
-                return Location(3.0, 4.0)
+            def sample_targets(self, indices):
+                return np.tile([3.0, 4.0], (len(indices), 1))
 
         model = Commuters(
             np.random.default_rng(0), n_sensors=6, target_presence=2.0, max_pause=0

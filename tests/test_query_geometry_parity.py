@@ -37,8 +37,6 @@ from repro.queries import (
     LocationMonitoringQuery,
     MultiSensorPointQuery,
     PointQuery,
-    Query,
-    QueryType,
     RegionMonitoringQuery,
     SensorRoster,
     SpatialAggregateQuery,
@@ -188,75 +186,43 @@ class TestRelevantMaskParity:
             np.asarray([rm.region.contains(s.location) for s in sensors]),
         )
 
-    def test_scalar_fallback_contract(self):
-        """A query type without vectorized geometry returns None and the
-        roster falls back to the per-snapshot scan."""
-
-        class OpaqueQuery(Query):
-            @property
-            def query_type(self):
-                return QueryType.POINT
-
-            def value(self, snapshots):
-                return float(len(snapshots))
-
-            def relevant(self, snapshot):
-                return snapshot.sensor_id % 2 == 0
-
-        rng = np.random.default_rng(3)
-        sensors = random_sensors(rng, n=9)
-        query = OpaqueQuery(budget=10.0)
-        xy, gamma, trust = stacked(sensors)
-        assert query.relevant_mask(xy, gamma, trust) is None
-        roster = SensorRoster(sensors)
-        row = roster.relevance_row(query)
-        assert row.tolist() == [s.sensor_id % 2 == 0 for s in sensors]
-
-    def test_scalar_only_override_of_a_builtin_is_honoured(self):
-        """A subclass of a built-in type that overrides *only* the scalar
-        ``relevant`` must not be screened through the inherited mask —
-        allocators fall back to the scalar scan (resolve_relevant_mask)."""
-        from repro.queries import resolve_relevant_mask
+    def test_relevance_override_of_a_builtin_is_honoured(self):
+        """A subclass of a built-in type that narrows ``relevant`` together
+        with ``relevant_mask`` is screened through its own mask by the
+        roster and both allocators."""
 
         class TrustedOnly(MultiSensorPointQuery):
             def relevant(self, snapshot):
                 return snapshot.trust >= 0.9 and super().relevant(snapshot)
+
+            def relevant_mask(self, xy, gamma=None, trust=None):
+                return super().relevant_mask(xy, gamma, trust) & (trust >= 0.9)
 
         query = TrustedOnly(Location(0.0, 0.0), budget=20.0, n_readings=2, dmax=10.0)
         sensors = [
             make_snapshot(0, x=1.0, y=0.0, cost=1.0, trust=0.5),
             make_snapshot(1, x=2.0, y=0.0, cost=1.0, trust=0.95),
         ]
-        xy, gamma, trust = stacked(sensors)
-        assert resolve_relevant_mask(query, xy, gamma, trust) is None
         roster = SensorRoster(sensors)
         assert roster.relevance_row(query).tolist() == [False, True]
+        assert [query.relevant(s) for s in sensors] == [False, True]
         for allocator in (GreedyAllocator(), BaselineAllocator()):
             result = allocator.allocate([query], sensors)
             assert set(result.selected) == {1}, type(allocator).__name__
-        # Overriding the mask alongside the scalar re-enables batching.
-
-        class TrustedOnlyMasked(TrustedOnly):
-            def relevant_mask(self, xy, gamma=None, trust=None):
-                base = super().relevant_mask(xy, gamma, trust)
-                return base & (trust >= 0.9)
-
-        masked = TrustedOnlyMasked(
-            Location(0.0, 0.0), budget=20.0, n_readings=2, dmax=10.0
-        )
-        got = resolve_relevant_mask(masked, xy, gamma, trust)
-        assert got is not None and got.tolist() == [False, True]
 
     def test_quality_hook_override_is_honoured(self):
-        """Overriding a hook the scalar predicate delegates to (quality /
-        value_single) also invalidates the inherited mask."""
-        from repro.queries import resolve_relevant_mask
+        """A subclass that tightens ``quality`` (a hook the scalar predicate
+        delegates to) and its mask together allocates by the tighter reach."""
 
         class StrictEvent(EventSlotQuery):
-            def quality(self, snapshot):  # tighter reach than the mask knows
+            def quality(self, snapshot):  # tighter reach than the base mask
                 theta = super().quality(snapshot)
                 distance = snapshot.location.distance_to(self.location)
                 return theta if distance <= self.dmax / 2 else 0.0
+
+            def relevant_mask(self, xy, gamma=None, trust=None):
+                near = np.hypot(xy[:, 0] - self.location.x, xy[:, 1] - self.location.y)
+                return super().relevant_mask(xy, gamma, trust) & (near <= self.dmax / 2)
 
         query = StrictEvent(
             Location(0.0, 0.0), budget=20.0, required_confidence=0.9,
@@ -266,37 +232,10 @@ class TestRelevantMaskParity:
             make_snapshot(0, x=1.0, y=0.0, cost=1.0),
             make_snapshot(1, x=6.0, y=0.0, cost=1.0),  # beyond dmax/2
         ]
-        xy, gamma, trust = stacked(sensors)
-        assert resolve_relevant_mask(query, xy, gamma, trust) is None
         assert SensorRoster(sensors).relevance_row(query).tolist() == [True, False]
+        assert [query.relevant(s) for s in sensors] == [True, False]
         result = GreedyAllocator().allocate([query], sensors)
         assert set(result.selected) == {0}
-
-    def test_legacy_location_coverage_override_still_works(self):
-        """A user CoverageFunction overriding masks_for against the old
-        Sequence[Location] signature keeps allocating (masks_for_xy shim)."""
-
-        class LegacyCoverage(AreaCoverage):
-            def masks_for(self, locations):
-                # Written against the historical contract: touches .x/.y.
-                return np.stack(
-                    [self.mask_for(Location(l.x, l.y)) for l in locations]
-                ) if len(locations) else np.zeros((0, self.cell_count), dtype=bool)
-
-        rng = np.random.default_rng(17)
-        sensors = random_sensors(rng, n=40)
-        region = Region(5, 5, 18, 18)
-        legacy = SpatialAggregateQuery(
-            region, budget=40.0, sensing_range=6.0,
-            coverage=LegacyCoverage(region, 3.0),
-        )
-        builtin = SpatialAggregateQuery(
-            region, budget=40.0, sensing_range=6.0,
-            coverage=AreaCoverage(region, 3.0), query_id=legacy.query_id,
-        )
-        a = GreedyAllocator().allocate([legacy], sensors)
-        b = GreedyAllocator().allocate([builtin], sensors)
-        assert_allocations_identical(a, b)
 
     def test_roster_relevance_row_uses_the_mask(self):
         """Built-in types never fall back to per-snapshot scans."""

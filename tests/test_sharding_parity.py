@@ -362,16 +362,22 @@ class TestAllocatorParity:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("allocator", [GreedyAllocator, BaselineAllocator])
     def test_unknown_types_take_the_full_fleet_view(self, seed, allocator):
-        """Subclasses that override only the scalar ``relevant`` get the
-        full-fleet candidate view and the scalar scan fallback."""
+        """Subclasses of the built-in types get the full-fleet candidate
+        view (the kernel's reach boxes trust exact types only)."""
 
         class OpaquePoint(PointQuery):
             def relevant(self, snapshot):
                 return super().relevant(snapshot)
 
+            def relevant_mask(self, xy, gamma=None, trust=None):
+                return super().relevant_mask(xy, gamma, trust)
+
         class OpaqueAggregate(SpatialAggregateQuery):
             def relevant(self, snapshot):
                 return super().relevant(snapshot)
+
+            def relevant_mask(self, xy, gamma=None, trust=None):
+                return super().relevant_mask(xy, gamma, trust)
 
         rng = np.random.default_rng(4000 + seed)
         sensors = random_sensors(rng, n=45)

@@ -32,7 +32,6 @@ from repro.mobility import ChurnMobility, RandomWaypointMobility, StationaryMobi
 from repro.queries import PointQuery, PointQueryWorkload
 from repro.sensors import FleetConfig, SensorFleet, TieredTrust, UniformTrust
 from repro.spatial import AreaCoverage, Location, Region, get_raster
-from repro.spatial.coverage import masks_for_xy
 
 REGION = Region.from_origin(40, 40)
 HOTSPOT = Region.centered_in(REGION, 26, 26)
@@ -161,7 +160,7 @@ def test_raster_rows_follow_each_slot_announcement():
         assert get_raster(batch, batch.xy) is raster
         cols = np.arange(len(batch), dtype=np.intp)
         indptr, cells = raster.coverage_rows(fn, cols)
-        masks = masks_for_xy(fn, np.asarray(batch.xy))
+        masks = fn.masks_for(np.asarray(batch.xy))
         for i in range(len(cols)):
             np.testing.assert_array_equal(
                 cells[indptr[i]:indptr[i + 1]], np.flatnonzero(masks[i])
