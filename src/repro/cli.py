@@ -440,13 +440,12 @@ def _run_loadgen(args: argparse.Namespace) -> int:
                 period=args.period if args.period is not None else 8,
                 burst_length=args.burst_length if args.burst_length is not None else 2,
             )
+        if args.seed is not None:
+            seed = args.seed
+        generator = LoadGenerator(profile, service.workloads, seed=seed)
     except (ValueError, TypeError) as exc:
         print(f"error building arrivals for {spec.name}: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        seed = args.seed
-
-    generator = LoadGenerator(profile, service.workloads, seed=seed)
     n_slots = args.slots if args.slots is not None else spec.n_slots
     generator.drive(service, n_slots)
     print(f"{spec.name}  [loadgen {profile!r}, {n_slots} ticks]")
@@ -559,6 +558,11 @@ def _run_info(parser: argparse.ArgumentParser) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    slots = getattr(args, "slots", None)
+    if slots is not None and slots < 1:
+        # The spec's own n_slots is refused below 1 the same way.
+        print(f"error: --slots must be >= 1, got {slots}", file=sys.stderr)
+        return 2
     if args.command == "figures":
         return _run_figures(args)
     if args.command == "scenario":

@@ -13,8 +13,8 @@ Theorem 1's guarantees:
 
 The allocator drives the queries' block-gain protocol
 (:meth:`~repro.queries.ValuationState.block`) over one shared setup
-(:func:`gain_setup`: relevance, roster, value/relevance rows, states and
-per-type :class:`~repro.queries.GainBlock` stacks), which the sequential
+(:func:`gain_setup`: relevance, roster, states and per-type
+:class:`~repro.queries.GainBlock` stacks), which the sequential
 baseline builds the same way.
 
 Relevance is stored sparse, as the paper's ``Q_{l_s}``: one paired-CSR
@@ -46,7 +46,7 @@ sensor wins each round).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -77,9 +77,10 @@ class GainSetup:
         costs: the announced cost of each roster column.
         states: the live :class:`~repro.queries.ValuationState` of each
             query, query order.
-        plain_idx: the rows of the plain :class:`~repro.queries.PointQuery`
-            queries, whose eq.-(3) values are ``point_values`` (one dense
-            roster row each, also parked on the roster as its value rows).
+        point_entries, point_values: the entries of the plain
+            :class:`~repro.queries.PointQuery` queries, ascending, and each
+            one's eq.-(3) value (positive: the relevant pairs are exactly
+            the positive kernel values).
         row_block, member_pos, blocks: query row ``i`` is member
             ``member_pos[i]`` of gain block ``blocks[row_block[i]]``.
     """
@@ -91,7 +92,7 @@ class GainSetup:
         entry_cols: np.ndarray,
         costs: np.ndarray,
         states: list[ValuationState],
-        plain_idx: list[int],
+        point_entries: np.ndarray,
         point_values: np.ndarray,
     ) -> None:
         self.roster = roster
@@ -102,9 +103,11 @@ class GainSetup:
         )
         self.costs = costs
         self.states = states
-        self.plain_idx = plain_idx
+        self.point_entries = point_entries
         self.point_values = point_values
-        self.row_block, self.member_pos, self.blocks = _build_blocks(states, roster)
+        self.row_block, self.member_pos, self.blocks = _build_blocks(
+            states, roster, self.row_columns
+        )
 
     def row_columns(self, row: int) -> np.ndarray:
         """Query ``row``'s relevant roster columns, ascending."""
@@ -134,14 +137,14 @@ def gain_setup(
     sensors: AnnouncementBatch,
     kernel: ValuationKernel | None,
 ) -> GainSetup | None:
-    """Relevance, roster, value/relevance rows, states and gain blocks of
-    one allocator call; ``None`` when no sensor is relevant to any query.
+    """Relevance, roster, states and gain blocks of one allocator call;
+    ``None`` when no sensor is relevant to any query.
 
     Relevance goes through the kernel's candidate views (the paper's
     ``Q_{l_s}`` pre-filter) straight into the query-major CSR: one fused
     eq.-(3) pass over the plain point queries' (query, candidate) pairs —
-    the positive values are the relevant pairs and double as their gain
-    rows — and one vectorized ``relevant_mask`` pass per other query over
+    the positive values are the relevant pairs and double as their initial
+    gains — and one vectorized ``relevant_mask`` pass per other query over
     its memoized candidate block.  Candidate columns are ascending, so
     every CSR row is too.  Every omitted pair is exactly zero/irrelevant,
     so the result equals a full-fleet pass bit for bit.
@@ -151,7 +154,7 @@ def gain_setup(
     plain_idx = [i for i, q in enumerate(queries) if type(q) is PointQuery]
     sparse_entries = kernel.sparse_single_values([queries[i] for i in plain_idx])
     world_rows: list[np.ndarray] = [np.empty(0, dtype=np.intp)] * n_queries
-    plain_values = []
+    plain_values = [np.empty(0)]
     for i, (idx, vals) in zip(plain_idx, sparse_entries):
         keep = vals > 0.0
         world_rows[i] = idx[keep]
@@ -172,38 +175,33 @@ def gain_setup(
     cols = np.flatnonzero(relevant)
     col_pos = np.empty(n_all, dtype=np.intp)
     col_pos[cols] = np.arange(cols.size, dtype=np.intp)
-    entry_cols = col_pos[world_cols]
+    # Plain point rows are contiguous entry ranges, in CSR entry order.
+    point_entries = np.concatenate(
+        [np.empty(0, np.intp)]
+        + [np.arange(row_ptr[i], row_ptr[i + 1]) for i in plain_idx]
+    )
     # Snapshots and costs come from the *passed* announcements — the
     # kernel may be a reused one whose own snapshots carry stale prices.
     roster = kernel.roster(cols, sensors)
-    # Dense roster rows for the gain blocks, filled from the CSR: omitted
-    # columns carry value 0.0 / no relevance by construction.
-    point_values = np.zeros((len(plain_idx), cols.size))
-    for p, i in enumerate(plain_idx):
-        row = point_values[p]
-        row[entry_cols[row_ptr[i] : row_ptr[i + 1]]] = plain_values[p]
-        roster.value_rows[queries[i].query_id] = row
-    for i, query in enumerate(queries):
-        if type(query) is not PointQuery:
-            row = np.zeros(cols.size, dtype=bool)
-            row[entry_cols[row_ptr[i] : row_ptr[i + 1]]] = True
-            roster.relevance_rows[query.query_id] = row
     states = [q.new_state() for q in queries]
     return GainSetup(
-        roster, row_ptr, entry_cols, sensors.costs[cols], states, plain_idx,
-        point_values,
+        roster, row_ptr, col_pos[world_cols], sensors.costs[cols], states,
+        point_entries, np.concatenate(plain_values),
     )
 
 
 def _build_blocks(
-    states: list[ValuationState], roster: SensorRoster
+    states: list[ValuationState],
+    roster: SensorRoster,
+    row_columns: Callable[[int], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, list[GainBlock]]:
     """Group the states by exact class into per-type gain blocks.
 
     Returns ``(row_block, member_pos, blocks)``: for query row ``i``,
     ``blocks[row_block[i]]`` is its block and ``member_pos[i]`` its member
     index within it.  Member order follows query order, so pairs sorted by
-    query row arrive member-grouped as the block protocol requires.
+    query row arrive member-grouped as the block protocol requires.  Each
+    block gets its members' relevant columns, ``row_columns(i)``.
     """
     groups: dict[type, list[int]] = {}
     for i, state in enumerate(states):
@@ -215,7 +213,9 @@ def _build_blocks(
         for p, i in enumerate(rows):
             row_block[i] = len(blocks)
             member_pos[i] = p
-        blocks.append(cls.block([states[i] for i in rows], roster))
+        blocks.append(
+            cls.block([states[i] for i in rows], roster, [row_columns(i) for i in rows])
+        )
     return row_block, member_pos, blocks
 
 
@@ -312,17 +312,12 @@ class GreedyAllocator:
         n = roster.n_sensors
         gains = np.zeros(len(entry_cols), dtype=float)
         alive = np.ones(n, dtype=bool)
-        # Initial fill.  Point-query entries come straight from the value
-        # rows (empty state: the marginal gain IS the single value), one
-        # vectorized pass for the whole block; other query types fill via
-        # their gain blocks, one fused pass per type.
-        if setup.plain_idx:
-            plain_pos = np.full(len(queries), -1, dtype=np.intp)
-            plain_pos[setup.plain_idx] = np.arange(len(setup.plain_idx))
-            pos = plain_pos[entry_rows]
-            point = np.flatnonzero(pos >= 0)
-            values = setup.point_values[pos[point], entry_cols[point]]
-            gains[point] = np.where(values > self.min_gain, values, 0.0)
+        # Initial fill.  Point-query entries take their kernel values
+        # directly (empty state: the marginal gain IS the single value), one
+        # vectorized pass for all of them; other query types fill via their
+        # gain blocks, one fused pass per type.
+        values = setup.point_values
+        gains[setup.point_entries] = np.where(values > self.min_gain, values, 0.0)
         row_ptr = setup.row_ptr
         nonpoint_rows = np.asarray(
             [

@@ -48,7 +48,8 @@ bit-for-bit so that refactored callers keep their exact seed behavior:
 * the *matrix* path (``value_rows``) mirrors the dense-matrix construction
   historically inlined in ``PointProblem.build``: distances via
   ``sqrt(dx^2 + dy^2)`` and quality ``((1-gamma)*tau) * (1 - d/dmax)``;
-* the *scalar* path (``sparse_single_values``) mirrors
+* the *scalar* path (``sparse_single_values``, through
+  :func:`repro.queries.point.pair_quality`) mirrors
   :func:`repro.queries.point.reading_quality`: distances via ``hypot`` and
   quality ``((1-gamma) * (1 - d/dmax)) * tau``.  (``np.hypot`` delegates to
   libm while ``math.hypot`` uses CPython's own algorithm, so this path can
@@ -76,6 +77,7 @@ from ..queries import (
     SpatialAggregateQuery,
     TrajectoryQuery,
 )
+from ..queries.point import pair_quality
 from ..sensors import SensorSnapshot
 from ..sensors.state import AnnouncementBatch, SnapshotColumnView, announcement_batch
 from ..spatial.index import UniformGridIndex
@@ -429,12 +431,10 @@ class ValuationKernel:
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-query ``(candidate columns, eq.-(3) values)``, one fused pass.
 
-        ``values[k] = PointQuery.value_single`` of column ``columns[k]``,
-        bit-compatible with :func:`repro.queries.point.reading_quality`:
-        distance via ``hypot`` and multiplication order
-        ``((1-gamma) * (1 - d/dmax)) * tau``, then the
-        ``theta >= theta_min`` cutoff and the budget scaling of eq. (3).
-        Every omitted column is exactly ``0.0`` (outside ``dmax`` by
+        ``values[k] = PointQuery.value_single`` of column ``columns[k]``:
+        ``budget * pair_quality`` (:func:`repro.queries.point.pair_quality`,
+        the one vector form of eq. (4), zeroed below ``theta_min``).  Every
+        omitted column is exactly ``0.0`` (outside ``dmax`` by
         construction).  All queries' candidate pairs are concatenated and
         evaluated in a single vectorized pass, so the cost is proportional
         to sensors-near-queries, not fleet size.
@@ -453,15 +453,15 @@ class ValuationKernel:
         budgets = np.fromiter((query.budget for query in queries), float, q)
         theta_mins = np.fromiter((query.theta_min for query in queries), float, q)
         dmaxes = np.fromiter((query.dmax for query in queries), float, q)
-        dist = np.hypot(
-            self.sensor_xy[idx_cat, 0] - qx[rep],
-            self.sensor_xy[idx_cat, 1] - qy[rep],
+        theta = pair_quality(
+            self.sensor_xy[idx_cat],
+            self.gamma[idx_cat],
+            self.trust[idx_cat],
+            qx[rep],
+            qy[rep],
+            dmaxes[rep],
+            theta_mins[rep],
         )
-        dmax_rep = dmaxes[rep]
-        theta = (1.0 - self.gamma)[idx_cat] * (1.0 - dist / dmax_rep)
-        theta *= self.trust[idx_cat]
-        theta[dist > dmax_rep] = 0.0
         values = budgets[rep] * theta
-        values[theta < theta_mins[rep]] = 0.0
         splits = np.split(values, np.cumsum(counts)[:-1])
         return list(zip(cands, splits))

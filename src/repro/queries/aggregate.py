@@ -95,16 +95,17 @@ class _CoverageBlock(GainBlock):
     call — including before the first one.  A pair's gain then reads one
     count and finishes with the exact eq.-(5) operation order of the scalar
     :meth:`_CoverageState.gain`, so fused gains are bit-identical to it.
-    Callers must pass *relevant* pairs only (both allocators evaluate
-    relevance-filtered pairs by construction); the base :class:`GainBlock`
-    remains the evaluator for arbitrary pairs.
+    The rows are built over ``columns[p]``, member ``p``'s relevant roster
+    columns, and callers must pass *relevant* pairs only (both allocators
+    evaluate relevance-filtered pairs by construction); the base
+    :class:`GainBlock` remains the evaluator for arbitrary pairs.
 
     :attr:`cells_read` counts the transpose entries visited while
     decrementing — the block's covered-cell reads, a deterministic work
     counter.
     """
 
-    def __init__(self, states, roster: SensorRoster) -> None:
+    def __init__(self, states, roster: SensorRoster, columns) -> None:
         super().__init__(states, roster)
         m = len(self.states)
         n = roster.n_sensors
@@ -131,8 +132,7 @@ class _CoverageBlock(GainBlock):
         self._raster, self._world_cols = roster.raster, roster.kernel_columns
         if self._raster is None:
             self._raster, self._world_cols = WorldRaster(roster.xy), None
-        for p, state in enumerate(self.states):
-            rel_idx = np.flatnonzero(roster.relevance_row(state.query))
+        for p, (state, rel_idx) in enumerate(zip(self.states, columns)):
             indptr, cells = self.coverage_rows(state.query, rel_idx)
             lens = np.diff(indptr)
             self._uncovered[p, rel_idx] = lens
@@ -248,8 +248,8 @@ class _CoverageState(ValuationState):
         return self.value - before
 
     @classmethod
-    def block(cls, states, roster: SensorRoster) -> GainBlock:
-        return _CoverageBlock(states, roster)
+    def block(cls, states, roster: SensorRoster, columns) -> GainBlock:
+        return _CoverageBlock(states, roster, columns)
 
 
 class SpatialAggregateQuery(Query):

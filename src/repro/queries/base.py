@@ -16,18 +16,19 @@ On top of the scalar interface sits the **block-gain protocol**: an
 allocator stacks one slot's candidate announcements into a
 :class:`SensorRoster`, groups the live :class:`ValuationState` objects by
 class and asks each group for one :class:`GainBlock`
-(:meth:`ValuationState.block`).  The block evaluates the marginal gains of
+(:meth:`ValuationState.block`), passing each member's relevant roster
+columns as an argument.  The block evaluates the marginal gains of
 *many* (query, sensor) pairs of its type in one vectorized
 :meth:`GainBlock.gain_many_block` pass, while the scalar states remain the
 source of truth for commits (:meth:`ValuationState.add`) — blocks read the
 live states on every call, so no synchronization hooks are needed.  The
 base :class:`GainBlock` loops the scalar :meth:`ValuationState.gain`,
 which keeps arbitrary user-provided valuation functions correct; the
-built-in query types override ``block`` with stacked closed forms
-(quality-row matrices for the point-flavoured types, covered-cell counts
-over the slot raster's CSR rows for the coverage types).  Both allocators
-(Greedy and the sequential baseline) reach their gains through these
-blocks only.
+built-in query types override ``block`` with stacked closed forms (eq.
+(4) evaluated on exactly the requested pairs for the point-flavoured
+types, covered-cell counts over the slot raster's CSR rows for the
+coverage types).  Both allocators (Greedy and the sequential baseline)
+reach their gains through these blocks only.
 
 Alongside the gains sits the **batch-relevance protocol**
 (:meth:`Query.relevant_mask`): one vectorized pass mapping a slot's stacked
@@ -135,14 +136,6 @@ class SensorRoster:
         xy: ``(n, 2)`` candidate coordinates.
         gamma: per-candidate inaccuracy ``gamma_s``.
         trust: per-candidate trust ``tau_s``.
-        value_rows: optional precomputed single-sensor value rows keyed by
-            query id (allocators with a slot
-            :class:`~repro.core.valuation.ValuationKernel` fill this from
-            one ``sparse_single_values`` pass over all plain point queries
-            instead of re-deriving each row).
-        relevance_rows: optional precomputed boolean relevance rows keyed
-            by query id — allocators that already screened ``Q_{l_s}``
-            park the rows here so gain blocks don't re-run the mask.
         raster: optional :class:`~repro.spatial.WorldRaster` of the slot
             the roster was cut from — kernels attach it so gain blocks
             share the slot's cached coverage rows and containment passes
@@ -167,19 +160,8 @@ class SensorRoster:
         self.xy = xy
         self.gamma = gamma
         self.trust = trust
-        self.value_rows: dict[str, np.ndarray] = {}
-        self.relevance_rows: dict[str, np.ndarray] = {}
         self.raster = None
         self.kernel_columns: np.ndarray | None = None
-
-    def relevance_row(self, query: "Query") -> np.ndarray:
-        """This query's boolean relevance over the roster (cached): its
-        :meth:`Query.relevant_mask` over the roster's shared arrays."""
-        row = self.relevance_rows.get(query.query_id)
-        if row is None:
-            row = query.relevant_mask(self.xy, self.gamma, self.trust)
-            self.relevance_rows[query.query_id] = row
-        return row
 
     @property
     def n_sensors(self) -> int:
@@ -301,11 +283,17 @@ class ValuationState:
 
     @classmethod
     def block(
-        cls, states: Sequence["ValuationState"], roster: SensorRoster
+        cls,
+        states: Sequence["ValuationState"],
+        roster: SensorRoster,
+        columns: Sequence[np.ndarray],
     ) -> GainBlock:
         """A fused gain evaluator over same-class ``states`` and ``roster``.
 
-        The base implementation returns the generic scalar-looping
+        ``columns[p]`` holds the roster columns relevant to ``states[p]``'s
+        query, ascending (the allocator's ``Q_{l_s}`` screen); blocks that
+        precompute per relevant pair read it, the others ignore it.  The
+        base implementation returns the generic scalar-looping
         :class:`GainBlock`, which is also the right answer for a subclass
         whose ``gain`` has no closed form; built-in states override it
         with stacked closed forms.

@@ -39,7 +39,7 @@ from .base import (
     touched_members,
 )
 from .monitoring import ContinuousQuery
-from .point import _gated_quality_row, _quality_gated_mask, reading_quality
+from .point import _PointPairBlock, _query_quality, reading_quality
 
 __all__ = ["EventDetectionQuery", "EventSlotQuery", "detection_confidence"]
 
@@ -54,8 +54,8 @@ def detection_confidence(qualities: Sequence[float]) -> float:
     return 1.0 - confidence
 
 
-class _EventBlock(GainBlock):
-    """Fused event-slot gains: stacked quality rows, live failure products.
+class _EventBlock(_PointPairBlock):
+    """Fused event-slot gains: per-pair qualities, live failure products.
 
     The scalar valuation rebuilds the witness-failure product from scratch
     per candidate; the live state already carries that product over the
@@ -72,13 +72,9 @@ class _EventBlock(GainBlock):
     def __init__(self, states, roster: SensorRoster) -> None:
         super().__init__(states, roster)
         m = len(self.states)
-        self._qualities = np.empty((m, roster.n_sensors), dtype=float)
-        self._budgets = np.empty(m, dtype=float)
-        self._required = np.empty(m, dtype=float)
-        for p, state in enumerate(self.states):
-            self._qualities[p] = _gated_quality_row(state.query, roster)
-            self._budgets[p] = state.query.budget
-            self._required[p] = state.query.required_confidence
+        self._required = np.fromiter(
+            (state.query.required_confidence for state in self.states), float, m
+        )
         self._failure = np.ones(m, dtype=float)
         self._values = np.zeros(m, dtype=float)
 
@@ -90,7 +86,7 @@ class _EventBlock(GainBlock):
             state = self.states[u]
             failure[u] = state._failure_prod
             values[u] = state.value
-        theta = self._qualities[member_idx, indices]
+        theta = self._pair_quality(member_idx, indices)
         confidence = 1.0 - failure[member_idx] * (1.0 - theta)
         value_new = self._budgets[member_idx] * np.minimum(
             1.0, confidence / self._required[member_idx]
@@ -135,7 +131,7 @@ class _EventState(ValuationState):
         return gain
 
     @classmethod
-    def block(cls, states, roster: SensorRoster) -> GainBlock:
+    def block(cls, states, roster: SensorRoster, columns) -> GainBlock:
         return _EventBlock(states, roster)
 
 
@@ -186,7 +182,7 @@ class EventSlotQuery(Query):
         trust: np.ndarray | None = None,
     ) -> np.ndarray:
         """Vectorized :meth:`relevant`: thresholded quality row ``> 0``."""
-        return _quality_gated_mask(self, xy, gamma, trust)
+        return _query_quality(self, xy, gamma, trust) > 0.0
 
     def new_state(self) -> ValuationState:
         return _EventState(self)

@@ -33,7 +33,7 @@ from ..spatial import Location, Region, as_xy
 from ..spatial.geometry import require_finite_location, require_positive
 from .aggregate import sensor_quality
 from .base import new_query_id, require_budget
-from .point import _quality_gated_mask
+from .point import _query_quality
 
 __all__ = ["ContinuousQuery", "LocationMonitoringQuery", "RegionMonitoringQuery"]
 
@@ -160,7 +160,7 @@ class LocationMonitoringQuery(ContinuousQuery):
         the quality columns (eq. 4 gates on inaccuracy and trust, not just
         distance).
         """
-        return _quality_gated_mask(self, xy, gamma, trust)
+        return _query_quality(self, xy, gamma, trust) > 0.0
 
     # ------------------------------------------------------------------
     # valuation (eqs. 16, 17)

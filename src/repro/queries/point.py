@@ -35,7 +35,7 @@ from .base import (
     touched_members,
 )
 
-__all__ = ["reading_quality", "PointQuery", "MultiSensorPointQuery"]
+__all__ = ["pair_quality", "reading_quality", "PointQuery", "MultiSensorPointQuery"]
 
 
 def reading_quality(snapshot: SensorSnapshot, location: Location, dmax: float) -> float:
@@ -47,95 +47,101 @@ def reading_quality(snapshot: SensorSnapshot, location: Location, dmax: float) -
     return (1.0 - snapshot.inaccuracy) * (1.0 - distance / dmax) * snapshot.trust
 
 
-def _quality_values(
-    location: Location,
-    dmax: float,
+def pair_quality(
     xy: np.ndarray,
     gamma: np.ndarray,
     trust: np.ndarray,
+    qx: float | np.ndarray,
+    qy: float | np.ndarray,
+    dmax: float | np.ndarray,
+    theta_min: float | np.ndarray,
 ) -> np.ndarray:
-    """Vectorized :func:`reading_quality` over stacked announcement arrays.
+    """Eq. (4) over aligned (sensor, query) pairs, zeroed below ``theta_min``.
 
-    Same operation sequence as the scalar path (``(1-gamma) * (1-d/dmax)``
-    then ``* tau``, zeroed beyond ``dmax``); distances go through
-    ``np.hypot`` where the scalar path uses ``math.hypot``, which may
-    differ in the final ulp (see :mod:`repro.core.valuation`).
+    Pair ``k`` is the sensor ``(xy[k], gamma[k], trust[k])`` against the
+    query at ``(qx, qy)`` with reach ``dmax`` and cutoff ``theta_min``
+    (each either one scalar for every pair or one value per pair).  The
+    operation sequence is the scalar :func:`reading_quality`'s,
+    ``(1-gamma) * (1-d/dmax)`` then ``* tau``, zeroed beyond ``dmax``; every
+    step is elementwise, so a pair has the same bits evaluated alone or in
+    a full row.  Distances go through ``np.hypot`` where the scalar path
+    uses ``math.hypot``, which may differ in the final ulp (see
+    :mod:`repro.core.valuation`).  This is the one vector form of eq. (4):
+    the relevance masks, the kernel's sparse eq.-(3) values
+    (``budget * pair_quality``) and the point-type gain blocks share it.
     """
-    dist = np.hypot(xy[:, 0] - location.x, xy[:, 1] - location.y)
+    dist = np.hypot(xy[:, 0] - qx, xy[:, 1] - qy)
     theta = (1.0 - gamma) * (1.0 - dist / dmax)
     theta *= trust
     theta[dist > dmax] = 0.0
+    theta[theta < theta_min] = 0.0
     return theta
 
 
-def _quality_row(location: Location, dmax: float, roster: SensorRoster) -> np.ndarray:
-    """:func:`_quality_values` over a roster's candidates."""
-    return _quality_values(location, dmax, roster.xy, roster.gamma, roster.trust)
-
-
-def _require_quality_columns(
-    query, gamma: np.ndarray | None, trust: np.ndarray | None
-) -> None:
-    """Quality-gated relevance masks need the full announcement columns."""
-    if gamma is None or trust is None:
-        raise ValueError(
-            f"{type(query).__name__}.relevant_mask needs the gamma and trust "
-            "columns: its relevance is quality-gated, not purely geometric"
-        )
-
-
-def _quality_gated_mask(
+def _query_quality(
     query,
     xy: np.ndarray,
     gamma: np.ndarray | None,
     trust: np.ndarray | None,
 ) -> np.ndarray:
-    """Thresholded eq.-4 relevance row shared by the quality-gated types.
-
-    ``query`` needs ``location``, ``dmax`` and ``theta_min`` — the shape
-    multi-point, event-slot and location-monitoring relevance share:
-    quality zeroed below ``theta_min``, relevant where positive.
-    """
-    _require_quality_columns(query, gamma, trust)
-    theta = _quality_values(query.location, query.dmax, as_xy(xy), gamma, trust)
-    theta[theta < query.theta_min] = 0.0
-    return theta > 0.0
-
-
-def _single_value_row(query: "PointQuery", roster: SensorRoster) -> np.ndarray:
-    """Eq. (3) value row for one query — `ValuationKernel.sparse_single_values`
-    evaluated on a roster, for rosters without a precomputed value row."""
-    theta = _quality_row(query.location, query.dmax, roster)
-    values = query.budget * theta
-    values[theta < query.theta_min] = 0.0
-    return values
+    """:func:`pair_quality` of ``query`` (``location``, ``dmax``,
+    ``theta_min``) against stacked announcements: the relevance masks of
+    the quality-gated types (point, multi-point, event slot, location
+    monitoring) are this quality, positive."""
+    if gamma is None or trust is None:
+        raise ValueError(
+            f"{type(query).__name__}.relevant_mask needs the gamma and trust "
+            "columns: its relevance is quality-gated, not purely geometric"
+        )
+    location = query.location
+    return pair_quality(
+        as_xy(xy), gamma, trust, location.x, location.y, query.dmax, query.theta_min
+    )
 
 
-def _gated_quality_row(query, roster: SensorRoster) -> np.ndarray:
-    """Eq.-(4) quality row zeroed below ``theta_min`` (multi-point, event)."""
-    theta = _quality_row(query.location, query.dmax, roster)
-    theta[theta < query.theta_min] = 0.0
-    return theta
+class _PointPairBlock(GainBlock):
+    """Gain block over point-flavoured members, evaluated per pair.
 
-
-class _BestSensorBlock(GainBlock):
-    """Fused point-query gains: the stacked value rows clipped per member.
-
-    Per pair this is ``max(row[j] - state.value, 0)``, the scalar
-    :meth:`_BestSensorState.gain` on the eq.-(3) value row (taken from the
-    roster's precomputed rows when the allocator parked them there).  The
-    rows are stacked once at construction; member values are gathered live
-    per call, for the touched members only.  Only the value itself can
-    differ from the scalar path in the final ulp (``np.hypot`` vs
-    ``math.hypot``).
+    Stacks only the members' parameters (location, reach, cutoff, budget);
+    each call evaluates :func:`pair_quality` on exactly the pairs it is
+    asked about, so no array is as wide as the roster.
     """
 
     def __init__(self, states, roster: SensorRoster) -> None:
         super().__init__(states, roster)
-        self._rows = np.empty((len(self.states), roster.n_sensors), dtype=float)
-        for p, state in enumerate(self.states):
-            row = roster.value_rows.get(state.query.query_id)
-            self._rows[p] = row if row is not None else _single_value_row(state.query, roster)
+        queries = [state.query for state in self.states]
+        m = len(queries)
+        self._qx = np.fromiter((q.location.x for q in queries), float, m)
+        self._qy = np.fromiter((q.location.y for q in queries), float, m)
+        self._dmax = np.fromiter((q.dmax for q in queries), float, m)
+        self._theta_min = np.fromiter((q.theta_min for q in queries), float, m)
+        self._budgets = np.fromiter((q.budget for q in queries), float, m)
+
+    def _pair_quality(self, member_idx: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """Gated eq.-(4) quality of each ``(member, roster column)`` pair."""
+        roster = self.roster
+        return pair_quality(
+            roster.xy[indices],
+            roster.gamma[indices],
+            roster.trust[indices],
+            self._qx[member_idx],
+            self._qy[member_idx],
+            self._dmax[member_idx],
+            self._theta_min[member_idx],
+        )
+
+
+class _BestSensorBlock(_PointPairBlock):
+    """Fused point-query gains: each pair's eq.-(3) value clipped per member.
+
+    Per pair this is ``max(budget * theta - state.value, 0)``, the scalar
+    :meth:`_BestSensorState.gain`; member values are gathered live per
+    call, for the touched members only.  Only the value itself can differ
+    from the scalar path in the final ulp (``np.hypot`` vs ``math.hypot``).
+    """
+
+    def __init__(self, states, roster: SensorRoster) -> None:
+        super().__init__(states, roster)
         self._values = np.zeros(len(self.states), dtype=float)
 
     def gain_many_block(
@@ -144,9 +150,8 @@ class _BestSensorBlock(GainBlock):
         values = self._values
         for u in touched_members(member_idx):
             values[u] = self.states[u].value
-        return np.maximum(
-            self._rows[member_idx, indices] - values[member_idx], 0.0
-        )
+        value_new = self._budgets[member_idx] * self._pair_quality(member_idx, indices)
+        return np.maximum(value_new - values[member_idx], 0.0)
 
 
 class _BestSensorState(ValuationState):
@@ -162,19 +167,19 @@ class _BestSensorState(ValuationState):
         return gain
 
     @classmethod
-    def block(cls, states, roster: SensorRoster) -> GainBlock:
+    def block(cls, states, roster: SensorRoster, columns) -> GainBlock:
         return _BestSensorBlock(states, roster)
 
 
-class _TopKBlock(GainBlock):
-    """Fused multi-sensor point-query gains over padded quality matrices.
+class _TopKBlock(_PointPairBlock):
+    """Fused multi-sensor point-query gains over padded quality rows.
 
-    Candidate qualities are stacked once; each call re-sorts every touched
-    member's (small) selected-quality list against its pairs' candidate
-    qualities, padding each pair's row to the widest touched member's
-    selected count with ``-1`` sentinels (real qualities are ``>= 0``, so
-    after the descending sort the padding sits strictly below every real
-    entry), then a row ``cumsum`` — sequential addition, the scalar
+    Each call evaluates the pairs' candidate qualities, then re-sorts
+    every touched member's (small) selected-quality list against them,
+    padding each pair's row to the widest touched member's selected count
+    with ``-1`` sentinels (real qualities are ``>= 0``, so after the
+    descending sort the padding sits strictly below every real entry),
+    then a row ``cumsum`` — sequential addition, the scalar
     ``sum(sorted(...)[:k])`` order — is sampled at each pair's own
     ``k - 1``.  Only the candidate quality itself can differ from the
     scalar path in the final ulp (``np.hypot`` vs ``math.hypot``).
@@ -182,9 +187,9 @@ class _TopKBlock(GainBlock):
 
     def __init__(self, states, roster: SensorRoster) -> None:
         super().__init__(states, roster)
-        self._qualities = np.empty((len(self.states), roster.n_sensors), dtype=float)
-        for p, state in enumerate(self.states):
-            self._qualities[p] = _gated_quality_row(state.query, roster)
+        self._n_readings = np.fromiter(
+            (state.query.n_readings for state in self.states), float, len(self.states)
+        )
 
     def gain_many_block(
         self, member_idx: np.ndarray, indices: np.ndarray
@@ -202,24 +207,21 @@ class _TopKBlock(GainBlock):
             selected[u] = [query.quality(s) for s in state.selected]
         width = max((len(selected[u]) for u, _ in runs), default=0) + 1
         stacked = np.full((len(member_idx), width), -1.0)
+        candidates = self._pair_quality(member_idx, indices)
         k_of = np.empty(len(states), dtype=np.intp)
         values = np.zeros(len(states), dtype=float)
-        budgets = np.empty(len(states), dtype=float)
-        n_readings = np.empty(len(states), dtype=float)
         for u, rows in runs:
             qualities = selected[u]
             if qualities:
                 stacked[rows, : len(qualities)] = qualities
-            stacked[rows, len(qualities)] = self._qualities[u][indices[rows]]
+            stacked[rows, len(qualities)] = candidates[rows]
             state = states[u]
             k_of[u] = min(state.query.n_readings, len(qualities) + 1)
             values[u] = state.value
-            budgets[u] = state.query.budget
-            n_readings[u] = state.query.n_readings
         stacked = np.sort(stacked, axis=1)[:, ::-1]
         csum = np.cumsum(stacked, axis=1)
         total = csum[np.arange(len(member_idx)), k_of[member_idx] - 1]
-        value_new = budgets[member_idx] * total / n_readings[member_idx]
+        value_new = self._budgets[member_idx] * total / self._n_readings[member_idx]
         return value_new - values[member_idx]
 
 
@@ -227,7 +229,7 @@ class _TopKState(ValuationState):
     """Generic scalar state for multi-sensor point queries, plus block gains."""
 
     @classmethod
-    def block(cls, states, roster: SensorRoster) -> GainBlock:
+    def block(cls, states, roster: SensorRoster, columns) -> GainBlock:
         return _TopKBlock(states, roster)
 
 
@@ -312,11 +314,7 @@ class PointQuery(Query):
         positively/zero-wise (``np.hypot`` path; see the module note on the
         last-ulp caveat versus the scalar ``math.hypot``).
         """
-        _require_quality_columns(self, gamma, trust)
-        theta = _quality_values(self.location, self.dmax, as_xy(xy), gamma, trust)
-        values = self.budget * theta
-        values[theta < self.theta_min] = 0.0
-        return values > 0.0
+        return self.budget * _query_quality(self, xy, gamma, trust) > 0.0
 
     def new_state(self) -> ValuationState:
         return _BestSensorState(self)
@@ -377,7 +375,7 @@ class MultiSensorPointQuery(Query):
         trust: np.ndarray | None = None,
     ) -> np.ndarray:
         """Vectorized :meth:`relevant`: thresholded quality row ``> 0``."""
-        return _quality_gated_mask(self, xy, gamma, trust)
+        return _query_quality(self, xy, gamma, trust) > 0.0
 
     def new_state(self) -> ValuationState:
         return _TopKState(self)

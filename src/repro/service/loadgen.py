@@ -170,8 +170,9 @@ class LoadGenerator:
         profile: the per-tick arrival-count process.
         workloads: ``(kind, workload)`` pairs (a service's
             :attr:`~.marketplace.MarketplaceService.workloads`).
-        seed: drives both the counts and the query draws; two generators
-            with equal config produce identical schedules.
+        seed: drives both the counts and the query draws (a non-negative
+            integer); two generators with equal config produce identical
+            schedules.
     """
 
     def __init__(
@@ -180,6 +181,8 @@ class LoadGenerator:
         workloads: Sequence[tuple[str, Any]],
         seed: int = 0,
     ) -> None:
+        if int(seed) < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
         self.profile = profile
         self.workloads = list(workloads)
         self.seed = int(seed)

@@ -24,6 +24,7 @@ __all__ = [
     "make_snapshot",
     "make_point_query",
     "random_instance",
+    "relevance_row",
     "sequential_mix",
 ]
 
@@ -89,12 +90,18 @@ def random_instance(seed: int, n_sensors: int = 8, n_queries: int = 10, side: fl
     return queries, sensors
 
 
+def relevance_row(query, roster) -> np.ndarray:
+    """``query``'s boolean relevance over the roster's columns."""
+    return query.relevant_mask(roster.xy, roster.gamma, roster.trust)
+
+
 def block_gains(state, roster, indices) -> np.ndarray:
     """``state``'s marginal gains at the roster columns ``indices`` (which
     must be relevant to its query) through the production gain block, with
     ``state`` as the block's only member."""
     indices = np.asarray(indices, dtype=np.intp)
-    block = type(state).block([state], roster)
+    columns = [np.flatnonzero(relevance_row(state.query, roster))]
+    block = type(state).block([state], roster, columns)
     return block.gain_many_block(np.zeros(len(indices), dtype=np.intp), indices)
 
 

@@ -44,6 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
+from helpers import relevance_row
 from repro.core.allocation import AllocationResult, check_distinct
 from repro.core.greedy import GainSetup, GreedyAllocator, gain_setup
 from repro.core.mix import BaselineMixAllocator, MixAllocator
@@ -60,12 +61,7 @@ from repro.queries import (
 )
 from repro.queries.aggregate import _CoverageState
 from repro.queries.event import _EventState
-from repro.queries.point import (
-    _BestSensorState,
-    _quality_row,
-    _single_value_row,
-    _TopKState,
-)
+from repro.queries.point import _BestSensorState, _TopKState
 from repro.sensors import SensorSnapshot
 
 __all__ = [
@@ -85,9 +81,11 @@ __all__ = [
     "compile_kernel_as",
     "dense_relevance",
     "dense_single_values",
+    "quality_row",
     "relevance",
     "relevant_queries_by_sensor",
     "row_gains",
+    "single_value_row",
     "single_values",
 ]
 
@@ -276,6 +274,28 @@ class ScalarGreedyAllocator(GreedyAllocator):
 # ----------------------------------------------------------------------
 # per-row closed forms: one query's gains against many roster columns
 # ----------------------------------------------------------------------
+def quality_row(query, roster: SensorRoster) -> np.ndarray:
+    """Eq. (4) of ``query`` against every roster column, as one dense row.
+
+    The roster-wide formula the point-type gain blocks were built on, kept
+    here independently of the production per-pair evaluation.
+    """
+    xy = roster.xy
+    dist = np.hypot(xy[:, 0] - query.location.x, xy[:, 1] - query.location.y)
+    theta = (1.0 - roster.gamma) * (1.0 - dist / query.dmax)
+    theta *= roster.trust
+    theta[dist > query.dmax] = 0.0
+    return theta
+
+
+def single_value_row(query, roster: SensorRoster) -> np.ndarray:
+    """Eq. (3) value of a point query against every roster column."""
+    theta = quality_row(query, roster)
+    values = query.budget * theta
+    values[theta < query.theta_min] = 0.0
+    return values
+
+
 class RowGains:
     """Vectorized marginal-gain view of one query over a fixed roster.
 
@@ -305,8 +325,7 @@ class BestSensorRows(RowGains):
 
     def __init__(self, state, roster: SensorRoster) -> None:
         super().__init__(state, roster)
-        row = roster.value_rows.get(state.query.query_id)
-        self._row = row if row is not None else _single_value_row(state.query, roster)
+        self._row = single_value_row(state.query, roster)
 
     def gain_many(self, indices: np.ndarray) -> np.ndarray:
         return np.maximum(self._row[indices] - self.state.value, 0.0)
@@ -325,7 +344,7 @@ class TopKRows(RowGains):
     def __init__(self, state, roster: SensorRoster) -> None:
         super().__init__(state, roster)
         query = state.query
-        theta = _quality_row(query.location, query.dmax, roster)
+        theta = quality_row(query, roster)
         theta[theta < query.theta_min] = 0.0
         self._qualities = theta
 
@@ -359,7 +378,7 @@ class CoverageRows(RowGains):
 
     def __init__(self, state, roster: SensorRoster) -> None:
         super().__init__(state, roster)
-        relevant = roster.relevance_row(state.query)
+        relevant = relevance_row(state.query, roster)
         self._relevant = relevant
         self._rel_idx = np.flatnonzero(relevant)
         # Row index into the mask matrix per roster column (-1: irrelevant).
@@ -407,7 +426,7 @@ class EventRows(RowGains):
     def __init__(self, state, roster: SensorRoster) -> None:
         super().__init__(state, roster)
         query = state.query
-        theta = _quality_row(query.location, query.dmax, roster)
+        theta = quality_row(query, roster)
         theta[theta < query.theta_min] = 0.0
         self._qualities = theta
 
@@ -470,15 +489,15 @@ class DenseGreedyAllocator(GreedyAllocator):
         gain_matrix = np.zeros((len(queries), n), dtype=float)
         alive = np.ones(n, dtype=bool)
         all_indices = roster.all_indices
-        # Initial fill.  Point-query rows come straight from the value
-        # block (empty state: the marginal gain IS the single value), one
-        # vectorized pass for the whole block; other query types fill via
-        # their gain blocks, one fused pass per type.
-        if setup.plain_idx:
-            rows = np.asarray(setup.plain_idx, dtype=np.intp)
-            values = setup.point_values
-            keep = relevance[rows] & (values > self.min_gain)
-            gain_matrix[rows] = np.where(keep, values, 0.0)
+        # Initial fill.  Point-query pairs take the setup's per-entry kernel
+        # values (empty state: the marginal gain IS the single value),
+        # scattered into the matrix in one pass; other query types fill
+        # via their gain blocks, one fused pass per type.
+        entries = setup.point_entries
+        values = setup.point_values
+        gain_matrix[setup.entry_rows[entries], setup.entry_cols[entries]] = np.where(
+            values > self.min_gain, values, 0.0
+        )
         nonpoint_rows = [
             i
             for i, query in enumerate(queries)

@@ -118,9 +118,13 @@ class TestValuationStateProtocol:
     def test_block_only_override_is_accepted(self):
         generic = type(
             "Generic", (_BestSensorState,),
-            {"block": classmethod(lambda cls, states, roster: GainBlock(states, roster))},
+            {
+                "block": classmethod(
+                    lambda cls, states, roster, columns: GainBlock(states, roster)
+                )
+            },
         )
-        assert isinstance(generic.block([], None), GainBlock)
+        assert isinstance(generic.block([], None, []), GainBlock)
 
 
 class NearCount(Query):

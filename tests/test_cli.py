@@ -316,6 +316,46 @@ class TestLoadgen:
         captured = capsys.readouterr()
         assert captured.err == f"error building arrivals for cli-svc: {reason}\n"
 
+    def test_negative_seed_flag_exits_with_one_line(self, spec_file, capsys):
+        assert main(["loadgen", str(spec_file), "--slots", "1", "--seed", "-3"]) == 2
+        assert capsys.readouterr().err == NEGATIVE_SEED_ERROR
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["loadgen", "{spec}", "--slots", "1"],
+         ["serve", "--spec", "{spec}", "--slots", "1", "--exit-after"]],
+        ids=["loadgen", "serve"],
+    )
+    def test_negative_spec_arrival_seed_exits_with_one_line(self, tmp_path, capsys, argv):
+        service = {**SPEC_PAYLOAD["service"]}
+        service["arrivals"] = {**service["arrivals"], "seed": -3}
+        path = tmp_path / "negative-seed.json"
+        path.write_text(json.dumps({**SPEC_PAYLOAD, "service": service}))
+        assert main([arg.format(spec=path) for arg in argv]) == 2
+        assert capsys.readouterr().err == NEGATIVE_SEED_ERROR
+
+
+NEGATIVE_SEED_ERROR = (
+    "error building arrivals for cli-svc: seed must be a non-negative integer, got -3\n"
+)
+
+
+@pytest.mark.parametrize("slots", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [["scenario", "{spec}"],
+     ["serve", "--spec", "{spec}", "--exit-after"],
+     ["loadgen", "{spec}"]],
+    ids=["scenario", "serve", "loadgen"],
+)
+def test_slots_below_one_exit_with_one_line(spec_file, capsys, argv, slots):
+    """A ``--slots`` override is refused below 1, as a spec's own
+    ``n_slots`` is, instead of running nothing and reporting zeros."""
+    assert main([arg.format(spec=spec_file) for arg in argv] + ["--slots", slots]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --slots must be >= 1, got {slots}\n"
+    assert captured.out == ""
+
 
 class TestAsciiChart:
     def _result(self):

@@ -18,7 +18,7 @@ class _HalfGainState(_BestSensorState):
         return 0.5 * super().gain(sensor)
 
     @classmethod
-    def block(cls, states, roster):
+    def block(cls, states, roster, columns):
         return GainBlock(states, roster)
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import block_gains, make_snapshot
+from helpers import block_gains, make_snapshot, relevance_row
 from oracles import row_gains
 from repro.core import (
     EventDetectionStream,
@@ -73,7 +73,7 @@ class TestEventSlotQueryState:
             for i in range(20)
         ]
         roster = SensorRoster(sensors)
-        relevant = np.flatnonzero(roster.relevance_row(query))
+        relevant = np.flatnonzero(relevance_row(query, roster))
         state = query.new_state()
         for step in range(4):
             want = np.array([state.gain(s) for s in sensors])

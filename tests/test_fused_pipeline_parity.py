@@ -34,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gridded_kernel, make_snapshot
+from helpers import gridded_kernel, make_snapshot, relevance_row
 from oracles import (
     DenseGreedyAllocator,
     DenseKernel,
@@ -412,7 +412,8 @@ class TestBlockProtocol:
         }
         for state in (q.new_state() for q in queries):
             cls = type(state)
-            assert type(cls.block([state], roster)) is natives[cls], cls.__name__
+            columns = [np.flatnonzero(relevance_row(state.query, roster))]
+            assert type(cls.block([state], roster, columns)) is natives[cls], cls.__name__
 
     @pytest.mark.parametrize("seed", range(3))
     def test_generic_block_is_honoured_end_to_end(self, seed):
@@ -426,7 +427,7 @@ class TestBlockProtocol:
                 return super().gain(snapshot)
 
             @classmethod
-            def block(cls, states, roster):
+            def block(cls, states, roster, columns):
                 return GainBlock(states, roster)
 
         class ScalarTracingAggregate(SpatialAggregateQuery):
@@ -513,9 +514,9 @@ def assert_block_tracks_commits(rng, queries, roster, before_first, per_call):
     oracle ``gain_many``.  Returns the relevance rows."""
     states = [q.new_state() for q in queries]
     rows = [row_gains(state, roster) for state in states]
-    block = type(states[0]).block(states, roster)
+    relevant = [relevance_row(q, roster) for q in queries]
+    block = type(states[0]).block(states, roster, [np.flatnonzero(r) for r in relevant])
     assert type(block) is _CoverageBlock
-    relevant = [roster.relevance_row(q) for q in queries]
     alive = np.ones(roster.n_sensors, dtype=bool)
 
     def check():
@@ -637,11 +638,10 @@ def test_covered_cell_reads_are_a_fifth_of_the_regather(monkeypatch):
     init = _CoverageBlock.__init__
     gain_many_block = _CoverageBlock.gain_many_block
 
-    def traced_init(self, states, roster):
-        init(self, states, roster)
+    def traced_init(self, states, roster, columns):
+        init(self, states, roster, columns)
         row_len = np.zeros((len(states), roster.n_sensors), np.int64)
-        for p, state in enumerate(states):
-            rel_idx = np.flatnonzero(roster.relevance_row(state.query))
+        for p, (state, rel_idx) in enumerate(zip(states, columns)):
             indptr, _ = self.coverage_rows(state.query, rel_idx)
             row_len[p, rel_idx] = np.diff(indptr)
         self.regathered = 0

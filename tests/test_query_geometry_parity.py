@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import gridded_kernel, make_snapshot
+from helpers import gridded_kernel, make_snapshot, relevance_row
 from oracles import DenseKernel, ScalarGreedyAllocator
 from repro.core import (
     BaselineAllocator,
@@ -204,7 +204,7 @@ class TestRelevantMaskParity:
             make_snapshot(1, x=2.0, y=0.0, cost=1.0, trust=0.95),
         ]
         roster = SensorRoster(sensors)
-        assert roster.relevance_row(query).tolist() == [False, True]
+        assert relevance_row(query, roster).tolist() == [False, True]
         assert [query.relevant(s) for s in sensors] == [False, True]
         for allocator in (GreedyAllocator(), BaselineAllocator()):
             result = allocator.allocate([query], sensors)
@@ -232,13 +232,14 @@ class TestRelevantMaskParity:
             make_snapshot(0, x=1.0, y=0.0, cost=1.0),
             make_snapshot(1, x=6.0, y=0.0, cost=1.0),  # beyond dmax/2
         ]
-        assert SensorRoster(sensors).relevance_row(query).tolist() == [True, False]
+        assert relevance_row(query, SensorRoster(sensors)).tolist() == [True, False]
         assert [query.relevant(s) for s in sensors] == [True, False]
         result = GreedyAllocator().allocate([query], sensors)
         assert set(result.selected) == {0}
 
     def test_roster_relevance_row_uses_the_mask(self):
-        """Built-in types never fall back to per-snapshot scans."""
+        """A roster's relevance comes from the mask alone: it answers the
+        scalar predicate without touching a snapshot."""
 
         class ExplodingSnapshots(list):
             def __getitem__(self, item):  # pragma: no cover - guard only
@@ -251,7 +252,7 @@ class TestRelevantMaskParity:
         query = SpatialAggregateQuery(
             Region(2, 2, 12, 12), budget=20.0, sensing_range=5.0
         )
-        row = roster.relevance_row(query)
+        row = relevance_row(query, roster)
         assert row.tolist() == [query.relevant(s) for s in sensors]
 
 
