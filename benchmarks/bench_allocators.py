@@ -13,9 +13,11 @@ kernel build) at least 15x the per-sensor object walk at 20k sensors, the
 mask-driven region-heavy slot at least 3x the scalar-relevance reference
 (measured ~35-40x) and the fused block pipeline at least 2x the per-row
 refresh — all with identical (region-heavy: exactly ``==``) allocations/arrays — and
-emits a ``BENCH_allocators.json`` perf trajectory (per-case mean/stdev
-seconds) so future changes have numbers to compare against.  Set
-``REPRO_BENCH_JSON`` to choose the output path.
+appends one record ``{"commit": <git describe --always --dirty or null>,
+"cases": {...}}`` (per-case mean/stdev seconds) to the
+``BENCH_allocators.json`` history, so future changes have numbers to
+compare against; a record taken on uncommitted code carries a ``-dirty``
+suffix.  Set ``REPRO_BENCH_JSON`` to choose the output path.
 
 The scalar and per-row references and ``DenseKernel`` are the oracles in
 ``tests/oracles.py`` (``benchmarks/conftest.py`` puts ``tests/`` on the
@@ -29,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import statistics
+import subprocess
 import time
 
 import numpy as np
@@ -71,16 +74,40 @@ def _record_benchmark(name: str, benchmark) -> None:
     _record_case(name, stats.mean, stats.stddev, stats.rounds)
 
 
+def _commit() -> str | None:
+    """``git describe --always --dirty`` in the working directory (the short
+    HEAD hash, ``-dirty`` when the tree has uncommitted changes), else None."""
+    try:
+        done = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            capture_output=True, text=True, timeout=10, check=True,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() or None
+
+
+def load_history(path: str) -> list[dict]:
+    """The records in ``path``; none when the file does not exist."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        return []
+
+
 @pytest.fixture(scope="session", autouse=True)
 def bench_trajectory_json():
-    """Write the per-case timing table after the whole bench session."""
+    """Append this session's per-case timings to the bench history."""
     yield
     if not _RESULTS:
         return
     path = os.environ.get("REPRO_BENCH_JSON", "BENCH_allocators.json")
+    history = load_history(path)
+    history.append({"commit": _commit(), "cases": _RESULTS})
     with open(path, "w") as fh:
-        json.dump(_RESULTS, fh, indent=2, sort_keys=True)
-    print(f"\nwrote {len(_RESULTS)} bench cases to {path}")
+        json.dump(history, fh, indent=2, sort_keys=True)
+    print(f"\nappended {len(_RESULTS)} bench cases to {path} ({len(history)} records)")
 
 
 def make_slot(n_queries: int, n_sensors: int, side: float = 50.0):

@@ -1,11 +1,17 @@
-"""BENCH: ValuationKernel matrix construction at paper scale.
+"""BENCH: the dense point-problem value matrix at paper scale.
 
 The per-slot value matrix (hundreds of queries x hundreds of sensors) is
-the hot path of every allocator; the seed built it with a per-location
-Python loop inside ``PointProblem.build``.  This bench times the
-broadcasted kernel against a frozen copy of that loop at Section 4 sizes
+what the BILP and local-search allocators read; the seed built it with a
+per-location Python loop inside ``PointProblem.build``, which now scatters
+the greedy path's sparse eq.-(3) pass
+(``ValuationKernel.sparse_single_values``) into dense rows.  This bench
+times that build against a frozen copy of the loop at Section 4 sizes
 (RNC: 635 sensors; 300 point queries per slot, plus a 2x sweep) and
-asserts the kernel is (a) numerically identical and (b) measurably faster.
+asserts the rows (a) equal the sparse values bit for bit on every
+candidate pair and are exactly zero elsewhere and (b) are built
+measurably faster than by the loop.  The loop is kept only as the
+speed reference: its ``sqrt``/``((1-gamma)*tau)`` arithmetic differs
+from eq. (4)'s one vector form in the last ulp.
 
 Run:  pytest benchmarks/bench_valuation_kernel.py --benchmark-only -s
 """
@@ -76,13 +82,16 @@ PAPER_SIZES = [(300, 635), (600, 635)]
 
 
 @pytest.mark.parametrize("n_queries,n_sensors", PAPER_SIZES)
-def test_kernel_matches_legacy_loop(n_queries, n_sensors):
+def test_kernel_matches_sparse_path(n_queries, n_sensors):
     queries, sensors = make_instance(1, n_queries, n_sensors)
-    want_values, want_query_values = legacy_build_values(queries, sensors)
     problem = PointProblem.build(queries, sensors)
-    assert np.array_equal(problem.values, want_values)
-    for qid, row in want_query_values.items():
-        assert np.array_equal(problem.query_values[qid], row)
+    kernel = ValuationKernel.from_sensors(sensors)
+    for query, (cols, vals) in zip(queries, kernel.sparse_single_values(queries)):
+        row = problem.query_values[query.query_id]
+        assert np.array_equal(row[cols], vals)
+        outside = np.ones(n_sensors, dtype=bool)
+        outside[cols] = False
+        assert not row[outside].any()
 
 
 @pytest.mark.parametrize("n_queries,n_sensors", PAPER_SIZES)
@@ -99,16 +108,8 @@ def test_bench_legacy_location_loop(benchmark, n_queries, n_sensors):
     assert values.shape[1] == n_sensors
 
 
-def test_bench_shared_kernel_reuse(benchmark):
-    """A prebuilt slot kernel makes repeat allocator builds nearly free."""
-    queries, sensors = make_instance(3, 300, 635)
-    kernel = ValuationKernel.from_sensors(sensors)
-    problem = benchmark(PointProblem.build, queries, sensors, kernel)
-    assert problem.values.shape == (300, 635)
-
-
 def test_kernel_speedup_at_paper_scale():
-    """Hard floor: the broadcasted pass must beat the per-location loop."""
+    """Hard floor: the vectorized pass must beat the per-location loop."""
     queries, sensors = make_instance(4, 300, 635)
 
     def timed(fn, *args, repeats=5):

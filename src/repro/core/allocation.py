@@ -203,8 +203,11 @@ class Allocator(Protocol):
 
     ``kernel`` is the slot's :class:`~repro.core.valuation.ValuationKernel`,
     built once from the same announcements (the engine always passes it;
-    ``None`` makes the allocator build its own), so allocators skip
-    restacking the slot's sensor arrays.
+    ``None`` makes the allocator build its own), so Greedy and Baseline
+    share its grid candidate views.  The point allocators (optimal, local
+    search) accept and ignore it: their dense
+    :class:`~repro.core.point_problem.PointProblem` builds a kernel of its
+    own over the announcements it is handed.
     """
 
     def allocate(

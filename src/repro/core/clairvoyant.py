@@ -33,7 +33,6 @@ from ..queries import PointQuery
 from ..sensors import Sensor, SensorSnapshot
 from ..spatial import Location
 from .point_problem import PointProblem
-from .valuation import ValuationKernel
 
 __all__ = ["ClairvoyantPlan", "solve_clairvoyant", "simulate_myopic_gap"]
 
@@ -80,16 +79,12 @@ def _snapshots_for(
     return snapshots
 
 
-def _slot_candidates(
-    queries: list[PointQuery],
-    snapshots: list[SensorSnapshot],
-    kernel: ValuationKernel | None = None,
-):
+def _slot_candidates(queries: list[PointQuery], snapshots: list[SensorSnapshot]):
     """All (selected-subset, utility) pairs worth considering in one slot."""
     if not queries or not snapshots:
         yield (), 0.0
         return
-    problem = PointProblem.build(queries, snapshots, kernel=kernel)
+    problem = PointProblem.build(queries, snapshots)
     n = problem.n_sensors
     import itertools
 
@@ -128,10 +123,6 @@ def solve_clairvoyant(
 
     best_utility = -np.inf
     best_plan: tuple[tuple[int, ...], ...] = ()
-    # The DFS revisits the same (slot, alive-sensor set) exponentially often
-    # with different price histories; the value arrays depend only on
-    # positions/gamma/trust, so one kernel per membership serves them all.
-    kernel_cache: dict[tuple[int, tuple[int, ...]], ValuationKernel] = {}
 
     def recurse(
         t: int,
@@ -146,11 +137,7 @@ def solve_clairvoyant(
                 best_utility, best_plan = acc_utility, chosen
             return
         snapshots = _snapshots_for(world, t, readings_used, histories)
-        key = (t, tuple(s.sensor_id for s in snapshots))
-        kernel = kernel_cache.get(key)
-        if kernel is None and snapshots:
-            kernel = kernel_cache[key] = ValuationKernel.from_sensors(snapshots)
-        for selected, slot_utility in _slot_candidates(world.queries_per_slot[t], snapshots, kernel):
+        for selected, slot_utility in _slot_candidates(world.queries_per_slot[t], snapshots):
             new_used = list(readings_used)
             new_hist = [list(h) for h in histories]
             for sid in selected:

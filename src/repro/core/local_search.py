@@ -77,7 +77,8 @@ class LocalSearchPointAllocator:
         sensors: Sequence[SensorSnapshot],
         kernel: ValuationKernel | None = None,
     ) -> AllocationResult:
-        problem = PointProblem.build(list(queries), sensors, kernel=kernel)
+        # ``kernel`` is the Allocator protocol's; the dense rows need none.
+        problem = PointProblem.build(list(queries), sensors)
         if problem.n_sensors == 0 or problem.n_locations == 0:
             return AllocationResult()
         member_mask = self.search(problem)

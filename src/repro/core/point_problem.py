@@ -1,11 +1,12 @@
 """Shared representation of a single-sensor point-query scheduling problem.
 
-Section 3.1 algorithms (optimal BILP, local search, the Section 4.3
-baseline) all operate on the same structure: queried locations ``l``, the
+The Section 3.1 algorithms (optimal BILP, local search) and the clairvoyant
+reference operate on the same structure: queried locations ``l``, the
 per-location aggregated values ``v_l(s) = sum_{q in Q_l} v_q(s)`` and the
-sensor costs.  :class:`PointProblem` builds that structure once per slot —
-vectorized, because the paper-scale instances evaluate hundreds of queries
-against hundreds of sensors.
+sensor costs.  :class:`PointProblem` builds that structure once per slot
+by scattering :meth:`~repro.core.valuation.ValuationKernel.sparse_single_values`
+— the greedy path's own eq.-(3) pass — into dense rows, so all allocators
+see the same value bits for every (query, sensor) pair.
 """
 
 from __future__ import annotations
@@ -49,19 +50,9 @@ class PointProblem:
 
     @classmethod
     def build(
-        cls,
-        queries: list[PointQuery],
-        sensors: Sequence[SensorSnapshot],
-        kernel: ValuationKernel | None = None,
+        cls, queries: list[PointQuery], sensors: Sequence[SensorSnapshot]
     ) -> "PointProblem":
-        """Build the dense problem, reusing a slot-shared ``kernel`` if given.
-
-        The kernel carries only geometry/quality arrays, so one built from
-        this slot's announcements can be reused even when the caller hands a
-        re-priced copy of the same sensors (costs always come from the
-        ``sensors`` argument).  An incompatible kernel is silently replaced
-        by a fresh one.
-        """
+        """Build the dense problem over the announcements in ``sensors``."""
         for query in queries:
             if not isinstance(query, PointQuery):
                 raise AllocationError(
@@ -70,7 +61,6 @@ class PointProblem:
                 )
         sensors = check_distinct(queries, sensors)
         n = len(sensors)
-        kernel = ValuationKernel.ensure(kernel, sensors)
 
         groups: dict[tuple[float, float], list[PointQuery]] = {}
         for query in queries:
@@ -82,9 +72,13 @@ class PointProblem:
             [row_index[(q.location.x, q.location.y)] for q in queries], dtype=np.intp
         )
 
-        # One broadcasted pass over every (query, sensor) pair — no
-        # per-location Python loop.
-        query_rows = kernel.value_rows(queries)
+        # Eq. (3) from the greedy path's own sparse pass, scattered into
+        # zeros: every pair outside a query's candidate columns is exactly
+        # 0.0, so each row has the bits Greedy sees for every pair.
+        kernel = ValuationKernel.from_sensors(sensors)
+        query_rows = np.zeros((len(queries), n))
+        for row, (cols, vals) in zip(query_rows, kernel.sparse_single_values(queries)):
+            row[cols] = vals
         query_values: dict[str, np.ndarray] = {
             query.query_id: query_rows[i] for i, query in enumerate(queries)
         }

@@ -1,64 +1,42 @@
-"""Vectorized query valuation — the slot's shared hot path.
-
-Every point-query consumer — the BILP/local-search value matrix (eq. 9/12),
-the greedy/baseline relevance prefilter (the paper's ``Q_{l_s}``), and the
-monitoring controllers' derived queries — ultimately evaluates eq. (3)/(4)
-for query×sensor pairs.  The seed implementation rebuilt those values with a
-per-location Python loop inside every allocator call; at paper scale
-(hundreds of queries × hundreds of sensors, every slot, every algorithm in
-a sweep) that loop dominates the profile.
+"""Slot geometry for valuation — the candidate views behind ``Q_{l_s}``.
 
 :class:`ValuationKernel` adopts one slot's
 :class:`~repro.sensors.AnnouncementBatch` arrays (coordinates, inaccuracy
 ``gamma``, trust ``tau``) without copying them; a plain snapshot list is
 converted to a batch once, by
 :func:`~repro.sensors.state.announcement_batch`, when the kernel is built.
-Its reuse check compares batch tokens.  The engine builds one kernel per slot
-and hands it to whatever allocator runs, so the stacked arrays are shared
-across :class:`~repro.core.point_problem.PointProblem`, the query-mix
-pipeline and the monitoring controllers instead of being reassembled per
-call.
+Its reuse check compares batch tokens.  The engine builds one kernel per
+slot and hands it to whatever allocator runs, so Greedy, Baseline, the
+query-mix pipeline and the monitoring controllers share its grid and
+caches instead of rebuilding them per call.
 
-Relevance is resolved through *candidate views*.  A point query with reach
-``dmax`` can only be served by the sensors within ``dmax`` of its location,
-and an aggregate/trajectory query only by those within ``sensing_range`` of
-its region — the paper's ``Q_{l_s}`` pre-filter.  The kernel buckets its
-columns into a lazy :class:`~repro.spatial.index.UniformGridIndex` (cell
-side from :func:`resolve_cell_size`) and answers each query with the
-columns of the grid cells its reach box touches:
+Relevance is resolved through *candidate views*.  Each query declares its
+reach through :meth:`~repro.queries.Query.reach_box` — ``location ± dmax``
+for the point-flavoured types, ``region ± sensing_range`` for the
+aggregate and trajectory types, ``None`` (the full fleet) by default.  The
+kernel buckets its columns into a lazy
+:class:`~repro.spatial.index.UniformGridIndex` (cell side from
+:func:`resolve_cell_size`) and answers each query with the columns of the
+grid cells its box touches, once the box is widened against rounding
+(:func:`widen_reach_box`):
 
 * :meth:`ValuationKernel.candidate_view` — ``(columns, xy, gamma, trust)``
   of those cells, gathered once per distinct cell range and shared by every
   query resolving to it (the batch-relevance entry point,
-  :meth:`~repro.queries.Query.relevant_mask`).  Unknown query types get the
-  full fleet, so every query has a view;
+  :meth:`~repro.queries.Query.relevant_mask`);
 * :meth:`ValuationKernel.sparse_single_values` — per plain point query,
-  ``(candidate columns, eq.-(3) values)`` from one fused pass over the
-  concatenated (query, candidate) pairs.
+  ``(candidate columns, eq.-(3) values)`` from one fused
+  :func:`~repro.queries.point.pair_quality` pass over the concatenated
+  (query, candidate) pairs.
 
 Candidate sets are cell supersets of the truly relevant sensors, and every
 omitted (query, sensor) pair has value exactly ``0.0`` (beyond ``dmax`` /
 outside the padded region), so allocations equal those of a full-fleet
 pass bit for bit.  ``tests/oracles.py::DenseKernel`` is that full-fleet
-pass; the parity suites pin the equality.
-
-Two numerical paths coexist in the codebase and the kernel reproduces each
-bit-for-bit so that refactored callers keep their exact seed behavior:
-
-* the *matrix* path (``value_rows``) mirrors the dense-matrix construction
-  historically inlined in ``PointProblem.build``: distances via
-  ``sqrt(dx^2 + dy^2)`` and quality ``((1-gamma)*tau) * (1 - d/dmax)``;
-* the *scalar* path (``sparse_single_values``, through
-  :func:`repro.queries.point.pair_quality`) mirrors
-  :func:`repro.queries.point.reading_quality`: distances via ``hypot`` and
-  quality ``((1-gamma) * (1 - d/dmax)) * tau``.  (``np.hypot`` delegates to
-  libm while ``math.hypot`` uses CPython's own algorithm, so this path can
-  differ from the scalar original in the final ulp — irrelevant unless an
-  instance is engineered to sit within one rounding step of a threshold.)
-
-The paths differ from each other only in the last ulps, but allocators
-compare against sharp thresholds (``theta_min``, ``> 0``), so each consumer
-keeps its historical formula.
+pass; the parity suites pin the equality.  The dense eq.-(9/12) rows of
+:class:`~repro.core.point_problem.PointProblem` are
+:meth:`ValuationKernel.sparse_single_values` scattered into zeros, so
+every allocator sees the same value bits for every pair.
 """
 
 from __future__ import annotations
@@ -68,15 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..queries import (
-    EventSlotQuery,
-    MultiSensorPointQuery,
-    PointQuery,
-    Query,
-    SensorRoster,
-    SpatialAggregateQuery,
-    TrajectoryQuery,
-)
+from ..queries import SensorRoster
 from ..queries.point import pair_quality
 from ..sensors import SensorSnapshot
 from ..sensors.state import AnnouncementBatch, SnapshotColumnView, announcement_batch
@@ -90,13 +60,22 @@ __all__ = [
 
 _EMPTY = np.zeros(0, dtype=np.intp)
 
-#: Query types whose relevant sensors all lie within ``dmax`` of
-#: ``location`` (their reading quality is zero beyond that disk).
-_DISK_TYPES = (PointQuery, MultiSensorPointQuery, EventSlotQuery)
-#: Query types whose relevant sensors all lie within ``sensing_range`` of
-#: ``region`` (aggregate eq.-5 eligibility; the trajectory corridor's 2r
-#: reach is covered because its ``region`` is already the r-padded bbox).
-_RECT_TYPES = (SpatialAggregateQuery, TrajectoryQuery)
+#: relative slack added to a reach box before it picks grid cells
+REACH_SLACK = 1e-9
+
+
+def widen_reach_box(box: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+    """``box`` widened by :data:`REACH_SLACK` times its largest coordinate
+    (at least 1).
+
+    A sensor an ulp or two outside a query's box can still be relevant:
+    its rounded distance (``hypot``, a box edge computed as ``(a - r) - r``)
+    can land exactly on the reach radius.  The slack keeps such a sensor's
+    grid cell among the candidates.
+    """
+    x_min, x_max, y_min, y_max = box
+    pad = REACH_SLACK * max(1.0, abs(x_min), abs(x_max), abs(y_min), abs(y_max))
+    return (x_min - pad, x_max + pad, y_min - pad, y_max + pad)
 
 
 def resolve_cell_size(xy: np.ndarray, target_occupancy: float = 4.0) -> float:
@@ -118,35 +97,18 @@ def resolve_cell_size(xy: np.ndarray, target_occupancy: float = 4.0) -> float:
     return float(np.sqrt(target_occupancy * area / n))
 
 
-def _stack_queries(
-    queries: Sequence[PointQuery],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    q = len(queries)
-    xy = np.empty((q, 2), dtype=float)
-    budgets = np.empty(q, dtype=float)
-    theta_mins = np.empty(q, dtype=float)
-    dmaxes = np.empty(q, dtype=float)
-    for i, query in enumerate(queries):
-        xy[i, 0] = query.location.x
-        xy[i, 1] = query.location.y
-        budgets[i] = query.budget
-        theta_mins[i] = query.theta_min
-        dmaxes[i] = query.dmax
-    return xy, budgets, theta_mins, dmaxes
-
-
 @dataclass
 class ValuationKernel:
     """One slot's announcements, stacked for broadcasted valuation.
 
     Attributes:
         sensors: the :class:`~repro.sensors.AnnouncementBatch`, defining
-            the column order of every matrix the kernel produces.
+            the column order of every view and value the kernel produces.
         sensor_xy: ``(n, 2)`` sensor coordinates.
         gamma: per-sensor inaccuracy ``gamma_s``.
         trust: per-sensor trust ``tau_s``.
-        costs: announced costs ``c_s`` (snapshot convenience only — value
-            matrices never depend on cost, which is what lets a kernel be
+        costs: announced costs ``c_s`` (snapshot convenience only — values
+            and views never depend on cost, which is what lets a kernel be
             reused across re-announcements that change prices only, e.g.
             the sequential baseline's zero-cost buffering stage).
 
@@ -295,56 +257,6 @@ class ValuationKernel:
         return roster
 
     # ------------------------------------------------------------------
-    # the matrix path (eq. 9/12 consumers: PointProblem, BILP, local search)
-    # ------------------------------------------------------------------
-    def value_rows(self, queries: Sequence[PointQuery]) -> np.ndarray:
-        """Per-query value rows ``V[i, j] = v_{q_i}(s_j)`` in one pass.
-
-        Replicates the historical ``PointProblem.build`` arithmetic exactly
-        (including operation order, for bit-stable refactoring): distance by
-        ``sqrt(dx^2+dy^2)``, quality ``((1-gamma)*tau) * (1 - d/dmax)``,
-        zeroed beyond ``dmax`` and below ``theta_min``, scaled by budget.
-        """
-        xy, budgets, theta_mins, dmaxes = _stack_queries(queries)
-        return self.value_matrix(xy, budgets, theta_mins, dmaxes)
-
-    def value_matrix(
-        self,
-        query_xy: np.ndarray,
-        budgets: np.ndarray,
-        theta_mins: np.ndarray,
-        dmaxes: np.ndarray,
-    ) -> np.ndarray:
-        """Raw-array form of :meth:`value_rows` for pre-stacked workloads.
-
-        Written with explicit per-component temporaries and in-place ops:
-        the naive ``(q, n, 2)`` difference tensor triples the memory
-        traffic of this (memory-bound) pass.  Every element still goes
-        through exactly the historical operation sequence
-        ``sqrt(dx^2 + dy^2)`` then ``((1-gamma)*tau) * (1 - d/dmax)``, so
-        results stay bit-identical to the seed loop.
-        """
-        q = len(query_xy)
-        n = self.n_sensors
-        if q == 0 or n == 0:
-            return np.zeros((q, n))
-        dx = self.sensor_xy[:, 0][None, :] - query_xy[:, 0][:, None]
-        np.multiply(dx, dx, out=dx)
-        dy = self.sensor_xy[:, 1][None, :] - query_xy[:, 1][:, None]
-        np.multiply(dy, dy, out=dy)
-        dist = dx
-        dist += dy
-        np.sqrt(dist, out=dist)
-        dmax_col = dmaxes[:, None]
-        quality = dist / dmax_col
-        np.subtract(1.0, quality, out=quality)
-        np.multiply(((1.0 - self.gamma) * self.trust)[None, :], quality, out=quality)
-        quality[dist > dmax_col] = 0.0
-        quality[quality < theta_mins[:, None]] = 0.0
-        np.multiply(budgets[:, None], quality, out=quality)
-        return quality
-
-    # ------------------------------------------------------------------
     # candidate views (the Q_{l_s} pre-filter)
     # ------------------------------------------------------------------
     @property
@@ -355,32 +267,6 @@ class ValuationKernel:
                 self.sensor_xy, resolve_cell_size(self.sensor_xy)
             )
         return self._index
-
-    def _query_box(self, query: Query) -> tuple[float, float, float, float] | None:
-        """The axis-aligned reach box of a known query type, else ``None``.
-
-        The geometric contracts behind the known types are exact-type
-        checks on purpose, since a subclass may override ``relevant``
-        arbitrarily.
-        """
-        t = type(query)
-        if t in _DISK_TYPES:
-            location, reach = query.location, query.dmax
-            return (
-                location.x - reach,
-                location.x + reach,
-                location.y - reach,
-                location.y + reach,
-            )
-        if t in _RECT_TYPES:
-            region, pad = query.region, query.sensing_range
-            return (
-                region.x_min - pad,
-                region.x_max + pad,
-                region.y_min - pad,
-                region.y_max + pad,
-            )
-        return None
 
     def _range_candidates(self, rng) -> np.ndarray:
         """Sorted candidate columns for one cell range (memoized: localized
@@ -393,32 +279,32 @@ class ValuationKernel:
             self._range_cache[rng] = cached
         return cached
 
-    def candidate_indices(self, query: Query) -> np.ndarray:
+    def candidate_indices(self, query) -> np.ndarray:
         """Superset of the kernel columns ``query`` could find relevant;
-        every column for an unknown query type (see :meth:`_query_box`)."""
-        box = self._query_box(query)
+        every column when its :meth:`~repro.queries.Query.reach_box` is
+        ``None``."""
+        box = query.reach_box()
         if box is None:
             return np.arange(self.n_sensors, dtype=np.intp)
-        return self._range_candidates(self.index.cell_range(*box))
+        return self._range_candidates(self.index.cell_range(*widen_reach_box(box)))
 
-    def candidate_view(
-        self, query: Query
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def candidate_view(self, query) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(columns, xy, gamma, trust)`` of the query's candidate cells.
 
         The gathered array blocks are memoized per distinct cell range, so
         a slot with many region queries over the same neighbourhood pays
         each gather once: every query sharing the range evaluates its
         relevance mask — and, downstream, its coverage-mask matrix — on the
-        same arrays instead of against the whole fleet.  An unknown query
-        type gets the full fleet.  The blocks are per-kernel caches:
-        callers must treat them as read-only.
+        same arrays instead of against the whole fleet.  A query whose
+        :meth:`~repro.queries.Query.reach_box` is ``None`` gets the full
+        fleet.  The blocks are per-kernel caches: callers must treat them as
+        read-only.
         """
-        box = self._query_box(query)
+        box = query.reach_box()
         if box is None:
             every = np.arange(self.n_sensors, dtype=np.intp)
             return every, self.sensor_xy, self.gamma, self.trust
-        rng = self.index.cell_range(*box)
+        rng = self.index.cell_range(*widen_reach_box(box))
         cached = self._gather_cache.get(rng)
         if cached is None:
             idx = self._range_candidates(rng)
@@ -426,9 +312,7 @@ class ValuationKernel:
             self._gather_cache[rng] = cached
         return cached
 
-    def sparse_single_values(
-        self, queries: Sequence[PointQuery]
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    def sparse_single_values(self, queries: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-query ``(candidate columns, eq.-(3) values)``, one fused pass.
 
         ``values[k] = PointQuery.value_single`` of column ``columns[k]``:
@@ -463,5 +347,7 @@ class ValuationKernel:
             theta_mins[rep],
         )
         values = budgets[rep] * theta
-        splits = np.split(values, np.cumsum(counts)[:-1])
-        return list(zip(cands, splits))
+        stops = np.cumsum(counts).tolist()
+        return [
+            (c, values[stop - len(c) : stop]) for c, stop in zip(cands, stops)
+        ]

@@ -18,6 +18,7 @@ runs any of them from a file.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -160,6 +161,13 @@ class StreamSpec:
         return out
 
 
+def _require_count(name: str, value: Any, minimum: int) -> None:
+    """Refuse a ``bool``, a non-integer or an integer below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        kind = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A complete, declarable experiment: world + streams + allocation.
@@ -230,8 +238,11 @@ class ScenarioSpec:
             raise ValueError(f"unknown allocation {self.allocation!r}")
         if not self.streams:
             raise ValueError("a scenario needs at least one stream")
-        if self.n_slots < 1:
-            raise ValueError("n_slots must be >= 1")
+        _require_count("seed", self.seed, 0)
+        if self.workload_seed is not None:
+            _require_count("workload_seed", self.workload_seed, 0)
+        _require_count("n_sensors", self.n_sensors, 1)
+        _require_count("n_slots", self.n_slots, 1)
         if self.mobility is not None:
             kind = self.mobility.get("kind")
             if kind != "churn":

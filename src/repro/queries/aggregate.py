@@ -326,6 +326,16 @@ class SpatialAggregateQuery(Query):
         as the scalar predicate, so the two can never disagree."""
         return self.region.exterior_distance_sq(as_xy(xy)) <= self.sensing_range**2
 
+    def reach_box(self) -> tuple[float, float, float, float]:
+        """``region ± sensing_range``: the box around the reachable disks."""
+        region, pad = self.region, self.sensing_range
+        return (
+            region.x_min - pad,
+            region.x_max + pad,
+            region.y_min - pad,
+            region.y_max + pad,
+        )
+
     def new_state(self) -> ValuationState:
         return _CoverageState(self)
 
@@ -383,6 +393,10 @@ class TrajectoryQuery(SpatialAggregateQuery):
     ) -> np.ndarray:
         """Vectorized corridor-reach test (purely geometric)."""
         return self.trajectory.distance_to_many(as_xy(xy)) <= 2 * self.sensing_range
+
+    # The corridor's 2r reach stays within ``region ± r``: the region is
+    # already the path's r-padded bounding box.
+    reach_box = SpatialAggregateQuery.reach_box
 
     def nearest_path_distance(self, location: Location) -> float:
         return self.trajectory.distance_to(location)

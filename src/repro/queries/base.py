@@ -305,12 +305,17 @@ class Query(abc.ABC):
     """Base class: identity, budget, lifetime, and the valuation interface.
 
     A subclass that defines ``relevant``, ``value_single`` or ``quality``
-    must define :meth:`relevant_mask` too.
+    must define :meth:`relevant_mask` too, and one that defines
+    ``relevant_mask`` without :meth:`reach_box` reaches the full fleet.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         _require_batch_sibling(cls, ("relevant", "value_single", "quality"), "relevant_mask")
+        body = vars(cls)
+        if "relevant_mask" in body and "reach_box" not in body:
+            # New relevance voids the inherited reach: the full fleet.
+            cls.reach_box = Query.reach_box
 
     def __init__(self, budget: float, query_id: str | None = None, issued_at: int = 0) -> None:
         require_budget(budget)
@@ -353,6 +358,21 @@ class Query(abc.ABC):
             A boolean ``(n,)`` array where entry ``j`` answers
             :meth:`relevant` for sensor ``j``.
         """
+
+    def reach_box(self) -> tuple[float, float, float, float] | None:
+        """``(x_min, x_max, y_min, y_max)`` holding every sensor position
+        :meth:`relevant_mask` can accept, or ``None`` for the full fleet.
+
+        The kernel's candidate views gather only the grid cells this box
+        touches, so a box that cuts off a relevant sensor changes
+        allocations.  Only rounding may carry relevance past the box, by a
+        few ulps: the kernel widens it by
+        :data:`~repro.core.valuation.REACH_SLACK` first.  The default is ``None``, and a subclass whose body
+        redefines ``relevant_mask`` without ``reach_box`` is reset to it
+        when it is defined; one that keeps its base's relevance keeps its
+        base's box.
+        """
+        return None
 
     def new_state(self) -> ValuationState:
         """Fresh incremental-valuation state (see :class:`ValuationState`)."""

@@ -39,7 +39,7 @@ from .base import (
     touched_members,
 )
 from .monitoring import ContinuousQuery
-from .point import _PointPairBlock, _query_quality, reading_quality
+from .point import _dmax_box, _PointPairBlock, _query_quality, reading_quality
 
 __all__ = ["EventDetectionQuery", "EventSlotQuery", "detection_confidence"]
 
@@ -183,6 +183,8 @@ class EventSlotQuery(Query):
     ) -> np.ndarray:
         """Vectorized :meth:`relevant`: thresholded quality row ``> 0``."""
         return _query_quality(self, xy, gamma, trust) > 0.0
+
+    reach_box = _dmax_box
 
     def new_state(self) -> ValuationState:
         return _EventState(self)

@@ -99,6 +99,18 @@ def _query_quality(
     )
 
 
+def _dmax_box(query) -> tuple[float, float, float, float]:
+    """``location ± dmax``: eq. (4) is zero beyond ``dmax``, so the
+    quality-gated types (point, multi-point, event slot) reach no further."""
+    location, reach = query.location, query.dmax
+    return (
+        location.x - reach,
+        location.x + reach,
+        location.y - reach,
+        location.y + reach,
+    )
+
+
 class _PointPairBlock(GainBlock):
     """Gain block over point-flavoured members, evaluated per pair.
 
@@ -316,6 +328,8 @@ class PointQuery(Query):
         """
         return self.budget * _query_quality(self, xy, gamma, trust) > 0.0
 
+    reach_box = _dmax_box
+
     def new_state(self) -> ValuationState:
         return _BestSensorState(self)
 
@@ -376,6 +390,8 @@ class MultiSensorPointQuery(Query):
     ) -> np.ndarray:
         """Vectorized :meth:`relevant`: thresholded quality row ``> 0``."""
         return _query_quality(self, xy, gamma, trust) > 0.0
+
+    reach_box = _dmax_box
 
     def new_state(self) -> ValuationState:
         return _TopKState(self)

@@ -125,14 +125,14 @@ class UniformGridIndex:
         r0, r1 = max(r0, 0), min(r1, self.n_rows - 1)
         if c0 > c1 or r0 > r1:
             return _EMPTY
+        keys, starts, order = self._keys, self._starts, self._order
         chunks = []
         buckets = 0
-        for col in range(c0, c1 + 1):
-            base = col * self.n_rows
-            lo = int(np.searchsorted(self._keys, base + r0, side="left"))
-            hi = int(np.searchsorted(self._keys, base + r1, side="right"))
+        for base in range(c0 * self.n_rows, (c1 + 1) * self.n_rows, self.n_rows):
+            lo = int(keys.searchsorted(base + r0, side="left"))
+            hi = int(keys.searchsorted(base + r1, side="right"))
             if lo < hi:
-                chunks.append(self._order[self._starts[lo] : self._starts[hi]])
+                chunks.append(order[starts[lo] : starts[hi]])
                 buckets += hi - lo
         if not chunks:
             return _EMPTY

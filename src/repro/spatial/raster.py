@@ -89,9 +89,9 @@ def get_raster(holder, xy: np.ndarray) -> "WorldRaster":
 def _grid_layout(fn: CoverageFunction):
     """``(x_min, y_min, cell, xs, ys_padded)`` when ``fn`` is a trusted region grid.
 
-    Exact-type gate (mirroring ``ValuationKernel._query_box``): only the
-    in-repo rasterized region function is known to lay its cells out as
-    the row-major ``Region.grid_cells`` grid.  The whole layout is then
+    Exact-type gate: only the in-repo rasterized region function is known
+    to lay its cells out as the row-major ``Region.grid_cells`` grid (a
+    subclass may store any cells).  The whole layout is then
     validated against the stored cells: cell ``ix * ny + iy`` must sit
     exactly at ``(xs[ix], ys[iy])``, where ``xs``/``ys`` are the
     ``x_min + (i + 0.5) * cell`` centres ``grid_cells`` evaluates (so

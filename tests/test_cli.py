@@ -340,20 +340,52 @@ NEGATIVE_SEED_ERROR = (
 )
 
 
-@pytest.mark.parametrize("slots", ["0", "-1"])
-@pytest.mark.parametrize(
+#: the three commands that load one spec file
+SPEC_COMMANDS = pytest.mark.parametrize(
     "argv",
     [["scenario", "{spec}"],
      ["serve", "--spec", "{spec}", "--exit-after"],
      ["loadgen", "{spec}"]],
     ids=["scenario", "serve", "loadgen"],
 )
+
+
+@pytest.mark.parametrize("slots", ["0", "-1"])
+@SPEC_COMMANDS
 def test_slots_below_one_exit_with_one_line(spec_file, capsys, argv, slots):
     """A ``--slots`` override is refused below 1, as a spec's own
     ``n_slots`` is, instead of running nothing and reporting zeros."""
     assert main([arg.format(spec=spec_file) for arg in argv] + ["--slots", slots]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: --slots must be >= 1, got {slots}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "field,value,reason",
+    [
+        ("seed", -2, "seed must be a non-negative integer, got -2"),
+        ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+        ("seed", True, "seed must be a non-negative integer, got True"),
+        ("workload_seed", -5, "workload_seed must be a non-negative integer, got -5"),
+        ("n_sensors", 2.5, "n_sensors must be an integer >= 1, got 2.5"),
+        ("n_sensors", 0, "n_sensors must be an integer >= 1, got 0"),
+        ("n_slots", 0, "n_slots must be an integer >= 1, got 0"),
+    ],
+    ids=[
+        "negative-seed", "float-seed", "bool-seed", "negative-workload-seed",
+        "float-sensors", "no-sensors", "no-slots",
+    ],
+)
+@SPEC_COMMANDS
+def test_bad_spec_integer_exits_with_one_line(tmp_path, capsys, argv, field, value, reason):
+    """A seed or count that numpy would refuse deep inside the run is
+    refused when the spec loads, naming the field."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**SPEC_PAYLOAD, field: value}))
+    assert main([arg.format(spec=path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error loading {path}: {reason}\n"
     assert captured.out == ""
 
 

@@ -1,4 +1,5 @@
-"""ValuationKernel: bit-parity with both seed valuation paths + reuse rules."""
+"""PointProblem and ValuationKernel: one eq.-(3) value per (query, sensor)
+pair for every allocator, scalar-path parity and the kernel's reuse rules."""
 
 from __future__ import annotations
 
@@ -6,51 +7,65 @@ import numpy as np
 import pytest
 
 from helpers import make_point_query, make_snapshot, random_instance
-from oracles import dense_single_values, relevant_queries_by_sensor
+from oracles import dense_single_values, relevant_queries_by_sensor, single_values
 from repro.core import PointProblem, ValuationKernel
 from repro.queries import PointQuery
 from repro.sensors import SensorSnapshot
-from repro.spatial import Location
+from repro.spatial import Location, Region
 
 
-def legacy_build_values(queries, sensors):
-    """The seed ``PointProblem.build`` per-location loop, frozen for parity."""
-    n = len(sensors)
-    sensor_xy = np.asarray([(s.location.x, s.location.y) for s in sensors], dtype=float)
-    gamma = np.asarray([s.inaccuracy for s in sensors], dtype=float)
-    trust = np.asarray([s.trust for s in sensors], dtype=float)
-    groups: dict[tuple[float, float], list[PointQuery]] = {}
-    for query in queries:
-        groups.setdefault((query.location.x, query.location.y), []).append(query)
-    locations = list(groups)
-    location_queries = list(groups.values())
-    values = np.zeros((len(locations), n))
-    query_values: dict[str, np.ndarray] = {}
-    for row, ((x, y), grouped) in enumerate(zip(locations, location_queries)):
-        if n:
-            diff = sensor_xy - np.array([x, y])
-            dist = np.sqrt((diff**2).sum(axis=1))
-        else:
-            dist = np.zeros(0)
-        for query in grouped:
-            quality = (1.0 - gamma) * trust * (1.0 - dist / query.dmax)
-            quality[dist > query.dmax] = 0.0
-            quality[quality < query.theta_min] = 0.0
-            row_values = query.budget * quality
-            query_values[query.query_id] = row_values
-            values[row] += row_values
-    return values, query_values
+def paper_instance(seed: int, n_queries: int = 300, n_sensors: int = 635):
+    """A Section-4-sized slot (RNC: 635 sensors, 300 point queries)."""
+    rng = np.random.default_rng(seed)
+    region = Region.from_origin(100.0, 100.0)
+    sensors = [
+        SensorSnapshot(
+            i,
+            region.sample_location(rng),
+            float(rng.uniform(5.0, 15.0)),
+            float(rng.uniform(0.0, 0.2)),
+            float(rng.uniform(0.5, 1.0)),
+        )
+        for i in range(n_sensors)
+    ]
+    queries = [
+        PointQuery(
+            region.sample_location(rng),
+            budget=float(rng.uniform(7.0, 35.0)),
+            theta_min=0.2,
+            dmax=10.0,
+        )
+        for _ in range(n_queries)
+    ]
+    return queries, sensors
+
+
+def assert_rows_equal_sparse_values(queries, sensors):
+    """Each dense row equals the greedy path's sparse values (``==``) on its
+    candidate columns, is exactly ``0.0`` everywhere else, and equals the
+    full-fleet broadcast of eq. (3) (``oracles.single_values``)."""
+    problem = PointProblem.build(queries, sensors)
+    kernel = ValuationKernel.from_sensors(sensors)
+    for query, (cols, vals) in zip(queries, kernel.sparse_single_values(queries)):
+        row = problem.query_values[query.query_id]
+        assert np.array_equal(row[cols], vals)
+        outside = np.ones(len(sensors), dtype=bool)
+        outside[cols] = False
+        assert not row[outside].any()
+    rows = [problem.query_values[query.query_id] for query in queries]
+    assert np.array_equal(np.reshape(rows, (len(queries), -1)), single_values(kernel, queries))
 
 
 class TestMatrixPathParity:
     @pytest.mark.parametrize("seed", range(8))
-    def test_bit_identical_to_seed_loop(self, seed):
-        queries, sensors = random_instance(seed, n_sensors=12, n_queries=20)
-        want_values, want_query_values = legacy_build_values(queries, sensors)
-        problem = PointProblem.build(queries, sensors)
-        assert np.array_equal(problem.values, want_values)
-        for qid, row in want_query_values.items():
-            assert np.array_equal(problem.query_values[qid], row)
+    def test_query_values_equal_sparse_single_values(self, seed):
+        assert_rows_equal_sparse_values(
+            *random_instance(seed, n_sensors=12, n_queries=20)
+        )
+
+    @pytest.mark.parametrize("seed", range(1, 4))
+    def test_paper_scale_values_equal_sparse_single_values(self, seed):
+        assert_rows_equal_sparse_values(*paper_instance(seed))
 
     def test_colocated_queries_aggregate_per_location(self):
         queries = [
@@ -59,10 +74,10 @@ class TestMatrixPathParity:
             make_point_query(3.0, 0.0, budget=10.0),
         ]
         sensors = [make_snapshot(0, x=1.0), make_snapshot(1, x=4.0)]
-        want_values, _ = legacy_build_values(queries, sensors)
         problem = PointProblem.build(queries, sensors)
         assert problem.n_locations == 2
-        assert np.array_equal(problem.values, want_values)
+        rows = [problem.query_values[q.query_id] for q in queries]
+        assert np.array_equal(problem.values, np.stack([rows[0] + rows[1], rows[2]]))
 
     def test_empty_edges(self):
         queries, sensors = random_instance(0, n_sensors=5, n_queries=5)
@@ -112,9 +127,9 @@ class TestScalarPathParity:
         values = dense_single_values(kernel, [query])
         assert values[0, 0] == 0.0
         assert values[0, 1] == pytest.approx(5.0)
-        rows = kernel.value_rows([query])
-        assert rows[0, 0] == 0.0
-        assert rows[0, 1] == pytest.approx(5.0)
+        row = PointProblem.build([query], [at_dmax, at_theta]).query_values[query.query_id]
+        assert row[0] == 0.0
+        assert row[1] == pytest.approx(5.0)
 
 
 class TestKernelReuse:
@@ -150,12 +165,11 @@ class TestKernelReuse:
 
     def test_problem_costs_come_from_sensors_argument(self):
         queries, sensors = random_instance(4)
-        kernel = ValuationKernel.from_sensors(sensors)
         repriced = [
             SensorSnapshot(s.sensor_id, s.location, 0.0, s.inaccuracy, s.trust)
             for s in sensors
         ]
-        problem = PointProblem.build(queries, repriced, kernel=kernel)
+        problem = PointProblem.build(queries, repriced)
         assert np.array_equal(problem.costs, np.zeros(len(sensors)))
         baseline = PointProblem.build(queries, sensors)
         assert np.array_equal(problem.values, baseline.values)

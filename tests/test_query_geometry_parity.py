@@ -469,7 +469,8 @@ class TestShardedCandidateViews:
 
     def test_unknown_type_returns_the_full_fleet(self):
         class OpaquePoint(PointQuery):
-            pass
+            def relevant_mask(self, xy, gamma=None, trust=None):
+                return super().relevant_mask(xy, gamma, trust)
 
         rng = np.random.default_rng(33)
         sensors = random_sensors(rng, n=20)

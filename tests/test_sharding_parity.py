@@ -28,6 +28,7 @@ from repro.core import (
     BaselineAllocator,
     GreedyAllocator,
     MixAllocator,
+    PointProblem,
     ValuationKernel,
     resolve_cell_size,
 )
@@ -150,7 +151,8 @@ class TestKernelParity:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("cell", CELL_SIZES)
     def test_value_rows_vanish_outside_candidates(self, seed, cell):
-        """The matrix path (eq. 9/12) is nonzero only on candidate columns."""
+        """PointProblem's dense value rows (eq. 9/12) are nonzero only on
+        candidate columns."""
         rng = np.random.default_rng(50 + seed)
         sensors = random_sensors(rng)
         queries = [
@@ -161,8 +163,9 @@ class TestKernelParity:
             for _ in range(10)
         ]
         sharded = gridded_kernel(sensors, cell)
-        rows = sharded.value_rows(queries)
-        for query, row in zip(queries, rows):
+        problem = PointProblem.build(queries, sensors)
+        for query in queries:
+            row = problem.query_values[query.query_id]
             outside = np.ones(len(sensors), dtype=bool)
             outside[sharded.candidate_indices(query)] = False
             assert not row[outside].any()
@@ -179,7 +182,10 @@ class TestKernelParity:
 
     def test_unknown_query_type_falls_back_to_full_scan(self):
         class OpaqueQuery(PointQuery):
-            """Subclass — the exact-type contract must refuse to shard it."""
+            """New relevance without a reach box: the kernel must not shard it."""
+
+            def relevant_mask(self, xy, gamma=None, trust=None):
+                return super().relevant_mask(xy, gamma, trust)
 
         rng = np.random.default_rng(0)
         sensors = random_sensors(rng)
