@@ -6,10 +6,6 @@ aggregator works the central 50x50 hotspot; eq. 4 uses ``dmax = 5``.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-import numpy as np
-
 from ..mobility import MobilityTrace, RandomWaypointMobility
 from ..sensors import FleetConfig
 from ..spatial import Region
@@ -21,32 +17,23 @@ RWM_REGION = Region.from_origin(80.0, 80.0)
 RWM_WORKING_REGION = Region.centered_in(RWM_REGION, 50.0, 50.0)
 
 
-@lru_cache(maxsize=8)
-def _cached_trace(seed: int, n_sensors: int, n_slots: int) -> MobilityTrace:
-    rng = np.random.default_rng(seed)
-    model = RandomWaypointMobility(RWM_REGION, n_sensors, rng)
-    # Array-native frames: metro-scale worlds set up without building a
-    # single Location (the trace materializes them lazily if ever asked).
-    return MobilityTrace.from_xy(RWM_REGION, model.run_xy(n_slots))
-
-
 def build_rwm_scenario(
     seed: int = 2013,
     n_sensors: int = 200,
     n_slots: int = 50,
     fleet_config: FleetConfig | None = None,
-    trace: MobilityTrace | None = None,
 ) -> Scenario:
     """Paper defaults: 200 sensors, 50 slots, fixed energy cost, zero PSL.
 
-    ``trace`` replaces the random-waypoint trace, which is then neither
-    generated nor cached (the fleet seed does not depend on it).
+    The random-waypoint walk is kept as its recipe (seeded from ``seed``):
+    building the scenario runs nothing, and each fleet replays the walk
+    one slot at a time.
     """
-    if trace is None:
-        trace = _cached_trace(seed, n_sensors, n_slots)
     return Scenario(
         name="RWM",
-        trace=trace,
+        trace=MobilityTrace.generated(
+            RandomWaypointMobility, RWM_REGION, n_sensors, n_slots, seed
+        ),
         working_region=RWM_WORKING_REGION,
         fleet_config=fleet_config if fleet_config is not None else FleetConfig(),
         fleet_seed=seed + 1,

@@ -2,7 +2,8 @@
 
 The paper compares algorithms on *identical* inputs — same mobility, same
 sensor attributes, same query stream.  A :class:`Scenario` freezes the
-mobility into a replayable trace and pins the fleet seed, so
+mobility into a replayable trace (a recorded one, or the recipe of a
+seeded generative world) and pins the fleet seed, so
 :meth:`Scenario.make_fleet` hands every algorithm an indistinguishable
 fresh copy of the world.
 
@@ -18,6 +19,7 @@ runs any of them from a file.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -46,7 +48,9 @@ class Scenario:
 
     Attributes:
         name: dataset label ("RWM", "RNC", "INTEL").
-        trace: the recorded per-slot sensor positions.
+        trace: the per-slot sensor positions, replayed identically by
+            every fleet (recorded frames, or a generated world's recipe
+            that each fleet steps one slot at a time).
         working_region: the aggregator's hotspot.
         fleet_config: population-level sensor parameters (Section 4.1).
         fleet_seed: seed for per-sensor attribute draws — fixed, so every
@@ -71,7 +75,7 @@ class Scenario:
         return self.trace.n_sensors
 
     def make_fleet(self) -> SensorFleet:
-        """A fresh fleet replaying the trace from slot 0."""
+        """A fresh fleet replaying the trace from slot 0 (its own replay)."""
         rng = np.random.default_rng(self.fleet_seed)
         return SensorFleet(
             TraceMobility(self.trace), self.working_region, self.fleet_config, rng
@@ -168,6 +172,33 @@ def _require_count(name: str, value: Any, minimum: int) -> None:
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
+def _require_amount(name: str, value: Any, low: float, high: float = math.inf) -> None:
+    """Refuse a ``bool``, a non-number, NaN, infinity or a value outside
+    ``[low, high]``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or not low <= value <= high
+    ):
+        bounds = f">= {low:g}" if high == math.inf else f"in [{low:g}, {high:g}]"
+        raise ValueError(f"{name} must be a finite number {bounds}, got {value!r}")
+
+
+#: Stream ``params`` checked at load: counts (with their minimum) and
+#: budget amounts (finite and non-negative).  ``budget_factor`` is left to
+#: the query, which names the NaN budget it produces.
+_STREAM_COUNTS = {
+    "n_queries": 0,
+    "mean_queries": 1,
+    "count_spread": 0,
+    "max_live": 0,
+    "arrivals_per_slot": 0,
+    "queries_per_slot": 0,
+}
+_STREAM_AMOUNTS = ("budget", "budget_spread")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A complete, declarable experiment: world + streams + allocation.
@@ -198,11 +229,12 @@ class ScenarioSpec:
         mobility: optional mobility override for the world.  ``None``
             keeps the dataset's native trace;
             ``{"kind": "churn", "fraction": 0.01}`` replaces it with a
-            :class:`~repro.mobility.ChurnMobility` recording — a
+            :class:`~repro.mobility.ChurnMobility` world — a
             near-stationary fleet where that fraction of sensors relocates
-            per slot — recorded into a replayable
+            per slot — kept as a generated
             :class:`~repro.mobility.MobilityTrace` (seeded from the world
-            seed, so it is as reproducible as the native trace).
+            seed, so it is as reproducible as the native trace, and each
+            fleet replays it one slot at a time).
         service: optional streaming-service block consumed by
             ``repro serve`` / ``repro loadgen``
             (:class:`~repro.service.ServiceConfig`): ticker pacing
@@ -243,13 +275,22 @@ class ScenarioSpec:
             _require_count("workload_seed", self.workload_seed, 0)
         _require_count("n_sensors", self.n_sensors, 1)
         _require_count("n_slots", self.n_slots, 1)
+        for i, stream in enumerate(self.streams):
+            for key, minimum in _STREAM_COUNTS.items():
+                if key in stream.params:
+                    _require_count(
+                        f"streams[{i}].params.{key}", stream.params[key], minimum
+                    )
+            for key in _STREAM_AMOUNTS:
+                if key in stream.params:
+                    _require_amount(f"streams[{i}].params.{key}", stream.params[key], 0.0)
         if self.mobility is not None:
             kind = self.mobility.get("kind")
             if kind != "churn":
                 raise ValueError(f"unknown mobility override kind {kind!r}")
-            fraction = self.mobility.get("fraction", 0.01)
-            if not 0.0 <= float(fraction) <= 1.0:
-                raise ValueError(f"churn fraction must be in [0, 1], got {fraction}")
+            _require_amount(
+                "mobility.fraction", self.mobility.get("fraction", 0.01), 0.0, 1.0
+            )
             extra = set(self.mobility) - {"kind", "fraction"}
             if extra:
                 raise ValueError(f"unknown mobility fields: {sorted(extra)}")
@@ -361,19 +402,14 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     # compilation
     # ------------------------------------------------------------------
-    def _override_trace(self, region: Region) -> MobilityTrace | None:
-        """The ``mobility`` block's recorded trace over ``region`` (or None)."""
-        if self.mobility is None:
-            return None
+    def _override_trace(self, region: Region) -> MobilityTrace:
+        """The ``mobility`` block's generated churn trace over ``region``."""
         from ..mobility import ChurnMobility
 
-        model = ChurnMobility(
-            region,
-            self.n_sensors,
-            np.random.default_rng(self.seed),
+        return MobilityTrace.generated(
+            ChurnMobility, region, self.n_sensors, self.n_slots, self.seed,
             fraction=float(self.mobility.get("fraction", 0.01)),
         )
-        return MobilityTrace.from_xy(region, model.run_xy(self.n_slots))
 
     def build(self):
         """Compile the spec into a ready-to-run ``SlotEngine``."""
@@ -400,7 +436,7 @@ class ScenarioSpec:
         from .intel import build_intel_scenario
         from .ozone import build_ozone_dataset
         from .rnc import build_rnc_scenario
-        from .rwm import RWM_REGION, build_rwm_scenario
+        from .rwm import build_rwm_scenario
 
         fleet_overrides = dict(self.fleet)
         if "trust_model" in fleet_overrides:
@@ -413,13 +449,8 @@ class ScenarioSpec:
         fleet_config = FleetConfig(**fleet_overrides) if fleet_overrides else None
         gp = None
         if self.dataset == "rwm":
-            # The RWM trace comes from its own ``default_rng(seed)`` and
-            # nothing else in the world depends on it, so a mobility
-            # override skips generating (and caching) the trace it would
-            # discard.
             scenario = build_rwm_scenario(
-                self.seed, self.n_sensors, self.n_slots, fleet_config=fleet_config,
-                trace=self._override_trace(RWM_REGION),
+                self.seed, self.n_sensors, self.n_slots, fleet_config=fleet_config
             )
         elif self.dataset == "rnc":
             scenario = build_rnc_scenario(
@@ -431,7 +462,7 @@ class ScenarioSpec:
                 self.seed, self.n_sensors, self.n_slots, fleet_config=fleet_config
             )
             scenario, gp = world.scenario, world.gp
-        if self.mobility is not None and self.dataset != "rwm":
+        if self.mobility is not None:
             scenario = replace(
                 scenario, trace=self._override_trace(scenario.trace.region)
             )

@@ -9,7 +9,7 @@ from .nokia import (
 from .random_waypoint import RandomWaypointMobility, WaypointMobility
 from .stationary import ChurnMobility, StationaryMobility
 from .statistics import ChurnStatistics, TraceStatistics, compute_churn, compute_statistics
-from .trace import MobilityTrace, TraceMobility
+from .trace import MobilityRecipe, MobilityTrace, TraceMobility
 
 __all__ = [
     "MobilityModel",
@@ -17,6 +17,7 @@ __all__ = [
     "WaypointMobility",
     "StationaryMobility",
     "ChurnMobility",
+    "MobilityRecipe",
     "MobilityTrace",
     "TraceMobility",
     "NokiaCampaignSynthesizer",

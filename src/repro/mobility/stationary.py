@@ -59,10 +59,11 @@ class ChurnMobility(MobilityModel):
     the region; everyone else keeps their exact coordinates, so the moved
     set *is* the per-slot churn — the reference low-mobility workload.
 
-    Deterministic given the generator's seed, so recording it with
-    :meth:`~repro.mobility.base.MobilityModel.run_xy` into a
-    :class:`~repro.mobility.trace.MobilityTrace` yields a reproducible
-    low-churn world.
+    Deterministic given the generator's seed, so a
+    :meth:`MobilityTrace.generated
+    <repro.mobility.trace.MobilityTrace.generated>` recipe replays a
+    reproducible low-churn world one slot at a time.  :meth:`advance`
+    writes the position buffer in place.
     """
 
     def __init__(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -384,6 +385,49 @@ def test_bad_spec_integer_exits_with_one_line(tmp_path, capsys, argv, field, val
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**SPEC_PAYLOAD, field: value}))
     assert main([arg.format(spec=path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error loading {path}: {reason}\n"
+    assert captured.out == ""
+
+
+CHURN_FRACTION = "mobility.fraction must be a finite number in [0, 1], got "
+
+
+@pytest.mark.parametrize(
+    "overrides,reason",
+    [
+        ({"mobility": {"kind": "churn", "fraction": "abc"}}, CHURN_FRACTION + "'abc'"),
+        ({"mobility": {"kind": "churn", "fraction": True}}, CHURN_FRACTION + "True"),
+        ({"mobility": {"kind": "churn", "fraction": math.nan}}, CHURN_FRACTION + "nan"),
+        ({"mobility": {"kind": "churn", "fraction": 1.5}}, CHURN_FRACTION + "1.5"),
+        (
+            {"streams": [{"kind": "point", "params": {"n_queries": 2.5}}]},
+            "streams[0].params.n_queries must be a non-negative integer, got 2.5",
+        ),
+        (
+            {"streams": [{"kind": "point", "params": {"budget": "x"}}]},
+            "streams[0].params.budget must be a finite number >= 0, got 'x'",
+        ),
+        (
+            {"streams": [
+                {"kind": "aggregate"},
+                {"kind": "point", "params": {"budget_spread": math.inf}},
+            ]},
+            "streams[1].params.budget_spread must be a finite number >= 0, got inf",
+        ),
+    ],
+    ids=[
+        "string-fraction", "bool-fraction", "nan-fraction", "fraction-above-one",
+        "float-n-queries", "string-budget", "infinite-budget-spread",
+    ],
+)
+def test_bad_spec_value_exits_with_one_line(tmp_path, capsys, overrides, reason):
+    """A churn fraction or a stream count/budget that used to fail at build
+    (or deep in the first slot) without naming its field is refused when
+    the spec loads."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**SPEC_PAYLOAD, **overrides}))
+    assert main(["scenario", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error loading {path}: {reason}\n"
     assert captured.out == ""

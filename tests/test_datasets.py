@@ -12,7 +12,7 @@ from repro.datasets import (
     build_rnc_scenario,
     build_rwm_scenario,
 )
-from repro.mobility import PAPER_RNC_WORKING_REGION
+from repro.mobility import PAPER_RNC_WORKING_REGION, RandomWaypointMobility
 from repro.sensors import FleetConfig
 
 
@@ -40,10 +40,12 @@ class TestRwmScenario:
         a.advance()
         assert b.clock == 0
 
-    def test_trace_cached_across_builds(self):
+    def test_builds_share_one_recipe(self):
         s1 = build_rwm_scenario(seed=7, n_sensors=10, n_slots=4)
         s2 = build_rwm_scenario(seed=7, n_sensors=10, n_slots=4)
-        assert s1.trace is s2.trace
+        assert s1.trace == s2.trace and hash(s1.trace) == hash(s2.trace)
+        assert s1.trace.recipe.model is RandomWaypointMobility
+        assert s1.trace != build_rwm_scenario(seed=8, n_sensors=10, n_slots=4).trace
 
     def test_with_config_swaps_economics_only(self):
         scenario = build_rwm_scenario(seed=8, n_sensors=10, n_slots=4)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.datasets import RWM_WORKING_REGION, Scenario, build_rwm_scenario
 from repro.mobility import (
     PAPER_RNC_REGION,
     PAPER_RNC_WORKING_REGION,
+    ChurnMobility,
     MobilityTrace,
     NokiaCampaignSynthesizer,
     RandomWaypointMobility,
@@ -15,6 +19,7 @@ from repro.mobility import (
     TraceMobility,
     WaypointMobility,
 )
+from repro.sensors import FleetConfig
 from repro.spatial import Location, Region
 
 REGION = Region.from_origin(80, 80)
@@ -357,6 +362,163 @@ class TestArrayNativeTrace:
             MobilityTrace.from_xy(region, [np.zeros((2, 3))])
         with pytest.raises(ValueError):
             MobilityTrace.from_xy(region, [np.zeros((2, 2)), np.zeros((3, 2))])
+
+
+#: Generated worlds: (model, constructor params), for RWM and churn.
+GENERATED = pytest.mark.parametrize(
+    "model,params",
+    [
+        (RandomWaypointMobility, {}),
+        (RandomWaypointMobility, {"max_speed_choices": (2.0, 3.0)}),
+        (ChurnMobility, {"fraction": 0.2}),
+    ],
+    ids=["rwm", "rwm-slow", "churn"],
+)
+
+
+class TestGeneratedTrace:
+    """``MobilityTrace.generated``: a seeded world kept as its recipe."""
+
+    N_SENSORS, N_SLOTS, SEED = 25, 7, 11
+
+    def _trace(self, model, params) -> MobilityTrace:
+        return MobilityTrace.generated(
+            model, REGION, self.N_SENSORS, self.N_SLOTS, self.SEED, **params
+        )
+
+    def _expected(self, model, params) -> list[np.ndarray]:
+        live = model(REGION, self.N_SENSORS, np.random.default_rng(self.SEED), **params)
+        return live.run_xy(self.N_SLOTS)
+
+    def _scenario(self, model, params) -> Scenario:
+        return Scenario(
+            name="generated",
+            trace=self._trace(model, params),
+            working_region=RWM_WORKING_REGION,
+            fleet_config=FleetConfig(),
+            fleet_seed=self.SEED + 1,
+            dmax=5.0,
+        )
+
+    @GENERATED
+    def test_replay_matches_run_xy_and_holds_the_last_frame(self, model, params):
+        expected = self._expected(model, params)
+        replay = TraceMobility(self._trace(model, params))
+        for t in range(self.N_SLOTS + 3):
+            held = min(t, self.N_SLOTS - 1)
+            assert np.array_equal(replay.locations_xy(), expected[held]), t
+            assert replay.locations() == tuple(
+                Location(float(x), float(y)) for x, y in expected[held]
+            )
+            replay.advance()
+        assert replay.cursor == self.N_SLOTS - 1
+        replay.reset()
+        assert replay.cursor == 0
+        assert np.array_equal(replay.locations_xy(), expected[0])
+
+    @GENERATED
+    def test_frame_access_walks_forward_and_restarts_backward(self, model, params):
+        expected = self._expected(model, params)
+        trace = self._trace(model, params)
+        assert (trace.n_slots, trace.n_sensors) == (self.N_SLOTS, self.N_SENSORS)
+        for t in (0, 3, 6, 2, -1, 0):
+            assert np.array_equal(trace.frame_xy(t), expected[t]), t
+        assert trace.frames[4] == tuple(
+            Location(float(x), float(y)) for x, y in expected[4]
+        )
+        assert len(list(trace.frames)) == self.N_SLOTS
+        with pytest.raises(IndexError):
+            trace.frame_xy(self.N_SLOTS)
+
+    @GENERATED
+    def test_two_fleets_advanced_alternately_stay_independent(self, model, params):
+        expected = self._expected(model, params)
+        scenario = self._scenario(model, params)
+        a, b = scenario.make_fleet(), scenario.make_fleet()
+        for fleet, steps in ((a, 2), (b, 1), (a, 3), (b, 4), (a, 1)):
+            for _ in range(steps):
+                fleet.advance()
+            for other in (a, b):
+                assert np.array_equal(
+                    other.mobility.locations_xy(), expected[other.clock]
+                ), (other.clock, steps)
+
+    @GENERATED
+    def test_pickle_round_trips_the_scenario(self, model, params):
+        scenario = self._scenario(model, params)
+        scenario.trace.frame_xy(3)  # a live analysis walk does not travel
+        clone = pickle.loads(pickle.dumps(scenario))
+        assert clone == scenario and hash(clone.trace) == hash(scenario.trace)
+        assert clone.trace.recipe == scenario.trace.recipe
+        assert clone.trace.frames._model is None
+        replay, original = TraceMobility(clone.trace), TraceMobility(scenario.trace)
+        for _ in range(self.N_SLOTS):
+            assert np.array_equal(replay.locations_xy(), original.locations_xy())
+            replay.advance()
+            original.advance()
+
+    @GENERATED
+    def test_frames_handed_out_cannot_mutate_the_model(self, model, params):
+        expected = self._expected(model, params)
+        trace = self._trace(model, params)
+        first = trace.frame_xy(0)
+        with pytest.raises(ValueError):
+            first[0, 0] = -1.0
+        # A later frame is a fresh copy: the churn model writes its buffer
+        # in place, and the frame handed out for slot 0 keeps slot 0.
+        trace.frame_xy(self.N_SLOTS - 1)
+        assert np.array_equal(first, expected[0])
+        live = TraceMobility(trace).locations_xy()
+        with pytest.raises(ValueError):
+            live[0, 0] = -1.0
+
+    def test_equality_compares_recipes_only(self):
+        trace = self._trace(ChurnMobility, {"fraction": 0.2})
+        assert trace == self._trace(ChurnMobility, {"fraction": 0.2})
+        assert trace != self._trace(ChurnMobility, {"fraction": 0.3})
+        assert trace != self._trace(RandomWaypointMobility, {})
+        # A generated trace never equals a recording, even of its own frames.
+        recorded = MobilityTrace.from_xy(
+            REGION, self._expected(ChurnMobility, {"fraction": 0.2})
+        )
+        assert trace != recorded and recorded != trace
+        assert trace.recipe is not None and recorded.recipe is None
+
+    def test_save_writes_the_frames(self, tmp_path):
+        trace = self._trace(RandomWaypointMobility, {})
+        path = tmp_path / "generated.json"
+        trace.save(path)
+        loaded = MobilityTrace.load(path)
+        assert loaded == MobilityTrace.from_xy(
+            REGION, self._expected(RandomWaypointMobility, {})
+        )
+
+    def test_recipe_is_plain_data(self):
+        class Local(RandomWaypointMobility):
+            pass
+
+        with pytest.raises(TypeError, match="module-level MobilityModel class"):
+            MobilityTrace.generated(Local, REGION, 5, 3, 0)
+        with pytest.raises(TypeError, match="module-level MobilityModel class"):
+            MobilityTrace.generated(lambda *a: None, REGION, 5, 3, 0)
+        with pytest.raises(TypeError, match="unhashable"):
+            MobilityTrace.generated(
+                RandomWaypointMobility, REGION, 5, 3, 0, max_speed_choices=[1.0]
+            )
+        with pytest.raises(ValueError, match="at least one sensor and one slot"):
+            MobilityTrace.generated(RandomWaypointMobility, REGION, 5, 0, 0)
+
+    def test_rwm_dataset_replays_its_recipe(self):
+        scenario = build_rwm_scenario(seed=4, n_sensors=30, n_slots=5)
+        recipe = scenario.trace.recipe
+        assert recipe.model is RandomWaypointMobility and recipe.seed == 4
+        expected = RandomWaypointMobility(
+            scenario.trace.region, 30, np.random.default_rng(4)
+        ).run_xy(5)
+        fleet = scenario.make_fleet()
+        for t in range(7):
+            assert np.array_equal(fleet.mobility.locations_xy(), expected[min(t, 4)])
+            fleet.advance()
 
 
 class TestStationary:

@@ -1,20 +1,22 @@
 """The service's resident memory does not grow with the ticks it has run
 or with the spec's ``n_slots``: every slot builds a fresh
 :class:`WorldRaster` that nothing links to the next slot's, so only the
-live slot's raster (and its coverage-row cache) stays alive; and a spec
-whose ``mobility`` block replaces the RWM trace never generates or
-caches the trace it would discard."""
+live slot's raster (and its coverage-row cache) stays alive; and a
+generated world (the RWM walk, a ``mobility`` churn block) is kept as its
+recipe, so building a spec allocates no frame per slot and each replay
+holds only its live frame."""
 
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 
 from oracles import DenseKernel, compile_kernel_as
-from repro.datasets import RWM_REGION, ScenarioSpec, StreamSpec, rwm
-from repro.mobility import ChurnMobility
+from repro.datasets import RWM_REGION, ScenarioSpec, StreamSpec
+from repro.mobility import ChurnMobility, RandomWaypointMobility
 from repro.queries import SpatialAggregateQuery
 from repro.service import LoadGenerator, MarketplaceService, PoissonProfile
 
@@ -79,17 +81,21 @@ def test_service_keeps_only_the_live_raster(monkeypatch):
                 assert cached <= coverage_of[id(raster)]
 
 
-def test_churn_rwm_spec_skips_the_discarded_trace():
+def test_churn_rwm_spec_replays_the_churn_recipe():
     n_sensors, n_slots, fraction = 90, 37, 0.05
     spec = churn_spec(
         seed=8, n_sensors=n_sensors, n_slots=n_slots,
         mobility={"kind": "churn", "fraction": fraction},
     )
-    before = rwm._cached_trace.cache_info()
     engine = spec.build()
-    after = rwm._cached_trace.cache_info()
-    # The random-waypoint trace was neither generated nor looked up.
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    # The fleet replays the churn recipe; the random-waypoint walk it
+    # replaces is never run.
+    recipe = engine.fleet.mobility._trace.recipe
+    assert recipe.model is ChurnMobility
+    assert (recipe.region, recipe.n_sensors, recipe.n_slots, recipe.seed) == (
+        RWM_REGION, n_sensors, n_slots, spec.seed,
+    )
+    assert recipe.params == (("fraction", fraction),)
 
     expected = ChurnMobility(
         RWM_REGION, n_sensors, np.random.default_rng(spec.seed), fraction
@@ -99,3 +105,36 @@ def test_churn_rwm_spec_skips_the_discarded_trace():
     for t in range(n_slots):
         assert np.array_equal(mobility.locations_xy(), expected[t]), t
         engine.fleet.advance()
+
+
+def test_building_a_long_world_allocates_no_frames():
+    """A 5000-slot, 1000-sensor world used to be recorded at build: 80 MB
+    of frames before the first slot.  Its recipe and one live frame per
+    replay cost a few kilobytes, whatever ``n_slots`` says."""
+    n_sensors, n_slots = 1000, 5000
+    streams = [StreamSpec("point", {"n_queries": 4, "budget": 12.0})]
+    specs = {
+        "rwm": ScenarioSpec(
+            name="long-rwm", seed=3, n_sensors=n_sensors, n_slots=n_slots,
+            streams=streams,
+        ),
+        "churn": ScenarioSpec(
+            name="long-churn", seed=3, n_sensors=n_sensors, n_slots=n_slots,
+            streams=streams, mobility={"kind": "churn", "fraction": 0.02},
+        ),
+    }
+    models = {"rwm": RandomWaypointMobility, "churn": ChurnMobility}
+    for spec in specs.values():
+        spec.build()  # warm every import and cache out of the measurement
+    tracemalloc.start()
+    try:
+        for name, spec in specs.items():
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            engine = spec.build()
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak - base < 2_000_000, (name, peak - base)
+            assert engine.fleet.mobility._trace.recipe.model is models[name]
+            del engine
+    finally:
+        tracemalloc.stop()
