@@ -177,8 +177,8 @@ def test_greedy_vectorized_speedup_at_paper_scale(paper_slot):
     """Hard floor: the batch-gain greedy must be >= 3x the scalar path on
     the paper-scale slot, with identical allocations."""
     queries, sensors = paper_slot
-    vectorized = GreedyAllocator(verify=False)
-    scalar = ScalarGreedyAllocator(verify=False)
+    vectorized = GreedyAllocator()
+    scalar = ScalarGreedyAllocator()
 
     # Interleave the two paths so clock-frequency drift or co-tenant noise
     # hits both equally; best-of-N on each side filters the spikes.
@@ -191,11 +191,11 @@ def test_greedy_vectorized_speedup_at_paper_scale(paper_slot):
         scalar.allocate(queries, sensors)
         slow.append(time.perf_counter() - start)
     _record_case(
-        "greedy_vectorized_noverify_300x635",
+        "greedy_vectorized_300x635",
         statistics.mean(fast), statistics.stdev(fast), len(fast),
     )
     _record_case(
-        "greedy_scalar_noverify_300x635",
+        "greedy_scalar_300x635",
         statistics.mean(slow), statistics.stdev(slow), len(slow),
     )
     speedup = min(slow) / min(fast)
@@ -237,7 +237,7 @@ def test_sharded_large_fleet_speedup(large_fleet_slot):
     full-fleet ``DenseKernel`` oracle on the large-fleet localized slot,
     with bit-identical allocations."""
     queries, sensors = large_fleet_slot
-    allocator = GreedyAllocator(verify=False)
+    allocator = GreedyAllocator()
     dense_kernel = DenseKernel.from_sensors(sensors)
     sharded_kernel = ValuationKernel.from_sensors(sensors)
 
@@ -333,8 +333,8 @@ def test_region_heavy_masked_speedup(region_heavy_slot):
     bit-identical between the scalar and batch paths, so this comparison
     is exact, not approximate.)"""
     queries, sensors = region_heavy_slot
-    masked = PerRowGreedyAllocator(verify=False)
-    scalar = ScalarGreedyAllocator(verify=False)
+    masked = PerRowGreedyAllocator()
+    scalar = ScalarGreedyAllocator()
     dense_kernel = DenseKernel.from_sensors(sensors)
     sharded_kernel = ValuationKernel.from_sensors(sensors)
 
@@ -423,8 +423,8 @@ def test_fused_region_heavy_speedup(region_storm_slot):
     slot, with exactly identical (``==``) allocations, values and payments
     — on the dense oracle kernel and the candidate views."""
     queries, sensors = region_storm_slot
-    fused = GreedyAllocator(verify=False)
-    masked = PerRowGreedyAllocator(verify=False)
+    fused = GreedyAllocator()
+    masked = PerRowGreedyAllocator()
     dense_kernel = DenseKernel.from_sensors(sensors)
     sharded_kernel = ValuationKernel.from_sensors(sensors)
 

@@ -343,14 +343,14 @@ class AsyncBlockingRule(Rule):
     def check(self, module, repo, config):
         if not _in_scope(module.relpath, config.async_scope):
             return
-        sync_queues = self._sync_queue_names(module)
+        sync_queues = self._blocking_queue_names(module)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.AsyncFunctionDef):
                 continue
             yield from self._check_coroutine(module, node, sync_queues)
 
     @staticmethod
-    def _sync_queue_names(module: ModuleIndex) -> set[str]:
+    def _blocking_queue_names(module: ModuleIndex) -> set[str]:
         """Names (locals and ``self.x`` attrs) bound to sync queue.Queue."""
         names: set[str] = set()
         for node in ast.walk(module.tree):

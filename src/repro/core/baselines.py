@@ -21,7 +21,8 @@ Both run on Greedy's gain setup (:func:`~repro.core.greedy.gain_setup`):
 each query's candidates are its row of the shared relevance CSR, its
 gains come from its type's :class:`~repro.queries.GainBlock` (one
 ``gain_many_block`` call per round, with the query as the only member
-touched), the paid/chosen bookkeeping lives in boolean column arrays, and
+touched) and its picks are committed through the same block, the
+paid/chosen bookkeeping lives in boolean column arrays, and
 announcement snapshots are materialized only for the sensors actually
 picked.  Sensor picks replicate the historical per-candidate scan
 *exactly* — ascending column order and its sequential "beats the
@@ -96,7 +97,6 @@ class BaselineAllocator:
         for i, query in enumerate(queries):
             if query.query_id in answered:
                 continue
-            state = setup.states[i]
             # The query's relevant roster columns, ascending, so near-tie
             # picks cannot diverge from the historical full scan.
             candidates = setup.row_columns(i)
@@ -127,7 +127,7 @@ class BaselineAllocator:
                 column = int(candidates[best_pos])
                 snapshot = roster.snapshots[column]
                 payment = 0.0 if paid[column] else float(cand_costs[best_pos])
-                state.add(snapshot)
+                setup.commit(i, column)
                 chosen[best_pos] = True
                 paid[column] = True
                 result.record(query, snapshot, float(gains[best_pos]), payment)

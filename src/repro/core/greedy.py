@@ -11,11 +11,19 @@ Theorem 1's guarantees:
 3. non-negative individual query utility;
 4. ``O(|Q| |S|^2)`` valuation calls.
 
-The allocator drives the queries' block-gain protocol
-(:meth:`~repro.queries.ValuationState.block`) over one shared setup
-(:func:`gain_setup`: relevance, roster, states and per-type
-:class:`~repro.queries.GainBlock` stacks), which the sequential
-baseline builds the same way.
+The allocator drives the queries' gain blocks
+(:meth:`~repro.queries.Query.gain_block`) over one shared setup
+(:func:`gain_setup`: relevance, roster and one
+:class:`~repro.queries.GainBlock` per gain type), which the sequential
+baseline builds the same way.  The blocks own the greedy state: a round's
+winner is committed to each benefiting query through its block
+(:meth:`GainSetup.commit`), and the gains of later rounds read the state
+those commits left.  The result records each benefiting query's block
+gain, the number the winner was picked by.  A point-flavoured block
+values the committed pair through the query's scalar eq. (4), which can
+differ from that gain in the final ulp; coverage commits are bit-identical
+to it.  ``tests/test_block_commit_parity.py`` pins every block's commits
+to the scalar oracle states.
 
 Relevance is stored sparse, as the paper's ``Q_{l_s}``: one paired-CSR
 structure over the relevant (query, sensor) pairs only, with a
@@ -32,8 +40,8 @@ is exactly the addition order of the pseudo-code's per-sensor ``sum``.
 The pairs the CSR omits are irrelevant, so their gain is zero, and stored
 gains are never ``-0.0``: skipping them drops only exact ``+0.0`` no-ops.
 The parity suites can therefore require identical sensors and cost shares
-against a per-pair ``ValuationState.gain`` reference loop and against the
-dense ``(n_queries, n_sensors)`` gain-matrix loop this replaced.
+against a per-pair scalar reference loop and against the dense
+``(n_queries, n_sensors)`` gain-matrix loop this replaced.
 
 One exact optimization over the pseudo-code: a sensor's cached marginal
 sum only changes when one of *its* relevant queries received a new sensor,
@@ -50,7 +58,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..queries import PointQuery, Query, ValuationState
+from ..queries import PointQuery, Query
 from ..queries.base import GainBlock, SensorRoster
 from ..sensors import AnnouncementBatch, SensorSnapshot
 from .allocation import AllocationResult, check_distinct
@@ -75,8 +83,6 @@ class GainSetup:
             ascending.
         entry_rows: the query row of each entry.
         costs: the announced cost of each roster column.
-        states: the live :class:`~repro.queries.ValuationState` of each
-            query, query order.
         point_entries, point_values: the entries of the plain
             :class:`~repro.queries.PointQuery` queries, ascending, and each
             one's eq.-(3) value (positive: the relevant pairs are exactly
@@ -87,11 +93,11 @@ class GainSetup:
 
     def __init__(
         self,
+        queries: list[Query],
         roster: SensorRoster,
         row_ptr: np.ndarray,
         entry_cols: np.ndarray,
         costs: np.ndarray,
-        states: list[ValuationState],
         point_entries: np.ndarray,
         point_values: np.ndarray,
     ) -> None:
@@ -102,11 +108,10 @@ class GainSetup:
             np.arange(len(row_ptr) - 1, dtype=np.intp), np.diff(row_ptr)
         )
         self.costs = costs
-        self.states = states
         self.point_entries = point_entries
         self.point_values = point_values
         self.row_block, self.member_pos, self.blocks = _build_blocks(
-            states, roster, self.row_columns
+            queries, roster, self.row_columns
         )
 
     def row_columns(self, row: int) -> np.ndarray:
@@ -131,13 +136,18 @@ class GainSetup:
         member = np.full(len(columns), self.member_pos[row], dtype=np.intp)
         return self.blocks[self.row_block[row]].gain_many_block(member, columns)
 
+    def commit(self, row: int, column: int) -> float:
+        """Add roster ``column`` to query ``row``'s set through its gain
+        block; returns the realized gain."""
+        return self.blocks[self.row_block[row]].commit(self.member_pos[row], column)
+
 
 def gain_setup(
     queries: list[Query],
     sensors: AnnouncementBatch,
     kernel: ValuationKernel | None,
 ) -> GainSetup | None:
-    """Relevance, roster, states and gain blocks of one allocator call;
+    """Relevance, roster and gain blocks of one allocator call;
     ``None`` when no sensor is relevant to any query.
 
     Relevance goes through the kernel's candidate views (the paper's
@@ -183,19 +193,18 @@ def gain_setup(
     # Snapshots and costs come from the *passed* announcements — the
     # kernel may be a reused one whose own snapshots carry stale prices.
     roster = kernel.roster(cols, sensors)
-    states = [q.new_state() for q in queries]
     return GainSetup(
-        roster, row_ptr, col_pos[world_cols], sensors.costs[cols], states,
+        queries, roster, row_ptr, col_pos[world_cols], sensors.costs[cols],
         point_entries, np.concatenate(plain_values),
     )
 
 
 def _build_blocks(
-    states: list[ValuationState],
+    queries: list[Query],
     roster: SensorRoster,
     row_columns: Callable[[int], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, list[GainBlock]]:
-    """Group the states by exact class into per-type gain blocks.
+    """Group the queries by the ``gain_block`` they resolve to, one block each.
 
     Returns ``(row_block, member_pos, blocks)``: for query row ``i``,
     ``blocks[row_block[i]]`` is its block and ``member_pos[i]`` its member
@@ -203,18 +212,19 @@ def _build_blocks(
     query row arrive member-grouped as the block protocol requires.  Each
     block gets its members' relevant columns, ``row_columns(i)``.
     """
-    groups: dict[type, list[int]] = {}
-    for i, state in enumerate(states):
-        groups.setdefault(type(state), []).append(i)
-    row_block = np.empty(len(states), dtype=np.intp)
-    member_pos = np.empty(len(states), dtype=np.intp)
+    groups: dict[Callable, list[int]] = {}
+    for i, query in enumerate(queries):
+        groups.setdefault(type(query).gain_block.__func__, []).append(i)
+    row_block = np.empty(len(queries), dtype=np.intp)
+    member_pos = np.empty(len(queries), dtype=np.intp)
     blocks: list[GainBlock] = []
-    for cls, rows in groups.items():
+    for rows in groups.values():
         for p, i in enumerate(rows):
             row_block[i] = len(blocks)
             member_pos[i] = p
+        members = [queries[i] for i in rows]
         blocks.append(
-            cls.block([states[i] for i in rows], roster, [row_columns(i) for i in rows])
+            type(members[0]).gain_block(members, roster, [row_columns(i) for i in rows])
         )
     return row_block, member_pos, blocks
 
@@ -256,8 +266,6 @@ class GreedyAllocator:
     Args:
         min_gain: numerical floor below which a marginal gain is treated as
             zero (guards against float noise keeping the loop alive).
-        verify: run the Theorem-1 invariant checks on the result (cheap;
-            disable only in tight benchmarking loops).
 
     Attributes:
         last_counters: deterministic work counts of the last
@@ -270,11 +278,10 @@ class GreedyAllocator:
 
     name = "Greedy"
 
-    def __init__(self, min_gain: float = 1e-9, verify: bool = True) -> None:
+    def __init__(self, min_gain: float = 1e-9) -> None:
         if min_gain < 0:
             raise ValueError("min_gain must be non-negative")
         self.min_gain = min_gain
-        self.verify = verify
         self.last_counters = dict.fromkeys(COUNTERS, 0)
 
     def allocate(
@@ -288,8 +295,7 @@ class GreedyAllocator:
         self.last_counters = dict.fromkeys(COUNTERS, 0)
         if queries and len(sensors):
             self._allocate_batch(list(queries), sensors, kernel, result)
-        if self.verify:
-            result.verify()
+        result.verify()
         return result
 
     # ------------------------------------------------------------------
@@ -351,17 +357,8 @@ class GreedyAllocator:
             shares = proportionate_shares(gains_by_id, snapshot.cost)
             for i in benefiting:
                 qid = queries[i].query_id
-                gain = gains_by_id[qid]
-                realized = setup.states[i].add(snapshot)
-                # The committed gain must match the block evaluation; the
-                # states are only mutated here, so any drift is a query-
-                # implementation bug worth failing loudly on.
-                if abs(realized - gain) > 1e-6 * max(1.0, abs(gain)):
-                    raise RuntimeError(
-                        f"query {qid} marginal gain drifted: batch {gain}, "
-                        f"realized {realized}"
-                    )
-                result.record(queries[i], snapshot, gain, shares[qid])
+                setup.commit(i, j)
+                result.record(queries[i], snapshot, gains_by_id[qid], shares[qid])
             alive[j] = False
             counters["rounds"] += 1
             if not alive.any():

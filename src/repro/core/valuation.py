@@ -84,7 +84,9 @@ def resolve_cell_size(xy: np.ndarray, target_occupancy: float = 4.0) -> float:
     Derived from the announcement bounding box, so cell granularity tracks
     fleet density rather than a fixed world size; degenerate extents
     (single sensor, colinear fleet) fall back to a unit cell along the
-    collapsed axis.
+    collapsed axis.  No axis gets more cells than there are sensors: a
+    side only ulps wide would otherwise shrink the cell towards zero and
+    overflow the grid's int64 cell keys.
     """
     n = len(xy)
     if n == 0:
@@ -94,7 +96,7 @@ def resolve_cell_size(xy: np.ndarray, target_occupancy: float = 4.0) -> float:
     if width <= 0.0 and height <= 0.0:
         return 1.0
     area = (width if width > 0.0 else 1.0) * (height if height > 0.0 else 1.0)
-    return float(np.sqrt(target_occupancy * area / n))
+    return max(float(np.sqrt(target_occupancy * area / n)), max(width, height) / n)
 
 
 @dataclass

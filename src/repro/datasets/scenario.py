@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -29,6 +29,7 @@ import numpy as np
 
 from ..core.engine import ALLOCATION_RANKS
 from ..mobility import MobilityTrace, TraceMobility
+from ..queries import AggregateQueryWorkload, RegionMonitoringWorkload
 from ..sensors import (
     BetaTrust,
     FleetConfig,
@@ -172,22 +173,29 @@ def _require_count(name: str, value: Any, minimum: int) -> None:
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
-def _require_amount(name: str, value: Any, low: float, high: float = math.inf) -> None:
+def _require_amount(
+    name: str, value: Any, low: float, high: float = math.inf, *, positive: bool = False
+) -> None:
     """Refuse a ``bool``, a non-number, NaN, infinity or a value outside
-    ``[low, high]``."""
+    ``[low, high]`` (outside ``(0, high]`` when ``positive``)."""
     if (
         isinstance(value, bool)
         or not isinstance(value, numbers.Real)
         or not math.isfinite(value)
         or not low <= value <= high
+        or (positive and value <= 0)
     ):
-        bounds = f">= {low:g}" if high == math.inf else f"in [{low:g}, {high:g}]"
+        if positive:
+            bounds = "> 0"
+        elif high == math.inf:
+            bounds = f">= {low:g}"
+        else:
+            bounds = f"in [{low:g}, {high:g}]"
         raise ValueError(f"{name} must be a finite number {bounds}, got {value!r}")
 
 
-#: Stream ``params`` checked at load: counts (with their minimum) and
-#: budget amounts (finite and non-negative).  ``budget_factor`` is left to
-#: the query, which names the NaN budget it produces.
+#: Stream ``params`` checked at load: counts (with their minimum), amounts
+#: (with their bounds) and geometric lengths (finite and positive).
 _STREAM_COUNTS = {
     "n_queries": 0,
     "mean_queries": 1,
@@ -196,7 +204,42 @@ _STREAM_COUNTS = {
     "arrivals_per_slot": 0,
     "queries_per_slot": 0,
 }
-_STREAM_AMOUNTS = ("budget", "budget_spread")
+_STREAM_AMOUNTS = {
+    "budget": (0.0, math.inf),
+    "budget_spread": (0.0, math.inf),
+    "budget_factor": (0.0, math.inf),
+    "theta_min": (0.0, 1.0),
+}
+_STREAM_LENGTHS = ("dmax", "sensing_range", "coverage_radius", "min_side", "max_side")
+#: The stream kinds that draw query regions, and the workload holding
+#: their ``min_side``/``max_side`` defaults.
+_REGION_WORKLOADS = {
+    "aggregate": AggregateQueryWorkload,
+    "region_monitoring": RegionMonitoringWorkload,
+}
+
+
+def _check_stream_params(name: str, stream: StreamSpec) -> None:
+    """Refuse a stream's bad counts, amounts and geometry, naming the key."""
+    params = stream.params
+    for key, minimum in _STREAM_COUNTS.items():
+        if key in params:
+            _require_count(f"{name}.{key}", params[key], minimum)
+    for key, (low, high) in _STREAM_AMOUNTS.items():
+        if key in params:
+            _require_amount(f"{name}.{key}", params[key], low, high)
+    for key in _STREAM_LENGTHS:
+        if key in params:
+            _require_amount(f"{name}.{key}", params[key], 0.0, positive=True)
+    workload = _REGION_WORKLOADS.get(stream.kind)
+    if workload is not None and ("min_side" in params or "max_side" in params):
+        defaults = {f.name: f.default for f in fields(workload)}
+        low = params.get("min_side", defaults["min_side"])
+        high = params.get("max_side", defaults["max_side"])
+        if low > high:
+            raise ValueError(
+                f"{name}.min_side must be <= max_side, got {low!r} > {high!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -276,14 +319,7 @@ class ScenarioSpec:
         _require_count("n_sensors", self.n_sensors, 1)
         _require_count("n_slots", self.n_slots, 1)
         for i, stream in enumerate(self.streams):
-            for key, minimum in _STREAM_COUNTS.items():
-                if key in stream.params:
-                    _require_count(
-                        f"streams[{i}].params.{key}", stream.params[key], minimum
-                    )
-            for key in _STREAM_AMOUNTS:
-                if key in stream.params:
-                    _require_amount(f"streams[{i}].params.{key}", stream.params[key], 0.0)
+            _check_stream_params(f"streams[{i}].params", stream)
         if self.mobility is not None:
             kind = self.mobility.get("kind")
             if kind != "churn":
@@ -427,11 +463,9 @@ class ScenarioSpec:
         from ..core.optimal import OptimalPointAllocator
         from ..core.sampling import paper_weight_function
         from ..queries import (
-            AggregateQueryWorkload,
             EventDetectionWorkload,
             LocationMonitoringWorkload,
             PointQueryWorkload,
-            RegionMonitoringWorkload,
         )
         from .intel import build_intel_scenario
         from .ozone import build_ozone_dataset

@@ -6,7 +6,6 @@ from .base import (
     Query,
     QueryType,
     SensorRoster,
-    ValuationState,
     new_query_id,
 )
 from .event import EventDetectionQuery, EventSlotQuery, detection_confidence
@@ -24,7 +23,6 @@ from .workload import (
 __all__ = [
     "Query",
     "QueryType",
-    "ValuationState",
     "SensorRoster",
     "GainBlock",
     "new_query_id",

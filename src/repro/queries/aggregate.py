@@ -15,16 +15,14 @@ aggregate query in which instead of providing a region of interest, a
 trajectory is specified" (Section 2.2.3); :class:`TrajectoryQuery` performs
 that reduction with a corridor coverage function.
 
-Gain evaluation has two layers: :class:`_CoverageState` answers scalar
-``gain``, and :class:`_CoverageBlock` evaluates a whole slot's aggregate
-and trajectory states at once from the shared
+The greedy state of a slot's aggregate and trajectory queries lives in one
+:class:`_CoverageBlock`, built from the shared
 :class:`~repro.spatial.raster.WorldRaster` covered-cell CSR rows — no
-per-query mask matrices at all.  The block holds state of its own: per
-(member, sensor) counts of still-uncovered cells, which it brings up to
-date by diffing each member's live coverage mask against its own copy.
-The counts are exact integers and masks only grow, so the sync cannot
-drift, and both layers produce bit-identical gains (the block reuses the
-scalar layer's arithmetic sequence).
+per-query mask matrices at all.  Per (member, sensor) it keeps the count of
+still-uncovered cells, and a commit decrements those counts straight from
+the winner's CSR row.  The counts are exact integers, so a pair's gain is
+one count lookup plus the eq.-(5) arithmetic, in the operation order of
+:meth:`SpatialAggregateQuery.value`.
 """
 
 from __future__ import annotations
@@ -46,14 +44,7 @@ from ..spatial import (
 )
 from ..spatial.geometry import require_positive
 from ..spatial.raster import WorldRaster
-from .base import (
-    GainBlock,
-    Query,
-    QueryType,
-    SensorRoster,
-    ValuationState,
-    touched_members,
-)
+from .base import GainBlock, Query, QueryType, SensorRoster
 
 __all__ = ["AggregateOp", "SpatialAggregateQuery", "TrajectoryQuery", "sensor_quality"]
 
@@ -82,46 +73,48 @@ def sensor_quality(snapshot: SensorSnapshot) -> float:
 class _CoverageBlock(GainBlock):
     """Fused eq.-(5) gains for a slot's aggregate queries, from live counts.
 
-    The block keeps, per member ``p`` and roster column ``j``, the exact
-    integer ``uncovered[p, j] = |row(j) \\ mask_p|``: how many of sensor
-    ``j``'s covered cells the member's state has not covered yet.  It starts
-    at the raster's CSR row lengths and is kept current by diff: each call
-    first compares every touched member's live ``state._mask`` against the
-    block's own copy of it and, for each newly covered cell, decrements the
-    columns covering that cell through a per-member cell → column transpose
-    of the same CSR rows.  A commit only ever sets mask bits, so after the
-    sync every count equals what re-gathering the row against the live mask
-    would give, whatever commits (and how many) happened since the last
-    call — including before the first one.  A pair's gain then reads one
-    count and finishes with the exact eq.-(5) operation order of the scalar
-    :meth:`_CoverageState.gain`, so fused gains are bit-identical to it.
-    The rows are built over ``columns[p]``, member ``p``'s relevant roster
-    columns, and callers must pass *relevant* pairs only (both allocators
-    evaluate relevance-filtered pairs by construction); the base
-    :class:`GainBlock` remains the evaluator for arbitrary pairs.
+    Per member ``p`` the block keeps the covered-cell mask, the quality sum
+    and the number of committed sensors, and per roster column ``j`` the
+    exact integer ``uncovered[p, j] = |row(j) \\ mask_p|``: how many of
+    sensor ``j``'s covered cells the member has not covered yet.  The counts
+    start at the raster's CSR row lengths.  A commit of column ``j`` marks
+    the cells of ``row(j)`` that were still uncovered and, for each of them,
+    decrements the columns covering that cell through a per-member
+    cell → column transpose of the same CSR rows.  A pair's gain then reads
+    one count and finishes with the exact eq.-(5) operation order of
+    :meth:`SpatialAggregateQuery.value`.  The rows are built over
+    ``columns[p]``, member ``p``'s relevant roster columns, and callers must
+    pass *relevant* pairs to :meth:`gain_many_block` (both allocators
+    evaluate relevance-filtered pairs by construction).  A committed
+    irrelevant column covers nothing and adds no quality, but still counts
+    in the mean, as in eq. (5).
 
     :attr:`cells_read` counts the transpose entries visited while
     decrementing — the block's covered-cell reads, a deterministic work
     counter.
     """
 
-    def __init__(self, states, roster: SensorRoster, columns) -> None:
-        super().__init__(states, roster)
-        m = len(self.states)
+    def __init__(self, queries, roster: SensorRoster, columns) -> None:
+        super().__init__(queries, roster)
+        m = len(self.queries)
         n = roster.n_sensors
         self._n_cells = np.fromiter(
-            (state.query.coverage.cell_count for state in self.states), float, m
+            (q.coverage.cell_count for q in self.queries), float, m
         )
-        self._budgets = np.fromiter(
-            (state.query.budget for state in self.states), float, m
-        )
+        self._budgets = np.fromiter((q.budget for q in self.queries), float, m)
         # Eq.-(5) reading quality (1 - gamma) * tau of every roster column,
         # the scalar `sensor_quality` arithmetic.
         self._quality = (1.0 - roster.gamma) * roster.trust
         self._uncovered = np.zeros((m, n), dtype=np.int32)
-        # Covered-cell count and mask of each member as of its last sync.
+        # Per member: covered-cell count, quality sum, committed sensors.
         self._covered = np.zeros(m, dtype=float)
-        self._seen: list[np.ndarray] = []
+        self._quality_sum = np.zeros(m, dtype=float)
+        self._count = np.zeros(m, dtype=float)
+        self._mask: list[np.ndarray] = []
+        # Per member: its relevant columns and their CSR covered-cell rows.
+        self._columns = list(columns)
+        self._row_ptr: list[np.ndarray] = []
+        self._row_cells: list[np.ndarray] = []
         # Per-member transpose: the roster columns covering cell ``c`` are
         # ``_cell_cols[p][_cell_ptr[p][c]:_cell_ptr[p][c + 1]]``.
         self._cell_ptr: list[np.ndarray] = []
@@ -132,8 +125,8 @@ class _CoverageBlock(GainBlock):
         self._raster, self._world_cols = roster.raster, roster.kernel_columns
         if self._raster is None:
             self._raster, self._world_cols = WorldRaster(roster.xy), None
-        for p, (state, rel_idx) in enumerate(zip(self.states, columns)):
-            indptr, cells = self.coverage_rows(state.query, rel_idx)
+        for p, (query, rel_idx) in enumerate(zip(self.queries, self._columns)):
+            indptr, cells = self.coverage_rows(query, rel_idx)
             lens = np.diff(indptr)
             self._uncovered[p, rel_idx] = lens
             n_cells = int(self._n_cells[p])
@@ -146,7 +139,9 @@ class _CoverageBlock(GainBlock):
             ptr = np.zeros(n_cells + 1, dtype=np.int64)
             np.cumsum(np.bincount(cells, minlength=n_cells), out=ptr[1:])
             self._cell_ptr.append(ptr)
-            self._seen.append(np.zeros(n_cells, dtype=bool))
+            self._row_ptr.append(indptr)
+            self._row_cells.append(cells)
+            self._mask.append(np.zeros(n_cells, dtype=bool))
 
     def coverage_rows(
         self, query: "SpatialAggregateQuery", rel_idx: np.ndarray
@@ -160,20 +155,51 @@ class _CoverageBlock(GainBlock):
         cols = rel_idx if self._world_cols is None else self._world_cols[rel_idx]
         return self._raster.coverage_rows(query.coverage, cols)
 
-    def _sync(self, p: int, mask: np.ndarray) -> None:
-        """Bring member ``p``'s uncovered counts up to its live ``mask``."""
-        seen = self._seen[p]
-        fresh = np.flatnonzero(mask & ~seen)
+    def gain_many_block(
+        self, member_idx: np.ndarray, indices: np.ndarray
+    ) -> np.ndarray:
+        counts = self._covered[member_idx] + self._uncovered[member_idx, indices]
+        n_cells = self._n_cells[member_idx]
+        empty = n_cells == 0.0
+        coverage = counts / np.where(empty, 1.0, n_cells)
+        coverage[empty] = 0.0
+        qsums = self._quality_sum[member_idx] + self._quality[indices]
+        value_new = (self._budgets[member_idx] * coverage) * (
+            qsums / (self._count[member_idx] + 1.0)
+        )
+        return value_new - self.values[member_idx]
+
+    def commit(self, member: int, column: int) -> float:
+        rel_idx = self._columns[member]
+        pos = int(np.searchsorted(rel_idx, column))
+        if pos < len(rel_idx) and rel_idx[pos] == column:
+            self._cover(member, pos)
+            self._quality_sum[member] += self._quality[column]
+        self._count[member] += 1.0
+        n_cells = self._n_cells[member]
+        coverage = self._covered[member] / n_cells if n_cells else 0.0
+        value = self._budgets[member] * coverage * (
+            self._quality_sum[member] / self._count[member]
+        )
+        gain = value - self.values[member]
+        self.values[member] = value
+        return float(gain)
+
+    def _cover(self, p: int, pos: int) -> None:
+        """Mark the still-uncovered cells of member ``p``'s row ``pos`` and
+        decrement the uncovered counts of every column covering them."""
+        indptr = self._row_ptr[p]
+        cells = self._row_cells[p][indptr[pos] : indptr[pos + 1]]
+        mask = self._mask[p]
+        fresh = cells[~mask[cells]]
         if fresh.size == 0:
             return
-        seen[fresh] = True
+        mask[fresh] = True
         self._covered[p] += fresh.size
         ptr = self._cell_ptr[p]
         starts = ptr[fresh]
         lens = ptr[fresh + 1] - starts
         total = int(lens.sum())
-        if total == 0:
-            return
         prev = np.zeros(len(fresh), dtype=np.int64)
         np.cumsum(lens[:-1], out=prev[1:])
         entries = np.repeat(starts - prev, lens) + np.arange(total)
@@ -181,75 +207,6 @@ class _CoverageBlock(GainBlock):
             self._cell_cols[p][entries], minlength=self._uncovered.shape[1]
         )
         self.cells_read += total
-
-    def gain_many_block(
-        self, member_idx: np.ndarray, indices: np.ndarray
-    ) -> np.ndarray:
-        n_members = len(self.states)
-        quality_sums = np.zeros(n_members, dtype=float)
-        counts_sel = np.ones(n_members, dtype=float)
-        values = np.zeros(n_members, dtype=float)
-        for u in touched_members(member_idx):
-            state = self.states[u]
-            self._sync(u, state._mask)
-            quality_sums[u] = state._quality_sum
-            counts_sel[u] = len(state.selected) + 1
-            values[u] = state.value
-        counts = self._covered[member_idx] + self._uncovered[member_idx, indices]
-        n_cells = self._n_cells[member_idx]
-        empty = n_cells == 0.0
-        coverage = counts / np.where(empty, 1.0, n_cells)
-        coverage[empty] = 0.0
-        qsums = quality_sums[member_idx] + self._quality[indices]
-        value_new = (self._budgets[member_idx] * coverage) * (
-            qsums / counts_sel[member_idx]
-        )
-        return value_new - values[member_idx]
-
-
-class _CoverageState(ValuationState):
-    """Incremental eq.-(5) evaluation via accumulated coverage masks.
-
-    Keeps the bit-mask of covered cells, the quality sum and the member
-    count; a marginal gain is then one ``mask_for`` call plus O(#cells)
-    boolean arithmetic instead of a full re-rasterization of the set.
-    """
-
-    def __init__(self, query: "SpatialAggregateQuery") -> None:
-        super().__init__(query)
-        self._mask = np.zeros(query.coverage.cell_count, dtype=bool)
-        self._quality_sum = 0.0
-
-    def _value_with(self, extra_mask: np.ndarray | None, extra_quality: float | None) -> float:
-        covered = self._mask if extra_mask is None else (self._mask | extra_mask)
-        count = len(self.selected) + (0 if extra_quality is None else 1)
-        if count == 0:
-            return 0.0
-        quality_sum = self._quality_sum + (extra_quality or 0.0)
-        n_cells = self.query.coverage.cell_count
-        coverage = covered.sum() / n_cells if n_cells else 0.0
-        return self.query.budget * coverage * (quality_sum / count)
-
-    def gain(self, snapshot: SensorSnapshot) -> float:
-        if self.query.relevant(snapshot):
-            mask = self.query.coverage.mask_for(snapshot.location)
-            quality = sensor_quality(snapshot)
-        else:
-            mask, quality = None, 0.0
-        return self._value_with(mask, quality) - self.value
-
-    def add(self, snapshot: SensorSnapshot) -> float:
-        before = self.value
-        if self.query.relevant(snapshot):
-            self._mask |= self.query.coverage.mask_for(snapshot.location)
-            self._quality_sum += sensor_quality(snapshot)
-        self.selected.append(snapshot)
-        self.value = self._value_with(None, None)
-        return self.value - before
-
-    @classmethod
-    def block(cls, states, roster: SensorRoster, columns) -> GainBlock:
-        return _CoverageBlock(states, roster, columns)
 
 
 class SpatialAggregateQuery(Query):
@@ -336,8 +293,9 @@ class SpatialAggregateQuery(Query):
             region.y_max + pad,
         )
 
-    def new_state(self) -> ValuationState:
-        return _CoverageState(self)
+    @classmethod
+    def gain_block(cls, queries, roster: SensorRoster, columns) -> GainBlock:
+        return _CoverageBlock(queries, roster, columns)
 
 
 class TrajectoryQuery(SpatialAggregateQuery):

@@ -7,28 +7,26 @@ aggregator relies on the end users to provide a valuation function
 * :meth:`Query.value` — the set valuation ``v_q(S)`` over sensor snapshots;
 * :meth:`Query.relevant` — a cheap spatial prefilter (the paper's ``Q_ls``
   in Algorithm 1: only queries a sensor can contribute to are examined);
-* :meth:`Query.new_state` — an incremental-valuation state so greedy
-  algorithms can evaluate marginal gains without recomputing ``v_q`` from
-  scratch (the default state does exactly that recomputation; performance-
-  critical query types override it).
+* :meth:`Query.gain_block` — the incremental valuation Algorithm 1 keeps
+  while it grows the sensor sets (Section 3.2).
 
-On top of the scalar interface sits the **block-gain protocol**: an
-allocator stacks one slot's candidate announcements into a
-:class:`SensorRoster`, groups the live :class:`ValuationState` objects by
-class and asks each group for one :class:`GainBlock`
-(:meth:`ValuationState.block`), passing each member's relevant roster
-columns as an argument.  The block evaluates the marginal gains of
-*many* (query, sensor) pairs of its type in one vectorized
-:meth:`GainBlock.gain_many_block` pass, while the scalar states remain the
-source of truth for commits (:meth:`ValuationState.add`) — blocks read the
-live states on every call, so no synchronization hooks are needed.  The
-base :class:`GainBlock` loops the scalar :meth:`ValuationState.gain`,
-which keeps arbitrary user-provided valuation functions correct; the
-built-in query types override ``block`` with stacked closed forms (eq.
-(4) evaluated on exactly the requested pairs for the point-flavoured
-types, covered-cell counts over the slot raster's CSR rows for the
-coverage types).  Both allocators (Greedy and the sequential baseline)
-reach their gains through these blocks only.
+The greedy state lives in **gain blocks**.  An allocator stacks one slot's
+candidate announcements into a :class:`SensorRoster`, groups the queries by
+the :meth:`Query.gain_block` they resolve to and builds one
+:class:`GainBlock` per group, passing each member's relevant roster columns
+as an argument.  The block owns its members' state: it evaluates the
+marginal gains of *many* (query, sensor) pairs in one
+:meth:`GainBlock.gain_many_block` pass, and a member's set grows only
+through :meth:`GainBlock.commit`, so the gains a block reports always read
+the state its own commits left.  The base :class:`GainBlock` is the
+generic one: it keeps each member's committed snapshots and value and
+evaluates ``v_q(S + s) - v_q(S)`` through :meth:`Query.value`, which keeps
+arbitrary user-provided valuation functions correct.  The built-in query
+types return stacked closed forms (eq. (4) evaluated on exactly the
+requested pairs for the point-flavoured types, covered-cell counts over
+the slot raster's CSR rows for the coverage types).  Both allocators
+(Greedy and the sequential baseline) reach gains and commits through
+these blocks only.
 
 Alongside the gains sits the **batch-relevance protocol**
 (:meth:`Query.relevant_mask`): one vectorized pass mapping a slot's stacked
@@ -38,22 +36,21 @@ and trust columns — to the boolean ``Q_{l_s}`` prefilter row the scalar
 announced sensor through the mask, so region-heavy slots never materialize
 candidate snapshots just to ask whether a sensor could serve a query.
 
-The batch hooks *are* the protocol.  ``relevant_mask`` is abstract, so a
-query type without it cannot be instantiated, and each subclass of
-:class:`Query` or :class:`ValuationState` is checked once, when it is
-defined (:func:`_require_batch_sibling`): a class body that defines a
-scalar hook — ``relevant``, ``value_single`` or ``quality`` on a query,
-``gain`` on a state — must define the batch sibling (``relevant_mask`` /
-``block``) in the same body, so an inherited batch form never goes stale
-behind a changed scalar one.  The scalar hooks stay the per-pair
-definitions that commits (:meth:`ValuationState.add`) and the test
-oracles use.  The purely geometric types (aggregate, trajectory) route
-their *scalar* predicate through the mask with ``n = 1`` so the two
-forms cannot disagree even in the final ulp.  The quality-gated types
-(point, multi-point, event) keep their historical ``math.hypot`` scalar
-path; their masks use ``np.hypot``, which can differ in the last ulp on
-engineered boundary instances (the same caveat every built-in gain block
-documents).
+Each :class:`Query` subclass is checked once, when it is defined.
+``relevant_mask`` is abstract, so a query type without it cannot be
+instantiated, and a class body that defines a scalar hook — ``relevant``,
+``value_single`` or ``quality`` — must define ``relevant_mask`` in the same
+body, so an inherited batch form never goes stale behind a changed scalar
+one.  Likewise a class body that redefines the valuation (``value``,
+``value_single`` or ``quality``) without ``gain_block`` gets the generic
+block, and one that redefines ``relevant_mask`` without ``reach_box``
+reaches the full fleet.  The purely geometric types (aggregate,
+trajectory) route their *scalar* predicate through the mask with ``n = 1``
+so the two forms cannot disagree even in the final ulp.  The
+quality-gated types (point, multi-point, event) keep their historical
+``math.hypot`` scalar path; their masks use ``np.hypot``, which can differ
+in the last ulp on engineered boundary instances (the same caveat every
+built-in gain block documents).
 """
 
 from __future__ import annotations
@@ -72,13 +69,11 @@ from ..sensors.state import announcement_batch
 __all__ = [
     "QueryType",
     "Query",
-    "ValuationState",
     "SensorRoster",
     "GainBlock",
     "member_runs",
     "new_query_id",
     "require_budget",
-    "touched_members",
 ]
 
 
@@ -173,31 +168,34 @@ class SensorRoster:
 
 
 class GainBlock:
-    """Fused marginal-gain evaluation over the states of one query type.
+    """One allocator call's greedy state for the queries of one gain type.
 
-    One block owns the valuation states (``states``) of every query of one
-    type in an allocator call, over one shared :class:`SensorRoster`;
+    Built by :meth:`Query.gain_block` from its members (``queries``) over
+    one shared :class:`SensorRoster`.  The block owns what Algorithm 1
+    keeps per query while it grows the sensor sets: each member's value
+    ``v_q(S_q)`` (``values``) and whatever its gain arithmetic needs.
     :meth:`gain_many_block` evaluates a whole batch of (member, sensor)
-    pairs in one pass.  Blocks re-read the *live* member states on every
-    call, so commits through :meth:`ValuationState.add` need no
-    synchronization hooks.  A block may cache derived state between calls
-    (the aggregate block keeps uncovered-cell counts), but only state it
-    can bring up to date from the live members at the start of each call.
+    pairs in one pass, and :meth:`commit` is the only way a member's set
+    grows.
 
-    The base implementation loops each member's scalar
-    :meth:`ValuationState.gain` — always correct for user-defined query
-    types, merely not fused.  Built-in query types subclass with stacked
-    closed forms.
+    The base implementation is the generic block: it keeps each member's
+    committed snapshots (``selected``) and evaluates
+    ``query.value(selected + [s]) - value`` per pair — always correct for
+    user-defined query types, merely not fused.  Built-in query types
+    subclass with stacked closed forms; all but the top-k block keep their
+    own state in place of ``selected``.
     """
 
-    def __init__(self, states: Sequence["ValuationState"], roster: SensorRoster) -> None:
-        self.states = list(states)
+    def __init__(self, queries: Sequence["Query"], roster: SensorRoster) -> None:
+        self.queries = list(queries)
         self.roster = roster
+        self.values = np.zeros(len(self.queries), dtype=float)
+        self.selected: list[list[SensorSnapshot]] = [[] for _ in self.queries]
 
     def gain_many_block(
         self, member_idx: np.ndarray, indices: np.ndarray
     ) -> np.ndarray:
-        """Gains of pair ``(states[member_idx[p]], roster column indices[p])``.
+        """Gains of pair ``(queries[member_idx[p]], roster column indices[p])``.
 
         ``member_idx`` must be *grouped*: equal members occupy contiguous
         runs (allocators produce the pairs row-major, so this holds by
@@ -208,9 +206,24 @@ class GainBlock:
         snapshots = self.roster.snapshots
         bounds = member_runs(member_idx)
         for a, b in zip(bounds[:-1], bounds[1:]):
-            gain = self.states[member_idx[a]].gain
-            out[a:b] = [gain(snapshots[j]) for j in indices[a:b]]
+            u = member_idx[a]
+            value, selected, base = self.queries[u].value, self.selected[u], self.values[u]
+            out[a:b] = [value(selected + [snapshots[j]]) - base for j in indices[a:b]]
         return out
+
+    def commit(self, member: int, column: int) -> float:
+        """Add roster column ``column`` to member ``member``'s set; returns
+        the realized gain ``v_q(S + s) - v_q(S)``.
+
+        Allocators commit only pairs relevant to the member's query, as
+        they evaluate only those.
+        """
+        snapshot = self.roster.snapshots[column]
+        selected = self.selected[member]
+        gain = self.queries[member].value(selected + [snapshot]) - self.values[member]
+        selected.append(snapshot)
+        self.values[member] += gain
+        return float(gain)
 
 
 def member_runs(member_idx: np.ndarray) -> np.ndarray:
@@ -227,95 +240,32 @@ def member_runs(member_idx: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], inner, [n]))
 
 
-def touched_members(member_idx: np.ndarray) -> np.ndarray:
-    """The distinct members of a member-grouped pair list, in run order."""
-    if len(member_idx) and member_idx[0] == member_idx[-1]:
-        # Grouped, so equal ends mean one run: a single-member call.
-        return member_idx[:1]
-    return member_idx[member_runs(member_idx)[:-1]]
-
-
-def _require_batch_sibling(cls: type, scalar_hooks: tuple[str, ...], batch_hook: str) -> None:
-    """Refuse a class body that defines a scalar hook without its batch sibling.
-
-    Called once per subclass, when it is defined.  A scalar hook changed
-    below an inherited batch hook would leave that batch form answering
-    for semantics it no longer has; allocators use only the batch form.
-    """
-    body = vars(cls)
-    for hook in scalar_hooks:
-        if hook in body and batch_hook not in body:
-            raise TypeError(
-                f"{cls.__name__} defines {hook}() but not {batch_hook}(); "
-                f"define both in the same class"
-            )
-
-
-class ValuationState:
-    """Incremental evaluation of ``v_q`` while a greedy algorithm grows a set.
-
-    The generic implementation recomputes the full set valuation on every
-    :meth:`gain` call, which is always correct; query types with structure
-    (max for point queries, coverage masks for aggregates, GP Cholesky
-    updates for region monitoring) override for speed.  A subclass that
-    defines ``gain`` must define :meth:`block` too.
-    """
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        _require_batch_sibling(cls, ("gain",), "block")
-
-    def __init__(self, query: "Query") -> None:
-        self.query = query
-        self.selected: list[SensorSnapshot] = []
-        self.value = 0.0
-
-    def gain(self, snapshot: SensorSnapshot) -> float:
-        """Marginal gain ``v_q(S + s) - v_q(S)`` without mutating the state."""
-        return self.query.value(self.selected + [snapshot]) - self.value
-
-    def add(self, snapshot: SensorSnapshot) -> float:
-        """Commit ``snapshot`` to the set; returns the realized gain."""
-        gain = self.gain(snapshot)
-        self.selected.append(snapshot)
-        self.value += gain
-        return gain
-
-    @classmethod
-    def block(
-        cls,
-        states: Sequence["ValuationState"],
-        roster: SensorRoster,
-        columns: Sequence[np.ndarray],
-    ) -> GainBlock:
-        """A fused gain evaluator over same-class ``states`` and ``roster``.
-
-        ``columns[p]`` holds the roster columns relevant to ``states[p]``'s
-        query, ascending (the allocator's ``Q_{l_s}`` screen); blocks that
-        precompute per relevant pair read it, the others ignore it.  The
-        base implementation returns the generic scalar-looping
-        :class:`GainBlock`, which is also the right answer for a subclass
-        whose ``gain`` has no closed form; built-in states override it
-        with stacked closed forms.
-        """
-        return GainBlock(states, roster)
-
-
 class Query(abc.ABC):
     """Base class: identity, budget, lifetime, and the valuation interface.
 
     A subclass that defines ``relevant``, ``value_single`` or ``quality``
-    must define :meth:`relevant_mask` too, and one that defines
-    ``relevant_mask`` without :meth:`reach_box` reaches the full fleet.
+    must define :meth:`relevant_mask` too; one that defines
+    ``relevant_mask`` without :meth:`reach_box` reaches the full fleet, and
+    one that defines ``value``, ``value_single`` or ``quality`` without
+    :meth:`gain_block` gets the generic block.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        _require_batch_sibling(cls, ("relevant", "value_single", "quality"), "relevant_mask")
         body = vars(cls)
+        for hook in ("relevant", "value_single", "quality"):
+            if hook in body and "relevant_mask" not in body:
+                raise TypeError(
+                    f"{cls.__name__} defines {hook}() but not relevant_mask(); "
+                    f"define both in the same class"
+                )
         if "relevant_mask" in body and "reach_box" not in body:
             # New relevance voids the inherited reach: the full fleet.
             cls.reach_box = Query.reach_box
+        valuation = ("value", "value_single", "quality")
+        if "gain_block" not in body and any(hook in body for hook in valuation):
+            # A new valuation voids the inherited closed form: the generic block.
+            cls.gain_block = vars(Query)["gain_block"]
 
     def __init__(self, budget: float, query_id: str | None = None, issued_at: int = 0) -> None:
         require_budget(budget)
@@ -374,9 +324,24 @@ class Query(abc.ABC):
         """
         return None
 
-    def new_state(self) -> ValuationState:
-        """Fresh incremental-valuation state (see :class:`ValuationState`)."""
-        return ValuationState(self)
+    @classmethod
+    def gain_block(
+        cls,
+        queries: Sequence["Query"],
+        roster: SensorRoster,
+        columns: Sequence[np.ndarray],
+    ) -> GainBlock:
+        """The greedy state of ``queries`` over ``roster``: one gain block.
+
+        Allocators group a call's queries by the ``gain_block`` they resolve
+        to and call it once per group, members in query order.
+        ``columns[p]`` holds the roster columns relevant to ``queries[p]``
+        (the allocator's ``Q_{l_s}`` screen), ascending; blocks that
+        precompute per relevant pair read it, the others ignore it.  The
+        default is the generic :class:`GainBlock` over :meth:`value`; the
+        built-in query types return stacked closed forms.
+        """
+        return GainBlock(queries, roster)
 
     @property
     def max_value(self) -> float:

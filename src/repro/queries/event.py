@@ -29,15 +29,7 @@ import numpy as np
 from ..sensors import SensorSnapshot
 from ..spatial import Location
 from ..spatial.geometry import require_finite_location, require_positive
-from .base import (
-    GainBlock,
-    Query,
-    QueryType,
-    SensorRoster,
-    ValuationState,
-    new_query_id,
-    touched_members,
-)
+from .base import GainBlock, Query, QueryType, SensorRoster, new_query_id
 from .monitoring import ContinuousQuery
 from .point import _dmax_box, _PointPairBlock, _query_quality, reading_quality
 
@@ -55,84 +47,44 @@ def detection_confidence(qualities: Sequence[float]) -> float:
 
 
 class _EventBlock(_PointPairBlock):
-    """Fused event-slot gains: per-pair qualities, live failure products.
+    """Fused event-slot gains: per-pair qualities, one failure product each.
 
     The scalar valuation rebuilds the witness-failure product from scratch
-    per candidate; the live state already carries that product over the
-    committed witnesses, so a candidate's new confidence is one multiply:
-    ``1 - prod * (1 - theta_cand)``, then the clipped confidence ratio
-    scaled by the budget.  The product accumulates in exactly the scalar
-    :func:`detection_confidence` multiplication order, so only the
-    candidate quality itself can differ from the scalar path in the final
-    ulp (``np.hypot`` vs ``math.hypot``, as for every point-flavoured
-    block).  Failure products and values are gathered live per call, for
-    the touched members only.
+    per candidate; the block keeps each member's product over its committed
+    witnesses with positive quality, so a candidate's new confidence is one
+    multiply: ``1 - prod * (1 - theta_cand)``, then the clipped confidence
+    ratio scaled by the budget.  Commits multiply the product in exactly
+    the scalar :func:`detection_confidence` order.
     """
 
-    def __init__(self, states, roster: SensorRoster) -> None:
-        super().__init__(states, roster)
-        m = len(self.states)
+    def __init__(self, queries, roster: SensorRoster) -> None:
+        super().__init__(queries, roster)
+        m = len(self.queries)
         self._required = np.fromiter(
-            (state.query.required_confidence for state in self.states), float, m
+            (q.required_confidence for q in self.queries), float, m
         )
         self._failure = np.ones(m, dtype=float)
-        self._values = np.zeros(m, dtype=float)
 
     def gain_many_block(
         self, member_idx: np.ndarray, indices: np.ndarray
     ) -> np.ndarray:
-        failure, values = self._failure, self._values
-        for u in touched_members(member_idx):
-            state = self.states[u]
-            failure[u] = state._failure_prod
-            values[u] = state.value
         theta = self._pair_quality(member_idx, indices)
-        confidence = 1.0 - failure[member_idx] * (1.0 - theta)
+        confidence = 1.0 - self._failure[member_idx] * (1.0 - theta)
         value_new = self._budgets[member_idx] * np.minimum(
             1.0, confidence / self._required[member_idx]
         )
-        return value_new - values[member_idx]
+        return value_new - self.values[member_idx]
 
-
-class _EventState(ValuationState):
-    """Incremental event-slot valuation: one running failure product.
-
-    Tracks ``prod(1 - theta_i)`` over the committed witnesses with
-    positive quality — the same multiplication sequence the scalar
-    :meth:`EventSlotQuery.value` performs from scratch, so gains stay
-    bit-identical to the generic recomputing state.
-    """
-
-    def __init__(self, query: "EventSlotQuery") -> None:
-        super().__init__(query)
-        self._failure_prod = 1.0
-
-    def _value_at(self, failure_prod: float) -> float:
-        confidence = 1.0 - failure_prod
-        return self.query.budget * min(
-            1.0, confidence / self.query.required_confidence
-        )
-
-    def _prod_with(self, snapshot: SensorSnapshot) -> float:
-        theta = self.query.quality(snapshot)
+    def commit(self, member: int, column: int) -> float:
+        query = self.queries[member]
+        theta = query.quality(self.roster.snapshots[column])
         if theta > 0:
-            return self._failure_prod * (1.0 - theta)
-        return self._failure_prod
-
-    def gain(self, snapshot: SensorSnapshot) -> float:
-        return self._value_at(self._prod_with(snapshot)) - self.value
-
-    def add(self, snapshot: SensorSnapshot) -> float:
-        prod = self._prod_with(snapshot)
-        gain = self._value_at(prod) - self.value
-        self._failure_prod = prod
-        self.selected.append(snapshot)
-        self.value += gain
-        return gain
-
-    @classmethod
-    def block(cls, states, roster: SensorRoster, columns) -> GainBlock:
-        return _EventBlock(states, roster)
+            self._failure[member] *= 1.0 - theta
+        confidence = 1.0 - self._failure[member]
+        value = query.budget * min(1.0, confidence / query.required_confidence)
+        gain = value - self.values[member]
+        self.values[member] += gain
+        return float(gain)
 
 
 class EventSlotQuery(Query):
@@ -186,8 +138,9 @@ class EventSlotQuery(Query):
 
     reach_box = _dmax_box
 
-    def new_state(self) -> ValuationState:
-        return _EventState(self)
+    @classmethod
+    def gain_block(cls, queries, roster: SensorRoster, columns) -> GainBlock:
+        return _EventBlock(queries, roster)
 
 
 class EventDetectionQuery(ContinuousQuery):

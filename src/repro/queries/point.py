@@ -25,15 +25,7 @@ import numpy as np
 from ..sensors import SensorSnapshot
 from ..spatial import Location, as_xy
 from ..spatial.geometry import require_finite_location, require_positive
-from .base import (
-    GainBlock,
-    Query,
-    QueryType,
-    SensorRoster,
-    ValuationState,
-    member_runs,
-    touched_members,
-)
+from .base import GainBlock, Query, QueryType, SensorRoster, member_runs
 
 __all__ = ["pair_quality", "reading_quality", "PointQuery", "MultiSensorPointQuery"]
 
@@ -116,13 +108,15 @@ class _PointPairBlock(GainBlock):
 
     Stacks only the members' parameters (location, reach, cutoff, budget);
     each call evaluates :func:`pair_quality` on exactly the pairs it is
-    asked about, so no array is as wide as the roster.
+    asked about, so no array is as wide as the roster.  Commits value the
+    committed pair through the query's scalar eq. (4) (``math.hypot``), so
+    a member's value can differ from its candidate gains' arithmetic only
+    in the final ulp.
     """
 
-    def __init__(self, states, roster: SensorRoster) -> None:
-        super().__init__(states, roster)
-        queries = [state.query for state in self.states]
-        m = len(queries)
+    def __init__(self, queries, roster: SensorRoster) -> None:
+        super().__init__(queries, roster)
+        queries, m = self.queries, len(self.queries)
         self._qx = np.fromiter((q.location.x for q in queries), float, m)
         self._qy = np.fromiter((q.location.y for q in queries), float, m)
         self._dmax = np.fromiter((q.dmax for q in queries), float, m)
@@ -146,103 +140,73 @@ class _PointPairBlock(GainBlock):
 class _BestSensorBlock(_PointPairBlock):
     """Fused point-query gains: each pair's eq.-(3) value clipped per member.
 
-    Per pair this is ``max(budget * theta - state.value, 0)``, the scalar
-    :meth:`_BestSensorState.gain`; member values are gathered live per
-    call, for the touched members only.  Only the value itself can differ
-    from the scalar path in the final ulp (``np.hypot`` vs ``math.hypot``).
+    Per pair this is ``max(budget * theta - value, 0)``; a commit raises the
+    member's value to the committed reading's :meth:`PointQuery.value_single`
+    when that is larger.
     """
-
-    def __init__(self, states, roster: SensorRoster) -> None:
-        super().__init__(states, roster)
-        self._values = np.zeros(len(self.states), dtype=float)
 
     def gain_many_block(
         self, member_idx: np.ndarray, indices: np.ndarray
     ) -> np.ndarray:
-        values = self._values
-        for u in touched_members(member_idx):
-            values[u] = self.states[u].value
         value_new = self._budgets[member_idx] * self._pair_quality(member_idx, indices)
-        return np.maximum(value_new - values[member_idx], 0.0)
+        return np.maximum(value_new - self.values[member_idx], 0.0)
 
-
-class _BestSensorState(ValuationState):
-    """O(1) incremental state for max-semantics point queries."""
-
-    def gain(self, snapshot: SensorSnapshot) -> float:
-        return max(0.0, self.query.value_single(snapshot) - self.value)
-
-    def add(self, snapshot: SensorSnapshot) -> float:
-        gain = self.gain(snapshot)
-        self.selected.append(snapshot)
-        self.value += gain
-        return gain
-
-    @classmethod
-    def block(cls, states, roster: SensorRoster, columns) -> GainBlock:
-        return _BestSensorBlock(states, roster)
+    def commit(self, member: int, column: int) -> float:
+        single = self.queries[member].value_single(self.roster.snapshots[column])
+        gain = max(0.0, single - self.values[member])
+        self.values[member] += gain
+        return float(gain)
 
 
 class _TopKBlock(_PointPairBlock):
     """Fused multi-sensor point-query gains over padded quality rows.
 
-    Each call evaluates the pairs' candidate qualities, then re-sorts
-    every touched member's (small) selected-quality list against them,
-    padding each pair's row to the widest touched member's selected count
-    with ``-1`` sentinels (real qualities are ``>= 0``, so after the
-    descending sort the padding sits strictly below every real entry),
-    then a row ``cumsum`` — sequential addition, the scalar
-    ``sum(sorted(...)[:k])`` order — is sampled at each pair's own
-    ``k - 1``.  Only the candidate quality itself can differ from the
-    scalar path in the final ulp (``np.hypot`` vs ``math.hypot``).
+    The block keeps each member's committed qualities.  Each call evaluates
+    the pairs' candidate qualities, then re-sorts every touched member's
+    (small) committed-quality list against them, padding each pair's row
+    to the widest touched member's committed count with ``-1`` sentinels
+    (real qualities are ``>= 0``, so after the descending sort the padding
+    sits strictly below every real entry), then a row ``cumsum`` —
+    sequential addition, the scalar ``sum(sorted(...)[:k])`` order — is
+    sampled at each pair's own ``k - 1``.  Commits go through the generic
+    :meth:`MultiSensorPointQuery.value` arithmetic.
     """
 
-    def __init__(self, states, roster: SensorRoster) -> None:
-        super().__init__(states, roster)
+    def __init__(self, queries, roster: SensorRoster) -> None:
+        super().__init__(queries, roster)
         self._n_readings = np.fromiter(
-            (state.query.n_readings for state in self.states), float, len(self.states)
+            (q.n_readings for q in self.queries), float, len(self.queries)
         )
+        self._qualities: list[list[float]] = [[] for _ in self.queries]
 
     def gain_many_block(
         self, member_idx: np.ndarray, indices: np.ndarray
     ) -> np.ndarray:
-        states = self.states
         # Pairs arrive member-grouped: one contiguous run per touched member.
         bounds = member_runs(member_idx)
         runs = [
             (int(member_idx[a]), slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])
         ]
-        selected = {}
-        for u, _ in runs:
-            state = states[u]
-            query = state.query
-            selected[u] = [query.quality(s) for s in state.selected]
-        width = max((len(selected[u]) for u, _ in runs), default=0) + 1
+        width = max((len(self._qualities[u]) for u, _ in runs), default=0) + 1
         stacked = np.full((len(member_idx), width), -1.0)
         candidates = self._pair_quality(member_idx, indices)
-        k_of = np.empty(len(states), dtype=np.intp)
-        values = np.zeros(len(states), dtype=float)
+        k_of = np.empty(len(self.queries), dtype=np.intp)
         for u, rows in runs:
-            qualities = selected[u]
+            qualities = self._qualities[u]
             if qualities:
                 stacked[rows, : len(qualities)] = qualities
             stacked[rows, len(qualities)] = candidates[rows]
-            state = states[u]
-            k_of[u] = min(state.query.n_readings, len(qualities) + 1)
-            values[u] = state.value
+            k_of[u] = min(self.queries[u].n_readings, len(qualities) + 1)
         stacked = np.sort(stacked, axis=1)[:, ::-1]
         csum = np.cumsum(stacked, axis=1)
         total = csum[np.arange(len(member_idx)), k_of[member_idx] - 1]
         value_new = self._budgets[member_idx] * total / self._n_readings[member_idx]
-        return value_new - values[member_idx]
+        return value_new - self.values[member_idx]
 
-
-class _TopKState(ValuationState):
-    """Generic scalar state for multi-sensor point queries, plus block gains."""
-
-    @classmethod
-    def block(cls, states, roster: SensorRoster, columns) -> GainBlock:
-        return _TopKBlock(states, roster)
+    def commit(self, member: int, column: int) -> float:
+        gain = super().commit(member, column)
+        self._qualities[member].append(self.queries[member].quality(self.selected[member][-1]))
+        return gain
 
 
 class PointQuery(Query):
@@ -330,8 +294,9 @@ class PointQuery(Query):
 
     reach_box = _dmax_box
 
-    def new_state(self) -> ValuationState:
-        return _BestSensorState(self)
+    @classmethod
+    def gain_block(cls, queries, roster: SensorRoster, columns) -> GainBlock:
+        return _BestSensorBlock(queries, roster)
 
 
 class MultiSensorPointQuery(Query):
@@ -393,5 +358,6 @@ class MultiSensorPointQuery(Query):
 
     reach_box = _dmax_box
 
-    def new_state(self) -> ValuationState:
-        return _TopKState(self)
+    @classmethod
+    def gain_block(cls, queries, roster: SensorRoster, columns) -> GainBlock:
+        return _TopKBlock(queries, roster)

@@ -23,6 +23,7 @@ __all__ = [
     "gridded_kernel",
     "make_snapshot",
     "make_point_query",
+    "member_block",
     "random_instance",
     "relevance_row",
     "sequential_mix",
@@ -95,14 +96,21 @@ def relevance_row(query, roster) -> np.ndarray:
     return query.relevant_mask(roster.xy, roster.gamma, roster.trust)
 
 
-def block_gains(state, roster, indices) -> np.ndarray:
-    """``state``'s marginal gains at the roster columns ``indices`` (which
-    must be relevant to its query) through the production gain block, with
-    ``state`` as the block's only member."""
+def member_block(queries, roster):
+    """The production gain block of ``queries`` (one query or several of
+    one gain type) over ``roster``, each member's relevant columns taken
+    from its mask — what ``gain_setup`` builds for them."""
+    if not isinstance(queries, (list, tuple)):
+        queries = [queries]
+    columns = [np.flatnonzero(relevance_row(q, roster)) for q in queries]
+    return type(queries[0]).gain_block(list(queries), roster, columns)
+
+
+def block_gains(block, indices, member: int = 0) -> np.ndarray:
+    """``block``'s marginal gains of ``member`` at the roster columns
+    ``indices`` (which must be relevant to its query)."""
     indices = np.asarray(indices, dtype=np.intp)
-    columns = [np.flatnonzero(relevance_row(state.query, roster))]
-    block = type(state).block([state], roster, columns)
-    return block.gain_many_block(np.zeros(len(indices), dtype=np.intp), indices)
+    return block.gain_many_block(np.full(len(indices), member, dtype=np.intp), indices)
 
 
 def gridded_kernel(sensors, cell_size: float) -> ValuationKernel:

@@ -7,7 +7,8 @@ next to :mod:`legacy_engines`:
 
 * :class:`ScalarGreedyAllocator` — the historical per-pair
   ``ValuationState.gain`` loop over the ``Q_{l_s}`` prefilter
-  (:func:`relevant_queries_by_sensor`);
+  (:func:`relevant_queries_by_sensor`), on the scalar valuation states
+  below;
 * :class:`DenseGreedyAllocator` — the dense ``(n_queries, n_sensors)``
   gain-matrix loop with full-height ``cumsum`` net re-sums that the
   paired-CSR core replaced, over the dense relevance rebuilt from the
@@ -22,6 +23,13 @@ next to :mod:`legacy_engines`:
 
 All three are drop-in allocators (engines, mixes and the baselines' stage
 slots accept them), so whole-engine parity runs can swap them in.
+
+The production gain blocks own the greedy state and take commits.  The
+scalar states they replaced live here as the commit oracles
+(:func:`new_state`): :class:`ValuationState` recomputes ``v_q`` on every
+``gain`` (the generic block's arithmetic), and :class:`BestSensorState`,
+:class:`TopKState`, :class:`CoverageState` and :class:`EventState` are the
+built-in closed forms, keyed by the ``gain_block`` a query resolves to.
 
 :class:`~repro.core.ValuationKernel` resolves relevance through grid
 candidate views.  :class:`DenseKernel` is the full-fleet pass it replaced:
@@ -52,24 +60,27 @@ from repro.core.monitoring import RegionSlotOutcome
 from repro.core.payments import proportionate_shares
 from repro.core.valuation import ValuationKernel
 from repro.queries import (
+    EventSlotQuery,
     LocationMonitoringQuery,
+    MultiSensorPointQuery,
     PointQuery,
     Query,
     RegionMonitoringQuery,
     SensorRoster,
-    ValuationState,
+    SpatialAggregateQuery,
 )
-from repro.queries.aggregate import _CoverageState
-from repro.queries.event import _EventState
-from repro.queries.point import _BestSensorState, _TopKState
+from repro.queries.aggregate import sensor_quality
 from repro.sensors import SensorSnapshot
 
 __all__ = [
     "BestSensorRows",
+    "BestSensorState",
     "CoverageRows",
+    "CoverageState",
     "DenseGreedyAllocator",
     "DenseKernel",
     "EventRows",
+    "EventState",
     "MixOutcome",
     "OracleBaselineMixAllocator",
     "OracleMixAllocator",
@@ -77,10 +88,13 @@ __all__ = [
     "RowGains",
     "ScalarGreedyAllocator",
     "TopKRows",
+    "TopKState",
+    "ValuationState",
     "compile_greedy_as",
     "compile_kernel_as",
     "dense_relevance",
     "dense_single_values",
+    "new_state",
     "quality_row",
     "relevance",
     "relevant_queries_by_sensor",
@@ -189,6 +203,138 @@ def relevant_queries_by_sensor(
     return relevant
 
 
+# ----------------------------------------------------------------------
+# scalar valuation states: the commit oracles of the gain blocks
+# ----------------------------------------------------------------------
+class ValuationState:
+    """Incremental evaluation of ``v_q`` while a greedy algorithm grows a set.
+
+    The generic implementation recomputes the full set valuation on every
+    :meth:`gain` call, which is always correct; the built-in query types'
+    subclasses below carry the closed forms their gain blocks were fused
+    from.
+    """
+
+    def __init__(self, query: Query) -> None:
+        self.query = query
+        self.selected: list[SensorSnapshot] = []
+        self.value = 0.0
+
+    def gain(self, snapshot: SensorSnapshot) -> float:
+        """Marginal gain ``v_q(S + s) - v_q(S)`` without mutating the state."""
+        return self.query.value(self.selected + [snapshot]) - self.value
+
+    def add(self, snapshot: SensorSnapshot) -> float:
+        """Commit ``snapshot`` to the set; returns the realized gain."""
+        gain = self.gain(snapshot)
+        self.selected.append(snapshot)
+        self.value += gain
+        return gain
+
+
+class BestSensorState(ValuationState):
+    """O(1) incremental state for max-semantics point queries."""
+
+    def gain(self, snapshot: SensorSnapshot) -> float:
+        return max(0.0, self.query.value_single(snapshot) - self.value)
+
+
+class TopKState(ValuationState):
+    """Generic scalar state for multi-sensor point queries."""
+
+
+class CoverageState(ValuationState):
+    """Incremental eq.-(5) evaluation via accumulated coverage masks.
+
+    Keeps the bit-mask of covered cells, the quality sum and the member
+    count; a marginal gain is then one ``mask_for`` call plus O(#cells)
+    boolean arithmetic instead of a full re-rasterization of the set.
+    """
+
+    def __init__(self, query: SpatialAggregateQuery) -> None:
+        super().__init__(query)
+        self._mask = np.zeros(query.coverage.cell_count, dtype=bool)
+        self._quality_sum = 0.0
+
+    def _value_with(self, extra_mask: np.ndarray | None, extra_quality: float | None) -> float:
+        covered = self._mask if extra_mask is None else (self._mask | extra_mask)
+        count = len(self.selected) + (0 if extra_quality is None else 1)
+        if count == 0:
+            return 0.0
+        quality_sum = self._quality_sum + (extra_quality or 0.0)
+        n_cells = self.query.coverage.cell_count
+        coverage = covered.sum() / n_cells if n_cells else 0.0
+        return self.query.budget * coverage * (quality_sum / count)
+
+    def gain(self, snapshot: SensorSnapshot) -> float:
+        if self.query.relevant(snapshot):
+            mask = self.query.coverage.mask_for(snapshot.location)
+            quality = sensor_quality(snapshot)
+        else:
+            mask, quality = None, 0.0
+        return self._value_with(mask, quality) - self.value
+
+    def add(self, snapshot: SensorSnapshot) -> float:
+        before = self.value
+        if self.query.relevant(snapshot):
+            self._mask |= self.query.coverage.mask_for(snapshot.location)
+            self._quality_sum += sensor_quality(snapshot)
+        self.selected.append(snapshot)
+        self.value = self._value_with(None, None)
+        return self.value - before
+
+
+class EventState(ValuationState):
+    """Incremental event-slot valuation: one running failure product.
+
+    Tracks ``prod(1 - theta_i)`` over the committed witnesses with
+    positive quality — the same multiplication sequence the scalar
+    :meth:`EventSlotQuery.value` performs from scratch.
+    """
+
+    def __init__(self, query: EventSlotQuery) -> None:
+        super().__init__(query)
+        self._failure_prod = 1.0
+
+    def _value_at(self, failure_prod: float) -> float:
+        confidence = 1.0 - failure_prod
+        return self.query.budget * min(
+            1.0, confidence / self.query.required_confidence
+        )
+
+    def _prod_with(self, snapshot: SensorSnapshot) -> float:
+        theta = self.query.quality(snapshot)
+        if theta > 0:
+            return self._failure_prod * (1.0 - theta)
+        return self._failure_prod
+
+    def gain(self, snapshot: SensorSnapshot) -> float:
+        return self._value_at(self._prod_with(snapshot)) - self.value
+
+    def add(self, snapshot: SensorSnapshot) -> float:
+        prod = self._prod_with(snapshot)
+        gain = self._value_at(prod) - self.value
+        self._failure_prod = prod
+        self.selected.append(snapshot)
+        self.value += gain
+        return gain
+
+
+#: the gain block a built-in query type resolves to -> its scalar state
+_STATES = {
+    PointQuery.gain_block.__func__: BestSensorState,
+    MultiSensorPointQuery.gain_block.__func__: TopKState,
+    SpatialAggregateQuery.gain_block.__func__: CoverageState,
+    EventSlotQuery.gain_block.__func__: EventState,
+}
+
+
+def new_state(query: Query) -> ValuationState:
+    """``query``'s scalar oracle state: the closed form of the built-in
+    gain block its type resolves to, else the generic recomputation."""
+    return _STATES.get(type(query).gain_block.__func__, ValuationState)(query)
+
+
 class ScalarGreedyAllocator(GreedyAllocator):
     """Algorithm 1 as a per-pair loop: the batch path's reference.
 
@@ -210,8 +356,7 @@ class ScalarGreedyAllocator(GreedyAllocator):
         result = AllocationResult()
         if queries and len(sensors):
             self._allocate_scalar(queries, sensors, kernel, result)
-        if self.verify:
-            result.verify()
+        result.verify()
         return result
 
     def _allocate_scalar(
@@ -221,7 +366,7 @@ class ScalarGreedyAllocator(GreedyAllocator):
         kernel: ValuationKernel | None,
         result: AllocationResult,
     ) -> None:
-        states: dict[str, ValuationState] = {q.query_id: q.new_state() for q in queries}
+        states: dict[str, ValuationState] = {q.query_id: new_state(q) for q in queries}
         queries_by_id = {q.query_id: q for q in queries}
 
         # The paper's Q_{l_s}: only queries a sensor could possibly serve.
@@ -302,7 +447,7 @@ class RowGains:
     The base implementation falls back to the scalar
     :meth:`ValuationState.gain` per candidate — always correct, never
     fast.  :func:`row_gains` returns the closed-form subclasses for the
-    built-in states.
+    built-in oracle states.
 
     Row views hold a reference to the *live* scalar state and re-read it
     on every :meth:`gain_many` call, so commits through
@@ -373,7 +518,7 @@ class CoverageRows(RowGains):
     quality column.  A :meth:`gain_many` round is then pure boolean/array
     arithmetic against the live state's accumulated mask — integer cell
     counts and the exact eq.-(5) operation order keep every gain
-    bit-identical to the scalar ``_CoverageState.gain``.
+    bit-identical to the scalar :meth:`CoverageState.gain`.
     """
 
     def __init__(self, state, roster: SensorRoster) -> None:
@@ -441,24 +586,19 @@ class EventRows(RowGains):
         return value_new - state.value
 
 
-#: built-in valuation state -> its per-row closed form
+#: built-in oracle state -> its per-row closed form
 _ROW_FORMS = {
-    _BestSensorState: BestSensorRows,
-    _TopKState: TopKRows,
-    _CoverageState: CoverageRows,
-    _EventState: EventRows,
+    BestSensorState: BestSensorRows,
+    TopKState: TopKRows,
+    CoverageState: CoverageRows,
+    EventState: EventRows,
 }
 
 
 def row_gains(state: ValuationState, roster: SensorRoster) -> RowGains:
-    """``state``'s per-row gain view over ``roster``.
-
-    Keyed by the class whose ``block`` the state uses: a built-in state (or
-    a subclass that keeps its block) gets its closed form; a state whose
-    block is its own or the base generic one gets the scalar loop.
-    """
-    owner = next(c for c in type(state).__mro__ if "block" in vars(c))
-    return _ROW_FORMS.get(owner, RowGains)(state, roster)
+    """``state``'s per-row gain view over ``roster``: a built-in oracle
+    state's closed form, the scalar loop for the generic state."""
+    return _ROW_FORMS.get(type(state), RowGains)(state, roster)
 
 
 class DenseGreedyAllocator(GreedyAllocator):
@@ -469,6 +609,11 @@ class DenseGreedyAllocator(GreedyAllocator):
     pair of the dirty rows through ``relevance[np.ix_(rows, live)]``, and
     re-accumulates dirty columns' nets with a full-height ``cumsum``.  The
     sparse core must match it bit-for-bit.
+
+    Each commit goes through the setup's gain block and through the
+    query's scalar oracle state (``setup.states``, which the per-row
+    oracle reads), and fails loudly when the two realized gains drift
+    apart.
     """
 
     name = "Greedy (dense oracle)"
@@ -484,6 +629,7 @@ class DenseGreedyAllocator(GreedyAllocator):
         if setup is None:
             return
         setup.relevance = dense_relevance(setup)
+        setup.states = [new_state(q) for q in queries]
         roster, relevance, costs = setup.roster, setup.relevance, setup.costs
         n = roster.n_sensors
         gain_matrix = np.zeros((len(queries), n), dtype=float)
@@ -520,14 +666,14 @@ class DenseGreedyAllocator(GreedyAllocator):
             shares = proportionate_shares(gains, snapshot.cost)
             for i in benefiting:
                 qid = queries[i].query_id
-                gain = gains[qid]
+                committed = setup.commit(i, j)
                 realized = setup.states[i].add(snapshot)
-                if abs(realized - gain) > 1e-6 * max(1.0, abs(gain)):
+                if abs(realized - committed) > 1e-6 * max(1.0, abs(committed)):
                     raise RuntimeError(
-                        f"query {qid} marginal gain drifted: batch {gain}, "
-                        f"realized {realized}"
+                        f"query {qid} marginal gain drifted: block {committed}, "
+                        f"oracle state {realized}"
                     )
-                result.record(queries[i], snapshot, gain, shares[qid])
+                result.record(queries[i], snapshot, gains[qid], shares[qid])
             alive[j] = False
 
             # Masked recomputation: only the rows that just grew, only the
@@ -590,7 +736,7 @@ class DenseGreedyAllocator(GreedyAllocator):
 
 def dense_relevance(setup: GainSetup) -> np.ndarray:
     """The setup's CSR relevance as a dense ``(n_queries, n)`` bool matrix."""
-    relevance = np.zeros((len(setup.states), setup.roster.n_sensors), dtype=bool)
+    relevance = np.zeros((len(setup.row_ptr) - 1, setup.roster.n_sensors), dtype=bool)
     relevance[setup.entry_rows, setup.entry_cols] = True
     return relevance
 

@@ -1,17 +1,19 @@
 """The batch hooks are the extension protocol, checked when a class is defined.
 
 Allocators reach a query's relevance only through ``Query.relevant_mask``
-and its gains only through ``ValuationState.block``.  So:
+and its gains and commits only through the block ``Query.gain_block``
+builds.  So:
 
 * a ``Query`` subclass without ``relevant_mask`` cannot be instantiated;
-* a class body that defines a scalar hook (``relevant``, ``value_single``
-  or ``quality`` on a query, ``gain`` on a valuation state) without its
-  batch sibling (``relevant_mask`` / ``block``) in the same body is
-  refused at definition with a one-line ``TypeError``, so an inherited
-  batch form can never answer for changed scalar semantics;
-* a user-defined query type that declares both hooks — here with the
-  default state and its generic scalar-looping ``GainBlock`` — allocates
-  exactly like the per-pair scalar greedy oracle.
+* a class body that defines a scalar relevance hook (``relevant``,
+  ``value_single`` or ``quality``) without ``relevant_mask`` in the same
+  body is refused at definition with a one-line ``TypeError``, so an
+  inherited batch form can never answer for changed scalar semantics;
+* a class body that redefines the valuation (``value``, ``value_single``
+  or ``quality``) without ``gain_block`` gets the generic ``GainBlock``,
+  so an inherited closed form can never answer for a changed valuation;
+* a user-defined query type that defines only ``value`` — the generic
+  block — allocates exactly like the per-pair scalar greedy oracle.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import make_snapshot
-from oracles import ScalarGreedyAllocator
+from helpers import make_snapshot, member_block
+from oracles import ScalarGreedyAllocator, ValuationState, new_state
 from repro.core import BaselineAllocator, GreedyAllocator
 from repro.queries import (
     EventSlotQuery,
@@ -29,13 +31,10 @@ from repro.queries import (
     PointQuery,
     Query,
     QueryType,
+    SensorRoster,
     SpatialAggregateQuery,
     TrajectoryQuery,
-    ValuationState,
 )
-from repro.queries.aggregate import _CoverageState
-from repro.queries.event import _EventState
-from repro.queries.point import _BestSensorState, _TopKState
 from repro.spatial import Location
 
 
@@ -102,34 +101,57 @@ class TestQueryProtocol:
         assert untouched.relevant_mask is base.relevant_mask
 
 
-class TestValuationStateProtocol:
-    @pytest.mark.parametrize(
-        "base",
-        [ValuationState, _BestSensorState, _TopKState, _CoverageState, _EventState],
-        ids=lambda c: c.__name__,
-    )
-    def test_gain_only_override_is_refused_at_definition(self, base):
-        with pytest.raises(TypeError) as exc:
-            type("GainOnly", (base,), {"gain": lambda self, snapshot: 0.0})
-        assert_one_line(
-            exc, "GainOnly defines gain() but not block(); define both in the same class"
-        )
+BUILTINS = [PointQuery, MultiSensorPointQuery, SpatialAggregateQuery, TrajectoryQuery,
+            EventSlotQuery]
 
-    def test_block_only_override_is_accepted(self):
-        generic = type(
-            "Generic", (_BestSensorState,),
-            {
-                "block": classmethod(
-                    lambda cls, states, roster, columns: GainBlock(states, roster)
-                )
-            },
-        )
-        assert isinstance(generic.block([], None, []), GainBlock)
+
+def _value_hook(self, snapshots):
+    return 0.0
+
+
+class TestGainBlockProtocol:
+    @pytest.mark.parametrize("hook", ["value", "value_single", "quality"])
+    @pytest.mark.parametrize("base", BUILTINS, ids=lambda c: c.__name__)
+    def test_new_valuation_gets_the_generic_block(self, base, hook):
+        body = {hook: _value_hook, "relevant_mask": _mask_hook}
+        cls = type("NewValuation", (base,), body)
+        assert cls.gain_block.__func__ is Query.gain_block.__func__
+        assert base.gain_block.__func__ is not Query.gain_block.__func__
+
+    @pytest.mark.parametrize("base", BUILTINS, ids=lambda c: c.__name__)
+    def test_untouched_or_relevance_only_subclasses_keep_the_block(self, base):
+        untouched = type("Untouched", (base,), {})
+        relevance = type("Relevance", (base,), {"relevant": _scalar_hook,
+                                                "relevant_mask": _mask_hook})
+        for cls in (untouched, relevance):
+            assert cls.gain_block.__func__ is base.gain_block.__func__
+
+    def test_valuation_with_its_own_block_keeps_it(self):
+        def own(cls, queries, roster, columns):
+            return GainBlock(queries, roster)
+
+        cls = type("Own", (PointQuery,), {"value": _value_hook,
+                                          "gain_block": classmethod(own)})
+        assert cls.gain_block.__func__ is own
+
+    def test_point_subclass_overriding_only_value_gets_the_generic_block(self):
+        class Doubled(PointQuery):
+            def value(self, snapshots):
+                return 2.0 * super().value(snapshots)
+
+        query = Doubled(Location(0, 0), budget=10.0, theta_min=0.0, dmax=5.0)
+        sensors = [make_snapshot(0, x=1, y=0, cost=3.0), make_snapshot(1, x=2, y=0)]
+        block = member_block(query, SensorRoster(sensors))
+        assert type(block) is GainBlock
+        assert type(new_state(query)) is ValuationState
+        assert block.commit(0, 0) == query.value(sensors[:1]) == 16.0
+        result = GreedyAllocator().allocate([query], sensors)
+        assert result.values[query.query_id] == 16.0
 
 
 class NearCount(Query):
     """A user-defined black-box valuation: ``B * min(1, |S| / k)`` over
-    sensors within ``reach`` — no closed-form block, the default state."""
+    sensors within ``reach`` — no closed-form block, the generic one."""
 
     query_type = QueryType.MULTI_POINT
 
@@ -165,7 +187,7 @@ def test_user_defined_type_with_the_generic_block_allocates_like_the_oracle(seed
             zip(rng.uniform(0, 20, 6), rng.uniform(0, 20, 6), rng.uniform(5, 20, 6))
         )
     ]
-    assert type(queries[0].new_state()) is ValuationState
+    assert type(member_block(queries, SensorRoster(sensors))) is GainBlock
     result = GreedyAllocator().allocate(queries, sensors)
     oracle = ScalarGreedyAllocator().allocate(queries, sensors)
     assert result.assignments == oracle.assignments

@@ -433,6 +433,72 @@ def test_bad_spec_value_exits_with_one_line(tmp_path, capsys, overrides, reason)
     assert captured.out == ""
 
 
+def _stream(kind, **params):
+    return {"streams": [{"kind": kind, "params": params}]}
+
+
+POSITIVE = " must be a finite number > 0, got "
+
+
+@pytest.mark.parametrize(
+    "overrides,reason",
+    [
+        (_stream("point", dmax=0.0), "streams[0].params.dmax" + POSITIVE + "0.0"),
+        (_stream("point", dmax=-1.0), "streams[0].params.dmax" + POSITIVE + "-1.0"),
+        (
+            _stream("aggregate", sensing_range=-3.0),
+            "streams[0].params.sensing_range" + POSITIVE + "-3.0",
+        ),
+        (
+            _stream("aggregate", coverage_radius=math.inf),
+            "streams[0].params.coverage_radius" + POSITIVE + "inf",
+        ),
+        (_stream("aggregate", min_side=-5), "streams[0].params.min_side" + POSITIVE + "-5"),
+        (_stream("aggregate", max_side="8"), "streams[0].params.max_side" + POSITIVE + "'8'"),
+        (
+            _stream("aggregate", min_side=12.0, max_side=8.0),
+            "streams[0].params.min_side must be <= max_side, got 12.0 > 8.0",
+        ),
+        (
+            _stream("aggregate", min_side=40.0),
+            "streams[0].params.min_side must be <= max_side, got 40.0 > 16.0",
+        ),
+        (
+            _stream("point", theta_min=1.5),
+            "streams[0].params.theta_min must be a finite number in [0, 1], got 1.5",
+        ),
+        (
+            _stream("event", theta_min=-0.1),
+            "streams[0].params.theta_min must be a finite number in [0, 1], got -0.1",
+        ),
+        (
+            _stream("aggregate", budget_factor=-2),
+            "streams[0].params.budget_factor must be a finite number >= 0, got -2",
+        ),
+        (
+            _stream("event", budget_factor=math.nan),
+            "streams[0].params.budget_factor must be a finite number >= 0, got nan",
+        ),
+    ],
+    ids=[
+        "zero-dmax", "negative-dmax", "negative-sensing-range", "infinite-coverage-radius",
+        "negative-min-side", "string-max-side", "sides-swapped", "min-side-above-default",
+        "theta-min-above-one", "negative-theta-min", "negative-budget-factor",
+        "nan-budget-factor",
+    ],
+)
+def test_bad_stream_geometry_exits_with_one_line(tmp_path, capsys, overrides, reason):
+    """Stream geometry that used to fail at build — naming a NaN budget or
+    a degenerate region instead of the key — is refused when the spec
+    loads."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**SPEC_PAYLOAD, **overrides}))
+    assert main(["scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error loading {path}: {reason}\n"
+    assert captured.out == ""
+
+
 class TestAsciiChart:
     def _result(self):
         result = FigureResult("figX", "demo", "budget", x_values=[1, 2, 3])

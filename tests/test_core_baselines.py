@@ -6,25 +6,15 @@ import pytest
 
 from helpers import make_point_query, make_snapshot, random_instance
 from repro.core import BaselineAllocator, GreedyAllocator, OptimalPointAllocator
-from repro.queries import GainBlock, PointQuery, SpatialAggregateQuery
-from repro.queries.point import _BestSensorState
+from repro.queries import PointQuery, SpatialAggregateQuery
 from repro.spatial import Location, Region
 
 
-class _HalfGainState(_BestSensorState):
-    """Half the closed form, evaluated by the generic scalar-looping block."""
+class HalfValuePointQuery(PointQuery):
+    """Half the closed form; redefining ``value`` selects the generic block."""
 
-    def gain(self, sensor):
-        return 0.5 * super().gain(sensor)
-
-    @classmethod
-    def block(cls, states, roster, columns):
-        return GainBlock(states, roster)
-
-
-class HalfGainPointQuery(PointQuery):
-    def new_state(self):
-        return _HalfGainState(self)
+    def value(self, snapshots):
+        return 0.5 * super().value(snapshots)
 
 
 class TestBaselinePointBehaviour:
@@ -129,13 +119,12 @@ class TestBaselineAggregateBehaviour:
 @pytest.mark.parametrize(
     "allocator", [GreedyAllocator, BaselineAllocator], ids=["greedy", "baseline"]
 )
-def test_scalar_gain_override_is_honoured(allocator):
-    """A state overriding ``gain`` with the generic block is valued through
-    its own ``gain``, not its base's closed form."""
-    query = HalfGainPointQuery(Location(0, 0), budget=10.0, theta_min=0.0, dmax=5.0)
+def test_value_override_is_honoured(allocator):
+    """A query overriding ``value`` is valued through its own ``value`` by
+    the generic block, not its base's closed form."""
+    query = HalfValuePointQuery(Location(0, 0), budget=10.0, theta_min=0.0, dmax=5.0)
     sensor = make_snapshot(0, x=1, y=0, cost=3.0)
-    state = query.new_state()
-    expected = state.gain(sensor)
+    expected = query.value([sensor])
     assert expected == pytest.approx(4.0)
     result = allocator().allocate([query], [sensor])
     assert result.values[query.query_id] == expected

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import make_point_query, make_snapshot, random_instance
 from oracles import ScalarGreedyAllocator
-from repro.core import GreedyAllocator, PaymentInvariantError
+from repro.core import AllocationResult, GreedyAllocator, PaymentInvariantError
 from repro.queries import SpatialAggregateQuery
 from repro.spatial import Region
 
@@ -159,18 +159,19 @@ class TestVerifyRejectsNonFinite:
     @pytest.mark.parametrize(
         "allocator_cls", [GreedyAllocator, ScalarGreedyAllocator], ids=["batch", "scalar"]
     )
-    def test_nan_payment_fails_verify(self, allocator_cls):
+    def test_nan_payment_fails_verify(self, allocator_cls, monkeypatch):
         queries, sensors = self._instance()
-        unchecked = allocator_cls(verify=False).allocate(queries, sensors)
-        assert list(unchecked.selected) == [1]
-        assert np.isnan(unchecked.payments[("q", 1)])
         with pytest.raises(PaymentInvariantError):
             allocator_cls().allocate(queries, sensors)
+        # ``allocate`` always verifies; switched off here, the settlement
+        # it refused is the NaN payment of the NaN-priced sensor.
+        monkeypatch.setattr(AllocationResult, "verify", lambda self: None)
+        unchecked = allocator_cls().allocate(queries, sensors)
+        assert list(unchecked.selected) == [1]
+        assert np.isnan(unchecked.payments[("q", 1)])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_ledger_entries_fail_verify(self, bad):
-        from repro.core import AllocationResult
-
         query = make_point_query(query_id="q")
         for value_gain, payment in ((5.0, bad), (bad, 1.0)):
             result = AllocationResult()

@@ -6,8 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import block_gains, make_snapshot, relevance_row
-from oracles import row_gains
+from helpers import block_gains, make_snapshot, member_block, relevance_row
+from oracles import ValuationState, new_state, row_gains
 from repro.core import (
     EventDetectionStream,
     GreedyAllocator,
@@ -27,7 +27,7 @@ ULP = dict(rel=1e-12, abs=1e-12)
 
 
 class TestEventSlotQueryState:
-    """The closed-form running-product state vs the generic recomputation."""
+    """The closed-form running-product block vs the generic recomputation."""
 
     def _query(self, **kw):
         defaults = dict(
@@ -49,16 +49,20 @@ class TestEventSlotQueryState:
             )
             for i in range(15)
         ]
-        state = query.new_state()
+        roster = SensorRoster(sensors)
+        relevant = np.flatnonzero(relevance_row(query, roster))
+        block = member_block(query, roster)
+        scratch = ValuationState(query)
         for step, j in enumerate(rng.permutation(15)):
-            for s in sensors:
-                scratch = query.value(state.selected + [s]) - state.value
-                assert state.gain(s) == pytest.approx(scratch, **ULP)
-            state.add(sensors[j])
+            want = np.array([scratch.gain(s) for s in sensors])
+            got = block_gains(block, relevant)
+            assert got == pytest.approx(want[relevant], **ULP)
+            assert block.commit(0, j) == pytest.approx(scratch.add(sensors[j]), **ULP)
+            assert block.values[0] == pytest.approx(scratch.value, **ULP)
             if step >= 4:
                 break
         # Value saturates at the budget once confidence is met.
-        assert state.value <= query.budget + 1e-12
+        assert block.values[0] <= query.budget + 1e-12
 
     @pytest.mark.parametrize("seed", range(6))
     def test_gain_many_matches_scalar_gain(self, seed):
@@ -74,26 +78,26 @@ class TestEventSlotQueryState:
         ]
         roster = SensorRoster(sensors)
         relevant = np.flatnonzero(relevance_row(query, roster))
-        state = query.new_state()
+        state = new_state(query)
+        block = member_block(query, roster)
         for step in range(4):
             want = np.array([state.gain(s) for s in sensors])
             got = row_gains(state, roster).gain_many(roster.all_indices)
             assert got == pytest.approx(want, **ULP)
-            got = block_gains(state, roster, relevant)
+            got = block_gains(block, relevant)
             assert got == pytest.approx(want[relevant], **ULP)
-            state.add(sensors[step])
+            assert block.commit(0, step) == state.add(sensors[step])
+            assert block.values[0] == state.value
 
     def test_running_product_saturates(self):
         query = self._query(required_confidence=0.5, theta_min=0.0)
         perfect = make_snapshot(0, x=10, y=10, inaccuracy=0.0, trust=1.0)
-        state = query.new_state()
-        first = state.add(perfect)
-        assert first == pytest.approx(query.budget)
         # A second perfect witness adds nothing once saturated.
         other = make_snapshot(1, x=10, y=10, inaccuracy=0.0, trust=1.0)
-        assert state.gain(other) == pytest.approx(0.0, abs=1e-12)
-        roster = SensorRoster([perfect, other])
-        assert block_gains(state, roster, [1]) == pytest.approx([0.0], abs=1e-12)
+        block = member_block(query, SensorRoster([perfect, other]))
+        first = block.commit(0, 0)
+        assert first == pytest.approx(query.budget)
+        assert block_gains(block, [1]) == pytest.approx([0.0], abs=1e-12)
 
 
 class TestEventDetectionQueryAccounting:

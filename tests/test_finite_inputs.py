@@ -385,39 +385,40 @@ def test_location_queries_reject_non_finite_location(make, axis, value):
 # region bounds themselves and the coverage functions' ranges have no spec
 # field of their own (they come from the world region and ``min_side`` /
 # ``max_side`` / ``coverage_radius``), so the constructor tests above cover
-# them.
+# them.  The spec refuses each at load, naming the stream key.
+POSITIVE = " must be a finite number > 0, got nan"
 GEOMETRY_SPECS = {
     "nan-min-side": (
         {"kind": "aggregate", "params": {"mean_queries": 3, "count_spread": 0, "min_side": math.nan}},
-        "min_side must be finite, got nan",
+        "min_side" + POSITIVE,
     ),
     "nan-max-side": (
         {"kind": "aggregate", "params": {"mean_queries": 3, "count_spread": 0, "max_side": math.nan}},
-        "max_side must not be NaN, got nan",
+        "max_side" + POSITIVE,
     ),
     "nan-sensing-range": (
         {"kind": "aggregate", "params": {"mean_queries": 3, "count_spread": 0, "sensing_range": math.nan}},
-        "sensing_range must be finite and positive, got nan",
+        "sensing_range" + POSITIVE,
     ),
     "nan-coverage-radius": (
         {"kind": "aggregate", "params": {"mean_queries": 3, "count_spread": 0, "coverage_radius": math.nan}},
-        "coverage_radius must be finite and positive, got nan",
+        "coverage_radius" + POSITIVE,
     ),
     "nan-point-dmax": (
         {"kind": "point", "params": {"n_queries": 5, "dmax": math.nan}},
-        "dmax must be finite and positive, got nan",
+        "dmax" + POSITIVE,
     ),
     "nan-monitoring-dmax": (
         {"kind": "location_monitoring", "params": {"dmax": math.nan}},
-        "dmax must be finite and positive, got nan",
+        "dmax" + POSITIVE,
     ),
     "nan-event-dmax": (
         {"kind": "event", "params": {"dmax": math.nan}},
-        "dmax must be finite and positive, got nan",
+        "dmax" + POSITIVE,
     ),
     "nan-monitoring-budget": (
         {"kind": "location_monitoring", "params": {"budget_factor": math.nan}},
-        "budget must be finite and non-negative, got nan",
+        "budget_factor must be a finite number >= 0, got nan",
     ),
 }
 
@@ -433,7 +434,7 @@ def test_nan_geometry_spec_exits_with_one_line(name, tmp_path, capsys):
     path.write_text(json.dumps(spec))
     assert main(["scenario", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error running {name}: {reason}\n"
+    assert captured.err == f"error loading {path}: streams[0].params.{reason}\n"
 
 
 @pytest.mark.parametrize("budget", [math.nan, -5.0], ids=["nan", "negative"])

@@ -15,13 +15,14 @@ The contract under test (see ``repro.queries.base`` and
   ``masks_for`` membership row-for-row (the per-column run builder
   decides every emitted and skipped cell with the identical membership
   test), down to ulp-grazing sensors;
-* each built-in valuation state builds its native block through
-  ``ValuationState.block``, and a state that declares the generic
-  ``GainBlock`` is evaluated through its own scalar ``gain``;
-* the aggregate block's live uncovered-cell counts stay ``==`` to the
-  per-member oracle ``CoverageRows.gain_many`` whatever commits happen
-  between its calls, and read far fewer covered cells than re-gathering
-  every evaluated pair's row would.
+* each built-in query type builds its native block through
+  ``Query.gain_block``, and a query type that redefines ``value`` is
+  evaluated through the generic ``GainBlock`` over its own ``value``;
+* the aggregate block's uncovered-cell counts, decremented by its own
+  commits, stay ``==`` to the per-member oracle ``CoverageRows.gain_many``
+  over the scalar oracle states given the same commits, and read far
+  fewer covered cells than re-gathering every evaluated pair's row
+  would.
 """
 
 from __future__ import annotations
@@ -34,11 +35,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gridded_kernel, make_snapshot, relevance_row
+from helpers import gridded_kernel, make_snapshot, member_block, relevance_row
 from oracles import (
     DenseGreedyAllocator,
     DenseKernel,
     PerRowGreedyAllocator,
+    ScalarGreedyAllocator,
+    new_state,
     row_gains,
 )
 from repro.core import GreedyAllocator, ValuationKernel
@@ -56,7 +59,7 @@ from repro.queries import (
     TrajectoryQuery,
     TrajectoryQueryWorkload,
 )
-from repro.queries.aggregate import _CoverageBlock, _CoverageState
+from repro.queries.aggregate import _CoverageBlock
 from repro.sensors import AnnouncementBatch
 from repro.spatial import (
     AreaCoverage,
@@ -211,7 +214,7 @@ class TestFusedAllocationParity:
         """The fused pipeline is the only production path: the allocator
         takes no switch that would select another one."""
         params = list(inspect.signature(GreedyAllocator).parameters)
-        assert params == ["min_gain", "verify"]
+        assert params == ["min_gain"]
         with pytest.raises(TypeError):
             GreedyAllocator(fused=False)
 
@@ -392,47 +395,34 @@ class TestWorldRasterRows:
 # the block protocol: native blocks, and the generic block on request
 # ----------------------------------------------------------------------
 class TestBlockProtocol:
-    def test_builtin_states_build_their_native_blocks(self):
-        from repro.queries.event import _EventBlock, _EventState
-        from repro.queries.point import (
-            _BestSensorBlock,
-            _BestSensorState,
-            _TopKBlock,
-            _TopKState,
-        )
+    def test_builtin_queries_build_their_native_blocks(self):
+        from repro.queries.event import _EventBlock
+        from repro.queries.point import _BestSensorBlock, _TopKBlock
 
         rng = np.random.default_rng(4)
         roster = SensorRoster(random_sensors(rng, n=10, side=20.0))
-        queries = every_type_queries(rng, copies=1, side=20.0)
         natives = {
-            _BestSensorState: _BestSensorBlock,
-            _TopKState: _TopKBlock,
-            _CoverageState: _CoverageBlock,
-            _EventState: _EventBlock,
+            PointQuery: _BestSensorBlock,
+            MultiSensorPointQuery: _TopKBlock,
+            SpatialAggregateQuery: _CoverageBlock,
+            TrajectoryQuery: _CoverageBlock,
+            EventSlotQuery: _EventBlock,
         }
-        for state in (q.new_state() for q in queries):
-            cls = type(state)
-            columns = [np.flatnonzero(relevance_row(state.query, roster))]
-            assert type(cls.block([state], roster, columns)) is natives[cls], cls.__name__
+        for query in every_type_queries(rng, copies=1, side=20.0):
+            cls = type(query)
+            assert type(member_block(query, roster)) is natives[cls], cls.__name__
 
     @pytest.mark.parametrize("seed", range(3))
     def test_generic_block_is_honoured_end_to_end(self, seed):
-        """A valuation state that declares the generic ``GainBlock`` is
-        evaluated through its own scalar ``gain``."""
+        """An aggregate type that redefines ``value`` is evaluated through
+        the generic ``GainBlock`` over its own ``value`` and allocates like
+        the scalar oracle on the generic state."""
         calls = []
 
-        class ScalarTracingState(_CoverageState):
-            def gain(self, snapshot):
-                calls.append(snapshot.sensor_id)
-                return super().gain(snapshot)
-
-            @classmethod
-            def block(cls, states, roster, columns):
-                return GainBlock(states, roster)
-
         class ScalarTracingAggregate(SpatialAggregateQuery):
-            def new_state(self):
-                return ScalarTracingState(self)
+            def value(self, snapshots):
+                calls.append(len(snapshots))
+                return super().value(snapshots)
 
         rng = np.random.default_rng(7000 + seed)
         sensors = random_sensors(rng, n=60, side=40.0)
@@ -445,19 +435,13 @@ class TestBlockProtocol:
             )
             for i in range(3)
         ]
-        plain = [
-            SpatialAggregateQuery(
-                sub, budget=45.0, sensing_range=7.0, coverage_radius=3.5,
-                query_id=f"trace-{i}",
-            )
-            for i in range(3)
-        ]
+        roster = SensorRoster(sensors)
+        assert type(member_block(traced, roster)) is GainBlock
         fused = GreedyAllocator().allocate(traced, sensors)
-        assert calls, "the generic block never called the scalar gain"
-        reference = GreedyAllocator().allocate(plain, sensors)
-        # Aggregate scalar and batch gains share one arithmetic path, so
-        # the traced slot must still allocate identically.
+        assert calls, "the generic block never called the query's value"
+        reference = ScalarGreedyAllocator().allocate(traced, sensors)
         assert_allocations_identical(fused, reference)
+        assert fused.selected
 
 
 # ----------------------------------------------------------------------
@@ -508,14 +492,16 @@ def kernel_or_plain_roster(sensors, on_kernel):
 
 
 def assert_block_tracks_commits(rng, queries, roster, before_first, per_call):
-    """Commit the roster's sensors in a random order and check, every
-    ``per_call`` commits after the first ``before_first``, that the fused
-    block's gains over all live relevant pairs are ``==`` the per-member
-    oracle ``gain_many``.  Returns the relevance rows."""
-    states = [q.new_state() for q in queries]
+    """Commit the roster's sensors in a random order, to the fused block and
+    to the scalar oracle states, and check, every ``per_call`` commits after
+    the first ``before_first``, that the block's gains over all live
+    relevant pairs are ``==`` the per-member oracle ``gain_many``.  Every
+    commit must realize the oracle state's gain and value exactly.  Returns
+    the relevance rows."""
+    states = [new_state(q) for q in queries]
     rows = [row_gains(state, roster) for state in states]
     relevant = [relevance_row(q, roster) for q in queries]
-    block = type(states[0]).block(states, roster, [np.flatnonzero(r) for r in relevant])
+    block = member_block(queries, roster)
     assert type(block) is _CoverageBlock
     alive = np.ones(roster.n_sensors, dtype=bool)
 
@@ -533,10 +519,11 @@ def assert_block_tracks_commits(rng, queries, roster, before_first, per_call):
         check()
     for step, j in enumerate(order):
         # Commit to every member that finds the sensor relevant, plus
-        # (sometimes) one that does not: ``add`` still counts it.
+        # (sometimes) one that does not: eq. (5)'s mean still counts it.
         for p, state in enumerate(states):
             if relevant[p][j] or rng.random() < 0.2:
-                state.add(roster.snapshots[j])
+                assert block.commit(p, j) == state.add(roster.snapshots[j])
+                assert block.values[p] == state.value
         alive[j] = False
         done = step + 1
         if done >= before_first and (done - before_first) % per_call == 0:
@@ -630,7 +617,7 @@ def test_row_builder_candidates_are_one_box_row_per_sensor():
 
 def test_covered_cell_reads_are_a_fifth_of_the_regather(monkeypatch):
     """On a region_agg-shaped slot the block's covered-cell reads (the
-    transpose entries it visits while syncing) are at most a fifth of the
+    transpose entries its commits visit) are at most a fifth of the
     covered cells of every evaluated pair's row, which is what re-gathering
     the rows on each call reads."""
     spec = region_agg_shaped_spec()
@@ -638,11 +625,11 @@ def test_covered_cell_reads_are_a_fifth_of_the_regather(monkeypatch):
     init = _CoverageBlock.__init__
     gain_many_block = _CoverageBlock.gain_many_block
 
-    def traced_init(self, states, roster, columns):
-        init(self, states, roster, columns)
-        row_len = np.zeros((len(states), roster.n_sensors), np.int64)
-        for p, (state, rel_idx) in enumerate(zip(states, columns)):
-            indptr, _ = self.coverage_rows(state.query, rel_idx)
+    def traced_init(self, queries, roster, columns):
+        init(self, queries, roster, columns)
+        row_len = np.zeros((len(queries), roster.n_sensors), np.int64)
+        for p, (query, rel_idx) in enumerate(zip(queries, columns)):
+            indptr, _ = self.coverage_rows(query, rel_idx)
             row_len[p, rel_idx] = np.diff(indptr)
         self.regathered = 0
         self.row_len = row_len
@@ -656,7 +643,7 @@ def test_covered_cell_reads_are_a_fifth_of_the_regather(monkeypatch):
     monkeypatch.setattr(_CoverageBlock, "gain_many_block", traced_gain_many_block)
     engine = spec.build()
     engine.step(SimulationSummary())
-    assert len(blocks) == 1 and len(blocks[0].states) == 24
+    assert len(blocks) == 1 and len(blocks[0].queries) == 24
     block = blocks[0]
     assert block.cells_read > 0
     assert 5 * block.cells_read <= block.regathered

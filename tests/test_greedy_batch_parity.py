@@ -1,5 +1,6 @@
-"""Gain-path parity: block and per-row gains vs scalar ``gain``, and the
-vectorized greedy vs the scalar reference path.
+"""Gain-path parity: block and per-row gains vs the scalar oracle states'
+``gain`` as both grow by the same commits, and the vectorized greedy vs
+the scalar reference path.
 
 Tolerances follow the documented numerics: the aggregate/trajectory gain
 block and per-row oracle replicate the scalar operation sequence exactly
@@ -17,6 +18,7 @@ from helpers import (
     block_gains,
     make_point_query,
     make_snapshot,
+    member_block,
     relevance_row,
     sequential_mix,
 )
@@ -24,6 +26,7 @@ from oracles import (
     DenseGreedyAllocator,
     ScalarGreedyAllocator,
     dense_single_values,
+    new_state,
     row_gains,
 )
 from repro.core import (
@@ -91,7 +94,8 @@ def queries_of_every_type(rng):
 
 class TestPerPairGainParity:
     """Gain blocks (on relevant pairs) and the per-row oracle (on every
-    pair) must agree with scalar ``gain``."""
+    pair) must agree with the oracle state's scalar ``gain`` while the
+    block and the state take the same commits."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("query_index", range(5))
@@ -101,17 +105,20 @@ class TestPerPairGainParity:
         query = queries_of_every_type(rng)[query_index]
         roster = SensorRoster(sensors)
         relevant = np.flatnonzero(relevance_row(query, roster))
-        state = query.new_state()
+        state = new_state(query)
+        block = member_block(query, roster)
         # Compare on the empty state and as the selected set grows.
         commit_order = rng.permutation(len(sensors))[:3]
         for step in range(len(commit_order) + 1):
             want = np.array([state.gain(s) for s in sensors])
             got = row_gains(state, roster).gain_many(roster.all_indices)
             assert got == pytest.approx(want, **ULP_TOLERANCE)
-            got = block_gains(state, roster, relevant)
+            got = block_gains(block, relevant)
             assert got == pytest.approx(want[relevant], **ULP_TOLERANCE)
             if step < len(commit_order):
-                state.add(sensors[commit_order[step]])
+                j = int(commit_order[step])
+                assert block.commit(0, j) == state.add(sensors[j])
+                assert block.values[0] == state.value
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gain_many_respects_arbitrary_index_subsets(self, seed):
@@ -119,14 +126,16 @@ class TestPerPairGainParity:
         sensors = random_sensors(rng)
         roster = SensorRoster(sensors)
         for query in queries_of_every_type(rng):
-            state = query.new_state()
+            state = new_state(query)
+            block = member_block(query, roster)
             state.add(sensors[0])
+            block.commit(0, 0)
             subset = np.asarray(sorted(rng.permutation(len(sensors))[:7]), dtype=np.intp)
             want = np.array([state.gain(sensors[j]) for j in subset])
             got = row_gains(state, roster).gain_many(subset)
             assert got == pytest.approx(want, **ULP_TOLERANCE)
             relevant = relevance_row(query, roster)[subset]
-            got = block_gains(state, roster, subset[relevant])
+            got = block_gains(block, subset[relevant])
             assert got == pytest.approx(want[relevant], **ULP_TOLERANCE)
 
     def test_point_rows_from_kernel_block_match(self):
@@ -146,9 +155,8 @@ class TestPerPairGainParity:
         roster = kernel.roster()
         every = roster.all_indices
         for i, query in enumerate(queries):
-            state = query.new_state()
-            plain = row_gains(state, roster).gain_many(every)
-            plain_block = block_gains(state, roster, every)
+            plain = row_gains(new_state(query), roster).gain_many(every)
+            plain_block = block_gains(member_block(query, roster), every)
             assert np.array_equal(plain_block, block[i])
             assert np.array_equal(plain_block, plain)
 

@@ -5,7 +5,9 @@ only on the ``(member_idx, indices)`` pairs they are asked about.  Their
 gains must be ``==`` the roster-wide dense rows of ``tests/oracles.py``
 (``BestSensorRows``, ``TopKRows``, ``EventRows``) read at the same columns,
 whatever the pair list holds: irrelevant columns, repeated columns,
-members in any order, members left out, and states with 0–3 commits.
+members in any order, members left out, and members with 0–3 commits.
+Each commit goes through the block and through the oracle state the rows
+read, and both must realize the same gain and value.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import make_snapshot, relevance_row
-from oracles import BestSensorRows, EventRows, TopKRows
+from helpers import make_snapshot, member_block, relevance_row
+from oracles import BestSensorRows, EventRows, TopKRows, new_state
 from repro.core import ValuationKernel
 from repro.queries import EventSlotQuery, MultiSensorPointQuery, PointQuery, SensorRoster
 from repro.queries.event import _EventBlock
@@ -136,9 +138,9 @@ def test_block_gains_equal_the_dense_rows(kind, seed, on_kernel):
     sensors = random_sensors(rng)
     roster = make_roster(rng, sensors, on_kernel)
     queries = make_queries(rng)
-    states = [q.new_state() for q in queries]
+    states = [new_state(q) for q in queries]
     relevant = [relevance_row(q, roster) for q in queries]
-    block = type(states[0]).block(states, roster, [np.flatnonzero(r) for r in relevant])
+    block = member_block(queries, roster)
     assert type(block) is block_cls
     rows = [row_cls(state, roster) for state in states]
     saw_irrelevant = saw_repeat = False
@@ -154,8 +156,9 @@ def test_block_gains_equal_the_dense_rows(kind, seed, on_kernel):
         assert np.array_equal(got, want)
         saw_irrelevant |= bool((~np.stack(relevant)[member_idx, indices]).any())
         saw_repeat |= len(set(zip(member_idx.tolist(), indices.tolist()))) < len(indices)
-        snapshot = roster.snapshots[int(rng.integers(roster.n_sensors))]
-        for state in states:
+        j = int(rng.integers(roster.n_sensors))
+        for u, state in enumerate(states):
             if rng.random() < 0.6:
-                state.add(snapshot)
+                assert block.commit(u, j) == state.add(roster.snapshots[j])
+                assert block.values[u] == state.value
     assert saw_irrelevant and saw_repeat

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_snapshot
+from helpers import block_gains, make_snapshot, member_block, relevance_row
 from repro.queries import (
     QueryType,
+    SensorRoster,
     SpatialAggregateQuery,
     TrajectoryQuery,
     sensor_quality,
@@ -95,12 +96,15 @@ class TestSpatialAggregateQuery:
             )
             for i in range(12)
         ]
-        state = query.new_state()
-        for s in snaps:
-            gain = state.gain(s)
-            realized = state.add(s)
-            assert gain == pytest.approx(realized, abs=1e-9)
-        assert state.value == pytest.approx(query.value(snaps), abs=1e-9)
+        roster = SensorRoster(snaps)
+        block = member_block(query, roster)
+        relevant = relevance_row(query, roster)
+        for j in range(len(snaps)):
+            gain = block_gains(block, [j])[0] if relevant[j] else None
+            realized = block.commit(0, j)
+            if gain is not None:
+                assert gain == pytest.approx(realized, abs=1e-9)
+        assert block.values[0] == pytest.approx(query.value(snaps), abs=1e-9)
 
     def test_coverage_radius_separate_from_sensing_range(self):
         wide = agg(sensing_range=5.0)
@@ -152,10 +156,10 @@ class TestTrajectoryQuery:
     def test_incremental_state(self):
         query = self._query()
         snaps = [make_snapshot(i, x=4.0 * i, y=0.5) for i in range(5)]
-        state = query.new_state()
-        for s in snaps:
-            assert state.gain(s) == pytest.approx(state.add(s), abs=1e-9)
-        assert state.value == pytest.approx(query.value(snaps), abs=1e-9)
+        block = member_block(query, SensorRoster(snaps))
+        for j in range(len(snaps)):
+            assert block_gains(block, [j])[0] == pytest.approx(block.commit(0, j), abs=1e-9)
+        assert block.values[0] == pytest.approx(query.value(snaps), abs=1e-9)
 
     def test_nearest_path_distance(self):
         query = self._query()

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_point_query, make_snapshot
-from repro.queries import MultiSensorPointQuery, PointQuery, QueryType, reading_quality
+from helpers import block_gains, make_point_query, make_snapshot, member_block
+from repro.queries import (
+    MultiSensorPointQuery,
+    PointQuery,
+    QueryType,
+    SensorRoster,
+    reading_quality,
+)
 from repro.spatial import Location
 
 
@@ -81,11 +87,11 @@ class TestPointQuery:
     def test_incremental_state_matches_value(self):
         query = make_point_query(budget=10.0)
         snaps = [make_snapshot(i, x=i * 0.7, y=0) for i in range(5)]
-        state = query.new_state()
-        for s in snaps:
-            gain = state.gain(s)
-            assert gain == pytest.approx(state.add(s))
-        assert state.value == pytest.approx(query.value(snaps))
+        block = member_block(query, SensorRoster(snaps))
+        for j in range(len(snaps)):
+            gain = block_gains(block, [j])[0]
+            assert gain == pytest.approx(block.commit(0, j))
+        assert block.values[0] == pytest.approx(query.value(snaps))
 
     def test_query_type_and_max_value(self):
         query = make_point_query(budget=17.0)

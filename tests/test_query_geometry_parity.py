@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from helpers import gridded_kernel, make_snapshot, relevance_row
-from oracles import DenseKernel, ScalarGreedyAllocator
+from oracles import DenseKernel, ScalarGreedyAllocator, new_state
 from repro.core import (
     BaselineAllocator,
     GreedyAllocator,
@@ -324,10 +324,10 @@ def region_heavy_slot(seed, n_sensors=140, side=60.0):
 
 class _ReferenceBaseline:
     """The historical sequential baseline: scalar ``relevant`` candidate
-    scans and a per-candidate Python pick loop over scalar ``state.gain``
-    calls — the executable reference the array-native allocator is pinned
-    against (region queries only; their gains are bit-identical between
-    the scalar and batch states)."""
+    scans and a per-candidate Python pick loop over the scalar oracle
+    states' ``gain`` calls — the executable reference the array-native
+    allocator is pinned against (region queries only; their gains are
+    bit-identical between the oracle states and the gain blocks)."""
 
     def __init__(self, min_gain: float = 1e-9) -> None:
         self.min_gain = min_gain
@@ -336,7 +336,7 @@ class _ReferenceBaseline:
         result = AllocationResult()
         paid: set[int] = set()
         for query in queries:
-            state = query.new_state()
+            state = new_state(query)
             candidates = [s for s in sensors if query.relevant(s)]
             chosen: set[int] = set()
             while True:

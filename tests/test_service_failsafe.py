@@ -1,9 +1,8 @@
 """A slot whose engine step raises must not take the service down or
 corrupt its admission trace.
 
-The poison is a point query whose realized gain drifts from its batch
-gain (the greedy allocator's drift guard raises on it), priced so that it
-wins a sensor.  The failed tick records its drained queries as
+The poison is a point query whose gain block raises ``RuntimeError`` on
+commit, priced so that it wins a sensor.  The failed tick records its drained queries as
 ``slot_failed``, counts the failure by error class, and leaves nothing in
 the replayed slots; the fleet has not advanced, so the next tick re-runs
 the same clock and the offline replay still matches the live signatures.
@@ -19,8 +18,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import StreamSpec
-from repro.queries import PointQuery
-from repro.queries.point import _BestSensorState
+from repro.queries import GainBlock, PointQuery
 from repro.service import (
     SLOT_FAILED,
     MarketplaceService,
@@ -29,16 +27,17 @@ from repro.service import (
 from test_service_marketplace import make_spec
 
 
-class _DriftingState(_BestSensorState):
-    def add(self, snapshot):
-        return super().add(snapshot) + 1.0
+class _PoisonBlock(GainBlock):
+    def commit(self, member, column):
+        raise RuntimeError("poisoned commit")
 
 
 class PoisonQuery(PointQuery):
-    """A point query whose realized marginal gain drifts by +1."""
+    """A point query whose gain block refuses every commit."""
 
-    def new_state(self):
-        return _DriftingState(self)
+    @classmethod
+    def gain_block(cls, queries, roster, columns):
+        return _PoisonBlock(queries, roster)
 
 
 SPECS = {
@@ -88,7 +87,7 @@ def test_poisoned_slot_fails_alone_and_replay_still_agrees(name):
     clock = service.tick
     seqs = submit_draw(service, clock, rng)
     seqs.append(service.submit(poison(service, rng)).seq)
-    with pytest.raises(RuntimeError, match="marginal gain drifted"):
+    with pytest.raises(RuntimeError, match="poisoned commit"):
         service.tick_once()
 
     # The drained queries are recorded as failed, not lost or replayed.

@@ -59,6 +59,7 @@ from repro.queries import (
     TrajectoryQuery,
 )
 from repro.spatial import Location, Region, Trajectory
+from repro.spatial.index import UniformGridIndex
 
 CELL_SIZES = [0.75, 2.5, 6.0, 50.0]  # fine cells ... one-cell degenerate
 
@@ -217,6 +218,17 @@ class TestKernelParity:
         assert resolve_cell_size(np.array([[3.0, 3.0]])) == 1.0
         colinear = np.stack([np.arange(50.0), np.full(50, 2.0)], axis=1)
         assert resolve_cell_size(colinear) > 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tiny", [2.2e-311, 5e-324, 1e-300, 1e-160])
+    def test_heuristic_cell_keeps_near_degenerate_grids_small(self, tiny):
+        """One side only ulps wide must not shrink the cell towards zero:
+        no axis gets more cells than there are sensors."""
+        xy = np.array([[0.0, tiny], [1.0, 0.0], [0.5, 0.0]])
+        index = UniformGridIndex(xy, resolve_cell_size(xy))
+        assert index.n_cols <= len(xy) + 1 and index.n_rows <= len(xy) + 1
+        every = index.indices_in_cell_range(0, index.n_cols, 0, index.n_rows)
+        assert np.array_equal(np.sort(every), np.arange(len(xy)))
 
     def test_ensure_reuses_matching_sharded_kernel(self):
         rng = np.random.default_rng(3)
