@@ -507,7 +507,7 @@ def test_batch_cold_slot_speedup():
     # Identical stacked arrays first (also warms both paths).
     a, b = batch_path(), object_path()
     assert np.array_equal(a.sensor_xy, b.sensor_xy)
-    assert np.array_equal(a.costs, b.costs)
+    assert np.array_equal(a.sensors.costs, b.sensors.costs)
     assert np.array_equal(a.gamma, b.gamma)
     assert np.array_equal(a.trust, b.trust)
     assert [s.sensor_id for s in b.sensors] == list(a.sensors.ids)

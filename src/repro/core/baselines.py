@@ -51,18 +51,14 @@ class BaselineAllocator:
 
     Args:
         min_gain: numerical floor for treating a marginal as positive.
-        share_colocated: give a selected sensor to every other point query
-            at the same location for free (the paper's point baseline does;
-            disable to measure how much that sharing contributes).
     """
 
     name = "Baseline"
 
-    def __init__(self, min_gain: float = 1e-9, share_colocated: bool = True) -> None:
+    def __init__(self, min_gain: float = 1e-9) -> None:
         if min_gain < 0:
             raise ValueError("min_gain must be non-negative")
         self.min_gain = min_gain
-        self.share_colocated = share_colocated
 
     def allocate(
         self,
@@ -89,10 +85,9 @@ class BaselineAllocator:
         answered: set[str] = set()
         # Point queries by queried location, each group in query order.
         colocated: dict[Location, list[PointQuery]] = {}
-        if self.share_colocated:
-            for query in queries:
-                if isinstance(query, PointQuery):
-                    colocated.setdefault(query.location, []).append(query)
+        for query in queries:
+            if isinstance(query, PointQuery):
+                colocated.setdefault(query.location, []).append(query)
 
         for i, query in enumerate(queries):
             if query.query_id in answered:

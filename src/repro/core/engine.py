@@ -20,8 +20,8 @@ and delegates everything family-specific to pluggable
 
 Each stream owns its arrivals, retirement, and quality accounting; the
 engine owns the clock, the announcements, the per-slot
-:class:`~repro.core.valuation.ValuationKernel` (built once and shared by
-every allocator consulted in the slot), the settlement invariants
+:class:`~repro.core.valuation.ValuationKernel` (built fresh every slot
+and shared by every allocator consulted in it), the settlement invariants
 (:meth:`~repro.core.allocation.AllocationResult.verify` on every settled
 ledger, after the monitoring streams' payment adjustments) and the
 :class:`~repro.core.metrics.SimulationSummary`.
@@ -536,8 +536,8 @@ class SequentialBufferedAllocation:
         # Stage-1 sensors are buffered: re-announce them at zero cost.  The
         # kernel stays valid — it never depends on announced prices — and
         # the repriced batch is a zero-copy cost view (only the selected
-        # rows change; identity arrays and token are shared), so the slot
-        # path stays free of per-sensor loops.
+        # rows change; identity arrays are shared), so the slot path stays
+        # free of per-sensor loops.
         stage2_sensors = sensors
         if stage1.selected:
             buffered = np.isin(
@@ -593,9 +593,8 @@ class SlotEngine:
     Every slot re-announces the fleet through
     :meth:`~repro.sensors.SensorFleet.announcements` (Section 2.1: sensors
     announce location and price at the start of every slot) and builds the
-    slot state — kernel, grid index, world raster — fresh from that batch,
-    unless the announcements are unchanged, when the previous slot's kernel
-    is reused as is.
+    slot state — kernel, grid index, coverage rows — fresh from that batch.
+    Nothing of it outlives the slot.
 
     Each :meth:`step` also records its phase wall-times in
     :attr:`last_timings` (``{phase: seconds}`` over :data:`PHASES`); setting
@@ -623,7 +622,6 @@ class SlotEngine:
         self.last_timings: dict[str, float] = {}
         self.last_result: AllocationResult | None = None
         self.last_record: SlotRecord | None = None
-        self._kernel: ValuationKernel | None = None
 
     def stream(self, kind: str) -> QueryStream:
         """The first stream of the given kind (raises ``KeyError`` if none)."""
@@ -660,13 +658,7 @@ class SlotEngine:
         t0 = time.perf_counter()
         sensors = self.fleet.announcements()
         t1 = time.perf_counter()
-        # Consecutive slots with unchanged announcements (stationary fleets,
-        # replayed traces with sleeping sensors) reuse the previous slot's
-        # kernel, warm grid index and candidate caches included: the batch's
-        # version stamp makes the check O(1) either way, and value matrices
-        # never depend on the announced costs that may still move.
-        kernel = ValuationKernel.ensure(self._kernel, sensors)
-        self._kernel = kernel
+        kernel = ValuationKernel.from_sensors(sensors)
         t2 = time.perf_counter()
         result = self.allocation.run(t, self.streams, sensors, kernel)
         self.last_result = result

@@ -157,9 +157,12 @@ def gain_setup(
     gains — and one vectorized ``relevant_mask`` pass per other query over
     its memoized candidate block.  Candidate columns are ascending, so
     every CSR row is too.  Every omitted pair is exactly zero/irrelevant,
-    so the result equals a full-fleet pass bit for bit.
+    so the result equals a full-fleet pass bit for bit.  A passed kernel is
+    used only when it covers ``sensors`` (:meth:`ValuationKernel.covers`);
+    otherwise the call builds its own.
     """
-    kernel = ValuationKernel.ensure(kernel, sensors)
+    if kernel is None or not kernel.covers(sensors):
+        kernel = ValuationKernel.from_sensors(sensors)
     n_queries, n_all = len(queries), len(sensors)
     plain_idx = [i for i, q in enumerate(queries) if type(q) is PointQuery]
     sparse_entries = kernel.sparse_single_values([queries[i] for i in plain_idx])
@@ -191,7 +194,7 @@ def gain_setup(
         + [np.arange(row_ptr[i], row_ptr[i + 1]) for i in plain_idx]
     )
     # Snapshots and costs come from the *passed* announcements — the
-    # kernel may be a reused one whose own snapshots carry stale prices.
+    # kernel may cover them at other prices (a zero-cost re-announcement).
     roster = kernel.roster(cols, sensors)
     return GainSetup(
         queries, roster, row_ptr, col_pos[world_cols], sensors.costs[cols],

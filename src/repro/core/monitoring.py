@@ -27,7 +27,6 @@ from ..queries import (
 )
 from ..sensors import AnnouncementBatch, SensorSnapshot
 from ..sensors.state import announcement_batch
-from ..spatial.raster import get_raster
 from .allocation import AllocationResult
 from .payments import redistribute_contribution
 from .sampling import SamplingPlan, paper_weight_function, plan_sampling
@@ -224,26 +223,11 @@ class RegionMonitoringController:
         sensors: AnnouncementBatch,
         t: int,
     ) -> dict[str, np.ndarray]:
-        """One in-region mask per active query over the stacked coordinates.
-
-        Containment is served from the slot's shared world raster
-        (:func:`~repro.spatial.raster.get_raster`), so repeated calls this
-        slot — and the allocator side, which shares the raster through the
-        kernel — pay one pass per (region, announcement batch) pair.
-        Plain containment is exactly ``relevant_mask``; subclasses that
-        override it keep the vectorized call.
-        """
-        xy = sensors.xy
-        raster = get_raster(sensors, xy)
-        masks: dict[str, np.ndarray] = {}
-        for q in queries:
-            if not q.active(t):
-                continue
-            if type(q) is RegionMonitoringQuery:
-                masks[q.query_id] = raster.contains_mask(q.region)
-                continue
-            masks[q.query_id] = q.relevant_mask(xy)
-        return masks
+        """One in-region mask per active query over the stacked coordinates
+        (:meth:`~repro.queries.RegionMonitoringQuery.relevant_mask`)."""
+        return {
+            q.query_id: q.relevant_mask(sensors.xy) for q in queries if q.active(t)
+        }
 
     @staticmethod
     def _counts_from_masks(

@@ -5,10 +5,11 @@
 ``gamma``, trust ``tau``) without copying them; a plain snapshot list is
 converted to a batch once, by
 :func:`~repro.sensors.state.announcement_batch`, when the kernel is built.
-Its reuse check compares batch tokens.  The engine builds one kernel per
-slot and hands it to whatever allocator runs, so Greedy, Baseline, the
-query-mix pipeline and the monitoring controllers share its grid and
-caches instead of rebuilding them per call.
+The engine builds one kernel per slot, from that slot's announcements, and
+hands it to whatever allocator runs, so Greedy, Baseline, the query-mix
+pipeline and the monitoring controllers share its grid and caches instead
+of rebuilding them per call.  The kernel lives for its slot: the next slot
+announces afresh and gets a kernel of its own.
 
 Relevance is resolved through *candidate views*.  Each query declares its
 reach through :meth:`~repro.queries.Query.reach_box` — ``location ± dmax``
@@ -41,6 +42,7 @@ every allocator sees the same value bits for every pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -51,7 +53,6 @@ from ..queries.point import pair_quality
 from ..sensors import SensorSnapshot
 from ..sensors.state import AnnouncementBatch, SnapshotColumnView, announcement_batch
 from ..spatial.index import UniformGridIndex
-from ..spatial.raster import WorldRaster, get_raster
 
 __all__ = [
     "ValuationKernel",
@@ -109,28 +110,17 @@ class ValuationKernel:
         sensor_xy: ``(n, 2)`` sensor coordinates.
         gamma: per-sensor inaccuracy ``gamma_s``.
         trust: per-sensor trust ``tau_s``.
-        costs: announced costs ``c_s`` (snapshot convenience only — values
-            and views never depend on cost, which is what lets a kernel be
-            reused across re-announcements that change prices only, e.g.
-            the sequential baseline's zero-cost buffering stage).
 
     The grid index and the per-cell-range candidate/gather caches are
     built lazily and memoized — a slot that never queries a neighbourhood
-    never pays for it.  They key on geometry only, which the
-    ``matches``/``ensure`` reuse protocol guarantees stable
-    (re-announcements may change costs, never positions), so a reused
-    kernel keeps them warm.
+    never pays for it, and queries resolving to the same cell range share
+    one gather.
     """
 
     sensors: AnnouncementBatch
     sensor_xy: np.ndarray
     gamma: np.ndarray
     trust: np.ndarray
-    costs: np.ndarray
-    #: the token of the batch the kernel was built from.
-    _stamp: tuple | None = field(default=None, repr=False, compare=False)
-    #: the slot's shared world raster over ``sensor_xy`` (lazy).
-    _raster: WorldRaster | None = field(default=None, repr=False, compare=False)
     #: grid bucketing of ``sensor_xy`` behind the candidate views (lazy).
     _index: UniformGridIndex | None = field(default=None, repr=False, compare=False)
     #: per cell range: sorted candidate columns.
@@ -146,55 +136,34 @@ class ValuationKernel:
         """A kernel over the announcements, converted once to a batch.
 
         The batch's stacked arrays are adopted as-is (no copy, no
-        per-sensor loop) and its token becomes the reuse stamp.  The
-        kernel treats them as frozen, as the batch does.
+        per-sensor loop); the kernel treats them as frozen, as the batch
+        does.  A fleet whose coordinate extent overflows a float is
+        refused: its grid offsets ``x - x_min`` would be infinite.
         """
         batch = announcement_batch(sensors)
-        return cls(
-            batch, batch.xy, batch.gamma, batch.trust, batch.costs, _stamp=batch.token
+        if len(batch):
+            (x0, y0), (x1, y1) = batch.xy.min(axis=0).tolist(), batch.xy.max(axis=0).tolist()
+            if math.isinf(x1 - x0) or math.isinf(y1 - y0):
+                raise ValueError(
+                    f"sensor extent overflows a float: x in [{x0}, {x1}], y in [{y0}, {y1}]"
+                )
+        return cls(batch, batch.xy, batch.gamma, batch.trust)
+
+    def covers(self, sensors: AnnouncementBatch) -> bool:
+        """Whether ``sensors`` are the kernel's announcements: its own batch,
+        or one with equal ids, coordinates, inaccuracy and trust (prices may
+        differ; :meth:`~repro.sensors.AnnouncementBatch.with_costs` shares
+        all four arrays, so identity answers without a compare)."""
+        own = self.sensors
+        return sensors is own or all(
+            a is b or np.array_equal(a, b)
+            for a, b in (
+                (sensors.ids, own.ids),
+                (sensors.xy, own.xy),
+                (sensors.gamma, own.gamma),
+                (sensors.trust, own.trust),
+            )
         )
-
-    @classmethod
-    def ensure(
-        cls,
-        kernel: "ValuationKernel | None",
-        sensors: Sequence[SensorSnapshot],
-    ) -> "ValuationKernel":
-        """Reuse ``kernel`` when it covers exactly ``sensors``, else build.
-
-        Compatibility means identical sensor ids, positions, inaccuracy and
-        trust in identical column order; announced costs may differ (the
-        sequential mix baseline re-announces stage-1 sensors at zero cost,
-        and slot-to-slot reuse survives pure price moves) — consumers must
-        treat :attr:`costs` as a build-time snapshot, never as settlement
-        truth.  Any other batch gets a fresh kernel, whose grid index and
-        raster are built lazily on first use.
-        """
-        sensors = announcement_batch(sensors)
-        if kernel is not None and kernel.matches(sensors):
-            # Rebind to the current announcements: identity attributes are
-            # equal by the match, and rebinding restores the O(1) ``is``
-            # fast path for every later check this slot (the kernel
-            # otherwise stays pinned to the *previous* slot's batch after a
-            # cross-slot reuse and pays a token compare per consumer).
-            kernel.sensors = sensors
-            return kernel
-        return cls.from_sensors(sensors)
-
-    def matches(self, sensors: Sequence[SensorSnapshot]) -> bool:
-        """Whether the kernel covers exactly these announcements.
-
-        Allocators call this on every ``allocate``; when they are handed
-        the very batch the slot kernel was built from (the engine's normal
-        path) the identity check answers immediately.  Otherwise the batch
-        tokens decide: a fleet's stamps compare in O(1) — equal stamps
-        guarantee identical announcement identity, and unequal stamps mean
-        the producing fleet state actually changed or the producers are
-        different fleets — and converted snapshot lists compare their
-        ``(id, x, y, gamma, trust)`` rows.
-        """
-        sensors = announcement_batch(sensors)
-        return sensors is self.sensors or sensors.token == self._stamp
 
     # ------------------------------------------------------------------
     # shape
@@ -202,24 +171,6 @@ class ValuationKernel:
     @property
     def n_sensors(self) -> int:
         return len(self.sensors)
-
-    @property
-    def raster(self) -> WorldRaster:
-        """The slot's shared :class:`~repro.spatial.WorldRaster`.
-
-        Attached to the announcement batch (see
-        :func:`~repro.spatial.raster.get_raster`), so the kernel shares
-        one raster — and its cached
-        containment/coverage geometry — with every other consumer of that
-        batch this slot (monitoring controllers, other kernels).
-        Revalidated against :attr:`sensor_xy` by object identity, which
-        survives :meth:`ensure` rebinds (those keep the stacked arrays).
-        """
-        raster = self._raster
-        if raster is None or raster.xy is not self.sensor_xy:
-            raster = get_raster(self.sensors, self.sensor_xy)
-            self._raster = raster
-        return raster
 
     def roster(
         self,
@@ -231,11 +182,12 @@ class ValuationKernel:
 
         ``indices`` selects candidate columns in order (default: all).
         ``snapshots`` supplies the snapshot objects the roster should carry
-        — pass the slot's *current* announcement batch whenever the kernel
-        may be a reused one (cross-slot reuse, the sequential baseline's
-        zero-cost re-announcements): the identity attributes are guaranteed
-        equal by :meth:`matches`, but announced costs live only on the
-        current batch.
+        — pass the allocator's announcements whenever they are not the
+        kernel's own batch (an equal snapshot list, whose objects the
+        result must return, or the sequential baseline's zero-cost
+        re-announcement): :meth:`covers` guarantees the identity
+        attributes are equal, but announced costs live only on the passed
+        batch.
 
         Column subsets are carried as a lazy
         :class:`~repro.sensors.state.SnapshotColumnView`, so building a
@@ -245,18 +197,13 @@ class ValuationKernel:
         """
         source = self.sensors if snapshots is None else snapshots
         if indices is None:
-            roster = SensorRoster(source, self.sensor_xy, self.gamma, self.trust)
-        else:
-            picked = SnapshotColumnView(source, indices)
-            roster = SensorRoster(
-                picked,
-                self.sensor_xy[indices],
-                self.gamma[indices],
-                self.trust[indices],
-            )
-            roster.kernel_columns = np.asarray(indices, dtype=np.intp)
-        roster.raster = self.raster
-        return roster
+            return SensorRoster(source, self.sensor_xy, self.gamma, self.trust)
+        return SensorRoster(
+            SnapshotColumnView(source, indices),
+            self.sensor_xy[indices],
+            self.gamma[indices],
+            self.trust[indices],
+        )
 
     # ------------------------------------------------------------------
     # candidate views (the Q_{l_s} pre-filter)

@@ -38,20 +38,23 @@ class IntelScenario:
 
 
 @lru_cache(maxsize=8)
-def _cached_world(
-    seed: int, n_sensors: int, n_slots: int, training_fraction: float
-) -> tuple[MobilityTrace, CorrelatedField, GaussianProcessField]:
+def _cached_field(
+    seed: int, training_fraction: float
+) -> tuple[CorrelatedField, GaussianProcessField]:
     field_rng = np.random.default_rng(seed)
     field = CorrelatedField(field_rng, region=INTEL_LAB_REGION)
     locations, values = field.training_sample(training_fraction, field_rng)
     hyper = fit_hyperparameters(locations, values)
-    gp = GaussianProcessField(hyper.kernel(), noise=hyper.noise)
+    return field, GaussianProcessField(hyper.kernel(), noise=hyper.noise)
+
+
+@lru_cache(maxsize=8)
+def _cached_trace(seed: int, n_sensors: int, n_slots: int) -> MobilityTrace:
     mob_rng = np.random.default_rng(seed + 7)
     mobility = RandomWaypointMobility(
         INTEL_LAB_REGION, n_sensors, mob_rng, max_speed_choices=(2.0, 3.0)
     )
-    trace = MobilityTrace.from_frames(INTEL_LAB_REGION, mobility.run(n_slots))
-    return trace, field, gp
+    return MobilityTrace.from_frames(INTEL_LAB_REGION, mobility.run(n_slots))
 
 
 def build_intel_scenario(
@@ -60,9 +63,16 @@ def build_intel_scenario(
     n_slots: int = 50,
     training_fraction: float = 0.5,
     fleet_config: FleetConfig | None = None,
+    trace: MobilityTrace | None = None,
 ) -> IntelScenario:
-    """Paper defaults: 30 imaginary mobile sensors over the 20x15 field."""
-    trace, field, gp = _cached_world(seed, n_sensors, n_slots, training_fraction)
+    """Paper defaults: 30 imaginary mobile sensors over the 20x15 field.
+
+    ``trace`` replaces the recorded random-waypoint trace (which is then
+    never built); it should move over ``INTEL_LAB_REGION``.
+    """
+    field, gp = _cached_field(seed, training_fraction)
+    if trace is None:
+        trace = _cached_trace(seed, n_sensors, n_slots)
     scenario = Scenario(
         name="INTEL",
         trace=trace,

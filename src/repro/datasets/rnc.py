@@ -43,9 +43,15 @@ def build_rnc_scenario(
     target_presence: float = 120.0,
     n_slots: int = 50,
     fleet_config: FleetConfig | None = None,
+    trace: MobilityTrace | None = None,
 ) -> Scenario:
-    """Paper defaults: 635 sensors, ~120 present per slot, 50 slots."""
-    trace = _cached_trace(seed, n_sensors, target_presence, n_slots)
+    """Paper defaults: 635 sensors, ~120 present per slot, 50 slots.
+
+    ``trace`` replaces the synthesized campaign trace (which is then never
+    built); it should move over :data:`~repro.mobility.PAPER_RNC_REGION`.
+    """
+    if trace is None:
+        trace = _cached_trace(seed, n_sensors, target_presence, n_slots)
     return Scenario(
         name="RNC",
         trace=trace,

@@ -22,18 +22,22 @@ def build_rwm_scenario(
     n_sensors: int = 200,
     n_slots: int = 50,
     fleet_config: FleetConfig | None = None,
+    trace: MobilityTrace | None = None,
 ) -> Scenario:
     """Paper defaults: 200 sensors, 50 slots, fixed energy cost, zero PSL.
 
     The random-waypoint walk is kept as its recipe (seeded from ``seed``):
     building the scenario runs nothing, and each fleet replays the walk
-    one slot at a time.
+    one slot at a time.  ``trace`` replaces the walk; it should move over
+    :data:`RWM_REGION`.
     """
+    if trace is None:
+        trace = MobilityTrace.generated(
+            RandomWaypointMobility, RWM_REGION, n_sensors, n_slots, seed
+        )
     return Scenario(
         name="RWM",
-        trace=MobilityTrace.generated(
-            RandomWaypointMobility, RWM_REGION, n_sensors, n_slots, seed
-        ),
+        trace=trace,
         working_region=RWM_WORKING_REGION,
         fleet_config=fleet_config if fleet_config is not None else FleetConfig(),
         fleet_seed=seed + 1,

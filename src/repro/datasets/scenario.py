@@ -438,12 +438,16 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     # compilation
     # ------------------------------------------------------------------
-    def _override_trace(self, region: Region) -> MobilityTrace:
-        """The ``mobility`` block's generated churn trace over ``region``."""
-        from ..mobility import ChurnMobility
+    def _override_trace(self) -> MobilityTrace:
+        """The ``mobility`` block's generated churn trace over the dataset's
+        movement region (the native trace is never built)."""
+        from ..mobility import PAPER_RNC_REGION, ChurnMobility
+        from ..phenomena import INTEL_LAB_REGION
+        from .rwm import RWM_REGION
 
+        region = {"rwm": RWM_REGION, "rnc": PAPER_RNC_REGION, "intel": INTEL_LAB_REGION}
         return MobilityTrace.generated(
-            ChurnMobility, region, self.n_sensors, self.n_slots, self.seed,
+            ChurnMobility, region[self.dataset], self.n_sensors, self.n_slots, self.seed,
             fraction=float(self.mobility.get("fraction", 0.01)),
         )
 
@@ -482,24 +486,23 @@ class ScenarioSpec:
                 fleet_overrides[key] = tuple(value)
         fleet_config = FleetConfig(**fleet_overrides) if fleet_overrides else None
         gp = None
+        trace = None if self.mobility is None else self._override_trace()
         if self.dataset == "rwm":
             scenario = build_rwm_scenario(
-                self.seed, self.n_sensors, self.n_slots, fleet_config=fleet_config
+                self.seed, self.n_sensors, self.n_slots, fleet_config=fleet_config,
+                trace=trace,
             )
         elif self.dataset == "rnc":
             scenario = build_rnc_scenario(
                 self.seed, self.n_sensors, self.rnc_presence, self.n_slots,
-                fleet_config=fleet_config,
+                fleet_config=fleet_config, trace=trace,
             )
         else:
             world = build_intel_scenario(
-                self.seed, self.n_sensors, self.n_slots, fleet_config=fleet_config
+                self.seed, self.n_sensors, self.n_slots, fleet_config=fleet_config,
+                trace=trace,
             )
             scenario, gp = world.scenario, world.gp
-        if self.mobility is not None:
-            scenario = replace(
-                scenario, trace=self._override_trace(scenario.trace.region)
-            )
 
         region = scenario.working_region
         ozone = None

@@ -16,12 +16,13 @@ trajectory is specified" (Section 2.2.3); :class:`TrajectoryQuery` performs
 that reduction with a corridor coverage function.
 
 The greedy state of a slot's aggregate and trajectory queries lives in one
-:class:`_CoverageBlock`, built from the shared
-:class:`~repro.spatial.raster.WorldRaster` covered-cell CSR rows — no
-per-query mask matrices at all.  Per (member, sensor) it keeps the count of
-still-uncovered cells, and a commit decrements those counts straight from
-the winner's CSR row.  The counts are exact integers, so a pair's gain is
-one count lookup plus the eq.-(5) arithmetic, in the operation order of
+:class:`_CoverageBlock`, built from
+:class:`~repro.spatial.raster.WorldRaster` covered-cell CSR rows over the
+roster's coordinates — no per-query mask matrices at all.  Per (member,
+sensor) it keeps the count of still-uncovered cells, and a commit
+decrements those counts straight from the winner's CSR row.  The counts
+are exact integers, so a pair's gain is one count lookup plus the
+eq.-(5) arithmetic, in the operation order of
 :meth:`SpatialAggregateQuery.value`.
 """
 
@@ -120,11 +121,7 @@ class _CoverageBlock(GainBlock):
         self._cell_ptr: list[np.ndarray] = []
         self._cell_cols: list[np.ndarray] = []
         self.cells_read = 0
-        # Rosters cut from a kernel carry the slot raster, keyed in world
-        # columns; any other roster gets a raster over its own coordinates.
-        self._raster, self._world_cols = roster.raster, roster.kernel_columns
-        if self._raster is None:
-            self._raster, self._world_cols = WorldRaster(roster.xy), None
+        self._raster = WorldRaster(roster.xy)
         for p, (query, rel_idx) in enumerate(zip(self.queries, self._columns)):
             indptr, cells = self.coverage_rows(query, rel_idx)
             lens = np.diff(indptr)
@@ -148,12 +145,10 @@ class _CoverageBlock(GainBlock):
     ) -> tuple[np.ndarray, np.ndarray]:
         """CSR covered-cell rows of ``query`` over the roster columns ``rel_idx``.
 
-        Read through the raster's shared cache; the row memberships are
-        exactly the dense coverage masks' ``True`` positions (see
-        :mod:`repro.spatial.raster`).
+        The row memberships are exactly the dense coverage masks' ``True``
+        positions (see :mod:`repro.spatial.raster`).
         """
-        cols = rel_idx if self._world_cols is None else self._world_cols[rel_idx]
-        return self._raster.coverage_rows(query.coverage, cols)
+        return self._raster.coverage_rows(query.coverage, rel_idx)
 
     def gain_many_block(
         self, member_idx: np.ndarray, indices: np.ndarray

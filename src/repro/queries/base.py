@@ -24,7 +24,7 @@ evaluates ``v_q(S + s) - v_q(S)`` through :meth:`Query.value`, which keeps
 arbitrary user-provided valuation functions correct.  The built-in query
 types return stacked closed forms (eq. (4) evaluated on exactly the
 requested pairs for the point-flavoured types, covered-cell counts over
-the slot raster's CSR rows for the coverage types).  Both allocators
+CSR covered-cell rows of the roster for the coverage types).  Both allocators
 (Greedy and the sequential baseline) reach gains and commits through
 these blocks only.
 
@@ -131,14 +131,6 @@ class SensorRoster:
         xy: ``(n, 2)`` candidate coordinates.
         gamma: per-candidate inaccuracy ``gamma_s``.
         trust: per-candidate trust ``tau_s``.
-        raster: optional :class:`~repro.spatial.WorldRaster` of the slot
-            the roster was cut from — kernels attach it so gain blocks
-            share the slot's cached coverage rows and containment passes
-            instead of re-rasterizing per query.
-        kernel_columns: when the roster is a column subset of a kernel,
-            the kernel (world) column index of each roster column —
-            ``None`` means the identity mapping.  Raster caches are keyed
-            in world columns, so gain blocks translate through this.
     """
 
     def __init__(
@@ -155,8 +147,6 @@ class SensorRoster:
         self.xy = xy
         self.gamma = gamma
         self.trust = trust
-        self.raster = None
-        self.kernel_columns: np.ndarray | None = None
 
     @property
     def n_sensors(self) -> int:

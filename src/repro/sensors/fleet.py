@@ -206,8 +206,7 @@ class SensorFleet:
         lifetime rule).  One vectorized pass builds the in-region +
         non-exhausted mask, the eq.-8 prices and the announcement arrays;
         the returned :class:`AnnouncementBatch` is also a lazy
-        ``Sequence[SensorSnapshot]`` for object-path consumers and carries
-        the O(1) identity token kernels use for reuse checks.
+        ``Sequence[SensorSnapshot]`` for object-path consumers.
         """
         self._refresh_positions()
         return self._state.announce(self._clock, self._working_region)

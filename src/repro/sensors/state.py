@@ -26,29 +26,22 @@ This module replaces the object walk with structure-of-arrays state:
 
 :class:`AnnouncementBatch`
     One slot's announcements as array slices (ids, coordinates, eq.-8
-    costs, ``gamma``, ``tau``) plus an O(1) identity token derived from the
-    state's version stamps.  It is the one announcement type: allocators,
-    the valuation kernel, rosters and controllers read its arrays, and
-    :func:`announcement_batch` converts any other announcement input (a
-    plain list of :class:`SensorSnapshot`) once at the entry point.  The
-    batch is also a lazy ``Sequence[SensorSnapshot]`` — consumers that
-    index or iterate get per-row snapshot objects materialized (and
-    cached) on demand, so only the sensors an allocation actually selects
-    ever become objects.
+    costs, ``gamma``, ``tau``).  It is the one announcement type:
+    allocators, the valuation kernel, rosters and controllers read its
+    arrays, and :func:`announcement_batch` converts any other announcement
+    input (a plain list of :class:`SensorSnapshot`) once at the entry
+    point.  The batch is also a lazy ``Sequence[SensorSnapshot]`` —
+    consumers that index or iterate get per-row snapshot objects
+    materialized (and cached) on demand, so only the sensors an allocation
+    actually selects ever become objects.
 
-Version stamps: the state bumps ``positions_version`` only when a position
-refresh actually changes coordinates and ``exhaustion_version`` only when a
-recording newly exhausts a sensor.  A batch token is
-``(uid, positions_version, exhaustion_version)`` — equal tokens therefore
-guarantee identical announcement *identity* (ids, positions, gamma, trust;
-announced costs are deliberately excluded), which is what lets a
-:class:`~repro.core.valuation.ValuationKernel` answer its reuse check in
-O(1) instead of comparing per-sensor tuples.
+A batch describes one slot only.  The fleet re-announces every sensor at
+the start of every slot (Section 2.1), and every slot-level structure
+built from a batch (kernel, grid index, coverage rows) lives for that slot.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from typing import Iterator
 
@@ -64,10 +57,6 @@ __all__ = [
     "SnapshotColumnView",
     "announcement_batch",
 ]
-
-#: Distinguishes fleets (and therefore batch tokens) within one process.
-_state_uid = itertools.count()
-
 
 def announcement_batch(sensors) -> "AnnouncementBatch":
     """The one announcement type every consumer reads.
@@ -184,27 +173,13 @@ class FleetState:
         self._report_flags = np.zeros((n, self.privacy_window + 1))
         self._any_privacy = bool(np.any(self.sensitivity > 0.0))
         self.xy: np.ndarray | None = None
-        self.positions_version = 0
-        self.exhaustion_version = 0
-        self._uid = next(_state_uid)
 
     # ------------------------------------------------------------------
-    # shape / identity
+    # shape
     # ------------------------------------------------------------------
     @property
     def n_sensors(self) -> int:
         return len(self.gamma)
-
-    @property
-    def stamp(self) -> tuple:
-        """O(1) identity token of the current announcement *identity*.
-
-        Stable across cost-only changes (readings that do not exhaust,
-        privacy-history aging); bumped whenever positions actually move or
-        a sensor newly exhausts — exactly the attributes
-        an announcement token covers.
-        """
-        return ("fleet-state", self._uid, self.positions_version, self.exhaustion_version)
 
     # ------------------------------------------------------------------
     # mutation
@@ -212,12 +187,8 @@ class FleetState:
     def set_positions(self, xy: np.ndarray) -> None:
         """Refresh the per-sensor positions (copied; ``(n, 2)``, finite).
 
-        The positions version is bumped only when coordinates actually
-        changed, so stationary fleets (and replayed traces holding their
-        final frame) keep their kernel-reuse token across slots.  A NaN or
-        infinite row is refused: it would never announce (every region
-        comparison is false) and, as NaN compares ``!=`` to itself, would
-        count as moved on every slot.
+        A NaN or infinite row is refused: it would never announce (every
+        region comparison is false).
         """
         xy = np.array(xy, dtype=float, copy=True)
         if xy.shape != (self.n_sensors, 2):
@@ -229,9 +200,7 @@ class FleetState:
             row = int(finite.argmin())
             x, y = xy[row].tolist()
             raise ValueError(f"positions must be finite, got row {row} ({x}, {y})")
-        if self.xy is None or (self.xy != xy).any():
-            self.xy = xy
-            self.positions_version += 1
+        self.xy = xy
 
     def clear_slot(self, now: int) -> None:
         """Retire the report-buffer column slot ``now`` is about to reuse."""
@@ -242,9 +211,6 @@ class FleetState:
         slot ``now``: lifetime counter plus privacy report history."""
         self.readings_taken[ids] += 1
         self._report_flags[ids, now % (self.privacy_window + 1)] = 1.0
-        spent = self.readings_taken[ids] >= self.lifetime[ids]
-        if np.any(spent):
-            self.exhaustion_version += 1
 
     # ------------------------------------------------------------------
     # vectorized eq. 8 pricing
@@ -311,12 +277,6 @@ class FleetState:
             costs=self.announce_costs(idx, now),
             gamma=self.gamma[idx],
             trust=self.trust[idx],
-            # The announced *region* co-determines which rows announce, so
-            # it is part of the identity token: equal tokens must guarantee
-            # identical announcement sets even across ad-hoc announce()
-            # calls with different working regions (Region is a frozen,
-            # cheaply comparable dataclass).
-            token=self.stamp + (working_region,),
             clock=now,
         )
 
@@ -362,16 +322,8 @@ class AnnouncementBatch(Sequence):
         costs: eq.-8 announced prices.
         gamma: per-announcement inaccuracy.
         trust: per-announcement trust.
-        token: identity token; equal tokens guarantee identical
-            ids/positions/gamma/trust (announced costs are excluded, so a
-            kernel survives re-pricing).  A fleet's batch carries the O(1)
-            :attr:`FleetState.stamp`, a converted snapshot list its rows'
-            ``(id, x, y, gamma, trust)`` tuples.
         clock: the slot the batch was announced for (``None`` when
             converted from snapshots).
-        world_raster: the slot's shared
-            :class:`~repro.spatial.WorldRaster` over ``xy``, attached by
-            :func:`~repro.spatial.raster.get_raster`.
     """
 
     def __init__(
@@ -381,7 +333,6 @@ class AnnouncementBatch(Sequence):
         costs: np.ndarray,
         gamma: np.ndarray,
         trust: np.ndarray,
-        token: tuple,
         clock: int | None,
     ) -> None:
         self.ids = ids
@@ -389,9 +340,7 @@ class AnnouncementBatch(Sequence):
         self.costs = costs
         self.gamma = gamma
         self.trust = trust
-        self.token = token
         self.clock = clock
-        self.world_raster = None
         self._snapshots: list[SensorSnapshot | None] = [None] * len(ids)
 
     @classmethod
@@ -416,43 +365,31 @@ class AnnouncementBatch(Sequence):
         costs = np.fromiter((s.cost for s in snapshots), float, n)
         gamma = np.fromiter((s.inaccuracy for s in snapshots), float, n)
         trust = np.fromiter((s.trust for s in snapshots), float, n)
-        token = tuple(
-            zip(
-                ids.tolist(),
-                xy[:, 0].tolist(),
-                xy[:, 1].tolist(),
-                gamma.tolist(),
-                trust.tolist(),
-            )
-        )
-        batch = cls(ids, xy, costs, gamma, trust, token, clock=None)
+        batch = cls(ids, xy, costs, gamma, trust, clock=None)
         batch._snapshots = snapshots
         return batch
 
     def with_costs(self, costs: np.ndarray) -> "AnnouncementBatch":
-        """The same announcement identity at different prices.
+        """The same announcements at different prices.
 
-        Shares every identity array *and the token* (tokens exclude
-        announced costs, so reuse checks keep answering in O(1)); only the
-        cost column — and therefore the lazily materialized snapshots —
-        differs.  This is how the sequential buffering baseline
-        re-announces stage-1 sensors at zero cost without walking the
-        batch.  The world raster is shared too: it depends on ``xy`` only.
+        Shares every identity array (``ids``, ``xy``, ``gamma``,
+        ``trust``), so the slot kernel built from this batch serves the
+        repriced one too; only the cost column — and therefore the lazily
+        materialized snapshots — differs.  This is how the sequential
+        buffering baseline re-announces stage-1 sensors at zero cost
+        without walking the batch.
         """
         costs = np.asarray(costs, dtype=float)
         if costs.shape != self.costs.shape:
             raise ValueError("costs must have one entry per announcement")
-        repriced = AnnouncementBatch(
+        return AnnouncementBatch(
             ids=self.ids,
             xy=self.xy,
             costs=costs,
             gamma=self.gamma,
             trust=self.trust,
-            token=self.token,
             clock=self.clock,
         )
-        repriced.world_raster = self.world_raster
-        return repriced
 
     # ------------------------------------------------------------------
     # Sequence[SensorSnapshot] protocol (lazy)
@@ -489,7 +426,4 @@ class AnnouncementBatch(Sequence):
             yield self.snapshot(j)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<AnnouncementBatch slot={self.clock} n={len(self)} "
-            f"token={self.token!r}>"
-        )
+        return f"<AnnouncementBatch slot={self.clock} n={len(self)}>"

@@ -324,8 +324,8 @@ class MarketplaceService:
     every admission, :attr:`slot_signatures` every slot's canonical
     allocation signature.  Those two and the per-slot rows of
     :attr:`metrics` are the service's only per-tick growth (they carry
-    the replay contract); slot geometry stays bounded because a
-    :class:`~repro.spatial.WorldRaster` keeps at most its predecessor.
+    the replay contract); slot geometry (kernel, grid index, coverage
+    rows) lives for one slot and is gone when :meth:`tick_once` returns.
     """
 
     def __init__(self, engine: SlotEngine, admission: AdmissionStream,

@@ -4,13 +4,12 @@ from .coverage import AreaCoverage, CoverageFunction, TrajectoryCoverage
 from .geometry import Location, as_xy, centroid, euclidean, manhattan, nearest, pairwise_distances
 from .grid import Grid
 from .index import UniformGridIndex
-from .raster import WorldRaster, get_raster
+from .raster import WorldRaster
 from .region import Region
 from .trajectory import Trajectory
 
 __all__ = [
     "WorldRaster",
-    "get_raster",
     "Location",
     "as_xy",
     "Region",

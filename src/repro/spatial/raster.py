@@ -1,62 +1,39 @@
-"""The shared world coverage raster: one slot's geometry caches.
+"""Covered-cell rows of coverage functions over one coordinate block.
 
-A slot with many region queries repeats three kinds of geometric work
-against the *same* announced coordinates:
+Every aggregate/trajectory query values sensor sets through its
+``CoverageFunction``, whose dense form is an ``(n_relevant, n_cells)``
+mask matrix (``CoverageFunction.masks_for``) even though a sensor's
+covered cells are a tiny disk of the region.  :class:`WorldRaster` builds
+the same memberships as per-sensor CSR rows (``indptr``/``cells``) instead:
+:meth:`WorldRaster.coverage_rows`, from which the fused aggregate gain
+blocks (:class:`repro.queries.aggregate._CoverageBlock`) build their
+uncovered-cell counts and cell → sensor transposes.  It keeps no cache:
+each coverage function is rasterized once per slot, by the block that
+owns it, and the raster lives as long as that block.
 
-* **coverage rasterization** — every aggregate/trajectory query builds an
-  ``(n_relevant, n_cells)`` mask matrix (``CoverageFunction.masks_for``)
-  even though a sensor's covered cells are a tiny disk of the region;
-* **region containment** — monitoring controllers evaluate
-  ``Region.contains_many`` per consumer per call, although a (region,
-  announcement-set) pair can only ever produce one answer per slot;
-* and every consumer re-derives these independently, so nothing is shared
-  between the kernel's candidate views, the fused gain blocks and the
-  monitoring controllers.
-
-:class:`WorldRaster` is the one slot-level home for all of it.  It is keyed
-by the announced ``(n, 2)`` coordinate block (the same array object the
-kernel, the announcement batch and the controllers already share) and
-caches
-
-* :meth:`coverage_rows` — per-sensor covered-cell rows in CSR form
-  (``indptr``/``cells``), from which the fused aggregate gain blocks
-  (:class:`repro.queries.aggregate._CoverageBlock`) build their
-  uncovered-cell counts and cell → sensor transposes;
-* :meth:`contains_mask` — per-region containment passes, shared by the
-  ``RegionMonitoringController.region_counts`` calls of one slot.
-
-**Bit-identity contract.**  Every cached quantity is produced by exactly
-the arithmetic of the uncached path.  Containment caches call the very
-``Region`` method consumers called before.  Coverage rows reproduce the
-membership of ``fn.masks_for(xy)`` row-for-row: every cell the builder emits
-(or skips) is decided by the same ``sqrt(dx*dx + dy*dy) <= sensing_range``
-on the function's own stored cell coordinates, so a cell is covered in the
-CSR iff it is covered in the dense mask, down to the last ulp of a
-boundary case.
+**Bit-identity contract.**  Coverage rows reproduce the membership of
+``fn.masks_for(xy)`` row-for-row: every cell the builder emits (or skips)
+is decided by the same ``sqrt(dx*dx + dy*dy) <= sensing_range`` on the
+function's own stored cell coordinates, so a cell is covered in the CSR
+iff it is covered in the dense mask, down to the last ulp of a boundary
+case.
 
 **Per-column runs.**  For exact :class:`~repro.spatial.AreaCoverage`
 instances (subclasses are *not* trusted — they may re-rasterize
-arbitrarily and fall back to the dense mask builder) the cell layout is the row-major ``Region.grid_cells`` grid,
-validated once per function per raster against the stored ``_cells`` as a
-whole separable ``columns x rows`` product.  Within one grid column ``dx``
-is fixed and the row centres ascend, and rounded subtraction, squaring,
-addition and ``sqrt`` are all monotone, so the membership test holds on
-one contiguous run of rows — exactly, in floating point — and that run,
-when not empty, contains the row nearest the sensor in ``y``.  The builder
-therefore works per (sensor, column) pair of a sensor's candidate
-columns: one exact test of the nearest row decides whether the column is
-empty, the run's ends are estimated from the chord half-height and then
-corrected with the exact test until each end is covered and its outer
-neighbour is not.  That is ``O(r / cell)`` candidates per sensor instead of
-the ``O(r^2 / cell^2)`` cells of its bounding box.
-
-Lifetime: a raster lives exactly as long as its coordinate block — it is
-attached to the announcement batch (or kernel) that owns the array, so all
-of one slot's consumers (the kernel, its candidate machinery, the
-monitoring controllers) resolve to the same instance and every cache entry
-is computed at most once per slot.  Every slot's announcements get a
-fresh raster; nothing links it to the previous slot's, so a long-running
-service holds only the live slot's raster.
+arbitrarily and fall back to the dense mask builder) the cell layout is
+the row-major ``Region.grid_cells`` grid, validated per call against the
+stored ``_cells`` as a whole separable ``columns x rows`` product.  Within
+one grid column ``dx`` is fixed and the row centres ascend, and rounded
+subtraction, squaring, addition and ``sqrt`` are all monotone, so the
+membership test holds on one contiguous run of rows — exactly, in floating
+point — and that run, when not empty, contains the row nearest the sensor
+in ``y``.  The builder therefore works per (sensor, column) pair of a
+sensor's candidate columns: one exact test of the nearest row decides
+whether the column is empty, the run's ends are estimated from the chord
+half-height and then corrected with the exact test until each end is
+covered and its outer neighbour is not.  That is ``O(r / cell)``
+candidates per sensor instead of the ``O(r^2 / cell^2)`` cells of its
+bounding box.
 """
 
 from __future__ import annotations
@@ -64,26 +41,11 @@ from __future__ import annotations
 import numpy as np
 
 from .coverage import AreaCoverage, CoverageFunction
-from .region import Region
 
-__all__ = ["WorldRaster", "get_raster"]
+__all__ = ["WorldRaster"]
 
 #: Outward steps of the stacked [lo; hi] run ends.
 _OUTWARD = np.array([-1, 1])
-
-
-def get_raster(holder, xy: np.ndarray) -> "WorldRaster":
-    """The :class:`WorldRaster` shared by all consumers of ``xy``.
-
-    ``holder`` is the :class:`~repro.sensors.AnnouncementBatch` that owns
-    the coordinate block.  The raster is cached in its ``world_raster``
-    attribute, so the kernel, its candidate machinery and the monitoring
-    controllers all resolve to one instance.
-    """
-    raster = holder.world_raster
-    if raster is None or raster.xy is not xy:
-        raster = holder.world_raster = WorldRaster(xy)
-    return raster
 
 
 def _grid_layout(fn: CoverageFunction):
@@ -121,86 +83,37 @@ def _grid_layout(fn: CoverageFunction):
 
 
 class WorldRaster:
-    """Per-slot geometry caches over one announced coordinate block.
+    """The covered-cell row builder over one ``(n, 2)`` coordinate block.
 
     Attributes:
-        xy: the ``(n, 2)`` world coordinates every cache is keyed under —
-            the same array object the kernel/batch stacked, never copied.
+        xy: the coordinates, indexed by the columns callers pass (not
+            copied).
+        rows_built / candidates_built: work counters, read by benchmarks
+            and tests, never by the build — the rows built, and the
+            candidate entries materialized for them: (sensor, column)
+            pairs on the grid path, mask entries on the dense fallback.
     """
 
     def __init__(self, xy: np.ndarray) -> None:
         self.xy = np.asarray(xy, dtype=float)
-        # id(fn) -> (fn, cols, indptr, cells); fn is held strongly both to
-        # pin the id against reuse and because the raster's lifetime is one
-        # slot's announcement block.
-        self._coverage_rows: dict[int, tuple] = {}
-        self._contains: dict[Region, np.ndarray] = {}
-        # id(fn) -> (fn, _grid_layout(fn)); see :meth:`_layout`.
-        self._layouts: dict[int, tuple] = {}
-        # Work counters (read by benchmarks and tests, never by the build):
-        # rows that went through :meth:`_build_rows`, and the candidate
-        # entries it materialized for them — (sensor, column) pairs on the
-        # grid path, mask entries on the dense fallback.
         self.rows_built = 0
         self.candidates_built = 0
 
-    # ------------------------------------------------------------------
-    # region containment caches
-    # ------------------------------------------------------------------
-    def contains_mask(self, region: Region) -> np.ndarray:
-        """Cached ``region.contains_many`` over the world block (read-only)."""
-        out = self._contains.get(region)
-        if out is None:
-            out = region.contains_many(self.xy)
-            out.setflags(write=False)
-            self._contains[region] = out
-        return out
-
-    # ------------------------------------------------------------------
-    # per-sensor covered-cell rows
-    # ------------------------------------------------------------------
     def coverage_rows(
         self, fn: CoverageFunction, cols: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """CSR covered-cell rows of ``fn`` for the world columns ``cols``.
+        """CSR covered-cell rows of ``fn`` for the columns ``cols``.
 
         Returns ``(indptr, cells)``: row ``i`` (sensor ``cols[i]``) covers
         the cell indices ``cells[indptr[i]:indptr[i+1]]`` of ``fn``'s own
         cell order — exactly the ``True`` positions of row ``i`` of
-        ``fn.masks_for(xy[cols])``, ascending.  Both arrays are shared
-        and read-only.
+        ``fn.masks_for(xy[cols])``, ascending.  Built with per-column runs
+        on a validated grid, dense masks otherwise (module docstring).
         """
         cols = np.asarray(cols, dtype=np.intp)
-        key = id(fn)
-        entry = self._coverage_rows.get(key)
-        if (
-            entry is not None
-            and entry[0] is fn
-            and (entry[1] is cols or np.array_equal(entry[1], cols))
-        ):
-            return entry[2], entry[3]
-        indptr, cells = self._build_rows(fn, cols)
-        indptr.setflags(write=False)
-        cells.setflags(write=False)
-        self._coverage_rows[key] = (fn, cols, indptr, cells)
-        return indptr, cells
-
-    def _layout(self, fn: CoverageFunction):
-        """:func:`_grid_layout` of ``fn``, validated once per raster."""
-        key = id(fn)
-        hit = self._layouts.get(key)
-        if hit is None or hit[0] is not fn:
-            hit = self._layouts[key] = (fn, _grid_layout(fn))
-        return hit[1]
-
-    def _build_rows(
-        self, fn: CoverageFunction, cols: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """CSR rows of ``fn`` for ``cols`` from scratch (module docstring:
-        per-column runs on a validated grid, dense masks otherwise)."""
         k = len(cols)
         self.rows_built += k
-        layout = self._layout(fn)
+        layout = _grid_layout(fn)
         if layout is None:
             # Dense fallback: any coverage function, any cell layout.  The
             # mask matrix is transient — only its nonzero structure is kept.

@@ -20,6 +20,7 @@ from repro.spatial.index import UniformGridIndex
 
 __all__ = [
     "block_gains",
+    "engine_kernels",
     "gridded_kernel",
     "make_snapshot",
     "make_point_query",
@@ -120,6 +121,24 @@ def gridded_kernel(sensors, cell_size: float) -> ValuationKernel:
     kernel = ValuationKernel.from_sensors(sensors)
     kernel._index = UniformGridIndex(kernel.sensor_xy, cell_size)
     return kernel
+
+
+def engine_kernels(monkeypatch) -> list[ValuationKernel]:
+    """Every slot kernel ``SlotEngine.step`` builds while ``monkeypatch``
+    is active, in build order (the list keeps them alive)."""
+    import repro.core.engine as engine_module
+
+    kernels = []
+
+    class Recorded(engine_module.ValuationKernel):
+        @classmethod
+        def from_sensors(cls, sensors):
+            kernel = super().from_sensors(sensors)
+            kernels.append(kernel)
+            return kernel
+
+    monkeypatch.setattr(engine_module, "ValuationKernel", Recorded)
+    return kernels
 
 
 def sequential_mix(stage_allocator) -> BaselineMixAllocator:

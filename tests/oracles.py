@@ -71,6 +71,7 @@ from repro.queries import (
 )
 from repro.queries.aggregate import sensor_quality
 from repro.sensors import SensorSnapshot
+from repro.sensors.state import announcement_batch
 
 __all__ = [
     "BestSensorRows",
@@ -182,7 +183,7 @@ def relevant_queries_by_sensor(
     relevant: dict[int, list[str]] = {}
     plain_points = (
         [(i, q) for i, q in enumerate(queries) if type(q) is PointQuery]
-        if kernel is not None and kernel.matches(sensors)
+        if kernel is not None and kernel.covers(announcement_batch(sensors))
         else []
     )
     if plain_points:
@@ -782,7 +783,7 @@ def compile_kernel_as(monkeypatch, kernel_cls) -> None:
     ``kernel_cls`` for the rest of the test (or ``monkeypatch`` scope).
 
     Patches the module-level ``ValuationKernel`` name every kernel builder
-    resolves at call time; a kernel handed down from the engine is reused
+    resolves at call time; a kernel handed down from the engine is used
     by the allocators as-is.
     """
     for module in ("engine", "greedy", "baselines", "point_problem"):

@@ -224,22 +224,6 @@ class TestEventSettlement:
 class TestEngineAdapter:
     """The Aggregator runs its slots on the ``SlotEngine`` ``mix_engine`` builds."""
 
-    def test_stationary_fleet_reuses_the_slot_kernel(self):
-        region = Region.from_origin(30, 30)
-        positions = [Location(5.0 + 4.0 * i, 15.0) for i in range(6)]
-        fleet = SensorFleet(
-            StationaryMobility(region, positions), region, FleetConfig(),
-            np.random.default_rng(0),
-        )
-        agg = Aggregator(fleet)
-        kernels = []
-        for i in range(3):
-            agg.submit(PointQuery(positions[i], budget=25.0, theta_min=0.0, dmax=5.0))
-            agg.run_slot()
-            kernels.append(agg.engine._kernel)
-        assert kernels[0] is kernels[1] is kernels[2]
-        assert sum(d.answered for d in agg.digests) == 3
-
     def test_query_submitted_after_its_window_never_runs(self):
         agg = make_aggregator()
         agg.run(2)

@@ -40,18 +40,6 @@ class TestBaselinePointBehaviour:
         assert result.query_payment("a") == pytest.approx(10.0)
         assert result.query_payment("b") == pytest.approx(0.0)
 
-    def test_colocation_sharing_can_be_disabled(self):
-        queries = [
-            make_point_query(x=0, y=0, budget=20.0, query_id="a", theta_min=0.0),
-            make_point_query(x=0, y=0, budget=20.0, query_id="b", theta_min=0.0),
-        ]
-        sensor = make_snapshot(0, x=0, y=0, cost=10.0)
-        result = BaselineAllocator(share_colocated=False).allocate(queries, [sensor])
-        # q_b still answers through the zero-effective-cost path, but both
-        # were processed independently.
-        assert result.answered_count() == 2
-        assert result.query_payment("b") == pytest.approx(0.0)
-
     def test_picks_max_utility_sensor(self):
         query = make_point_query(x=0, y=0, budget=20.0, theta_min=0.0)
         low_net = make_snapshot(0, x=4, y=0, cost=1.0)

@@ -193,8 +193,8 @@ class TestSequentialBufferedAllocation:
         "mix_cls", [MixAllocator, BaselineMixAllocator], ids=["alg5", "baseline"]
     )
     def test_one_world_raster_per_slot(self, monkeypatch, mix_cls):
-        """The zero-cost re-announcement shares the slot's raster, so the
-        stage-2 region controller does not build a second one."""
+        """The slot's one coverage block builds the slot's one raster; the
+        zero-cost re-announcement and the region controller build none."""
         world = build_intel_scenario(seed=8, n_sensors=60, n_slots=10)
         scenario = world.scenario
         built = []

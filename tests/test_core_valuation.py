@@ -11,6 +11,7 @@ from oracles import dense_single_values, relevant_queries_by_sensor, single_valu
 from repro.core import PointProblem, ValuationKernel
 from repro.queries import PointQuery
 from repro.sensors import SensorSnapshot
+from repro.sensors.state import announcement_batch
 from repro.spatial import Location, Region
 
 
@@ -132,28 +133,28 @@ class TestScalarPathParity:
         assert row[1] == pytest.approx(5.0)
 
 
-class TestKernelReuse:
-    def test_ensure_reuses_compatible_kernel(self):
+class TestKernelCoverage:
+    def test_covers_equal_announcements(self):
         _, sensors = random_instance(1)
         kernel = ValuationKernel.from_sensors(sensors)
-        assert ValuationKernel.ensure(kernel, sensors) is kernel
+        assert kernel.covers(kernel.sensors)
+        assert kernel.covers(announcement_batch(sensors))
 
-    def test_ensure_accepts_repriced_sensors(self):
+    def test_covers_repriced_sensors(self):
         # Costs do not participate in the value matrices, so a zero-cost
-        # re-announcement (the sequential baseline's buffering) reuses the
-        # kernel.
+        # re-announcement (the sequential baseline's buffering) is covered.
         _, sensors = random_instance(2)
         kernel = ValuationKernel.from_sensors(sensors)
         repriced = [
             SensorSnapshot(s.sensor_id, s.location, 0.0, s.inaccuracy, s.trust)
             for s in sensors
         ]
-        assert ValuationKernel.ensure(kernel, repriced) is kernel
+        assert kernel.covers(announcement_batch(repriced))
 
-    def test_ensure_rebuilds_on_mismatch(self):
+    def test_does_not_cover_a_shorter_or_moved_fleet(self):
         _, sensors = random_instance(3)
         kernel = ValuationKernel.from_sensors(sensors)
-        assert ValuationKernel.ensure(kernel, sensors[:-1]) is not kernel
+        assert not kernel.covers(announcement_batch(sensors[:-1]))
         moved = [
             SensorSnapshot(
                 s.sensor_id, Location(s.location.x + 1.0, s.location.y),
@@ -161,7 +162,7 @@ class TestKernelReuse:
             )
             for s in sensors
         ]
-        assert ValuationKernel.ensure(kernel, moved) is not kernel
+        assert not kernel.covers(announcement_batch(moved))
 
     def test_problem_costs_come_from_sensors_argument(self):
         queries, sensors = random_instance(4)

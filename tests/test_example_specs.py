@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import engine_kernels
 from repro.datasets import ScenarioSpec
 from repro.experiments import compare_scenarios
 
@@ -52,7 +53,7 @@ def test_cheap_specs_run(name):
     assert summary.n_slots == 2
 
 
-def test_metro_scale_spec_declares_the_batch_sharded_path():
+def test_metro_scale_spec_declares_the_batch_sharded_path(monkeypatch):
     """The metro spec wires 10^5 sensors through the grid-sharded slot
     kernel; a scaled-down build of the same spec must drive it from the
     fleet's AnnouncementBatch (the loop-free slot path it showcases)."""
@@ -64,16 +65,18 @@ def test_metro_scale_spec_declares_the_batch_sharded_path():
     spec = ScenarioSpec.from_json(SPEC_DIR / "metro_scale.json")
     assert spec.n_sensors >= 100_000
     small = dataclasses.replace(spec, n_sensors=1500, n_slots=2)
+    kernels = engine_kernels(monkeypatch)
     engine = small.build()
     assert isinstance(engine.fleet.announcements(), AnnouncementBatch)
     summary = engine.run(2)
     assert summary.n_slots == 2
-    kernel = engine._kernel
+    assert len(kernels) == 2
+    kernel = kernels[-1]
     assert isinstance(kernel, ValuationKernel)
     assert isinstance(kernel.sensors, AnnouncementBatch)
 
 
-def test_region_heavy_spec_exercises_the_mask_path():
+def test_region_heavy_spec_exercises_the_mask_path(monkeypatch):
     """The region-heavy spec declares 20k sensors under many large
     aggregate queries; a scaled-down build must route those queries
     through the kernel's candidate views and the batch-relevance masks
@@ -88,11 +91,13 @@ def test_region_heavy_spec_exercises_the_mask_path():
     assert spec.n_sensors >= 20_000
     assert any(s.kind == "aggregate" for s in spec.streams)
     small = dataclasses.replace(spec, n_sensors=1500, n_slots=2)
+    kernels = engine_kernels(monkeypatch)
     engine = small.build()
     summary = engine.run(2)
     assert summary.n_slots == 2
     assert summary.total_queries > 0
-    kernel = engine._kernel
+    assert len(kernels) == 2
+    kernel = kernels[-1]
     assert isinstance(kernel, ValuationKernel)
     assert isinstance(kernel.sensors, AnnouncementBatch)
     # The kernel resolved aggregate candidate views (the memoized
@@ -104,33 +109,42 @@ def test_region_heavy_spec_exercises_the_mask_path():
     assert len(view) == 4
 
 
-def test_region_storm_spec_exercises_the_fused_pipeline():
+def test_region_storm_spec_exercises_the_fused_pipeline(monkeypatch):
     """The region-storm spec piles 128 overlapping aggregate queries on
-    20k sensors; a scaled-down build must run the
-    fused block pipeline, share one world raster across the slot, and
-    run."""
+    20k sensors; a scaled-down build must run the fused block pipeline —
+    one coverage block, and one world raster, per slot — and run."""
     import dataclasses
 
     from repro.core import GreedyAllocator, ValuationKernel
     from repro.sensors import AnnouncementBatch
-    from repro.spatial import get_raster
+    from repro.spatial import WorldRaster
 
     spec = ScenarioSpec.from_json(SPEC_DIR / "region_storm.json")
     assert spec.n_sensors >= 20_000
     assert any(s.kind == "aggregate" for s in spec.streams)
     small = dataclasses.replace(spec, n_sensors=1500, n_slots=2)
+    kernels = engine_kernels(monkeypatch)
+    rasters = []
+    init = WorldRaster.__init__
+
+    def counting_init(self, xy):
+        rasters.append(len(xy))
+        init(self, xy)
+
+    monkeypatch.setattr(WorldRaster, "__init__", counting_init)
     engine = small.build()
     assert type(engine.allocation.allocator) is GreedyAllocator
     summary = engine.run(2)
     assert summary.n_slots == 2
     assert summary.total_queries > 0
-    kernel = engine._kernel
+    assert len(kernels) == 2
+    kernel = kernels[-1]
     assert isinstance(kernel, ValuationKernel)
     batch = kernel.sensors
     assert isinstance(batch, AnnouncementBatch)
-    # The slot's kernel raster is the per-batch cached one: every
-    # aggregate query indexed the same covered-cell CSR rows.
-    assert kernel.raster is get_raster(batch, batch.xy)
+    # Every aggregate query of a slot indexed the covered-cell CSR rows of
+    # the slot's one coverage block.
+    assert len(rasters) == 2
 
 
 def test_metro_burst_spec_drives_the_marketplace_service():

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from helpers import make_snapshot
 from repro.cli import main
-from repro.core import Aggregator
+from repro.core import Aggregator, GreedyAllocator, ValuationKernel
 from repro.datasets import ScenarioSpec, build_intel_scenario, build_rwm_scenario
 from repro.phenomena import GaussianProcessField, RBFKernel
 from repro.queries import (
@@ -181,11 +182,9 @@ def test_fleet_state_rejects_non_finite_positions(value):
     state.set_positions(good)
     batch = state.announce(0, Region.from_origin(10.0, 10.0))
     assert list(batch.ids) == [0, 1, 2]
-    # A refused frame leaves the stored one and its version untouched.
-    version = state.positions_version
+    # A refused frame leaves the stored one untouched.
     with pytest.raises(ValueError, match="positions must be finite, got row 1"):
         state.set_positions([[1.0, 1.0], [value, 2.0], [3.0, 3.0]])
-    assert state.positions_version == version
     assert np.array_equal(state.xy, good)
 
 
@@ -193,6 +192,31 @@ def test_nan_position_reports_the_first_bad_row():
     state = fleet_state()
     with pytest.raises(ValueError, match=r"^positions must be finite, got row 1 \(nan, 2\.0\)$"):
         state.set_positions([[1.0, 1.0], [math.nan, 2.0], [math.inf, 3.0]])
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+def test_fleet_whose_extent_overflows_a_float_is_refused(axis):
+    """Finite sensors at -1e308 and 1e308 span an extent of inf: the grid
+    offsets ``x - x_min`` overflow.  The kernel build refuses the fleet
+    with one line naming the extent (it used to fail inside the grid
+    index with ``cannot convert float NaN to integer``)."""
+    far = [(0.0, 0.0), (0.0, 0.0)]
+    far[0] = (-1e308, 0.0) if axis == 0 else (0.0, -1e308)
+    far[1] = (1e308, 0.0) if axis == 0 else (0.0, 1e308)
+    sensors = [make_snapshot(i, x=x, y=y) for i, (x, y) in enumerate(far)]
+    query = PointQuery(Location(*far[1]), budget=10.0)
+    span = "x in [-1e+308, 1e+308], y in [0.0, 0.0]" if axis == 0 else (
+        "x in [0.0, 0.0], y in [-1e+308, 1e+308]"
+    )
+    message = f"^sensor extent overflows a float: {re.escape(span)}$"
+    with pytest.raises(ValueError, match=message):
+        ValuationKernel.from_sensors(sensors)
+    with pytest.raises(ValueError, match=message):
+        GreedyAllocator().allocate([query], sensors)
+    # A wide but representable extent still allocates.
+    near = [make_snapshot(i, x=x / 2, y=y / 2, cost=1.0) for i, (x, y) in enumerate(far)]
+    query = PointQuery(Location(far[1][0] / 2.0, far[1][1] / 2.0), budget=10.0)
+    assert GreedyAllocator().allocate([query], near).answered_count() == 1
 
 
 @pytest.mark.parametrize("value", NON_FINITE, ids=IDS)

@@ -196,7 +196,7 @@ def test_end_to_end_engine_parity():
 
 
 # ----------------------------------------------------------------------
-# the O(1) token / reuse protocol
+# which announcements a slot kernel covers
 # ----------------------------------------------------------------------
 def stationary_fleet(lifetime: int = 50) -> SensorFleet:
     rng = np.random.default_rng(3)
@@ -205,94 +205,32 @@ def stationary_fleet(lifetime: int = 50) -> SensorFleet:
     return SensorFleet(mobility, HOTSPOT, FleetConfig(lifetime=lifetime), rng)
 
 
-def test_token_stable_across_unchanged_slots():
+def test_kernel_covers_unchanged_slots():
     fleet = stationary_fleet()
-    first = fleet.announcements()
-    kernel = ValuationKernel.ensure(None, first)
+    kernel = ValuationKernel.from_sensors(fleet.announcements())
     fleet.advance()
-    second = fleet.announcements()
-    assert second.token == first.token
-    assert ValuationKernel.ensure(kernel, second) is kernel
-    assert kernel.sensors is second  # rebound to the current batch
+    assert kernel.covers(fleet.announcements())
 
 
-def test_token_changes_on_exhaustion_and_movement():
+def test_kernel_does_not_cover_exhaustion_or_movement():
     fleet = stationary_fleet(lifetime=1)
     first = fleet.announcements()
-    kernel = ValuationKernel.ensure(None, first)
+    kernel = ValuationKernel.from_sensors(first)
     fleet.record_measurements([int(first.ids[0])])  # exhausts it
     fleet.advance()
     second = fleet.announcements()
-    assert second.token != first.token
     assert len(second) == len(first) - 1
-    assert ValuationKernel.ensure(kernel, second) is not kernel
+    assert not kernel.covers(second)
 
     moving = make_fleet(FleetConfig(), seed=11, n=20)
-    a = moving.announcements()
-    k = ValuationKernel.ensure(None, a)
+    k = ValuationKernel.from_sensors(moving.announcements())
     moving.advance()
-    b = moving.announcements()
-    assert b.token != a.token
-    assert ValuationKernel.ensure(k, b) is not k
+    assert not k.covers(moving.announcements())
 
 
-def test_stamp_stable_across_noop_advances():
-    """A stationary fleet's version stamp survives any number of no-op
-    advance calls — positions and exhaustion versions never tick, so every
-    slot's announcement carries the identical stamp and token."""
-    fleet = stationary_fleet()
-    stamp = fleet._state.stamp
-    first = fleet.announcements()
-    for _ in range(5):
-        fleet.advance()
-        assert fleet._state.stamp == stamp
-        assert fleet.announcements().token == first.token
-
-
-def test_stamp_bumps_on_exhaustion_only_slots():
-    """With nobody moving, recording until exhaustion must tick *only* the
-    exhaustion component of the stamp — and only on the slot where a
-    sensor actually crosses its lifetime, not on every measurement."""
-    fleet = stationary_fleet(lifetime=2)
-    first = fleet.announcements()
-    sid = int(first.ids[0])
-    _, _, positions_v0, exhaustion_v0 = fleet._state.stamp
-
-    fleet.record_measurements([sid])  # 1 of 2 readings: not exhausted yet
-    fleet.advance()
-    _, _, positions_v1, exhaustion_v1 = fleet._state.stamp
-    assert positions_v1 == positions_v0
-    assert exhaustion_v1 == exhaustion_v0
-
-    fleet.record_measurements([sid])  # 2 of 2: exhausts on this slot only
-    fleet.advance()
-    _, _, positions_v2, exhaustion_v2 = fleet._state.stamp
-    assert positions_v2 == positions_v0
-    assert exhaustion_v2 == exhaustion_v0 + 1
-    assert sid not in set(fleet.announcements().ids)
-
-
-def test_token_differs_across_fleets_with_identical_geometry():
-    """Two distinct fleets with identical positions, configs and seeds
-    must never share a token: a kernel built for one fleet would otherwise
-    positively match the other's batch and serve it stale arrays."""
-    a, b = stationary_fleet(), stationary_fleet()
-    batch_a, batch_b = a.announcements(), b.announcements()
-    np.testing.assert_array_equal(batch_a.xy, batch_b.xy)
-    np.testing.assert_array_equal(batch_a.costs, batch_b.costs)
-    assert batch_a.token != batch_b.token
-    # The disagreement is exactly the per-fleet uid; versions and the
-    # announce region still agree.
-    assert batch_a.token[2:] == batch_b.token[2:]
-    kernel = ValuationKernel.ensure(None, batch_a)
-    assert ValuationKernel.ensure(kernel, batch_b) is not kernel
-
-
-def test_token_survives_cost_only_changes():
-    """Privacy-driven price moves do not invalidate the kernel (the token
-    contract excludes announced costs)."""
-    fleet = stationary_fleet()
-    # Random privacy off; use a privacy fleet instead:
+def test_kernel_covers_cost_only_changes():
+    """Privacy-driven price moves leave the announcement identity, and so
+    the kernel's coverage, unchanged."""
     rng = np.random.default_rng(3)
     positions = [Location(float(5 + i), 20.0) for i in range(10)]
     fleet = SensorFleet(
@@ -302,16 +240,14 @@ def test_token_survives_cost_only_changes():
         rng,
     )
     first = fleet.announcements()
-    kernel = ValuationKernel.ensure(None, first)
+    kernel = ValuationKernel.from_sensors(first)
     fleet.record_measurements([int(first.ids[0])])  # lifetime 50: not exhausted
     fleet.advance()
     second = fleet.announcements()
-    assert second.token == first.token
-    assert ValuationKernel.ensure(kernel, second) is kernel
     # The reporting sensor's privacy window makes its price move...
     assert second.costs[0] > first.costs[0]
-    # ...while the kernel keeps serving (costs are a build-time snapshot).
-    assert kernel.costs[0] == first.costs[0]
+    # ...while the kernel still covers the batch.
+    assert kernel.covers(second)
 
 
 def test_same_slot_reannouncement_prices_current_report():
@@ -334,33 +270,13 @@ def test_same_slot_reannouncement_prices_current_report():
         assert again.costs[j] == snap.cost
 
 
-def test_token_distinguishes_announce_regions():
-    """Out-of-protocol announce() calls against different regions must not
-    share a token (the kernel would otherwise reuse the wrong arrays)."""
+def test_kernel_does_not_cover_another_announce_region():
     fleet = stationary_fleet()
     state, clock = fleet.state, fleet.clock
     whole = state.announce(clock, REGION)
     hotspot = state.announce(clock, HOTSPOT)
-    assert whole.token != hotspot.token
-    kernel = ValuationKernel.from_sensors(whole)
-    assert not kernel.matches(hotspot)
-
-
-def test_rebind_to_repriced_batch_keeps_the_stamp():
-    """ensure() rebinding to an identity-equal repriced batch (the
-    sequential baseline's zero-cost stage) must keep the batch stamp — the
-    next slot's batch comparison stays O(1) instead of walking snapshots."""
-    fleet = stationary_fleet()
-    batch = fleet.announcements()
-    kernel = ValuationKernel.ensure(None, batch)
-    repriced = batch.with_costs(np.zeros(len(batch)))  # same identity, new prices
-    assert ValuationKernel.ensure(kernel, repriced) is kernel
-    assert kernel.sensors is repriced
-    fleet.advance()
-    again = fleet.announcements()  # stationary: same token
-    # Stamp preserved -> O(1) positive match against the equal-token batch.
-    assert kernel._stamp is not None
-    assert kernel.matches(again)
+    assert len(whole) != len(hotspot)
+    assert not ValuationKernel.from_sensors(whole).covers(hotspot)
 
 
 def test_sequential_buffering_keeps_the_batch_lazy():
@@ -390,15 +306,15 @@ def test_sequential_buffering_keeps_the_batch_lazy():
     assert materialized < len(batch)  # no full per-sensor walk happened
 
 
-def test_with_costs_shares_identity_and_token():
+def test_with_costs_shares_identity():
     fleet = stationary_fleet()
     batch = fleet.announcements()
     zero = batch.with_costs(np.zeros(len(batch)))
-    assert zero.token == batch.token
     assert zero.ids is batch.ids and zero.xy is batch.xy
+    assert zero.gamma is batch.gamma and zero.trust is batch.trust
     assert zero[0].cost == 0.0 and batch[0].cost == 10.0
     kernel = ValuationKernel.from_sensors(batch)
-    assert kernel.matches(zero)  # costs are excluded from identity
+    assert kernel.covers(zero)  # costs are excluded from identity
     with pytest.raises(ValueError):
         batch.with_costs(np.zeros(len(batch) + 1))
 

@@ -1,5 +1,5 @@
-"""Fused slot pipeline parity: type-blocked gain blocks and the shared
-world coverage raster vs the per-row masked path.
+"""Fused slot pipeline parity: type-blocked gain blocks and the
+covered-cell row builder vs the per-row masked path.
 
 The contract under test (see ``repro.queries.base`` and
 ``repro.spatial.raster``):
@@ -68,8 +68,8 @@ from repro.spatial import (
     Trajectory,
     TrajectoryCoverage,
     WorldRaster,
-    get_raster,
 )
+from repro.spatial.raster import _grid_layout
 
 SIDE = 60.0
 
@@ -95,7 +95,6 @@ def make_batch(rng, n=120, side=SIDE):
         costs=rng.uniform(1, 10, size=n),
         gamma=rng.uniform(0, 0.3, size=n),
         trust=rng.uniform(0.4, 1.0, size=n),
-        token=("fused-parity", int(rng.integers(1 << 30))),
         clock=0,
     )
 
@@ -197,7 +196,7 @@ class TestFusedAllocationParity:
         assert_allocations_identical(dense, masked)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_batch_announcements_share_the_raster_and_stay_identical(self, seed):
+    def test_batch_announcements_stay_identical(self, seed):
         rng = np.random.default_rng(3000 + seed)
         queries = region_heavy_queries(rng)
         batch = make_batch(rng)
@@ -207,8 +206,6 @@ class TestFusedAllocationParity:
         kernel = ValuationKernel.from_sensors(batch)
         fused = GreedyAllocator().allocate(queries, batch, kernel=kernel)
         assert_allocations_identical(fused, masked)
-        # The raster the kernel used is the batch-attached instance.
-        assert kernel.raster is get_raster(batch, batch.xy)
 
     def test_greedy_has_no_path_knobs(self):
         """The fused pipeline is the only production path: the allocator
@@ -220,7 +217,7 @@ class TestFusedAllocationParity:
 
 
 # ----------------------------------------------------------------------
-# world raster: CSR coverage rows vs dense masks, containment caches
+# world raster: CSR coverage rows vs dense masks
 # ----------------------------------------------------------------------
 def assert_rows_match_masks(fn, xy, cols, indptr, cells):
     masks = fn.masks_for(xy[cols])
@@ -292,10 +289,11 @@ class TestWorldRasterRows:
         for fn in functions:
             indptr, cells = raster.coverage_rows(fn, cols)
             assert_rows_match_masks(fn, xy, cols, indptr, cells)
-            # Cached and read-only.
+            # Nothing is cached: a second call builds equal rows afresh.
+            built = raster.rows_built
             again = raster.coverage_rows(fn, cols)
-            assert again[0] is indptr and again[1] is cells
-            assert not indptr.flags.writeable and not cells.flags.writeable
+            assert again[0] is not indptr and raster.rows_built == built + len(cols)
+            assert np.array_equal(again[0], indptr) and np.array_equal(again[1], cells)
 
     def test_subclassed_coverage_uses_the_dense_fallback(self):
         """The grid fast path trusts exact types only; a subclass that
@@ -326,7 +324,7 @@ class TestWorldRasterRows:
         fn._cells = fn._cells.copy()
         fn._cells[len(fn._cells) // 2] += (0.25, -0.5)
         raster = WorldRaster(xy)
-        assert raster._layout(fn) is None
+        assert _grid_layout(fn) is None
         cols = np.arange(len(xy))
         indptr, cells = raster.coverage_rows(fn, cols)
         assert raster.candidates_built == len(cols) * fn.n_cells
@@ -341,30 +339,14 @@ class TestWorldRasterRows:
         per-column runs equal the dense masks row for row."""
         fn, xy = case
         raster = WorldRaster(xy)
-        assert raster._layout(fn) is not None
+        assert _grid_layout(fn) is not None
         cols = np.arange(len(xy))
         indptr, cells = raster.coverage_rows(fn, cols)
         assert_rows_match_masks(fn, xy, cols, indptr, cells)
         assert raster.rows_built == len(cols)
 
-    def test_containment_caches_and_sharing(self):
-        rng = np.random.default_rng(88)
-        batch = make_batch(rng, n=60)
-        region = Region(10, 10, 40, 35)
-        kernel = ValuationKernel.from_sensors(batch)
-        raster = kernel.raster
-        # One instance per announcement batch, shared with every other
-        # kernel and the monitoring controllers.
-        assert raster is get_raster(batch, batch.xy)
-        assert gridded_kernel(batch, 10.0).raster is raster
-        contains = raster.contains_mask(region)
-        assert raster.contains_mask(region) is contains
-        assert np.array_equal(contains, region.contains_many(batch.xy))
-        assert not contains.flags.writeable
-
     def test_region_controller_counts_unchanged(self):
-        """`region_counts` through the raster equals the per-query
-        relevant_mask scan it replaced."""
+        """`region_counts` equals a per-query relevant_mask scan."""
         from repro.datasets import build_intel_scenario
         from repro.queries import RegionMonitoringQuery
 
@@ -482,8 +464,7 @@ def coverage_block_slot(rng, n, side=30.0):
 
 
 def kernel_or_plain_roster(sensors, on_kernel):
-    """The slot raster's CSR rows on a kernel roster; a roster-local raster
-    on a plain one."""
+    """A roster cut from a kernel, or one built from the snapshots."""
     if on_kernel:
         return ValuationKernel.from_sensors(sensors).roster(
             np.arange(len(sensors)), sensors
@@ -601,18 +582,27 @@ def test_row_builder_candidates_are_one_box_row_per_sensor():
     """The run builder materializes one candidate per (sensor, column) of a
     sensor's box: at most ``2*ceil(r/cell) + 3`` per row built, the box's
     width where enumerating its cells would cost its area."""
+    entries, rasters = [], []
+    coverage_rows = WorldRaster.coverage_rows
+
+    def traced(self, fn, cols):
+        entries.append((fn, np.asarray(cols)))
+        if self not in rasters:
+            rasters.append(self)
+        return coverage_rows(self, fn, cols)
+
     engine = region_agg_shaped_spec().build()
-    engine.step(SimulationSummary())
-    raster = engine._kernel.raster
-    entries = list(raster._coverage_rows.values())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(WorldRaster, "coverage_rows", traced)
+        engine.step(SimulationSummary())
     assert len(entries) == 24
-    rows = sum(len(cols) for _, cols, _, _ in entries)
-    assert raster.rows_built == rows > 0
+    rows = sum(len(cols) for _, cols in entries)
+    assert sum(r.rows_built for r in rasters) == rows > 0
     bound = sum(
         len(cols) * (2 * math.ceil(fn.sensing_range / fn.cell_size) + 3)
-        for fn, cols, _, _ in entries
+        for fn, cols in entries
     )
-    assert 0 < raster.candidates_built <= bound
+    assert 0 < sum(r.candidates_built for r in rasters) <= bound
 
 
 def test_covered_cell_reads_are_a_fifth_of_the_regather(monkeypatch):

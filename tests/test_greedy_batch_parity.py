@@ -55,6 +55,7 @@ from repro.queries import (
     SpatialAggregateQuery,
     TrajectoryQuery,
 )
+from repro.sensors.state import announcement_batch
 from repro.spatial import Location, Region, Trajectory
 
 ULP_TOLERANCE = dict(rel=1e-12, abs=1e-12)
@@ -209,7 +210,7 @@ class TestAllocatorParity:
         original = [make_snapshot(0, x=0, y=0, cost=5.0)]
         kernel = ValuationKernel.from_sensors(original)
         repriced = [make_snapshot(0, x=0, y=0, cost=1.0)]
-        assert kernel.matches(repriced)
+        assert kernel.covers(announcement_batch(repriced))
         result = GreedyAllocator().allocate(queries, repriced, kernel=kernel)
         assert result.selected[0].cost == 1.0
         assert result.sensor_income(0) == pytest.approx(1.0)

@@ -413,7 +413,6 @@ def make_batch(rng, n=80, side=60.0):
         costs=rng.uniform(1, 10, size=n),
         gamma=rng.uniform(0, 0.3, size=n),
         trust=rng.uniform(0.4, 1.0, size=n),
-        token=("geometry-parity", int(rng.integers(1 << 30))),
         clock=0,
     )
 

@@ -1,24 +1,20 @@
-"""The service's resident memory does not grow with the ticks it has run
-or with the spec's ``n_slots``: every slot builds a fresh
-:class:`WorldRaster` that nothing links to the next slot's, so only the
-live slot's raster (and its coverage-row cache) stays alive; and a
-generated world (the RWM walk, a ``mobility`` churn block) is kept as its
-recipe, so building a spec allocates no frame per slot and each replay
-holds only its live frame."""
+"""The service's resident memory does not grow with the spec's
+``n_slots``: a generated world (the RWM walk, a ``mobility`` churn block)
+is kept as its recipe, so building a spec allocates no frame per slot and
+each replay holds only its live frame, and a ``mobility`` block never
+builds the dataset's native trace it replaces.  (That no slot state
+outlives its slot is pinned by ``test_slot_state.py``.)"""
 
 from __future__ import annotations
 
-import gc
+import dataclasses
 import tracemalloc
-import weakref
 
 import numpy as np
 
-from oracles import DenseKernel, compile_kernel_as
-from repro.datasets import RWM_REGION, ScenarioSpec, StreamSpec
-from repro.mobility import ChurnMobility, RandomWaypointMobility
-from repro.queries import SpatialAggregateQuery
-from repro.service import LoadGenerator, MarketplaceService, PoissonProfile
+from repro.datasets import RWM_REGION, ScenarioSpec, StreamSpec, intel, rnc
+from repro.mobility import PAPER_RNC_REGION, ChurnMobility, RandomWaypointMobility
+from repro.phenomena import INTEL_LAB_REGION
 
 N_TICKS = 12
 
@@ -43,42 +39,6 @@ def churn_spec(**knobs) -> ScenarioSpec:
     )
     defaults.update(knobs)
     return ScenarioSpec(**defaults)
-
-
-def test_service_keeps_only_the_live_raster(monkeypatch):
-    for dense in (True, False):
-        with monkeypatch.context() as patch:
-            if dense:
-                compile_kernel_as(patch, DenseKernel)
-            service = MarketplaceService.from_spec(churn_spec())
-            generator = LoadGenerator(PoissonProfile(6.0), service.workloads, seed=3)
-            schedule = generator.schedule(N_TICKS)
-            refs = []
-            coverage_of: dict[int, set[int]] = {}
-            for batch in schedule:
-                for query in batch:
-                    service.submit(query)
-                service.tick_once()
-                raster = service.engine._kernel.raster
-                fns = {
-                    id(q.coverage)
-                    for q in service.trace.slots[-1].queries
-                    if isinstance(q, SpatialAggregateQuery)
-                }
-                # A raster reused over unchanged announcements serves both slots.
-                coverage_of.setdefault(id(raster), set()).update(fns)
-                refs.append(weakref.ref(raster))
-                del raster
-            assert service.metrics.admitted > 0
-            gc.collect()
-            live = [ref() for ref in refs]
-            live = list({id(r): r for r in live if r is not None}.values())
-            assert len(live) == 1, (dense, len(live))
-            assert service.engine._kernel.raster in live
-            assert any(r._coverage_rows for r in live)
-            for raster in live:
-                cached = {id(entry[0]) for entry in raster._coverage_rows.values()}
-                assert cached <= coverage_of[id(raster)]
 
 
 def test_churn_rwm_spec_replays_the_churn_recipe():
@@ -135,6 +95,46 @@ def test_building_a_long_world_allocates_no_frames():
             _, peak = tracemalloc.get_traced_memory()
             assert peak - base < 2_000_000, (name, peak - base)
             assert engine.fleet.mobility._trace.recipe.model is models[name]
+            del engine
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_mobility_block_never_builds_the_native_trace():
+    """An ``rnc`` or ``intel`` spec with a ``mobility`` block churns over
+    the dataset's movement region and never builds the native trace it
+    replaces (a 2000-sensor, 2000-slot ``rnc`` campaign trace used to be
+    synthesized, and kept by the builder's cache: 64.6 MB)."""
+    streams = [StreamSpec("point", {"n_queries": 4, "budget": 12.0})]
+    mobility = {"kind": "churn", "fraction": 0.02}
+    specs = {
+        name: (
+            ScenarioSpec(
+                name=f"{name}-churn", dataset=name, seed=4, n_sensors=2000,
+                n_slots=2000, streams=streams, mobility=mobility,
+            ),
+            region,
+            module._cached_trace,
+        )
+        for name, region, module in (
+            ("rnc", PAPER_RNC_REGION, rnc), ("intel", INTEL_LAB_REGION, intel)
+        )
+    }
+    for spec, _, _ in specs.values():
+        # Warm every import and the intel field fit out of the measurement.
+        dataclasses.replace(spec, n_sensors=200, n_slots=3).build()
+    tracemalloc.start()
+    try:
+        for name, (spec, region, native_trace) in specs.items():
+            misses = native_trace.cache_info().misses
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            engine = spec.build()
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak - base < 2_000_000, (name, peak - base)
+            assert native_trace.cache_info().misses == misses, name
+            recipe = engine.fleet.mobility._trace.recipe
+            assert (recipe.model, recipe.region) == (ChurnMobility, region), name
             del engine
     finally:
         tracemalloc.stop()

@@ -58,6 +58,7 @@ from repro.queries import (
     SpatialAggregateQuery,
     TrajectoryQuery,
 )
+from repro.sensors.state import announcement_batch
 from repro.spatial import Location, Region, Trajectory
 from repro.spatial.index import UniformGridIndex
 
@@ -230,13 +231,11 @@ class TestKernelParity:
         every = index.indices_in_cell_range(0, index.n_cols, 0, index.n_rows)
         assert np.array_equal(np.sort(every), np.arange(len(xy)))
 
-    def test_ensure_reuses_matching_sharded_kernel(self):
+    def test_covering_sharded_kernel_is_honoured(self):
         rng = np.random.default_rng(3)
         sensors = random_sensors(rng)
         kernel = gridded_kernel(sensors, 4.0)
-        index = kernel.index
-        probe = queries_of_every_type(rng)[0]
-        view = kernel.candidate_view(probe)
+        queries = queries_of_every_type(rng)
         repriced = [
             make_snapshot(
                 s.sensor_id, x=s.location.x, y=s.location.y, cost=1.0,
@@ -244,16 +243,14 @@ class TestKernelParity:
             )
             for s in sensors
         ]
-        reused = ValuationKernel.ensure(kernel, repriced)
-        assert reused is kernel
-        # Rebound to a batch over the current list's own snapshots.
-        assert all(a is b for a, b in zip(reused.sensors, repriced, strict=True))
-        # The warm grid and candidate caches survive the reuse.
-        assert reused.index is index
-        assert reused.candidate_view(probe) is view
+        assert kernel.covers(announcement_batch(repriced))
+        result = GreedyAllocator().allocate(queries, repriced, kernel=kernel)
+        assert_allocations_identical(result, GreedyAllocator().allocate(queries, repriced))
+        # The result carries the current list's own snapshots.
+        assert result.selected
+        assert all(snap is repriced[sid] for sid, snap in result.selected.items())
         moved = random_sensors(np.random.default_rng(4))
-        rebuilt = ValuationKernel.ensure(kernel, moved)
-        assert rebuilt is not kernel
+        assert not kernel.covers(announcement_batch(moved))
 
 
 # ----------------------------------------------------------------------
@@ -418,7 +415,7 @@ class TestAllocatorParity:
         kernel = gridded_kernel(original, 2.0)
         kernel.sparse_single_values(queries)  # warm the candidate caches
         repriced = [make_snapshot(0, x=0, y=0, cost=1.0)]
-        assert kernel.matches(repriced)
+        assert kernel.covers(announcement_batch(repriced))
         result = GreedyAllocator().allocate(queries, repriced, kernel=kernel)
         assert result.selected[0].cost == 1.0
         assert result.sensor_income(0) == pytest.approx(1.0)

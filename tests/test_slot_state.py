@@ -1,20 +1,29 @@
-"""Per-slot state: every slot's kernel, grid index and raster describe
-exactly that slot's announcement.
+"""Per-slot state: every slot builds its kernel, grid index and coverage
+rows fresh from that slot's announcement, and none of it outlives the slot.
 
-The engine announces the fleet at the start of every slot and hands the
-batch to :meth:`ValuationKernel.ensure`, which reuses the previous slot's
-kernel only when the batch token says the announcement identity (ids,
-positions, inaccuracy, trust) is unchanged, and builds a fresh kernel
-otherwise.  The suites below pin that the reuse is never stale: a kernel
-chained through ``ensure`` slot after slot carries the same arrays and
-settles the same allocations as one built from scratch, across pricing
-models x mobility models; spec-built engines that keep their kernel
-across slots settle exactly what engines that rebuild it every slot
-settle, across fleets x kernels x gain pipelines; and the lazily built
-grid index and raster follow each slot's coordinates.
+The fleet re-announces every sensor at the start of every slot
+(Section 2.1), and :meth:`SlotEngine.step` builds one
+:class:`ValuationKernel` from that batch.  The suites below pin that
+
+* spec-built engines over a stationary, a low-churn trace and a
+  random-waypoint fleet settle per-slot allocations ``==`` those recorded
+  when the engine still carried its kernel across unchanged slots
+  (``fixtures/slot_state_signatures.json``), across kernels x gain
+  pipelines;
+* no kernel and no :class:`WorldRaster` of a slot is alive once ``step``
+  (or the service's ``tick_once``) has returned;
+* an allocator honours a passed kernel exactly when it covers the
+  announcements it is given (an equal snapshot list, or a
+  :meth:`~repro.sensors.AnnouncementBatch.with_costs` repricing), and
+  builds its own for a moved or shorter batch;
+* coverage rows follow each slot's coordinates.
 """
 
 from __future__ import annotations
+
+import json
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,16 +34,18 @@ from oracles import (
     compile_greedy_as,
     compile_kernel_as,
 )
-from repro.core import GreedyAllocator, SimulationSummary, ValuationKernel
+from repro.core import BaselineAllocator, GreedyAllocator, SimulationSummary, ValuationKernel
 from repro.datasets import ScenarioSpec, StreamSpec
 from repro.experiments import allocation_signature
 from repro.mobility import ChurnMobility, RandomWaypointMobility, StationaryMobility
-from repro.queries import PointQuery, PointQueryWorkload
+from repro.queries import AggregateQueryWorkload, PointQueryWorkload
 from repro.sensors import FleetConfig, SensorFleet, TieredTrust, UniformTrust
-from repro.spatial import AreaCoverage, Location, Region, get_raster
+from repro.service import LoadGenerator, MarketplaceService, PoissonProfile
+from repro.spatial import AreaCoverage, Location, Region, WorldRaster
 
 REGION = Region.from_origin(40, 40)
 HOTSPOT = Region.centered_in(REGION, 26, 26)
+SIGNATURES = Path(__file__).parent / "fixtures" / "slot_state_signatures.json"
 
 #: Announcement-relevant fleet configs: energy model x privacy x trust.
 CONFIGS = {
@@ -80,7 +91,7 @@ MOBILITIES = {"rwp": waypoint_fleet, "churn": churn_fleet, "stationary": station
 
 
 def identity(batch) -> tuple:
-    """The announcement identity a kernel may be reused across."""
+    """The announcement identity a kernel covers (prices excluded)."""
     return (
         np.asarray(batch.ids).tobytes(),
         np.asarray(batch.xy).tobytes(),
@@ -89,94 +100,113 @@ def identity(batch) -> tuple:
     )
 
 
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """The batches every ``gain_setup`` kernel build of the test covers."""
+    built = []
+
+    class Counting(ValuationKernel):
+        @classmethod
+        def from_sensors(cls, sensors):
+            built.append(sensors)
+            return super().from_sensors(sensors)
+
+    monkeypatch.setattr("repro.core.greedy.ValuationKernel", Counting)
+    return built
+
+
 # ----------------------------------------------------------------------
-# kernels chained through ensure vs kernels built from scratch
+# a passed kernel is honoured exactly when it covers the announcements
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", CONFIGS, ids=list(CONFIGS))
 @pytest.mark.parametrize("mobility", MOBILITIES, ids=list(MOBILITIES))
-def test_chained_kernel_matches_a_fresh_kernel(name, mobility):
+def test_previous_slot_kernel_is_honoured_only_over_equal_announcements(
+    name, mobility, kernel_builds
+):
     """Slot after slot (measurements driving exhaustion and privacy
-    repricing), the kernel ``ensure`` hands out is reused exactly when the
-    announcement identity is unchanged, carries the slot's arrays, and
-    settles the same allocation as a kernel built from scratch."""
+    repricing), the previous slot's kernel handed to the next slot's
+    allocator is used exactly when the announcement identity is unchanged,
+    and the allocation equals one over a kernel built from scratch."""
     fleet = MOBILITIES[mobility](CONFIGS[name], seed=11)
     workload = PointQueryWorkload(HOTSPOT, n_queries=20, budget=18.0, dmax=6.0)
     rng = np.random.default_rng(3)
-    kernel, previous = None, None
+    previous = None
     for _ in range(8):
         batch = fleet.announcements()
-        chained = ValuationKernel.ensure(kernel, batch)
-        fresh = ValuationKernel.from_sensors(batch)
-        reused = kernel is not None and chained is kernel
-        assert reused == (previous is not None and identity(batch) == previous)
-        assert chained.sensors is batch
-        for attr in ("sensor_xy", "gamma", "trust"):
-            np.testing.assert_array_equal(getattr(chained, attr), getattr(fresh, attr))
-        np.testing.assert_array_equal(chained.sensors.ids, batch.ids)
         queries = workload.generate(fleet.clock, rng)
-        a = GreedyAllocator().allocate(queries, batch, kernel=chained)
-        b = GreedyAllocator().allocate(queries, batch, kernel=fresh)
-        assert allocation_signature(a) == allocation_signature(b)
-        fleet.record_measurements(list(a.selected))
-        fleet.advance()
-        kernel, previous = chained, identity(batch)
-
-
-@pytest.mark.parametrize("sharded", [False, True], ids=["dense", "sharded"])
-def test_ensure_rebuilds_for_a_new_batch(sharded):
-    """A kernel whose grid index is warm from an earlier slot, handed a
-    later slot's batch, yields a fresh kernel whose candidates follow the
-    new positions."""
-    fleet = churn_fleet(FleetConfig(), seed=9, n=70, fraction=0.3)
-    cls = ValuationKernel if sharded else DenseKernel
-    first = fleet.announcements()
-    kernel = cls.ensure(None, first)
-    probe = PointQuery(Location(20.0, 20.0), 10.0)
-    kernel.candidate_indices(probe)  # warm the grid and its caches
-    fleet.advance()
-    fleet.advance()
-    later = fleet.announcements()
-    assert identity(later) != identity(first)
-    again = cls.ensure(kernel, later)
-    assert again is not kernel
-    ref = cls.from_sensors(later)
-    np.testing.assert_array_equal(again.sensor_xy, ref.sensor_xy)
-    np.testing.assert_array_equal(again.costs, ref.costs)
-    xy = np.asarray(later.xy)
-    near = np.flatnonzero(np.hypot(xy[:, 0] - 20.0, xy[:, 1] - 20.0) <= probe.dmax)
-    assert set(near.tolist()) <= set(again.candidate_indices(probe).tolist())
-
-
-def test_raster_rows_follow_each_slot_announcement():
-    """A standing coverage function evaluated slot after slot on a churning
-    fleet gets each slot's own raster and rows over that slot's positions."""
-    fleet = churn_fleet(FleetConfig(), seed=5, n=120, fraction=0.1)
-    fn = AreaCoverage(Region(8.0, 8.0, 30.0, 26.0), sensing_range=4.0)
-    rasters = []
-    for _ in range(5):
-        batch = fleet.announcements()
-        raster = get_raster(batch, batch.xy)
-        assert raster.xy is batch.xy
-        assert get_raster(batch, batch.xy) is raster
-        cols = np.arange(len(batch), dtype=np.intp)
-        indptr, cells = raster.coverage_rows(fn, cols)
-        masks = fn.masks_for(np.asarray(batch.xy))
-        for i in range(len(cols)):
-            np.testing.assert_array_equal(
-                cells[indptr[i]:indptr[i + 1]], np.flatnonzero(masks[i])
-            )
-        np.testing.assert_array_equal(
-            raster.contains_mask(HOTSPOT), HOTSPOT.contains_many(np.asarray(batch.xy))
+        fresh = GreedyAllocator().allocate(
+            queries, batch, kernel=ValuationKernel.from_sensors(batch)
         )
-        assert all(raster is not earlier for earlier in rasters)
-        rasters.append(raster)
+        if previous is not None:
+            kernel_builds.clear()
+            stale = GreedyAllocator().allocate(queries, batch, kernel=previous)
+            covered = identity(batch) == identity(previous.sensors)
+            assert previous.covers(batch) == covered
+            assert len(kernel_builds) == (0 if covered else 1)
+            assert allocation_signature(stale) == allocation_signature(fresh)
+        previous = ValuationKernel.from_sensors(batch)
+        fleet.record_measurements(list(fresh.selected))
         fleet.advance()
 
 
+@pytest.mark.parametrize("allocator", [GreedyAllocator, BaselineAllocator])
+def test_passed_kernel_is_honoured_exactly_when_it_covers_equal_announcements(
+    allocator, kernel_builds
+):
+    fleet = waypoint_fleet(FleetConfig(), seed=9, n=70)
+    batch = fleet.announcements()
+    rng = np.random.default_rng(5)
+    queries = PointQueryWorkload(HOTSPOT, n_queries=12, budget=18.0, dmax=6.0).generate(
+        0, rng
+    ) + AggregateQueryWorkload(HOTSPOT, mean_queries=3, count_spread=0).generate(0, rng)
+    kernel = ValuationKernel.from_sensors(batch)
+    snapshots = list(batch)
+    moved_xy = batch.xy.copy()
+    moved_xy[0, 0] += 0.5
+    moved = type(batch)(
+        batch.ids, moved_xy, batch.costs, batch.gamma, batch.trust, clock=batch.clock
+    )
+    cases = {
+        "own batch": (batch, True),
+        "equal snapshot list": (snapshots, True),
+        "repriced": (batch.with_costs(batch.costs * 0.5), True),
+        "moved": (moved, False),
+        "shorter": (snapshots[:-1], False),
+    }
+    for case, (sensors, honoured) in cases.items():
+        kernel_builds.clear()
+        result = allocator().allocate(queries, sensors, kernel=kernel)
+        assert len(kernel_builds) == (0 if honoured else 1), case
+        reference = allocator().allocate(queries, sensors)
+        assert allocation_signature(result) == allocation_signature(reference), case
+        if case == "equal snapshot list":
+            # The caller's snapshot objects come back, not the kernel's.
+            assert all(result.selected[s.sensor_id] is s for s in snapshots
+                       if s.sensor_id in result.selected)
+
+
 # ----------------------------------------------------------------------
-# end-to-end replay: kept kernels vs per-slot rebuilds, fleets x kernels x
-# pipelines
+# nothing of a slot outlives it
 # ----------------------------------------------------------------------
+@pytest.fixture
+def slot_objects(monkeypatch):
+    """Weak references to every kernel and raster built during the test."""
+    refs = []
+    for cls in (ValuationKernel, WorldRaster):
+        init = cls.__init__
+
+        def tracked(self, *args, _init=init, **kwargs):
+            _init(self, *args, **kwargs)
+            refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(cls, "__init__", tracked)
+    return refs
+
+
+def alive(refs) -> list:
+    return [obj for obj in (ref() for ref in refs) if obj is not None]
+
+
 STREAMS = (
     StreamSpec("point", params={"n_queries": 15, "budget": 12.0}),
     StreamSpec(
@@ -186,7 +216,7 @@ STREAMS = (
 )
 
 FLEETS = {
-    # nobody moves: exhaustion is the only change, so kernels are kept.
+    # nobody moves: exhaustion is the only change between slots.
     "stationary": {"mobility": {"kind": "churn", "fraction": 0.0}},
     # a low-churn recorded trace.
     "trace": {"mobility": {"kind": "churn", "fraction": 0.05}},
@@ -195,29 +225,8 @@ FLEETS = {
 }
 
 
-def replay(spec: ScenarioSpec, rebuild: bool) -> tuple[list, list]:
-    """Per-slot allocation signatures of a fresh engine of ``spec``, and
-    per warm slot whether the engine kept the previous slot's kernel.
-    With ``rebuild`` the engine drops its kernel before every slot."""
-    engine = spec.build()
-    summary = SimulationSummary()
-    signatures, kept = [], []
-    for _ in range(spec.n_slots):
-        previous = engine._kernel
-        if rebuild:
-            engine._kernel = None
-        engine.step(summary)
-        signatures.append(allocation_signature(engine.last_result))
-        if previous is not None:
-            kept.append(engine._kernel is previous)
-    return signatures, kept
-
-
-@pytest.mark.parametrize("fused", [True, False], ids=["fused-auto", "fused-off"])
-@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sharded"])
-@pytest.mark.parametrize("fleet", FLEETS, ids=list(FLEETS))
-def test_replay_parity(fleet, dense, fused, monkeypatch):
-    spec = ScenarioSpec(
+def fleet_spec(fleet: str) -> ScenarioSpec:
+    return ScenarioSpec(
         name=f"replay-{fleet}",
         n_sensors=200,
         n_slots=4,
@@ -226,15 +235,90 @@ def test_replay_parity(fleet, dense, fused, monkeypatch):
         fleet={"linear_energy": True, "random_privacy": True, "lifetime": 6},
         **FLEETS[fleet],
     )
-    reference, _ = replay(spec, rebuild=True)  # production kernel and gains
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["grid", "dense"])
+@pytest.mark.parametrize("fleet", FLEETS, ids=list(FLEETS))
+def test_no_slot_state_survives_step(fleet, dense, monkeypatch, slot_objects):
+    if dense:
+        compile_kernel_as(monkeypatch, DenseKernel)
+    spec = fleet_spec(fleet)
+    engine = spec.build()
+    summary = SimulationSummary()
+    for _ in range(spec.n_slots):
+        before = len(slot_objects)
+        engine.step(summary)
+        assert len(slot_objects) > before
+        assert alive(slot_objects) == []
+    assert summary.total_queries > 0
+
+
+def test_no_slot_state_survives_a_service_tick(slot_objects):
+    spec = fleet_spec("trace")
+    service = MarketplaceService.from_spec(spec)
+    schedule = LoadGenerator(PoissonProfile(6.0), service.workloads, seed=3).schedule(
+        spec.n_slots
+    )
+    for batch in schedule:
+        for query in batch:
+            service.submit(query)
+        before = len(slot_objects)
+        service.tick_once()
+        assert len(slot_objects) > before
+        assert alive(slot_objects) == []
+    assert service.metrics.admitted > 0
+
+
+# ----------------------------------------------------------------------
+# the allocations recorded when kernels were kept across slots
+# ----------------------------------------------------------------------
+def canonical(signature) -> dict:
+    """``allocation_signature`` in the fixture's JSON form."""
+    selected, assignments, values, payments = signature
+    return {
+        "selected": list(selected),
+        "assignments": {q: list(s) for q, s in assignments.items()},
+        "values": values,
+        "payments": [[q, sid, p] for (q, sid), p in payments.items()],
+    }
+
+
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "per-row"])
+@pytest.mark.parametrize("dense", [False, True], ids=["grid", "dense"])
+@pytest.mark.parametrize("fleet", FLEETS, ids=list(FLEETS))
+def test_signatures_match_the_kept_kernel_recording(fleet, dense, fused, monkeypatch):
+    """Per-slot signatures ``==`` those recorded while a stationary fleet's
+    engine still kept its kernel across slots."""
+    recorded = json.loads(SIGNATURES.read_text())[fleet]
     if not fused:
         compile_greedy_as(monkeypatch, PerRowGreedyAllocator)
     if dense:
         compile_kernel_as(monkeypatch, DenseKernel)
-    kept_run, kept = replay(spec, rebuild=False)
-    rebuilt_run, _ = replay(spec, rebuild=True)
-    assert len(kept_run) == 4 and all(sig is not None for sig in kept_run)
-    assert kept_run == rebuilt_run == reference
-    # Nobody moves and no sensor exhausts within 4 slots: every warm slot
-    # keeps its kernel.  Moving fleets never do.
-    assert kept == [fleet == "stationary"] * 3
+    spec = fleet_spec(fleet)
+    engine = spec.build()
+    summary = SimulationSummary()
+    signatures = []
+    for _ in range(spec.n_slots):
+        engine.step(summary)
+        signatures.append(canonical(allocation_signature(engine.last_result)))
+    assert signatures == recorded
+
+
+# ----------------------------------------------------------------------
+# coverage rows follow each slot's coordinates
+# ----------------------------------------------------------------------
+def test_raster_rows_follow_each_slot_announcement():
+    """A standing coverage function evaluated slot after slot on a churning
+    fleet gets rows over that slot's positions."""
+    fleet = churn_fleet(FleetConfig(), seed=5, n=120, fraction=0.1)
+    fn = AreaCoverage(Region(8.0, 8.0, 30.0, 26.0), sensing_range=4.0)
+    for _ in range(5):
+        batch = fleet.announcements()
+        cols = np.arange(len(batch), dtype=np.intp)
+        indptr, cells = WorldRaster(batch.xy).coverage_rows(fn, cols)
+        masks = fn.masks_for(np.asarray(batch.xy))
+        for i in range(len(cols)):
+            np.testing.assert_array_equal(
+                cells[indptr[i]:indptr[i + 1]], np.flatnonzero(masks[i])
+            )
+        fleet.advance()
